@@ -114,17 +114,7 @@ TestResult run_test(const TestSpec& spec) {
     rec->meta.duration_sec = spec.iperf.duration_sec;
     rec->meta.base_seed = spec.base_seed;
     rec->meta.scenario = spec.scenario.empty() ? "" : spec.scenario.name;
-    rec->summary.avg_gbps = out.avg_gbps;
-    rec->summary.min_gbps = out.min_gbps;
-    rec->summary.max_gbps = out.max_gbps;
-    rec->summary.stdev_gbps = out.stdev_gbps;
-    rec->summary.avg_retransmits = out.avg_retransmits;
-    rec->summary.flow_min_gbps = out.flow_min_gbps;
-    rec->summary.flow_max_gbps = out.flow_max_gbps;
-    rec->summary.snd_cpu_pct = out.snd_cpu_pct;
-    rec->summary.rcv_cpu_pct = out.rcv_cpu_pct;
-    rec->summary.zc_fallback_ratio = out.zc_fallback_ratio;
-    rec->summary.samples_gbps = out.samples_gbps;
+    rec->summary = out;
     if (!out.repeat_series.empty()) rec->series = out.repeat_series.front();
     rec->ss_log = out.ss_log;
     rec->perf_log = out.perf_log;

@@ -45,26 +45,11 @@ struct TestSpec {
                      app::IperfOptions opts, std::string label = {});
 };
 
-struct TestResult {
+// The aggregate columns live in the RunSummary base, so RunRecords, sweep
+// cache entries and campaign rows serialise them through its one field list.
+struct TestResult : report::RunSummary {
   std::string name;
   int repeats = 0;
-
-  double avg_gbps = 0.0;
-  double min_gbps = 0.0;
-  double max_gbps = 0.0;
-  double stdev_gbps = 0.0;
-  double avg_retransmits = 0.0;
-
-  // Per-flow spread, averaged over repeats (Table III's "Range" column).
-  double flow_min_gbps = 0.0;
-  double flow_max_gbps = 0.0;
-
-  double snd_cpu_pct = 0.0;  // "TX Cores" (iperf3 + IRQ), percent of a core
-  double rcv_cpu_pct = 0.0;  // "RX Cores"
-
-  double zc_fallback_ratio = 0.0;  // fraction of zerocopy bytes that fell back
-
-  std::vector<double> samples_gbps;  // one per repeat (released raw data)
 
   // Populated only when spec.telemetry.enabled: one probe series per repeat
   // and the trace of repeat 0 (shared_ptr keeps the Telemetry alive).

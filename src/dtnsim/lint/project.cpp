@@ -1,8 +1,8 @@
 #include "dtnsim/lint/project.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <map>
+#include <set>
 
 #include "dtnsim/lint/internal.hpp"
 #include "dtnsim/sweep/pool.hpp"
@@ -11,99 +11,6 @@ namespace dtnsim::lint {
 namespace {
 
 using namespace detail;
-
-// ---- cursor over scrubbed lines -------------------------------------------
-// All structural scanning (enum bodies, switch bodies, signatures) walks the
-// scrubbed text so string/comment contents cannot fake syntax; the raw lines
-// are consulted only to recover string-literal *values* (metric names, Json
-// keys) at positions the scrubbed text has already vouched for.
-
-struct Cursor {
-  std::size_t li = 0;  // line index
-  std::size_t ci = 0;  // column index
-};
-
-bool skip_ws(const std::vector<std::string>& code, Cursor& c) {
-  while (c.li < code.size()) {
-    const std::string& line = code[c.li];
-    if (c.ci >= line.size()) {
-      ++c.li;
-      c.ci = 0;
-      continue;
-    }
-    if (!std::isspace(static_cast<unsigned char>(line[c.ci]))) return true;
-    ++c.ci;
-  }
-  return false;
-}
-
-char char_at(const std::vector<std::string>& code, const Cursor& c) {
-  return code[c.li][c.ci];
-}
-
-std::string read_ident(const std::vector<std::string>& code, Cursor& c) {
-  if (!skip_ws(code, c)) return "";
-  std::string out;
-  const std::string& line = code[c.li];
-  while (c.ci < line.size() && is_ident_char(line[c.ci])) {
-    out += line[c.ci];
-    ++c.ci;
-  }
-  return out;
-}
-
-// `c` on (or before) an `open` char: advance just past its matching `close`.
-bool skip_balanced(const std::vector<std::string>& code, Cursor& c, char open,
-                   char close) {
-  if (!skip_ws(code, c) || char_at(code, c) != open) return false;
-  int depth = 0;
-  while (c.li < code.size()) {
-    const std::string& line = code[c.li];
-    for (; c.ci < line.size(); ++c.ci) {
-      if (line[c.ci] == open) ++depth;
-      else if (line[c.ci] == close && --depth == 0) {
-        ++c.ci;
-        return true;
-      }
-    }
-    ++c.li;
-    c.ci = 0;
-  }
-  return false;
-}
-
-// Text of [a, b), newlines collapsed to single spaces.
-std::string text_between(const std::vector<std::string>& code, Cursor a,
-                         const Cursor& b) {
-  std::string out;
-  while (a.li < b.li || (a.li == b.li && a.ci < b.ci)) {
-    const std::string& line = code[a.li];
-    if (a.ci >= line.size()) {
-      out += ' ';
-      ++a.li;
-      a.ci = 0;
-      continue;
-    }
-    const std::size_t stop = a.li == b.li ? b.ci : line.size();
-    out.append(line, a.ci, stop - a.ci);
-    a.ci = stop;
-  }
-  return out;
-}
-
-std::string strip_ws(const std::string& s) {
-  std::string out;
-  for (char c : s)
-    if (!std::isspace(static_cast<unsigned char>(c))) out += c;
-  return out;
-}
-
-bool any_conditional(const std::vector<int>& cond, std::size_t first,
-                     std::size_t last) {
-  for (std::size_t i = first; i <= last && i < cond.size(); ++i)
-    if (cond[i] > 0) return true;
-  return false;
-}
 
 bool starts_with(const std::string& s, const std::string& prefix) {
   return s.compare(0, prefix.size(), prefix) == 0;
@@ -114,187 +21,7 @@ bool is_library(FileKind kind) {
          kind == FileKind::UnitsLibrary;
 }
 
-// ---- enum definitions ------------------------------------------------------
-
-void index_enums(const std::vector<std::string>& code, const std::string& path,
-                 FileIndex& out) {
-  for (std::size_t li = 0; li < code.size(); ++li) {
-    const auto pos = find_word(code[li], "enum");
-    if (pos == std::string::npos) continue;
-    Cursor c{li, pos + 4};
-    const std::string tag = read_ident(code, c);
-    if (tag != "class" && tag != "struct") continue;  // scoped enums only
-    const std::string name = read_ident(code, c);
-    if (name.empty() || !skip_ws(code, c)) continue;
-    if (char_at(code, c) == ':') {  // underlying-type clause
-      while (skip_ws(code, c) && char_at(code, c) != '{' &&
-             char_at(code, c) != ';')
-        ++c.ci;
-    }
-    if (!skip_ws(code, c) || char_at(code, c) != '{') continue;  // fwd decl
-    Cursor body = c;
-    ++body.ci;  // past '{'
-    Cursor end = c;
-    if (!skip_balanced(code, end, '{', '}')) continue;
-    Cursor close = end;  // just past '}'
-    if (close.ci > 0) --close.ci;
-    EnumDef def;
-    def.name = name;
-    def.path = path;
-    def.line = static_cast<int>(li + 1);
-    std::string chunk;
-    const std::string text = text_between(code, body, close) + ",";
-    for (char ch : text) {
-      if (ch != ',') {
-        chunk += ch;
-        continue;
-      }
-      // First identifier of the chunk is the enumerator; `= value` tails
-      // and empty chunks (trailing comma) drop out.
-      std::string ident;
-      for (char cc : chunk) {
-        if (is_ident_char(cc)) {
-          ident += cc;
-        } else if (!ident.empty()) {
-          break;
-        }
-      }
-      if (!ident.empty()) def.enumerators.push_back(ident);
-      chunk.clear();
-    }
-    if (!def.enumerators.empty()) out.enums.push_back(std::move(def));
-  }
-}
-
-// ---- switch statements -----------------------------------------------------
-
-// `c` just past a nested `switch` keyword: skip its (cond) and {body}.
-bool skip_nested_switch(const std::vector<std::string>& code, Cursor& c) {
-  if (!skip_balanced(code, c, '(', ')')) return false;
-  if (!skip_ws(code, c) || char_at(code, c) != '{') return false;
-  return skip_balanced(code, c, '{', '}');
-}
-
-// Parse the case labels / default of the switch whose body opens at `c`
-// (pointing at '{'). Nested switches are skipped here; the outer indexing
-// loop discovers them independently by their own `switch` keyword.
-void scan_switch_body(const std::vector<std::string>& code, Cursor c,
-                      SwitchStmt& sw, std::size_t& end_line) {
-  int depth = 0;
-  end_line = c.li;
-  while (c.li < code.size()) {
-    const std::string& line = code[c.li];
-    if (c.ci >= line.size()) {
-      ++c.li;
-      c.ci = 0;
-      continue;
-    }
-    const char ch = line[c.ci];
-    if (ch == '{') {
-      ++depth;
-      ++c.ci;
-      continue;
-    }
-    if (ch == '}') {
-      if (--depth == 0) {
-        end_line = c.li;
-        return;
-      }
-      ++c.ci;
-      continue;
-    }
-    const bool word_start =
-        is_ident_char(ch) && (c.ci == 0 || !is_ident_char(line[c.ci - 1]));
-    if (!word_start) {
-      ++c.ci;
-      continue;
-    }
-    std::size_t end = c.ci;
-    while (end < line.size() && is_ident_char(line[end])) ++end;
-    const std::string word = line.substr(c.ci, end - c.ci);
-    c.ci = end;
-    if (word == "switch") {
-      skip_nested_switch(code, c);
-      continue;
-    }
-    if (word == "default") {
-      Cursor d = c;
-      if (skip_ws(code, d) && char_at(code, d) == ':' &&
-          !(d.ci + 1 < code[d.li].size() && code[d.li][d.ci + 1] == ':')) {
-        sw.has_default = true;
-      }
-      continue;
-    }
-    if (word != "case") continue;
-    // Label: everything up to the first ':' that is not part of '::'.
-    std::string label;
-    while (c.li < code.size()) {
-      const std::string& ll = code[c.li];
-      if (c.ci >= ll.size()) {
-        ++c.li;
-        c.ci = 0;
-        label += ' ';
-        continue;
-      }
-      if (ll[c.ci] == ':') {
-        if (c.ci + 1 < ll.size() && ll[c.ci + 1] == ':') {
-          label += "::";
-          c.ci += 2;
-          continue;
-        }
-        break;
-      }
-      label += ll[c.ci];
-      ++c.ci;
-    }
-    label = strip_ws(label);
-    const auto sep = label.rfind("::");
-    if (sep == std::string::npos || sep == 0) continue;  // char/int label
-    const std::string enumerator = label.substr(sep + 2);
-    std::string qual = label.substr(0, sep);
-    const auto prev = qual.rfind("::");
-    if (prev != std::string::npos) qual = qual.substr(prev + 2);
-    if (qual.empty() || enumerator.empty()) continue;
-    if (sw.enum_name.empty()) sw.enum_name = qual;
-    if (qual == sw.enum_name) sw.cases.insert(enumerator);
-  }
-}
-
-void index_switches(const std::vector<std::string>& code,
-                    const std::vector<int>& cond, const Suppressions& sup,
-                    const std::string& path, FileIndex& out) {
-  for (std::size_t li = 0; li < code.size(); ++li) {
-    std::size_t pos = 0;
-    while ((pos = find_word(code[li], "switch", pos)) != std::string::npos) {
-      Cursor c{li, pos + 6};
-      pos += 6;
-      if (!skip_balanced(code, c, '(', ')')) continue;
-      if (!skip_ws(code, c) || char_at(code, c) != '{') continue;
-      SwitchStmt sw;
-      sw.path = path;
-      sw.line = static_cast<int>(li + 1);
-      std::size_t end_line = li;
-      scan_switch_body(code, c, sw, end_line);
-      sw.conditional = any_conditional(cond, li, end_line);
-      sw.suppressed = sup.allows(li, "enum-switch");
-      out.switches.push_back(std::move(sw));
-    }
-  }
-}
-
 // ---- metric registration sites ---------------------------------------------
-
-// Reads a "..." literal from the raw line starting at the scrubbed-verified
-// open paren; empty when the first argument is not a string literal (e.g. a
-// std::string expression) — those sites are invisible to the parity rules.
-std::string literal_after_paren(const std::string& raw, std::size_t paren) {
-  std::size_t i = paren + 1;
-  while (i < raw.size() && std::isspace(static_cast<unsigned char>(raw[i]))) ++i;
-  if (i >= raw.size() || raw[i] != '"') return "";
-  const auto close = raw.find('"', i + 1);
-  if (close == std::string::npos) return "";
-  return raw.substr(i + 1, close - i - 1);
-}
 
 void index_metrics(const std::vector<std::string>& raw,
                    const std::vector<std::string>& code,
@@ -344,170 +71,6 @@ void index_metrics(const std::vector<std::string>& raw,
         site.conditional = cond[li] > 0;
         site.suppressed = sup.allows(li, "metric-parity");
         out.metrics.push_back(std::move(site));
-      }
-    }
-  }
-}
-
-// ---- Json round-trip functions ---------------------------------------------
-
-// "const harness::TestResult&" / "std::optional<Timeline>" ->
-// "TestResult" / "Timeline"; vector payloads keep their wrapper so
-// `ss_log_*` (vector<SsReport>) never collides with the element pair.
-std::string normalize_type(const std::string& text) {
-  std::string t = text;
-  static const char* const kDrop[] = {"static",   "inline", "constexpr",
-                                      "const",    "struct", "class",
-                                      "typename", "friend"};
-  for (const char* kw : kDrop) {
-    std::size_t p = 0;
-    while ((p = find_word(t, kw, p)) != std::string::npos)
-      t.erase(p, std::string(kw).size());
-  }
-  std::string s;
-  for (char c : t)
-    if (!std::isspace(static_cast<unsigned char>(c)) && c != '&' && c != '*')
-      s += c;
-  // Drop namespace qualifiers wherever they appear (std::, harness::,
-  // obs:: — also inside template arguments).
-  std::size_t p;
-  while ((p = s.find("::")) != std::string::npos) {
-    std::size_t b = p;
-    while (b > 0 && is_ident_char(s[b - 1])) --b;
-    s.erase(b, p + 2 - b);
-  }
-  if (starts_with(s, "optional<") && ends_with(s, ">"))
-    s = s.substr(9, s.size() - 10);
-  return s;
-}
-
-// Split a parameter list on top-level commas (template arguments stay
-// intact).
-std::vector<std::string> split_params(const std::string& params) {
-  std::vector<std::string> out;
-  std::string cur;
-  int angle = 0;
-  for (char c : params) {
-    if (c == '<') ++angle;
-    if (c == '>') --angle;
-    if (c == ',' && angle == 0) {
-      out.push_back(cur);
-      cur.clear();
-      continue;
-    }
-    cur += c;
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
-}
-
-// The struct a parse-side signature round-trips: the return type, or the
-// pointee of an out-parameter when the function returns bool/void.
-std::string parse_side_struct(const std::string& ret_text,
-                              const std::string& params) {
-  const std::string ret = normalize_type(ret_text);
-  if (!ret.empty() && ret != "bool" && ret != "void" && ret != "Json")
-    return ret;
-  for (const auto& p : split_params(params)) {
-    const auto star = p.find('*');
-    if (star != std::string::npos) return normalize_type(p.substr(0, star));
-  }
-  return "";
-}
-
-std::string emit_side_struct(const std::string& params) {
-  const auto amp = params.find('&');
-  if (amp == std::string::npos) return "";
-  const auto comma = params.find(',');
-  if (comma != std::string::npos && comma < amp) return "";
-  return normalize_type(params.substr(0, amp));
-}
-
-void collect_keys(const std::vector<std::string>& raw,
-                  const std::vector<std::string>& code, std::size_t first,
-                  std::size_t last, std::set<std::string>& keys) {
-  static const char* const kReaders[] = {"find", "string_at", "number_at",
-                                         "bool_at"};
-  for (std::size_t li = first; li <= last && li < code.size(); ++li) {
-    // Emit idiom: doc["key"] = ...;
-    std::size_t pos = 0;
-    while ((pos = raw[li].find("[\"", pos)) != std::string::npos) {
-      if (pos < code[li].size() && code[li][pos] == '[') {
-        const std::string key = literal_after_paren(raw[li], pos);
-        if (!key.empty()) keys.insert(key);
-      }
-      ++pos;
-    }
-    // Parse idiom: find("key") / *_at("key", fallback).
-    for (const char* reader : kReaders) {
-      std::size_t rp = 0;
-      while ((rp = find_word(code[li], reader, rp)) != std::string::npos) {
-        const std::size_t after = rp + std::string(reader).size();
-        rp = after;
-        if (after >= code[li].size() || code[li][after] != '(') continue;
-        const std::string key = literal_after_paren(raw[li], after);
-        if (!key.empty()) keys.insert(key);
-      }
-    }
-  }
-}
-
-void index_json_fns(const std::vector<std::string>& raw,
-                    const std::vector<std::string>& code,
-                    const std::vector<int>& cond, const Suppressions& sup,
-                    const std::string& path, FileKind kind, FileIndex& out) {
-  static const char* const kTails[] = {"to_json", "from_json"};
-  for (std::size_t li = 0; li < code.size(); ++li) {
-    for (const char* tail : kTails) {
-      std::size_t pos = 0;
-      while ((pos = code[li].find(tail, pos)) != std::string::npos) {
-        const std::size_t tail_end = pos + std::string(tail).size();
-        const std::size_t hit = pos;
-        pos = tail_end;
-        if (tail_end < code[li].size() && is_ident_char(code[li][tail_end]))
-          continue;  // e.g. to_jsonl
-        // Expand left over identifier chars: full function name.
-        std::size_t name_start = hit;
-        while (name_start > 0 && is_ident_char(code[li][name_start - 1]))
-          --name_start;
-        const std::string fn = code[li].substr(name_start, tail_end - name_start);
-        if (fn != tail && !ends_with(fn, std::string("_") + tail)) continue;
-        if (tail_end >= code[li].size() || code[li][tail_end] != '(') continue;
-        Cursor c{li, tail_end};
-        Cursor params_open = c;
-        if (!skip_balanced(code, c, '(', ')')) continue;
-        Cursor params_close = c;  // just past ')'
-        if (params_close.ci > 0) --params_close.ci;
-        Cursor body = c;
-        std::string word;
-        do {  // skip `const`, `noexcept` between ')' and '{'
-          if (!skip_ws(code, body)) break;
-          if (char_at(code, body) == '{' || char_at(code, body) == ';') break;
-          word = read_ident(code, body);
-        } while (!word.empty());
-        if (body.li >= code.size() || char_at(code, body) != '{')
-          continue;  // declaration or call site
-        Cursor open = body;
-        ++params_open.ci;  // past '('
-        const std::string params =
-            text_between(code, params_open, params_close);
-        JsonFn jf;
-        jf.fn_name = fn;
-        jf.path = path;
-        jf.line = static_cast<int>(li + 1);
-        jf.emit = std::string(tail) == "to_json";
-        jf.struct_name =
-            jf.emit ? emit_side_struct(params)
-                    : parse_side_struct(code[li].substr(0, name_start), params);
-        if (jf.struct_name.empty()) continue;
-        Cursor end = open;
-        if (!skip_balanced(code, end, '{', '}')) continue;
-        const std::size_t end_line = end.ci == 0 && end.li > 0 ? end.li - 1 : end.li;
-        collect_keys(raw, code, li, end_line, jf.keys);
-        jf.library = is_library(kind);
-        jf.conditional = any_conditional(cond, li, end_line);
-        jf.suppressed = sup.allows(li, "json-parity");
-        out.json_fns.push_back(std::move(jf));
       }
     }
   }
@@ -568,60 +131,11 @@ constexpr MetricAllowance kMetricParityAllowlist[] = {
 
 // ---- the cross-file rules --------------------------------------------------
 
-void rule_enum_switch(const ProjectIndex& index, std::vector<Finding>& out) {
-  std::map<std::string, std::vector<const EnumDef*>> enums;
-  for (const auto& f : index.files)
-    for (const auto& e : f.enums) enums[e.name].push_back(&e);
-  for (const auto& f : index.files) {
-    if (!is_library(f.kind) && f.kind != FileKind::Tool) continue;
-    for (const auto& sw : f.switches) {
-      if (sw.enum_name.empty() || sw.conditional || sw.suppressed) continue;
-      const auto it = enums.find(sw.enum_name);
-      if (it == enums.end() || it->second.size() != 1) continue;  // unknown or
-                                                                  // ambiguous
-      const EnumDef& def = *it->second.front();
-      // Stale labels first: a `case` naming an enumerator the definition no
-      // longer carries is dead code even under a default — it can never fire
-      // and usually marks a rename that missed this switch.
-      std::string stale;
-      for (const auto& c : sw.cases) {
-        if (std::find(def.enumerators.begin(), def.enumerators.end(), c) !=
-            def.enumerators.end())
-          continue;
-        if (!stale.empty()) stale += ", ";
-        stale += c;
-      }
-      if (!stale.empty()) {
-        out.push_back({"enum-switch", sw.path, sw.line,
-                       "switch over 'enum class " + sw.enum_name + "' (" +
-                           def.path +
-                           ") names enumerator(s) that no longer exist: " +
-                           stale});
-      }
-      if (sw.has_default) continue;  // default covers missing enumerators
-      std::string missing;
-      int n = 0;
-      for (const auto& e : def.enumerators) {
-        if (sw.cases.count(e)) continue;
-        if (!missing.empty()) missing += ", ";
-        missing += e;
-        ++n;
-      }
-      if (missing.empty()) continue;
-      out.push_back(
-          {"enum-switch", sw.path, sw.line,
-           "switch over 'enum class " + sw.enum_name + "' (" + def.path +
-               ") handles " +
-               std::to_string(def.enumerators.size() - std::size_t(n)) + "/" +
-               std::to_string(def.enumerators.size()) +
-               " enumerators and has no default; missing: " + missing});
-    }
-  }
-}
-
+// flow.X and pkt.X share the key "~.X". (Built by append: gcc 12 reports a
+// false -Wrestrict on `"~" + name.substr(n)` here.)
 std::string canonical_family(const std::string& name) {
-  if (starts_with(name, "flow.")) return "~" + name.substr(4);
-  if (starts_with(name, "pkt.")) return "~" + name.substr(3);
+  if (starts_with(name, "flow.")) return std::string("~").append(name, 4);
+  if (starts_with(name, "pkt.")) return std::string("~").append(name, 3);
   return name;  // scenario.* compares literally
 }
 
@@ -681,52 +195,6 @@ void rule_metric_parity(const ProjectIndex& index, std::vector<Finding>& out) {
   }
 }
 
-void rule_json_parity(const ProjectIndex& index, std::vector<Finding>& out) {
-  struct Pair {
-    std::set<std::string> emit_keys, parse_keys;
-    const JsonFn* emit_fn = nullptr;
-    const JsonFn* parse_fn = nullptr;
-    bool skip = false;
-  };
-  std::map<std::string, Pair> pairs;
-  for (const auto& f : index.files) {
-    for (const auto& jf : f.json_fns) {
-      if (!jf.library) continue;
-      Pair& p = pairs[jf.struct_name];
-      if (jf.conditional || jf.suppressed) p.skip = true;
-      if (jf.emit) {
-        p.emit_keys.insert(jf.keys.begin(), jf.keys.end());
-        if (!p.emit_fn) p.emit_fn = &jf;
-      } else {
-        p.parse_keys.insert(jf.keys.begin(), jf.keys.end());
-        if (!p.parse_fn) p.parse_fn = &jf;
-      }
-    }
-  }
-  for (const auto& [name, p] : pairs) {
-    if (p.skip || !p.emit_fn || !p.parse_fn) continue;
-    std::string emit_only, parse_only;
-    for (const auto& k : p.emit_keys)
-      if (!p.parse_keys.count(k))
-        emit_only += (emit_only.empty() ? "" : ", ") + k;
-    for (const auto& k : p.parse_keys)
-      if (!p.emit_keys.count(k))
-        parse_only += (parse_only.empty() ? "" : ", ") + k;
-    if (emit_only.empty() && parse_only.empty()) continue;
-    std::string detail;
-    if (!emit_only.empty())
-      detail += "emitted by " + p.emit_fn->fn_name + " but never parsed: " +
-                emit_only;
-    if (!parse_only.empty()) {
-      if (!detail.empty()) detail += "; ";
-      detail += "parsed by " + p.parse_fn->fn_name + " but never emitted: " +
-                parse_only;
-    }
-    out.push_back({"json-parity", p.emit_fn->path, p.emit_fn->line,
-                   "Json round-trip for '" + name + "' drifted: " + detail});
-  }
-}
-
 }  // namespace
 
 // ---- public API ------------------------------------------------------------
@@ -740,10 +208,7 @@ FileIndex index_file(const std::string& path, const std::string& content) {
   const auto code = detail::scrub(raw);
   const auto cond = detail::conditional_depth(raw);
   const auto sup = detail::parse_suppressions(raw);
-  index_enums(code, path, out);
-  index_switches(code, cond, sup, path, out);
   index_metrics(raw, code, cond, sup, path, out.kind, out);
-  index_json_fns(raw, code, cond, sup, path, out.kind, out);
   return out;
 }
 
@@ -758,9 +223,7 @@ ProjectIndex build_index(const std::vector<FileContent>& files,
 
 std::vector<Finding> run_project_rules(const ProjectIndex& index) {
   std::vector<Finding> out;
-  rule_enum_switch(index, out);
   rule_metric_parity(index, out);
-  rule_json_parity(index, out);
   return out;
 }
 
@@ -778,42 +241,6 @@ std::string format_metric_allowlist() {
     out += a.why;
     out += "\n";
   }
-  return out;
-}
-
-std::string baseline_key(const Finding& f) {
-  return f.rule + "|" + f.path + "|" + f.message;
-}
-
-std::set<std::string> parse_baseline(const std::string& text) {
-  std::set<std::string> out;
-  for (const auto& line : detail::split_lines(text)) {
-    const auto b = line.find_first_not_of(" \t");
-    if (b == std::string::npos || line[b] == '#') continue;
-    const auto e = line.find_last_not_of(" \t\r");
-    out.insert(line.substr(b, e - b + 1));
-  }
-  return out;
-}
-
-std::string to_baseline(const std::vector<Finding>& findings) {
-  std::string out =
-      "# dtnsim-lint baseline: known findings masked during incremental\n"
-      "# adoption. One `rule|path|message` per line; regenerate with\n"
-      "# dtnsim-lint --write-baseline. Entries should only ever disappear.\n";
-  std::set<std::string> keys;
-  for (const auto& f : findings) keys.insert(baseline_key(f));
-  for (const auto& k : keys) out += k + "\n";
-  return out;
-}
-
-std::vector<Finding> apply_baseline(std::vector<Finding> findings,
-                                    const std::set<std::string>& baseline) {
-  if (baseline.empty()) return findings;
-  std::vector<Finding> out;
-  out.reserve(findings.size());
-  for (auto& f : findings)
-    if (!baseline.count(baseline_key(f))) out.push_back(std::move(f));
   return out;
 }
 
@@ -836,7 +263,7 @@ std::vector<Finding> lint_project(const std::vector<FileContent>& files,
     const auto project = run_project_rules(index);
     out.insert(out.end(), project.begin(), project.end());
   }
-  return apply_baseline(std::move(out), opts.baseline);
+  return out;
 }
 
 }  // namespace dtnsim::lint

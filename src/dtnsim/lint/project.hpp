@@ -1,12 +1,8 @@
 // dtnsim-lint v2: project-wide cross-file analysis.
 //
 // The per-file rules in lint.hpp catch hazards visible in one translation
-// unit. The invariants that actually rot this repo live *between* files:
+// unit. The project pass checks one invariant that lives *between* files:
 //
-//   enum-switch    every `switch` over an indexed `enum class` must handle
-//                  every enumerator or carry a `default:`. Adding a 16th
-//                  scenario::EventKind (or 17th obs::PerfStage) must break
-//                  the lint, not silently skip an engine hook.
 //   metric-parity  the fluid engine (flow/transfer.cpp) and the packet
 //                  engine (flow/packet_sim.cpp) publish the same dual-engine
 //                  metric families: a `flow.X` registered without a `pkt.X`
@@ -14,27 +10,23 @@
 //                  present in only one engine, is drift — modulo the
 //                  explained allowlist below. Registered library metrics
 //                  must also appear in docs/OBSERVABILITY.md.
-//   json-parity    every hand-written Json round-trip pair (`to_json` /
-//                  `*_from_json` over the same struct) must agree on its
-//                  literal key set: a key emitted but never parsed (or
-//                  parsed but never emitted) silently corrupts replay.
 //
-// The analysis is two-pass: pass 1 indexes every file (enum definitions,
-// switch statements with case labels, metric-name literals at
-// counter(/gauge(/histogram( registration sites tagged by engine, Json key
-// literals partitioned into emit/parse sides per struct, and a per-file
-// preprocessor-conditional map); pass 2 runs the cross-file rules over the
-// merged ProjectIndex. Anything under `#if`/`#ifdef` is exempt — a guarded
-// switch case or registration site cannot be judged from one configuration.
+// Two invariants that used to be rules here now hold by construction: the
+// compiler's -Werror=switch rejects a non-exhaustive switch over an enum
+// class (and a case naming a deleted enumerator never compiled), and each
+// serialised struct's one fields() list (util/fields.hpp) drives both its
+// Json emit and parse.
 //
-// Suppression: the usual `// dtnsim-lint: allow(<rule>)` on (or above) the
-// switch line / registration line / either function-definition line of a
-// json pair. For whole-tree adoption there is additionally a baseline file
-// (one `rule|path|message` triple per line, line numbers deliberately
-// excluded) that masks known findings; see parse_baseline/apply_baseline.
+// The analysis is two-pass: pass 1 indexes every file (metric-name literals
+// at counter(/gauge(/histogram( registration sites tagged by engine, and a
+// per-file preprocessor-conditional map); pass 2 runs the rule over the
+// merged ProjectIndex. A registration site under `#if`/`#ifdef` is exempt —
+// it cannot be judged from one configuration.
+//
+// Suppression: the usual `// dtnsim-lint: allow(metric-parity)` on (or
+// above) the registration line.
 #pragma once
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -51,24 +43,6 @@ struct FileContent {
 
 // ---- pass 1: the index ----------------------------------------------------
 
-struct EnumDef {
-  std::string name;  // unqualified, e.g. "EventKind"
-  std::string path;
-  int line = 0;
-  std::vector<std::string> enumerators;  // declaration order, values stripped
-};
-
-struct SwitchStmt {
-  std::string path;
-  int line = 0;              // the `switch` keyword's line
-  std::string enum_name;     // from `case Foo::Bar:` labels; "" when no
-                             // qualified labels (char/int switches)
-  std::set<std::string> cases;  // enumerator names (last `::` component)
-  bool has_default = false;
-  bool conditional = false;  // any part under #if/#ifdef
-  bool suppressed = false;   // allow(enum-switch) at the switch line
-};
-
 struct MetricSite {
   std::string path;
   int line = 0;
@@ -81,27 +55,10 @@ struct MetricSite {
   bool suppressed = false;   // allow(metric-parity) at the call line
 };
 
-struct JsonFn {
-  std::string struct_name;  // normalized pair key, e.g. "Timeline",
-                            // "TestResult", "vector<SsReport>"
-  std::string fn_name;
-  std::string path;
-  int line = 0;   // definition line
-  bool emit = false;  // to_json side vs *_from_json side
-  std::set<std::string> keys;  // literal keys only; computed keys are
-                               // invisible to both sides and cancel out
-  bool library = false;
-  bool conditional = false;
-  bool suppressed = false;  // allow(json-parity) at the definition line
-};
-
 struct FileIndex {
   std::string path;
   FileKind kind = FileKind::Other;
-  std::vector<EnumDef> enums;
-  std::vector<SwitchStmt> switches;
   std::vector<MetricSite> metrics;
-  std::vector<JsonFn> json_fns;
 };
 
 // Index one file. Pure: `path` does not need to exist on disk.
@@ -118,8 +75,8 @@ ProjectIndex build_index(const std::vector<FileContent>& files,
 
 // ---- pass 2: the cross-file rules -----------------------------------------
 
-// Runs enum-switch, metric-parity, and json-parity over the merged index.
-// Findings are ordered by rule, then by the file order of the index.
+// Runs metric-parity over the merged index. Findings follow the file order
+// of the index.
 std::vector<Finding> run_project_rules(const ProjectIndex& index);
 
 // The explained metric-parity allowlist: deliberately engine-asymmetric
@@ -129,31 +86,18 @@ std::vector<Finding> run_project_rules(const ProjectIndex& index);
 const char* metric_parity_allowance(const std::string& name);
 std::string format_metric_allowlist();
 
-// ---- baseline (incremental adoption) --------------------------------------
-
-// Baseline key: "rule|path|message". Line numbers are deliberately omitted
-// so unrelated edits above a known finding do not invalidate the entry.
-std::string baseline_key(const Finding& f);
-// One key per line; blank lines and '#' comments ignored.
-std::set<std::string> parse_baseline(const std::string& text);
-std::string to_baseline(const std::vector<Finding>& findings);
-// Drops findings whose key appears in the baseline, preserving order.
-std::vector<Finding> apply_baseline(std::vector<Finding> findings,
-                                    const std::set<std::string>& baseline);
-
 // ---- parallel driver -------------------------------------------------------
 
 struct ProjectOptions {
   int jobs = 1;              // resolved via sweep::resolve_jobs
   bool project_rules = true; // run the cross-file pass after per-file rules
   std::string doc_text;      // for the metric-docs check
-  std::set<std::string> baseline;
 };
 
 // Lint every file — per-file rules and index construction run on a
 // sweep::WorkerPool, results written by index so `jobs = N` output is
-// byte-identical to serial — then run the cross-file pass and apply the
-// baseline. Findings: per-file findings in input order, then project rules.
+// byte-identical to serial — then run the cross-file pass. Findings:
+// per-file findings in input order, then project rules.
 std::vector<Finding> lint_project(const std::vector<FileContent>& files,
                                   const ProjectOptions& opts);
 

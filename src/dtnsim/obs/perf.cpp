@@ -177,94 +177,17 @@ std::string format_flamegraph_diff(const PerfReport& before,
   return out;
 }
 
-Json to_json(const PerfReport& r) {
-  Json j = Json::object();
-  j["ts_sec"] = units::to_seconds(r.ts);
-  j["engine"] = r.engine;
-  j["label"] = r.label;
-  j["bytes_sent"] = r.bytes_sent;
-  j["bytes_delivered"] = r.bytes_delivered;
-  Json stages = Json::object();
-  for (int i = 0; i < kPerfStageCount; ++i) {
-    stages[kStages[i].name] = r.stage_cycles[i];
-  }
-  j["stages"] = std::move(stages);
-  Json cores = Json::object();
-  for (int c = 0; c < kPerfCoreCount; ++c) {
-    Json core = Json::object();
-    core["consumed_cycles"] = r.consumed_cycles[c];
-    core["capacity_cycles"] = r.capacity_cycles[c];
-    cores[kCoreNames[c]] = std::move(core);
-  }
-  j["cores"] = std::move(cores);
-  Json flows = Json::array();
-  for (const auto& f : r.flows) {
-    Json jf = Json::object();
-    jf["flow"] = f.flow;
-    Json fs = Json::object();
-    for (int i = 0; i < kPerfStageCount; ++i) {
-      fs[kStages[i].name] = f.stage_cycles[i];
-    }
-    jf["stages"] = std::move(fs);
-    flows.push_back(std::move(jf));
-  }
-  j["flows"] = std::move(flows);
-  return j;
-}
-
-PerfReport perf_report_from_json(const Json& j) {
-  PerfReport r;
-  r.ts = units::seconds(j.number_at("ts_sec", 0));
-  r.engine = j.string_at("engine", "");
-  r.label = j.string_at("label", "");
-  r.bytes_sent = j.number_at("bytes_sent", 0);
-  r.bytes_delivered = j.number_at("bytes_delivered", 0);
-  if (const Json* stages = j.find("stages"); stages && stages->is_object()) {
-    for (int i = 0; i < kPerfStageCount; ++i) {
-      r.stage_cycles[i] = stages->number_at(kStages[i].name, 0);
-    }
-  }
-  if (const Json* cores = j.find("cores"); cores && cores->is_object()) {
-    for (int c = 0; c < kPerfCoreCount; ++c) {
-      if (const Json* core = cores->find(kCoreNames[c]);
-          core && core->is_object()) {
-        r.consumed_cycles[c] = core->number_at("consumed_cycles", 0);
-        r.capacity_cycles[c] = core->number_at("capacity_cycles", 0);
-      }
-    }
-  }
-  if (const Json* flows = j.find("flows"); flows && flows->is_array()) {
-    for (std::size_t fi = 0; fi < flows->size(); ++fi) {
-      const Json* jf = flows->at(fi);
-      PerfFlowCycles f;
-      f.flow = static_cast<int>(jf->number_at("flow", 0));
-      if (const Json* fs = jf->find("stages"); fs && fs->is_object()) {
-        for (int i = 0; i < kPerfStageCount; ++i) {
-          f.stage_cycles[i] = fs->number_at(kStages[i].name, 0);
-        }
-      }
-      r.flows.push_back(std::move(f));
-    }
-  }
-  return r;
-}
+Json to_json(const PerfReport& r) { return wire::to_json(r); }
 
 Json perf_log_to_json(const std::vector<PerfReport>& log) {
-  Json doc = Json::object();
-  Json samples = Json::array();
-  for (const auto& r : log) samples.push_back(to_json(r));
-  doc["samples"] = std::move(samples);
-  return doc;
+  // The writer only reads through the reference.
+  return wire::to_json(PerfLog{const_cast<std::vector<PerfReport>&>(log)});
 }
 
 std::vector<PerfReport> perf_log_from_json(const Json& doc) {
   std::vector<PerfReport> out;
-  if (const Json* samples = doc.find("samples");
-      samples && samples->is_array()) {
-    for (std::size_t i = 0; i < samples->size(); ++i) {
-      out.push_back(perf_report_from_json(*samples->at(i)));
-    }
-  }
+  PerfLog log{out};
+  wire::read(doc, log);
   return out;
 }
 

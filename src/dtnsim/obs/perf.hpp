@@ -29,7 +29,7 @@
 #include "dtnsim/obs/metrics.hpp"
 #include "dtnsim/obs/trace.hpp"
 #include "dtnsim/sim/engine.hpp"
-#include "dtnsim/util/json.hpp"
+#include "dtnsim/util/fields.hpp"
 
 namespace dtnsim::obs {
 
@@ -128,10 +128,61 @@ std::string format_flamegraph_diff(const PerfReport& before,
                                    const PerfReport& after);
 
 // ---- JSON round-trip (dtnsim-perf --json / --replay) ----------------------
-Json to_json(const PerfReport& r);
-PerfReport perf_report_from_json(const Json& j);
+// One key list per struct (util/fields.hpp) drives both directions.
+
+// A kPerfStageCount cycle vector as {"tx_syscall": cycles, ...}.
+inline auto stage_cycle_fields(std::vector<double>& cycles) {
+  return wire::keyed(
+      kPerfStageCount, [](int i) { return perf_stage_name(static_cast<PerfStage>(i)); },
+      [&cycles](int i) -> double& { return cycles[static_cast<std::size_t>(i)]; });
+}
+
+// One core group's entry in the "cores" object.
+struct PerfCoreCycles {
+  double& consumed;
+  double& capacity;
+};
+template <class V>
+void fields(V& v, PerfCoreCycles& c) {
+  v("consumed_cycles", c.consumed);
+  v("capacity_cycles", c.capacity);
+}
+
+template <class V>
+void fields(V& v, PerfFlowCycles& f) {
+  v("flow", f.flow);
+  v("stages", stage_cycle_fields(f.stage_cycles));
+}
+
+template <class V>
+void fields(V& v, PerfReport& r) {
+  v("ts_sec", wire::seconds(r.ts));
+  v("engine", r.engine);
+  v("label", r.label);
+  v("bytes_sent", r.bytes_sent);
+  v("bytes_delivered", r.bytes_delivered);
+  v("stages", stage_cycle_fields(r.stage_cycles));
+  v("cores", wire::keyed(
+                 kPerfCoreCount, [](int c) { return perf_core_name(static_cast<PerfCore>(c)); },
+                 [&r](int c) {
+                   const auto i = static_cast<std::size_t>(c);
+                   return PerfCoreCycles{r.consumed_cycles[i], r.capacity_cycles[i]};
+                 }));
+  v("flows", r.flows);
+}
+
 // A watch log as one document: {"samples": [...]}.
+struct PerfLog {
+  std::vector<PerfReport>& samples;
+};
+template <class V>
+void fields(V& v, PerfLog& log) {
+  v("samples", log.samples);
+}
+
+Json to_json(const PerfReport& r);
 Json perf_log_to_json(const std::vector<PerfReport>& log);
+// Lenient, like ss_log_from_json: malformed entries keep their defaults.
 std::vector<PerfReport> perf_log_from_json(const Json& doc);
 bool write_perf_log(const std::string& path, const std::vector<PerfReport>& log);
 

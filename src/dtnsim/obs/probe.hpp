@@ -37,6 +37,13 @@ struct SeriesTable {
   bool write_csv(const std::string& path) const;
 };
 
+// RunRecord's "series" block: columns plus row-major rows (util/fields.hpp).
+template <class V>
+void fields(V& v, SeriesTable& t) {
+  v("columns", t.columns);
+  v("rows", t.rows);
+}
+
 // Merge labelled per-repeat series into one CSV with leading `test` and
 // `repeat` columns (the shape dtnsim-repro and --metrics-out emit).
 struct LabeledSeries {

@@ -184,145 +184,17 @@ std::string format_ss_diff(const SsReport& a, const SsReport& b) {
   return out;
 }
 
-Json to_json(const TcpInfoSnapshot& s) {
-  Json j = Json::object();
-  j["flow"] = s.flow;
-  j["ca_name"] = s.ca_name;
-  j["in_slow_start"] = s.in_slow_start;
-  j["mss_bytes"] = s.mss_bytes;
-  j["snd_cwnd_bytes"] = s.snd_cwnd_bytes;
-  j["snd_ssthresh_bytes"] = s.snd_ssthresh_bytes;
-  j["rtt_sec"] = s.rtt_sec;
-  j["rttvar_sec"] = s.rttvar_sec;
-  j["min_rtt_sec"] = s.min_rtt_sec;
-  j["pacing_rate_bps"] = s.pacing_rate_bps;
-  j["delivery_rate_bps"] = s.delivery_rate_bps;
-  j["delivery_rate_app_limited"] = s.delivery_rate_app_limited;
-  j["send_rate_bps"] = s.send_rate_bps;
-  j["bytes_sent"] = s.bytes_sent;
-  j["bytes_acked"] = s.bytes_acked;
-  j["bytes_retrans"] = s.bytes_retrans;
-  j["segs_retrans"] = s.segs_retrans;
-  j["notsent_bytes"] = s.notsent_bytes;
-  j["rcv_space_bytes"] = s.rcv_space_bytes;
-  j["rcv_rtt_sec"] = s.rcv_rtt_sec;
-  j["rcv_ooopack"] = s.rcv_ooopack;
-  j["optmem_used_bytes"] = s.optmem_used_bytes;
-  j["optmem_max_bytes"] = s.optmem_max_bytes;
-  j["optmem_hiwater_bytes"] = s.optmem_hiwater_bytes;
-  j["zc_sent_bytes"] = s.zc_sent_bytes;
-  j["zc_copied_bytes"] = s.zc_copied_bytes;
-  j["zc_copied_sends"] = s.zc_copied_sends;
-  return j;
-}
-
-Json to_json(const SsReport& r) {
-  Json j = Json::object();
-  j["ts_sec"] = units::to_seconds(r.ts);
-  j["engine"] = r.engine;
-  j["label"] = r.label;
-  Json sockets = Json::array();
-  for (const auto& s : r.sockets) sockets.push_back(to_json(s));
-  j["sockets"] = std::move(sockets);
-  Json nic = Json::object();
-  nic["device"] = r.nic.device;
-  nic["rx_bytes"] = r.nic.rx_bytes;
-  nic["rx_dropped_bytes"] = r.nic.rx_dropped_bytes;
-  nic["rx_dropped_events"] = r.nic.rx_dropped_events;
-  nic["rx_ring_hiwater_frac"] = r.nic.rx_ring_hiwater_frac;
-  nic["tx_pause_frames"] = r.nic.tx_pause_frames;
-  nic["rx_pause_frames"] = r.nic.rx_pause_frames;
-  nic["hw_gro_coalesced"] = r.nic.hw_gro_coalesced;
-  j["nic"] = std::move(nic);
-  Json qd = Json::object();
-  qd["kind"] = r.qdisc.kind;
-  qd["sent_bytes"] = r.qdisc.sent_bytes;
-  qd["throttled"] = r.qdisc.throttled;
-  qd["pacing_delay_sec"] = r.qdisc.pacing_delay_sec;
-  qd["drops"] = r.qdisc.drops;
-  qd["backlog_bytes"] = r.qdisc.backlog_bytes;
-  j["qdisc"] = std::move(qd);
-  return j;
-}
-
-TcpInfoSnapshot tcp_info_from_json(const Json& j) {
-  TcpInfoSnapshot s;
-  s.flow = static_cast<int>(j.number_at("flow", 0));
-  s.ca_name = j.string_at("ca_name", "cubic");
-  s.in_slow_start = j.bool_at("in_slow_start", false);
-  s.mss_bytes = j.number_at("mss_bytes", 0);
-  s.snd_cwnd_bytes = j.number_at("snd_cwnd_bytes", 0);
-  s.snd_ssthresh_bytes = j.number_at("snd_ssthresh_bytes", 0);
-  s.rtt_sec = j.number_at("rtt_sec", 0);
-  s.rttvar_sec = j.number_at("rttvar_sec", 0);
-  s.min_rtt_sec = j.number_at("min_rtt_sec", 0);
-  s.pacing_rate_bps = j.number_at("pacing_rate_bps", 0);
-  s.delivery_rate_bps = j.number_at("delivery_rate_bps", 0);
-  s.delivery_rate_app_limited = j.bool_at("delivery_rate_app_limited", false);
-  s.send_rate_bps = j.number_at("send_rate_bps", 0);
-  s.bytes_sent = j.number_at("bytes_sent", 0);
-  s.bytes_acked = j.number_at("bytes_acked", 0);
-  s.bytes_retrans = j.number_at("bytes_retrans", 0);
-  s.segs_retrans = j.number_at("segs_retrans", 0);
-  s.notsent_bytes = j.number_at("notsent_bytes", 0);
-  s.rcv_space_bytes = j.number_at("rcv_space_bytes", 0);
-  s.rcv_rtt_sec = j.number_at("rcv_rtt_sec", 0);
-  s.rcv_ooopack = j.number_at("rcv_ooopack", 0);
-  s.optmem_used_bytes = j.number_at("optmem_used_bytes", 0);
-  s.optmem_max_bytes = j.number_at("optmem_max_bytes", 0);
-  s.optmem_hiwater_bytes = j.number_at("optmem_hiwater_bytes", 0);
-  s.zc_sent_bytes = j.number_at("zc_sent_bytes", 0);
-  s.zc_copied_bytes = j.number_at("zc_copied_bytes", 0);
-  s.zc_copied_sends = j.number_at("zc_copied_sends", 0);
-  return s;
-}
-
-SsReport report_from_json(const Json& j) {
-  SsReport r;
-  r.ts = units::seconds(j.number_at("ts_sec", 0));
-  r.engine = j.string_at("engine", "");
-  r.label = j.string_at("label", "");
-  if (const Json* sockets = j.find("sockets"); sockets && sockets->is_array()) {
-    for (std::size_t i = 0; i < sockets->size(); ++i) {
-      r.sockets.push_back(tcp_info_from_json(*sockets->at(i)));
-    }
-  }
-  if (const Json* nic = j.find("nic"); nic && nic->is_object()) {
-    r.nic.device = nic->string_at("device", "");
-    r.nic.rx_bytes = nic->number_at("rx_bytes", 0);
-    r.nic.rx_dropped_bytes = nic->number_at("rx_dropped_bytes", 0);
-    r.nic.rx_dropped_events = nic->number_at("rx_dropped_events", 0);
-    r.nic.rx_ring_hiwater_frac = nic->number_at("rx_ring_hiwater_frac", 0);
-    r.nic.tx_pause_frames = nic->number_at("tx_pause_frames", 0);
-    r.nic.rx_pause_frames = nic->number_at("rx_pause_frames", 0);
-    r.nic.hw_gro_coalesced = nic->number_at("hw_gro_coalesced", 0);
-  }
-  if (const Json* qd = j.find("qdisc"); qd && qd->is_object()) {
-    r.qdisc.kind = qd->string_at("kind", "fq");
-    r.qdisc.sent_bytes = qd->number_at("sent_bytes", 0);
-    r.qdisc.throttled = qd->number_at("throttled", 0);
-    r.qdisc.pacing_delay_sec = qd->number_at("pacing_delay_sec", 0);
-    r.qdisc.drops = qd->number_at("drops", 0);
-    r.qdisc.backlog_bytes = qd->number_at("backlog_bytes", 0);
-  }
-  return r;
-}
+Json to_json(const TcpInfoSnapshot& s) { return wire::to_json(s); }
 
 Json ss_log_to_json(const std::vector<SsReport>& log) {
-  Json doc = Json::object();
-  Json snaps = Json::array();
-  for (const auto& r : log) snaps.push_back(to_json(r));
-  doc["snapshots"] = std::move(snaps);
-  return doc;
+  // The writer only reads through the reference.
+  return wire::to_json(SsLog{const_cast<std::vector<SsReport>&>(log)});
 }
 
 std::vector<SsReport> ss_log_from_json(const Json& doc) {
   std::vector<SsReport> out;
-  if (const Json* snaps = doc.find("snapshots"); snaps && snaps->is_array()) {
-    for (std::size_t i = 0; i < snaps->size(); ++i) {
-      out.push_back(report_from_json(*snaps->at(i)));
-    }
-  }
+  SsLog log{out};
+  wire::read(doc, log);
   return out;
 }
 

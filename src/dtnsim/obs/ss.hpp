@@ -23,7 +23,7 @@
 #include "dtnsim/obs/metrics.hpp"
 #include "dtnsim/obs/trace.hpp"
 #include "dtnsim/sim/engine.hpp"
-#include "dtnsim/util/json.hpp"
+#include "dtnsim/util/fields.hpp"
 
 namespace dtnsim::obs {
 
@@ -112,12 +112,83 @@ std::string format_ss(const SsReport& r);
 std::string format_ss_diff(const SsReport& a, const SsReport& b);
 
 // ---- JSON round-trip (dtnsim-ss --json / --replay) -----------------------
-Json to_json(const TcpInfoSnapshot& s);
-Json to_json(const SsReport& r);
-TcpInfoSnapshot tcp_info_from_json(const Json& j);
-SsReport report_from_json(const Json& j);
+// One key list per struct (util/fields.hpp) drives both directions.
+template <class V>
+void fields(V& v, TcpInfoSnapshot& s) {
+  v("flow", s.flow);
+  v("ca_name", s.ca_name);
+  v("in_slow_start", s.in_slow_start);
+  v("mss_bytes", s.mss_bytes);
+  v("snd_cwnd_bytes", s.snd_cwnd_bytes);
+  v("snd_ssthresh_bytes", s.snd_ssthresh_bytes);
+  v("rtt_sec", s.rtt_sec);
+  v("rttvar_sec", s.rttvar_sec);
+  v("min_rtt_sec", s.min_rtt_sec);
+  v("pacing_rate_bps", s.pacing_rate_bps);
+  v("delivery_rate_bps", s.delivery_rate_bps);
+  v("delivery_rate_app_limited", s.delivery_rate_app_limited);
+  v("send_rate_bps", s.send_rate_bps);
+  v("bytes_sent", s.bytes_sent);
+  v("bytes_acked", s.bytes_acked);
+  v("bytes_retrans", s.bytes_retrans);
+  v("segs_retrans", s.segs_retrans);
+  v("notsent_bytes", s.notsent_bytes);
+  v("rcv_space_bytes", s.rcv_space_bytes);
+  v("rcv_rtt_sec", s.rcv_rtt_sec);
+  v("rcv_ooopack", s.rcv_ooopack);
+  v("optmem_used_bytes", s.optmem_used_bytes);
+  v("optmem_max_bytes", s.optmem_max_bytes);
+  v("optmem_hiwater_bytes", s.optmem_hiwater_bytes);
+  v("zc_sent_bytes", s.zc_sent_bytes);
+  v("zc_copied_bytes", s.zc_copied_bytes);
+  v("zc_copied_sends", s.zc_copied_sends);
+}
+
+template <class V>
+void fields(V& v, NicCountersSnapshot& n) {
+  v("device", n.device);
+  v("rx_bytes", n.rx_bytes);
+  v("rx_dropped_bytes", n.rx_dropped_bytes);
+  v("rx_dropped_events", n.rx_dropped_events);
+  v("rx_ring_hiwater_frac", n.rx_ring_hiwater_frac);
+  v("tx_pause_frames", n.tx_pause_frames);
+  v("rx_pause_frames", n.rx_pause_frames);
+  v("hw_gro_coalesced", n.hw_gro_coalesced);
+}
+
+template <class V>
+void fields(V& v, QdiscCountersSnapshot& q) {
+  v("kind", q.kind);
+  v("sent_bytes", q.sent_bytes);
+  v("throttled", q.throttled);
+  v("pacing_delay_sec", q.pacing_delay_sec);
+  v("drops", q.drops);
+  v("backlog_bytes", q.backlog_bytes);
+}
+
+template <class V>
+void fields(V& v, SsReport& r) {
+  v("ts_sec", wire::seconds(r.ts));
+  v("engine", r.engine);
+  v("label", r.label);
+  v("sockets", r.sockets);
+  v("nic", r.nic);
+  v("qdisc", r.qdisc);
+}
+
 // A watch log as one document: {"snapshots": [...]}.
+struct SsLog {
+  std::vector<SsReport>& snapshots;
+};
+template <class V>
+void fields(V& v, SsLog& log) {
+  v("snapshots", log.snapshots);
+}
+
+Json to_json(const TcpInfoSnapshot& s);
 Json ss_log_to_json(const std::vector<SsReport>& log);
+// Lenient: a malformed entry keeps its defaults, so --replay shows what
+// parsed; an unreadable document yields an empty log.
 std::vector<SsReport> ss_log_from_json(const Json& doc);
 bool write_ss_log(const std::string& path, const std::vector<SsReport>& log);
 

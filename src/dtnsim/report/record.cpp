@@ -1,6 +1,5 @@
 #include "dtnsim/report/record.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -42,167 +41,13 @@ RunAnalysis analyze_record(const RunRecord& record) {
 
 // ---- JSON round-trip ------------------------------------------------------
 
-Json to_json(const RunMeta& meta) {
-  Json j = Json::object();
-  j["name"] = meta.name;
-  j["engine"] = meta.engine;
-  j["streams"] = meta.streams;
-  j["repeats"] = meta.repeats;
-  j["duration_sec"] = meta.duration_sec;
-  // Seeds are 64-bit; a JSON double would round past 2^53, so ship a string.
-  j["base_seed"] = strfmt("%llu", static_cast<unsigned long long>(meta.base_seed));
-  j["scenario"] = meta.scenario;
-  return j;
-}
-
-RunMeta run_meta_from_json(const Json& j) {
-  RunMeta m;
-  m.name = j.string_at("name", "");
-  m.engine = j.string_at("engine", "");
-  m.streams = static_cast<int>(j.number_at("streams", 1));
-  m.repeats = static_cast<int>(j.number_at("repeats", 1));
-  m.duration_sec = j.number_at("duration_sec", 0.0);
-  m.base_seed = std::strtoull(j.string_at("base_seed", "0").c_str(), nullptr, 10);
-  m.scenario = j.string_at("scenario", "");
-  return m;
-}
-
-Json to_json(const RunSummary& summary) {
-  Json j = Json::object();
-  j["avg_gbps"] = summary.avg_gbps;
-  j["min_gbps"] = summary.min_gbps;
-  j["max_gbps"] = summary.max_gbps;
-  j["stdev_gbps"] = summary.stdev_gbps;
-  j["avg_retransmits"] = summary.avg_retransmits;
-  j["flow_min_gbps"] = summary.flow_min_gbps;
-  j["flow_max_gbps"] = summary.flow_max_gbps;
-  j["snd_cpu_pct"] = summary.snd_cpu_pct;
-  j["rcv_cpu_pct"] = summary.rcv_cpu_pct;
-  j["zc_fallback_ratio"] = summary.zc_fallback_ratio;
-  Json samples = Json::array();
-  for (const double s : summary.samples_gbps) samples.push_back(s);
-  j["samples_gbps"] = std::move(samples);
-  return j;
-}
-
-RunSummary run_summary_from_json(const Json& j) {
-  RunSummary s;
-  s.avg_gbps = j.number_at("avg_gbps", 0.0);
-  s.min_gbps = j.number_at("min_gbps", 0.0);
-  s.max_gbps = j.number_at("max_gbps", 0.0);
-  s.stdev_gbps = j.number_at("stdev_gbps", 0.0);
-  s.avg_retransmits = j.number_at("avg_retransmits", 0.0);
-  s.flow_min_gbps = j.number_at("flow_min_gbps", 0.0);
-  s.flow_max_gbps = j.number_at("flow_max_gbps", 0.0);
-  s.snd_cpu_pct = j.number_at("snd_cpu_pct", 0.0);
-  s.rcv_cpu_pct = j.number_at("rcv_cpu_pct", 0.0);
-  s.zc_fallback_ratio = j.number_at("zc_fallback_ratio", 0.0);
-  if (const Json* samples = j.find("samples_gbps")) {
-    for (std::size_t i = 0; i < samples->size(); ++i)
-      s.samples_gbps.push_back(samples->at(i)->number_or(0.0));
-  }
-  return s;
-}
-
-Json to_json(const RunAnalysis& analysis) {
-  Json j = Json::object();
-  j["samples"] = static_cast<std::int64_t>(analysis.samples);
-  j["mean_bps"] = analysis.mean.bps();
-  j["p50_bps"] = analysis.p50.bps();
-  j["p99_bps"] = analysis.p99.bps();
-  j["flow_skew_bps"] = analysis.flow_skew.bps();
-  j["has_episode"] = analysis.has_episode;
-  j["episode_start_sec"] = analysis.episode_start.seconds();
-  j["episode_end_sec"] = analysis.episode_end.seconds();
-  j["baseline_bps"] = analysis.baseline.bps();
-  j["dip_bps"] = analysis.dip.bps();
-  j["recovered"] = analysis.recovered;
-  j["recovery_sec"] = analysis.recovery.seconds();
-  j["tx_cyc_per_byte"] = analysis.tx_cyc_per_byte;
-  j["rx_cyc_per_byte"] = analysis.rx_cyc_per_byte;
-  return j;
-}
-
-RunAnalysis run_analysis_from_json(const Json& j) {
-  RunAnalysis a;
-  a.samples = static_cast<std::size_t>(j.number_at("samples", 0));
-  a.mean = units::Rate::from_bps(j.number_at("mean_bps", 0.0));
-  a.p50 = units::Rate::from_bps(j.number_at("p50_bps", 0.0));
-  a.p99 = units::Rate::from_bps(j.number_at("p99_bps", 0.0));
-  a.flow_skew = units::Rate::from_bps(j.number_at("flow_skew_bps", 0.0));
-  a.has_episode = j.bool_at("has_episode", false);
-  a.episode_start = units::SimTime::from_seconds(j.number_at("episode_start_sec", 0.0));
-  a.episode_end = units::SimTime::from_seconds(j.number_at("episode_end_sec", 0.0));
-  a.baseline = units::Rate::from_bps(j.number_at("baseline_bps", 0.0));
-  a.dip = units::Rate::from_bps(j.number_at("dip_bps", 0.0));
-  a.recovered = j.bool_at("recovered", false);
-  a.recovery = units::SimTime::from_seconds(j.number_at("recovery_sec", 0.0));
-  a.tx_cyc_per_byte = j.number_at("tx_cyc_per_byte", 0.0);
-  a.rx_cyc_per_byte = j.number_at("rx_cyc_per_byte", 0.0);
-  return a;
-}
-
-Json series_to_json(const obs::SeriesTable& series) {
-  Json j = Json::object();
-  Json columns = Json::array();
-  for (const auto& c : series.columns) columns.push_back(c);
-  j["columns"] = std::move(columns);
-  Json rows = Json::array();
-  for (const auto& row : series.rows) {
-    Json r = Json::array();
-    for (const double v : row) r.push_back(v);
-    rows.push_back(std::move(r));
-  }
-  j["rows"] = std::move(rows);
-  return j;
-}
-
-obs::SeriesTable series_from_json(const Json& j) {
-  obs::SeriesTable t;
-  if (const Json* columns = j.find("columns")) {
-    for (std::size_t i = 0; i < columns->size(); ++i)
-      t.columns.push_back(columns->at(i)->string_or(""));
-  }
-  if (const Json* rows = j.find("rows")) {
-    for (std::size_t i = 0; i < rows->size(); ++i) {
-      const Json* row = rows->at(i);
-      std::vector<double> values;
-      for (std::size_t k = 0; k < row->size(); ++k)
-        values.push_back(row->at(k)->number_or(0.0));
-      t.rows.push_back(std::move(values));
-    }
-  }
-  return t;
-}
-
-Json to_json(const RunRecord& record) {
-  Json j = Json::object();
-  j["schema"] = record.schema;
-  j["meta"] = to_json(record.meta);
-  j["summary"] = to_json(record.summary);
-  j["analysis"] = to_json(record.analysis);
-  j["series"] = series_to_json(record.series);
-  j["ss_log"] = obs::ss_log_to_json(record.ss_log);
-  j["perf_log"] = obs::perf_log_to_json(record.perf_log);
-  j["scenario_log"] = scenario::to_json(record.scenario_log);
-  return j;
-}
+Json to_json(const RunAnalysis& analysis) { return wire::to_json(analysis); }
+Json to_json(const RunRecord& record) { return wire::to_json(record); }
 
 RunRecord run_record_from_json(const Json& j) {
   RunRecord r;
-  r.schema = static_cast<int>(j.number_at("schema", kRunRecordSchema));
-  if (const Json* meta = j.find("meta")) r.meta = run_meta_from_json(*meta);
-  if (const Json* summary = j.find("summary"))
-    r.summary = run_summary_from_json(*summary);
-  if (const Json* analysis = j.find("analysis"))
-    r.analysis = run_analysis_from_json(*analysis);
-  if (const Json* series = j.find("series")) r.series = series_from_json(*series);
-  if (const Json* ss = j.find("ss_log")) r.ss_log = obs::ss_log_from_json(*ss);
-  if (const Json* perf = j.find("perf_log"))
-    r.perf_log = obs::perf_log_from_json(*perf);
-  if (const Json* scn = j.find("scenario_log")) {
-    if (auto log = scenario::event_log_from_json(*scn)) r.scenario_log = *log;
-  }
+  if (const std::string err = wire::read(j, r); !err.empty())
+    throw std::runtime_error("run record: " + err);
   return r;
 }
 
@@ -220,12 +65,14 @@ RunRecord load_run_record(const std::string& path) {
   buf << in.rdbuf();
   const auto doc = Json::parse(buf.str());
   if (!doc) throw std::runtime_error("run record: " + path + " is not valid JSON");
-  RunRecord r = run_record_from_json(*doc);
+  RunRecord r;
+  const std::string err = wire::read(*doc, r);
   if (r.schema != kRunRecordSchema) {
     throw std::runtime_error(
         strfmt("run record: %s has schema %d, this build reads %d", path.c_str(),
                r.schema, kRunRecordSchema));
   }
+  if (!err.empty()) throw std::runtime_error("run record: " + path + ": " + err);
   return r;
 }
 

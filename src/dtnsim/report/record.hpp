@@ -11,8 +11,8 @@
 //
 // Layering: report sits between scenario/app and harness, so these are
 // plain-data structs the harness fills in — no harness types appear here.
-// The JSON round-trip is bit-exact (Json preserves parse == dump precision)
-// and every emit/parse key pair is checked by the json-parity lint rule.
+// The JSON round-trip is bit-exact (Json preserves parse == dump precision),
+// and each struct's key list below drives both directions (util/fields.hpp).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,7 @@
 #include "dtnsim/obs/ss.hpp"
 #include "dtnsim/report/analysis.hpp"
 #include "dtnsim/scenario/scenario.hpp"
-#include "dtnsim/util/json.hpp"
+#include "dtnsim/util/fields.hpp"
 
 namespace dtnsim::report {
 
@@ -43,7 +43,7 @@ struct RunMeta {
   std::string scenario;      // timeline name; "" when none attached
 };
 
-// The harness aggregate — TestResult's scalar columns, decoupled from the
+// The harness aggregate — harness::TestResult's base, decoupled from the
 // harness so tools can read records without linking the simulator stack.
 struct RunSummary {
   double avg_gbps = 0.0;
@@ -51,12 +51,13 @@ struct RunSummary {
   double max_gbps = 0.0;
   double stdev_gbps = 0.0;
   double avg_retransmits = 0.0;
+  // Per-flow spread, averaged over repeats (Table III's "Range" column).
   double flow_min_gbps = 0.0;
   double flow_max_gbps = 0.0;
-  double snd_cpu_pct = 0.0;
-  double rcv_cpu_pct = 0.0;
-  double zc_fallback_ratio = 0.0;
-  std::vector<double> samples_gbps;  // one per repeat
+  double snd_cpu_pct = 0.0;  // "TX Cores" (iperf3 + IRQ), percent of a core
+  double rcv_cpu_pct = 0.0;  // "RX Cores"
+  double zc_fallback_ratio = 0.0;  // fraction of zerocopy bytes that fell back
+  std::vector<double> samples_gbps;  // one per repeat (released raw data)
 };
 
 // Derived figures (analysis.hpp definitions), computed once at record build
@@ -98,20 +99,74 @@ struct RunRecord {
 RunAnalysis analyze_record(const RunRecord& record);
 
 // ---- JSON round-trip ------------------------------------------------------
-Json to_json(const RunMeta& meta);
-RunMeta run_meta_from_json(const Json& j);
-Json to_json(const RunSummary& summary);
-RunSummary run_summary_from_json(const Json& j);
+template <class V>
+void fields(V& v, RunMeta& m) {
+  v("name", m.name);
+  v("engine", m.engine);
+  v("streams", m.streams);
+  v("repeats", m.repeats);
+  v("duration_sec", m.duration_sec);
+  v("base_seed", wire::decimal(m.base_seed));
+  v("scenario", m.scenario);
+}
+
+// Also the flat summary columns of a sweep cache entry and a campaign row
+// (harness::TestResult derives from RunSummary). The headline mean is what
+// makes a document a summary, so it is required.
+template <class V>
+void fields(V& v, RunSummary& s) {
+  v("avg_gbps", s.avg_gbps, wire::required);
+  v("min_gbps", s.min_gbps);
+  v("max_gbps", s.max_gbps);
+  v("stdev_gbps", s.stdev_gbps);
+  v("avg_retransmits", s.avg_retransmits);
+  v("flow_min_gbps", s.flow_min_gbps);
+  v("flow_max_gbps", s.flow_max_gbps);
+  v("snd_cpu_pct", s.snd_cpu_pct);
+  v("rcv_cpu_pct", s.rcv_cpu_pct);
+  v("zc_fallback_ratio", s.zc_fallback_ratio);
+  v("samples_gbps", s.samples_gbps);
+}
+
+template <class V>
+void fields(V& v, RunAnalysis& a) {
+  v("samples", a.samples);
+  v("mean_bps", a.mean);
+  v("p50_bps", a.p50);
+  v("p99_bps", a.p99);
+  v("flow_skew_bps", a.flow_skew);
+  v("has_episode", a.has_episode);
+  v("episode_start_sec", a.episode_start);
+  v("episode_end_sec", a.episode_end);
+  v("baseline_bps", a.baseline);
+  v("dip_bps", a.dip);
+  v("recovered", a.recovered);
+  v("recovery_sec", a.recovery);
+  v("tx_cyc_per_byte", a.tx_cyc_per_byte);
+  v("rx_cyc_per_byte", a.rx_cyc_per_byte);
+}
+
+template <class V>
+void fields(V& v, RunRecord& r) {
+  v("schema", r.schema);
+  v("meta", r.meta);
+  v("summary", r.summary);
+  v("analysis", r.analysis);
+  v("series", r.series);
+  v("ss_log", obs::SsLog{r.ss_log});
+  v("perf_log", obs::PerfLog{r.perf_log});
+  v("scenario_log", r.scenario_log);
+}
+
 Json to_json(const RunAnalysis& analysis);
-RunAnalysis run_analysis_from_json(const Json& j);
-Json series_to_json(const obs::SeriesTable& series);
-obs::SeriesTable series_from_json(const Json& j);
 Json to_json(const RunRecord& record);
+// Throws std::runtime_error naming the first malformed key.
 RunRecord run_record_from_json(const Json& j);
 
 // Pretty-printed JSON to `path`; false on I/O failure.
 bool write_run_record(const std::string& path, const RunRecord& record);
-// Read + parse; throws std::runtime_error naming the path on failure.
+// Read + parse; throws std::runtime_error naming the path (and the first
+// malformed key) on failure.
 RunRecord load_run_record(const std::string& path);
 
 // ---- renderers (tools/dtnsim-report) --------------------------------------

@@ -118,48 +118,11 @@ void Timeline::validate() const {
   }
 }
 
-Json to_json(const Timeline& timeline) {
-  Json doc = Json::object();
-  doc["name"] = timeline.name;
-  Json events = Json::array();
-  for (const Event& ev : timeline.events) {
-    Json e = Json::object();
-    e["at_sec"] = ev.at_sec;
-    e["kind"] = std::string(kind_name(ev.kind));
-    e["value"] = ev.value;
-    e["duration_sec"] = ev.duration_sec;
-    e["jitter_sec"] = ev.jitter_sec;
-    e["note"] = ev.note;
-    events.push_back(std::move(e));
-  }
-  doc["events"] = std::move(events);
-  return doc;
-}
+Json to_json(const Timeline& timeline) { return wire::to_json(timeline); }
 
 std::optional<Timeline> timeline_from_json(const Json& json) {
-  if (!json.is_object()) return std::nullopt;
-  const Json* events = json.find("events");
-  if (events == nullptr || !events->is_array()) return std::nullopt;
   Timeline tl;
-  tl.name = json.string_at("name", "");
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const Json* e = events->at(i);
-    if (e == nullptr || !e->is_object()) return std::nullopt;
-    const Json* kind = e->find("kind");
-    if (kind == nullptr || !kind->is_string()) return std::nullopt;
-    auto k = kind_from_name(kind->string_or(""));
-    if (!k) return std::nullopt;
-    const Json* at = e->find("at_sec");
-    if (at == nullptr || !at->is_number()) return std::nullopt;
-    Event ev;
-    ev.kind = *k;
-    ev.at_sec = at->number_or(0.0);
-    ev.value = e->number_at("value", 0.0);
-    ev.duration_sec = e->number_at("duration_sec", 0.0);
-    ev.jitter_sec = e->number_at("jitter_sec", 0.0);
-    ev.note = e->string_at("note", "");
-    tl.events.push_back(std::move(ev));
-  }
+  if (!wire::read(json, tl).empty()) return std::nullopt;
   return tl;
 }
 
@@ -172,12 +135,12 @@ Timeline load_timeline(const std::string& path) {
   auto doc = Json::parse(buf.str());
   if (!doc)
     throw std::runtime_error("scenario: " + path + " is not valid JSON");
-  auto tl = timeline_from_json(*doc);
-  if (!tl)
+  Timeline tl;
+  if (const std::string err = wire::read(*doc, tl); !err.empty())
     throw std::runtime_error("scenario: " + path +
-                             " does not match the timeline schema");
-  tl->validate();
-  return *tl;
+                             " does not match the timeline schema: " + err);
+  tl.validate();
+  return tl;
 }
 
 bool write_timeline(const std::string& path, const Timeline& timeline) {
@@ -187,48 +150,11 @@ bool write_timeline(const std::string& path, const Timeline& timeline) {
   return static_cast<bool>(out);
 }
 
-Json to_json(const EventLog& log) {
-  Json doc = Json::object();
-  doc["engine"] = log.engine;
-  doc["timeline"] = log.timeline;
-  doc["label"] = log.label;
-  Json events = Json::array();
-  for (const AppliedEvent& ev : log.events) {
-    Json e = Json::object();
-    e["fire_sec"] = ev.fire_sec;
-    e["end_sec"] = ev.end_sec;
-    e["kind"] = std::string(kind_name(ev.kind));
-    e["value"] = ev.value;
-    e["applied"] = ev.applied;
-    e["note"] = ev.note;
-    events.push_back(std::move(e));
-  }
-  doc["events"] = std::move(events);
-  return doc;
-}
+Json to_json(const EventLog& log) { return wire::to_json(log); }
 
 std::optional<EventLog> event_log_from_json(const Json& json) {
-  if (!json.is_object()) return std::nullopt;
-  const Json* events = json.find("events");
-  if (events == nullptr || !events->is_array()) return std::nullopt;
   EventLog log;
-  log.engine = json.string_at("engine", "");
-  log.timeline = json.string_at("timeline", "");
-  log.label = json.string_at("label", "");
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const Json* e = events->at(i);
-    if (e == nullptr || !e->is_object()) return std::nullopt;
-    auto k = kind_from_name(e->string_at("kind", ""));
-    if (!k) return std::nullopt;
-    AppliedEvent ev;
-    ev.kind = *k;
-    ev.fire_sec = e->number_at("fire_sec", 0.0);
-    ev.end_sec = e->number_at("end_sec", 0.0);
-    ev.value = e->number_at("value", 0.0);
-    ev.applied = e->bool_at("applied", true);
-    ev.note = e->string_at("note", "");
-    log.events.push_back(std::move(ev));
-  }
+  if (!wire::read(json, log).empty()) return std::nullopt;
   return log;
 }
 

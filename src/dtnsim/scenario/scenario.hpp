@@ -30,7 +30,7 @@
 #include <string_view>
 #include <vector>
 
-#include "dtnsim/util/json.hpp"
+#include "dtnsim/util/fields.hpp"
 
 namespace dtnsim::scenario {
 
@@ -100,10 +100,30 @@ struct Timeline {
 //   {"name": "...", "events": [{"at_sec": 20, "kind": "loss_burst",
 //                               "value": 0.02, "duration_sec": 5,
 //                               "jitter_sec": 0, "note": "..."}]}
+// One key list per struct (util/fields.hpp) drives both directions.
+inline auto kind_field(EventKind& kind) { return wire::named(kind, kind_name, kind_from_name); }
+
+template <class V>
+void fields(V& v, Event& e) {
+  v("at_sec", e.at_sec, wire::required);
+  v("kind", kind_field(e.kind), wire::required);
+  v("value", e.value);
+  v("duration_sec", e.duration_sec);
+  v("jitter_sec", e.jitter_sec);
+  v("note", e.note);
+}
+
+template <class V>
+void fields(V& v, Timeline& t) {
+  v("name", t.name);
+  v("events", t.events, wire::required);
+}
+
 Json to_json(const Timeline& timeline);
 // nullopt on structural mismatch (missing events array, unknown kind, ...).
 std::optional<Timeline> timeline_from_json(const Json& json);
-// Read + parse + validate; throws std::runtime_error with the path on error.
+// Read + parse + validate; throws std::runtime_error with the path (and the
+// first malformed key, e.g. "events[2].kind is not a known name") on error.
 Timeline load_timeline(const std::string& path);
 bool write_timeline(const std::string& path, const Timeline& timeline);
 
@@ -143,7 +163,26 @@ struct EventLog {
   std::vector<AppliedEvent> events;
 };
 
+template <class V>
+void fields(V& v, AppliedEvent& e) {
+  v("fire_sec", e.fire_sec);
+  v("end_sec", e.end_sec);
+  v("kind", kind_field(e.kind), wire::required);
+  v("value", e.value);
+  v("applied", e.applied);
+  v("note", e.note);
+}
+
+template <class V>
+void fields(V& v, EventLog& log) {
+  v("engine", log.engine);
+  v("timeline", log.timeline);
+  v("label", log.label);
+  v("events", log.events, wire::required);
+}
+
 Json to_json(const EventLog& log);
+// nullopt on structural mismatch, like timeline_from_json.
 std::optional<EventLog> event_log_from_json(const Json& json);
 // Pretty-printed JSON to `path`; false on I/O failure (--scenario-out and
 // dtnsim-scenario --run both write this format, --replay reads it back).

@@ -169,52 +169,35 @@ std::string spec_key_hex(const harness::TestSpec& spec) {
   return strfmt("%016llx", static_cast<unsigned long long>(spec_key(spec)));
 }
 
-// "schema" is a cache-validity salt checked by ResultCache::load, not a
-// TestResult field — deliberately absent from result_from_json.
-// dtnsim-lint: allow(json-parity)
+namespace {
+
+// One cache entry: the schema salt, the label, the repeat count and the
+// RunSummary columns, flattened into one object.
+struct Entry {
+  std::string schema;
+  harness::TestResult* result;
+};
+
+template <class V>
+void fields(V& v, Entry& e) {
+  v("schema", e.schema);
+  v("name", e.result->name);
+  v("repeats", e.result->repeats, wire::required);
+  fields(v, static_cast<report::RunSummary&>(*e.result));
+}
+
+}  // namespace
+
 Json result_to_json(const harness::TestResult& result) {
-  Json j = Json::object();
-  j["schema"] = std::string(kCacheSalt);
-  j["name"] = result.name;
-  j["repeats"] = result.repeats;
-  j["avg_gbps"] = result.avg_gbps;
-  j["min_gbps"] = result.min_gbps;
-  j["max_gbps"] = result.max_gbps;
-  j["stdev_gbps"] = result.stdev_gbps;
-  j["avg_retransmits"] = result.avg_retransmits;
-  j["flow_min_gbps"] = result.flow_min_gbps;
-  j["flow_max_gbps"] = result.flow_max_gbps;
-  j["snd_cpu_pct"] = result.snd_cpu_pct;
-  j["rcv_cpu_pct"] = result.rcv_cpu_pct;
-  j["zc_fallback_ratio"] = result.zc_fallback_ratio;
-  Json samples = Json::array();
-  for (const double s : result.samples_gbps) samples.push_back(s);
-  j["samples_gbps"] = std::move(samples);
-  return j;
+  // The writer only reads through the pointer.
+  const Entry e{std::string(kCacheSalt), const_cast<harness::TestResult*>(&result)};
+  return wire::to_json(e);
 }
 
 bool result_from_json(const Json& j, harness::TestResult* out) {
-  if (!j.is_object()) return false;
-  const Json* repeats = j.find("repeats");
-  const Json* avg = j.find("avg_gbps");
-  if (!repeats || !repeats->is_number() || !avg || !avg->is_number()) return false;
   harness::TestResult r;
-  r.name = j.string_at("name", "");
-  r.repeats = static_cast<int>(repeats->number_or(0));
-  r.avg_gbps = avg->number_or(0.0);
-  r.min_gbps = j.number_at("min_gbps", 0.0);
-  r.max_gbps = j.number_at("max_gbps", 0.0);
-  r.stdev_gbps = j.number_at("stdev_gbps", 0.0);
-  r.avg_retransmits = j.number_at("avg_retransmits", 0.0);
-  r.flow_min_gbps = j.number_at("flow_min_gbps", 0.0);
-  r.flow_max_gbps = j.number_at("flow_max_gbps", 0.0);
-  r.snd_cpu_pct = j.number_at("snd_cpu_pct", 0.0);
-  r.rcv_cpu_pct = j.number_at("rcv_cpu_pct", 0.0);
-  r.zc_fallback_ratio = j.number_at("zc_fallback_ratio", 0.0);
-  if (const Json* samples = j.find("samples_gbps"); samples && samples->is_array()) {
-    for (std::size_t i = 0; i < samples->size(); ++i)
-      r.samples_gbps.push_back(samples->at(i)->number_or(0.0));
-  }
+  Entry e{"", &r};
+  if (!wire::read(j, e).empty() || e.schema != kCacheSalt) return false;
   *out = std::move(r);
   return true;
 }
@@ -238,9 +221,6 @@ bool ResultCache::load(const harness::TestSpec& spec, harness::TestResult* out) 
   buffer << in.rdbuf();
   const auto doc = Json::parse(buffer.str());
   if (!doc || !result_from_json(*doc, out)) return false;
-  // The schema salt is hashed into the file name, but a stale tree copied
-  // across versions should still never serve mismatched entries.
-  if (doc->string_at("schema", "") != kCacheSalt) return false;
   out->name = spec.name;
   return true;
 }

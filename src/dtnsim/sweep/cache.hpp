@@ -50,7 +50,10 @@ std::string spec_key_hex(const harness::TestSpec& spec);  // 16 lowercase hex
 
 // TestResult <-> JSON (aggregate numbers + raw samples; no telemetry).
 Json result_to_json(const harness::TestResult& result);
-// False when `j` is not a result document (missing/mistyped fields).
+// False when `j` is not a result document: a missing or mistyped field, or
+// a schema salt other than kCacheSalt. The salt is hashed into the file
+// name too, but a stale tree copied across versions must still never serve
+// mismatched entries.
 bool result_from_json(const Json& j, harness::TestResult* out);
 
 // Garbage collection over a cache directory (dtnsim-sweep --gc). Two

@@ -32,7 +32,8 @@ std::string grid_fingerprint(const std::vector<Cell>& cells) {
 }
 
 Json row_json(const CellOutcome& out, const std::string& spec_name) {
-  Json j = Json::object();
+  const auto& r = out.result;
+  Json j = wire::to_json(static_cast<const report::RunSummary&>(r));
   j["index"] = static_cast<std::int64_t>(out.index);
   j["key"] = out.key_hex;
   j["name"] = spec_name;
@@ -40,21 +41,7 @@ Json row_json(const CellOutcome& out, const std::string& spec_name) {
   for (const auto& [axis, value] : out.coords) coords[axis] = value;
   j["coords"] = std::move(coords);
   j["cached"] = out.cached;
-  const auto& r = out.result;
   j["repeats"] = r.repeats;
-  j["avg_gbps"] = r.avg_gbps;
-  j["min_gbps"] = r.min_gbps;
-  j["max_gbps"] = r.max_gbps;
-  j["stdev_gbps"] = r.stdev_gbps;
-  j["avg_retransmits"] = r.avg_retransmits;
-  j["flow_min_gbps"] = r.flow_min_gbps;
-  j["flow_max_gbps"] = r.flow_max_gbps;
-  j["snd_cpu_pct"] = r.snd_cpu_pct;
-  j["rcv_cpu_pct"] = r.rcv_cpu_pct;
-  j["zc_fallback_ratio"] = r.zc_fallback_ratio;
-  Json samples = Json::array();
-  for (const double s : r.samples_gbps) samples.push_back(s);
-  j["samples_gbps"] = std::move(samples);
   // Telemetry extras, presence-driven: --report grows the matching columns
   // only when some row carries them. Cached rows never have them (cells
   // with telemetry enabled bypass the result cache).

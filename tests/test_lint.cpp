@@ -1,6 +1,6 @@
 // Unit tests: dtnsim-lint rules engine (classification, each rule,
 // suppressions, renderers) and the v2 project-wide pass (index
-// construction, cross-file rules, baseline, parallel determinism).
+// construction, metric-parity, parallel determinism).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -200,82 +200,6 @@ TEST(LintOutput, JsonFormatAndEscaping) {
 
 // ---- v2: project index construction ---------------------------------------
 
-TEST(ProjectIndex, EnumDefinitionsStripValuesAndBase) {
-  const std::string code =
-      "enum class Color : int {\n"
-      "  kRed = 0,\n"
-      "  kGreen,\n"
-      "  kBlue,  // trailing comma above is fine\n"
-      "};\n"
-      "enum class Fwd;\n";  // forward declaration: no enumerators
-  const auto idx = index_file("src/dtnsim/fake/colors.hpp", code);
-  ASSERT_EQ(idx.enums.size(), 1u);
-  EXPECT_EQ(idx.enums[0].name, "Color");
-  EXPECT_EQ(idx.enums[0].enumerators,
-            (std::vector<std::string>{"kRed", "kGreen", "kBlue"}));
-}
-
-TEST(ProjectIndex, PlainEnumsIgnored) {
-  const auto idx =
-      index_file("src/dtnsim/fake/a.hpp", "enum Legacy { kOne, kTwo };\n");
-  EXPECT_TRUE(idx.enums.empty());
-}
-
-TEST(ProjectIndex, SwitchCasesAndDefault) {
-  const std::string code =
-      "int f(Color c) {\n"
-      "  switch (c) {\n"
-      "    case Color::kRed: return 1;\n"
-      "    case fake::Color::kGreen: return 2;\n"
-      "    default: return 0;\n"
-      "  }\n"
-      "}\n";
-  const auto idx = index_file("src/dtnsim/fake/a.cpp", code);
-  ASSERT_EQ(idx.switches.size(), 1u);
-  EXPECT_EQ(idx.switches[0].enum_name, "Color");
-  EXPECT_EQ(idx.switches[0].cases,
-            (std::set<std::string>{"kRed", "kGreen"}));
-  EXPECT_TRUE(idx.switches[0].has_default);
-  EXPECT_FALSE(idx.switches[0].conditional);
-}
-
-TEST(ProjectIndex, NestedSwitchesIndexedSeparately) {
-  const std::string code =
-      "void f(A a, B b) {\n"
-      "  switch (a) {\n"
-      "    case A::kOne:\n"
-      "      switch (b) {\n"
-      "        case B::kX: break;\n"
-      "        default: break;\n"
-      "      }\n"
-      "      break;\n"
-      "  }\n"
-      "}\n";
-  const auto idx = index_file("src/dtnsim/fake/a.cpp", code);
-  ASSERT_EQ(idx.switches.size(), 2u);
-  // Outer: only its own case, no default (the nested default is not its).
-  EXPECT_EQ(idx.switches[0].enum_name, "A");
-  EXPECT_EQ(idx.switches[0].cases, (std::set<std::string>{"kOne"}));
-  EXPECT_FALSE(idx.switches[0].has_default);
-  EXPECT_EQ(idx.switches[1].enum_name, "B");
-  EXPECT_TRUE(idx.switches[1].has_default);
-}
-
-TEST(ProjectIndex, ConditionalSwitchMarked) {
-  const std::string code =
-      "int f(Color c) {\n"
-      "#ifdef EXOTIC\n"
-      "  switch (c) {\n"
-      "    case Color::kRed: return 1;\n"
-      "  }\n"
-      "#endif\n"
-      "  return 0;\n"
-      "}\n";
-  const auto idx = index_file("src/dtnsim/fake/a.cpp", code);
-  ASSERT_EQ(idx.switches.size(), 1u);
-  EXPECT_TRUE(idx.switches[0].conditional);
-}
-
 TEST(ProjectIndex, MetricSitesEngineTaggingAndWrappedLiterals) {
   const std::string fluid =
       "void reg_metrics(obs::Registry& reg) {\n"
@@ -296,135 +220,11 @@ TEST(ProjectIndex, MetricSitesEngineTaggingAndWrappedLiterals) {
   EXPECT_EQ(pkt.metrics[0].engine, "packet");
 }
 
-TEST(ProjectIndex, JsonFnPartitioningAndKeys) {
-  const std::string code =
-      "Json to_json(const Widget& w) {\n"
-      "  Json j = Json::object();\n"
-      "  j[\"id\"] = 1.0;\n"
-      "  j[\"size\"] = 2.0;\n"
-      "  return j;\n"
-      "}\n"
-      "bool widget_from_json(const Json& j, Widget* out) {\n"
-      "  out->id = static_cast<int>(j.number_at(\"id\", 0.0));\n"
-      "  if (const Json* s = j.find(\"size\")) out->size = s->number_or(0);\n"
-      "  return true;\n"
-      "}\n"
-      "Json widget_to_json(const Widget& w);\n";  // declaration: ignored
-  const auto idx = index_file("src/dtnsim/fake/widget.cpp", code);
-  ASSERT_EQ(idx.json_fns.size(), 2u);
-  EXPECT_TRUE(idx.json_fns[0].emit);
-  EXPECT_EQ(idx.json_fns[0].struct_name, "Widget");
-  EXPECT_EQ(idx.json_fns[0].keys, (std::set<std::string>{"id", "size"}));
-  EXPECT_FALSE(idx.json_fns[1].emit);
-  EXPECT_EQ(idx.json_fns[1].struct_name, "Widget");
-  EXPECT_EQ(idx.json_fns[1].keys, (std::set<std::string>{"id", "size"}));
-}
-
-TEST(ProjectIndex, JsonFnNormalizesReturnTypes) {
-  const std::string code =
-      "std::optional<Timeline> timeline_from_json(const Json& j) {\n"
-      "  (void)j.find(\"events\");\n"
-      "  return std::nullopt;\n"
-      "}\n";
-  const auto idx = index_file("src/dtnsim/fake/a.cpp", code);
-  ASSERT_EQ(idx.json_fns.size(), 1u);
-  EXPECT_EQ(idx.json_fns[0].struct_name, "Timeline");
-}
-
 // ---- v2: cross-file rules ---------------------------------------------------
 
 std::vector<Finding> project_findings(
     const std::vector<FileContent>& files, std::string doc_text = "") {
   return run_project_rules(build_index(files, std::move(doc_text)));
-}
-
-TEST(ProjectRules, EnumSwitchFlagsMissingEnumerator) {
-  const std::vector<FileContent> files = {
-      {"src/dtnsim/fake/colors.hpp",
-       "enum class Color { kRed, kGreen, kBlue };\n"},
-      {"src/dtnsim/fake/use.cpp",
-       "int f(Color c) {\n"
-       "  switch (c) {\n"
-       "    case Color::kRed: return 1;\n"
-       "    case Color::kGreen: return 2;\n"
-       "  }\n"
-       "  return 0;\n"
-       "}\n"}};
-  const auto fs = project_findings(files);
-  ASSERT_EQ(count_rule(fs, "enum-switch"), 1);
-  EXPECT_NE(fs[0].message.find("kBlue"), std::string::npos);
-  EXPECT_EQ(fs[0].path, "src/dtnsim/fake/use.cpp");
-  EXPECT_EQ(fs[0].line, 2);
-}
-
-TEST(ProjectRules, EnumSwitchFlagsStaleCaseEvenWithDefault) {
-  // A `case` naming an enumerator the definition no longer carries is dead
-  // code a `default:` cannot excuse (it can never fire).
-  const std::vector<FileContent> files = {
-      {"src/dtnsim/fake/colors.hpp",
-       "enum class Color { kRed, kGreen, kBlue };\n"},
-      {"src/dtnsim/fake/use.cpp",
-       "int f(Color c) {\n"
-       "  switch (c) {\n"
-       "    case Color::kRed: return 1;\n"
-       "    case Color::kYellow: return 2;\n"
-       "    default: return 0;\n"
-       "  }\n"
-       "}\n"}};
-  const auto fs = project_findings(files);
-  ASSERT_EQ(count_rule(fs, "enum-switch"), 1);
-  EXPECT_NE(fs[0].message.find("no longer exist"), std::string::npos);
-  EXPECT_NE(fs[0].message.find("kYellow"), std::string::npos);
-  EXPECT_EQ(fs[0].path, "src/dtnsim/fake/use.cpp");
-}
-
-TEST(ProjectRules, EnumSwitchStaleAndMissingReportSeparately) {
-  // Without a default, a renamed enumerator yields both findings — and the
-  // missing-rule's handled count excludes the stale label.
-  const auto fs = project_findings(
-      {{"src/dtnsim/fake/colors.hpp",
-        "enum class Color { kRed, kGreen, kBlue };\n"},
-       {"src/dtnsim/fake/use.cpp",
-        "int f(Color c) {\n"
-        "  switch (c) {\n"
-        "    case Color::kRed: return 1;\n"
-        "    case Color::kYellow: return 2;\n"
-        "  }\n"
-        "  return 0;\n"
-        "}\n"}});
-  ASSERT_EQ(count_rule(fs, "enum-switch"), 2);
-  EXPECT_NE(fs[0].message.find("kYellow"), std::string::npos);
-  EXPECT_NE(fs[1].message.find("handles 1/3"), std::string::npos);
-  EXPECT_NE(fs[1].message.find("kGreen, kBlue"), std::string::npos);
-}
-
-TEST(ProjectRules, EnumSwitchDefaultOrGuardOrAllowExempts) {
-  const std::string enum_hpp = "enum class Color { kRed, kBlue };\n";
-  const std::string with_default =
-      "int f(Color c) { switch (c) { case Color::kRed: return 1; default: return 0; } }\n";
-  const std::string guarded =
-      "#ifdef EXOTIC\n"
-      "int f(Color c) { switch (c) { case Color::kRed: return 1; } return 0; }\n"
-      "#endif\n";
-  const std::string allowed =
-      "// dtnsim-lint: allow(enum-switch)\n"
-      "int f(Color c) { switch (c) { case Color::kRed: return 1; } return 0; }\n";
-  for (const auto& body : {with_default, guarded, allowed}) {
-    const auto fs = project_findings(
-        {{"src/dtnsim/fake/colors.hpp", enum_hpp},
-         {"src/dtnsim/fake/use.cpp", body}});
-    EXPECT_EQ(count_rule(fs, "enum-switch"), 0) << body;
-  }
-}
-
-TEST(ProjectRules, EnumSwitchAmbiguousEnumNameSkipped) {
-  // Two distinct enums named Kind: the rule cannot know which is meant.
-  const auto fs = project_findings(
-      {{"src/dtnsim/a/one.hpp", "enum class Kind { kA, kB };\n"},
-       {"src/dtnsim/b/two.hpp", "enum class Kind { kC };\n"},
-       {"src/dtnsim/fake/use.cpp",
-        "int f(Kind k) { switch (k) { case Kind::kA: return 1; } return 0; }\n"}});
-  EXPECT_EQ(count_rule(fs, "enum-switch"), 0);
 }
 
 TEST(ProjectRules, MetricParityFlagsSingleEngineFamily) {
@@ -454,6 +254,15 @@ TEST(ProjectRules, MetricParityAllowlistAndSuppression) {
         "  r.gauge(\"flow.oddball_bps\", \"bps\", \"h\");\n"
         "}\n"}});
   EXPECT_EQ(count_rule(suppressed, "metric-parity"), 0);
+  // A site under #ifdef cannot be judged from one configuration.
+  const auto guarded = project_findings(
+      {{"src/dtnsim/flow/transfer.cpp",
+        "void f(R& r) {\n"
+        "#ifdef DTNSIM_EXOTIC\n"
+        "  r.gauge(\"flow.oddball_bps\", \"bps\", \"h\");\n"
+        "#endif\n"
+        "}\n"}});
+  EXPECT_EQ(count_rule(guarded, "metric-parity"), 0);
 }
 
 TEST(ProjectRules, MetricParityDocCheck) {
@@ -468,60 +277,6 @@ TEST(ProjectRules, MetricParityDocCheck) {
   EXPECT_EQ(count_rule(project_findings(files), "metric-parity"), 0);
 }
 
-TEST(ProjectRules, JsonParityFlagsKeyDrift) {
-  const auto fs = project_findings(
-      {{"src/dtnsim/fake/widget.cpp",
-        "Json to_json(const Widget& w) {\n"
-        "  Json j;\n"
-        "  j[\"id\"] = 1.0;\n"
-        "  j[\"color\"] = 2.0;\n"
-        "  return j;\n"
-        "}\n"
-        "bool widget_from_json(const Json& j, Widget* out) {\n"
-        "  out->id = static_cast<int>(j.number_at(\"id\", 0.0));\n"
-        "  return true;\n"
-        "}\n"}});
-  ASSERT_EQ(count_rule(fs, "json-parity"), 1);
-  EXPECT_NE(fs[0].message.find("color"), std::string::npos);
-}
-
-TEST(ProjectRules, JsonParityCleanPairAndUnpairedSilent) {
-  const auto fs = project_findings(
-      {{"src/dtnsim/fake/widget.cpp",
-        "Json to_json(const Widget& w) { Json j; j[\"id\"] = 1.0; return j; }\n"
-        "bool widget_from_json(const Json& j, Widget* out) {\n"
-        "  out->id = static_cast<int>(j.number_at(\"id\", 0.0));\n"
-        "  return true;\n"
-        "}\n"
-        "Json to_json(const Orphan& o) { Json j; j[\"x\"] = 1.0; return j; }\n"}});
-  EXPECT_EQ(count_rule(fs, "json-parity"), 0);
-}
-
-// ---- v2: baseline -----------------------------------------------------------
-
-TEST(ProjectBaseline, ParseApplyAndRoundTrip) {
-  const std::vector<Finding> fs = {
-      {"enum-switch", "src/a.cpp", 10, "missing: kBlue"},
-      {"json-parity", "src/b.cpp", 20, "drifted: color"}};
-  const auto text = to_baseline(fs);
-  const auto baseline = parse_baseline(text);
-  EXPECT_EQ(baseline.size(), 2u);
-  // Line numbers are not part of the key: a shifted finding stays masked.
-  std::vector<Finding> shifted = fs;
-  shifted[0].line = 99;
-  EXPECT_TRUE(apply_baseline(shifted, baseline).empty());
-  // A new message is not masked.
-  std::vector<Finding> fresh = {{"enum-switch", "src/a.cpp", 10, "missing: kRed"}};
-  EXPECT_EQ(apply_baseline(fresh, baseline).size(), 1u);
-}
-
-TEST(ProjectBaseline, CommentsAndBlanksIgnored) {
-  const auto baseline =
-      parse_baseline("# header\n\n  enum-switch|src/a.cpp|missing: kBlue  \n");
-  ASSERT_EQ(baseline.size(), 1u);
-  EXPECT_TRUE(baseline.count("enum-switch|src/a.cpp|missing: kBlue"));
-}
-
 // ---- v2: parallel driver ----------------------------------------------------
 
 TEST(ProjectDriver, JobsOutputIsByteIdenticalToSerial) {
@@ -531,11 +286,8 @@ TEST(ProjectDriver, JobsOutputIsByteIdenticalToSerial) {
         "src/dtnsim/fake/f" + std::to_string(i) + ".cpp";
     files.push_back({path, "int r" + std::to_string(i) + " = rand();\n"});
   }
-  files.push_back({"src/dtnsim/fake/colors.hpp",
-                   "enum class Color { kRed, kBlue };\n"});
-  files.push_back({"src/dtnsim/fake/use.cpp",
-                   "int f(Color c) { switch (c) { case Color::kRed: return 1; }"
-                   " return 0; }\n"});
+  files.push_back({"src/dtnsim/flow/transfer.cpp",
+                   "void f(R& r) { r.gauge(\"flow.lonely_bps\", \"bps\", \"h\"); }\n"});
   ProjectOptions serial;
   serial.jobs = 1;
   ProjectOptions wide;
@@ -544,19 +296,9 @@ TEST(ProjectDriver, JobsOutputIsByteIdenticalToSerial) {
   const auto b = lint_project(files, wide);
   EXPECT_EQ(to_json(a), to_json(b));
   EXPECT_EQ(count_rule(a, "determinism"), 24);
-  EXPECT_EQ(count_rule(a, "enum-switch"), 1);
+  EXPECT_EQ(count_rule(a, "metric-parity"), 1);
   // Per-file findings come first, in input order; project findings last.
-  EXPECT_EQ(a.back().rule, "enum-switch");
-}
-
-TEST(ProjectDriver, BaselineThreadsThroughOptions) {
-  const std::vector<FileContent> files = {
-      {"src/dtnsim/fake/a.cpp", "int r = rand();\n"}};
-  ProjectOptions opts;
-  const auto unmasked = lint_project(files, opts);
-  ASSERT_EQ(unmasked.size(), 1u);
-  opts.baseline.insert(baseline_key(unmasked[0]));
-  EXPECT_TRUE(lint_project(files, opts).empty());
+  EXPECT_EQ(a.back().rule, "metric-parity");
 }
 
 // ---- v2: --json schema golden ----------------------------------------------

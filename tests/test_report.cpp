@@ -261,6 +261,31 @@ TEST(ReportRecord, WriteLoadRoundTripAndLoadErrors) {
   j["schema"] = 999;
   std::ofstream(path.string()) << j.dump(2);
   EXPECT_THROW(load_run_record(path.string()), std::runtime_error);
+
+  // An object where an array belongs is a named error, not a crash (Json
+  // counts an object's members in size() but at() only indexes arrays), and
+  // so is a number that does not fit the member it is read into.
+  const std::pair<const char*, const char*> malformed[] = {
+      {R"({"schema":1,"summary":{"avg_gbps":1,"samples_gbps":{"a":1}}})",
+       "summary.samples_gbps is not an array"},
+      {R"({"schema":1,"series":{"columns":{"a":"time_s"}}})",
+       "series.columns is not an array"},
+      {R"({"schema":1,"series":{"columns":["time_s"],"rows":[[0],{"a":1}]}})",
+       "series.rows[1] is not an array"},
+      {R"({"schema":1,"meta":{"streams":1e10}})", "meta.streams is out of range"},
+      {R"({"schema":1,"analysis":{"episode_end_sec":1e300}})",
+       "analysis.episode_end_sec is out of range"},
+  };
+  for (const auto& [doc, what] : malformed) {
+    std::ofstream(path.string(), std::ios::trunc) << doc;
+    try {
+      load_run_record(path.string());
+      ADD_FAILURE() << "expected a throw for " << doc;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path.string()), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  }
   fs::remove(path);
 }
 

@@ -127,6 +127,21 @@ TEST(ScenarioJson, LoadTimelineThrowsWithPath) {
     EXPECT_NE(std::string(e.what()).find("/nonexistent/tl.json"),
               std::string::npos);
   }
+
+  // A schema mismatch names the file and the first offending key.
+  const std::string path = ::testing::TempDir() + "/dtnsim_bad_timeline.json";
+  std::ofstream(path) << R"({"events":[{"at_sec":1,"kind":"loss_burst","value":0.1},)"
+                         R"({"at_sec":"2","kind":"link_down"}]})";
+  try {
+    load_timeline(path);
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("events[1].at_sec is not a number"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
 }
 
 // ---- jitter determinism ---------------------------------------------------

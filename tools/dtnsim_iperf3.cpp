@@ -1,7 +1,7 @@
 // dtnsim-iperf3: iperf3-flag-compatible command-line driver.
 //
-//   $ dtnsim-iperf3 --testbed amlight --path "WAN 104ms" -Z --fq-rate 50G \
-//                   --optmem 3405376 --repeats 10
+//   $ dtnsim-iperf3 --testbed amlight --path "WAN 104ms" -Z --fq-rate 50G
+//         --optmem 3405376 --repeats 10          (one command line)
 //   $ dtnsim-iperf3 --testbed esnet -P 8 --fq-rate 15G --kernel 5.15 -J
 #include <cstdio>
 #include <string>

@@ -75,13 +75,11 @@ int usage() {
       stderr,
       "usage: dtnsim-lint [options] <file-or-dir>...\n"
       "  --json                machine-readable output\n"
-      "  --project             also run the cross-file rules (enum-switch,\n"
-      "                        metric-parity, json-parity) over all inputs\n"
+      "  --project             also run the cross-file rule (metric-parity)\n"
+      "                        over all inputs\n"
       "  --jobs N              lint/index files on N worker threads\n"
       "                        (0 = hardware concurrency; output is\n"
       "                        byte-identical to --jobs 1)\n"
-      "  --baseline FILE       mask findings listed in FILE\n"
-      "  --write-baseline FILE write current findings as a baseline and exit 0\n"
       "  --docs FILE           metrics doc for the metric-parity doc check\n"
       "                        (default: docs/OBSERVABILITY.md if present)\n"
       "  --no-docs             disable the metric-parity doc check\n"
@@ -98,8 +96,6 @@ int main(int argc, char** argv) {
   bool project = false;
   bool no_docs = false;
   int jobs = 1;
-  std::string baseline_path;
-  std::string write_baseline_path;
   std::string docs_path;
   std::vector<fs::path> roots;
   for (int i = 1; i < argc; ++i) {
@@ -115,10 +111,6 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--jobs" && i + 1 < argc) {
       jobs = std::atoi(argv[++i]);
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (arg == "--write-baseline" && i + 1 < argc) {
-      write_baseline_path = argv[++i];
     } else if (arg == "--docs" && i + 1 < argc) {
       docs_path = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
@@ -137,7 +129,7 @@ int main(int argc, char** argv) {
     if (!collect(r, paths)) return 2;
   }
   // Canonical order: directory iteration order is filesystem-dependent, and
-  // the baseline/golden story needs a stable finding order.
+  // the golden story needs a stable finding order.
   std::sort(paths.begin(), paths.end(),
             [](const fs::path& a, const fs::path& b) {
               return a.generic_string() < b.generic_string();
@@ -167,31 +159,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!read_file(baseline_path, text)) {
-      std::fprintf(stderr, "dtnsim-lint: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    opts.baseline = dtnsim::lint::parse_baseline(text);
-  }
-
   const auto findings = dtnsim::lint::lint_project(files, opts);
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "dtnsim-lint: cannot write baseline %s\n",
-                   write_baseline_path.c_str());
-      return 2;
-    }
-    out << dtnsim::lint::to_baseline(findings);
-    std::printf("dtnsim-lint: wrote %zu baseline entr%s to %s\n",
-                findings.size(), findings.size() == 1 ? "y" : "ies",
-                write_baseline_path.c_str());
-    return 0;
-  }
 
   if (json) {
     std::printf("%s\n", dtnsim::lint::to_json(findings).c_str());
