@@ -230,8 +230,9 @@ TransferResult TransferSimulation::run() {
     scn_active_flows_ = static_cast<int>(flows_.size());
   }
   const double rtt = std::max(path_.spec().rtt_sec(), 1e-6);
-  const double dt = std::max(rtt, kMinTickSec);
-  const Nanos tick_ns = std::max<Nanos>(static_cast<Nanos>(dt * 1e9), 1);
+  dt_sec_ = std::max(rtt, kMinTickSec);
+  tick_ns_ = std::max<Nanos>(static_cast<Nanos>(dt_sec_ * 1e9), 1);
+  refresh_round();
 
   log::ScopedTimeSource clock([&engine] { return engine.now(); });
   log::info("transfer start: %s, %zu flow(s), rtt %.3fs, %.0fs run%s%s",
@@ -240,15 +241,7 @@ TransferResult TransferSimulation::run() {
             cfg_.flow.zerocopy ? ", zerocopy" : "",
             cfg_.flow.fq_rate_bps > 0 ? ", paced" : "");
 
-  // Self-rescheduling round tick on the event engine.
-  std::function<void()> round = [&] {
-    const double now_sec = units::to_seconds(engine.now());
-    tick(dt, now_sec);
-    if (engine.now() + tick_ns <= cfg_.duration.nanos()) {
-      engine.schedule(tick_ns, round);
-    }
-  };
-  engine.schedule(tick_ns, round);
+  schedule_round();
   // Probe events land after the round tick at coincident timestamps.
   setup_telemetry(engine);
   engine.run();
@@ -318,8 +311,8 @@ void TransferSimulation::apply_scenario(double now_sec) {
   if (!scn_->advance(now_sec)) return;
   const scenario::Effects& e = scn_->effects();
 
-  // Path overlay: fold onto the t=0 spec; the tick re-reads path_.spec()
-  // every round, so the swap takes effect immediately.
+  // Path overlay: fold onto the t=0 spec; refresh_round() below re-reads
+  // path_.spec(), so the swap takes effect this round.
   net::PathSpec ps = scn_base_path_;
   if (e.capacity_bps >= 0.0) ps.capacity_bps = e.capacity_bps;
   if (e.link_down) ps.capacity_bps = 1.0;  // outage: the pipe is gone
@@ -327,8 +320,8 @@ void TransferSimulation::apply_scenario(double now_sec) {
   ps.bg_traffic_bps = scn_base_path_.bg_traffic_bps + e.extra_bg_bps;
   path_.set_spec(ps);
 
-  // NIC / qdisc / sysctl overlays land in cfg_, which the tick also
-  // re-reads every round (NicRx is rebuilt per tick).
+  // NIC / qdisc / sysctl overlays land in cfg_; refresh_round() rebuilds
+  // the NicRx, pacing rate and budgets from it.
   cfg_.receiver.tuning.ring_descriptors =
       e.ring_descriptors >= 0.0
           ? static_cast<int>(std::lround(e.ring_descriptors))
@@ -353,6 +346,7 @@ void TransferSimulation::apply_scenario(double now_sec) {
   scn_irq_mult_ = e.irq_drain_mult;
   scn_active_flows_ = std::clamp(static_cast<int>(flows_.size()) + e.flow_delta,
                                  1, static_cast<int>(flows_.size()));
+  refresh_round();
 
   const auto& log = scn_->log();
   const Nanos now_ns = engine_ ? engine_->now() : units::seconds(now_sec);
@@ -376,41 +370,95 @@ void TransferSimulation::apply_scenario(double now_sec) {
   }
 }
 
-void TransferSimulation::tick(double dt_sec, double now_sec) {
-  if (scn_) apply_scenario(now_sec);
-  const double rtt = std::max(path_.spec().rtt_sec(), 1e-6);
-  Instruments* const in = instr_.get();
-  const Nanos now_ns = engine_ ? engine_->now() : units::seconds(now_sec);
-  const bool zc_req = cfg_.flow.zerocopy && sender_.zerocopy_available();
+void TransferSimulation::refresh_round() {
+  RoundConsts& rc = rc_;
+  const double dt_sec = dt_sec_;
+  rc.rtt = std::max(path_.spec().rtt_sec(), 1e-6);
+  rc.mss = mss();
+  rc.zc_req = cfg_.flow.zerocopy && sender_.zerocopy_available();
   const bool qdisc_can_pace =
       cfg_.sender.tuning.sysctl.default_qdisc == kern::QdiscKind::Fq;
-  const double fq_rate = qdisc_can_pace ? cfg_.flow.fq_rate_bps : 0.0;
+  rc.fq_rate = qdisc_can_pace ? cfg_.flow.fq_rate_bps : 0.0;
 
-  const auto snd_caps = sender_.skb_caps();
-  const auto rcv_caps = receiver_.skb_caps();
-  const double mtu =
-      std::min(cfg_.sender.tuning.mtu_bytes, cfg_.receiver.tuning.mtu_bytes);
-  const double gso =
-      kern::effective_gso_bytes(snd_caps, zc_req, units::Bytes(mtu)).value();
-  const double gro = kern::effective_gro_bytes(rcv_caps, units::Bytes(mtu)).value();
+  rc.mtu = std::min(cfg_.sender.tuning.mtu_bytes, cfg_.receiver.tuning.mtu_bytes);
+  const units::Bytes mtu(rc.mtu);
+  rc.gso = kern::effective_gso_bytes(sender_.skb_caps(), rc.zc_req, mtu).value();
+  rc.gro = kern::effective_gro_bytes(receiver_.skb_caps(), mtu).value();
 
-  const double snd_wnd_max = cfg_.sender.tuning.sysctl.max_send_window_bytes();
-  const double rcv_wnd_max = cfg_.receiver.tuning.sysctl.max_recv_window_bytes();
+  rc.snd_wnd_max = cfg_.sender.tuning.sysctl.max_send_window_bytes();
+  rc.rcv_wnd_max = cfg_.receiver.tuning.sysctl.max_recv_window_bytes();
 
   const double eff = run_efficiency_;
-  const double snd_app_budget = sender_.app_core_hz() * dt_sec * eff;  // per flow
-  const double rcv_app_budget = receiver_.app_core_hz() * dt_sec * eff;
-  const double snd_irq_budget = sender_.app_core_hz() *
-                                static_cast<double>(sender_.irq_core_count()) * dt_sec * eff;
-  double rcv_irq_budget = receiver_.app_core_hz() *
-                          static_cast<double>(receiver_.irq_core_count()) * dt_sec * eff;
+  rc.snd_app_budget = sender_.app_core_hz() * dt_sec * eff;  // per flow
+  rc.rcv_app_budget = receiver_.app_core_hz() * dt_sec * eff;
+  rc.snd_irq_budget = sender_.app_core_hz() *
+                      static_cast<double>(sender_.irq_core_count()) * dt_sec * eff;
+  rc.rcv_irq_budget = receiver_.app_core_hz() *
+                      static_cast<double>(receiver_.irq_core_count()) * dt_sec * eff;
   // Scenario IRQ-core degradation (noisy neighbor stealing drain cycles).
-  if (scn_) rcv_irq_budget *= scn_irq_mult_;
-  const double snd_mem_budget = sender_.stack_mem_bw_bytes() * dt_sec * eff;
+  if (scn_) rc.rcv_irq_budget *= scn_irq_mult_;
+  rc.snd_mem_budget = sender_.stack_mem_bw_bytes() * dt_sec * eff;
   const double rcv_mem_budget = receiver_.stack_mem_bw_bytes() * dt_sec * eff;
-  const double line_bytes = sender_.config().nic.line_rate_bps * dt_sec / 8.0;
-  const double snd_dma_bytes = sender_.dma_cap_bps() * dt_sec / 8.0;
+  rc.line_bytes = sender_.config().nic.line_rate_bps * dt_sec / 8.0;
+  rc.snd_dma_bytes = sender_.dma_cap_bps() * dt_sec / 8.0;
   const double rcv_dma_bytes = receiver_.dma_cap_bps() * dt_sec / 8.0;
+
+  cpu::TxPathConfig irq_cfg;  // per-byte IRQ cost is geometry-only
+  irq_cfg.gso_bytes = rc.gso;
+  irq_cfg.mtu_bytes = rc.mtu;
+  rc.tx_irq_pb = snd_cost_->tx_irq_cyc_per_byte(irq_cfg);
+  rc.tx_irq_spb = snd_cost_->tx_irq_stage_cyc(irq_cfg);
+  cpu::TxPathConfig mc = irq_cfg;
+  mc.zc_fraction = rc.zc_req ? 1.0 : 0.0;  // approximate: zc flows mostly zc
+  rc.tx_mem_passes = snd_cost_->tx_mem_passes(mc);
+
+  net::NicSpec rx_nic = cfg_.receiver.nic;
+  if (receiver_.hw_gro_active()) {
+    // SHAMPO merges in hardware and splits headers from data: the NIC-to-
+    // kernel drain path survives far denser trains.
+    rx_nic.drain_burst_bps *= 1.6;
+    rx_nic.drain_smooth_bps *= 1.3;
+  }
+  rc.nic_rx = net::NicRx(rx_nic, cfg_.receiver.tuning.ring_descriptors, rc.mtu,
+                         cfg_.link_flow_control);
+  cpu::RxPathConfig rxc;
+  rxc.gro_bytes = rc.gro;
+  rxc.mtu_bytes = rc.mtu;
+  rxc.copy_to_user = !cfg_.flow.skip_rx_copy;
+  rxc.hw_gro = receiver_.hw_gro_active();
+  rc.rx_app_pb = rcv_cost_->rx_app_cyc_per_byte(rxc);
+  rc.rx_irq_pb = rcv_cost_->rx_irq_cyc_per_byte(rxc);
+  const double rx_mem_passes = rcv_cost_->rx_mem_passes(rxc);
+  rc.rx_app_spb = rcv_cost_->rx_app_stage_cyc(rxc);
+  rc.rx_irq_spb = rcv_cost_->rx_irq_stage_cyc(rxc);
+  rc.rx_app_cap = rc.rcv_app_budget / std::max(rc.rx_app_pb, 1e-9);
+  // Receiver-side host limits: IRQ cycles, DMA, memory bandwidth.
+  rc.rx_host_cap =
+      std::min({rc.rcv_irq_budget / std::max(rc.rx_irq_pb, 1e-12), rcv_dma_bytes,
+                rcv_mem_budget / std::max(rx_mem_passes, 1e-9)});
+  rc.md_floor = 32.0 * rc.mss * std::clamp(dt_sec / 0.063, 0.01, 1.0);
+}
+
+void TransferSimulation::schedule_round() {
+  // A [this] closure fits std::function's local buffer: no allocation.
+  engine_->schedule(tick_ns_, [this] {
+    tick(units::to_seconds(engine_->now()));
+    if (engine_->now() + tick_ns_ <= cfg_.duration.nanos()) schedule_round();
+  });
+}
+
+void TransferSimulation::tick(double now_sec) {
+  if (scn_) apply_scenario(now_sec);
+  const RoundConsts& rc = rc_;
+  const double dt_sec = dt_sec_;
+  const double rtt = rc.rtt;
+  const double fq_rate = rc.fq_rate;
+  const bool zc_req = rc.zc_req;
+  const double gso = rc.gso;
+  const double mtu = rc.mtu;
+  const double seg = rc.mss;
+  Instruments* const in = instr_.get();
+  const Nanos now_ns = engine_ ? engine_->now() : units::seconds(now_sec);
 
   // ---- Sender: plan each flow -------------------------------------------
   units::Cycles snd_app_used{0.0};
@@ -432,8 +480,8 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
       continue;
     }
 
-    const double rwnd = std::max(rcv_wnd_max - f.rcv_backlog_bytes, 0.0);
-    const double wnd = std::min({f.cc->cwnd_bytes(), rwnd, snd_wnd_max});
+    const double rwnd = std::max(rc.rcv_wnd_max - f.rcv_backlog_bytes, 0.0);
+    const double wnd = std::min({f.cc->cwnd_bytes(), rwnd, rc.snd_wnd_max});
     double desired = wnd * dt_sec / rtt;
 
     double pace = fq_rate;
@@ -467,7 +515,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
       in->perf->tx_pb[fi] = snd_cost_->tx_app_stage_cyc(txc);
     }
 
-    const double cpu_cap = snd_app_budget * f.share_jitter /
+    const double cpu_cap = rc.snd_app_budget * f.share_jitter /
                            std::max(f.tx_app_cyc_per_byte, 1e-9);
     f.planned_bytes = std::min(desired, cpu_cap);
     if (in && &f == &flows_[0]) {
@@ -478,25 +526,17 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   }
 
   // ---- Sender: shared resource scaling ----------------------------------
-  cpu::TxPathConfig irq_cfg;  // per-byte IRQ cost is geometry-only
-  irq_cfg.gso_bytes = gso;
-  irq_cfg.mtu_bytes = mtu;
-  const double tx_irq_pb = snd_cost_->tx_irq_cyc_per_byte(irq_cfg);
-  cpu::TxIrqStageCyc tx_irq_spb{};
-  if (in && in->perf) tx_irq_spb = snd_cost_->tx_irq_stage_cyc(irq_cfg);
-
+  const double tx_irq_pb = rc.tx_irq_pb;
   double total_planned = 0.0, total_irq_need = 0.0, total_mem_need = 0.0;
   for (auto& f : flows_) {
     total_planned += f.planned_bytes;
     total_irq_need += f.planned_bytes * tx_irq_pb;
-    cpu::TxPathConfig mc = irq_cfg;
-    mc.zc_fraction = zc_req ? 1.0 : 0.0;  // approximate: zc flows mostly zc
-    total_mem_need += f.planned_bytes * snd_cost_->tx_mem_passes(mc);
+    total_mem_need += f.planned_bytes * rc.tx_mem_passes;
   }
-  const double s_irq = scale_factor(total_irq_need, snd_irq_budget);
-  const double s_line = scale_factor(total_planned, line_bytes);
-  const double s_dma = scale_factor(total_planned, snd_dma_bytes);
-  const double s_mem = scale_factor(total_mem_need, snd_mem_budget);
+  const double s_irq = scale_factor(total_irq_need, rc.snd_irq_budget);
+  const double s_line = scale_factor(total_planned, rc.line_bytes);
+  const double s_dma = scale_factor(total_planned, rc.snd_dma_bytes);
+  const double s_mem = scale_factor(total_mem_need, rc.snd_mem_budget);
   const double s = std::min(std::min(s_irq, s_line), std::min(s_dma, s_mem));
 
   units::Cycles snd_irq_used{0.0};
@@ -522,6 +562,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
       auto& pa = *in->perf;
       const std::size_t fi = static_cast<std::size_t>(&f - flows_.data());
       const auto& pb = pa.tx_pb[fi];
+      const auto& tx_irq_spb = rc.tx_irq_spb;
       add_stage(pa, fi, obs::PerfStage::TxSyscall, f.sent_bytes * pb.syscall);
       add_stage(pa, fi, obs::PerfStage::TxProto, f.sent_bytes * pb.proto);
       add_stage(pa, fi, obs::PerfStage::TxUserCopy, f.sent_bytes * pb.user_copy);
@@ -713,30 +754,11 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   }
 
   // ---- Receiver NIC per flow ---------------------------------------------
-  net::NicSpec rx_nic = cfg_.receiver.nic;
-  if (receiver_.hw_gro_active()) {
-    // SHAMPO merges in hardware and splits headers from data: the NIC-to-
-    // kernel drain path survives far denser trains.
-    rx_nic.drain_burst_bps *= 1.6;
-    rx_nic.drain_smooth_bps *= 1.3;
-  }
-  net::NicRx nic_rx(rx_nic, cfg_.receiver.tuning.ring_descriptors, mtu,
-                    cfg_.link_flow_control);
-  cpu::RxPathConfig rxc;
-  rxc.gro_bytes = gro;
-  rxc.mtu_bytes = mtu;
-  rxc.copy_to_user = !cfg_.flow.skip_rx_copy;
-  rxc.hw_gro = receiver_.hw_gro_active();
-  const double rx_app_pb = rcv_cost_->rx_app_cyc_per_byte(rxc);
-  const double rx_irq_pb = rcv_cost_->rx_irq_cyc_per_byte(rxc);
-  const double rx_mem_passes = rcv_cost_->rx_mem_passes(rxc);
-  cpu::RxAppStageCyc rx_app_spb{};
-  cpu::RxIrqStageCyc rx_irq_spb{};
-  if (in && in->perf) {
-    rx_app_spb = rcv_cost_->rx_app_stage_cyc(rxc);
-    rx_irq_spb = rcv_cost_->rx_irq_stage_cyc(rxc);
-  }
-
+  // NicRx::evaluate is pure, so one NicRx serves every round until a
+  // scenario boundary rebuilds it.
+  const net::NicRx& nic_rx = rc.nic_rx;
+  const double rx_app_pb = rc.rx_app_pb;
+  const double rx_irq_pb = rc.rx_irq_pb;
   double total_accepted = 0.0;
   double tick_nic_drops = 0.0, tick_ring_occ = 0.0;
   bool tick_pause = false;
@@ -744,7 +766,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
     net::RxArrival arr;
     arr.bytes = f.arrived_bytes;
     arr.paced = paced_traffic;
-    const auto verdict = nic_rx.process(arr, dt_sec, rtt);
+    const auto verdict = nic_rx.evaluate(arr, dt_sec, rtt);
     dropped_nic_ += verdict.dropped_bytes;
     tick_nic_drops += verdict.dropped_bytes;
     tick_ring_occ = std::max(tick_ring_occ, verdict.ring_occupancy_frac);
@@ -760,13 +782,12 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
     total_accepted += f.arrived_bytes;
   }
 
-  // Receiver-side host limits: IRQ cycles, DMA, memory bandwidth. TCP flow
-  // control (rwnd) turns sustained overload into backpressure — the sender
-  // slows — but transient overshoot occasionally overruns the ring and
-  // drops for real (a rare stochastic event, not a per-tick certainty).
-  const double rx_host_cap =
-      std::min({rcv_irq_budget / std::max(rx_irq_pb, 1e-12), rcv_dma_bytes,
-                rcv_mem_budget / std::max(rx_mem_passes, 1e-9)});
+  // Receiver-side host limits (rc.rx_host_cap: IRQ cycles, DMA, memory
+  // bandwidth). TCP flow control (rwnd) turns sustained overload into
+  // backpressure — the sender slows — but transient overshoot occasionally
+  // overruns the ring and drops for real (a rare stochastic event, not a
+  // per-tick certainty).
+  const double rx_host_cap = rc.rx_host_cap;
   if (total_accepted > rx_host_cap && total_accepted > 0) {
     const double overload = total_accepted / rx_host_cap;
     const double keep = rx_host_cap / total_accepted;
@@ -811,8 +832,8 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
       if (tick_nic_drops > 0) ssa->rx_dropped_events += 1.0;
       ssa->ring_hiwater = std::max(ssa->ring_hiwater, tick_ring_occ);
       if (tick_pause) ssa->pause_frames += 1.0;
-      if (receiver_.hw_gro_active() && gro > 0) {
-        ssa->hw_gro_aggs += total_accepted / gro;
+      if (receiver_.hw_gro_active() && rc.gro > 0) {
+        ssa->hw_gro_aggs += total_accepted / rc.gro;
       }
     }
   }
@@ -823,8 +844,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   double drain_min = 0.0, drain_max = 0.0;
   for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
     auto& f = flows_[fi];
-    const double cap = rcv_app_budget / std::max(rx_app_pb, 1e-9);
-    const double drain = std::min(f.rcv_backlog_bytes + f.arrived_bytes, cap);
+    const double drain = std::min(f.rcv_backlog_bytes + f.arrived_bytes, rc.rx_app_cap);
     f.rcv_backlog_bytes = std::max(f.rcv_backlog_bytes + f.arrived_bytes - drain, 0.0);
     f.delivered_bytes += drain;
     interval_bytes_this_tick += drain;
@@ -834,6 +854,8 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
       // (post-verdict arrived bytes — summing to total_accepted), app-side
       // work with what the application actually drained this round.
       auto& pa = *in->perf;
+      const auto& rx_irq_spb = rc.rx_irq_spb;
+      const auto& rx_app_spb = rc.rx_app_spb;
       add_stage(pa, fi, obs::PerfStage::RxSkbAlloc, f.arrived_bytes * rx_irq_spb.skb_alloc);
       add_stage(pa, fi, obs::PerfStage::RxGroMerge, f.arrived_bytes * rx_irq_spb.gro_merge);
       add_stage(pa, fi, obs::PerfStage::RxAggFlush, f.arrived_bytes * rx_irq_spb.agg_flush);
@@ -867,26 +889,24 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
     if (in && in->ss) {
       // Receiver-side reordering (tcpi_rcv_ooopack): every retransmitted
       // hole and every scenario-reordered segment arrives out of order.
-      double ooo = lost > 0.5 * mss() ? lost / mss() : 0.0;
+      double ooo = lost > 0.5 * seg ? lost / seg : 0.0;
       if (scn_ && scn_reorder_frac_ > 0.0) {
-        ooo += f.arrived_bytes * scn_reorder_frac_ / mss();
+        ooo += f.arrived_bytes * scn_reorder_frac_ / seg;
       }
       in->ss->rcv_ooo[fi] += ooo;
     }
-    if (lost > 0.5 * mss()) {
-      f.retransmit_segments += lost / mss();
-      total_retx_ += lost / mss();
-      tick_retx += lost / mss();
-      if (in) in->flow_retx[fi]->add(lost / mss());
+    if (lost > 0.5 * seg) {
+      f.retransmit_segments += lost / seg;
+      total_retx_ += lost / seg;
+      tick_retx += lost / seg;
+      if (in) in->flow_retx[fi]->add(lost / seg);
       // Small loss bursts recover through limited transmit / PRR without a
       // multiplicative decrease; only substantial loss events (more than a
       // NAPI batch worth of segments AND a visible share of the round)
       // collapse the window. Without this, a stray 60-segment loss would
       // re-collapse a small window faster than CUBIC can rebuild it — a
       // death spiral real TCP does not exhibit.
-      const double md_floor =
-          32.0 * mss() * std::clamp(dt_sec / 0.063, 0.01, 1.0);
-      if (lost > std::max(md_floor, 0.0025 * f.sent_bytes)) {
+      if (lost > std::max(rc.md_floor, 0.0025 * f.sent_bytes)) {
         f.cc->on_loss(now_sec, lost);
         ++tick_cc_loss_flows;
         tick_cc_loss_bytes += lost;
@@ -914,11 +934,11 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   // Jitter lets a flow momentarily exceed its nominal budget; mpstat would
   // still read 100%, so clamp.
   const double snd_app_u = std::min(
-      snd_app_used.value() / (snd_app_budget * static_cast<double>(flows_.size())), 1.0);
-  const double snd_irq_u = std::min(snd_irq_used.value() / snd_irq_budget, 1.0);
+      snd_app_used.value() / (rc.snd_app_budget * static_cast<double>(flows_.size())), 1.0);
+  const double snd_irq_u = std::min(snd_irq_used.value() / rc.snd_irq_budget, 1.0);
   const double rcv_app_u = std::min(
-      rcv_app_used.value() / (rcv_app_budget * static_cast<double>(flows_.size())), 1.0);
-  const double rcv_irq_u = std::min(total_accepted * rx_irq_pb / rcv_irq_budget, 1.0);
+      rcv_app_used.value() / (rc.rcv_app_budget * static_cast<double>(flows_.size())), 1.0);
+  const double rcv_irq_u = std::min(total_accepted * rx_irq_pb / rc.rcv_irq_budget, 1.0);
   snd_app_util_.add(snd_app_u);
   snd_irq_util_.add(snd_irq_u);
   rcv_app_util_.add(rcv_app_u);
@@ -929,11 +949,11 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
     // perf.*_util gauges). App budgets are per flow; IRQ budgets are pooled.
     auto& pa = *in->perf;
     pa.capacity[static_cast<int>(obs::PerfCore::SndApp)] +=
-        snd_app_budget * static_cast<double>(flows_.size());
-    pa.capacity[static_cast<int>(obs::PerfCore::SndIrq)] += snd_irq_budget;
+        rc.snd_app_budget * static_cast<double>(flows_.size());
+    pa.capacity[static_cast<int>(obs::PerfCore::SndIrq)] += rc.snd_irq_budget;
     pa.capacity[static_cast<int>(obs::PerfCore::RcvApp)] +=
-        rcv_app_budget * static_cast<double>(flows_.size());
-    pa.capacity[static_cast<int>(obs::PerfCore::RcvIrq)] += rcv_irq_budget;
+        rc.rcv_app_budget * static_cast<double>(flows_.size());
+    pa.capacity[static_cast<int>(obs::PerfCore::RcvIrq)] += rc.rcv_irq_budget;
     pa.bytes_delivered += interval_bytes_this_tick;
   }
 
@@ -974,7 +994,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
     in->rcv_backlog->set(backlog);
     in->goodput->set(units::rate_of(interval_bytes_this_tick, dt_sec));
     in->delivered->add(interval_bytes_this_tick);
-    in->gro_agg->set(gro);
+    in->gro_agg->set(rc.gro);
     in->sent_rate->set(units::rate_of(group_sent, dt_sec));
     in->snd_app->set(snd_app_u);
     in->snd_irq->set(snd_irq_u);

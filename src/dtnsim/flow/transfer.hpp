@@ -216,11 +216,50 @@ class TransferSimulation {
     std::unique_ptr<PerfAccum> perf;
   };
 
-  void tick(double dt_sec, double now_sec);
-  // Crosses scenario boundaries up to now_sec and re-applies the folded
-  // overlay onto cfg_/path_ (the tick re-reads both every round, so a
-  // mutation lands on the next tick). Called only when a scenario is
-  // attached (scn_ non-null).
+  // Everything a round reads that only the run's configuration determines:
+  // window caps, SKB geometry, per-round CPU/memory/line/DMA budgets, the
+  // geometry-only per-byte prices and their stage splits, and the receiver
+  // NIC. Built by refresh_round() before the first round and rebuilt only
+  // when apply_scenario() crosses a boundary, never per round.
+  struct RoundConsts {
+    double rtt = 0.0;  // path RTT, floored at 1 us
+    double mss = 0.0;
+    bool zc_req = false;   // MSG_ZEROCOPY requested and supported
+    double fq_rate = 0.0;  // fq pacing rate; 0 unless the qdisc is fq
+    double mtu = 0.0;
+    double gso = 0.0;
+    double gro = 0.0;
+    double snd_wnd_max = 0.0;
+    double rcv_wnd_max = 0.0;
+    // Per-round budgets: app budgets are per flow, IRQ budgets pooled.
+    double snd_app_budget = 0.0;
+    double rcv_app_budget = 0.0;
+    double snd_irq_budget = 0.0;
+    double rcv_irq_budget = 0.0;  // scenario IRQ degradation applied
+    double snd_mem_budget = 0.0;
+    double line_bytes = 0.0;
+    double snd_dma_bytes = 0.0;
+    // Sender per-byte prices that depend on geometry only.
+    double tx_irq_pb = 0.0;
+    double tx_mem_passes = 0.0;
+    cpu::TxIrqStageCyc tx_irq_spb{};
+    // Receiver per-byte prices and the caps they imply.
+    double rx_app_pb = 0.0;
+    double rx_irq_pb = 0.0;
+    cpu::RxAppStageCyc rx_app_spb{};
+    cpu::RxIrqStageCyc rx_irq_spb{};
+    double rx_app_cap = 0.0;   // bytes one flow's app core drains per round
+    double rx_host_cap = 0.0;  // bytes the receiver's IRQ/DMA/memory accept
+    double md_floor = 0.0;     // loss that triggers a multiplicative decrease
+    net::NicRx nic_rx{net::NicSpec{}, 0, 0.0, false};  // set by refresh_round()
+  };
+
+  void refresh_round();
+  void schedule_round();
+  void tick(double now_sec);
+  // Crosses scenario boundaries up to now_sec, re-applies the folded
+  // overlay onto cfg_/path_ and rebuilds rc_ from them, so a mutation lands
+  // on this round. Called only when a scenario is attached (scn_ non-null).
   void apply_scenario(double now_sec);
   void update_jitter(FlowState& f);
   double mss() const;
@@ -241,6 +280,9 @@ class TransferSimulation {
   Rng rng_;
 
   std::vector<FlowState> flows_;
+  double dt_sec_ = 0.0;  // round length, fixed for the run
+  Nanos tick_ns_ = 0;
+  RoundConsts rc_;
   cpu::PlacementQuality snd_quality_;
   cpu::PlacementQuality rcv_quality_;
   std::unique_ptr<cpu::CostModel> snd_cost_;
@@ -265,7 +307,8 @@ class TransferSimulation {
 
   // Scenario state, allocated only when cfg_.scenario is non-empty. The
   // base_* copies are the t=0 configuration the Effects overlay folds onto;
-  // the scn_* caches mirror the overlay fields the tick loop reads inline.
+  // the scn_* caches mirror the overlay fields that refresh_round() and the
+  // tick read.
   std::unique_ptr<scenario::Runtime> scn_;
   net::PathSpec scn_base_path_;
   int scn_base_ring_ = 0;

@@ -6,12 +6,12 @@
 
 namespace dtnsim::sim {
 
-EventHandle Engine::schedule(Nanos delay, EventQueue::Callback fn) {
-  return schedule_at(now_ + std::max<Nanos>(delay, 0), std::move(fn));
+void Engine::schedule(Nanos delay, EventQueue::Callback fn) {
+  schedule_at(now_ + std::max<Nanos>(delay, 0), std::move(fn));
 }
 
-EventHandle Engine::schedule_at(Nanos when, EventQueue::Callback fn) {
-  return queue_.push(std::max(when, now_), std::move(fn));
+void Engine::schedule_at(Nanos when, EventQueue::Callback fn) {
+  queue_.push(std::max(when, now_), std::move(fn));
 }
 
 void Engine::run() {

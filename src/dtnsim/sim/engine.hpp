@@ -20,9 +20,9 @@ class Engine {
   std::size_t events_pending() const { return queue_.size(); }
 
   // Schedule `fn` to run `delay` from now (clamped to >= 0).
-  EventHandle schedule(Nanos delay, EventQueue::Callback fn);
+  void schedule(Nanos delay, EventQueue::Callback fn);
   // Schedule `fn` at absolute time `when` (clamped to >= now()).
-  EventHandle schedule_at(Nanos when, EventQueue::Callback fn);
+  void schedule_at(Nanos when, EventQueue::Callback fn);
 
   // Run until the queue is empty.
   void run();

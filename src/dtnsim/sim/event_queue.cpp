@@ -1,45 +1,22 @@
 #include "dtnsim/sim/event_queue.hpp"
 
+#include <algorithm>
+
 namespace dtnsim::sim {
 
-void EventHandle::cancel() {
-  if (cancelled_) *cancelled_ = true;
-}
-
-EventHandle EventQueue::push(Nanos time, Callback fn) {
-  auto flag = std::make_shared<bool>(false);
-  heap_.push(Entry{time, next_seq_++, std::move(fn), flag});
-  ++live_;
-  return EventHandle(flag);
-}
-
-void EventQueue::drop_cancelled() const {
-  while (!heap_.empty() && *heap_.top().cancelled) {
-    heap_.pop();
-    --live_;
-  }
-}
-
-bool EventQueue::empty() const {
-  drop_cancelled();
-  return heap_.empty();
-}
-
-Nanos EventQueue::next_time() const {
-  drop_cancelled();
-  return heap_.empty() ? -1 : heap_.top().time;
+void EventQueue::push(Nanos time, Callback fn) {
+  heap_.push_back(Entry{time, next_seq_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 EventQueue::Callback EventQueue::pop(Nanos* time_out) {
-  drop_cancelled();
   if (heap_.empty()) return {};
-  // priority_queue::top is const; the callback must be moved out, so copy the
-  // shared bits and pop. Entries are small apart from the std::function.
-  Entry top = heap_.top();
-  heap_.pop();
-  --live_;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry& top = heap_.back();
   if (time_out) *time_out = top.time;
-  return std::move(top.fn);
+  Callback fn = std::move(top.fn);
+  heap_.pop_back();
+  return fn;
 }
 
 }  // namespace dtnsim::sim

@@ -2,49 +2,32 @@
 //
 // Events fire in (time, sequence) order: equal-time events run in the order
 // they were scheduled, which keeps runs deterministic regardless of heap
-// internals. Events can be cancelled through the handle returned at
-// scheduling time.
+// internals. The queue is a binary heap over a std::vector; callbacks are
+// moved in on push and moved out on pop, never copied.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <vector>
 
 #include "dtnsim/util/units.hpp"
 
 namespace dtnsim::sim {
 
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  // Cancel the event if it has not fired yet. Safe to call repeatedly.
-  void cancel();
-  bool valid() const { return static_cast<bool>(cancelled_); }
-  bool cancelled() const { return cancelled_ && *cancelled_; }
-
- private:
-  friend class EventQueue;
-  explicit EventHandle(std::shared_ptr<bool> flag) : cancelled_(std::move(flag)) {}
-  std::shared_ptr<bool> cancelled_;
-};
-
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  EventHandle push(Nanos time, Callback fn);
+  void push(Nanos time, Callback fn);
 
-  bool empty() const;
-  std::size_t size() const { return live_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
-  // Time of the earliest live event; engine asserts non-empty first.
-  Nanos next_time() const;
+  // Time of the earliest event; -1 when empty.
+  Nanos next_time() const { return heap_.empty() ? -1 : heap_.front().time; }
 
-  // Pop and return the earliest live event's callback (skipping cancelled
-  // entries). Returns an empty function if the queue is exhausted.
+  // Remove the earliest event and return its callback. Returns an empty
+  // function if the queue is empty.
   Callback pop(Nanos* time_out);
 
  private:
@@ -52,7 +35,6 @@ class EventQueue {
     Nanos time;
     std::uint64_t seq;
     Callback fn;
-    std::shared_ptr<bool> cancelled;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -61,11 +43,8 @@ class EventQueue {
     }
   };
 
-  void drop_cancelled() const;
-
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
-  mutable std::size_t live_ = 0;
 };
 
 }  // namespace dtnsim::sim

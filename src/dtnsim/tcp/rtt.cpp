@@ -4,6 +4,17 @@
 #include <cmath>
 
 namespace dtnsim::tcp {
+namespace {
+
+// On a constant path RTT, rttvar decays geometrically (x0.75 per sample) and
+// would settle on the subnormal fixed point 2 * denorm_min, where every
+// later update costs a microcode assist. Below this floor it is flushed to
+// exactly 0 (what Linux's integer mdev reads). The floor sits far above the
+// smallest normal double (~2.2e-308), so 0.75 x any value kept is still
+// normal: no update ever produces a subnormal rttvar.
+constexpr double kRttvarFloorSec = 1e-300;
+
+}  // namespace
 
 void RttEstimator::add_sample(double rtt_sec) {
   if (rtt_sec <= 0) return;
@@ -16,6 +27,7 @@ void RttEstimator::add_sample(double rtt_sec) {
   }
   const double err = std::fabs(srtt_ - rtt_sec);
   rttvar_ = 0.75 * rttvar_ + 0.25 * err;
+  if (rttvar_ < kRttvarFloorSec) rttvar_ = 0.0;
   srtt_ = 0.875 * srtt_ + 0.125 * rtt_sec;
 }
 

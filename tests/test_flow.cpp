@@ -2,6 +2,8 @@
 // backpressure, interval accounting) on small, fast configurations.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+
 #include "dtnsim/flow/transfer.hpp"
 #include "dtnsim/harness/testbeds.hpp"
 
@@ -166,6 +168,32 @@ TEST(Transfer, ZeroDurationSafe) {
   cfg.duration = units::SimTime();
   const auto res = run_transfer(cfg);
   EXPECT_DOUBLE_EQ(res.throughput_bps, 0.0);
+}
+
+TEST(Transfer, PaperLengthRunsNeverUnderflow) {
+  // Subnormal arithmetic costs a microcode assist per operation; a 60 s run
+  // must not produce a single subnormal (or flush-to-zero) result. Table I's
+  // 8-flow LAN cell runs ~300k rounds; the 25 ms WAN cell ~2.4k.
+  const auto table1 = harness::esnet(kern::KernelVersion::V5_15);
+  TransferConfig lan;
+  lan.sender = table1.sender;
+  lan.receiver = table1.receiver;
+  lan.path = table1.lan();
+  lan.streams = 8;
+  lan.seed = 7;
+  const auto amlight = harness::amlight(kern::KernelVersion::V6_8);
+  TransferConfig wan;
+  wan.sender = amlight.sender;
+  wan.receiver = amlight.receiver;
+  wan.path = harness::amlight_wan(25);
+  wan.seed = 7;
+
+  std::feclearexcept(FE_ALL_EXCEPT);
+  const auto a = run_transfer(lan);
+  const auto b = run_transfer(wan);
+  EXPECT_FALSE(std::fetestexcept(FE_UNDERFLOW));
+  EXPECT_GT(a.throughput_bps, 0.0);
+  EXPECT_GT(b.throughput_bps, 0.0);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Unit tests: discrete-event engine and event queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "dtnsim/sim/engine.hpp"
@@ -28,39 +31,77 @@ TEST(EventQueue, EqualTimesFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool fired = false;
-  auto h = q.push(10, [&] { fired = true; });
-  h.cancel();
-  EXPECT_TRUE(q.empty());
-  Nanos t = 0;
-  EXPECT_FALSE(q.pop(&t));
-  EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, CancelOnlyAffectsTarget) {
-  EventQueue q;
-  int fired = 0;
-  q.push(10, [&] { ++fired; });
-  auto h = q.push(20, [&] { fired += 100; });
-  q.push(30, [&] { ++fired; });
-  h.cancel();
-  Nanos t = 0;
-  while (auto fn = q.pop(&t)) fn();
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
-  auto h1 = q.push(1, [] {});
+  q.push(1, [] {});
   q.push(2, [] {});
   EXPECT_EQ(q.size(), 2u);
-  h1.cancel();
-  EXPECT_TRUE(!q.empty());
+  EXPECT_EQ(q.next_time(), 1);
   Nanos t = 0;
   q.pop(&t);
+  EXPECT_EQ(t, 1);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.next_time(), 2);
+  q.pop(&t);
   EXPECT_EQ(t, 2);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), -1);
+  EXPECT_FALSE(q.pop(&t));
+}
+
+TEST(EventQueue, PopOrderMatchesStableSort) {
+  // 64k events over 512 distinct times: ~128 ties per time. The heap must
+  // pop them exactly as a stable sort by time orders the push sequence.
+  constexpr int kEvents = 1 << 16;
+  std::vector<Nanos> times(kEvents);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (auto& t : times) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    t = static_cast<Nanos>(x % 512);
+  }
+  EventQueue q;
+  std::vector<int> popped;
+  popped.reserve(kEvents);
+  for (int i = 0; i < kEvents; ++i) q.push(times[i], [&popped, i] { popped.push_back(i); });
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(kEvents));
+
+  std::vector<int> expected(kEvents);
+  std::iota(expected.begin(), expected.end(), 0);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](int a, int b) { return times[a] < times[b]; });
+
+  Nanos t = 0, last = 0;
+  while (auto fn = q.pop(&t)) {
+    EXPECT_GE(t, last);
+    last = t;
+    fn();
+  }
+  EXPECT_EQ(popped, expected);
+}
+
+TEST(EventQueue, PopMovesNeverCopies) {
+  struct Counted {
+    int* copies;
+    int* calls;
+    Counted(int* c, int* n) : copies(c), calls(n) {}
+    Counted(const Counted& o) : copies(o.copies), calls(o.calls) { ++*copies; }
+    Counted(Counted&&) = default;
+    void operator()() const { ++*calls; }
+  };
+  int copies = 0, calls = 0;
+  EventQueue q;
+  // Neighbours on both sides, so the heap moves the counted entry while
+  // sifting on push and on every earlier pop.
+  for (int i = 0; i < 64; ++i) q.push(2 * i, [] {});
+  q.push(63, Counted(&copies, &calls));
+  for (int i = 0; i < 64; ++i) q.push(2 * i + 1, [] {});
+  Nanos t = 0;
+  while (auto fn = q.pop(&t)) fn();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(copies, 0);
 }
 
 TEST(Engine, NowAdvancesWithEvents) {

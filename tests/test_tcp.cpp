@@ -1,6 +1,8 @@
 // Unit tests: congestion control (CUBIC, BBR, Reno) and RTT estimation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "dtnsim/tcp/bbr.hpp"
 #include "dtnsim/tcp/cc.hpp"
 #include "dtnsim/tcp/cubic.hpp"
@@ -156,6 +158,20 @@ TEST(Rtt, RtoFloored) {
   e.add_sample(0.001);
   EXPECT_GE(e.rto_sec(), 0.2);  // Linux 200 ms floor
   EXPECT_DOUBLE_EQ(RttEstimator{}.rto_sec(), 1.0);
+}
+
+TEST(Rtt, ConstantPathNeverGoesSubnormal) {
+  // A constant path RTT: srtt converges onto it and rttvar decays toward 0.
+  // It must reach exactly 0 without ever passing through a subnormal.
+  RttEstimator e;
+  for (int i = 0; i < 10000; ++i) {
+    e.add_sample(200e-6);
+    const int cls = std::fpclassify(e.rttvar_sec());
+    ASSERT_TRUE(cls == FP_ZERO || cls == FP_NORMAL)
+        << "sample " << i << ": rttvar " << e.rttvar_sec();
+  }
+  EXPECT_EQ(e.rttvar_sec(), 0.0);
+  EXPECT_DOUBLE_EQ(e.srtt_sec(), 200e-6);
 }
 
 TEST(Rtt, IgnoresNonPositive) {
