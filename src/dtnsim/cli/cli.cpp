@@ -179,7 +179,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       char* end = nullptr;
       const long jobs = std::strtol(value.c_str(), &end, 10);
       if (value.empty() || end != value.c_str() + value.size() || jobs < 0) {
-        o.error = "bad --jobs (need >= 0; 0 = one per hardware thread): " + value;
+        o.error = "bad --jobs (need >= 0; 0 = one per usable CPU): " + value;
         return o;
       }
       o.jobs = static_cast<int>(jobs);
@@ -249,7 +249,7 @@ std::string cli_help() {
       "      --repeats N        repeats with seed substreams (default 1)\n"
       "      --seed N           RNG seed\n"
       "      --jobs N           worker threads for batch/sweep runs\n"
-      "                         (default 1 = serial; 0 = one per hardware thread)\n"
+      "                         (default 1 = serial; 0 = one per usable CPU)\n"
       "observability flags (docs/OBSERVABILITY.md):\n"
       "      --probe-interval S telemetry sampling cadence in seconds (default 1)\n"
       "      --metrics-out F    write per-interval metric series as CSV\n"

@@ -67,9 +67,9 @@ struct CliOptions {
   int ring = -1;              // < 0 -> testbed default
   int repeats = 1;
   std::uint64_t seed = 0x5eed;
-  // Worker pool size for batch execution (harness::run_tests / the sweep
-  // campaign engine). 1 = serial, 0 = one worker per hardware thread. A
-  // single-spec run ignores it.
+  // Worker threads for batch execution (harness::run_tests / the sweep
+  // campaign engine). 1 = serial, 0 = one per usable CPU. A single-spec run
+  // ignores it.
   int jobs = 1;
   // Telemetry: any of these switches the probe/trace machinery on.
   double probe_interval_sec = 1.0;

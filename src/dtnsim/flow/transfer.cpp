@@ -754,7 +754,7 @@ void TransferSimulation::tick(double now_sec) {
   }
 
   // ---- Receiver NIC per flow ---------------------------------------------
-  // NicRx::evaluate is pure, so one NicRx serves every round until a
+  // NicRx::process is pure, so one NicRx serves every round until a
   // scenario boundary rebuilds it.
   const net::NicRx& nic_rx = rc.nic_rx;
   const double rx_app_pb = rc.rx_app_pb;
@@ -766,7 +766,7 @@ void TransferSimulation::tick(double now_sec) {
     net::RxArrival arr;
     arr.bytes = f.arrived_bytes;
     arr.paced = paced_traffic;
-    const auto verdict = nic_rx.evaluate(arr, dt_sec, rtt);
+    const auto verdict = nic_rx.process(arr, dt_sec, rtt);
     dropped_nic_ += verdict.dropped_bytes;
     tick_nic_drops += verdict.dropped_bytes;
     tick_ring_occ = std::max(tick_ring_occ, verdict.ring_occupancy_frac);

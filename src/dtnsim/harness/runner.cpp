@@ -24,9 +24,6 @@ TestResult run_test(const TestSpec& spec) {
   out.name = spec.name;
   out.repeats = std::max(spec.repeats, 1);
 
-  RunningStats tput, retr, snd_cpu, rcv_cpu, flow_min, flow_max, fallback;
-  Rng seeder(spec.base_seed);
-
   // A RunRecord bundles every artifact layer, so recording forces the
   // telemetry stack on (probe series + ss snapshots + perf attribution).
   obs::TelemetryConfig tel_cfg = spec.telemetry;
@@ -36,20 +33,31 @@ TestResult run_test(const TestSpec& spec) {
     tel_cfg.perf_enabled = true;
   }
 
-  flow::TransferConfig cfg;
-  cfg.sender = spec.sender;
-  cfg.receiver = spec.receiver;
-  cfg.path = spec.path;
-  cfg.streams = std::max(spec.iperf.parallel, 1);
-  cfg.flow.zerocopy = spec.iperf.zerocopy;
-  cfg.flow.skip_rx_copy = spec.iperf.skip_rx_copy;
-  cfg.flow.fq_rate_bps = spec.iperf.fq_rate_bps;
-  cfg.flow.congestion = spec.iperf.congestion;
-  cfg.link_flow_control = spec.link_flow_control;
-  cfg.duration = units::SimTime::from_seconds(spec.iperf.duration_sec);
-  cfg.scenario = spec.scenario;
+  flow::TransferConfig base;
+  base.sender = spec.sender;
+  base.receiver = spec.receiver;
+  base.path = spec.path;
+  base.streams = std::max(spec.iperf.parallel, 1);
+  base.flow.zerocopy = spec.iperf.zerocopy;
+  base.flow.skip_rx_copy = spec.iperf.skip_rx_copy;
+  base.flow.fq_rate_bps = spec.iperf.fq_rate_bps;
+  base.flow.congestion = spec.iperf.congestion;
+  base.link_flow_control = spec.link_flow_control;
+  base.duration = units::SimTime::from_seconds(spec.iperf.duration_sec);
+  base.scenario = spec.scenario;
 
-  for (int r = 0; r < out.repeats; ++r) {
+  // The repeats run concurrently, each on its own config copy, seed
+  // substream and Telemetry, into its own slot; the fold below reads the
+  // slots in repeat order, so the result is bit-identical to a serial loop.
+  struct Repeat {
+    flow::TransferResult res;
+    obs::SeriesTable series;
+    std::shared_ptr<obs::Telemetry> tel;  // repeat 0 only: trace, ss and perf logs
+  };
+  std::vector<Repeat> slots(static_cast<std::size_t>(out.repeats));
+  const Rng seeder(spec.base_seed);
+  sweep::parallel_for(slots.size(), 0, [&](std::size_t r) {
+    flow::TransferConfig cfg = base;
     cfg.seed = seeder.substream(static_cast<unsigned>(r)).next();
     std::shared_ptr<obs::Telemetry> tel;
     if (tel_cfg.enabled) {
@@ -60,23 +68,29 @@ TestResult run_test(const TestSpec& spec) {
       tel = std::make_shared<obs::Telemetry>(tcfg);
       cfg.telemetry = tel.get();
     }
-    const flow::TransferResult res = flow::run_transfer(cfg);
+    slots[r].res = flow::run_transfer(cfg);
+    if (tel) {
+      tel->trace().finalize();  // close a streamed document; no-op on the ring
+      slots[r].series = tel->series();
+      if (r == 0) slots[r].tel = std::move(tel);
+    }
+  });
+
+  RunningStats tput, retr, snd_cpu, rcv_cpu, flow_min, flow_max, fallback;
+  for (std::size_t r = 0; r < slots.size(); ++r) {
+    const flow::TransferResult& res = slots[r].res;
     if (r == 0 && !spec.scenario.empty()) {
       out.scenario_log = res.scenario_log;
       out.scenario_log.label = spec.name;
     }
-    if (tel) {
-      tel->trace().finalize();  // close a streamed document; no-op on the ring
-      out.repeat_series.push_back(tel->series());
-      if (r == 0) {
-        // Aliasing shared_ptr: the result's trace keeps the Telemetry alive.
-        out.trace = std::shared_ptr<const obs::TraceSink>(tel, &tel->trace());
-        out.ss_log = tel->ss().log();
-        for (auto& rep : out.ss_log) rep.label = spec.name;
-        out.perf_log = tel->perf().log();
-        for (auto& rep : out.perf_log) rep.label = spec.name;
-      }
-      cfg.telemetry = nullptr;
+    if (tel_cfg.enabled) out.repeat_series.push_back(std::move(slots[r].series));
+    if (const auto& tel = slots[r].tel) {
+      // Aliasing shared_ptr: the result's trace keeps the Telemetry alive.
+      out.trace = std::shared_ptr<const obs::TraceSink>(tel, &tel->trace());
+      out.ss_log = tel->ss().log();
+      for (auto& rep : out.ss_log) rep.label = spec.name;
+      out.perf_log = tel->perf().log();
+      for (auto& rep : out.perf_log) rep.label = spec.name;
     }
 
     const double gbps = units::to_gbps(res.throughput_bps);
@@ -109,7 +123,7 @@ TestResult run_test(const TestSpec& spec) {
     rec->meta.name = spec.name;
     rec->meta.engine =
         out.perf_log.empty() ? "fluid" : out.perf_log.back().engine;
-    rec->meta.streams = cfg.streams;
+    rec->meta.streams = base.streams;
     rec->meta.repeats = out.repeats;
     rec->meta.duration_sec = spec.iperf.duration_sec;
     rec->meta.base_seed = spec.base_seed;

@@ -5,6 +5,12 @@
 // repeats on deterministic seed substreams and aggregates mean / min / max /
 // stddev / retransmits / per-flow range / CPU — the exact columns the
 // paper's tables print.
+//
+// The repeats run concurrently on sweep::parallel_for's shared pool, each
+// with its own config copy, seed and Telemetry, and are folded in repeat
+// order, so a TestResult is bit-identical to running them one by one.
+// When run_tests or a campaign already runs cells on several threads, each
+// cell's repeats run one by one on its thread instead.
 #pragma once
 
 #include <memory>
@@ -72,8 +78,10 @@ struct TestResult : report::RunSummary {
 
 TestResult run_test(const TestSpec& spec);
 
-// Run a batch on a worker pool of `jobs` threads (1 = serial on the calling
-// thread, 0 = one worker per hardware thread).
+// Run a batch on at most `jobs` threads of sweep::parallel_for's shared pool
+// (1 = cells one by one on the calling thread, 0 = one per usable CPU).
+// Cells that run one by one fan their repeats out as run_test does; cells
+// that run concurrently run their repeats one by one on their own thread.
 //
 // Ordering guarantee (load-bearing; callers index results by spec position):
 // the returned vector is pre-sized to specs.size() and results[i] is always

@@ -246,10 +246,9 @@ std::string format_metric_allowlist() {
 
 std::vector<Finding> lint_project(const std::vector<FileContent>& files,
                                   const ProjectOptions& opts) {
-  const int jobs = sweep::resolve_jobs(opts.jobs);
   std::vector<std::vector<Finding>> per_file(files.size());
   std::vector<FileIndex> indexed(files.size());
-  sweep::parallel_for(files.size(), jobs, [&](std::size_t i) {
+  sweep::parallel_for(files.size(), opts.jobs, [&](std::size_t i) {
     per_file[i] = lint_file(files[i].path, files[i].content);
     if (opts.project_rules)
       indexed[i] = index_file(files[i].path, files[i].content);

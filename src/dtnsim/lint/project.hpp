@@ -94,8 +94,8 @@ struct ProjectOptions {
   std::string doc_text;      // for the metric-docs check
 };
 
-// Lint every file — per-file rules and index construction run on a
-// sweep::WorkerPool, results written by index so `jobs = N` output is
+// Lint every file — per-file rules and index construction run through
+// sweep::parallel_for, results written by index so `jobs = N` output is
 // byte-identical to serial — then run the cross-file pass. Findings:
 // per-file findings in input order, then project rules.
 std::vector<Finding> lint_project(const std::vector<FileContent>& files,

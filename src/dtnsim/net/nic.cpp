@@ -61,21 +61,8 @@ double NicRx::unpaced_tolerable_bps(double rtt_sec) const {
   return spec_.drain_burst_bps + credit_bps;
 }
 
-RxVerdict NicRx::process(const RxArrival& arrival, double dt_sec, double rtt_sec) {
-  RxVerdict v = evaluate(arrival, dt_sec, rtt_sec);
-  if (counters_enabled_) {
-    counters_.rx_bytes += v.accepted_bytes;
-    counters_.rx_dropped_bytes += v.dropped_bytes;
-    if (v.dropped_bytes > 0) counters_.rx_dropped_events += 1.0;
-    counters_.ring_hiwater_frac =
-        std::max(counters_.ring_hiwater_frac, v.ring_occupancy_frac);
-    if (v.pause_frames_sent) counters_.pause_frames += 1.0;
-  }
-  return v;
-}
-
-RxVerdict NicRx::evaluate(const RxArrival& arrival, double dt_sec,
-                          double rtt_sec) const {
+RxVerdict NicRx::process(const RxArrival& arrival, double dt_sec,
+                         double rtt_sec) const {
   RxVerdict v;
   if (arrival.bytes <= 0 || dt_sec <= 0) return v;
 

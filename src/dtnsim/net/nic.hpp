@@ -57,32 +57,10 @@ class NicRx {
   NicRx(const NicSpec& spec, int ring_descriptors, double mtu_bytes,
         bool flow_control_enabled);
 
-  // `ethtool -S`-style device counters, accumulated across process() calls
-  // while counters are enabled (see enable_counters). Cumulative except the
-  // high-water gauge. Names track the mlx5 counter set the paper quotes
-  // (rx_out_of_buffer, pause frames, SHAMPO coalescing).
-  struct Counters {
-    double rx_bytes = 0.0;              // accepted into the host
-    double rx_dropped_bytes = 0.0;      // rx_out_of_buffer payload
-    double rx_dropped_events = 0.0;     // process() calls that dropped
-    double ring_hiwater_frac = 0.0;     // peak ring occupancy in [0, 1]
-    double pause_frames = 0.0;          // 802.3x pause bursts emitted
-  };
-
   // Evaluate one tick of arrivals for one flow. `dt_sec` is the tick length;
   // `rtt_sec` scales how much ring credit a window's worth of trains can use.
-  // Updates counters() when enabled; the verdict itself is pure (see
-  // evaluate() for the side-effect-free form).
-  RxVerdict process(const RxArrival& arrival, double dt_sec, double rtt_sec);
-  // The pure verdict computation: no counter updates, usable on a const NIC.
-  RxVerdict evaluate(const RxArrival& arrival, double dt_sec, double rtt_sec) const;
-
-  // Snapshot accounting is opt-in so a run without an ss sink attached
-  // executes zero counter updates (the introspection zero-cost guarantee).
-  void enable_counters(bool on = true) { counters_enabled_ = on; }
-  bool counters_enabled() const { return counters_enabled_; }
-  const Counters& counters() const { return counters_; }
-  void reset_counters() { counters_ = Counters{}; }
+  // Pure: the verdict depends on the arguments and the NIC's config only.
+  RxVerdict process(const RxArrival& arrival, double dt_sec, double rtt_sec) const;
 
   // Highest *unpaced* arrival rate that avoids drops at this RTT.
   double unpaced_tolerable_bps(double rtt_sec) const;
@@ -97,8 +75,6 @@ class NicRx {
   NicSpec spec_;
   double ring_bytes_;
   bool flow_control_;
-  bool counters_enabled_ = false;
-  Counters counters_;
 };
 
 }  // namespace dtnsim::net

@@ -475,7 +475,7 @@ SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
       char* end = nullptr;
       const long jobs = std::strtol(value.c_str(), &end, 10);
       if (end != value.c_str() + value.size() || value.empty() || jobs < 0) {
-        o.error = "bad --jobs (need >= 0; 0 = hardware threads): " + value;
+        o.error = "bad --jobs (need >= 0; 0 = usable CPUs): " + value;
         return o;
       }
       o.run.jobs = static_cast<int>(jobs);
@@ -556,7 +556,7 @@ std::string sweep_cli_help() {
       "      --seed N           campaign base seed (cell seeds derive from it)\n"
       "      --quick            smoke preset: --time 2 --repeats 2\n"
       "execution (docs/SWEEP.md):\n"
-      "      --jobs N           worker threads (default 1; 0 = hardware threads)\n"
+      "      --jobs N           worker threads (default 1; 0 = usable CPUs)\n"
       "      --cache DIR        content-addressed result cache directory\n"
       "      --out FILE         stream one JSONL row per finished cell\n"
       "      --checkpoint FILE  manifest path (default: <out>.ckpt)\n"

@@ -25,7 +25,7 @@
 namespace dtnsim::sweep {
 
 struct CampaignOptions {
-  int jobs = 1;  // worker pool size; 0 = one per hardware thread
+  int jobs = 1;  // worker pool size; 0 = one per usable CPU
 
   std::string cache_dir;  // "" -> content-addressed result cache disabled
 

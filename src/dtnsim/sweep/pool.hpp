@@ -1,18 +1,33 @@
-// Fixed-size worker pool — the campaign engine's execution substrate and the
-// repo's first real multithreading.
+// The repo's two ways to run independent simulations on several cores.
 //
-// Design rules that keep parallel sweeps byte-identical to serial ones:
-//   - the pool runs *independent* simulations: every cell owns its Rng, its
-//     engine and its telemetry; nothing is shared between jobs but the queue.
+//   - parallel_for(n, jobs, task): a fork-join over one process-wide pool,
+//     started on first use with one helper thread per usable CPU but one.
+//     The calling thread drains indices too, and at most resolve_jobs(jobs)
+//     threads take part in one call. harness::run_test fans its repeats out
+//     through it, run_tests its cells, and dtnsim-lint its files.
+//   - WorkerPool: a queue of jobs on `jobs` threads of its own, for the
+//     campaign engine, whose --jobs value and occupancy gauge are
+//     user-visible.
+//
+// Design rules that keep parallel output byte-identical to serial:
+//   - tasks are *independent* simulations: each owns its Rng, its engine and
+//     its telemetry; nothing is shared between them but the index counter.
 //   - callers write results back by index into pre-sized storage, so output
 //     order never depends on completion order.
-//   - jobs <= 1 runs every job inline on the calling thread: the serial path
-//     spawns no threads at all and is the reference behaviour.
+//   - only the outermost call that fans out does so. A parallel_for issued
+//     from a task of a parallel_for that fanned out, or from a job on a
+//     WorkerPool thread, runs inline, so nested batches (run_tests cells ->
+//     run_test repeats, campaign cells -> repeats) never oversubscribe the
+//     cores or wait on a pool they are running on. A call that runs inline
+//     (jobs 1, one index) occupies no other core, so one nested in it may
+//     still fan out: run_tests(specs, 1) runs its cells one by one, each
+//     with its repeats spread over the pool.
+//   - a failing task never stops the others; once every started task has
+//     ended, parallel_for rethrows the failure with the lowest index, the one
+//     a serial loop would have met first.
 //
-// This component is deliberately generic (std::function jobs, no harness
-// types) so it can sit *below* harness in the module layering: the sweep
-// campaign engine drives it from above, and harness::run_tests delegates to
-// it from below.
+// This component is deliberately generic (std::function tasks, no harness
+// types) so it can sit *below* harness in the module layering.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +42,9 @@
 
 namespace dtnsim::sweep {
 
-// Resolve a --jobs value: 0 means one worker per hardware thread, anything
-// else clamps to at least 1.
+// Resolve a --jobs value: 0 means one per CPU this process may run on (its
+// affinity mask on Linux, so `taskset` caps it), anything else clamps to at
+// least 1.
 int resolve_jobs(int jobs);
 
 class WorkerPool {
@@ -73,8 +89,10 @@ class WorkerPool {
   double busy_sec_ = 0.0;
 };
 
-// Convenience: run task(i) for every i in [0, n) on `jobs` workers and block
-// until all complete. The canonical "write results by index" loop.
+// Run task(i) for every i in [0, n) and block until all have ended: the
+// canonical "write results by index" loop. `jobs` is resolved via
+// resolve_jobs(); jobs 1, n <= 1, a call nested in a fanned-out batch, or a
+// process with one usable CPU runs every task inline on the calling thread.
 void parallel_for(std::size_t n, int jobs,
                   const std::function<void(std::size_t)>& task);
 

@@ -65,7 +65,7 @@ TEST(ParseCli, JobsFlag) {
   EXPECT_EQ(parse_cli({}).jobs, 1);  // serial by default
   EXPECT_EQ(parse_cli({"--jobs", "4"}).jobs, 4);
   EXPECT_EQ(parse_cli({"--jobs=8"}).jobs, 8);
-  EXPECT_EQ(parse_cli({"--jobs", "0"}).jobs, 0);  // 0 = hardware threads
+  EXPECT_EQ(parse_cli({"--jobs", "0"}).jobs, 0);  // 0 = usable CPUs
   EXPECT_FALSE(parse_cli({"--jobs", "-2"}).error.empty());
   EXPECT_FALSE(parse_cli({"--jobs", "four"}).error.empty());
   EXPECT_FALSE(parse_cli({"--jobs", "4x"}).error.empty());

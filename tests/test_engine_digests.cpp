@@ -1,12 +1,17 @@
 // Engine output digests: a fixed set of fixed-seed fluid transfers and
 // packet-engine geometries, each hashed over every result field and checked
 // against tests/golden/engine_digests.txt (one "name digest" line per cell).
+// The harness/ cells pin harness::run_test's fold of its repeats the same
+// way, reached three ways: run_test on the test thread and run_tests at
+// jobs 1 (cells one by one, repeats fanned out), and run_tests at jobs 4
+// (cells concurrent, each cell's repeats one by one). They are a test of
+// their own, RunDigests, so a sanitizer job can select them alone.
 //
 // A digest is FNV-1a 64 over the hex-float ("%a") text of every field, so
 // it moves on any bit of any result and on nothing else. Performance work on
 // the engines must leave this file byte-identical; a change that moves
 // simulated output on purpose regenerates it (the failure message prints the
-// full file) and says which numbers moved and why.
+// failing test's lines) and says which numbers moved and why.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +19,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -21,7 +27,9 @@
 
 #include "dtnsim/flow/packet_sim.hpp"
 #include "dtnsim/flow/transfer.hpp"
+#include "dtnsim/harness/runner.hpp"
 #include "dtnsim/harness/testbeds.hpp"
+#include "dtnsim/report/record.hpp"
 #include "dtnsim/scenario/scenario.hpp"
 
 namespace dtnsim::flow {
@@ -188,7 +196,69 @@ std::vector<Cell> packet_cells() {
   };
 }
 
-std::map<std::string, std::string> load_golden() {
+// A harness cell: every RunSummary field (through its one field list, so a
+// new field is hashed without touching this test), then each repeat's probe
+// series in repeat order, then the RunRecord's JSON text when one was built.
+std::string digest(const harness::TestResult& r) {
+  struct Visit {
+    Digest& d;
+    void operator()(std::string_view, double& v, bool = false) { d.num(v); }
+    void operator()(std::string_view, std::vector<double>& xs) { d.series(xs); }
+  };
+  Digest d;
+  report::RunSummary summary = r;
+  Visit visit{d};
+  report::fields(visit, summary);
+  d.num(static_cast<std::uint64_t>(r.repeat_series.size()));
+  for (const auto& t : r.repeat_series) {
+    for (const auto& c : t.columns) d.text(c);
+    d.num(static_cast<std::uint64_t>(t.rows.size()));
+    for (const auto& row : t.rows) d.series(row);
+  }
+  if (r.record) d.text(report::to_json(*r.record).dump());
+  return d.hex();
+}
+
+struct RunCell {
+  std::string name;
+  harness::TestSpec spec;
+};
+
+RunCell run_cell(std::string name, const harness::Testbed& tb, const std::string& path,
+                 int streams, double seconds, int repeats, std::uint64_t seed) {
+  app::IperfOptions opts;
+  opts.parallel = streams;
+  opts.duration_sec = seconds;
+  auto spec = harness::TestSpec::on(tb, path, opts);
+  spec.repeats = repeats;
+  spec.base_seed = seed;
+  return {"harness/" + std::move(name), std::move(spec)};
+}
+
+// The paper's 10-repeat cell shape, a telemetry cell (per-repeat series) and
+// a recorded scenario cell on a horizon just past link_flap's 22 s recovery.
+std::vector<RunCell> run_cells() {
+  const auto table1 = harness::esnet(kern::KernelVersion::V5_15);
+  const auto amlight = harness::amlight(kern::KernelVersion::V6_8);
+  std::vector<RunCell> out;
+  out.push_back(run_cell("wan25_cubic8_x10", amlight, "WAN 25ms", 8, 60, 10, 21));
+  auto probed = run_cell("wan104_telemetry_x4", amlight, "WAN 104ms", 1, 60, 4, 22);
+  probed.spec.telemetry.enabled = true;
+  out.push_back(probed);
+  auto recorded = run_cell("lan8_link_flap_record_x3", table1, "LAN", 8, 24, 3, 23);
+  recorded.spec.record = true;
+  recorded.spec.scenario =
+      scenario::load_timeline(std::string(DTNSIM_SOURCE_DIR) + "/scenarios/link_flap.json");
+  out.push_back(recorded);
+  return out;
+}
+
+// Golden lines whose section (the name up to its first '/') is one of the
+// cells' sections; the other sections belong to the other test.
+std::map<std::string, std::string> load_golden(const std::vector<Cell>& cells) {
+  const auto section = [](const std::string& name) { return name.substr(0, name.find('/')); };
+  std::set<std::string> mine;
+  for (const auto& c : cells) mine.insert(section(c.name));
   std::map<std::string, std::string> out;
   std::ifstream in(kGolden);
   std::string line;
@@ -197,33 +267,60 @@ std::map<std::string, std::string> load_golden() {
     std::istringstream fields(line);
     std::string name, hex;
     fields >> name >> hex;
-    out[name] = hex;
+    if (mine.count(section(name))) out[name] = hex;
   }
   return out;
 }
 
-TEST(EngineDigests, MatchGolden) {
-  const auto golden = load_golden();
-  std::vector<Cell> cells = fluid_cells();
-  for (auto& c : packet_cells()) cells.push_back(std::move(c));
-
-  std::string file =
-      "# FNV-1a 64 over the hex-float text of every result field; written by\n"
-      "# tests/test_engine_digests.cpp. Must not move under a pure refactor.\n";
+// Runs every cell, checks it against its golden line, and on a mismatch
+// prints this test's lines of the file.
+void expect_golden(const std::vector<Cell>& cells) {
+  const auto golden = load_golden(cells);
+  std::string lines;
   for (const auto& c : cells) {
     const std::string got = c.run();
-    file += c.name + " " + got + "\n";
+    lines += c.name + " " + got + "\n";
     const auto it = golden.find(c.name);
     EXPECT_TRUE(it != golden.end() && it->second == got)
         << c.name << ": digest " << got << ", golden "
         << (it == golden.end() ? std::string("(missing)") : it->second);
   }
   EXPECT_EQ(golden.size(), cells.size()) << "golden file lists cells this test does not run";
-  if (HasFailure()) {
-    ADD_FAILURE() << "simulated output moved. If that is intended, replace " << kGolden
-                  << " with:\n"
-                  << file;
+  if (::testing::Test::HasFailure()) {
+    ADD_FAILURE() << "simulated output moved. If that is intended, replace these cells' "
+                  << "lines of " << kGolden << " with:\n"
+                  << lines;
   }
+}
+
+TEST(EngineDigests, MatchGolden) {
+  std::vector<Cell> cells = fluid_cells();
+  for (auto& c : packet_cells()) cells.push_back(std::move(c));
+  expect_golden(cells);
+}
+
+TEST(RunDigests, MatchGolden) {
+  const auto cells = run_cells();
+  std::vector<harness::TestSpec> specs;
+  for (const auto& c : cells) specs.push_back(c.spec);
+  const auto serial = harness::run_tests(specs, 1);
+  const auto parallel = harness::run_tests(specs, 4);
+
+  std::vector<Cell> checked;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const harness::TestResult direct = harness::run_test(specs[i]);
+    const std::string want = digest(direct);
+    EXPECT_EQ(digest(serial[i]), want) << cells[i].name << ": run_tests jobs=1";
+    EXPECT_EQ(digest(parallel[i]), want) << cells[i].name << ": run_tests jobs=4";
+    if (specs[i].record) {
+      auto twin = specs[i];
+      twin.record = false;
+      EXPECT_EQ(harness::run_test(twin).samples_gbps, direct.samples_gbps)
+          << cells[i].name << ": recording moved the samples";
+    }
+    checked.push_back({cells[i].name, [want] { return want; }});
+  }
+  expect_golden(checked);
 }
 
 }  // namespace

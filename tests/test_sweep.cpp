@@ -8,10 +8,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "dtnsim/sweep/cache.hpp"
 #include "dtnsim/sweep/campaign.hpp"
@@ -65,14 +71,48 @@ TEST(WorkerPool, ResolveJobs) {
   EXPECT_EQ(resolve_jobs(1), 1);
   EXPECT_EQ(resolve_jobs(4), 4);
   EXPECT_EQ(resolve_jobs(-3), 1);
-  EXPECT_GE(resolve_jobs(0), 1);  // hardware_concurrency, at least one
+  EXPECT_GE(resolve_jobs(0), 1);  // usable CPUs, at least one
+}
+
+#if defined(__linux__)
+TEST(WorkerPool, ResolveJobsHonoursTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  // Narrows this thread only, and widens it back before checking.
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const int narrowed = resolve_jobs(0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(narrowed, 1);
+  EXPECT_EQ(resolve_jobs(0), CPU_COUNT(&saved));
+}
+#endif
+
+// The thread that ran each index, written by index like any result slot.
+using ThreadLog = std::vector<std::thread::id>;
+
+std::size_t distinct(const ThreadLog& log) {
+  return std::set<std::thread::id>(log.begin(), log.end()).size();
 }
 
 TEST(WorkerPool, RunsEveryJobExactlyOnce) {
-  for (const int jobs : {1, 4}) {
+  for (const int jobs : {1, 2, 4}) {
     std::vector<int> hits(100, 0);
-    parallel_for(hits.size(), jobs, [&](std::size_t i) { hits[i] += 1; });
+    ThreadLog ran_on(hits.size());
+    parallel_for(hits.size(), jobs, [&](std::size_t i) {
+      hits[i] += 1;
+      ran_on[i] = std::this_thread::get_id();
+    });
     EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 100) << "jobs=" << jobs;
+    EXPECT_LE(distinct(ran_on), static_cast<std::size_t>(jobs)) << "jobs=" << jobs;
+    if (jobs == 1) {
+      EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+    }
   }
 }
 
@@ -88,6 +128,77 @@ TEST(WorkerPool, WaitRethrowsFirstJobError) {
     }
     EXPECT_THROW(pool.wait(), std::runtime_error) << "jobs=" << jobs;
     EXPECT_EQ(ran.load(), 8);  // remaining jobs still ran
+  }
+}
+
+TEST(ParallelFor, RethrowsTheLowestIndexFailure) {
+  // Index 5 fails last in time, after index 40 has already failed; the
+  // caller must still see index 5's error, as a serial loop would.
+  for (const int jobs : {1, 4, 0}) {
+    std::vector<int> ran(64, 0);
+    std::string what;
+    try {
+      parallel_for(ran.size(), jobs, [&](std::size_t i) {
+        ran[i] = 1;
+        if (i == 5) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("index 5 failed");
+        }
+        if (i == 40) throw std::runtime_error("index 40 failed");
+      });
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, "index 5 failed") << "jobs=" << jobs;
+    EXPECT_EQ(std::count(ran.begin(), ran.end(), 1), 64)
+        << "jobs=" << jobs << ": every other index still runs";
+  }
+}
+
+TEST(ParallelFor, ConcurrentCallersShareThePool) {
+  // Outermost calls from several threads at once: each fans out over the
+  // one shared pool and still runs each of its own indices exactly once.
+  std::vector<std::vector<int>> hits(4, std::vector<int>(64, 0));
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < hits.size(); ++c) {
+    callers.emplace_back([&hits, c] {
+      for (int round = 0; round < 20; ++round) {
+        parallel_for(hits[c].size(), 0, [&hits, c](std::size_t i) { hits[c][i] += 1; });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (const auto& h : hits) EXPECT_EQ(std::count(h.begin(), h.end(), 20), 64);
+}
+
+TEST(ParallelFor, NestedCallsRunInline) {
+  // From a parallel_for task: the inner batch stays on the outer task's
+  // thread, whatever its own jobs value asks for.
+  ThreadLog outer(4);
+  std::vector<ThreadLog> inner(4, ThreadLog(8));
+  parallel_for(outer.size(), 4, [&](std::size_t i) {
+    outer[i] = std::this_thread::get_id();
+    parallel_for(8, 0, [&](std::size_t k) { inner[i][k] = std::this_thread::get_id(); });
+  });
+  for (std::size_t i = 0; i < outer.size(); ++i) {
+    EXPECT_EQ(distinct(inner[i]), 1u);
+    EXPECT_EQ(inner[i][0], outer[i]);
+  }
+
+  // From a job on a WorkerPool thread: likewise on the job's worker.
+  ThreadLog job_threads(4);
+  std::vector<ThreadLog> nested(4, ThreadLog(8));
+  WorkerPool pool(2);
+  for (std::size_t i = 0; i < job_threads.size(); ++i) {
+    pool.submit([&, i] {
+      job_threads[i] = std::this_thread::get_id();
+      parallel_for(8, 0, [&](std::size_t k) { nested[i][k] = std::this_thread::get_id(); });
+    });
+  }
+  pool.wait();
+  for (std::size_t i = 0; i < job_threads.size(); ++i) {
+    EXPECT_EQ(distinct(nested[i]), 1u);
+    EXPECT_EQ(nested[i][0], job_threads[i]);
   }
 }
 

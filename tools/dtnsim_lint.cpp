@@ -78,7 +78,7 @@ int usage() {
       "  --project             also run the cross-file rule (metric-parity)\n"
       "                        over all inputs\n"
       "  --jobs N              lint/index files on N worker threads\n"
-      "                        (0 = hardware concurrency; output is\n"
+      "                        (0 = usable CPUs; output is\n"
       "                        byte-identical to --jobs 1)\n"
       "  --docs FILE           metrics doc for the metric-parity doc check\n"
       "                        (default: docs/OBSERVABILITY.md if present)\n"
