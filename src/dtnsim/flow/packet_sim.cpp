@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "dtnsim/kern/gro.hpp"
 #include "dtnsim/kern/gso.hpp"
@@ -467,6 +468,9 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
   }
 
   const Nanos horizon = cfg.duration.nanos() + cfg.path.rtt * 2;
+  // Declared after `s`, so the session detaches its views from the sampler
+  // before this frame's SimState dies, however the run exits.
+  std::optional<obs::Sampler::Session> sampling;
   if (cfg.telemetry && cfg.telemetry->config().enabled) {
     s.tel = cfg.telemetry;
     setup_instruments(s);
@@ -480,18 +484,25 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
                          {{"duration_ms", cfg.duration.seconds() * 1e3},
                           {"pacing_bps", cfg.pacing_bps},
                           {"window_bytes", cfg.window_bytes}});
+    obs::Sampler::Source views;
+    views.refresh = [&s](Nanos now) {
+      const double sec = units::to_seconds(now);
+      s.pkt.goodput->set(sec > 0.0 ? units::rate_of(s.res.delivered_bytes, sec) : 0.0);
+      s.pkt.ring_occupancy->set(static_cast<double>(s.ring_used));
+      s.pkt.ring_peak->set(static_cast<double>(s.res.ring_peak));
+    };
     if (s.tel->wants_ss()) {
       // Kernel-eye snapshot source. Everything below only *reads* SimState;
       // bytes_acked is s.res.delivered_bytes, the exact double the
-      // pkt.delivered_bytes counter accumulates, so the probe cross-check
-      // holds bitwise.
+      // pkt.delivered_bytes counter accumulates, so the sampler's
+      // delivered-bytes cross-check holds bitwise.
       const bool hw_gro = receiver.hw_gro_active();
       const std::string nic_model = cfg.receiver.nic.model;
       const std::string qkind =
           cfg.sender.tuning.sysctl.default_qdisc == kern::QdiscKind::Fq
               ? "fq"
               : "fq_codel";
-      s.tel->ss().set_source([&s, hw_gro, nic_model, qkind](Nanos now) {
+      views.ss = [&s, hw_gro, nic_model, qkind](Nanos now) {
         obs::SsReport r;
         r.ts = now;
         r.engine = "packet";
@@ -539,11 +550,7 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
         r.qdisc.throttled = static_cast<double>(qc.throttled);
         r.qdisc.pacing_delay_sec = units::to_seconds(qc.pacing_delay);
         return r;
-      });
-      if (s.tel->config().ss_interval > 0) {
-        s.tel->ss().arm(s.engine, s.tel->config().ss_interval, horizon);
-      }
-      s.tel->link_ss_cross_check();
+      };
     }
     if (s.tel->wants_perf()) {
       s.perf = std::make_unique<SimState::PerfAccum>();
@@ -579,7 +586,7 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
       // Everything below only *reads* SimState. The packet engine runs one
       // app core per side and meters no IRQ capacity; snd_irq/rcv_irq carry
       // attributed cycles against zero capacity (utilization reads 0).
-      s.tel->perf().set_source([&s](Nanos now) {
+      views.perf = [&s](Nanos now) {
         obs::PerfReport r;
         r.ts = now;
         r.engine = "packet";
@@ -601,18 +608,9 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
         fc.stage_cycles.assign(a.stage.begin(), a.stage.end());
         r.flows.push_back(std::move(fc));
         return r;
-      });
-      if (s.tel->config().perf_interval > 0) {
-        s.tel->perf().arm(s.engine, s.tel->config().perf_interval, horizon);
-      }
+      };
     }
-    // Probe armed after the ss watch: coincident samples see a fresh report.
-    s.tel->probe().arm(s.engine, horizon, [&s](Nanos now) {
-      const double sec = units::to_seconds(now);
-      s.pkt.goodput->set(sec > 0.0 ? units::rate_of(s.res.delivered_bytes, sec) : 0.0);
-      s.pkt.ring_occupancy->set(static_cast<double>(s.ring_used));
-      s.pkt.ring_peak->set(static_cast<double>(s.res.ring_peak));
-    });
+    sampling.emplace(s.tel->sampler(), s.engine, horizon, std::move(views));
   }
 
   // Scenario effects at t=0 must be in place before the first send; the
@@ -629,22 +627,12 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
     s.res.scenario_log = s.scn->event_log();
   }
 
-  if (s.tel) {
-    s.pkt.goodput->set(
-        units::rate_of(s.res.delivered_bytes, cfg.duration.seconds()));
+  if (sampling) {
     s.tel->trace().end("packet_run", "pkt", s.engine.now());
-    // Final ss snapshot first, then the closing probe sample — the probe's
-    // cross-check compares its delivered counter against the ss report at
-    // this same timestamp.
-    if (s.tel->wants_ss()) s.tel->ss().final_sample(s.engine.now());
-    if (s.tel->wants_perf()) s.tel->perf().final_sample(s.engine.now());
-    // Closing sample: the default 1 s cadence never fires inside a 50 ms
-    // horizon, and a shared probe table must still pick up the pkt.* columns.
-    s.tel->probe().sample(s.engine.now());
-    // The snapshot lambdas capture this frame's SimState; detach them before
-    // the Telemetry (which outlives this call) can sample a dead frame.
-    if (s.tel->wants_ss()) s.tel->ss().set_source(nullptr);
-    if (s.tel->wants_perf()) s.tel->perf().set_source(nullptr);
+    // A closing series row after the final ss and perf reports: the default
+    // 1 s cadence never fires inside a 50 ms horizon, and a shared series
+    // must still pick up the pkt.* columns.
+    sampling->finish(s.engine.now(), /*closing_row=*/true);
   }
 
   s.res.achieved_bps =

@@ -47,7 +47,7 @@ struct PacketSimConfig {
   std::uint64_t seed = 1;
   // Optional, non-owning observability sink. When set (and enabled), the run
   // registers the pkt.* metric family, emits spans/instants into the trace,
-  // and arms the interval probe on its engine — the same Telemetry a fluid
+  // and opens a sampler session on its engine — the same Telemetry a fluid
   // run of the scenario used, so the two engines export comparable series
   // (see flow/divergence.hpp). Default probe cadence (1 s) exceeds the
   // default 50 ms horizon; pass a sub-millisecond probe_interval to get a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "dtnsim/kern/gro.hpp"
 #include "dtnsim/kern/gso.hpp"
@@ -178,28 +179,15 @@ void TransferSimulation::setup_telemetry(sim::Engine& engine) {
     in.ss->notsent_bytes.assign(n, 0.0);
     in.ss->optmem_inflight.assign(n, 0.0);
     in.ss->rcv_ooo.assign(n, 0.0);
-    tel_->ss().set_source([this](Nanos now) { return build_ss_report(now); });
-    // Armed before the probe: at coincident timestamps the ss sample lands
-    // first, so the probe's cross-check compares against this instant's
-    // report rather than a stale one.
-    if (tel_->config().ss_interval > 0) {
-      tel_->ss().arm(engine, tel_->config().ss_interval, cfg_.duration.nanos());
-    }
-    tel_->link_ss_cross_check();
   }
 
   if (tel_->wants_perf()) {
     in.perf = std::make_unique<Instruments::PerfAccum>();
     in.perf->flow_stage.assign(flows_.size(), {});
     in.perf->tx_pb.assign(flows_.size(), {});
-    tel_->perf().set_source([this](Nanos now) { return build_perf_report(now); });
-    if (tel_->config().perf_interval > 0) {
-      tel_->perf().arm(engine, tel_->config().perf_interval, cfg_.duration.nanos());
-    }
   }
 
   tel_->trace().begin("transfer", "run", engine.now());
-  tel_->probe().arm(engine, cfg_.duration.nanos());
 }
 
 TransferResult TransferSimulation::run() {
@@ -242,23 +230,22 @@ TransferResult TransferSimulation::run() {
             cfg_.flow.fq_rate_bps > 0 ? ", paced" : "");
 
   schedule_round();
-  // Probe events land after the round tick at coincident timestamps.
   setup_telemetry(engine);
+  // A row at t holds the rounds before t, not the round at t, unless rounds
+  // are at least as long as the probe interval (obs/sampler.hpp). The
+  // session detaches this run's views however run() exits.
+  std::optional<obs::Sampler::Session> sampling;
+  if (tel_) {
+    sampling.emplace(tel_->sampler(), engine, cfg_.duration.nanos(),
+                     obs::Sampler::Source{
+                         .ss = [this](Nanos now) { return build_ss_report(now); },
+                         .perf = [this](Nanos now) { return build_perf_report(now); }});
+  }
   engine.run();
-  if (tel_ && tel_->wants_ss()) {
-    // Guarantee an end-of-run snapshot (skipped if a watch sample already
-    // landed at the horizon), then detach the source: the bound lambda reads
-    // `this` and the Telemetry outlives this call.
-    tel_->ss().final_sample(engine.now());
-    tel_->ss().set_source(nullptr);
+  if (sampling) {
+    sampling->finish(engine.now());
+    tel_->trace().end("transfer", "run", engine.now());
   }
-  if (tel_ && tel_->wants_perf()) {
-    // Same discipline as the ss watch: one attributed end-of-run report,
-    // then detach the source before this frame dies.
-    tel_->perf().final_sample(engine.now());
-    tel_->perf().set_source(nullptr);
-  }
-  if (tel_) tel_->trace().end("transfer", "run", engine.now());
   log::info("transfer done: %.2f Gbps delivered, %.0f segments retransmitted",
             units::to_gbps(units::rate_of(total_delivered_,
                                           cfg_.duration.seconds())),

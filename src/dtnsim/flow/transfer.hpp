@@ -48,7 +48,7 @@ struct TransferConfig {
   units::SimTime duration = units::SimTime::from_seconds(60);
   std::uint64_t seed = 1;
   // Optional, non-owning observability sink. When set, the run registers
-  // its metrics there, arms the interval probe on the engine, and records
+  // its metrics there, opens a sampler session on its engine, and records
   // trace events; when null the cost is one branch per tick.
   obs::Telemetry* telemetry = nullptr;
   // Optional mid-run event timeline. When empty the hook costs one branch

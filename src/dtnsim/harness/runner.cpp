@@ -87,9 +87,9 @@ TestResult run_test(const TestSpec& spec) {
     if (const auto& tel = slots[r].tel) {
       // Aliasing shared_ptr: the result's trace keeps the Telemetry alive.
       out.trace = std::shared_ptr<const obs::TraceSink>(tel, &tel->trace());
-      out.ss_log = tel->ss().log();
+      out.ss_log = tel->ss_log();
       for (auto& rep : out.ss_log) rep.label = spec.name;
-      out.perf_log = tel->perf().log();
+      out.perf_log = tel->perf_log();
       for (auto& rep : out.perf_log) rep.label = spec.name;
     }
 

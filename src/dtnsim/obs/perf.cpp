@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <memory>
 #include <stdexcept>
 
 #include "dtnsim/util/strfmt.hpp"
@@ -215,75 +214,6 @@ void cross_check_stage_sum(const PerfReport& report) {
           units::to_seconds(report.ts), kCoreNames[c], stage_sum, consumed));
     }
   }
-}
-
-PerfWatch::PerfWatch(Registry* registry, TraceSink* trace)
-    : registry_(registry), trace_(trace) {}
-
-const PerfReport& PerfWatch::sample(Nanos now) {
-  if (!source_) {
-    throw std::logic_error(
-        "PerfWatch::sample with no snapshot source installed (the engine "
-        "registers one in setup_telemetry when profiling is enabled)");
-  }
-  log_.push_back(source_(now));
-  PerfReport& r = log_.back();
-  r.ts = now;
-  cross_check_stage_sum(r);
-  mirror(r);
-  return r;
-}
-
-void PerfWatch::final_sample(Nanos now) {
-  if (!source_) return;
-  // A watch interval that divides the horizon already logged a report at
-  // `now` — re-sample in its place (see SsWatch::final_sample).
-  if (!log_.empty() && log_.back().ts == now) log_.pop_back();
-  sample(now);
-}
-
-void PerfWatch::mirror(const PerfReport& r) {
-  if (registry_) {
-    if (!g_tx_cyc_pb_) {
-      g_tx_cyc_pb_ = registry_->gauge("perf.tx_cyc_per_byte", "cyc/B",
-                                      "snd-side cycles per sent byte");
-      g_rx_cyc_pb_ = registry_->gauge("perf.rx_cyc_per_byte", "cyc/B",
-                                      "rcv-side cycles per delivered byte");
-      g_total_cycles_ = registry_->gauge("perf.total_cycles", "cycles",
-                                         "summed stage cycles, all cores");
-      for (int c = 0; c < kPerfCoreCount; ++c) {
-        g_util_[c] = registry_->gauge(
-            strfmt("perf.%s_util", kCoreNames[c]), "frac",
-            strfmt("%s consumed/capacity cycles", kCoreNames[c]));
-      }
-    }
-    g_tx_cyc_pb_->set(r.tx_cyc_per_byte());
-    g_rx_cyc_pb_->set(r.rx_cyc_per_byte());
-    g_total_cycles_->set(r.total_cycles());
-    for (int c = 0; c < kPerfCoreCount; ++c) {
-      g_util_[c]->set(r.core_utilization(static_cast<PerfCore>(c)));
-    }
-  }
-  if (trace_) {
-    trace_->instant("perf_sample", "perf", r.ts, 0,
-                    {{"total_cycles", r.total_cycles()},
-                     {"tx_cyc_per_byte", r.tx_cyc_per_byte()},
-                     {"rx_cyc_per_byte", r.rx_cyc_per_byte()}});
-  }
-}
-
-void PerfWatch::arm(sim::Engine& engine, Nanos interval, Nanos horizon) {
-  const Nanos step = std::max<Nanos>(interval, 1);
-  fire_ = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = fire_;
-  *fire_ = [this, &engine, step, horizon, weak] {
-    sample(engine.now());
-    const auto self = weak.lock();
-    if (self && engine.now() + step <= horizon) {
-      engine.schedule(step, *self);
-    }
-  };
-  if (step <= horizon) engine.schedule(step, *fire_);
 }
 
 }  // namespace dtnsim::obs

@@ -7,9 +7,10 @@
 // per core; this header is the `perf report` view over those charges: a
 // fixed stage taxonomy named after the real kernel symbols, a PerfReport
 // carrying per-core and per-flow cycle totals, text renderers (perf
-// report-style table + Brendan Gregg collapsed stacks), a JSON round-trip
-// for dtnsim-perf --json/--replay, and PerfWatch — an SsWatch-style
-// self-rescheduling sampler with perf.* mirror gauges.
+// report-style table + Brendan Gregg collapsed stacks), and a JSON
+// round-trip for dtnsim-perf --json/--replay. obs::Sampler (sampler.hpp)
+// takes the reports on the simulation clock and mirrors headline figures
+// into perf.* gauges.
 //
 // Attribution is exact, not sampled: each engine splits the exact charge it
 // makes against its core budgets into stages, so summed stage cycles must
@@ -18,17 +19,13 @@
 //
 // Layering: obs sits below cpu/flow, so these are plain-data structs; the
 // decomposition math lives in cpu::CostModel (tx_app_stage_cyc & friends)
-// and each engine registers a PerfSnapshotFn that copies its accumulator
-// into a report. Snapshot sources only read.
+// and each engine hands the sampler a perf-view builder that copies its
+// accumulator into a report. The builders only read.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "dtnsim/obs/metrics.hpp"
-#include "dtnsim/obs/trace.hpp"
-#include "dtnsim/sim/engine.hpp"
 #include "dtnsim/util/fields.hpp"
 
 namespace dtnsim::obs {
@@ -186,59 +183,11 @@ Json perf_log_to_json(const std::vector<PerfReport>& log);
 std::vector<PerfReport> perf_log_from_json(const Json& doc);
 bool write_perf_log(const std::string& path, const std::vector<PerfReport>& log);
 
-// Builds the current report on demand; installed by the engine that owns
-// the run. Must only *read* engine state (sampling is observation).
-using PerfSnapshotFn = std::function<PerfReport(Nanos)>;
-
 // The attribution integrity check: for every core group, summed stage
 // cycles must equal the consumed-cycle figure the engine charged against
 // its CoreBudget accounting, to fp rounding. Throws std::logic_error on
 // divergence — a stage split that doesn't add up to the charge would make
-// the whole perf view a fabrication. PerfWatch runs this on every sample.
+// the whole perf view a fabrication. The sampler runs this on every sample.
 void cross_check_stage_sum(const PerfReport& report);
-
-// The `perf`-side sampler. Like SsWatch it self-reschedules on the engine
-// clock; each firing pulls a report from the installed PerfSnapshotFn,
-// cross-checks the stage sums, appends to the in-memory log, and mirrors
-// headline figures into perf.* registry gauges plus a trace instant. With
-// no source installed sampling throws (arming without an engine is a setup
-// bug).
-class PerfWatch {
- public:
-  // `registry` must outlive the watch. `trace` may be null (no mirroring).
-  explicit PerfWatch(Registry* registry, TraceSink* trace = nullptr);
-
-  void set_source(PerfSnapshotFn fn) { source_ = std::move(fn); }
-  bool has_source() const { return static_cast<bool>(source_); }
-
-  // Take one sample now. Returns the stored report.
-  const PerfReport& sample(Nanos now);
-  // End-of-run sample; replaces a coincident-timestamp in-run sample the
-  // same way SsWatch::final_sample does.
-  void final_sample(Nanos now);
-
-  // Schedule sampling at interval, 2*interval, ... <= horizon.
-  void arm(sim::Engine& engine, Nanos interval, Nanos horizon);
-
-  const std::vector<PerfReport>& log() const { return log_; }
-  std::size_t samples_taken() const { return log_.size(); }
-  void clear_log() { log_.clear(); }
-
- private:
-  void mirror(const PerfReport& r);
-
-  Registry* registry_;
-  TraceSink* trace_;
-  PerfSnapshotFn source_;
-  std::vector<PerfReport> log_;
-  std::shared_ptr<std::function<void()>> fire_;  // owner of the sampler event
-
-  // perf.* mirror gauges, registered on first sample so a watch-less run
-  // never widens the metric table.
-  Gauge* g_tx_cyc_pb_ = nullptr;
-  Gauge* g_rx_cyc_pb_ = nullptr;
-  Gauge* g_total_cycles_ = nullptr;
-  Gauge* g_util_[kPerfCoreCount] = {nullptr, nullptr, nullptr, nullptr};
-};
 
 }  // namespace dtnsim::obs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <memory>
 
 #include "dtnsim/util/csv.hpp"
 #include "dtnsim/util/strfmt.hpp"
@@ -87,60 +86,6 @@ bool write_merged_series_csv(const std::string& path,
   if (!out) return false;
   out << merged_series_csv(series);
   return static_cast<bool>(out);
-}
-
-FlowProbe::FlowProbe(Registry* registry, Nanos interval, TraceSink* trace)
-    : registry_(registry), trace_(trace), interval_(std::max<Nanos>(interval, 1)) {}
-
-void FlowProbe::sample(Nanos now) {
-  if (pre_sample_) pre_sample_(now);
-  if (table_.columns.empty()) {
-    table_.columns.push_back("time_s");
-    const auto names = registry_->column_names();
-    table_.columns.insert(table_.columns.end(), names.begin(), names.end());
-  } else if (registry_->column_names().size() + 1 > table_.columns.size()) {
-    // The registry grew since the first sample (e.g. a second engine
-    // registered its metrics into a shared Telemetry). Registration order is
-    // append-only, so the existing columns are a prefix: extend the header
-    // and zero-pad earlier rows to keep the table rectangular.
-    const auto names = registry_->column_names();
-    table_.columns.assign(names.begin(), names.end());
-    table_.columns.insert(table_.columns.begin(), "time_s");
-    for (auto& r : table_.rows) r.resize(table_.columns.size(), 0.0);
-  }
-  std::vector<double> row;
-  row.reserve(table_.columns.size());
-  row.push_back(units::to_seconds(now));
-  const auto values = registry_->row();
-  row.insert(row.end(), values.begin(), values.end());
-  table_.rows.push_back(std::move(row));
-
-  if (trace_) {
-    const auto samples = registry_->snapshot();
-    for (const auto& s : samples) {
-      trace_->counter(s.desc->name, now, s.value);
-    }
-  }
-  if (cross_check_) cross_check_(now);
-}
-
-void FlowProbe::arm(sim::Engine& engine, Nanos horizon,
-                    std::function<void(Nanos)> pre_sample) {
-  pre_sample_ = std::move(pre_sample);
-  // Self-rescheduling sampler, scheduled *after* the model's round tick at
-  // coincident timestamps because arm() runs after the tick is scheduled.
-  // The probe owns the callback; scheduled copies hold only a weak_ptr so
-  // there is no shared_ptr cycle.
-  fire_ = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = fire_;
-  *fire_ = [this, &engine, horizon, weak] {
-    sample(engine.now());
-    const auto self = weak.lock();
-    if (self && engine.now() + interval_ <= horizon) {
-      engine.schedule(interval_, *self);
-    }
-  };
-  if (interval_ <= horizon) engine.schedule(interval_, *fire_);
 }
 
 }  // namespace dtnsim::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <memory>
 #include <stdexcept>
 
 #include "dtnsim/util/strfmt.hpp"
@@ -221,82 +220,6 @@ void cross_check_delivered(const SsReport& report, const Registry& registry) {
         "must agree)",
         units::to_seconds(report.ts), counter, probe_view, ss_view));
   }
-}
-
-SsWatch::SsWatch(Registry* registry, TraceSink* trace)
-    : registry_(registry), trace_(trace) {}
-
-const SsReport& SsWatch::sample(Nanos now) {
-  if (!source_) {
-    throw std::logic_error(
-        "SsWatch::sample with no snapshot source installed (the engine "
-        "registers one in setup_telemetry when ss is enabled)");
-  }
-  log_.push_back(source_(now));
-  SsReport& r = log_.back();
-  r.ts = now;
-  mirror(r);
-  return r;
-}
-
-void SsWatch::final_sample(Nanos now) {
-  if (!source_) return;
-  // A watch interval that divides the horizon already logged a report at
-  // `now` — but that event fired before the enclosing round's tail was
-  // accounted, so re-sample in its place rather than trusting (or
-  // duplicating) it.
-  if (!log_.empty() && log_.back().ts == now) log_.pop_back();
-  sample(now);
-}
-
-void SsWatch::mirror(const SsReport& r) {
-  if (registry_) {
-    if (!g_sockets_) {
-      g_sockets_ = registry_->gauge("ss.sockets", "sockets",
-                                    "sockets in the latest ss snapshot");
-      g_delivery_ = registry_->gauge("ss.delivery_rate_bps", "bps",
-                                     "summed tcpi_delivery_rate, latest snapshot");
-      g_optmem_used_ = registry_->gauge("ss.optmem_used_bytes", "bytes",
-                                        "summed in-flight zerocopy charges");
-      g_zc_copied_ = registry_->gauge("ss.zc_copied_bytes", "bytes",
-                                      "summed zerocopy copy-fallback bytes");
-      g_ring_hiwater_ = registry_->gauge("ss.nic_ring_hiwater_frac", "frac",
-                                         "receiver ring high-water fraction");
-      g_qdisc_throttled_ = registry_->gauge("ss.qdisc_throttled", "events",
-                                            "qdisc pacing throttle count");
-    }
-    double optmem = 0.0, copied = 0.0;
-    for (const auto& s : r.sockets) {
-      optmem += s.optmem_used_bytes;
-      copied += s.zc_copied_bytes;
-    }
-    g_sockets_->set(static_cast<double>(r.sockets.size()));
-    g_delivery_->set(r.total_delivery_rate_bps());
-    g_optmem_used_->set(optmem);
-    g_zc_copied_->set(copied);
-    g_ring_hiwater_->set(r.nic.rx_ring_hiwater_frac);
-    g_qdisc_throttled_->set(r.qdisc.throttled);
-  }
-  if (trace_) {
-    trace_->instant("ss_snapshot", "ss", r.ts, 0,
-                    {{"sockets", static_cast<double>(r.sockets.size())},
-                     {"delivery_rate_bps", r.total_delivery_rate_bps()},
-                     {"bytes_acked", r.total_bytes_acked()}});
-  }
-}
-
-void SsWatch::arm(sim::Engine& engine, Nanos interval, Nanos horizon) {
-  const Nanos step = std::max<Nanos>(interval, 1);
-  fire_ = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = fire_;
-  *fire_ = [this, &engine, step, horizon, weak] {
-    sample(engine.now());
-    const auto self = weak.lock();
-    if (self && engine.now() + step <= horizon) {
-      engine.schedule(step, *self);
-    }
-  };
-  if (step <= horizon) engine.schedule(step, *fire_);
 }
 
 }  // namespace dtnsim::obs

@@ -5,24 +5,20 @@
 // tcp_info per socket, NIC counters per device, qdisc stats per interface.
 // This header defines plain-data snapshot structs mirroring the fields the
 // model can honestly populate, text formatters shaped like the real tools'
-// output, a JSON round-trip (dtnsim-ss --json / --replay), and SsWatch: a
-// self-rescheduling sampler (the `ss` analogue of FlowProbe's iperf3 -i)
-// that pulls an SsReport from the engine on the simulation clock and
-// mirrors headline fields into the shared Registry/trace sinks.
+// output, and a JSON round-trip (dtnsim-ss --json / --replay). obs::Sampler
+// (sampler.hpp) takes the reports on the simulation clock and mirrors
+// headline fields into the shared Registry/trace sinks.
 //
 // Layering: obs sits below net/tcp/kern, so these structs carry copies of
-// engine state; each engine registers a SnapshotFn that builds a report
-// from its own internals. Nothing here touches model behaviour — snapshot
-// sources only read.
+// engine state; each engine hands the sampler an ss-view builder that makes
+// a report from its own internals. Nothing here touches model behaviour —
+// the builders only read.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "dtnsim/obs/metrics.hpp"
-#include "dtnsim/obs/trace.hpp"
-#include "dtnsim/sim/engine.hpp"
 #include "dtnsim/util/fields.hpp"
 
 namespace dtnsim::obs {
@@ -192,62 +188,11 @@ Json ss_log_to_json(const std::vector<SsReport>& log);
 std::vector<SsReport> ss_log_from_json(const Json& doc);
 bool write_ss_log(const std::string& path, const std::vector<SsReport>& log);
 
-// Builds the current report on demand; installed by the engine that owns
-// the run. Must only *read* engine state (sampling is observation).
-using SnapshotFn = std::function<SsReport(Nanos)>;
-
-// Satellite cross-check: a snapshot's summed bytes_acked must equal the
-// probe-facing delivered-bytes counter of the same engine (flow.* for
-// fluid, pkt.* for packet) at the same timestamp. Throws std::logic_error
-// on divergence — the two surfaces reporting different totals would mean
-// the "ss view" and the "iperf3 view" of one run disagree.
+// A snapshot's summed bytes_acked must equal the probe-facing
+// delivered-bytes counter of the same engine (flow.* for fluid, pkt.* for
+// packet) at the same timestamp; the sampler checks every ss sample. Throws
+// std::logic_error on divergence — the two surfaces reporting different
+// totals would mean the "ss view" and the "iperf3 view" of one run disagree.
 void cross_check_delivered(const SsReport& report, const Registry& registry);
-
-// The `ss`-side sampler. Like FlowProbe it self-reschedules on the engine
-// clock; each firing pulls a report from the installed SnapshotFn, appends
-// it to the in-memory log, mirrors headline fields into ss.* registry
-// gauges, and drops an instant into the trace. With no source installed
-// sampling throws (arming without an engine attached is a setup bug).
-class SsWatch {
- public:
-  // `registry` must outlive the watch. `trace` may be null (no mirroring).
-  explicit SsWatch(Registry* registry, TraceSink* trace = nullptr);
-
-  void set_source(SnapshotFn fn) { source_ = std::move(fn); }
-  bool has_source() const { return static_cast<bool>(source_); }
-
-  // Take one sample now. Returns the stored report.
-  const SsReport& sample(Nanos now);
-  // End-of-run sample. If the last report already carries this timestamp
-  // (a watch interval that divides the horizon) it is replaced, not
-  // duplicated: the in-run event fired before the final round's tail was
-  // accounted, so only a fresh sample reflects the true end state.
-  void final_sample(Nanos now);
-
-  // Schedule sampling at interval, 2*interval, ... <= horizon.
-  void arm(sim::Engine& engine, Nanos interval, Nanos horizon);
-
-  const std::vector<SsReport>& log() const { return log_; }
-  std::size_t samples_taken() const { return log_.size(); }
-  void clear_log() { log_.clear(); }
-
- private:
-  void mirror(const SsReport& r);
-
-  Registry* registry_;
-  TraceSink* trace_;
-  SnapshotFn source_;
-  std::vector<SsReport> log_;
-  std::shared_ptr<std::function<void()>> fire_;  // owner of the sampler event
-
-  // ss.* mirror gauges, registered on first sample so a watch-less run
-  // never widens the metric table.
-  Gauge* g_sockets_ = nullptr;
-  Gauge* g_delivery_ = nullptr;
-  Gauge* g_optmem_used_ = nullptr;
-  Gauge* g_zc_copied_ = nullptr;
-  Gauge* g_ring_hiwater_ = nullptr;
-  Gauge* g_qdisc_throttled_ = nullptr;
-};
 
 }  // namespace dtnsim::obs

@@ -66,17 +66,7 @@ std::unique_ptr<TraceSink> make_trace_sink(const TelemetryConfig& cfg) {
 Telemetry::Telemetry(TelemetryConfig cfg)
     : cfg_(std::move(cfg)),
       trace_((validate(cfg_), make_trace_sink(cfg_))),
-      probe_(&registry_, cfg_.probe_interval, trace_.get()),
-      ss_(&registry_, trace_.get()),
-      perf_(&registry_, trace_.get()) {}
-
-void Telemetry::link_ss_cross_check() {
-  probe_.set_cross_check([this](Nanos now) {
-    const auto& log = ss_.log();
-    if (log.empty() || log.back().ts != now) return;
-    cross_check_delivered(log.back(), registry_);
-  });
-}
+      sampler_(cfg_, registry_, *trace_) {}
 
 const char* round_limit_name(RoundLimit limit) {
   switch (limit) {

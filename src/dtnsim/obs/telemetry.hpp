@@ -1,19 +1,17 @@
-// Telemetry bundle: one Registry + TraceSink + FlowProbe per simulation run.
+// Telemetry bundle: one Registry + TraceSink + Sampler per simulation run.
 //
-// TransferSimulation takes an optional non-owning Telemetry*; when present
-// it registers its metrics, emits trace events, and arms the probe on the
-// run's engine. When absent (the default) the instrumentation costs one
+// Both engines take an optional non-owning Telemetry*; when present they
+// register their metrics, emit trace events, and open a sampler session on
+// the run's engine. When absent (the default) the instrumentation costs one
 // branch per tick — cheap enough to leave compiled in everywhere.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "dtnsim/obs/metrics.hpp"
-#include "dtnsim/obs/perf.hpp"
-#include "dtnsim/obs/probe.hpp"
-#include "dtnsim/obs/ss.hpp"
+#include "dtnsim/obs/sampler.hpp"
 #include "dtnsim/obs/trace.hpp"
 
 namespace dtnsim::obs {
@@ -60,28 +58,20 @@ class Telemetry {
   const Registry& registry() const { return registry_; }
   TraceSink& trace() { return *trace_; }
   const TraceSink& trace() const { return *trace_; }
-  FlowProbe& probe() { return probe_; }
-  const SeriesTable& series() const { return probe_.series(); }
-  SsWatch& ss() { return ss_; }
-  const SsWatch& ss() const { return ss_; }
-  PerfWatch& perf() { return perf_; }
-  const PerfWatch& perf() const { return perf_; }
+  Sampler& sampler() { return sampler_; }
+  const SeriesTable& series() const { return sampler_.series(); }
+  const std::vector<SsReport>& ss_log() const { return sampler_.ss_log(); }
+  const std::vector<PerfReport>& perf_log() const { return sampler_.perf_log(); }
   // Whether the owning engine should build ss snapshot state at all.
   bool wants_ss() const { return cfg_.ss_enabled; }
   // Whether the owning engine should meter per-stage cycles at all.
   bool wants_perf() const { return cfg_.perf_enabled; }
-  // Satellite cross-check: after installing a snapshot source, tie the
-  // probe to the watch so every probe sample whose timestamp matches the
-  // latest ss report asserts both surfaces agree on delivered bytes.
-  void link_ss_cross_check();
 
  private:
   TelemetryConfig cfg_;
   Registry registry_;
   std::unique_ptr<TraceSink> trace_;
-  FlowProbe probe_;
-  SsWatch ss_;
-  PerfWatch perf_;
+  Sampler sampler_;
 };
 
 // The sender-side constraint that bounded a round's achievable bytes —

@@ -5,7 +5,10 @@
 // way, reached three ways: run_test on the test thread and run_tests at
 // jobs 1 (cells one by one, repeats fanned out), and run_tests at jobs 4
 // (cells concurrent, each cell's repeats one by one). They are a test of
-// their own, RunDigests, so a sanitizer job can select them alone.
+// their own, RunDigests, so a sanitizer job can select them alone. The obs/
+// cells (ObservationDigests) pin what a Telemetry holds after its runs: the
+// probe series, the ss and perf logs, the final registry values and the
+// trace, with every observation channel on at its own cadence.
 //
 // A digest is FNV-1a 64 over the hex-float ("%a") text of every field, so
 // it moves on any bit of any result and on nothing else. Performance work on
@@ -29,6 +32,7 @@
 #include "dtnsim/flow/transfer.hpp"
 #include "dtnsim/harness/runner.hpp"
 #include "dtnsim/harness/testbeds.hpp"
+#include "dtnsim/obs/telemetry.hpp"
 #include "dtnsim/report/record.hpp"
 #include "dtnsim/scenario/scenario.hpp"
 
@@ -253,6 +257,99 @@ std::vector<RunCell> run_cells() {
   return out;
 }
 
+// An observation cell: the probe series (columns, then hex-float rows), the
+// ss and perf logs' JSON, every registry value by name, and the trace's
+// Chrome JSON, of one Telemetry after its runs.
+std::string digest(const obs::Telemetry& tel) {
+  Digest d;
+  const obs::SeriesTable& t = tel.series();
+  for (const auto& c : t.columns) d.text(c);
+  d.num(static_cast<std::uint64_t>(t.rows.size()));
+  for (const auto& row : t.rows) d.series(row);
+  d.text(obs::ss_log_to_json(tel.ss_log()).dump());
+  d.text(obs::perf_log_to_json(tel.perf_log()).dump());
+  for (const auto& s : tel.registry().snapshot()) {
+    d.text(s.desc->name);
+    d.num(s.value);
+  }
+  d.text(tel.trace().to_chrome_trace().dump());
+  return d.hex();
+}
+
+obs::TelemetryConfig observed(Nanos probe, Nanos ss, Nanos perf) {
+  obs::TelemetryConfig cfg;
+  cfg.enabled = true;
+  cfg.probe_interval = probe;
+  cfg.ss_enabled = true;
+  cfg.ss_interval = ss;
+  cfg.perf_enabled = true;
+  cfg.perf_interval = perf;
+  return cfg;
+}
+
+PacketSimConfig packet_lan(double seconds) {
+  const auto tb = harness::amlight_baremetal(kern::KernelVersion::V6_8);
+  PacketSimConfig c;
+  c.sender = tb.sender;
+  c.receiver = tb.receiver;
+  c.path = tb.lan();
+  c.pacing_bps = units::gbps(10);
+  c.window_bytes = 64e6;
+  c.duration = units::SimTime::from_seconds(seconds);
+  return c;
+}
+
+// Every channel on at its own cadence, in-run and final-only, on both
+// engines, plus one Telemetry shared by a fluid and a packet run (the series
+// grows the packet engine's columns mid-table).
+std::vector<Cell> observation_cells() {
+  const auto esnet = harness::esnet(kern::KernelVersion::V6_8);
+  const auto amlight = harness::amlight(kern::KernelVersion::V6_8);
+  std::vector<Cell> out;
+
+  auto lan = fluid(esnet, esnet.lan(), 8, 0, 3, 31);
+  lan.scenario.name = "inline";
+  lan.scenario.events.push_back({1.2, scenario::EventKind::LossBurst, 0.01, 0.5, 0.0, "burst"});
+  lan.scenario.events.push_back({2.0, scenario::EventKind::LinkCapacity, 40e9, 0.0, 0.0, "cap"});
+  out.push_back({"obs/fluid_lan8_timeline", [lan]() mutable {
+                   obs::Telemetry tel(observed(units::seconds(1), units::millis(500),
+                                               units::millis(250)));
+                   lan.telemetry = &tel;
+                   run_transfer(lan);
+                   return digest(tel);
+                 }});
+
+  auto wan = fluid(amlight, harness::amlight_wan(25), 8, 0, 10, 32);
+  out.push_back({"obs/fluid_wan25_final_only", [wan]() mutable {
+                   obs::Telemetry tel(observed(units::seconds(1), 0, 0));
+                   wan.telemetry = &tel;
+                   run_transfer(wan);
+                   return digest(tel);
+                 }});
+
+  out.push_back({"obs/packet_lan_20ms", [] {
+                   obs::Telemetry tel(
+                       observed(units::millis(1), units::millis(2), units::millis(5)));
+                   auto c = packet_lan(0.02);
+                   c.telemetry = &tel;
+                   run_packet_sim(c);
+                   return digest(tel);
+                 }});
+
+  auto shared = fluid(esnet, esnet.lan(), 1, 10, 0.5, 33);
+  out.push_back({"obs/shared_fluid_then_packet", [shared]() mutable {
+                   obs::Telemetry tel(observed(units::millis(10), units::millis(250),
+                                               units::millis(100)));
+                   shared.telemetry = &tel;
+                   run_transfer(shared);
+                   auto c = packet_lan(0.02);
+                   c.telemetry = &tel;
+                   run_packet_sim(c);
+                   return digest(tel);
+                 }});
+  return out;
+}
+
 // Golden lines whose section (the name up to its first '/') is one of the
 // cells' sections; the other sections belong to the other test.
 std::map<std::string, std::string> load_golden(const std::vector<Cell>& cells) {
@@ -322,6 +419,8 @@ TEST(RunDigests, MatchGolden) {
   }
   expect_golden(checked);
 }
+
+TEST(ObservationDigests, MatchGolden) { expect_golden(observation_cells()); }
 
 }  // namespace
 }  // namespace dtnsim::flow

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -188,60 +190,117 @@ TEST(TimeWeightedHistogram, WeightsByDuration) {
 }
 
 // ---------------------------------------------------------------------------
-// FlowProbe cadence on the engine clock
+// Sampler cadence on the engine clock
 // ---------------------------------------------------------------------------
 
-TEST(FlowProbe, SamplesAtExactInterval) {
-  obs::Registry reg;
-  auto* g = reg.gauge("v", "count");
+obs::TelemetryConfig probe_every(Nanos interval) {
+  obs::TelemetryConfig cfg;
+  cfg.enabled = true;
+  cfg.probe_interval = interval;
+  return cfg;
+}
+
+TEST(Sampler, SamplesAtExactInterval) {
+  obs::Telemetry tel(probe_every(units::millis(100)));
+  auto* g = tel.registry().gauge("v", "count");
   sim::Engine eng;
+  {
+    obs::Sampler::Session session(tel.sampler(), eng, units::seconds(1),
+                                  {.refresh = [&](Nanos now) { g->set(units::to_seconds(now)); }});
+    eng.run();
+  }
 
-  obs::FlowProbe probe(&reg, units::millis(100));
-  probe.arm(eng, units::seconds(1),
-            [&](Nanos now) { g->set(units::to_seconds(now)); });
-  eng.run();
-
-  const auto& t = probe.series();
+  const auto& t = tel.series();
   ASSERT_EQ(t.rows.size(), 10u);  // 0.1 .. 1.0 inclusive
   ASSERT_GE(t.columns.size(), 2u);
   EXPECT_EQ(t.columns[0], "time_s");
   for (std::size_t i = 0; i < t.rows.size(); ++i) {
     const double expect_t = 0.1 * static_cast<double>(i + 1);
     EXPECT_NEAR(t.rows[i][0], expect_t, 1e-9);
-    EXPECT_NEAR(t.rows[i][1], expect_t, 1e-9);  // pre_sample saw the same now
+    EXPECT_NEAR(t.rows[i][1], expect_t, 1e-9);  // the refresh hook saw the same now
   }
-  EXPECT_EQ(probe.samples_taken(), 10u);
 }
 
-TEST(FlowProbe, SamplesRunAfterCoincidentModelEvents) {
-  // A model event scheduled at the same timestamp but armed *before* the
-  // probe must be visible to the sample (engine runs equal-time events in
-  // scheduling order).
-  obs::Registry reg;
-  auto* c = reg.counter("ticks", "count");
+TEST(Sampler, CoincidentEventsRunInQueueOrder) {
+  // Events at one timestamp run in the order they were queued. One-shot
+  // model events queued before the session opens run before the sample at
+  // their timestamp. A self-rescheduling round queues its event at t one
+  // round before t, after the sample at t was queued (one interval before
+  // t), so the row at t holds every round before t but not the round at t.
+  obs::Telemetry tel(probe_every(units::millis(250)));
+  auto* events = tel.registry().counter("events", "count");
+  auto* rounds = tel.registry().counter("rounds", "count");
   sim::Engine eng;
   for (int i = 1; i <= 4; ++i) {
-    eng.schedule_at(units::millis(250) * i, [c] { c->add(1); });
+    eng.schedule_at(units::millis(250) * i, [events] { events->add(1); });
   }
-  obs::FlowProbe probe(&reg, units::millis(250));
-  probe.arm(eng, units::seconds(1));
-  eng.run();
+  const Nanos dt = units::millis(50);
+  std::function<void()> round = [&] {
+    rounds->add(1);
+    if (eng.now() + dt <= units::seconds(1)) eng.schedule(dt, round);
+  };
+  eng.schedule(dt, round);
+  {
+    obs::Sampler::Session session(tel.sampler(), eng, units::seconds(1), {});
+    eng.run();
+  }
 
-  const auto ticks = probe.series().column("ticks");
-  ASSERT_EQ(ticks.size(), 4u);
-  for (std::size_t i = 0; i < ticks.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ticks[i], static_cast<double>(i + 1));
+  const auto seen_events = tel.series().column("events");
+  const auto seen_rounds = tel.series().column("rounds");
+  ASSERT_EQ(seen_events.size(), 4u);
+  ASSERT_EQ(seen_rounds.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_DOUBLE_EQ(seen_events[i], static_cast<double>(i + 1));
+    EXPECT_DOUBLE_EQ(seen_rounds[i], 5.0 * static_cast<double>(i + 1) - 1.0);
   }
+  EXPECT_DOUBLE_EQ(rounds->value(), 20.0);  // the round at 1 s ran after the last row
+}
+
+TEST(Sampler, SessionDetachesItsSourceOnEveryExit) {
+  obs::Telemetry tel(probe_every(units::millis(100)));
+  int refreshes = 0;
+  sim::Engine eng;
+  eng.schedule(units::millis(150), [] { throw std::runtime_error("model fault"); });
+  try {
+    obs::Sampler::Session session(tel.sampler(), eng, units::seconds(1),
+                                  {.refresh = [&](Nanos) { ++refreshes; }});
+    eng.run();
+    ADD_FAILURE() << "the model fault must propagate";
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(refreshes, 1);  // the 100 ms row, before the fault
+  // The engine outlives the session; its queued sampler event does nothing.
+  eng.run();
+  EXPECT_EQ(tel.series().rows.size(), 1u);
+  tel.sampler().sample_series(units::seconds(2));
+  EXPECT_EQ(refreshes, 1);
+  EXPECT_EQ(tel.series().rows.size(), 2u);
+  sim::Engine next;  // the sampler is free for the next run
+  EXPECT_NO_THROW(obs::Sampler::Session(tel.sampler(), next, units::seconds(1), {}));
+}
+
+TEST(Sampler, SessionNeedsEveryEnabledViewAndRunsAlone) {
+  obs::TelemetryConfig cfg = probe_every(units::seconds(1));
+  cfg.ss_enabled = true;
+  cfg.perf_enabled = true;
+  obs::Telemetry tel(cfg);
+  sim::Engine eng;
+  const auto ss = [](Nanos) { return obs::SsReport{}; };
+  const auto perf = [](Nanos) { return obs::PerfReport{}; };
+  EXPECT_THROW(obs::Sampler::Session(tel.sampler(), eng, 0, {.perf = perf}), std::logic_error);
+  EXPECT_THROW(obs::Sampler::Session(tel.sampler(), eng, 0, {.ss = ss}), std::logic_error);
+  obs::Sampler::Session open(tel.sampler(), eng, 0, {.ss = ss, .perf = perf});
+  EXPECT_THROW(obs::Sampler::Session(tel.sampler(), eng, 0, {.ss = ss, .perf = perf}),
+               std::logic_error);
 }
 
 TEST(SeriesTable, CsvAndJsonlShape) {
-  obs::Registry reg;
-  reg.gauge("a", "x")->set(1);
-  obs::FlowProbe probe(&reg, units::seconds(1));
-  probe.sample(units::seconds(1));
-  probe.sample(units::seconds(2));
+  obs::Telemetry tel(probe_every(units::seconds(1)));
+  tel.registry().gauge("a", "x")->set(1);
+  tel.sampler().sample_series(units::seconds(1));
+  tel.sampler().sample_series(units::seconds(2));
 
-  const auto& t = probe.series();
+  const auto& t = tel.series();
   EXPECT_EQ(t.column_index("time_s"), 0u);
   EXPECT_DOUBLE_EQ(t.max_of("a"), 1.0);
 

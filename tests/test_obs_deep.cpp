@@ -187,6 +187,45 @@ TEST(PacketSimTelemetry, SharesRegistryWithFluidRun) {
   EXPECT_NE(rep.to_string().find("achieved_bps"), std::string::npos);
 }
 
+// Once a run returns, its Telemetry holds no way back into the engine: a
+// series row taken through the Telemetry runs no engine code (the packet
+// engine's refresh hook would move pkt.goodput_bps), so the row records the
+// registry exactly as the run left it.
+TEST(SamplerLifetime, RowAfterRunRunsNoEngineCode) {
+  obs::TelemetryConfig tcfg;
+  tcfg.enabled = true;
+  tcfg.probe_interval = units::millis(1);
+  tcfg.ss_enabled = true;
+  tcfg.perf_enabled = true;
+  const auto expect_inert = [](obs::Telemetry& tel) {
+    const std::vector<double> left = tel.registry().row();
+    tel.sampler().sample_series(units::seconds(1));
+    const auto& row = tel.series().rows.back();
+    EXPECT_DOUBLE_EQ(row.front(), 1.0);
+    EXPECT_EQ(std::vector<double>(row.begin() + 1, row.end()), left);
+  };
+
+  {
+    obs::Telemetry tel(tcfg);
+    auto cfg = packet_cfg();
+    cfg.telemetry = &tel;
+    flow::run_packet_sim(cfg);
+    expect_inert(tel);
+  }
+  {
+    obs::Telemetry tel(tcfg);
+    const auto tb = harness::esnet(kern::KernelVersion::V6_8);
+    flow::TransferConfig cfg;
+    cfg.sender = tb.sender;
+    cfg.receiver = tb.receiver;
+    cfg.path = tb.lan();
+    cfg.duration = units::SimTime::from_millis(50);
+    cfg.telemetry = &tel;
+    flow::run_transfer(cfg);
+    expect_inert(tel);
+  }
+}
+
 TEST(StreamingTraceSink, WritesWellFormedDocument) {
   const std::string path = testing::TempDir() + "stream_trace.json";
   {

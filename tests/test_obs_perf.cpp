@@ -44,7 +44,7 @@ double stage_sum_for_core(const obs::PerfReport& r, obs::PerfCore core) {
 }
 
 TEST(PerfAttribution, StageSumMatchesConsumedFluid) {
-  // Every PerfWatch sample runs cross_check_stage_sum (which throws on
+  // Every perf sample runs cross_check_stage_sum (which throws on
   // divergence), so a finished watch run is itself the assertion; the loop
   // below re-verifies from the recorded log.
   const auto r = fig07_lan_cell()
@@ -86,7 +86,7 @@ TEST(PerfAttribution, StageSumMatchesConsumedPacket) {
   const auto res = flow::run_packet_sim(cfg);
   EXPECT_GT(res.delivered_bytes, 0.0);
 
-  const auto& log = tel.perf().log();
+  const auto& log = tel.perf_log();
   ASSERT_GE(log.size(), 2u);
   for (const auto& rep : log) {
     EXPECT_EQ(rep.engine, "packet");
@@ -184,8 +184,8 @@ TEST(PerfAttribution, PacketAndFluidAgreeOnTxCyclesPerByte) {
   pcfg.duration = units::SimTime::from_millis(20);
   pcfg.telemetry = &tel;
   (void)flow::run_packet_sim(pcfg);
-  ASSERT_FALSE(tel.perf().log().empty());
-  const auto& pkt = tel.perf().log().back();
+  ASSERT_FALSE(tel.perf_log().empty());
+  const auto& pkt = tel.perf_log().back();
 
   const auto fluid_run = Experiment(tb)
                              .duration(units::SimTime::from_seconds(3))
@@ -306,14 +306,7 @@ TEST(PerfReportRender, ReportKeysMatchGolden) {
                           "OBSERVABILITY.md)";
 }
 
-TEST(PerfWatch, SamplingWithoutSourceThrows) {
-  obs::Registry reg;
-  obs::PerfWatch watch(&reg);
-  EXPECT_FALSE(watch.has_source());
-  EXPECT_THROW(watch.sample(0), std::logic_error);
-}
-
-TEST(PerfWatch, CrossCheckThrowsOnDivergence) {
+TEST(PerfAttribution, CrossCheckThrowsOnDivergence) {
   obs::PerfReport r;
   r.stage_cycles[static_cast<int>(obs::PerfStage::TxUserCopy)] = 1e9;
   r.consumed_cycles[static_cast<int>(obs::PerfCore::SndApp)] = 2e9;

@@ -78,15 +78,14 @@ TEST(SsSnapshot, FieldsConsistentWithRegistryAndProbe) {
   cfg.telemetry = &tel;
   const auto res = flow::run_transfer(cfg);
 
-  const auto& log = tel.ss().log();
+  const auto& log = tel.ss_log();
   ASSERT_GE(log.size(), 3u);  // watch samples at 1s, 2s + the final one
   const auto& last = log.back();
   EXPECT_EQ(last.engine, "fluid");
   ASSERT_EQ(last.sockets.size(), 4u);
 
   // ss's bytes_acked and the probe-facing delivered-bytes counter are two
-  // views of the same events (this is the cross-check link_ss_cross_check
-  // enforces at every coincident probe/watch firing during the run).
+  // views of the same events (the sampler cross-checks every ss sample).
   EXPECT_NO_THROW(obs::cross_check_delivered(last, tel.registry()));
   EXPECT_NEAR(last.total_bytes_acked(), tel.registry().value_of("flow.delivered_bytes"),
               1e-6 * last.total_bytes_acked());
@@ -152,8 +151,8 @@ TEST(SsSnapshot, PacketEngineSnapshotAgreesWithResult) {
   cfg.telemetry = &tel;
   const auto res = flow::run_packet_sim(cfg);
 
-  ASSERT_EQ(tel.ss().samples_taken(), 1u);  // final snapshot only
-  const auto& rep = tel.ss().log().front();
+  ASSERT_EQ(tel.ss_log().size(), 1u);  // final snapshot only
+  const auto& rep = tel.ss_log().front();
   EXPECT_EQ(rep.engine, "packet");
   ASSERT_EQ(rep.sockets.size(), 1u);
   EXPECT_DOUBLE_EQ(rep.sockets[0].bytes_acked, res.delivered_bytes);
@@ -225,13 +224,6 @@ TEST(SsSnapshot, DisabledSsLeavesRunBitIdentical) {
   EXPECT_DOUBLE_EQ(base.snd_cpu_pct, with_ss.snd_cpu_pct);
   EXPECT_TRUE(base.ss_log.empty());
   EXPECT_FALSE(with_ss.ss_log.empty());
-}
-
-TEST(SsWatch, SamplingWithoutSourceThrows) {
-  obs::Registry reg;
-  obs::SsWatch watch(&reg);
-  EXPECT_FALSE(watch.has_source());
-  EXPECT_THROW(watch.sample(0), std::logic_error);
 }
 
 }  // namespace
