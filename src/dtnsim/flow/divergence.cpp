@@ -55,8 +55,8 @@ DivergenceReport divergence_report(const std::string& scenario,
   rep.scenario = scenario;
 
   // Throughput: each engine's delivered bytes over its own horizon.
-  const double fluid_delivered = reg.value_of("flow.delivered_bytes");
-  const double pkt_delivered = reg.value_of("pkt.delivered_bytes");
+  const double fluid_delivered = reg.value_of(obs::kFluidMetrics.delivered_bytes);
+  const double pkt_delivered = reg.value_of(obs::kPacketMetrics.delivered_bytes);
   rep.entries.push_back({"achieved_bps", safe_rate(fluid_delivered, fluid_seconds),
                          safe_rate(pkt_delivered, packet_seconds)});
 
@@ -73,8 +73,9 @@ DivergenceReport divergence_report(const std::string& scenario,
   // GRO aggregate size: fluid exports the per-tick aggregate estimate as a
   // gauge; the packet engine's histogram is event-weighted so its mean is
   // the mean aggregate size (value_of of a histogram returns the mean).
-  rep.entries.push_back({"aggregate_bytes", reg.value_of("flow.gro_aggregate_bytes"),
-                         reg.value_of("pkt.gro_aggregate_bytes")});
+  rep.entries.push_back({"aggregate_bytes",
+                         reg.value_of(obs::kFluidMetrics.gro_aggregate_bytes),
+                         reg.value_of(obs::kPacketMetrics.gro_aggregate_bytes)});
 
   return rep;
 }

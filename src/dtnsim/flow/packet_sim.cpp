@@ -151,12 +151,12 @@ void setup_instruments(SimState& s) {
   s.pkt.aggregates =
       reg.counter("pkt.gro_aggregates", "aggregates", "GRO aggregates delivered");
   s.pkt.agg_hist =
-      reg.histogram("pkt.gro_aggregate_bytes", "bytes",
+      reg.histogram(obs::kPacketMetrics.gro_aggregate_bytes, "bytes",
                     "GRO aggregate size (event-weighted; mean = mean size)");
-  s.pkt.delivered =
-      reg.counter("pkt.delivered_bytes", "bytes", "payload delivered to the app");
-  s.pkt.goodput =
-      reg.gauge("pkt.goodput_bps", "bps", "delivered rate over elapsed sim time");
+  s.pkt.delivered = reg.counter(obs::kPacketMetrics.delivered_bytes, "bytes",
+                                "payload delivered to the app");
+  s.pkt.goodput = reg.gauge(obs::kPacketMetrics.goodput_bps, "bps",
+                            "delivered rate over elapsed sim time");
 }
 
 void on_ack(SimState& s, double bytes) {
@@ -478,13 +478,14 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
       // Same name/unit/help as the fluid engine's registration so a shared
       // Telemetry (divergence runs) folds both engines into one counter.
       s.scn_events = s.tel->registry().counter(
-          "scenario.events_applied", "events", "scenario events applied so far");
+          obs::kScenarioEventsApplied, "events", "scenario events applied so far");
     }
     s.tel->trace().begin("packet_run", "pkt", 0, 0,
                          {{"duration_ms", cfg.duration.seconds() * 1e3},
                           {"pacing_bps", cfg.pacing_bps},
                           {"window_bytes", cfg.window_bytes}});
     obs::Sampler::Source views;
+    views.metrics = &obs::kPacketMetrics;
     views.refresh = [&s](Nanos now) {
       const double sec = units::to_seconds(now);
       s.pkt.goodput->set(sec > 0.0 ? units::rate_of(s.res.delivered_bytes, sec) : 0.0);
@@ -493,9 +494,9 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
     };
     if (s.tel->wants_ss()) {
       // Kernel-eye snapshot source. Everything below only *reads* SimState;
-      // bytes_acked is s.res.delivered_bytes, the exact double the
-      // pkt.delivered_bytes counter accumulates, so the sampler's
-      // delivered-bytes cross-check holds bitwise.
+      // bytes_acked is s.res.delivered_bytes, the sum of what this run adds
+      // to the pkt.delivered_bytes counter, so the sampler's delivered-bytes
+      // cross-check holds (bitwise when the counter starts the run at 0).
       const bool hw_gro = receiver.hw_gro_active();
       const std::string nic_model = cfg.receiver.nic.model;
       const std::string qkind =

@@ -118,10 +118,11 @@ void TransferSimulation::setup_telemetry(sim::Engine& engine) {
   in.trim_frac = reg.gauge("path.trim_frac", "frac",
                            "burst-tolerance trimming this tick");
 
-  in.goodput = reg.gauge("flow.goodput_bps", "bps", "receiver-side delivery rate");
-  in.delivered = reg.counter("flow.delivered_bytes", "bytes",
+  in.goodput =
+      reg.gauge(obs::kFluidMetrics.goodput_bps, "bps", "receiver-side delivery rate");
+  in.delivered = reg.counter(obs::kFluidMetrics.delivered_bytes, "bytes",
                              "bytes delivered to the application, all flows");
-  in.gro_agg = reg.gauge("flow.gro_aggregate_bytes", "bytes",
+  in.gro_agg = reg.gauge(obs::kFluidMetrics.gro_aggregate_bytes, "bytes",
                          "effective GRO aggregate size the fluid model prices");
   in.sent_rate = reg.gauge("flow.sent_rate_bps", "bps", "sender-side wire rate");
   in.rcv_backlog = reg.gauge("flow.rcv_backlog_bytes", "bytes",
@@ -144,8 +145,8 @@ void TransferSimulation::setup_telemetry(sim::Engine& engine) {
   for (int f = 0; f < nflows; ++f) {
     in.flow_cwnd.push_back(
         reg.gauge("tcp.cwnd_bytes", "flow", f, "bytes", "per-flow congestion window"));
-    in.flow_goodput.push_back(
-        reg.gauge("flow.goodput_bps", "flow", f, "bps", "per-flow delivery rate"));
+    in.flow_goodput.push_back(reg.gauge(obs::kFluidMetrics.goodput_bps, "flow", f, "bps",
+                                        "per-flow delivery rate"));
     in.flow_retx.push_back(reg.counter("tcp.retransmit_segments", "flow", f,
                                        "segments", "per-flow retransmits"));
   }
@@ -160,7 +161,7 @@ void TransferSimulation::setup_telemetry(sim::Engine& engine) {
   // it unconditionally would grow the probe's CSV columns and break the
   // golden headers of scenario-free runs.
   if (scn_) {
-    in.scn_events = reg.counter("scenario.events_applied", "events",
+    in.scn_events = reg.counter(obs::kScenarioEventsApplied, "events",
                                 "scenario events applied so far");
     in.scn_active_flows = reg.gauge("scenario.active_flows", "flows",
                                     "streams currently active (flow churn)");
@@ -238,6 +239,7 @@ TransferResult TransferSimulation::run() {
   if (tel_) {
     sampling.emplace(tel_->sampler(), engine, cfg_.duration.nanos(),
                      obs::Sampler::Source{
+                         .metrics = &obs::kFluidMetrics,
                          .ss = [this](Nanos now) { return build_ss_report(now); },
                          .perf = [this](Nanos now) { return build_perf_report(now); }});
   }

@@ -5,14 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
-#include "dtnsim/lint/internal.hpp"
-
 namespace dtnsim::lint {
-
-// The lexical helpers live in detail:: so the project-wide pass
-// (project.cpp) shares one scrubber/suppression/word-search implementation
-// with the per-file rules.
-namespace detail {
+namespace {
 
 std::vector<std::string> split_path(const std::string& path) {
   std::vector<std::string> parts;
@@ -109,16 +103,21 @@ std::vector<std::string> scrub(const std::vector<std::string>& raw) {
   return out;
 }
 
-bool Suppressions::allows(std::size_t line_idx, const std::string& rule) const {
-  auto hit = [&](std::size_t i) {
-    if (i >= per_line.size()) return false;
-    for (const auto& r : per_line[i]) {
-      if (r == "all" || r == rule) return true;
-    }
-    return false;
-  };
-  return hit(line_idx) || (line_idx > 0 && hit(line_idx - 1));
-}
+// Which rules line N suppresses (via its own or the previous raw line).
+struct Suppressions {
+  std::vector<std::vector<std::string>> per_line;  // rule ids; "all" wildcard
+
+  bool allows(std::size_t line_idx, const std::string& rule) const {
+    auto hit = [&](std::size_t i) {
+      if (i >= per_line.size()) return false;
+      for (const auto& r : per_line[i]) {
+        if (r == "all" || r == rule) return true;
+      }
+      return false;
+    };
+    return hit(line_idx) || (line_idx > 0 && hit(line_idx - 1));
+  }
+};
 
 Suppressions parse_suppressions(const std::vector<std::string>& raw) {
   Suppressions sup;
@@ -143,7 +142,7 @@ Suppressions parse_suppressions(const std::vector<std::string>& raw) {
 }
 
 // Find identifier `word` in `line` at word boundaries; returns npos or index.
-size_t find_word(const std::string& line, const std::string& word, size_t from) {
+size_t find_word(const std::string& line, const std::string& word, size_t from = 0) {
   size_t pos = from;
   while ((pos = line.find(word, pos)) != std::string::npos) {
     const bool left_ok = pos == 0 || !is_ident_char(line[pos - 1]);
@@ -175,41 +174,6 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
-
-std::vector<int> conditional_depth(const std::vector<std::string>& raw) {
-  std::vector<int> depth(raw.size(), 0);
-  int d = 0;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const auto& line = raw[i];
-    const auto hash = line.find_first_not_of(" \t");
-    bool opens = false, closes = false;
-    if (hash != std::string::npos && line[hash] == '#') {
-      auto word = line.find_first_not_of(" \t", hash + 1);
-      if (word != std::string::npos) {
-        auto end = word;
-        while (end < line.size() && is_ident_char(line[end])) ++end;
-        const std::string directive = line.substr(word, end - word);
-        opens = directive == "if" || directive == "ifdef" || directive == "ifndef";
-        closes = directive == "endif";
-      }
-    }
-    if (opens) ++d;
-    if (closes) d = std::max(d - 1, 0);
-    // The `#if` line itself is conditional territory; the `#endif` line is
-    // still inside the region it closes.
-    depth[i] = closes ? d + 1 : d;
-    if (opens) depth[i] = d;
-  }
-  return depth;
-}
-
-}  // namespace detail
-
-// The rule implementations and renderers below predate the detail split;
-// keep their bodies reading as before.
-using namespace detail;
-
-namespace {
 
 // ---- rule: determinism -------------------------------------------------
 

@@ -160,4 +160,27 @@ class Registry {
   std::deque<Entry> entries_;  // deque: stable pointers across growth
 };
 
+// The families both simulation engines publish, spelled once: the fluid
+// engine (flow/transfer.cpp) under flow., the packet engine
+// (flow/packet_sim.cpp) under pkt. The divergence report, the ss
+// delivered-bytes cross-check and the RunRecord goodput column read them.
+// Names only: each engine keeps its own registration sites, order and
+// kinds (fluid gro_aggregate_bytes is a gauge, packet a histogram), since
+// registration order is probe-column order.
+struct EngineMetrics {
+  const char* delivered_bytes;      // counter: payload delivered to the app
+  const char* goodput_bps;          // gauge: delivery rate
+  const char* gro_aggregate_bytes;  // value_of is the mean aggregate size
+};
+
+inline constexpr EngineMetrics kFluidMetrics{
+    "flow.delivered_bytes", "flow.goodput_bps", "flow.gro_aggregate_bytes"};
+inline constexpr EngineMetrics kPacketMetrics{
+    "pkt.delivered_bytes", "pkt.goodput_bps", "pkt.gro_aggregate_bytes"};
+
+// Registered by either engine when a scenario is attached. One name for
+// both, so a shared Telemetry folds fluid and packet events into one
+// counter.
+inline constexpr const char* kScenarioEventsApplied = "scenario.events_applied";
+
 }  // namespace dtnsim::obs

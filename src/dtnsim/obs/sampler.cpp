@@ -29,6 +29,8 @@ Sampler::Session::Session(Sampler& sampler, sim::Engine& engine, Nanos horizon,
   }
   sampler.engine_ = &engine;
   sampler.horizon_ = horizon;
+  sampler.delivered_base_ =
+      source.metrics ? sampler.registry_.value_of(source.metrics->delivered_bytes) : 0.0;
   sampler.source_ = std::move(source);
   for (const Channel c : {Channel::Ss, Channel::Perf, Channel::Series}) sampler.arm(c);
 }
@@ -110,7 +112,9 @@ void Sampler::sample_series(Nanos now) {
 void Sampler::sample_ss(Nanos now) {
   SsReport& r = ss_log_.emplace_back(source_.ss(now));
   r.ts = now;
-  cross_check_delivered(r, registry_);
+  if (source_.metrics) {
+    cross_check_delivered(r, registry_, source_.metrics->delivered_bytes, delivered_base_);
+  }
 
   if (!ss_gauges_) {
     ss_gauges_ = SsGauges{

@@ -17,9 +17,10 @@
 // length is at least the interval. A 1 s sample of a LAN run (200 us
 // rounds) holds every round before t but not the round at t.
 //
-// Every ss sample must agree with the registry's delivered-bytes counter
-// (cross_check_delivered) and every perf sample's stage cycles with its
-// consumed cycles (cross_check_stage_sum); a sample that does not throws.
+// Every ss sample must agree with what the engine's delivered-bytes counter
+// gained since its session opened (cross_check_delivered), and every perf
+// sample's stage cycles with its consumed cycles (cross_check_stage_sum); a
+// sample that does not throws.
 #pragma once
 
 #include <functional>
@@ -42,6 +43,9 @@ class Sampler {
   // What an engine hands the sampler for one run. Each member only reads
   // engine state (sampling is observation).
   struct Source {
+    // The engine's row of the shared-family table (metrics.hpp); ss samples
+    // are cross-checked against its delivered_bytes. Null: no cross-check.
+    const EngineMetrics* metrics = nullptr;
     std::function<void(Nanos)> refresh = {};     // before each series row; may be empty
     std::function<SsReport(Nanos)> ss = {};      // required when ss is enabled
     std::function<PerfReport(Nanos)> perf = {};  // required when perf is enabled
@@ -104,6 +108,9 @@ class Sampler {
   sim::Engine* engine_ = nullptr;
   Nanos horizon_ = 0;
   Source source_;
+  // The source's delivered-bytes counter when the session opened: the
+  // counter accumulates over every run of its engine on one registry.
+  double delivered_base_ = 0.0;
 
   // ss.* and perf.* mirror gauges, registered on the channel's first sample
   // so a run without it never widens the metric table.

@@ -204,21 +204,18 @@ bool write_ss_log(const std::string& path, const std::vector<SsReport>& log) {
   return static_cast<bool>(out);
 }
 
-void cross_check_delivered(const SsReport& report, const Registry& registry) {
-  const char* counter = nullptr;
-  if (report.engine == "fluid") counter = "flow.delivered_bytes";
-  if (report.engine == "packet") counter = "pkt.delivered_bytes";
-  if (!counter || !registry.find(counter)) return;
-  const double probe_view = registry.value_of(counter);
+void cross_check_delivered(const SsReport& report, const Registry& registry,
+                           const std::string& counter, double baseline) {
+  const double probe_view = registry.value_of(counter) - baseline;
   const double ss_view = report.total_bytes_acked();
   // Per-flow vs. per-tick accumulation order differs, so allow fp drift.
   const double tol = 1e-6 * std::max({std::fabs(probe_view), std::fabs(ss_view), 1.0});
   if (std::fabs(probe_view - ss_view) > tol) {
     throw std::logic_error(strfmt(
-        "ss/probe divergence at t=%.6fs: %s=%.6f bytes but ss snapshot sums "
-        "bytes_acked=%.6f (the kernel-eye and iperf3-eye views of one run "
-        "must agree)",
-        units::to_seconds(report.ts), counter, probe_view, ss_view));
+        "ss/probe divergence at t=%.6fs: %s=%.6f bytes this run but ss "
+        "snapshot sums bytes_acked=%.6f (the kernel-eye and iperf3-eye views "
+        "of one run must agree)",
+        units::to_seconds(report.ts), counter.c_str(), probe_view, ss_view));
   }
 }
 

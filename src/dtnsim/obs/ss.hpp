@@ -188,11 +188,13 @@ Json ss_log_to_json(const std::vector<SsReport>& log);
 std::vector<SsReport> ss_log_from_json(const Json& doc);
 bool write_ss_log(const std::string& path, const std::vector<SsReport>& log);
 
-// A snapshot's summed bytes_acked must equal the probe-facing
-// delivered-bytes counter of the same engine (flow.* for fluid, pkt.* for
-// packet) at the same timestamp; the sampler checks every ss sample. Throws
-// std::logic_error on divergence — the two surfaces reporting different
-// totals would mean the "ss view" and the "iperf3 view" of one run disagree.
-void cross_check_delivered(const SsReport& report, const Registry& registry);
+// A snapshot's summed bytes_acked must equal what the run's probe-facing
+// delivered-bytes counter (`counter`, the engine's EngineMetrics row) gained
+// since `baseline`, its value when the run began; the sampler checks every
+// ss sample. Throws std::logic_error on divergence — the two surfaces
+// reporting different totals would mean the "ss view" and the "iperf3 view"
+// of one run disagree.
+void cross_check_delivered(const SsReport& report, const Registry& registry,
+                           const std::string& counter, double baseline);
 
 }  // namespace dtnsim::obs

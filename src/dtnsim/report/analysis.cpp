@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstddef>
 
+#include "dtnsim/obs/metrics.hpp"
+
 namespace dtnsim::report {
 
 double percentile(std::vector<double> values, double q) {
@@ -108,7 +110,8 @@ std::optional<std::pair<units::SimTime, units::SimTime>> episode_window(
 }
 
 std::string goodput_column(const obs::SeriesTable& series) {
-  for (const char* name : {"flow.goodput_bps", "pkt.goodput_bps"}) {
+  for (const obs::EngineMetrics* m : {&obs::kFluidMetrics, &obs::kPacketMetrics}) {
+    const char* name = m->goodput_bps;
     if (series.column_index(name) != static_cast<std::size_t>(-1)) return name;
   }
   return "";

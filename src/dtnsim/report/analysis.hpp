@@ -73,8 +73,9 @@ units::Rate per_flow_skew(const obs::SeriesTable& series, units::SimTime from,
 std::optional<std::pair<units::SimTime, units::SimTime>> episode_window(
     const scenario::EventLog& log);
 
-// The goodput column this series carries: "flow.goodput_bps" (fluid) or
-// "pkt.goodput_bps" (packet); "" when neither exists.
+// The goodput column this series carries: the fluid or the packet
+// engine's goodput_bps (obs::kFluidMetrics / kPacketMetrics); "" when
+// neither exists.
 std::string goodput_column(const obs::SeriesTable& series);
 
 }  // namespace dtnsim::report

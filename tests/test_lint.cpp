@@ -1,14 +1,13 @@
 // Unit tests: dtnsim-lint rules engine (classification, each rule,
-// suppressions, renderers) and the v2 project-wide pass (index
-// construction, metric-parity, parallel determinism).
+// suppressions, renderers).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "dtnsim/lint/lint.hpp"
-#include "dtnsim/lint/project.hpp"
 #include "dtnsim/util/json.hpp"
 
 namespace dtnsim::lint {
@@ -198,110 +197,7 @@ TEST(LintOutput, JsonFormatAndEscaping) {
   EXPECT_EQ(to_json({}), "{\"count\":0,\"findings\":[]}");
 }
 
-// ---- v2: project index construction ---------------------------------------
-
-TEST(ProjectIndex, MetricSitesEngineTaggingAndWrappedLiterals) {
-  const std::string fluid =
-      "void reg_metrics(obs::Registry& reg) {\n"
-      "  reg.counter(\"flow.x_bytes\", \"bytes\", \"h\");\n"
-      "  reg.gauge(\n"
-      "      \"flow.y_bps\", \"bps\", \"wrapped onto the next line\");\n"
-      "  reg.counter(std::string(\"limit.\") + name, \"ticks\", \"h\");\n"
-      "}\n";
-  const auto idx = index_file("src/dtnsim/flow/transfer.cpp", fluid);
-  ASSERT_EQ(idx.metrics.size(), 2u);  // the computed name is invisible
-  EXPECT_EQ(idx.metrics[0].name, "flow.x_bytes");
-  EXPECT_EQ(idx.metrics[0].engine, "fluid");
-  EXPECT_EQ(idx.metrics[1].name, "flow.y_bps");
-  EXPECT_TRUE(idx.metrics[1].library);
-  const auto pkt = index_file("src/dtnsim/flow/packet_sim.cpp",
-                              "void f(R& r) { r.counter(\"pkt.x\", \"b\", \"h\"); }\n");
-  ASSERT_EQ(pkt.metrics.size(), 1u);
-  EXPECT_EQ(pkt.metrics[0].engine, "packet");
-}
-
-// ---- v2: cross-file rules ---------------------------------------------------
-
-std::vector<Finding> project_findings(
-    const std::vector<FileContent>& files, std::string doc_text = "") {
-  return run_project_rules(build_index(files, std::move(doc_text)));
-}
-
-TEST(ProjectRules, MetricParityFlagsSingleEngineFamily) {
-  const auto fs = project_findings(
-      {{"src/dtnsim/flow/transfer.cpp",
-        "void f(R& r) {\n"
-        "  r.counter(\"flow.alpha\", \"b\", \"h\");\n"
-        "  r.gauge(\"flow.beta_bps\", \"bps\", \"h\");\n"
-        "}\n"},
-       {"src/dtnsim/flow/packet_sim.cpp",
-        "void f(R& r) { r.counter(\"pkt.alpha\", \"b\", \"h\"); }\n"}});
-  ASSERT_EQ(count_rule(fs, "metric-parity"), 1);
-  EXPECT_NE(fs[0].message.find("flow.beta_bps"), std::string::npos);
-}
-
-TEST(ProjectRules, MetricParityAllowlistAndSuppression) {
-  // scenario.active_flows is a real, explained allowlist entry.
-  ASSERT_NE(metric_parity_allowance("scenario.active_flows"), nullptr);
-  const auto allow_listed = project_findings(
-      {{"src/dtnsim/flow/transfer.cpp",
-        "void f(R& r) { r.gauge(\"scenario.active_flows\", \"flows\", \"h\"); }\n"}});
-  EXPECT_EQ(count_rule(allow_listed, "metric-parity"), 0);
-  const auto suppressed = project_findings(
-      {{"src/dtnsim/flow/transfer.cpp",
-        "void f(R& r) {\n"
-        "  // dtnsim-lint: allow(metric-parity)\n"
-        "  r.gauge(\"flow.oddball_bps\", \"bps\", \"h\");\n"
-        "}\n"}});
-  EXPECT_EQ(count_rule(suppressed, "metric-parity"), 0);
-  // A site under #ifdef cannot be judged from one configuration.
-  const auto guarded = project_findings(
-      {{"src/dtnsim/flow/transfer.cpp",
-        "void f(R& r) {\n"
-        "#ifdef DTNSIM_EXOTIC\n"
-        "  r.gauge(\"flow.oddball_bps\", \"bps\", \"h\");\n"
-        "#endif\n"
-        "}\n"}});
-  EXPECT_EQ(count_rule(guarded, "metric-parity"), 0);
-}
-
-TEST(ProjectRules, MetricParityDocCheck) {
-  const std::vector<FileContent> files = {
-      {"src/dtnsim/obs/metrics_reg.cpp",
-       "void f(R& r) { r.counter(\"tcp.fixture_counter\", \"b\", \"h\"); }\n"}};
-  // Not documented -> flagged; documented -> clean; no doc text -> disabled.
-  EXPECT_EQ(count_rule(project_findings(files, "# docs\n"), "metric-parity"), 1);
-  EXPECT_EQ(count_rule(project_findings(files, "`tcp.fixture_counter` ..."),
-                       "metric-parity"),
-            0);
-  EXPECT_EQ(count_rule(project_findings(files), "metric-parity"), 0);
-}
-
-// ---- v2: parallel driver ----------------------------------------------------
-
-TEST(ProjectDriver, JobsOutputIsByteIdenticalToSerial) {
-  std::vector<FileContent> files;
-  for (int i = 0; i < 24; ++i) {
-    const std::string path =
-        "src/dtnsim/fake/f" + std::to_string(i) + ".cpp";
-    files.push_back({path, "int r" + std::to_string(i) + " = rand();\n"});
-  }
-  files.push_back({"src/dtnsim/flow/transfer.cpp",
-                   "void f(R& r) { r.gauge(\"flow.lonely_bps\", \"bps\", \"h\"); }\n"});
-  ProjectOptions serial;
-  serial.jobs = 1;
-  ProjectOptions wide;
-  wide.jobs = 4;
-  const auto a = lint_project(files, serial);
-  const auto b = lint_project(files, wide);
-  EXPECT_EQ(to_json(a), to_json(b));
-  EXPECT_EQ(count_rule(a, "determinism"), 24);
-  EXPECT_EQ(count_rule(a, "metric-parity"), 1);
-  // Per-file findings come first, in input order; project findings last.
-  EXPECT_EQ(a.back().rule, "metric-parity");
-}
-
-// ---- v2: --json schema golden ----------------------------------------------
+// ---- --json schema golden ----------------------------------------------
 
 void collect_key_paths(const Json& j, const std::string& prefix,
                        std::set<std::string>& out) {

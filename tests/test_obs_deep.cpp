@@ -1,7 +1,8 @@
-// Deep-telemetry tests: packet-sim instrumentation, per-flow label tracks,
-// streaming trace export, divergence report, config validation, and the
-// metrics-CSV golden header (the same header CI smokes via
-// bench/table3_flow_control --quick --metrics-out).
+// Deep-telemetry tests: packet-sim instrumentation, fluid/packet metric
+// parity, per-flow label tracks, streaming trace export, divergence report,
+// config validation, the metrics-CSV golden header (the same header CI
+// smokes via bench/table3_flow_control --quick --metrics-out), and the
+// metric catalog in docs/OBSERVABILITY.md.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -14,6 +15,8 @@
 #include "dtnsim/flow/transfer.hpp"
 #include "dtnsim/harness/testbeds.hpp"
 #include "dtnsim/obs/telemetry.hpp"
+#include "dtnsim/scenario/scenario.hpp"
+#include "dtnsim/sweep/campaign.hpp"
 
 namespace dtnsim {
 namespace {
@@ -145,10 +148,31 @@ TEST(PacketSimTelemetry, OverflowEmitsInstantAndDrops) {
   EXPECT_LT(tel.trace().count("pkt_ring_overflow"), res.segments_dropped);
 }
 
+// Every entry of one engine's row of the shared-family table.
+std::vector<const char*> table_row(const obs::EngineMetrics& m) {
+  return {m.delivered_bytes, m.goodput_bps, m.gro_aggregate_bytes};
+}
+
+// A timeline both engines apply: re-pacing at the rate already set.
+scenario::Timeline repace_at_10g() {
+  scenario::Timeline tl;
+  tl.name = "repace";
+  scenario::Event ev;
+  ev.kind = scenario::EventKind::QdiscPacingRate;
+  ev.value = units::gbps(10);
+  tl.events.push_back(ev);
+  return tl;
+}
+
+// Metric parity between the engines, checked on the registry the runs
+// built: each engine publishes its whole row of the shared-family table,
+// and with a scenario attached each counts its events under the one
+// scenario name.
 TEST(PacketSimTelemetry, SharesRegistryWithFluidRun) {
   obs::TelemetryConfig tcfg;
   tcfg.enabled = true;
   obs::Telemetry tel(tcfg);
+  const auto& reg = tel.registry();
 
   const auto tb = harness::amlight_baremetal(kern::KernelVersion::V6_8);
   flow::TransferConfig fcfg;
@@ -158,20 +182,30 @@ TEST(PacketSimTelemetry, SharesRegistryWithFluidRun) {
   fcfg.streams = 1;
   fcfg.flow.fq_rate_bps = units::gbps(10);
   fcfg.duration = units::SimTime::from_seconds(2);
+  fcfg.scenario = repace_at_10g();
   fcfg.telemetry = &tel;
   flow::run_transfer(fcfg);
+  for (const char* name : table_row(obs::kFluidMetrics)) {
+    EXPECT_NE(reg.find(name), nullptr) << "fluid engine did not register " << name;
+  }
+  const double fluid_events = reg.value_of(obs::kScenarioEventsApplied);
+  EXPECT_DOUBLE_EQ(fluid_events, 1.0);
 
   auto pcfg = packet_cfg();
+  pcfg.scenario = repace_at_10g();
   pcfg.telemetry = &tel;
   flow::run_packet_sim(pcfg);
+  for (const char* name : table_row(obs::kPacketMetrics)) {
+    EXPECT_NE(reg.find(name), nullptr) << "packet engine did not register " << name;
+  }
+  EXPECT_DOUBLE_EQ(reg.value_of(obs::kScenarioEventsApplied), fluid_events + 1.0)
+      << "packet engine did not count its scenario event under "
+      << obs::kScenarioEventsApplied;
 
-  // Both engines' families coexist in one registry...
-  const auto& reg = tel.registry();
-  EXPECT_NE(reg.find("flow.goodput_bps"), nullptr);
-  EXPECT_NE(reg.find("pkt.goodput_bps"), nullptr);
-  // ...and the probe table absorbed the column growth (zero-padded rows).
+  // The probe table absorbed the column growth (zero-padded rows).
   const auto& series = tel.series();
-  EXPECT_NE(series.column_index("pkt.goodput_bps"), static_cast<std::size_t>(-1));
+  EXPECT_NE(series.column_index(obs::kPacketMetrics.goodput_bps),
+            static_cast<std::size_t>(-1));
   for (const auto& row : series.rows) EXPECT_EQ(row.size(), series.columns.size());
 
   const auto rep = flow::divergence_report("shared", reg, units::SimTime::from_seconds(2.0),
@@ -401,6 +435,58 @@ TEST(MetricsCsvGolden, HeaderMatchesCheckedInGolden) {
   EXPECT_EQ(header, golden)
       << "metric column set changed; regenerate tests/golden/"
          "table3_metrics_header.csv (see docs/OBSERVABILITY.md)";
+}
+
+// docs/OBSERVABILITY.md names, backticked, every metric a run can register:
+// the runs below take every registration branch in src/ (fluid multi-stream
+// + scenario + ss + perf, packet + scenario + ss + perf, a campaign with
+// CampaignOptions::metrics). A labeled instance is documented by its family.
+TEST(MetricDocs, EveryRegisteredNameIsDocumented) {
+  const std::string doc = slurp(std::string(DTNSIM_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  ASSERT_FALSE(doc.empty());
+
+  obs::TelemetryConfig tcfg;
+  tcfg.enabled = true;
+  tcfg.ss_enabled = true;
+  tcfg.perf_enabled = true;
+  obs::Telemetry tel(tcfg);
+
+  const auto tb = harness::amlight_baremetal(kern::KernelVersion::V6_8);
+  flow::TransferConfig fcfg;
+  fcfg.sender = tb.sender;
+  fcfg.receiver = tb.receiver;
+  fcfg.path = tb.lan();
+  fcfg.streams = 2;
+  fcfg.flow.fq_rate_bps = units::gbps(10);
+  fcfg.duration = units::SimTime::from_millis(200);
+  fcfg.scenario = repace_at_10g();
+  fcfg.telemetry = &tel;
+  flow::run_transfer(fcfg);
+
+  auto pcfg = packet_cfg();
+  pcfg.scenario = repace_at_10g();
+  pcfg.telemetry = &tel;
+  flow::run_packet_sim(pcfg);
+
+  sweep::GridSpec grid;
+  grid.name = "docs";
+  grid.duration_sec = 0.2;
+  grid.repeats = 1;
+  obs::Registry campaign_metrics;
+  sweep::CampaignOptions opts;
+  opts.metrics = &campaign_metrics;
+  sweep::run_campaign(grid, opts);
+
+  std::vector<std::string> undocumented;
+  for (const obs::Registry* reg : {&tel.registry(), &campaign_metrics}) {
+    for (const auto& m : reg->snapshot()) {
+      const std::string& name = m.desc->family.empty() ? m.desc->name : m.desc->family;
+      if (doc.find("`" + name + "`") == std::string::npos) undocumented.push_back(name);
+    }
+  }
+  EXPECT_TRUE(undocumented.empty())
+      << "registered but not named in backticks in docs/OBSERVABILITY.md: "
+      << ::testing::PrintToString(undocumented);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Kernel-eye snapshots (dtnsim-ss): field consistency against the shared
-// Registry, the Fig. 9 zerocopy/optmem pathology and its tuned clearing,
-// NIC/qdisc counter monotonicity under --watch, JSON round-trips through
-// Json::parse, the zero-cost-when-disabled guarantee, and the snapshot key
-// schema golden (tests/golden/ss_snapshot_keys.txt).
+// Registry (also across repeated runs on one Telemetry), the Fig. 9
+// zerocopy/optmem pathology and its tuned clearing, NIC/qdisc counter
+// monotonicity under --watch, JSON round-trips through Json::parse, the
+// zero-cost-when-disabled guarantee, and the snapshot key schema golden
+// (tests/golden/ss_snapshot_keys.txt).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -86,7 +87,8 @@ TEST(SsSnapshot, FieldsConsistentWithRegistryAndProbe) {
 
   // ss's bytes_acked and the probe-facing delivered-bytes counter are two
   // views of the same events (the sampler cross-checks every ss sample).
-  EXPECT_NO_THROW(obs::cross_check_delivered(last, tel.registry()));
+  EXPECT_NO_THROW(obs::cross_check_delivered(last, tel.registry(),
+                                             obs::kFluidMetrics.delivered_bytes, 0.0));
   EXPECT_NEAR(last.total_bytes_acked(), tel.registry().value_of("flow.delivered_bytes"),
               1e-6 * last.total_bytes_acked());
   // delivery_rate mirrors the per-flow goodput gauges.
@@ -156,9 +158,58 @@ TEST(SsSnapshot, PacketEngineSnapshotAgreesWithResult) {
   EXPECT_EQ(rep.engine, "packet");
   ASSERT_EQ(rep.sockets.size(), 1u);
   EXPECT_DOUBLE_EQ(rep.sockets[0].bytes_acked, res.delivered_bytes);
-  EXPECT_NO_THROW(obs::cross_check_delivered(rep, tel.registry()));
+  EXPECT_NO_THROW(obs::cross_check_delivered(rep, tel.registry(),
+                                             obs::kPacketMetrics.delivered_bytes, 0.0));
   EXPECT_GT(rep.nic.rx_bytes, 0.0);
   EXPECT_GT(rep.qdisc.sent_bytes, 0.0);
+}
+
+// flow.delivered_bytes and pkt.delivered_bytes accumulate over every run of
+// their engine on one Telemetry, while an ss snapshot sums one run's
+// sockets: each session cross-checks what its own run added.
+TEST(SsSnapshot, RepeatedRunsOnOneTelemetryEachPassTheCrossCheck) {
+  obs::TelemetryConfig tcfg;
+  tcfg.enabled = true;
+  tcfg.ss_enabled = true;
+  obs::Telemetry tel(tcfg);
+
+  const auto esnet = harness::esnet(kern::KernelVersion::V6_8);
+  flow::TransferConfig fluid;
+  fluid.sender = esnet.sender;
+  fluid.receiver = esnet.receiver;
+  fluid.path = esnet.lan();
+  fluid.duration = units::SimTime::from_seconds(1);
+  fluid.telemetry = &tel;
+
+  const auto amlight = harness::amlight_baremetal(kern::KernelVersion::V6_8);
+  flow::PacketSimConfig packet;
+  packet.sender = amlight.sender;
+  packet.receiver = amlight.receiver;
+  packet.path = amlight.lan();
+  packet.duration = units::SimTime::from_millis(5);
+  packet.pacing_bps = units::gbps(10);
+  packet.window_bytes = 64e6;
+  packet.telemetry = &tel;
+
+  const auto& reg = tel.registry();
+  double fluid_once = 0.0, packet_once = 0.0;
+  for (int run = 0; run < 2; ++run) {
+    ASSERT_NO_THROW(flow::run_transfer(fluid)) << "fluid run " << run;
+    EXPECT_EQ(tel.ss_log().back().engine, "fluid");
+    if (run == 0) fluid_once = reg.value_of(obs::kFluidMetrics.delivered_bytes);
+    ASSERT_NO_THROW(flow::run_packet_sim(packet)) << "packet run " << run;
+    EXPECT_EQ(tel.ss_log().back().engine, "packet");
+    if (run == 0) packet_once = reg.value_of(obs::kPacketMetrics.delivered_bytes);
+  }
+  // Same seed, same run: each counter holds twice one run's bytes (to the
+  // rounding of adding onto a nonzero total).
+  EXPECT_GT(fluid_once, 0.0);
+  EXPECT_GT(packet_once, 0.0);
+  EXPECT_NEAR(reg.value_of(obs::kFluidMetrics.delivered_bytes), 2.0 * fluid_once,
+              1e-9 * fluid_once);
+  EXPECT_NEAR(reg.value_of(obs::kPacketMetrics.delivered_bytes), 2.0 * packet_once,
+              1e-9 * packet_once);
+  EXPECT_DOUBLE_EQ(tel.ss_log().back().total_bytes_acked(), packet_once);
 }
 
 TEST(SsSnapshot, JsonRoundTripsThroughParser) {

@@ -1,10 +1,8 @@
 // dtnsim-lint CLI: walk the given files/directories, lint every .cpp/.hpp,
 // and report findings. Exit 0 when clean, 1 when findings exist, 2 on usage
-// or I/O errors. See src/dtnsim/lint/lint.hpp for the per-file rule set and
-// src/dtnsim/lint/project.hpp for the project-wide (cross-file) rules.
+// or I/O errors. See src/dtnsim/lint/lint.hpp for the rule set.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,7 +10,6 @@
 #include <vector>
 
 #include "dtnsim/lint/lint.hpp"
-#include "dtnsim/lint/project.hpp"
 
 namespace fs = std::filesystem;
 
@@ -73,19 +70,10 @@ bool read_file(const fs::path& p, std::string& out) {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: dtnsim-lint [options] <file-or-dir>...\n"
-      "  --json                machine-readable output\n"
-      "  --project             also run the cross-file rule (metric-parity)\n"
-      "                        over all inputs\n"
-      "  --jobs N              lint/index files on N worker threads\n"
-      "                        (0 = usable CPUs; output is\n"
-      "                        byte-identical to --jobs 1)\n"
-      "  --docs FILE           metrics doc for the metric-parity doc check\n"
-      "                        (default: docs/OBSERVABILITY.md if present)\n"
-      "  --no-docs             disable the metric-parity doc check\n"
-      "  --explain-allowlist   print the metric-parity allowlist and exit\n"
-      "Per-file rules: determinism, raw-unit-double, include-hygiene,\n"
-      "mutex-guard. Suppress any rule with: // dtnsim-lint: allow(<rule>)\n");
+      "usage: dtnsim-lint [--json] <file-or-dir>...\n"
+      "  --json   machine-readable output\n"
+      "Rules: determinism, raw-unit-double, include-hygiene, mutex-guard.\n"
+      "Suppress any rule with: // dtnsim-lint: allow(<rule>)\n");
   return 2;
 }
 
@@ -93,26 +81,11 @@ int usage() {
 
 int main(int argc, char** argv) {
   bool json = false;
-  bool project = false;
-  bool no_docs = false;
-  int jobs = 1;
-  std::string docs_path;
   std::vector<fs::path> roots;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       json = true;
-    } else if (arg == "--project") {
-      project = true;
-    } else if (arg == "--no-docs") {
-      no_docs = true;
-    } else if (arg == "--explain-allowlist") {
-      std::printf("%s", dtnsim::lint::format_metric_allowlist().c_str());
-      return 0;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (arg == "--docs" && i + 1 < argc) {
-      docs_path = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
       return usage();
     } else if (!arg.empty() && arg[0] == '-') {
@@ -136,39 +109,25 @@ int main(int argc, char** argv) {
             });
   paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
 
-  std::vector<dtnsim::lint::FileContent> files;
-  files.reserve(paths.size());
+  std::vector<dtnsim::lint::Finding> findings;
   for (const auto& p : paths) {
     std::string content;
     if (!read_file(p, content)) {
       std::fprintf(stderr, "dtnsim-lint: cannot read %s\n", p.string().c_str());
       return 2;
     }
-    files.push_back({p.generic_string(), std::move(content)});
+    const auto found = dtnsim::lint::lint_file(p.generic_string(), content);
+    findings.insert(findings.end(), found.begin(), found.end());
   }
-
-  dtnsim::lint::ProjectOptions opts;
-  opts.jobs = jobs;
-  opts.project_rules = project;
-  if (project && !no_docs) {
-    if (docs_path.empty() && fs::exists("docs/OBSERVABILITY.md"))
-      docs_path = "docs/OBSERVABILITY.md";
-    if (!docs_path.empty() && !read_file(docs_path, opts.doc_text)) {
-      std::fprintf(stderr, "dtnsim-lint: cannot read docs file %s\n",
-                   docs_path.c_str());
-      return 2;
-    }
-  }
-  const auto findings = dtnsim::lint::lint_project(files, opts);
 
   if (json) {
     std::printf("%s\n", dtnsim::lint::to_json(findings).c_str());
   } else if (!findings.empty()) {
     std::printf("%s", dtnsim::lint::to_human(findings).c_str());
     std::printf("dtnsim-lint: %zu finding(s) in %zu file(s) scanned\n",
-                findings.size(), files.size());
+                findings.size(), paths.size());
   } else {
-    std::printf("dtnsim-lint: clean (%zu files scanned)\n", files.size());
+    std::printf("dtnsim-lint: clean (%zu files scanned)\n", paths.size());
   }
   return findings.empty() ? 0 : 1;
 }
