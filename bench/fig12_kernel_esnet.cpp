@@ -3,10 +3,10 @@
 // 6.5, over 30% total.
 //
 // Ported to the sweep campaign engine: the kernels x paths grid is declared
-// once, cells run on the worker pool (--jobs N; defaults to serial), and a
-// result cache directory (--cache DIR) makes re-runs free. Cells come back
-// in grid order — kernels slowest axis, paths fastest — so row k, column p
-// is cells[k * paths + p].
+// once, cells run on the shared pool (at most --jobs N threads; defaults to
+// serial), and a result cache directory (--cache DIR) makes re-runs free.
+// Cells come back in grid order — kernels slowest axis, paths fastest — so
+// row k, column p is cells[k * paths + p].
 #include "bench_common.hpp"
 
 using namespace dtnsim;

@@ -10,9 +10,10 @@
 // does not change average throughput — until it undershoots the path.
 //
 // Ported to the sweep campaign engine: the pacing ladder is one GridSpec
-// axis, cells run on the worker pool (--jobs N), and the grid's telemetry
-// knob arms the interval probe for every cell (telemetry-enabled cells are
-// never cached, so --cache only matters for cache-dir plumbing smokes).
+// axis, cells run on the shared pool (at most --jobs N threads), and the
+// grid's telemetry knob arms the interval probe for every cell
+// (telemetry-enabled cells are never cached, so --cache only matters for
+// cache-dir plumbing smokes).
 // Cells come back in grid order: cells[i] is the i-th pacing value.
 //
 // This bench doubles as the per-flow-telemetry demo: the per-flow skew

@@ -55,7 +55,7 @@ bool needs_value(const std::string& flag) {
          flag == "-C" || flag == "--congestion" || flag == "--fq-rate" ||
          flag == "--testbed" || flag == "--path" || flag == "--kernel" ||
          flag == "--optmem" || flag == "--ring" || flag == "--repeats" ||
-         flag == "--seed" || flag == "--jobs" || flag == "--probe-interval" ||
+         flag == "--seed" || flag == "--probe-interval" ||
          flag == "--metrics-out" || flag == "--trace-out" || flag == "--trace-stream" ||
          flag == "--ss-watch" || flag == "--ss-out" || flag == "--perf-watch" ||
          flag == "--perf-out" || flag == "--scenario" || flag == "--scenario-out" ||
@@ -175,14 +175,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       o.repeats = std::max(std::atoi(value.c_str()), 1);
     } else if (flag == "--seed") {
       o.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (flag == "--jobs") {
-      char* end = nullptr;
-      const long jobs = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end != value.c_str() + value.size() || jobs < 0) {
-        o.error = "bad --jobs (need >= 0; 0 = one per usable CPU): " + value;
-        return o;
-      }
-      o.jobs = static_cast<int>(jobs);
     } else if (flag == "--probe-interval") {
       o.probe_interval_sec = std::atof(value.c_str());
       if (o.probe_interval_sec <= 0) {
@@ -248,8 +240,6 @@ std::string cli_help() {
       "      --ring N           RX/TX ring descriptors\n"
       "      --repeats N        repeats with seed substreams (default 1)\n"
       "      --seed N           RNG seed\n"
-      "      --jobs N           worker threads for batch/sweep runs\n"
-      "                         (default 1 = serial; 0 = one per usable CPU)\n"
       "observability flags (docs/OBSERVABILITY.md):\n"
       "      --probe-interval S telemetry sampling cadence in seconds (default 1)\n"
       "      --metrics-out F    write per-interval metric series as CSV\n"

@@ -19,7 +19,6 @@
 //   --ring N                RX/TX descriptors
 //   --repeats N             harness repeats (default 1)
 //   --seed N                RNG seed
-//   --jobs N                worker threads for batch runs (0 = hw threads)
 // Observability (see docs/OBSERVABILITY.md):
 //   --probe-interval SEC    telemetry sampling cadence (iperf3 -i analogue)
 //   --metrics-out PATH      per-interval metric series -> CSV
@@ -67,10 +66,6 @@ struct CliOptions {
   int ring = -1;              // < 0 -> testbed default
   int repeats = 1;
   std::uint64_t seed = 0x5eed;
-  // Worker threads for batch execution (harness::run_tests / the sweep
-  // campaign engine). 1 = serial, 0 = one per usable CPU. A single-spec run
-  // ignores it.
-  int jobs = 1;
   // Telemetry: any of these switches the probe/trace machinery on.
   double probe_interval_sec = 1.0;
   std::string metrics_out;    // "" -> no CSV series written

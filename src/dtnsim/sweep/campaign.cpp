@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,13 +21,21 @@
 namespace dtnsim::sweep {
 namespace {
 
+// Seconds on a monotonic clock. Wall time and occupancy are reporting-only;
+// results stay seed-deterministic.
+double now_sec() {
+  // dtnsim-lint: allow(determinism)
+  const auto t = std::chrono::steady_clock::now().time_since_epoch();
+  return std::chrono::duration<double>(t).count();
+}
+
 // Fingerprint of the expanded grid: hashes every cell's content address, so
 // any change to any knob, axis value or ordering-relevant property shows up.
-std::string grid_fingerprint(const std::vector<Cell>& cells) {
+std::string grid_fingerprint(const std::vector<CellOutcome>& cells) {
   std::string text(kCacheSalt);
   for (const auto& cell : cells) {
     text += '\n';
-    text += spec_key_hex(cell.spec);
+    text += cell.key_hex;
   }
   return strfmt("%016llx", static_cast<unsigned long long>(fnv1a64(text)));
 }
@@ -68,7 +77,7 @@ Json row_json(const CellOutcome& out, const std::string& spec_name) {
 struct Checkpoint {
   std::string grid;            // fingerprint from the header line
   std::size_t cells = 0;       // grid size from the header line
-  std::vector<std::string> done_keys;
+  std::set<std::string> done_keys;
 };
 
 // Parse an existing manifest; nullopt when the file does not exist.
@@ -90,20 +99,31 @@ std::optional<Checkpoint> read_checkpoint(const std::string& path) {
       continue;
     }
     const std::string key = doc->string_at("key", "");
-    if (!key.empty()) ckpt.done_keys.push_back(key);
+    if (!key.empty()) ckpt.done_keys.insert(key);
   }
   if (!have_header) return std::nullopt;
   return ckpt;
 }
 
 // An append-or-truncate line stream that flushes after every line, so the
-// manifest and the results stream survive a kill between cells.
+// manifest and the results stream survive a kill between cells. Appending
+// to a file whose last line a kill cut short first ends that line, so the
+// fragment stays a torn line of its own and the new lines still parse.
 class LineWriter {
  public:
   LineWriter(const std::string& path, bool append) {
     if (path.empty()) return;
+    bool torn = false;
+    if (append) {
+      std::ifstream in(path, std::ios::binary | std::ios::ate);
+      if (in && in.tellg() > 0) {
+        in.seekg(-1, std::ios::end);
+        torn = in.get() != '\n';
+      }
+    }
     out_.open(path, append ? std::ios::app : std::ios::trunc);
     if (!out_) throw std::runtime_error("sweep: cannot open " + path + " for writing");
+    if (torn) out_ << '\n';
   }
   bool enabled() const { return out_.is_open(); }
   void line(const std::string& text) {
@@ -119,33 +139,42 @@ class LineWriter {
 }  // namespace
 
 CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
-  // Wall-clock is reporting-only here; results stay seed-deterministic.
-  const auto t0 = std::chrono::steady_clock::now();  // dtnsim-lint: allow(determinism)
-  std::vector<Cell> cells = expand(grid);  // throws on a malformed grid
+  const double t0 = now_sec();
+  if (opts.resume && opts.results_path.empty()) {
+    throw std::invalid_argument(
+        "sweep resume: the manifest lives at <out>.ckpt, so resuming needs the "
+        "results stream path (--out FILE)");
+  }
+  const std::vector<Cell> cells = expand(grid);  // throws on a malformed grid
 
   CampaignReport report;
   report.name = grid.name;
   report.total = cells.size();
-  report.jobs = resolve_jobs(opts.jobs);
-
-  std::string checkpoint_path = opts.checkpoint_path;
-  if (checkpoint_path.empty() && !opts.results_path.empty()) {
-    checkpoint_path = opts.results_path + ".ckpt";
+  report.jobs = std::min(resolve_jobs(opts.jobs), resolve_jobs(0));
+  report.cells.resize(cells.size());
+  // Each cell's content address, hashed once: the fingerprint, the resume
+  // check, the rows and the manifest lines all read it from here.
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    CellOutcome& out = report.cells[i];
+    out.index = i;
+    out.key_hex = spec_key_hex(cells[i].spec);
+    out.coords = cells[i].coords;
   }
 
   // Resume: collect the keys the manifest says are complete.
-  const std::string fingerprint = grid_fingerprint(cells);
-  std::vector<std::string> done_keys;
+  const std::string fingerprint = grid_fingerprint(report.cells);
+  const std::string manifest_path = opts.results_path.empty() ? "" : opts.results_path + ".ckpt";
+  std::set<std::string> done_keys;
   bool appending = false;
-  if (opts.resume && !checkpoint_path.empty()) {
-    if (const auto ckpt = read_checkpoint(checkpoint_path)) {
+  if (opts.resume) {
+    if (auto ckpt = read_checkpoint(manifest_path)) {
       if (ckpt->grid != fingerprint || ckpt->cells != cells.size()) {
         throw std::runtime_error(strfmt(
             "sweep resume: checkpoint %s was written for a different grid "
             "(fingerprint %s vs %s) — refusing to mix campaigns",
-            checkpoint_path.c_str(), ckpt->grid.c_str(), fingerprint.c_str()));
+            manifest_path.c_str(), ckpt->grid.c_str(), fingerprint.c_str()));
       }
-      done_keys = ckpt->done_keys;
+      done_keys = std::move(ckpt->done_keys);
       appending = true;  // keep prior rows; append the rest
     }
   }
@@ -154,7 +183,7 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
   if (!opts.cache_dir.empty()) cache = std::make_unique<ResultCache>(opts.cache_dir);
 
   LineWriter results(opts.results_path, appending);
-  LineWriter manifest(checkpoint_path, appending);
+  LineWriter manifest(manifest_path, appending);
   if (manifest.enabled() && !appending) {
     Json header = Json::object();
     header["schema"] = std::string(kCacheSalt);
@@ -183,87 +212,72 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
                                         "cells that ran the simulator");
     m_resumed = opts.metrics->counter("sweep.cells_resumed", "cells",
                                       "cells skipped via the checkpoint manifest");
-    m_jobs = opts.metrics->gauge("sweep.jobs", "threads", "worker pool size");
+    m_jobs = opts.metrics->gauge("sweep.jobs", "threads", "most threads running cells");
     m_wall = opts.metrics->gauge("sweep.wall_sec", "s", "campaign wall time");
     m_occupancy = opts.metrics->gauge("sweep.worker_occupancy", "frac",
-                                      "pool busy time / (jobs * wall)");
+                                      "summed cell busy time / (jobs * wall)");
     m_total->set(static_cast<double>(cells.size()));
     m_jobs->set(static_cast<double>(report.jobs));
   }
 
-  report.cells.resize(cells.size());
-  std::mutex io_mu;  // serializes row/manifest writes + shared counters
-
-  WorkerPool pool(report.jobs);
-  std::size_t scheduled = 0;
+  // Cells the manifest marks done are set aside and re-served from the
+  // cache when possible; the rest run on the shared pool.
+  std::vector<std::size_t> todo;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    Cell& cell = cells[i];
     CellOutcome& out = report.cells[i];
-    out.index = i;
-    out.key_hex = spec_key_hex(cell.spec);
-    out.coords = cell.coords;
-
-    // Resumed cells never reach the pool; re-serve from cache if possible.
-    const bool already_done =
-        std::find(done_keys.begin(), done_keys.end(), out.key_hex) != done_keys.end();
-    if (already_done) {
-      out.resumed = true;
-      out.done = true;
-      ++report.resumed;
-      if (m_resumed) m_resumed->increment();
-      if (cache && cache->load(cell.spec, &out.result)) out.cached = true;
+    if (!done_keys.contains(out.key_hex)) {
+      todo.push_back(i);
       continue;
     }
-    if (opts.max_cells > 0 && scheduled >= opts.max_cells) {
-      ++report.pending;
-      continue;
-    }
-    ++scheduled;
-
-    pool.submit([&cell, &out, &report, &results, &manifest, &io_mu, &cache,
-                 m_done, m_cached, m_simulated] {
-      bool cached = false;
-      harness::TestResult result;
-      // Telemetry payloads are not cacheable; bypass the store for them.
-      const bool cacheable = cache && !cell.spec.telemetry.enabled;
-      if (cacheable && cache->load(cell.spec, &result)) {
-        cached = true;
-      } else {
-        result = harness::run_test(cell.spec);
-        if (cacheable) cache->store(cell.spec, result);
-      }
-
-      std::lock_guard<std::mutex> lock(io_mu);
-      out.result = std::move(result);
-      out.cached = cached;
-      out.done = true;
-      if (cached) {
-        ++report.cached;
-        if (m_cached) m_cached->increment();
-      } else {
-        ++report.simulated;
-        if (m_simulated) m_simulated->increment();
-      }
-      if (m_done) m_done->increment();
-      // Result row first, then the manifest line: a cell is only ever
-      // marked done after its row is on disk.
-      results.line(row_json(out, cell.spec.name).dump());
-      Json done = Json::object();
-      done["index"] = static_cast<std::int64_t>(out.index);
-      done["key"] = out.key_hex;
-      manifest.line(done.dump());
-    });
+    out.resumed = true;
+    out.done = true;
+    ++report.resumed;
+    if (m_resumed) m_resumed->increment();
+    if (cache && cache->load(cells[i].spec, &out.result)) out.cached = true;
   }
-  pool.wait();
 
-  report.wall_sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -  // dtnsim-lint: allow(determinism)
-                                    t0)
-          .count();
+  std::mutex io_mu;  // serializes row/manifest writes, counters, busy time
+  double busy_sec = 0.0;
+  parallel_for(todo.size(), report.jobs, [&](std::size_t k) {
+    const double start = now_sec();
+    const Cell& cell = cells[todo[k]];
+    CellOutcome& out = report.cells[todo[k]];
+    bool cached = false;
+    harness::TestResult result;
+    // Telemetry payloads are not cacheable; bypass the store for them.
+    const bool cacheable = cache && !cell.spec.telemetry.enabled;
+    if (cacheable && cache->load(cell.spec, &result)) {
+      cached = true;
+    } else {
+      result = harness::run_test(cell.spec);
+      if (cacheable) cache->store(cell.spec, result);
+    }
+
+    const std::lock_guard<std::mutex> lock(io_mu);
+    out.result = std::move(result);
+    out.cached = cached;
+    out.done = true;
+    if (cached) {
+      ++report.cached;
+      if (m_cached) m_cached->increment();
+    } else {
+      ++report.simulated;
+      if (m_simulated) m_simulated->increment();
+    }
+    if (m_done) m_done->increment();
+    // Result row first, then the manifest line: a cell is only ever
+    // marked done after its row is on disk.
+    results.line(row_json(out, cell.spec.name).dump());
+    Json done = Json::object();
+    done["index"] = static_cast<std::int64_t>(out.index);
+    done["key"] = out.key_hex;
+    manifest.line(done.dump());
+    busy_sec += now_sec() - start;
+  });
+
+  report.wall_sec = now_sec() - t0;
   report.worker_occupancy =
-      report.wall_sec > 0
-          ? pool.busy_sec() / (static_cast<double>(report.jobs) * report.wall_sec)
-          : 0.0;
+      report.wall_sec > 0 ? busy_sec / (static_cast<double>(report.jobs) * report.wall_sec) : 0.0;
   if (opts.metrics) {
     m_wall->set(report.wall_sec);
     m_occupancy->set(report.worker_occupancy);
@@ -337,9 +351,8 @@ bool needs_value(const std::string& flag) {
          flag == "--zerocopy" || flag == "--optmem" || flag == "--big-tcp" ||
          flag == "--ring" || flag == "--congestion" || flag == "--time" ||
          flag == "--repeats" || flag == "--seed" || flag == "--jobs" ||
-         flag == "--cache" || flag == "--out" || flag == "--checkpoint" ||
-         flag == "--max-cells" || flag == "--report" || flag == "--scenarios" ||
-         flag == "--max-age-days" || flag == "--plot-out";
+         flag == "--cache" || flag == "--out" || flag == "--report" ||
+         flag == "--scenarios" || flag == "--max-age-days" || flag == "--plot-out";
 }
 
 }  // namespace
@@ -483,8 +496,6 @@ SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
       o.run.cache_dir = value;
     } else if (flag == "--out") {
       o.run.results_path = value;
-    } else if (flag == "--checkpoint") {
-      o.run.checkpoint_path = value;
     } else if (flag == "--resume") {
       o.run.resume = true;
     } else if (flag == "--report") {
@@ -496,13 +507,6 @@ SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
     } else if (flag == "--perf") {
       o.grid.telemetry.enabled = true;
       o.grid.telemetry.perf_enabled = true;
-    } else if (flag == "--max-cells") {
-      const long n = std::atol(value.c_str());
-      if (n < 0) {
-        o.error = "--max-cells must be >= 0";
-        return o;
-      }
-      o.run.max_cells = static_cast<std::size_t>(n);
     } else if (flag == "--quick") {
       o.quick = true;
     } else if (flag == "--gc") {
@@ -556,12 +560,12 @@ std::string sweep_cli_help() {
       "      --seed N           campaign base seed (cell seeds derive from it)\n"
       "      --quick            smoke preset: --time 2 --repeats 2\n"
       "execution (docs/SWEEP.md):\n"
-      "      --jobs N           worker threads (default 1; 0 = usable CPUs)\n"
+      "      --jobs N           at most N threads (default 1; 0 = usable CPUs)\n"
       "      --cache DIR        content-addressed result cache directory\n"
-      "      --out FILE         stream one JSONL row per finished cell\n"
-      "      --checkpoint FILE  manifest path (default: <out>.ckpt)\n"
-      "      --resume           skip cells the manifest marks complete\n"
-      "      --max-cells K      stop after K cells (interrupt-style testing)\n"
+      "      --out FILE         stream one JSONL row per finished cell, and\n"
+      "                         keep the manifest of done cells at FILE.ckpt\n"
+      "      --resume           with --out: skip cells the manifest marks\n"
+      "                         complete\n"
       "      --telemetry        attach interval probes to every cell; with\n"
       "                         --scenarios the rows gain dip/recovery columns\n"
       "                         (telemetry cells bypass the result cache)\n"
@@ -745,7 +749,6 @@ int run_sweep_cli(const SweepCli& cli, std::string& output) {
   output = strfmt("campaign '%s': %zu cells, jobs=%d\n", report.name.c_str(),
                   report.total, report.jobs);
   for (const auto& cell : report.cells) {
-    if (!cell.done) continue;
     const char* tag = cell.resumed ? " [resumed]" : cell.cached ? " [cached]" : "";
     if (cell.result.repeats > 0) {
       output += strfmt("  #%03zu %-56s %7.2f ± %5.2f Gbps%s\n", cell.index,
@@ -757,10 +760,10 @@ int run_sweep_cli(const SweepCli& cli, std::string& output) {
     }
   }
   output += strfmt(
-      "summary: total=%zu simulated=%zu cached=%zu resumed=%zu pending=%zu\n"
+      "summary: total=%zu simulated=%zu cached=%zu resumed=%zu\n"
       "wall=%.2fs occupancy=%.0f%%\n",
-      report.total, report.simulated, report.cached, report.resumed,
-      report.pending, report.wall_sec, report.worker_occupancy * 100.0);
+      report.total, report.simulated, report.cached, report.resumed, report.wall_sec,
+      report.worker_occupancy * 100.0);
   return 0;
 }
 

@@ -1,14 +1,16 @@
-// Campaign engine: run a parameter grid on the worker pool, streaming
-// results and checkpoints so an interrupted campaign resumes where it died.
+// Campaign engine: run a parameter grid on sweep::parallel_for's shared
+// pool, streaming results and a manifest so an interrupted campaign resumes
+// where it died.
 //
 // Execution pipeline per cell:
-//   checkpoint says done?  -> skip (resume), re-emit from cache if possible
-//   cache hit?             -> serve the stored result, no simulation
-//   otherwise              -> simulate on a pool worker, write-through cache
+//   manifest says done?  -> skip (resume), re-emit from cache if possible
+//   cache hit?           -> serve the stored result, no simulation
+//   otherwise            -> simulate on a pool thread, write-through cache
 // As cells finish (in completion order) the engine appends one JSONL row to
-// the results stream and one line to the checkpoint manifest, flushing both
-// — a kill between cells loses nothing, a kill mid-cell loses only that
-// cell. Results returned to the caller are always in cell-index order.
+// the results stream and one line to the manifest (<results_path>.ckpt),
+// flushing both — a kill between cells loses nothing, a kill mid-cell loses
+// only that cell. Results returned to the caller are always in cell-index
+// order.
 //
 // sweep.* metrics (cells total/done/cached/simulated/resumed, wall time,
 // worker occupancy) land in the caller's obs::Registry when provided.
@@ -25,25 +27,20 @@
 namespace dtnsim::sweep {
 
 struct CampaignOptions {
-  int jobs = 1;  // worker pool size; 0 = one per usable CPU
+  int jobs = 1;  // at most this many threads; 0 = one per usable CPU
 
   std::string cache_dir;  // "" -> content-addressed result cache disabled
 
-  // Streamed outputs. "" disables each. checkpoint_path defaults to
-  // "<results_path>.ckpt" when results are streamed and no explicit
-  // manifest path is given.
-  std::string results_path;     // JSONL, one row per finished cell
-  std::string checkpoint_path;  // manifest: grid fingerprint + done cells
+  // JSONL, one row per finished cell; "" disables it. Streaming the rows
+  // also keeps the manifest (grid fingerprint + done cells) at
+  // "<results_path>.ckpt".
+  std::string results_path;
 
-  // Resume a previous run: cells listed in the checkpoint manifest are not
-  // re-run (their results are re-served from the cache when available).
-  // The manifest's grid fingerprint must match; a mismatch throws.
+  // Resume a previous run: cells listed in the manifest are not re-run
+  // (their results are re-served from the cache when available). Needs
+  // results_path. The manifest's grid fingerprint must match; a mismatch
+  // throws.
   bool resume = false;
-
-  // Run at most this many not-yet-done cells this invocation (0 = all).
-  // The deterministic "interrupt after k cells" hook used by the resume
-  // tests and handy for smoke runs.
-  std::size_t max_cells = 0;
 
   obs::Registry* metrics = nullptr;  // optional sweep.* registration target
 };
@@ -54,27 +51,25 @@ struct CellOutcome {
   harness::TestResult result;
   bool done = false;     // result is populated (simulated, cached or resumed)
   bool cached = false;   // served from the result cache
-  bool resumed = false;  // checkpoint said it was already complete
+  bool resumed = false;  // the manifest said it was already complete
   std::vector<std::pair<std::string, std::string>> coords;
 };
 
 struct CampaignReport {
   std::string name;
-  // One entry per grid cell, in cell-index order. Cells beyond max_cells
-  // are present with done = false.
-  std::vector<CellOutcome> cells;
+  std::vector<CellOutcome> cells;  // one per grid cell, in cell-index order
   std::size_t total = 0;
   std::size_t simulated = 0;  // actually ran the simulator this invocation
   std::size_t cached = 0;     // served from the result cache
-  std::size_t resumed = 0;    // skipped because the checkpoint marked them done
-  std::size_t pending = 0;    // not attempted (max_cells cutoff)
-  int jobs = 1;
+  std::size_t resumed = 0;    // skipped because the manifest marked them done
+  int jobs = 1;  // most threads running cells: opts.jobs capped at the usable CPUs
   double wall_sec = 0.0;
-  double worker_occupancy = 0.0;  // pool busy time / (jobs * wall)
+  double worker_occupancy = 0.0;  // summed cell busy time / (jobs * wall)
 };
 
-// Run the campaign. Throws std::invalid_argument for a malformed grid and
-// std::runtime_error for unusable cache/checkpoint/results files.
+// Run the campaign. Throws std::invalid_argument for a malformed grid or a
+// resume without results_path, and std::runtime_error for unusable
+// cache/manifest/results files or a manifest written for another grid.
 CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts);
 
 // ---- dtnsim-sweep command line ------------------------------------------

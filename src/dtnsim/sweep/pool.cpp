@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <exception>
 #include <limits>
+#include <mutex>
 #include <system_error>
+#include <thread>
+#include <vector>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -16,9 +21,9 @@ namespace dtnsim::sweep {
 namespace {
 
 // Set on a thread while it is one of several running a batch: a shared-pool
-// helper, a caller draining a batch that fanned out, or a WorkerPool worker
-// thread. A parallel_for issued there runs inline. Inline runs leave it
-// clear: they occupy no other core, so a call nested in one may fan out.
+// helper, or a caller draining a batch that fanned out. A parallel_for
+// issued there runs inline. Inline runs leave it clear: they occupy no
+// other core, so a call nested in one may fan out.
 thread_local bool t_in_task = false;
 
 // One parallel_for call. It lives on the caller's stack, and the caller
@@ -149,92 +154,6 @@ int usable_cpus() {
 }  // namespace
 
 int resolve_jobs(int jobs) { return jobs == 0 ? usable_cpus() : std::max(jobs, 1); }
-
-WorkerPool::WorkerPool(int jobs) : jobs_(resolve_jobs(jobs)) {
-  if (jobs_ <= 1) return;  // inline mode: no threads
-  threads_.reserve(static_cast<std::size_t>(jobs_));
-  for (int i = 0; i < jobs_; ++i) threads_.emplace_back([this] { worker_loop(); });
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void WorkerPool::run_job(std::function<void()>& job) {
-  // Wall-clock feeds the busy-seconds gauge only, never results.
-  const auto start = std::chrono::steady_clock::now();  // dtnsim-lint: allow(determinism)
-  std::exception_ptr error;
-  try {
-    job();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -  // dtnsim-lint: allow(determinism)
-                                    start)
-          .count();
-  std::unique_lock<std::mutex> lock(mu_);
-  busy_sec_ += elapsed;
-  if (error && !first_error_) first_error_ = error;
-}
-
-void WorkerPool::submit(std::function<void()> job) {
-  if (jobs_ <= 1) {
-    // Serial reference path: run right here, no queue, no threads. Errors
-    // still surface from wait() so both modes behave identically.
-    run_job(job);
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(std::move(job));
-    ++in_flight_;
-  }
-  work_cv_.notify_one();
-}
-
-void WorkerPool::wait() {
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return in_flight_ == 0; });
-    error = first_error_;
-    first_error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-double WorkerPool::busy_sec() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return busy_sec_;
-}
-
-void WorkerPool::worker_loop() {
-  t_in_task = true;
-  while (true) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    run_job(job);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) done_cv_.notify_all();
-    }
-  }
-}
 
 void parallel_for(std::size_t n, int jobs,
                   const std::function<void(std::size_t)>& task) {

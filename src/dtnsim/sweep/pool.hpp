@@ -1,13 +1,9 @@
-// The repo's two ways to run independent simulations on several cores.
-//
-//   - parallel_for(n, jobs, task): a fork-join over one process-wide pool,
-//     started on first use with one helper thread per usable CPU but one.
-//     The calling thread drains indices too, and at most resolve_jobs(jobs)
-//     threads take part in one call. harness::run_test fans its repeats out
-//     through it, run_tests its cells, and dtnsim-lint its files.
-//   - WorkerPool: a queue of jobs on `jobs` threads of its own, for the
-//     campaign engine, whose --jobs value and occupancy gauge are
-//     user-visible.
+// The repo's one way to run independent simulations on several cores:
+// parallel_for(n, jobs, task), a fork-join over one process-wide pool,
+// started on first use with one helper thread per usable CPU but one. The
+// calling thread drains indices too, and at most resolve_jobs(jobs) threads
+// take part in one call. harness::run_test fans its repeats out through it,
+// run_tests its specs, and sweep::run_campaign its cells.
 //
 // Design rules that keep parallel output byte-identical to serial:
 //   - tasks are *independent* simulations: each owns its Rng, its engine and
@@ -15,13 +11,12 @@
 //   - callers write results back by index into pre-sized storage, so output
 //     order never depends on completion order.
 //   - only the outermost call that fans out does so. A parallel_for issued
-//     from a task of a parallel_for that fanned out, or from a job on a
-//     WorkerPool thread, runs inline, so nested batches (run_tests cells ->
-//     run_test repeats, campaign cells -> repeats) never oversubscribe the
-//     cores or wait on a pool they are running on. A call that runs inline
-//     (jobs 1, one index) occupies no other core, so one nested in it may
-//     still fan out: run_tests(specs, 1) runs its cells one by one, each
-//     with its repeats spread over the pool.
+//     from a task of a parallel_for that fanned out runs inline, so nested
+//     batches (run_tests specs or campaign cells -> run_test repeats) never
+//     oversubscribe the cores or wait on a pool they are running on. A call
+//     that runs inline (jobs 1, one index) occupies no other core, so one
+//     nested in it may still fan out: run_tests(specs, 1) runs its specs one
+//     by one, each with its repeats spread over the pool.
 //   - a failing task never stops the others; once every started task has
 //     ended, parallel_for rethrows the failure with the lowest index, the one
 //     a serial loop would have met first.
@@ -31,14 +26,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
-
-#include <condition_variable>
 
 namespace dtnsim::sweep {
 
@@ -46,48 +34,6 @@ namespace dtnsim::sweep {
 // affinity mask on Linux, so `taskset` caps it), anything else clamps to at
 // least 1.
 int resolve_jobs(int jobs);
-
-class WorkerPool {
- public:
-  // `jobs` is resolved via resolve_jobs(); with a resolved value of 1 the
-  // pool is inline (submit() runs the job on the calling thread).
-  explicit WorkerPool(int jobs = 1);
-  ~WorkerPool();  // drains the queue, then joins
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  int jobs() const { return jobs_; }
-
-  // Enqueue a job. Jobs must be independent of each other; they may run in
-  // any order and on any worker.
-  void submit(std::function<void()> job);
-
-  // Block until every submitted job has finished. Rethrows the first
-  // exception any job raised (remaining jobs still run to completion, so
-  // index-addressed result storage stays consistent).
-  void wait();
-
-  // Total time workers spent inside jobs, for the sweep.worker_occupancy
-  // metric. Stable only after wait().
-  double busy_sec() const;
-
- private:
-  void worker_loop();
-  void run_job(std::function<void()>& job);
-
-  int jobs_ = 1;
-  std::vector<std::thread> threads_;
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers: queue non-empty or stopping
-  std::condition_variable done_cv_;   // waiters: everything drained
-  std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;  // queued + currently running
-  bool stopping_ = false;
-  std::exception_ptr first_error_;
-  double busy_sec_ = 0.0;
-};
 
 // Run task(i) for every i in [0, n) and block until all have ended: the
 // canonical "write results by index" loop. `jobs` is resolved via

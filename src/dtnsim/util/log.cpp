@@ -12,14 +12,15 @@
 namespace dtnsim::log {
 namespace {
 
-// The level is process-wide and may be read from any worker thread while the
+// The level is process-wide and may be read from any pool thread while the
 // main thread (or DTNSIM_LOG pickup) writes it; relaxed atomics suffice — a
 // message racing a level change may use either level, never torn state.
 std::atomic<Level> g_level{Level::Warn};
 std::atomic<bool> g_env_checked{false};
 std::once_flag g_env_once;
-// Each engine binds the clock of the run *it* is driving; with the sweep
-// worker pool several engines run concurrently, so the binding is per-thread.
+// Each engine binds the clock of the run *it* is driving; on the shared
+// fork-join pool several engines run concurrently, so the binding is
+// per-thread.
 thread_local TimeSource g_time_source;
 
 // One-time DTNSIM_LOG pickup; an explicit set_level() also marks the env as

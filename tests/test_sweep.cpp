@@ -7,10 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -65,9 +65,9 @@ void expect_same_result(const harness::TestResult& a, const harness::TestResult&
   EXPECT_EQ(a.samples_gbps, b.samples_gbps);
 }
 
-// ---- worker pool ---------------------------------------------------------
+// ---- shared pool ---------------------------------------------------------
 
-TEST(WorkerPool, ResolveJobs) {
+TEST(ParallelFor, ResolveJobs) {
   EXPECT_EQ(resolve_jobs(1), 1);
   EXPECT_EQ(resolve_jobs(4), 4);
   EXPECT_EQ(resolve_jobs(-3), 1);
@@ -75,7 +75,7 @@ TEST(WorkerPool, ResolveJobs) {
 }
 
 #if defined(__linux__)
-TEST(WorkerPool, ResolveJobsHonoursTheAffinityMask) {
+TEST(ParallelFor, ResolveJobsHonoursTheAffinityMask) {
   cpu_set_t saved;
   CPU_ZERO(&saved);
   ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
@@ -100,7 +100,7 @@ std::size_t distinct(const ThreadLog& log) {
   return std::set<std::thread::id>(log.begin(), log.end()).size();
 }
 
-TEST(WorkerPool, RunsEveryJobExactlyOnce) {
+TEST(ParallelFor, RunsEveryJobExactlyOnce) {
   for (const int jobs : {1, 2, 4}) {
     std::vector<int> hits(100, 0);
     ThreadLog ran_on(hits.size());
@@ -113,21 +113,6 @@ TEST(WorkerPool, RunsEveryJobExactlyOnce) {
     if (jobs == 1) {
       EXPECT_EQ(ran_on[0], std::this_thread::get_id());
     }
-  }
-}
-
-TEST(WorkerPool, WaitRethrowsFirstJobError) {
-  for (const int jobs : {1, 4}) {
-    WorkerPool pool(jobs);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([i, &ran] {
-        ++ran;
-        if (i == 3) throw std::runtime_error("job 3 failed");
-      });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error) << "jobs=" << jobs;
-    EXPECT_EQ(ran.load(), 8);  // remaining jobs still ran
   }
 }
 
@@ -184,34 +169,6 @@ TEST(ParallelFor, NestedCallsRunInline) {
     EXPECT_EQ(distinct(inner[i]), 1u);
     EXPECT_EQ(inner[i][0], outer[i]);
   }
-
-  // From a job on a WorkerPool thread: likewise on the job's worker.
-  ThreadLog job_threads(4);
-  std::vector<ThreadLog> nested(4, ThreadLog(8));
-  WorkerPool pool(2);
-  for (std::size_t i = 0; i < job_threads.size(); ++i) {
-    pool.submit([&, i] {
-      job_threads[i] = std::this_thread::get_id();
-      parallel_for(8, 0, [&](std::size_t k) { nested[i][k] = std::this_thread::get_id(); });
-    });
-  }
-  pool.wait();
-  for (std::size_t i = 0; i < job_threads.size(); ++i) {
-    EXPECT_EQ(distinct(nested[i]), 1u);
-    EXPECT_EQ(nested[i][0], job_threads[i]);
-  }
-}
-
-TEST(WorkerPool, TracksBusyTime) {
-  WorkerPool pool(2);
-  for (int i = 0; i < 4; ++i) {
-    pool.submit([] {
-      std::atomic<double> sink{0};
-      for (int k = 0; k < 100000; ++k) sink.store(sink.load() + k);
-    });
-  }
-  pool.wait();
-  EXPECT_GT(pool.busy_sec(), 0.0);
 }
 
 // ---- grid expansion ------------------------------------------------------
@@ -421,12 +378,13 @@ TEST(Campaign, StreamsJsonlRowsAndMetrics) {
   const auto report = run_campaign(grid, opts);
   EXPECT_GT(report.wall_sec, 0.0);
   EXPECT_GT(report.worker_occupancy, 0.0);
+  EXPECT_LE(report.worker_occupancy, 1.0);
 
   EXPECT_DOUBLE_EQ(registry.value_of("sweep.cells_total"), 12.0);
   EXPECT_DOUBLE_EQ(registry.value_of("sweep.cells_done"), 12.0);
   EXPECT_DOUBLE_EQ(registry.value_of("sweep.cells_simulated"), 12.0);
   EXPECT_DOUBLE_EQ(registry.value_of("sweep.cells_cached"), 0.0);
-  EXPECT_DOUBLE_EQ(registry.value_of("sweep.jobs"), 4.0);
+  EXPECT_DOUBLE_EQ(registry.value_of("sweep.jobs"), std::min(4, resolve_jobs(0)));
   EXPECT_GT(registry.value_of("sweep.worker_occupancy"), 0.0);
 
   // One well-formed row per cell, every index exactly once.
@@ -446,51 +404,139 @@ TEST(Campaign, StreamsJsonlRowsAndMetrics) {
   EXPECT_EQ(*indices.rbegin(), 11);
 }
 
+// Keeps the first `lines` lines of `path` and appends `tail` unterminated:
+// what a kill between (or in the middle of) two line writes leaves behind.
+void cut_after_kill(const std::string& path, std::size_t lines, const std::string& tail = "") {
+  std::ifstream in(path);
+  std::string kept, line;
+  for (std::size_t n = 0; n < lines && std::getline(in, line); ++n) kept += line + '\n';
+  in.close();
+  std::ofstream(path, std::ios::trunc) << kept << tail;
+}
+
+// Every line of a JSONL file, parsed; a line that does not parse (a torn
+// fragment, a stray blank line) is nullopt.
+std::vector<std::optional<Json>> read_jsonl(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::optional<Json>> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(Json::parse(line));
+  return lines;
+}
+
+std::size_t unparsed_lines(const std::vector<std::optional<Json>>& lines) {
+  return static_cast<std::size_t>(std::count(lines.begin(), lines.end(), std::nullopt));
+}
+
+// The distinct `index` values of the lines that parsed.
+std::set<int> row_indices(const std::vector<std::optional<Json>>& lines) {
+  std::set<int> indices;
+  for (const auto& row : lines) {
+    if (row) indices.insert(static_cast<int>(row->number_at("index", -1)));
+  }
+  return indices;
+}
+
 TEST(Campaign, ResumeNeverRerunsCompletedCells) {
   const std::string dir = scratch_dir("resume");
   const auto grid = twelve_cell_grid();
   CampaignOptions opts;
-  opts.jobs = 2;
+  opts.jobs = 1;
   opts.cache_dir = dir + "/cache";
   opts.results_path = dir + "/rows.jsonl";
 
-  // "Kill" the campaign after 5 cells.
-  auto interrupted = opts;
-  interrupted.max_cells = 5;
-  const auto first = run_campaign(grid, interrupted);
-  EXPECT_EQ(first.simulated, 5u);
-  EXPECT_EQ(first.pending, 7u);
+  // "Kill" a serial campaign after 5 cells: its stream and manifest keep
+  // cells 0-4, and the other 7 never reached the cache.
+  const auto first = run_campaign(grid, opts);
+  EXPECT_EQ(first.simulated, 12u);
+  cut_after_kill(opts.results_path, 5);
+  cut_after_kill(opts.results_path + ".ckpt", 1 + 5);
+  const ResultCache cache(opts.cache_dir);
+  const auto cells = expand(grid);
+  for (std::size_t i = 5; i < cells.size(); ++i) fs::remove(cache.path_for(cells[i].spec));
 
   // Resume: exactly the 7 remaining cells simulate; nothing re-runs.
   auto resumed = opts;
+  resumed.jobs = 2;
   resumed.resume = true;
   const auto second = run_campaign(grid, resumed);
   EXPECT_EQ(second.simulated, 7u);
   EXPECT_EQ(second.resumed, 5u);
-  EXPECT_EQ(second.pending, 0u);
   for (const auto& cell : second.cells) EXPECT_TRUE(cell.done);
   // Resumed cells re-serve their results from the cache.
   EXPECT_TRUE(second.cells[0].resumed);
   EXPECT_GT(second.cells[0].result.repeats, 0);
 
-  // The appended JSONL now holds all 12 rows, each index exactly once.
-  std::ifstream in(opts.results_path);
-  std::set<int> indices;
-  std::string line;
-  std::size_t rows = 0;
-  while (std::getline(in, line)) {
-    const auto row = Json::parse(line);
-    ASSERT_TRUE(row.has_value());
-    indices.insert(static_cast<int>(row->number_at("index", -1)));
-    ++rows;
-  }
-  EXPECT_EQ(rows, 12u);
-  EXPECT_EQ(indices.size(), 12u);
+  // The appended JSONL now holds all 12 rows, each index exactly once, and
+  // nothing else: appending to a whole file adds no line of its own.
+  const auto rows = read_jsonl(opts.results_path);
+  EXPECT_EQ(rows.size(), 12u);
+  EXPECT_EQ(unparsed_lines(rows), 0u);
+  EXPECT_EQ(row_indices(rows).size(), 12u);
+  const auto manifest = read_jsonl(opts.results_path + ".ckpt");
+  EXPECT_EQ(manifest.size(), 1u + 12u);
+  EXPECT_EQ(unparsed_lines(manifest), 0u);
 
   // Resuming against a *different* grid must refuse, not mix campaigns.
   auto other = grid;
   other.streams = {1, 4};
   EXPECT_THROW(run_campaign(other, resumed), std::runtime_error);
+}
+
+TEST(Campaign, ResumeAfterATornLastLineLosesNoRow) {
+  const std::string dir = scratch_dir("resume_torn");
+  const auto grid = twelve_cell_grid();
+  CampaignOptions opts;
+  opts.jobs = 4;
+  opts.cache_dir = dir + "/cache";
+  opts.results_path = dir + "/rows.jsonl";
+  run_campaign(grid, opts);
+
+  // A kill in the middle of a write: each file ends in half a line.
+  cut_after_kill(opts.results_path, 5, "{\"index\": 7, \"key\": \"12");
+  cut_after_kill(opts.results_path + ".ckpt", 1 + 5, "{\"index\": 7, \"ke");
+
+  auto resumed = opts;
+  resumed.resume = true;
+  const auto first = run_campaign(grid, resumed);
+  EXPECT_EQ(first.resumed, 5u);
+  EXPECT_EQ(first.cached, 7u);
+  // Each fragment stays on a line of its own (line 6 of the stream, line 7
+  // of the manifest), closed by the one newline the resume wrote before its
+  // first line; every other line is whole.
+  const auto rows = read_jsonl(opts.results_path);
+  ASSERT_EQ(rows.size(), 5u + 1u + 7u);
+  EXPECT_FALSE(rows[5].has_value());
+  EXPECT_EQ(unparsed_lines(rows), 1u);
+  EXPECT_EQ(row_indices(rows).size(), 12u);
+  const auto manifest = read_jsonl(opts.results_path + ".ckpt");
+  ASSERT_EQ(manifest.size(), 1u + 5u + 1u + 7u);
+  EXPECT_FALSE(manifest[6].has_value());
+  EXPECT_EQ(unparsed_lines(manifest), 1u);
+
+  // Every cell's manifest line parsed too: nothing is served twice.
+  const auto second = run_campaign(grid, resumed);
+  EXPECT_EQ(second.resumed, 12u);
+  EXPECT_EQ(second.simulated + second.cached, 0u);
+}
+
+TEST(Campaign, ResumeWithoutAResultsStreamIsRejected) {
+  // The manifest lives at <results_path>.ckpt, so without a stream there
+  // is nothing to resume from; every cell would silently run again.
+  GridSpec grid = twelve_cell_grid();
+  grid.kernels = {kern::KernelVersion::V6_8};
+  grid.paths = {"LAN"};
+  grid.streams = {1};
+  CampaignOptions opts;
+  opts.resume = true;
+  EXPECT_THROW(run_campaign(grid, opts), std::invalid_argument);
+
+  std::string output;
+  const auto cli = parse_sweep_cli({"--quick", "--kernels", "6.8", "--paths", "LAN",
+                                    "--streams", "1", "--resume"});
+  ASSERT_TRUE(cli.error.empty()) << cli.error;
+  EXPECT_EQ(run_sweep_cli(cli, output), 2);
+  EXPECT_NE(output.find("--out"), std::string::npos) << output;
 }
 
 // ---- sweep CLI -----------------------------------------------------------
@@ -502,8 +548,7 @@ TEST(SweepCli, ParsesFullGrid) {
        "--zerocopy", "0,1", "--optmem", "default,1M", "--big-tcp", "0,1",
        "--ring", "default,8192", "--congestion", "bbr3", "--skip-rx-copy",
        "--time", "30", "--repeats", "5", "--seed", "7", "--jobs", "0",
-       "--cache", "/tmp/c", "--out", "/tmp/r.jsonl", "--resume",
-       "--max-cells", "9"});
+       "--cache", "/tmp/c", "--out", "/tmp/r.jsonl", "--resume"});
   ASSERT_TRUE(cli.error.empty()) << cli.error;
   EXPECT_EQ(cli.grid.name, "nightly");
   EXPECT_EQ(cli.grid.testbed, "amlight");
@@ -526,7 +571,6 @@ TEST(SweepCli, ParsesFullGrid) {
   EXPECT_EQ(cli.run.cache_dir, "/tmp/c");
   EXPECT_EQ(cli.run.results_path, "/tmp/r.jsonl");
   EXPECT_TRUE(cli.run.resume);
-  EXPECT_EQ(cli.run.max_cells, 9u);
   EXPECT_EQ(cell_count(cli.grid), 2u * 2 * 2 * 2 * 2 * 2 * 2 * 2);
 }
 
