@@ -19,7 +19,6 @@
 #pragma once
 
 #include "dtnsim/app/iperf.hpp"
-#include "dtnsim/app/mpstat.hpp"
 #include "dtnsim/core/advisor.hpp"
 #include "dtnsim/core/experiment.hpp"
 #include "dtnsim/cpu/cost_model.hpp"
@@ -37,7 +36,6 @@
 #include "dtnsim/net/nic.hpp"
 #include "dtnsim/net/path.hpp"
 #include "dtnsim/net/qdisc.hpp"
-#include "dtnsim/net/switch_model.hpp"
 #include "dtnsim/obs/metrics.hpp"
 #include "dtnsim/obs/probe.hpp"
 #include "dtnsim/obs/telemetry.hpp"

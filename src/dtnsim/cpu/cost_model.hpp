@@ -127,7 +127,6 @@ class CostModel {
   // Raw constants (exposed for tests and docs).
   double copy_tx_cyc_per_byte() const { return copy_tx_; }
   double copy_rx_cyc_per_byte() const { return copy_rx_; }
-  double zc_pin_cyc_per_page() const { return zc_pin_per_page_; }
 
  private:
   double scaled(double cycles) const;  // stack_factor * virt_factor applied

@@ -48,21 +48,4 @@ CpuSpec amd_epyc_73f3() {
   return s;
 }
 
-CpuSpec generic_cpu(int cores, double ghz) {
-  CpuSpec s;
-  s.model = "generic";
-  s.vendor = Vendor::Generic;
-  s.sockets = 1;
-  s.cores_per_socket = cores;
-  s.numa_nodes = 1;
-  s.smt_threads = 1;
-  s.base_ghz = ghz;
-  s.max_ghz = ghz;
-  s.avx512 = false;
-  s.l3_per_socket_bytes = 16.0 * 1024 * 1024;
-  s.l3_flow_window_bytes = 16.0 * 1024 * 1024;
-  s.stack_mem_bw_bytes = 30e9;
-  return s;
-}
-
 }  // namespace dtnsim::cpu

@@ -53,7 +53,4 @@ CpuSpec intel_xeon_6346();
 // 256 MB L3 per socket in 32 MB CCX slices.
 CpuSpec amd_epyc_73f3();
 
-// A small generic part for unit tests.
-CpuSpec generic_cpu(int cores = 8, double ghz = 3.0);
-
 }  // namespace dtnsim::cpu

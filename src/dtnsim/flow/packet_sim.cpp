@@ -15,6 +15,10 @@
 namespace dtnsim::flow {
 namespace {
 
+// Segments one NAPI poll takes off the RX ring (the kernel's default
+// per-poll weight, NAPI_POLL_WEIGHT).
+constexpr int kNapiBudget = 64;
+
 // Metric handles for the pkt.* family, built only when a Telemetry sink is
 // attached — the packet engine's analogue of TransferSimulation's
 // Instruments. Counters/gauges mirror PacketSimResult so a probe series and
@@ -188,7 +192,7 @@ void napi_poll(SimState& s) {
     return;
   }
   s.napi_busy = true;
-  const int take = std::min(s.ring_used, s.cfg->napi_budget);
+  const int take = std::min(s.ring_used, kNapiBudget);
   const Nanos spent =
       std::max<Nanos>(static_cast<Nanos>(take) * s.rx_segment_ns, 1);
   if (s.tel) {

@@ -33,7 +33,6 @@ struct PacketSimConfig {
   bool zerocopy = false;
   double window_bytes = 8e6;    // fixed window; no congestion control here
   units::SimTime duration = units::SimTime::from_millis(50);
-  int napi_budget = 64;         // segments per NAPI poll
   // Receiver per-segment processing time floor; derived from the cost model
   // unless overridden (> 0).
   double rx_segment_ns_override = 0.0;

@@ -20,6 +20,10 @@ constexpr double kMinTickSec = 200e-6;
 constexpr double kJitterRho = 0.9;
 constexpr double kJitterSigmaUnpaced = 0.30;
 constexpr double kJitterSigmaPaced = 0.045;
+// Rounds that get a Begin/End span pair in the trace; later rounds still
+// emit instants and counters (a LAN run ticks ~300k times per simulated
+// minute, which would drown the trace ring in span pairs).
+constexpr std::size_t kMaxRoundSpans = 128;
 
 double scale_factor(double need, double budget) {
   if (need <= 0) return 1.0;
@@ -990,9 +994,9 @@ void TransferSimulation::tick(double now_sec) {
     in->rcv_app->set(rcv_app_u);
     in->rcv_irq->set(rcv_irq_u);
 
-    // Round span (first max_round_spans rounds only; instants/counters keep
+    // Round span (first kMaxRoundSpans rounds only; instants/counters keep
     // flowing for the whole run).
-    if (in->rounds < tel_->config().max_round_spans) {
+    if (in->rounds < kMaxRoundSpans) {
       const Nanos round_start =
           std::max<Nanos>(now_ns - static_cast<Nanos>(dt_sec * 1e9), 0);
       trace.begin("round", "round", round_start, 0,

@@ -33,7 +33,6 @@ class GroEngine {
   // NAPI flush: whatever is pending becomes an aggregate.
   std::optional<units::Bytes> flush();
 
-  double pending_bytes() const { return pending_.value(); }
   double gro_bytes() const { return gro_bytes_.value(); }
 
  private:

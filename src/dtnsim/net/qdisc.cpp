@@ -1,7 +1,6 @@
 #include "dtnsim/net/qdisc.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dtnsim::net {
 
@@ -9,14 +8,8 @@ void FqQdisc::set_flow_rate(int flow, double rate_bps) {
   flows_[flow].rate_bps = std::max(rate_bps, 0.0);
 }
 
-double FqQdisc::flow_rate(int flow) const {
-  const auto it = flows_.find(flow);
-  return it == flows_.end() ? 0.0 : it->second.rate_bps;
-}
-
 Nanos FqQdisc::enqueue(int flow, double bytes, Nanos now) {
   FlowState& st = flows_[flow];
-  ++packets_;
   counters_.sent_bytes += bytes;
 
   // Link serialization applies regardless of pacing.
@@ -36,40 +29,6 @@ Nanos FqQdisc::enqueue(int flow, double bytes, Nanos now) {
   }
   link_free_at_ = depart + wire_ns;
   return depart;
-}
-
-double FqQdisc::allowance_bytes(int flow, double dt_sec) const {
-  const double rate = flow_rate(flow);
-  const double line_bytes = line_rate_bps_ * dt_sec / 8.0;
-  if (rate <= 0.0) return line_bytes;
-  return std::min(rate * dt_sec / 8.0, line_bytes);
-}
-
-FqCodelQdisc::FqCodelQdisc(double line_rate_bps, Nanos target, Nanos interval)
-    : line_rate_bps_(line_rate_bps), target_(target), interval_(interval) {}
-
-FqCodelQdisc::Verdict FqCodelQdisc::enqueue(double bytes, Nanos now) {
-  Verdict v;
-  const auto wire_ns = static_cast<Nanos>(bytes * 8.0 / line_rate_bps_ * 1e9);
-  const Nanos start = std::max(now, backlog_clears_at_);
-  const Nanos sojourn = start - now;
-
-  if (sojourn > target_) {
-    if (above_target_since_ < 0) above_target_since_ = now;
-    if (now - above_target_since_ >= interval_) {
-      ++drops_;
-      dropped_bytes_ += bytes;
-      v.dropped = true;
-      return v;  // dropped packets do not occupy the link
-    }
-  } else {
-    above_target_since_ = -1;
-  }
-
-  backlog_clears_at_ = start + wire_ns;
-  sent_bytes_ += bytes;
-  v.departure = start;
-  return v;
 }
 
 }  // namespace dtnsim::net

@@ -210,7 +210,7 @@ void cross_check_stage_sum(const PerfReport& report) {
       throw std::logic_error(strfmt(
           "perf stage-sum divergence at t=%.6fs: %s stages sum to %.6f "
           "cycles but the engine charged %.6f (the attribution must account "
-          "for exactly what CoreBudget consumed)",
+          "for exactly the cycles the engine charged to that core group)",
           units::to_seconds(report.ts), kCoreNames[c], stage_sum, consumed));
     }
   }

@@ -3,12 +3,14 @@
 // The paper's throughput story is a cycles story, and its evidence is perf
 // profiles — data copy dominating the RX path at 100G, MSG_ZEROCOPY moving
 // TX cycles from copy_user to page pinning. cpu/cost_model already prices
-// every kernel-path stage in cycles/byte and cpu/budget meters consumption
-// per core; this header is the `perf report` view over those charges: a
-// fixed stage taxonomy named after the real kernel symbols, a PerfReport
-// carrying per-core and per-flow cycle totals, text renderers (perf
-// report-style table + Brendan Gregg collapsed stacks), and a JSON
-// round-trip for dtnsim-perf --json/--replay. obs::Sampler (sampler.hpp)
+// every kernel-path stage in cycles/byte, and the engines charge those
+// prices per core group: the fluid engine per round against its
+// RoundConsts budgets, the packet engine per super-packet and per segment.
+// This header is the `perf report` view over those charges: a fixed stage
+// taxonomy named after the real kernel symbols, a PerfReport carrying
+// per-core and per-flow cycle totals, text renderers (perf report-style
+// table + Brendan Gregg collapsed stacks), and a JSON round-trip for
+// dtnsim-perf --json/--replay. obs::Sampler (sampler.hpp)
 // takes the reports on the simulation clock and mirrors headline figures
 // into perf.* gauges.
 //
@@ -184,10 +186,11 @@ std::vector<PerfReport> perf_log_from_json(const Json& doc);
 bool write_perf_log(const std::string& path, const std::vector<PerfReport>& log);
 
 // The attribution integrity check: for every core group, summed stage
-// cycles must equal the consumed-cycle figure the engine charged against
-// its CoreBudget accounting, to fp rounding. Throws std::logic_error on
-// divergence — a stage split that doesn't add up to the charge would make
-// the whole perf view a fabrication. The sampler runs this on every sample.
+// cycles must equal the consumed-cycle figure the engine charged (per round
+// in the fluid engine, per super-packet and per segment in the packet
+// engine), to fp rounding. Throws std::logic_error on divergence — a stage
+// split that doesn't add up to the charge would make the whole perf view a
+// fabrication. The sampler runs this on every sample.
 void cross_check_stage_sum(const PerfReport& report);
 
 }  // namespace dtnsim::obs

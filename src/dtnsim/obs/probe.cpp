@@ -53,13 +53,6 @@ std::string SeriesTable::to_jsonl() const {
   return out;
 }
 
-bool SeriesTable::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_csv();
-  return static_cast<bool>(out);
-}
-
 std::string merged_series_csv(const std::vector<LabeledSeries>& series) {
   std::vector<std::string> headers{"test", "repeat"};
   for (const auto& s : series) {

@@ -26,7 +26,6 @@ struct SeriesTable {
   std::string to_csv() const;
   // One JSON object per line ({"time_s":..., "<metric>":...}).
   std::string to_jsonl() const;
-  bool write_csv(const std::string& path) const;
 };
 
 // RunRecord's "series" block: columns plus row-major rows (util/fields.hpp).

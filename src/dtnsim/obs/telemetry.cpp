@@ -13,17 +13,6 @@ void validate(const TelemetryConfig& cfg) {
         "(a non-positive interval would arm a degenerate probe)",
         static_cast<long long>(cfg.probe_interval)));
   }
-  if (cfg.trace_capacity == 0) {
-    throw std::invalid_argument(
-        "TelemetryConfig.trace_capacity must be >= 1: a zero-capacity ring "
-        "would silently drop every trace event (use trace_stream_path for "
-        "unbounded histories)");
-  }
-  if (cfg.stream_buffer_events == 0) {
-    throw std::invalid_argument(
-        "TelemetryConfig.stream_buffer_events must be >= 1 (events buffered "
-        "between streaming writes)");
-  }
   if (cfg.ss_interval < 0) {
     throw std::invalid_argument(strfmt(
         "TelemetryConfig.ss_interval must be >= 0 (0 = final snapshot only), "
@@ -52,13 +41,18 @@ void validate(const TelemetryConfig& cfg) {
 
 namespace {
 
+// The trace ring keeps the most recent kTraceCapacity events, streamed or
+// not; a streamed trace buffers kStreamBufferEvents between file writes.
+constexpr std::size_t kTraceCapacity = 1 << 16;
+constexpr std::size_t kStreamBufferEvents = 256;
+
 std::unique_ptr<TraceSink> make_trace_sink(const TelemetryConfig& cfg) {
   if (!cfg.trace_stream_path.empty()) {
     return std::make_unique<StreamingTraceSink>(
-        cfg.trace_stream_path, /*process_name=*/"", cfg.stream_buffer_events,
-        cfg.trace_capacity);
+        cfg.trace_stream_path, /*process_name=*/"", kStreamBufferEvents,
+        kTraceCapacity);
   }
-  return std::make_unique<TraceSink>(cfg.trace_capacity);
+  return std::make_unique<TraceSink>(kTraceCapacity);
 }
 
 }  // namespace

@@ -19,16 +19,11 @@ namespace dtnsim::obs {
 struct TelemetryConfig {
   bool enabled = false;
   Nanos probe_interval = units::seconds(1);  // iperf3's -i 1 analogue
-  std::size_t trace_capacity = 1 << 16;      // ring: most recent events kept
-  // Cap on per-round Begin/End span pairs recorded to the trace; rounds
-  // beyond the cap still emit instants/counters (LAN runs tick ~300k times
-  // per simulated minute, which would drown the ring in span pairs).
-  std::size_t max_round_spans = 128;
   // Non-empty: stream every trace event to this file as it is recorded
-  // (StreamingTraceSink) instead of relying on the ring alone — no capacity
-  // ceiling for long runs. The ring still serves in-memory queries.
+  // (StreamingTraceSink) instead of relying on the trace ring (the most
+  // recent 65536 events) alone — no capacity ceiling for long runs. The
+  // ring still serves in-memory queries.
   std::string trace_stream_path;
-  std::size_t stream_buffer_events = 256;  // events buffered between writes
   // Kernel-eye ss/tcp_info snapshots (dtnsim-ss). Off by default: engines
   // build snapshot state only when enabled, so a plain telemetry run pays
   // nothing for the ss surface and its outputs stay bit-identical.
@@ -44,9 +39,9 @@ struct TelemetryConfig {
 };
 
 // Throws std::invalid_argument on a degenerate config (probe_interval <= 0,
-// trace_capacity == 0, stream_buffer_events == 0, ss_interval or
-// perf_interval < 0 or set without the matching enable bit). Called by
-// Telemetry's constructor; exposed for early CLI-level validation.
+// ss_interval or perf_interval < 0 or set without the matching enable
+// bit). Called by Telemetry's constructor; exposed for early CLI-level
+// validation.
 void validate(const TelemetryConfig& cfg);
 
 class Telemetry {

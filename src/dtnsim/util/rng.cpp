@@ -70,14 +70,6 @@ double Rng::lognormal(double median, double sigma) {
   return median * std::exp(normal(0.0, sigma));
 }
 
-double Rng::exponential(double mean) {
-  double u;
-  do {
-    u = uniform01();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
-}
-
 void Rng::jump() {
   static constexpr std::uint64_t kJump[] = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
                                             0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};

@@ -29,8 +29,6 @@ class Rng {
   // Lognormal such that the *median* of the distribution is `median` and the
   // underlying normal has standard deviation `sigma`.
   double lognormal(double median, double sigma);
-  // Exponential with given mean.
-  double exponential(double mean);
 
   // Advance 2^128 steps: yields a non-overlapping substream. Returns a copy
   // positioned at the new substream and leaves *this untouched.

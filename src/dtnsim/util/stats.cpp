@@ -37,18 +37,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double mean_of(const std::vector<double>& xs) {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.mean();
-}
-
-double stddev_of(const std::vector<double>& xs) {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.stddev();
-}
-
 double min_of(const std::vector<double>& xs) {
   RunningStats s;
   for (double x : xs) s.add(x);

@@ -31,8 +31,6 @@ class RunningStats {
 };
 
 // Batch helpers over a vector of samples.
-double mean_of(const std::vector<double>& xs);
-double stddev_of(const std::vector<double>& xs);
 double min_of(const std::vector<double>& xs);
 double max_of(const std::vector<double>& xs);
 // Linear-interpolated percentile, p in [0,100].

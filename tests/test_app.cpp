@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "dtnsim/app/iperf.hpp"
-#include "dtnsim/app/mpstat.hpp"
 #include "dtnsim/harness/testbeds.hpp"
 
 namespace dtnsim::app {
@@ -86,18 +85,6 @@ TEST(IperfTool, JsonHasIperfShape) {
   EXPECT_NE(text.find("bits_per_second"), std::string::npos);
   EXPECT_NE(text.find("retransmits"), std::string::npos);
   EXPECT_NE(text.find("cpu_utilization_percent"), std::string::npos);
-}
-
-TEST(Mpstat, ReportFromUtilization) {
-  flow::CpuUtilization cpu;
-  cpu.app_util = 0.96;
-  cpu.irq_util = 0.05;
-  cpu.cores_pct = 136.0;
-  const auto r = mpstat_from(cpu, 8);
-  EXPECT_NEAR(r.app_core_pct, 96.0, 1e-9);
-  EXPECT_NEAR(r.irq_cores_pct, 40.0, 1e-9);
-  EXPECT_NEAR(r.combined_pct, 136.0, 1e-9);
-  EXPECT_NE(r.to_string("rcv").find("rcv"), std::string::npos);
 }
 
 }  // namespace

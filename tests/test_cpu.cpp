@@ -1,10 +1,9 @@
-// Unit tests: CPU specs, topology, affinity, budgets, cost model.
+// Unit tests: CPU specs, topology, affinity, cost model.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "dtnsim/cpu/affinity.hpp"
-#include "dtnsim/cpu/budget.hpp"
 #include "dtnsim/cpu/cost_model.hpp"
 #include "dtnsim/cpu/spec.hpp"
 #include "dtnsim/cpu/topology.hpp"
@@ -89,23 +88,6 @@ TEST(Affinity, PenaltiesCompose) {
   q.app_numa_local = false;
   q.irq_separated = false;
   EXPECT_NEAR(q.app_cost_mult(), 1.45 * 1.55, 1e-9);
-}
-
-TEST(CoreBudget, ConsumeSaturates) {
-  CoreBudget b;
-  b.reset(units::Cycles(100.0));
-  EXPECT_DOUBLE_EQ(b.consume(units::Cycles(60.0)), 60.0);
-  EXPECT_DOUBLE_EQ(b.consume(units::Cycles(60.0)), 40.0);
-  EXPECT_DOUBLE_EQ(b.consume(units::Cycles(1.0)), 0.0);
-  EXPECT_DOUBLE_EQ(b.utilization(), 1.0);
-}
-
-TEST(CorePool, CapacityScalesWithCoresAndTime) {
-  CorePool pool(8, 3.6e9);
-  pool.begin_tick(0.001);
-  EXPECT_DOUBLE_EQ(pool.capacity(), 8 * 3.6e9 * 0.001);
-  pool.consume(units::Cycles(pool.capacity() / 2));
-  EXPECT_DOUBLE_EQ(pool.utilization(), 0.5);
 }
 
 class CostModelTest : public ::testing::Test {

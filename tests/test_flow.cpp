@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cfenv>
+#include <utility>
 
 #include "dtnsim/flow/transfer.hpp"
 #include "dtnsim/harness/testbeds.hpp"
@@ -47,6 +48,20 @@ TEST(Transfer, IntervalSeriesCoversDuration) {
   EXPECT_DOUBLE_EQ(res.duration_sec, 5.0);
 }
 
+TEST(Transfer, WanSlowStartShowsInFirstInterval) {
+  // On a 63 ms path the first second is slow start, so the rate after a
+  // warm-up beats the whole-run average a tool reports without omitting it.
+  auto cfg = lan_config();
+  cfg.path = harness::esnet_wan();
+  cfg.duration = units::SimTime::from_seconds(6);
+  const auto res = run_transfer(cfg);
+  ASSERT_EQ(res.interval_bps.size(), 6u);
+  double after_warmup = 0.0;
+  for (std::size_t i = 2; i < 6; ++i) after_warmup += res.interval_bps[i] / 4.0;
+  EXPECT_LT(res.interval_bps[0], res.throughput_bps);
+  EXPECT_GT(after_warmup, res.throughput_bps);
+}
+
 TEST(Transfer, PerFlowSumsToTotal) {
   auto cfg = lan_config();
   cfg.streams = 8;
@@ -64,6 +79,31 @@ TEST(Transfer, PacingCapsThroughput) {
   const auto res = run_transfer(cfg);
   EXPECT_LE(units::to_gbps(res.throughput_bps), 10.1);
   EXPECT_GT(units::to_gbps(res.throughput_bps), 9.0);
+}
+
+TEST(Transfer, PacingBindsBelowLineRateAndLineAbove) {
+  // A flow may send at its fq rate but never above the NIC line rate: on
+  // ESnet's 200G NIC, rounds of 8 flows paced at 20G are bound by pacing and
+  // never by the line, and rounds of 8 flows paced at 400G the other way.
+  const auto limit_ticks = [](double pace_gbps) {
+    auto cfg = lan_config();
+    cfg.streams = 8;
+    cfg.flow.zerocopy = true;
+    cfg.flow.fq_rate_bps = units::gbps(pace_gbps);
+    obs::TelemetryConfig tcfg;
+    tcfg.enabled = true;
+    obs::Telemetry tel(tcfg);
+    cfg.telemetry = &tel;
+    run_transfer(cfg);
+    return std::pair{tel.registry().value_of("limit.pacing_ticks"),
+                     tel.registry().value_of("limit.line_rate_ticks")};
+  };
+  const auto [below_pacing, below_line] = limit_ticks(20);
+  EXPECT_GT(below_pacing, 0.0);
+  EXPECT_DOUBLE_EQ(below_line, 0.0);
+  const auto [above_pacing, above_line] = limit_ticks(400);
+  EXPECT_DOUBLE_EQ(above_pacing, 0.0);
+  EXPECT_GT(above_line, 0.0);
 }
 
 TEST(Transfer, PacingNeedsFqQdisc) {

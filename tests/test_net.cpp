@@ -1,10 +1,9 @@
-// Unit tests: qdiscs, NIC RX model, switch, path.
+// Unit tests: fq qdisc, NIC RX model, path.
 #include <gtest/gtest.h>
 
 #include "dtnsim/net/nic.hpp"
 #include "dtnsim/net/path.hpp"
 #include "dtnsim/net/qdisc.hpp"
-#include "dtnsim/net/switch_model.hpp"
 
 namespace dtnsim::net {
 namespace {
@@ -49,40 +48,6 @@ TEST(FqQdisc, NoDeparturesInThePast) {
   FqQdisc fq(100e9);
   fq.set_flow_rate(1, 10e9);
   EXPECT_GE(fq.enqueue(1, 9000, 1000), 1000);
-}
-
-TEST(FqQdisc, AllowanceRespectsRateAndLine) {
-  FqQdisc fq(100e9);
-  fq.set_flow_rate(1, 10e9);
-  EXPECT_DOUBLE_EQ(fq.allowance_bytes(1, 1.0), 10e9 / 8.0);
-  // Unpaced flow: line rate bounds it.
-  EXPECT_DOUBLE_EQ(fq.allowance_bytes(2, 1.0), 100e9 / 8.0);
-  // Pacing above line: line wins.
-  fq.set_flow_rate(3, 400e9);
-  EXPECT_DOUBLE_EQ(fq.allowance_bytes(3, 1.0), 100e9 / 8.0);
-}
-
-TEST(FqCodel, DropsWhenStandingQueuePersists) {
-  FqCodelQdisc q(1e9, units::millis(5), units::millis(100));
-  // Offer ~7.2 Gbps into a 1G link: the standing queue exceeds the CoDel
-  // target, and once it has persisted past the interval, drops begin.
-  Nanos now = 0;
-  bool dropped = false;
-  for (int i = 0; i < 30000; ++i) {
-    const auto v = q.enqueue(9000.0, now);
-    dropped = dropped || v.dropped;
-    now += 10'000;  // 10 us between arrivals
-  }
-  EXPECT_TRUE(dropped);
-  EXPECT_GT(q.drops(), 0u);
-}
-
-TEST(FqCodel, NoDropsUnderLightLoad) {
-  FqCodelQdisc q(100e9);
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = q.enqueue(9000.0, i * 10000);
-    EXPECT_FALSE(v.dropped);
-  }
 }
 
 // ---------- NIC ----------
@@ -145,28 +110,6 @@ TEST(Nic, FlowControlPausesInsteadOfDropping) {
 TEST(Nic, RingClampedToMax) {
   NicRx rx(connectx5_100g(), 1 << 20, 9000, false);
   EXPECT_DOUBLE_EQ(rx.ring_bytes(), 8192.0 * 9000.0);
-}
-
-// ---------- switch ----------
-
-TEST(Switch, UnderEgressAllAccepted) {
-  SwitchModel sw(edgecore_as9716());
-  const auto o = sw.offer(units::Bytes(100e9 / 8 * 0.01), 0.01, 0.5);
-  EXPECT_DOUBLE_EQ(o.dropped_bytes, 0.0);
-}
-
-TEST(Switch, OverEgressSheds) {
-  SwitchModel sw(edgecore_as9716());
-  // 400G offered into a 200G egress for 10 ms: buffer absorbs 64MB/bf.
-  const double bytes = 400e9 / 8 * 0.01;
-  const auto o = sw.offer(units::Bytes(bytes), 0.01, 1.0);
-  EXPECT_GT(o.dropped_bytes, 0.0);
-  EXPECT_NEAR(o.accepted_bytes + o.dropped_bytes, bytes, 1.0);
-}
-
-TEST(Switch, SmootherTrafficToleratesMore) {
-  SwitchModel sw(edgecore_as9716());
-  EXPECT_GT(sw.burst_tolerance_bps(0.063, 0.1), sw.burst_tolerance_bps(0.063, 0.9));
 }
 
 // ---------- path ----------

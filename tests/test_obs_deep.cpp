@@ -392,14 +392,6 @@ TEST(TelemetryConfigValidation, RejectsDegenerateConfigs) {
   bad.probe_interval = -units::seconds(1);
   EXPECT_THROW(obs::validate(bad), std::invalid_argument);
 
-  bad = {};
-  bad.trace_capacity = 0;
-  EXPECT_THROW(obs::validate(bad), std::invalid_argument);
-
-  bad = {};
-  bad.stream_buffer_events = 0;
-  EXPECT_THROW(obs::validate(bad), std::invalid_argument);
-
   EXPECT_NO_THROW(obs::validate(obs::TelemetryConfig{}));
 }
 

@@ -1,5 +1,5 @@
-// Simulated perf (dtnsim-perf): the stage-sum == CoreBudget cross-check in
-// both engines, the zero-cost-when-disabled bit-identity guarantee, the
+// Simulated perf (dtnsim-perf): the stage-sum == charged-cycles cross-check
+// in both engines, the zero-cost-when-disabled bit-identity guarantee, the
 // flamegraph / perf-report renderers, the JSON round-trip, packet-vs-fluid
 // attribution agreement, and the report key schema golden
 // (tests/golden/perf_report_keys.txt).
