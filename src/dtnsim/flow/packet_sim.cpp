@@ -1,7 +1,6 @@
 #include "dtnsim/flow/packet_sim.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -85,39 +84,21 @@ struct SimState {
   double scn_rcv_ooo = 0.0;     // out-of-order segments seen by the receiver
   obs::Counter* scn_events = nullptr;
 
-  // Exact per-stage cycle attribution (dtnsim-perf), allocated only when the
-  // attached Telemetry wants perf — same zero-cost-when-disabled guarantee
-  // as the fluid engine's Instruments::PerfAccum. The packet engine runs one
-  // app core per side and folds IRQ work into the NAPI/service times; the
-  // snd_irq/rcv_irq *cycles* are still attributed (from the cost model's
-  // IRQ stage prices) so flamegraphs show where that folded work goes, but
-  // no IRQ capacity is metered — utilization stays 0 for those groups.
-  struct PerfAccum {
-    std::array<double, obs::kPerfStageCount> stage{};
-    std::array<double, obs::kPerfCoreCount> consumed{};
-    double bytes_sent = 0.0;
-    // TX stage prices per payload byte (fixed geometry for the whole run);
-    // tx_prep_ns is the ns projection of tx_pb.total() * gso_bytes.
-    cpu::TxAppStageCyc tx_pb;
-    cpu::TxIrqStageCyc tx_irq_pb;
-    // RX app stage cycles per wire segment. Under rx_segment_ns_override
-    // these are rescaled so their sum equals the override the engine
-    // actually charges, keeping the stage-sum == consumed identity honest.
-    double rx_seg_syscall = 0.0;
-    double rx_seg_frag_walk = 0.0;
-    double rx_seg_copyout = 0.0;
-    // RX IRQ stage cycles per wire segment, at the cost model's natural
-    // prices (the override pins only the app-core drain time, so the IRQ
-    // attribution is not rescaled with it).
-    double rx_irq_seg_skb_alloc = 0.0;
-    double rx_irq_seg_gro_merge = 0.0;
-    double rx_irq_seg_agg_flush = 0.0;
-    double rx_irq_seg_csum = 0.0;
-    // App-core clock rates, for capacity at sample time.
-    double snd_hz = 0.0;
-    double rcv_hz = 0.0;
-  };
-  std::unique_ptr<PerfAccum> perf;
+  // Exact per-stage cycle attribution (dtnsim-perf): the one flow's row and
+  // the run totals, allocated only when the attached Telemetry wants perf,
+  // so an unprofiled run makes no attribution updates. The packet engine
+  // runs one app core per side and folds IRQ work into the NAPI/service
+  // times; the snd_irq/rcv_irq *cycles* are still attributed (from the cost
+  // model's IRQ stage prices) so flamegraphs show where that folded work
+  // goes, but no IRQ capacity is metered — utilization stays 0 for those
+  // groups.
+  std::unique_ptr<obs::PerfReport> perf;
+  // Stage prices, set only when perf is on: TX per payload byte (the same
+  // TxPathConfig priced tx_prep_ns), RX per wire segment.
+  cpu::TxAppStageCyc tx_spb;
+  cpu::TxIrqStageCyc tx_irq_spb;
+  cpu::RxAppStageCyc rx_seg_spb;
+  cpu::RxIrqStageCyc rx_irq_seg_spb;
 };
 
 void try_send(SimState& s);
@@ -205,20 +186,19 @@ void napi_poll(SimState& s) {
     // that charge lands on rcv_app; the NAPI-side work the drain folds in
     // (skb alloc, GRO merge, flush, checksum) is attributed to rcv_irq at
     // the cost model's prices — attribution only, no extra simulated time.
-    auto& pa = *s.perf;
+    obs::PerfReport& pr = *s.perf;
     const double n = static_cast<double>(take);
-    pa.stage[static_cast<int>(obs::PerfStage::RxSyscall)] += n * pa.rx_seg_syscall;
-    pa.stage[static_cast<int>(obs::PerfStage::RxFragWalk)] += n * pa.rx_seg_frag_walk;
-    pa.stage[static_cast<int>(obs::PerfStage::RxCopyout)] += n * pa.rx_seg_copyout;
-    pa.consumed[static_cast<int>(obs::PerfCore::RcvApp)] +=
-        n * (pa.rx_seg_syscall + pa.rx_seg_frag_walk + pa.rx_seg_copyout);
-    pa.stage[static_cast<int>(obs::PerfStage::RxSkbAlloc)] += n * pa.rx_irq_seg_skb_alloc;
-    pa.stage[static_cast<int>(obs::PerfStage::RxGroMerge)] += n * pa.rx_irq_seg_gro_merge;
-    pa.stage[static_cast<int>(obs::PerfStage::RxAggFlush)] += n * pa.rx_irq_seg_agg_flush;
-    pa.stage[static_cast<int>(obs::PerfStage::RxCsum)] += n * pa.rx_irq_seg_csum;
-    pa.consumed[static_cast<int>(obs::PerfCore::RcvIrq)] +=
-        n * (pa.rx_irq_seg_skb_alloc + pa.rx_irq_seg_gro_merge +
-             pa.rx_irq_seg_agg_flush + pa.rx_irq_seg_csum);
+    const cpu::RxAppStageCyc& app = s.rx_seg_spb;
+    const cpu::RxIrqStageCyc& irq = s.rx_irq_seg_spb;
+    pr.add(0, obs::PerfStage::RxSyscall, n * app.syscall);
+    pr.add(0, obs::PerfStage::RxFragWalk, n * app.frag_walk);
+    pr.add(0, obs::PerfStage::RxCopyout, n * app.copyout);
+    pr.consumed_cycles[static_cast<int>(obs::PerfCore::RcvApp)] += n * app.total();
+    pr.add(0, obs::PerfStage::RxSkbAlloc, n * irq.skb_alloc);
+    pr.add(0, obs::PerfStage::RxGroMerge, n * irq.gro_merge);
+    pr.add(0, obs::PerfStage::RxAggFlush, n * irq.agg_flush);
+    pr.add(0, obs::PerfStage::RxCsum, n * irq.csum);
+    pr.consumed_cycles[static_cast<int>(obs::PerfCore::RcvIrq)] += n * irq.total();
   }
   s.engine.schedule(spent, [&s, take] {
     for (int i = 0; i < take; ++i) {
@@ -320,23 +300,25 @@ void try_send(SimState& s) {
       // Charge in cycles from the per-byte stage prices, not from the
       // ns-quantized tx_prep_ns — the quantization error (~3 cyc/ns per
       // super-packet) would fail the stage-sum == consumed cross-check.
-      auto& pa = *s.perf;
+      obs::PerfReport& pr = *s.perf;
       const double b = s.gso_bytes;
-      pa.stage[static_cast<int>(obs::PerfStage::TxSyscall)] += b * pa.tx_pb.syscall;
-      pa.stage[static_cast<int>(obs::PerfStage::TxProto)] += b * pa.tx_pb.proto;
-      pa.stage[static_cast<int>(obs::PerfStage::TxUserCopy)] += b * pa.tx_pb.user_copy;
-      pa.stage[static_cast<int>(obs::PerfStage::TxZcPin)] += b * pa.tx_pb.zc_pin;
-      pa.stage[static_cast<int>(obs::PerfStage::TxZcNotify)] += b * pa.tx_pb.zc_notify;
-      pa.stage[static_cast<int>(obs::PerfStage::TxZcFallback)] += b * pa.tx_pb.zc_fallback;
-      pa.consumed[static_cast<int>(obs::PerfCore::SndApp)] += b * pa.tx_pb.total();
+      const cpu::TxAppStageCyc& app = s.tx_spb;
+      const cpu::TxIrqStageCyc& irq = s.tx_irq_spb;
+      pr.add(0, obs::PerfStage::TxSyscall, b * app.syscall);
+      pr.add(0, obs::PerfStage::TxProto, b * app.proto);
+      pr.add(0, obs::PerfStage::TxUserCopy, b * app.user_copy);
+      pr.add(0, obs::PerfStage::TxZcPin, b * app.zc_pin);
+      pr.add(0, obs::PerfStage::TxZcNotify, b * app.zc_notify);
+      pr.add(0, obs::PerfStage::TxZcFallback, b * app.zc_fallback);
+      pr.consumed_cycles[static_cast<int>(obs::PerfCore::SndApp)] += b * app.total();
       // Segmentation/DMA/completion work rides inside tx_prep in this
       // engine; attribute it to snd_irq so the profile shows it (no extra
       // simulated time is charged).
-      pa.stage[static_cast<int>(obs::PerfStage::TxGsoSegment)] += b * pa.tx_irq_pb.gso_segment;
-      pa.stage[static_cast<int>(obs::PerfStage::TxDmaMap)] += b * pa.tx_irq_pb.dma_map;
-      pa.stage[static_cast<int>(obs::PerfStage::TxCompletion)] += b * pa.tx_irq_pb.completion;
-      pa.consumed[static_cast<int>(obs::PerfCore::SndIrq)] += b * pa.tx_irq_pb.total();
-      pa.bytes_sent += b;
+      pr.add(0, obs::PerfStage::TxGsoSegment, b * irq.gso_segment);
+      pr.add(0, obs::PerfStage::TxDmaMap, b * irq.dma_map);
+      pr.add(0, obs::PerfStage::TxCompletion, b * irq.completion);
+      pr.consumed_cycles[static_cast<int>(obs::PerfCore::SndIrq)] += b * irq.total();
+      pr.bytes_sent += b;
     }
     const int segments = static_cast<int>(std::ceil(s.gso_bytes / s.mss));
     s.res.segments_sent += static_cast<std::uint64_t>(segments);
@@ -437,12 +419,8 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
   cpu::RxPathConfig rxc;
   rxc.gro_bytes = kern::effective_gro_bytes(rcv_caps, units::Bytes(mtu)).value();
   rxc.mtu_bytes = mtu;
-  if (cfg.rx_segment_ns_override > 0) {
-    s.rx_segment_ns = static_cast<Nanos>(cfg.rx_segment_ns_override);
-  } else {
-    s.rx_segment_ns = static_cast<Nanos>(rcv_cost.rx_app_cyc_per_byte(rxc) * s.mss /
-                                         receiver.app_core_hz() * 1e9);
-  }
+  s.rx_segment_ns = static_cast<Nanos>(rcv_cost.rx_app_cyc_per_byte(rxc) * s.mss /
+                                       receiver.app_core_hz() * 1e9);
 
   net::FqQdisc qdisc(cfg.sender.nic.line_rate_bps);
   if (cfg.pacing_bps > 0 &&
@@ -558,60 +536,31 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
       };
     }
     if (s.tel->wants_perf()) {
-      s.perf = std::make_unique<SimState::PerfAccum>();
-      auto& pa = *s.perf;
+      s.perf = std::make_unique<obs::PerfReport>();
+      s.perf->engine = "packet";
+      s.perf->flows.resize(1);
       // TX stage prices come from the same TxPathConfig that priced
       // tx_prep_ns, so stage sums track the engine's scalar charge exactly.
-      pa.tx_pb = snd_cost.tx_app_stage_cyc(txc);
-      pa.tx_irq_pb = snd_cost.tx_irq_stage_cyc(txc);
-      // RX: per-wire-segment stage cycles. When rx_segment_ns_override pins
-      // the service time, rescale the stage shares so their sum equals the
-      // cycles the override actually spends per segment.
+      s.tx_spb = snd_cost.tx_app_stage_cyc(txc);
+      s.tx_irq_spb = snd_cost.tx_irq_stage_cyc(txc);
+      // RX: per-wire-segment stage cycles, from the RxPathConfig that priced
+      // rx_segment_ns.
       const auto rx_pb = rcv_cost.rx_app_stage_cyc(rxc);
-      double scale = 1.0;
-      if (cfg.rx_segment_ns_override > 0) {
-        const double per_seg_total = rx_pb.total() * s.mss;
-        const double override_cyc =
-            cfg.rx_segment_ns_override * receiver.app_core_hz() / 1e9;
-        scale = per_seg_total > 0.0 ? override_cyc / per_seg_total : 0.0;
-      }
-      pa.rx_seg_syscall = rx_pb.syscall * s.mss * scale;
-      pa.rx_seg_frag_walk = rx_pb.frag_walk * s.mss * scale;
-      pa.rx_seg_copyout = rx_pb.copyout * s.mss * scale;
-      // RX IRQ attribution at natural prices: the override rescale above
-      // keeps the app-core identity with the pinned drain time, while the
-      // IRQ-side work the drain folds in keeps its own cost-model split.
+      s.rx_seg_spb = {rx_pb.syscall * s.mss, rx_pb.frag_walk * s.mss, rx_pb.copyout * s.mss};
       const auto rx_irq_pb = rcv_cost.rx_irq_stage_cyc(rxc);
-      pa.rx_irq_seg_skb_alloc = rx_irq_pb.skb_alloc * s.mss;
-      pa.rx_irq_seg_gro_merge = rx_irq_pb.gro_merge * s.mss;
-      pa.rx_irq_seg_agg_flush = rx_irq_pb.agg_flush * s.mss;
-      pa.rx_irq_seg_csum = rx_irq_pb.csum * s.mss;
-      pa.snd_hz = sender.app_core_hz();
-      pa.rcv_hz = receiver.app_core_hz();
-      // Everything below only *reads* SimState. The packet engine runs one
-      // app core per side and meters no IRQ capacity; snd_irq/rcv_irq carry
-      // attributed cycles against zero capacity (utilization reads 0).
-      views.perf = [&s](Nanos now) {
-        obs::PerfReport r;
-        r.ts = now;
-        r.engine = "packet";
-        const auto& a = *s.perf;
-        for (int i = 0; i < obs::kPerfStageCount; ++i) {
-          r.stage_cycles[static_cast<std::size_t>(i)] = a.stage[static_cast<std::size_t>(i)];
-        }
-        for (int c = 0; c < obs::kPerfCoreCount; ++c) {
-          r.consumed_cycles[static_cast<std::size_t>(c)] =
-              a.consumed[static_cast<std::size_t>(c)];
-        }
+      s.rx_irq_seg_spb = {rx_irq_pb.skb_alloc * s.mss, rx_irq_pb.gro_merge * s.mss,
+                          rx_irq_pb.agg_flush * s.mss, rx_irq_pb.csum * s.mss};
+      // A copy of the accumulator plus what the clock and the delivery count
+      // give at `now`. The packet engine runs one app core per side and
+      // meters no IRQ capacity; snd_irq/rcv_irq carry attributed cycles
+      // against zero capacity (utilization reads 0).
+      views.perf = [&s, snd_hz = sender.app_core_hz(),
+                    rcv_hz = receiver.app_core_hz()](Nanos now) {
+        obs::PerfReport r = *s.perf;
         const double sec = units::to_seconds(now);
-        r.capacity_cycles[static_cast<int>(obs::PerfCore::SndApp)] = sec * a.snd_hz;
-        r.capacity_cycles[static_cast<int>(obs::PerfCore::RcvApp)] = sec * a.rcv_hz;
-        r.bytes_sent = a.bytes_sent;
+        r.capacity_cycles[static_cast<int>(obs::PerfCore::SndApp)] = sec * snd_hz;
+        r.capacity_cycles[static_cast<int>(obs::PerfCore::RcvApp)] = sec * rcv_hz;
         r.bytes_delivered = s.res.delivered_bytes;
-        obs::PerfFlowCycles fc;
-        fc.flow = 0;
-        fc.stage_cycles.assign(a.stage.begin(), a.stage.end());
-        r.flows.push_back(std::move(fc));
         return r;
       };
     }

@@ -11,7 +11,11 @@
 //     paced, survives,
 //   - GRO builds aggregates of the expected size,
 //   - achieved throughput equals min(pacing, window/RTT, drain).
-// The unit tests and micro-benches exercise it directly.
+// Sender and receiver CPU times per super-packet and per segment come from
+// the hosts' cost models. tests/test_packet_sim.cpp and the packet cases of
+// the obs, scenario and digest tests run it directly; bench/packet_divergence
+// compares it with the fluid engine, and the selfperf `packet` workload
+// times it on that bench's geometries.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +37,6 @@ struct PacketSimConfig {
   bool zerocopy = false;
   double window_bytes = 8e6;    // fixed window; no congestion control here
   units::SimTime duration = units::SimTime::from_millis(50);
-  // Receiver per-segment processing time floor; derived from the cost model
-  // unless overridden (> 0).
-  double rx_segment_ns_override = 0.0;
   // Mid-run fault/condition timeline (scenario::Timeline). Empty = no hook
   // installed (bit-identical to a scenario-less build). The packet engine
   // supports the subset of event kinds with an SKB-level counterpart: loss /

@@ -30,14 +30,6 @@ double scale_factor(double need, double budget) {
   return std::clamp(budget / need, 0.0, 1.0);
 }
 
-// Credits `cycles` to one perf stage, in both the run total and the flow's
-// row (Accum is Instruments::PerfAccum; templated to reach the private type).
-template <typename Accum>
-void add_stage(Accum& pa, std::size_t fi, obs::PerfStage st, double cycles) {
-  pa.stage[static_cast<int>(st)] += cycles;
-  pa.flow_stage[fi][static_cast<int>(st)] += cycles;
-}
-
 }  // namespace
 
 TransferSimulation::TransferSimulation(TransferConfig cfg)
@@ -176,20 +168,18 @@ void TransferSimulation::setup_telemetry(sim::Engine& engine) {
   in.flow0_slow_start = flows_[0].cc->in_slow_start();
 
   if (tel_->wants_ss()) {
-    in.ss = std::make_unique<Instruments::SsAccum>();
-    const std::size_t n = flows_.size();
-    in.ss->bytes_sent.assign(n, 0.0);
-    in.ss->send_bps.assign(n, 0.0);
-    in.ss->delivery_bps.assign(n, 0.0);
-    in.ss->notsent_bytes.assign(n, 0.0);
-    in.ss->optmem_inflight.assign(n, 0.0);
-    in.ss->rcv_ooo.assign(n, 0.0);
+    in.ss = std::make_unique<obs::SsReport>();
+    in.ss->engine = "fluid";
+    in.ss->sockets.resize(flows_.size());
+    for (int f = 0; f < nflows; ++f) in.ss->sockets[static_cast<std::size_t>(f)].flow = f;
+    in.ss->nic.device = cfg_.receiver.nic.model;
   }
 
   if (tel_->wants_perf()) {
-    in.perf = std::make_unique<Instruments::PerfAccum>();
-    in.perf->flow_stage.assign(flows_.size(), {});
-    in.perf->tx_pb.assign(flows_.size(), {});
+    in.perf = std::make_unique<obs::PerfReport>();
+    in.perf->engine = "fluid";
+    in.perf->flows.resize(flows_.size());
+    for (int f = 0; f < nflows; ++f) in.perf->flows[static_cast<std::size_t>(f)].flow = f;
   }
 
   tel_->trace().begin("transfer", "run", engine.now());
@@ -241,11 +231,10 @@ TransferResult TransferSimulation::run() {
   // session detaches this run's views however run() exits.
   std::optional<obs::Sampler::Session> sampling;
   if (tel_) {
-    sampling.emplace(tel_->sampler(), engine, cfg_.duration.nanos(),
-                     obs::Sampler::Source{
-                         .metrics = &obs::kFluidMetrics,
-                         .ss = [this](Nanos now) { return build_ss_report(now); },
-                         .perf = [this](Nanos now) { return build_perf_report(now); }});
+    obs::Sampler::Source views{.metrics = &obs::kFluidMetrics};
+    if (instr_->ss) views.ss = [this](Nanos) { return build_ss_report(); };
+    if (instr_->perf) views.perf = [this](Nanos) { return *instr_->perf; };
+    sampling.emplace(tel_->sampler(), engine, cfg_.duration.nanos(), std::move(views));
   }
   engine.run();
   if (sampling) {
@@ -467,9 +456,7 @@ void TransferSimulation::tick(double now_sec) {
         static_cast<int>(&f - flows_.data()) >= scn_active_flows_) {
       f.planned_bytes = 0.0;
       f.tx_app_cyc_per_byte = 0.0;
-      if (in && in->perf) {
-        in->perf->tx_pb[static_cast<std::size_t>(&f - flows_.data())] = {};
-      }
+      f.tx_app_spb = {};
       continue;
     }
 
@@ -504,8 +491,7 @@ void TransferSimulation::tick(double now_sec) {
     if (in && in->perf) {
       // Stage split of the price just computed — same TxPathConfig, so the
       // stage fields sum back to f.tx_app_cyc_per_byte (fp rounding aside).
-      const std::size_t fi = static_cast<std::size_t>(&f - flows_.data());
-      in->perf->tx_pb[fi] = snd_cost_->tx_app_stage_cyc(txc);
+      f.tx_app_spb = snd_cost_->tx_app_stage_cyc(txc);
     }
 
     const double cpu_cap = rc.snd_app_budget * f.share_jitter /
@@ -552,23 +538,23 @@ void TransferSimulation::tick(double now_sec) {
       // Split the exact charges above into stages; per-byte stage prices
       // come from the planning loop's TxPathConfig (app) and the shared
       // geometry config (irq), so stage sums equal the scalar charges.
-      auto& pa = *in->perf;
+      obs::PerfReport& pr = *in->perf;
       const std::size_t fi = static_cast<std::size_t>(&f - flows_.data());
-      const auto& pb = pa.tx_pb[fi];
+      const auto& pb = f.tx_app_spb;
       const auto& tx_irq_spb = rc.tx_irq_spb;
-      add_stage(pa, fi, obs::PerfStage::TxSyscall, f.sent_bytes * pb.syscall);
-      add_stage(pa, fi, obs::PerfStage::TxProto, f.sent_bytes * pb.proto);
-      add_stage(pa, fi, obs::PerfStage::TxUserCopy, f.sent_bytes * pb.user_copy);
-      add_stage(pa, fi, obs::PerfStage::TxZcPin, f.sent_bytes * pb.zc_pin);
-      add_stage(pa, fi, obs::PerfStage::TxZcNotify, f.sent_bytes * pb.zc_notify);
-      add_stage(pa, fi, obs::PerfStage::TxZcFallback, f.sent_bytes * pb.zc_fallback);
-      add_stage(pa, fi, obs::PerfStage::TxGsoSegment, f.sent_bytes * tx_irq_spb.gso_segment);
-      add_stage(pa, fi, obs::PerfStage::TxDmaMap, f.sent_bytes * tx_irq_spb.dma_map);
-      add_stage(pa, fi, obs::PerfStage::TxCompletion, f.sent_bytes * tx_irq_spb.completion);
-      pa.consumed[static_cast<int>(obs::PerfCore::SndApp)] +=
+      pr.add(fi, obs::PerfStage::TxSyscall, f.sent_bytes * pb.syscall);
+      pr.add(fi, obs::PerfStage::TxProto, f.sent_bytes * pb.proto);
+      pr.add(fi, obs::PerfStage::TxUserCopy, f.sent_bytes * pb.user_copy);
+      pr.add(fi, obs::PerfStage::TxZcPin, f.sent_bytes * pb.zc_pin);
+      pr.add(fi, obs::PerfStage::TxZcNotify, f.sent_bytes * pb.zc_notify);
+      pr.add(fi, obs::PerfStage::TxZcFallback, f.sent_bytes * pb.zc_fallback);
+      pr.add(fi, obs::PerfStage::TxGsoSegment, f.sent_bytes * tx_irq_spb.gso_segment);
+      pr.add(fi, obs::PerfStage::TxDmaMap, f.sent_bytes * tx_irq_spb.dma_map);
+      pr.add(fi, obs::PerfStage::TxCompletion, f.sent_bytes * tx_irq_spb.completion);
+      pr.consumed_cycles[static_cast<int>(obs::PerfCore::SndApp)] +=
           f.sent_bytes * f.tx_app_cyc_per_byte;
-      pa.consumed[static_cast<int>(obs::PerfCore::SndIrq)] += f.sent_bytes * tx_irq_pb;
-      pa.bytes_sent += f.sent_bytes;
+      pr.consumed_cycles[static_cast<int>(obs::PerfCore::SndIrq)] += f.sent_bytes * tx_irq_pb;
+      pr.bytes_sent += f.sent_bytes;
     }
   }
 
@@ -622,27 +608,30 @@ void TransferSimulation::tick(double now_sec) {
       in->last_limit = cause;
     }
 
-    if (auto* ssa = in->ss.get()) {
+    if (obs::SsReport* ss = in->ss.get()) {
+      const bool app_limited =
+          cause == obs::RoundLimit::AppCpu || cause == obs::RoundLimit::IrqCpu;
       for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
         const auto& f = flows_[fi];
-        ssa->bytes_sent[fi] += f.sent_bytes;
-        ssa->send_bps[fi] = units::rate_of(f.sent_bytes, dt_sec);
-        ssa->notsent_bytes[fi] = std::max(f.planned_bytes - f.sent_bytes, 0.0);
-        ssa->optmem_inflight[fi] = f.zc_socket.optmem_used();
+        obs::TcpInfoSnapshot& sk = ss->sockets[fi];
+        sk.bytes_sent += f.sent_bytes;
+        sk.send_rate_bps = units::rate_of(f.sent_bytes, dt_sec);
+        sk.notsent_bytes = std::max(f.planned_bytes - f.sent_bytes, 0.0);
+        // The mid-round charge: live between plan_send and the ACK release.
+        sk.optmem_used_bytes = f.zc_socket.optmem_used();
+        sk.delivery_rate_app_limited = app_limited;
       }
-      ssa->app_limited =
-          cause == obs::RoundLimit::AppCpu || cause == obs::RoundLimit::IrqCpu;
-      ssa->qdisc_sent_bytes += group_sent;
+      ss->qdisc.sent_bytes += group_sent;
       if (cause == obs::RoundLimit::Pacing) {
         // fq "throttled": pacing, not the window, gated this round. The
         // modeled delay is the slice of the round pacing withheld from the
         // window's demand.
-        ssa->qdisc_throttled += 1.0;
+        ss->qdisc.throttled += 1.0;
         const double frac =
             f0_wnd_desired > 0
                 ? std::clamp(1.0 - f0_paced_desired / f0_wnd_desired, 0.0, 1.0)
                 : 0.0;
-        ssa->qdisc_pacing_delay_sec += dt_sec * frac;
+        ss->qdisc.pacing_delay_sec += dt_sec * frac;
       }
     }
   }
@@ -817,16 +806,22 @@ void TransferSimulation::tick(double now_sec) {
     }
     in->pause_active = tick_pause;
 
-    if (auto* ssa = in->ss.get()) {
+    if (obs::SsReport* ss = in->ss.get()) {
       // ethtool -S analogues, aggregated at tick grain so host-overrun drops
       // (which bypass NicRx) are counted too.
-      ssa->rx_bytes += total_accepted;
-      ssa->rx_dropped_bytes += tick_nic_drops;
-      if (tick_nic_drops > 0) ssa->rx_dropped_events += 1.0;
-      ssa->ring_hiwater = std::max(ssa->ring_hiwater, tick_ring_occ);
-      if (tick_pause) ssa->pause_frames += 1.0;
+      obs::NicCountersSnapshot& nic = ss->nic;
+      nic.rx_bytes += total_accepted;
+      nic.rx_dropped_bytes += tick_nic_drops;
+      if (tick_nic_drops > 0) nic.rx_dropped_events += 1.0;
+      nic.rx_ring_hiwater_frac = std::max(nic.rx_ring_hiwater_frac, tick_ring_occ);
+      if (tick_pause) {
+        // 802.3x pause is symmetric in the model: the receiver emits, the
+        // sender's link sees the same bursts.
+        nic.tx_pause_frames += 1.0;
+        nic.rx_pause_frames += 1.0;
+      }
       if (receiver_.hw_gro_active() && rc.gro > 0) {
-        ssa->hw_gro_aggs += total_accepted / rc.gro;
+        nic.hw_gro_coalesced += total_accepted / rc.gro;
       }
     }
   }
@@ -846,18 +841,18 @@ void TransferSimulation::tick(double now_sec) {
       // RX charge split: IRQ-side work scales with what the NIC accepted
       // (post-verdict arrived bytes — summing to total_accepted), app-side
       // work with what the application actually drained this round.
-      auto& pa = *in->perf;
+      obs::PerfReport& pr = *in->perf;
       const auto& rx_irq_spb = rc.rx_irq_spb;
       const auto& rx_app_spb = rc.rx_app_spb;
-      add_stage(pa, fi, obs::PerfStage::RxSkbAlloc, f.arrived_bytes * rx_irq_spb.skb_alloc);
-      add_stage(pa, fi, obs::PerfStage::RxGroMerge, f.arrived_bytes * rx_irq_spb.gro_merge);
-      add_stage(pa, fi, obs::PerfStage::RxAggFlush, f.arrived_bytes * rx_irq_spb.agg_flush);
-      add_stage(pa, fi, obs::PerfStage::RxCsum, f.arrived_bytes * rx_irq_spb.csum);
-      add_stage(pa, fi, obs::PerfStage::RxSyscall, drain * rx_app_spb.syscall);
-      add_stage(pa, fi, obs::PerfStage::RxFragWalk, drain * rx_app_spb.frag_walk);
-      add_stage(pa, fi, obs::PerfStage::RxCopyout, drain * rx_app_spb.copyout);
-      pa.consumed[static_cast<int>(obs::PerfCore::RcvIrq)] += f.arrived_bytes * rx_irq_pb;
-      pa.consumed[static_cast<int>(obs::PerfCore::RcvApp)] += drain * rx_app_pb;
+      pr.add(fi, obs::PerfStage::RxSkbAlloc, f.arrived_bytes * rx_irq_spb.skb_alloc);
+      pr.add(fi, obs::PerfStage::RxGroMerge, f.arrived_bytes * rx_irq_spb.gro_merge);
+      pr.add(fi, obs::PerfStage::RxAggFlush, f.arrived_bytes * rx_irq_spb.agg_flush);
+      pr.add(fi, obs::PerfStage::RxCsum, f.arrived_bytes * rx_irq_spb.csum);
+      pr.add(fi, obs::PerfStage::RxSyscall, drain * rx_app_spb.syscall);
+      pr.add(fi, obs::PerfStage::RxFragWalk, drain * rx_app_spb.frag_walk);
+      pr.add(fi, obs::PerfStage::RxCopyout, drain * rx_app_spb.copyout);
+      pr.consumed_cycles[static_cast<int>(obs::PerfCore::RcvIrq)] += f.arrived_bytes * rx_irq_pb;
+      pr.consumed_cycles[static_cast<int>(obs::PerfCore::RcvApp)] += drain * rx_app_pb;
     }
     if (fi == 0) {
       drain_min = drain_max = drain;
@@ -867,7 +862,7 @@ void TransferSimulation::tick(double now_sec) {
     }
     if (in) {
       in->flow_goodput[fi]->set(units::rate_of(drain, dt_sec));
-      if (in->ss) in->ss->delivery_bps[fi] = units::rate_of(drain, dt_sec);
+      if (in->ss) in->ss->sockets[fi].delivery_rate_bps = units::rate_of(drain, dt_sec);
     }
   }
   total_delivered_ += interval_bytes_this_tick;
@@ -886,7 +881,7 @@ void TransferSimulation::tick(double now_sec) {
       if (scn_ && scn_reorder_frac_ > 0.0) {
         ooo += f.arrived_bytes * scn_reorder_frac_ / seg;
       }
-      in->ss->rcv_ooo[fi] += ooo;
+      in->ss->sockets[fi].rcv_ooopack += ooo;
     }
     if (lost > 0.5 * seg) {
       f.retransmit_segments += lost / seg;
@@ -940,14 +935,14 @@ void TransferSimulation::tick(double now_sec) {
   if (in && in->perf) {
     // Budget offered this tick, per core group (the capacity side of the
     // perf.*_util gauges). App budgets are per flow; IRQ budgets are pooled.
-    auto& pa = *in->perf;
-    pa.capacity[static_cast<int>(obs::PerfCore::SndApp)] +=
+    obs::PerfReport& pr = *in->perf;
+    pr.capacity_cycles[static_cast<int>(obs::PerfCore::SndApp)] +=
         rc.snd_app_budget * static_cast<double>(flows_.size());
-    pa.capacity[static_cast<int>(obs::PerfCore::SndIrq)] += rc.snd_irq_budget;
-    pa.capacity[static_cast<int>(obs::PerfCore::RcvApp)] +=
+    pr.capacity_cycles[static_cast<int>(obs::PerfCore::SndIrq)] += rc.snd_irq_budget;
+    pr.capacity_cycles[static_cast<int>(obs::PerfCore::RcvApp)] +=
         rc.rcv_app_budget * static_cast<double>(flows_.size());
-    pa.capacity[static_cast<int>(obs::PerfCore::RcvIrq)] += rc.rcv_irq_budget;
-    pa.bytes_delivered += interval_bytes_this_tick;
+    pr.capacity_cycles[static_cast<int>(obs::PerfCore::RcvIrq)] += rc.rcv_irq_budget;
+    pr.bytes_delivered += interval_bytes_this_tick;
   }
 
   if (in) {
@@ -1033,19 +1028,15 @@ void TransferSimulation::tick(double now_sec) {
   }
 }
 
-obs::SsReport TransferSimulation::build_ss_report(Nanos now) const {
-  obs::SsReport r;
-  r.ts = now;
-  r.engine = "fluid";
-  const Instruments::SsAccum* ssa = instr_ ? instr_->ss.get() : nullptr;
+obs::SsReport TransferSimulation::build_ss_report() const {
+  obs::SsReport r = *instr_->ss;
   const double path_rtt = std::max(path_.spec().rtt_sec(), 1e-6);
   const double rcv_wnd_max = cfg_.receiver.tuning.sysctl.max_recv_window_bytes();
   const double seg = mss();
 
   for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
     const FlowState& f = flows_[fi];
-    obs::TcpInfoSnapshot s;
-    s.flow = static_cast<int>(fi);
+    obs::TcpInfoSnapshot& s = r.sockets[fi];
     s.ca_name = f.cc->name();
     s.in_slow_start = f.cc->in_slow_start();
     s.mss_bytes = seg;
@@ -1065,68 +1056,19 @@ obs::SsReport TransferSimulation::build_ss_report(Nanos now) const {
     // tcpi_rcv_rtt: the receiver's own RTT estimate — the path RTT plus the
     // sojourn its socket backlog adds before the application drains it.
     s.rcv_rtt_sec = s.rtt_sec;
-    if (ssa) {
-      s.bytes_sent = ssa->bytes_sent[fi];
-      s.send_rate_bps = ssa->send_bps[fi];
-      s.delivery_rate_bps = ssa->delivery_bps[fi];
-      s.notsent_bytes = ssa->notsent_bytes[fi];
-      s.delivery_rate_app_limited = ssa->app_limited;
-      s.optmem_used_bytes = ssa->optmem_inflight[fi];
-      s.rcv_ooopack = ssa->rcv_ooo[fi];
-      if (ssa->delivery_bps[fi] > 0.0) {
-        s.rcv_rtt_sec += f.rcv_backlog_bytes * 8.0 / ssa->delivery_bps[fi];
-      }
+    if (s.delivery_rate_bps > 0.0) {
+      s.rcv_rtt_sec += f.rcv_backlog_bytes * 8.0 / s.delivery_rate_bps;
     }
     s.optmem_max_bytes = f.zc_socket.optmem_max();
     s.optmem_hiwater_bytes = f.zc_socket.peak_optmem_used();
     s.zc_sent_bytes = f.zc_socket.total_zc_bytes();
     s.zc_copied_bytes = f.zc_socket.total_fallback_bytes();
     s.zc_copied_sends = static_cast<double>(f.zc_socket.fallback_events());
-    r.sockets.push_back(std::move(s));
   }
 
-  r.nic.device = cfg_.receiver.nic.model;
   r.qdisc.kind = cfg_.sender.tuning.sysctl.default_qdisc == kern::QdiscKind::Fq
                      ? "fq"
                      : "fq_codel";
-  if (ssa) {
-    r.nic.rx_bytes = ssa->rx_bytes;
-    r.nic.rx_dropped_bytes = ssa->rx_dropped_bytes;
-    r.nic.rx_dropped_events = ssa->rx_dropped_events;
-    r.nic.rx_ring_hiwater_frac = ssa->ring_hiwater;
-    // 802.3x pause is symmetric in the model: the receiver emits, the
-    // sender's link sees the same bursts.
-    r.nic.tx_pause_frames = ssa->pause_frames;
-    r.nic.rx_pause_frames = ssa->pause_frames;
-    r.nic.hw_gro_coalesced = ssa->hw_gro_aggs;
-    r.qdisc.sent_bytes = ssa->qdisc_sent_bytes;
-    r.qdisc.throttled = ssa->qdisc_throttled;
-    r.qdisc.pacing_delay_sec = ssa->qdisc_pacing_delay_sec;
-  }
-  return r;
-}
-
-obs::PerfReport TransferSimulation::build_perf_report(Nanos now) const {
-  obs::PerfReport r;
-  r.ts = now;
-  r.engine = "fluid";
-  const Instruments::PerfAccum* pa = instr_ ? instr_->perf.get() : nullptr;
-  if (!pa) return r;
-  for (int i = 0; i < obs::kPerfStageCount; ++i) r.stage_cycles[i] = pa->stage[i];
-  for (int c = 0; c < obs::kPerfCoreCount; ++c) {
-    r.consumed_cycles[c] = pa->consumed[c];
-    r.capacity_cycles[c] = pa->capacity[c];
-  }
-  r.bytes_sent = pa->bytes_sent;
-  r.bytes_delivered = pa->bytes_delivered;
-  for (std::size_t fi = 0; fi < pa->flow_stage.size(); ++fi) {
-    obs::PerfFlowCycles f;
-    f.flow = static_cast<int>(fi);
-    for (int i = 0; i < obs::kPerfStageCount; ++i) {
-      f.stage_cycles[i] = pa->flow_stage[fi][i];
-    }
-    r.flows.push_back(std::move(f));
-  }
   return r;
 }
 

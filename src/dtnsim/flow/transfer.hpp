@@ -9,9 +9,13 @@
 // trimming), hits the receiver NIC (ring-overflow drops or pause frames) and
 // the receiver's CPU (socket backlog -> advertised window), and the ACK
 // feedback updates congestion control and zerocopy optmem charges.
+//
+// With a Telemetry attached, each round also updates the run's metrics, and
+// with ss or perf on it accumulates straight into an obs::SsReport (one
+// socket per flow) and an obs::PerfReport (one cycle row per flow), which
+// the sampler's views copy at each sample.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -114,6 +118,7 @@ class TransferSimulation {
     double sent_bytes = 0.0;
     double arrived_bytes = 0.0;
     double lost_bytes = 0.0;
+    cpu::TxAppStageCyc tx_app_spb{};  // tx_app_cyc_per_byte's stage split, perf only
   };
 
   // Metric handles and trace edge-detection state, built only when a
@@ -172,48 +177,13 @@ class TransferSimulation {
     bool pause_active = false;
     bool flow0_slow_start = true;
     std::uint64_t rounds = 0;
-    // Kernel-eye (ss/ethtool/tc) snapshot accumulators. Allocated only when
-    // the attached Telemetry wants ss, so a plain telemetry run executes
-    // zero snapshot-state updates (the introspection zero-cost guarantee).
-    struct SsAccum {
-      std::vector<double> bytes_sent;       // per flow, cumulative wire bytes
-      std::vector<double> send_bps;         // per flow, last-round wire rate
-      std::vector<double> delivery_bps;     // per flow, last-round drain rate
-      std::vector<double> notsent_bytes;    // per flow, last-round unsent
-      std::vector<double> optmem_inflight;  // per flow, mid-tick charge
-      bool app_limited = false;             // last round was CPU-bound
-      // ethtool -S analogues (receiver NIC, tick-aggregated)
-      double rx_bytes = 0.0;
-      double rx_dropped_bytes = 0.0;
-      double rx_dropped_events = 0.0;
-      double ring_hiwater = 0.0;
-      double pause_frames = 0.0;
-      double hw_gro_aggs = 0.0;
-      // tc -s analogues (the fluid engine prices pacing analytically)
-      double qdisc_sent_bytes = 0.0;
-      double qdisc_throttled = 0.0;
-      double qdisc_pacing_delay_sec = 0.0;
-      // tcpi_rcv_ooopack analogue: out-of-order segments the receiver saw
-      // (retransmitted holes plus scenario-forced reordering), per flow.
-      std::vector<double> rcv_ooo;
-    };
-    std::unique_ptr<SsAccum> ss;
-    // Exact per-stage cycle attribution (dtnsim-perf). Allocated only when
-    // the attached Telemetry wants perf, so an unprofiled run executes zero
-    // attribution updates (the same zero-cost guarantee as SsAccum).
-    struct PerfAccum {
-      std::array<double, obs::kPerfStageCount> stage{};    // run totals
-      std::array<double, obs::kPerfCoreCount> consumed{};  // engine charges
-      std::array<double, obs::kPerfCoreCount> capacity{};  // budget offered
-      std::vector<std::array<double, obs::kPerfStageCount>> flow_stage;
-      double bytes_sent = 0.0;
-      double bytes_delivered = 0.0;
-      // Per-tick scratch: each flow's TX stage prices, from the same
-      // TxPathConfig that priced the tick's scalar charge — which is what
-      // makes the stage-sum == consumed cross-check hold.
-      std::vector<cpu::TxAppStageCyc> tx_pb;
-    };
-    std::unique_ptr<PerfAccum> perf;
+    // The ss and perf accumulators, allocated only when the Telemetry wants
+    // ss or perf, so a plain telemetry run makes no snapshot or attribution
+    // updates. The tick writes its per-round counters into them; the views
+    // handed to the sampler copy them and fill in what they read from the
+    // flows at sample time.
+    std::unique_ptr<obs::SsReport> ss;
+    std::unique_ptr<obs::PerfReport> perf;
   };
 
   // Everything a round reads that only the run's configuration determines:
@@ -264,14 +234,10 @@ class TransferSimulation {
   void update_jitter(FlowState& f);
   double mss() const;
   void setup_telemetry(sim::Engine& engine);
-  // Build the current ss/tcp_info view of every flow plus NIC/qdisc counter
-  // blocks (dtnsim-ss's payload). Only meaningful while a telemetry sink
-  // with ss enabled is attached; pure read of engine state.
-  obs::SsReport build_ss_report(Nanos now) const;
-  // Copy the perf accumulator into a report (dtnsim-perf's payload). Only
-  // meaningful while a telemetry sink with perf enabled is attached; pure
-  // read of engine state.
-  obs::PerfReport build_perf_report(Nanos now) const;
+  // dtnsim-ss's payload: the ss accumulator plus each flow's tcp_info state
+  // (window, RTT, zerocopy socket counters) and the qdisc kind as they
+  // stand. Called only while an ss-enabled Telemetry is attached; pure read.
+  obs::SsReport build_ss_report() const;
 
   TransferConfig cfg_;
   host::Host sender_;

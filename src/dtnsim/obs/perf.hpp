@@ -20,11 +20,14 @@
 // enforces that identity at every sample.
 //
 // Layering: obs sits below cpu/flow, so these are plain-data structs; the
-// decomposition math lives in cpu::CostModel (tx_app_stage_cyc & friends)
-// and each engine hands the sampler a perf-view builder that copies its
-// accumulator into a report. The builders only read.
+// decomposition math lives in cpu::CostModel (tx_app_stage_cyc & friends).
+// A PerfReport is also the engines' accumulator: with perf on, each engine
+// charges its stage cycles into one through PerfReport::add, and its perf
+// view copies it and fills in what it reads off the simulation clock.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -71,11 +74,13 @@ const char* perf_stage_symbol(PerfStage s);
 PerfCore perf_stage_core(PerfStage s);
 const char* perf_core_name(PerfCore c);
 
+using StageCycles = std::array<double, kPerfStageCount>;
+using CoreCycles = std::array<double, kPerfCoreCount>;
+
 // Cycles one flow burned, by stage. Index with static_cast<int>(PerfStage).
 struct PerfFlowCycles {
-  PerfFlowCycles() : stage_cycles(kPerfStageCount, 0.0) {}
   int flow = 0;
-  std::vector<double> stage_cycles;
+  StageCycles stage_cycles{};
 };
 
 // One dtnsim-perf sample: the whole run's attribution as of time `ts`.
@@ -83,20 +88,23 @@ struct PerfFlowCycles {
 // actually charged its budgets per core group (the two must agree — see
 // cross_check_stage_sum); capacity_cycles is the budget offered so far.
 struct PerfReport {
-  PerfReport()
-      : stage_cycles(kPerfStageCount, 0.0),
-        consumed_cycles(kPerfCoreCount, 0.0),
-        capacity_cycles(kPerfCoreCount, 0.0) {}
-
   Nanos ts = 0;
   std::string engine;  // "fluid" | "packet"
   std::string label;   // test/cell name (merged dumps)
   double bytes_sent = 0.0;
   double bytes_delivered = 0.0;
-  std::vector<double> stage_cycles;     // kPerfStageCount entries
-  std::vector<double> consumed_cycles;  // kPerfCoreCount entries
-  std::vector<double> capacity_cycles;  // kPerfCoreCount entries
+  StageCycles stage_cycles{};
+  CoreCycles consumed_cycles{};
+  CoreCycles capacity_cycles{};
   std::vector<PerfFlowCycles> flows;
+
+  // Charges `cycles` to one stage, in the run total and in row `flow` of
+  // `flows` alike, so the rows always sum to the total.
+  void add(std::size_t flow, PerfStage stage, double cycles) {
+    const auto i = static_cast<std::size_t>(stage);
+    stage_cycles[i] += cycles;
+    flows[flow].stage_cycles[i] += cycles;
+  }
 
   // Summed stage cycles for one core group / all groups.
   double core_stage_cycles(PerfCore c) const;
@@ -129,8 +137,8 @@ std::string format_flamegraph_diff(const PerfReport& before,
 // ---- JSON round-trip (dtnsim-perf --json / --replay) ----------------------
 // One key list per struct (util/fields.hpp) drives both directions.
 
-// A kPerfStageCount cycle vector as {"tx_syscall": cycles, ...}.
-inline auto stage_cycle_fields(std::vector<double>& cycles) {
+// A stage cycle array as {"tx_syscall": cycles, ...}.
+inline auto stage_cycle_fields(StageCycles& cycles) {
   return wire::keyed(
       kPerfStageCount, [](int i) { return perf_stage_name(static_cast<PerfStage>(i)); },
       [&cycles](int i) -> double& { return cycles[static_cast<std::size_t>(i)]; });

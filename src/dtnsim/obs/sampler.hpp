@@ -3,8 +3,9 @@
 // (the perf log).
 //
 // Telemetry owns one Sampler. For each run the engine opens a Session,
-// handing over one Source: a gauge-refresh hook and the builders of its ss
-// and perf views. The session arms every enabled channel on the run's
+// handing over one Source: a gauge-refresh hook and its ss and perf views,
+// which copy the engine's SsReport / PerfReport accumulators (ss.hpp,
+// perf.hpp). The session arms every enabled channel on the run's
 // engine, in the order ss, perf, series; each channel is a self-rescheduling
 // event at interval, 2*interval, ... <= horizon. finish() takes the
 // end-of-run samples, and the session's destructor detaches the source on

@@ -10,9 +10,12 @@
 // headline fields into the shared Registry/trace sinks.
 //
 // Layering: obs sits below net/tcp/kern, so these structs carry copies of
-// engine state; each engine hands the sampler an ss-view builder that makes
-// a report from its own internals. Nothing here touches model behaviour —
-// the builders only read.
+// engine state. An SsReport is also the fluid engine's accumulator: with ss
+// on, its tick writes the per-round counters (bytes sent, send and delivery
+// rates, NIC and qdisc counters) into one with a socket per flow, and its ss
+// view copies that and fills in the rest from the flows at sample time. The
+// packet engine's view builds a report from counters it keeps anyway.
+// Nothing here touches model behaviour — the views only read.
 #pragma once
 
 #include <string>

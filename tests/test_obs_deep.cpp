@@ -128,12 +128,12 @@ TEST(PacketSimTelemetry, OverflowEmitsInstantAndDrops) {
   tcfg.enabled = true;
   obs::Telemetry tel(tcfg);
 
-  // Slow drain + unpaced trains: guaranteed ring overrun (mirrors
+  // Unpaced line-rate trains into a 256-descriptor ring that drains at
+  // ~56 Gbps: a guaranteed overrun (mirrors
   // PacketSim.SlowDrainOverrunsRingOnlyWhenUnpaced).
   auto cfg = packet_cfg();
   cfg.pacing_bps = 0.0;
   cfg.zerocopy = true;
-  cfg.rx_segment_ns_override = 2000;
   cfg.receiver.tuning.ring_descriptors = 256;
   cfg.telemetry = &tel;
   const auto res = flow::run_packet_sim(cfg);

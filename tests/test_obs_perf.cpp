@@ -1,7 +1,8 @@
 // Simulated perf (dtnsim-perf): the stage-sum == charged-cycles cross-check
-// in both engines, the zero-cost-when-disabled bit-identity guarantee, the
-// flamegraph / perf-report renderers, the JSON round-trip, packet-vs-fluid
-// attribution agreement, and the report key schema golden
+// and per-flow rows summing to the run totals in both engines, the
+// zero-cost-when-disabled bit-identity guarantee, the flamegraph /
+// perf-report renderers, the JSON round-trip, packet-vs-fluid attribution
+// agreement, and the report key schema golden
 // (tests/golden/perf_report_keys.txt).
 #include <gtest/gtest.h>
 
@@ -111,6 +112,57 @@ TEST(PerfAttribution, StageSumMatchesConsumedPacket) {
   EXPECT_EQ(last.capacity_cycles[static_cast<int>(obs::PerfCore::RcvIrq)], 0.0);
   EXPECT_EQ(last.core_utilization(obs::PerfCore::SndIrq), 0.0);
   EXPECT_EQ(last.core_utilization(obs::PerfCore::RcvIrq), 0.0);
+}
+
+// Each stage's per-flow rows must add up to the run total in every sample:
+// both engines charge a stage's cycles to the total and to one flow's row in
+// the same PerfReport::add. Summing eight rows regroups the additions, so
+// the bound is fp drift (1e-9 relative), not equality.
+void expect_flow_rows_sum_to_totals(const std::vector<obs::PerfReport>& log,
+                                    std::size_t flows) {
+  ASSERT_GE(log.size(), 2u);
+  for (const auto& rep : log) {
+    ASSERT_EQ(rep.flows.size(), flows);
+    for (int s = 0; s < obs::kPerfStageCount; ++s) {
+      const auto i = static_cast<std::size_t>(s);
+      double rows = 0.0;
+      for (const auto& f : rep.flows) rows += f.stage_cycles[i];
+      EXPECT_NEAR(rows, rep.stage_cycles[i], 1e-9 * std::max(rep.stage_cycles[i], 1.0))
+          << rep.engine << " " << obs::perf_stage_name(static_cast<obs::PerfStage>(s))
+          << " at t=" << rep.ts;
+    }
+  }
+  EXPECT_GT(log.back().total_cycles(), 0.0);
+}
+
+TEST(PerfAttribution, FlowRowsSumToRunTotals) {
+  const auto fluid = Experiment(harness::esnet(kern::KernelVersion::V6_8))
+                         .path("LAN")
+                         .streams(8)
+                         .zerocopy()
+                         .pacing(units::Rate::from_gbps(20))
+                         .duration(units::SimTime::from_seconds(3))
+                         .repeats(1)
+                         .perf_watch(units::SimTime::from_seconds(1))
+                         .run();
+  expect_flow_rows_sum_to_totals(fluid.perf_log, 8);
+
+  const auto tb = harness::amlight_baremetal(kern::KernelVersion::V6_8);
+  obs::TelemetryConfig tcfg;
+  tcfg.enabled = true;
+  tcfg.perf_enabled = true;
+  tcfg.perf_interval = units::SimTime::from_millis(5).nanos();
+  obs::Telemetry tel(tcfg);
+  flow::PacketSimConfig cfg;
+  cfg.sender = tb.sender;
+  cfg.receiver = tb.receiver;
+  cfg.path = tb.lan();
+  cfg.zerocopy = true;
+  cfg.pacing_bps = units::gbps(20);
+  cfg.duration = units::SimTime::from_millis(20);
+  cfg.telemetry = &tel;
+  (void)flow::run_packet_sim(cfg);
+  expect_flow_rows_sum_to_totals(tel.perf_log(), 1);
 }
 
 TEST(PerfAttribution, DisabledPerfLeavesRunBitIdentical) {
@@ -239,6 +291,7 @@ TEST(PerfReportRender, JsonRoundTripPreservesEveryField) {
                      .perf_watch(units::SimTime::from_seconds(2))
                      .run();
   ASSERT_GE(r.perf_log.size(), 2u);
+  ASSERT_EQ(r.perf_log.back().flows.size(), 4u);  // every flow row round-trips
   const auto doc = obs::perf_log_to_json(r.perf_log);
   const auto parsed = Json::parse(doc.dump(2));
   ASSERT_TRUE(parsed.has_value());
@@ -269,16 +322,6 @@ TEST(PerfReportRender, JsonRoundTripPreservesEveryField) {
     }
     // A round-tripped report still passes the budget cross-check.
     EXPECT_NO_THROW(obs::cross_check_stage_sum(b));
-  }
-  // Per-flow rows decompose the totals: summed flow stages == report stages.
-  const auto& last = r.perf_log.back();
-  ASSERT_EQ(last.flows.size(), 4u);
-  for (int s = 0; s < obs::kPerfStageCount; ++s) {
-    double flow_sum = 0.0;
-    for (const auto& f : last.flows)
-      flow_sum += f.stage_cycles[static_cast<std::size_t>(s)];
-    EXPECT_NEAR(flow_sum, last.stage_cycles[static_cast<std::size_t>(s)],
-                1e-6 * std::max(flow_sum, 1.0));
   }
 }
 

@@ -4,8 +4,9 @@
 //   - JSON timelines round-trip exactly and validate() names bad events;
 //   - jittered fire times come from the run seed alone (same seed -> same
 //     times, different seed -> different times, engine draws untouched);
-//   - a scenario-free spec is bit-identical to one that never heard of the
-//     subsystem, and scenario runs are bit-identical --jobs 1 vs --jobs N;
+//   - in both engines a run whose timeline never fires is bit-identical to
+//     a scenario-free run, and scenario runs are bit-identical --jobs 1 vs
+//     --jobs N;
 //   - both engines apply the supported kinds (and log the unsupported ones
 //     with applied=false);
 //   - the event-log JSON schema is golden (tests/golden/
@@ -215,14 +216,35 @@ harness::TestSpec wan_spec(Timeline tl) {
   return spec;
 }
 
-TEST(ScenarioFluid, EmptyTimelineIsBitIdenticalToNoScenario) {
-  const auto with = harness::run_test(wan_spec(Timeline{}));
-  const auto without = harness::run_test(wan_spec(loss_burst()));
-  const auto plain = harness::run_test(wan_spec(Timeline{}));
-  // Same spec -> identical; attaching a real scenario must change the run.
-  EXPECT_EQ(with.samples_gbps, plain.samples_gbps);
-  EXPECT_NE(with.samples_gbps, without.samples_gbps);
-  EXPECT_TRUE(with.scenario_log.events.empty());
+// Unpaced LAN streams: every round's jitter and loss draws reach the
+// output, so a hook that moved one engine draw would show here.
+harness::TestSpec lan_spec(Timeline tl) {
+  return Experiment(harness::esnet(kern::KernelVersion::V6_8))
+      .path("LAN")
+      .streams(4)
+      .duration(units::SimTime::from_seconds(2))
+      .repeats(2)
+      .scenario(std::move(tl))
+      .spec();
+}
+
+// The hook is pay-for-use: a timeline whose only event lands after the run
+// attaches a Runtime that every round consults, yet every summary figure
+// matches the scenario-free run's bit for bit.
+TEST(ScenarioFluid, UnfiredTimelineIsBitIdenticalToNoScenario) {
+  const auto summary = [](const harness::TestResult& r) {
+    return wire::to_json(static_cast<const report::RunSummary&>(r)).dump();
+  };
+  for (const auto make : {&wan_spec, &lan_spec}) {
+    const auto plain = harness::run_test(make(Timeline{}));
+    const auto unfired = harness::run_test(make(loss_burst(20.0)));
+    const auto fired = harness::run_test(make(loss_burst(1.0)));
+    EXPECT_EQ(summary(unfired), summary(plain)) << plain.name;
+    EXPECT_TRUE(unfired.scenario_log.events.empty()) << plain.name;
+    EXPECT_EQ(unfired.scenario_log.timeline, "loss") << plain.name;  // it was attached
+    // A timeline that fires must change the run.
+    EXPECT_NE(fired.samples_gbps, plain.samples_gbps) << plain.name;
+  }
 }
 
 TEST(ScenarioFluid, LossBurstCutsGoodputAndLogsTheEvent) {
@@ -287,6 +309,34 @@ TEST(ScenarioPacket, LossBurstDropsSegmentsDeterministically) {
   EXPECT_EQ(again.segments_lost_path, lossy.segments_lost_path);
   EXPECT_DOUBLE_EQ(again.delivered_bytes,
                    lossy.delivered_bytes);
+}
+
+// The packet engine's twin of ScenarioFluid.UnfiredTimelineIsBitIdenticalToNoScenario:
+// a timeline whose event lands after the 20 ms horizon leaves every result
+// field of a paced and an unpaced run unchanged.
+TEST(ScenarioPacket, UnfiredTimelineIsBitIdenticalToNoScenario) {
+  for (const double pace : {units::gbps(10), 0.0}) {
+    auto plain_cfg = packet_cfg();
+    plain_cfg.pacing_bps = pace;
+    plain_cfg.duration = units::SimTime::from_millis(20);
+    auto unfired_cfg = plain_cfg;
+    unfired_cfg.scenario = loss_burst(1.0);
+    const auto plain = flow::run_packet_sim(plain_cfg);
+    const auto unfired = flow::run_packet_sim(unfired_cfg);
+    EXPECT_EQ(unfired.superpackets_sent, plain.superpackets_sent) << pace;
+    EXPECT_EQ(unfired.segments_sent, plain.segments_sent) << pace;
+    EXPECT_EQ(unfired.segments_dropped, plain.segments_dropped) << pace;
+    EXPECT_EQ(unfired.segments_lost_path, plain.segments_lost_path) << pace;
+    EXPECT_EQ(unfired.aggregates, plain.aggregates) << pace;
+    EXPECT_EQ(unfired.delivered_bytes, plain.delivered_bytes) << pace;
+    EXPECT_EQ(unfired.achieved_bps, plain.achieved_bps) << pace;
+    EXPECT_EQ(unfired.mean_aggregate_bytes, plain.mean_aggregate_bytes) << pace;
+    EXPECT_EQ(unfired.interdeparture_mean_ns, plain.interdeparture_mean_ns) << pace;
+    EXPECT_EQ(unfired.interdeparture_stddev_ns, plain.interdeparture_stddev_ns) << pace;
+    EXPECT_EQ(unfired.ring_peak, plain.ring_peak) << pace;
+    EXPECT_TRUE(unfired.scenario_log.events.empty()) << pace;
+    EXPECT_EQ(unfired.scenario_log.timeline, "loss") << pace;
+  }
 }
 
 TEST(ScenarioPacket, UnsupportedKindIsLoggedNotApplied) {
