@@ -43,7 +43,10 @@ constexpr double kMemPassesZc = 1.3;
 }  // namespace
 
 CostModel::CostModel(const CpuSpec& spec, const CostModelOptions& opts)
-    : spec_(spec), opts_(opts) {
+    : spec_(spec),
+      opts_(opts),
+      app_mult_(opts.placement.app_cost_mult()),
+      irq_mult_(opts.placement.irq_cost_mult()) {
   switch (spec.vendor) {
     case Vendor::Intel:
       // AVX-512 copy/checksum paths (paper attributes the Intel single-stream
@@ -73,22 +76,20 @@ double CostModel::scaled(double cycles) const {
 }
 
 double CostModel::tx_app_cyc_per_byte(const TxPathConfig& cfg) const {
-  const double copy_frac =
-      std::clamp(1.0 - cfg.zc_fraction, 0.0, 1.0);
-  const double zc_frac = std::clamp(cfg.zc_fraction - cfg.zc_fallback_fraction, 0.0, 1.0);
-  const double fb_frac = std::clamp(cfg.zc_fallback_fraction, 0.0, 1.0);
+  return tx_app_price(cfg.gso_bytes)
+      .per_byte(cfg.zc_fraction, cfg.zc_fallback_fraction, cfg.cache_mult);
+}
 
-  double per_byte = kTxProtoPerByte + kTxPerSuperPkt / std::max(cfg.gso_bytes, 1.0);
-  // Copied bytes pay the (cache-pressure-inflated) copy cost. Zerocopy bytes
-  // pay page pinning instead and never touch the payload.
-  per_byte += copy_frac * copy_tx_ * std::max(cfg.cache_mult, 1.0);
-  per_byte += zc_frac * (zc_pin_per_page_ / kPageBytes +
-                         kZcCompletionPerSuperPkt / std::max(cfg.gso_bytes, 1.0));
-  // Fallback bytes attempted zerocopy, failed the optmem charge and were
-  // copied anyway — strictly worse than the plain copy path.
-  per_byte += fb_frac * (copy_tx_ * std::max(cfg.cache_mult, 1.0) + kZcFallbackExtraPerByte);
-
-  return scaled(per_byte) * opts_.placement.app_cost_mult();
+TxAppPrice CostModel::tx_app_price(double gso_bytes) const {
+  TxAppPrice p;
+  p.base = kTxProtoPerByte + kTxPerSuperPkt / std::max(gso_bytes, 1.0);
+  p.zc = zc_pin_per_page_ / kPageBytes + kZcCompletionPerSuperPkt / std::max(gso_bytes, 1.0);
+  p.copy = copy_tx_;
+  p.fallback_extra = kZcFallbackExtraPerByte;
+  p.stack_factor = opts_.stack_factor;
+  p.virt_factor = opts_.virt_factor;
+  p.app_mult = app_mult_;
+  return p;
 }
 
 double CostModel::tx_irq_cyc_per_byte(const TxPathConfig& cfg) const {
@@ -97,7 +98,7 @@ double CostModel::tx_irq_cyc_per_byte(const TxPathConfig& cfg) const {
       (opts_.iommu_passthrough ? kDmaMapPtPerMtuPkt : kDmaMapStrictPerMtuPkt) /
           std::max(cfg.mtu_bytes, 1.0) +
       kTxCompletionPerSuperPkt / std::max(cfg.gso_bytes, 1.0);
-  return scaled(per_byte) * opts_.placement.irq_cost_mult();
+  return scaled(per_byte) * irq_mult_;
 }
 
 double CostModel::tx_mem_passes(const TxPathConfig& cfg) const {
@@ -116,7 +117,7 @@ double CostModel::rx_app_cyc_per_byte(const RxPathConfig& cfg) const {
     per_byte += (cfg.hw_gro ? kHwGroPerMtuPktApp : kRxPerMtuPktApp) / mss;
     per_byte += copy_rx_ * (cfg.hw_gro ? kHwGroCopyFactor : 1.0);
   }
-  return scaled(per_byte) * opts_.placement.app_cost_mult();
+  return scaled(per_byte) * app_mult_;
 }
 
 double CostModel::rx_irq_cyc_per_byte(const RxPathConfig& cfg) const {
@@ -126,7 +127,7 @@ double CostModel::rx_irq_cyc_per_byte(const RxPathConfig& cfg) const {
       kRxPerAggregateIrq / std::max(cfg.gro_bytes, 1.0) +
       (opts_.iommu_passthrough ? kDmaMapPtPerMtuPkt : kDmaMapStrictPerMtuPkt) /
           std::max(cfg.mtu_bytes, 1.0);
-  return scaled(per_byte) * opts_.placement.irq_cost_mult();
+  return scaled(per_byte) * irq_mult_;
 }
 
 TxAppStageCyc CostModel::tx_app_stage_cyc(const TxPathConfig& cfg) const {
@@ -136,7 +137,7 @@ TxAppStageCyc CostModel::tx_app_stage_cyc(const TxPathConfig& cfg) const {
   const double copy_frac = std::clamp(1.0 - cfg.zc_fraction, 0.0, 1.0);
   const double zc_frac = std::clamp(cfg.zc_fraction - cfg.zc_fallback_fraction, 0.0, 1.0);
   const double fb_frac = std::clamp(cfg.zc_fallback_fraction, 0.0, 1.0);
-  const double mult = opts_.placement.app_cost_mult();
+  const double mult = app_mult_;
 
   TxAppStageCyc s;
   s.proto = scaled(kTxProtoPerByte) * mult;
@@ -153,7 +154,7 @@ TxAppStageCyc CostModel::tx_app_stage_cyc(const TxPathConfig& cfg) const {
 }
 
 TxIrqStageCyc CostModel::tx_irq_stage_cyc(const TxPathConfig& cfg) const {
-  const double mult = opts_.placement.irq_cost_mult();
+  const double mult = irq_mult_;
   TxIrqStageCyc s;
   s.gso_segment = scaled(kTxPerMtuSeg / std::max(cfg.mtu_bytes, 1.0)) * mult;
   s.dma_map =
@@ -166,7 +167,7 @@ TxIrqStageCyc CostModel::tx_irq_stage_cyc(const TxPathConfig& cfg) const {
 
 RxAppStageCyc CostModel::rx_app_stage_cyc(const RxPathConfig& cfg) const {
   const double mss = std::max(cfg.mtu_bytes - 40.0, 1.0);
-  const double mult = opts_.placement.app_cost_mult();
+  const double mult = app_mult_;
   RxAppStageCyc s;
   s.syscall = scaled((cfg.hw_gro ? kRxPerAggregateApp * kHwGroAggregateFactor
                                  : kRxPerAggregateApp) /
@@ -182,7 +183,7 @@ RxAppStageCyc CostModel::rx_app_stage_cyc(const RxPathConfig& cfg) const {
 
 RxIrqStageCyc CostModel::rx_irq_stage_cyc(const RxPathConfig& cfg) const {
   const double per_pkt = cfg.hw_gro ? kHwGroPerMtuPkt : kRxPerMtuPkt;
-  const double mult = opts_.placement.irq_cost_mult();
+  const double mult = irq_mult_;
   RxIrqStageCyc s;
   s.csum = scaled(kRxProtoPerByte) * mult;
   s.gro_merge = scaled(per_pkt / std::max(cfg.mtu_bytes, 1.0)) * mult;
@@ -197,12 +198,6 @@ RxIrqStageCyc CostModel::rx_irq_stage_cyc(const RxPathConfig& cfg) const {
 double CostModel::rx_mem_passes(const RxPathConfig& cfg) const {
   const double copy_passes = 1.6 + opts_.stack_factor;
   return cfg.copy_to_user ? copy_passes : kMemPassesZc;
-}
-
-double CostModel::cache_pressure_mult(double inflight_bytes) const {
-  const double window = std::max(spec_.l3_flow_window_bytes, 1.0);
-  const double x = std::max(inflight_bytes, 0.0) / window;
-  return 1.0 + cache_sat_ * x / (x + 1.0);
 }
 
 double CostModel::dma_throughput_cap_bps() const {

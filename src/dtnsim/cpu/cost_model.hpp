@@ -20,6 +20,8 @@
 // copy path; BIG TCP +16% when RX-aggregate-bound.
 #pragma once
 
+#include <algorithm>
+
 #include "dtnsim/cpu/affinity.hpp"
 #include "dtnsim/cpu/spec.hpp"
 
@@ -38,6 +40,40 @@ struct TxPathConfig {
   double zc_fraction = 0.0;          // payload fraction sent zerocopy
   double zc_fallback_fraction = 0.0; // attempted zerocopy, copied instead
   double cache_mult = 1.0;           // from cache_pressure_mult()
+};
+
+// The terms of tx_app_cyc_per_byte that the send's geometry (super-packet
+// size) and the host fix, so a fluid run computes them once and prices each
+// flow's round from its zerocopy split and cache pressure alone.
+// CostModel::tx_app_price builds one; per_byte is the only implementation
+// of the price, which tx_app_cyc_per_byte also goes through.
+struct TxAppPrice {
+  double base = 0.0;            // per-byte protocol + per-super-packet cost
+  double zc = 0.0;              // zerocopy page pinning + completion per byte
+  double copy = 0.0;            // copy cost per byte, before cache pressure
+  double fallback_extra = 0.0;  // failed pin + copy bookkeeping per byte
+  double stack_factor = 1.0;
+  double virt_factor = 1.0;
+  double app_mult = 1.0;        // placement multiplier of the app core
+
+  // Cycles per payload byte on the app core for a send whose zc_fraction is
+  // attempted zerocopy, zc_fallback_fraction of it copied after all, at
+  // cache-pressure multiplier cache_mult.
+  double per_byte(double zc_fraction, double zc_fallback_fraction, double cache_mult) const {
+    const double copy_frac = std::clamp(1.0 - zc_fraction, 0.0, 1.0);
+    const double zc_frac = std::clamp(zc_fraction - zc_fallback_fraction, 0.0, 1.0);
+    const double fb_frac = std::clamp(zc_fallback_fraction, 0.0, 1.0);
+
+    double cyc = base;
+    // Copied bytes pay the (cache-pressure-inflated) copy cost. Zerocopy
+    // bytes pay page pinning instead and never touch the payload.
+    cyc += copy_frac * copy * std::max(cache_mult, 1.0);
+    cyc += zc_frac * zc;
+    // Fallback bytes attempted zerocopy, failed the optmem charge and were
+    // copied anyway — strictly worse than the plain copy path.
+    cyc += fb_frac * (copy * std::max(cache_mult, 1.0) + fallback_extra);
+    return cyc * stack_factor * virt_factor * app_mult;
+  }
 };
 
 struct RxPathConfig {
@@ -93,8 +129,12 @@ class CostModel {
   CostModel(const CpuSpec& spec, const CostModelOptions& opts);
 
   // Sender-side cycles per payload byte on the app core (copy/pin, protocol,
-  // per-super-packet amortized costs, zerocopy completions).
+  // per-super-packet amortized costs, zerocopy completions):
+  // tx_app_price(cfg.gso_bytes).per_byte(...) of cfg's split and cache_mult.
   double tx_app_cyc_per_byte(const TxPathConfig& cfg) const;
+  // The geometry-only terms of tx_app_cyc_per_byte for super-packets of
+  // gso_bytes.
+  TxAppPrice tx_app_price(double gso_bytes) const;
   // Sender-side cycles per payload byte on the IRQ cores (segmentation
   // residue, DMA mapping, TX completions).
   double tx_irq_cyc_per_byte(const TxPathConfig& cfg) const;
@@ -113,8 +153,13 @@ class CostModel {
   RxIrqStageCyc rx_irq_stage_cyc(const RxPathConfig& cfg) const;
 
   // Multiplier (>= 1) applied to sender per-byte copy costs as the in-flight
-  // window outgrows the flow's effective L3 window.
-  double cache_pressure_mult(double inflight_bytes) const;
+  // window outgrows the flow's effective L3 window. Inline: the fluid engine
+  // asks once per flow per round.
+  double cache_pressure_mult(double inflight_bytes) const {
+    const double window = std::max(spec_.l3_flow_window_bytes, 1.0);
+    const double x = std::max(inflight_bytes, 0.0) / window;
+    return 1.0 + cache_sat_ * x / (x + 1.0);
+  }
 
   // Host-wide DMA throughput ceiling in bits/s; infinite under iommu=pt.
   // Without passthrough, IOTLB pressure and mapping-lock contention cap
@@ -133,6 +178,9 @@ class CostModel {
 
   CpuSpec spec_;
   CostModelOptions opts_;
+  // opts_.placement's multipliers, fixed at construction.
+  double app_mult_ = 1.0;
+  double irq_mult_ = 1.0;
 
   // Vendor-dependent per-byte costs (cycles/byte, unscaled).
   double copy_tx_ = 0.33;

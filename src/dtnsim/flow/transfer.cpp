@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "dtnsim/kern/gro.hpp"
@@ -27,6 +28,10 @@ constexpr std::size_t kMaxRoundSpans = 128;
 
 double scale_factor(double need, double budget) {
   if (need <= 0) return 1.0;
+  // 0 < need <= budget: the correctly rounded quotient is >= 1 and clamps
+  // to exactly 1.0, so skip the division. (An infinite need divides: inf/inf
+  // is NaN, which the clamp passes through.)
+  if (need <= budget && need < std::numeric_limits<double>::infinity()) return 1.0;
   return std::clamp(budget / need, 0.0, 1.0);
 }
 
@@ -63,13 +68,17 @@ double TransferSimulation::mss() const {
   return std::max(cfg_.sender.tuning.mtu_bytes - 40.0, 536.0);
 }
 
-void TransferSimulation::update_jitter(FlowState& f) {
+double TransferSimulation::jitter_sigma() const {
   const bool paced = cfg_.flow.fq_rate_bps > 0.0;
   double sigma = paced ? kJitterSigmaPaced : kJitterSigmaUnpaced;
   // A lone flow still sees scheduler/cache noise, just far less contention.
   if (flows_.size() == 1) sigma = 0.03;
   // Contention on the path widens the spread even for paced flows.
   sigma *= 1.0 + 4.0 * last_trim_frac_;
+  return sigma;
+}
+
+void TransferSimulation::update_jitter(FlowState& f, double sigma) {
   const double target = rng_.lognormal(f.static_bias, sigma);
   f.share_jitter = f.share_jitter * kJitterRho + target * (1.0 - kJitterRho);
 }
@@ -385,6 +394,7 @@ void TransferSimulation::refresh_round() {
   rc.snd_dma_bytes = sender_.dma_cap_bps() * dt_sec / 8.0;
   const double rcv_dma_bytes = receiver_.dma_cap_bps() * dt_sec / 8.0;
 
+  rc.tx_app = snd_cost_->tx_app_price(rc.gso);
   cpu::TxPathConfig irq_cfg;  // per-byte IRQ cost is geometry-only
   irq_cfg.gso_bytes = rc.gso;
   irq_cfg.mtu_bytes = rc.mtu;
@@ -401,8 +411,10 @@ void TransferSimulation::refresh_round() {
     rx_nic.drain_burst_bps *= 1.6;
     rx_nic.drain_smooth_bps *= 1.3;
   }
-  rc.nic_rx = net::NicRx(rx_nic, cfg_.receiver.tuning.ring_descriptors, rc.mtu,
+  const net::NicRx nic_rx(rx_nic, cfg_.receiver.tuning.ring_descriptors, rc.mtu,
                          cfg_.link_flow_control);
+  rc.nic_paced = nic_rx.round(true, dt_sec, rc.rtt);
+  rc.nic_unpaced = nic_rx.round(false, dt_sec, rc.rtt);
   cpu::RxPathConfig rxc;
   rxc.gro_bytes = rc.gro;
   rxc.mtu_bytes = rc.mtu;
@@ -442,76 +454,75 @@ void TransferSimulation::tick(double now_sec) {
   Instruments* const in = instr_.get();
   const Nanos now_ns = engine_ ? engine_->now() : units::seconds(now_sec);
 
-  // ---- Sender: plan each flow -------------------------------------------
+  // ---- Sender: plan each flow and total the plans ------------------------
   units::Cycles snd_app_used{0.0};
   // Flow 0's planning intermediates, kept to name the binding constraint.
   double f0_wnd_desired = 0.0, f0_paced_desired = 0.0, f0_cpu_cap = 0.0;
+  const double tx_irq_pb = rc.tx_irq_pb;
+  double total_planned = 0.0, total_irq_need = 0.0, total_mem_need = 0.0;
+  const double sigma = jitter_sigma();
   for (auto& f : flows_) {
-    update_jitter(f);
+    update_jitter(f, sigma);
 
-    // Departed stream (scenario flow churn): the jitter stream above stays
-    // warm so churn never shifts the other flows' draws, but the flow
-    // plans nothing and its backlog simply drains out below.
-    if (scn_ &&
-        static_cast<int>(&f - flows_.data()) >= scn_active_flows_) {
+    if (scn_ && static_cast<int>(&f - flows_.data()) >= scn_active_flows_) {
+      // Departed stream (scenario flow churn): the jitter stream above stays
+      // warm so churn never shifts the other flows' draws, but the flow
+      // plans nothing and its backlog simply drains out below.
       f.planned_bytes = 0.0;
       f.tx_app_cyc_per_byte = 0.0;
       f.tx_app_spb = {};
-      continue;
+    } else {
+      const double rwnd = std::max(rc.rcv_wnd_max - f.rcv_backlog_bytes, 0.0);
+      const double wnd = std::min({f.cc->cwnd_bytes(), rwnd, rc.snd_wnd_max});
+      double desired = wnd * dt_sec / rtt;
+
+      double pace = fq_rate;
+      const double cc_pace = f.cc->pacing_rate_bps();
+      if (cc_pace > 0.0) pace = pace > 0.0 ? std::min(pace, cc_pace) : cc_pace;
+      if (pace > 0.0) desired = std::min(desired, pace * dt_sec / 8.0);
+
+      // Zerocopy split (preview only; commitment happens after global caps).
+      double zc_frac = 0.0, fb_frac = 0.0;
+      if (zc_req && desired > 0) {
+        const auto plan = f.zc_socket.preview_send(units::Bytes(desired), units::Bytes(gso));
+        zc_frac = (plan.zc_bytes + plan.fallback_bytes) / desired;
+        fb_frac = plan.fallback_bytes / desired;
+      }
+
+      // In-flight data over one RTT is what thrashes the L3; the previous
+      // round's sent volume is the sustained estimate (the window cap can be
+      // far larger than what is actually outstanding).
+      const double cache_mult =
+          snd_cost_->cache_pressure_mult(std::min(f.prev_sent_bytes * rtt / dt_sec, wnd));
+      f.tx_app_cyc_per_byte = rc.tx_app.per_byte(zc_frac, fb_frac, cache_mult);
+      if (in && in->perf) {
+        // Stage split of the price just computed — same split and cache
+        // pressure, so the stage fields sum back to f.tx_app_cyc_per_byte
+        // (fp rounding aside).
+        cpu::TxPathConfig txc;
+        txc.gso_bytes = gso;
+        txc.mtu_bytes = mtu;
+        txc.zc_fraction = zc_frac;
+        txc.zc_fallback_fraction = fb_frac;
+        txc.cache_mult = cache_mult;
+        f.tx_app_spb = snd_cost_->tx_app_stage_cyc(txc);
+      }
+
+      const double cpu_cap = rc.snd_app_budget * f.share_jitter /
+                             std::max(f.tx_app_cyc_per_byte, 1e-9);
+      f.planned_bytes = std::min(desired, cpu_cap);
+      if (in && &f == &flows_[0]) {
+        f0_wnd_desired = wnd * dt_sec / rtt;
+        f0_paced_desired = desired;
+        f0_cpu_cap = cpu_cap;
+      }
     }
-
-    const double rwnd = std::max(rc.rcv_wnd_max - f.rcv_backlog_bytes, 0.0);
-    const double wnd = std::min({f.cc->cwnd_bytes(), rwnd, rc.snd_wnd_max});
-    double desired = wnd * dt_sec / rtt;
-
-    double pace = fq_rate;
-    const double cc_pace = f.cc->pacing_rate_bps();
-    if (cc_pace > 0.0) pace = pace > 0.0 ? std::min(pace, cc_pace) : cc_pace;
-    if (pace > 0.0) desired = std::min(desired, pace * dt_sec / 8.0);
-
-    // Zerocopy split (preview only; commitment happens after global caps).
-    double zc_frac = 0.0, fb_frac = 0.0;
-    if (zc_req && desired > 0) {
-      const auto plan = f.zc_socket.preview_send(units::Bytes(desired), units::Bytes(gso));
-      zc_frac = (plan.zc_bytes + plan.fallback_bytes) / desired;
-      fb_frac = plan.fallback_bytes / desired;
-    }
-
-    cpu::TxPathConfig txc;
-    txc.gso_bytes = gso;
-    txc.mtu_bytes = mtu;
-    txc.zc_fraction = zc_frac;
-    txc.zc_fallback_fraction = fb_frac;
-    // In-flight data over one RTT is what thrashes the L3; the previous
-    // round's sent volume is the sustained estimate (the window cap can be
-    // far larger than what is actually outstanding).
-    txc.cache_mult = snd_cost_->cache_pressure_mult(
-        std::min(f.prev_sent_bytes * rtt / dt_sec, wnd));
-    f.tx_app_cyc_per_byte = snd_cost_->tx_app_cyc_per_byte(txc);
-    if (in && in->perf) {
-      // Stage split of the price just computed — same TxPathConfig, so the
-      // stage fields sum back to f.tx_app_cyc_per_byte (fp rounding aside).
-      f.tx_app_spb = snd_cost_->tx_app_stage_cyc(txc);
-    }
-
-    const double cpu_cap = rc.snd_app_budget * f.share_jitter /
-                           std::max(f.tx_app_cyc_per_byte, 1e-9);
-    f.planned_bytes = std::min(desired, cpu_cap);
-    if (in && &f == &flows_[0]) {
-      f0_wnd_desired = wnd * dt_sec / rtt;
-      f0_paced_desired = desired;
-      f0_cpu_cap = cpu_cap;
-    }
-  }
-
-  // ---- Sender: shared resource scaling ----------------------------------
-  const double tx_irq_pb = rc.tx_irq_pb;
-  double total_planned = 0.0, total_irq_need = 0.0, total_mem_need = 0.0;
-  for (auto& f : flows_) {
     total_planned += f.planned_bytes;
     total_irq_need += f.planned_bytes * tx_irq_pb;
     total_mem_need += f.planned_bytes * rc.tx_mem_passes;
   }
+
+  // ---- Sender: shared resource scaling ----------------------------------
   const double s_irq = scale_factor(total_irq_need, rc.snd_irq_budget);
   const double s_line = scale_factor(total_planned, rc.line_bytes);
   const double s_dma = scale_factor(total_planned, rc.snd_dma_bytes);
@@ -736,19 +747,17 @@ void TransferSimulation::tick(double now_sec) {
   }
 
   // ---- Receiver NIC per flow ---------------------------------------------
-  // NicRx::process is pure, so one NicRx serves every round until a
-  // scenario boundary rebuilds it.
-  const net::NicRx& nic_rx = rc.nic_rx;
+  // Only the arriving bytes vary per flow: the verdict's other terms (the
+  // tolerable rate, the drain per round, the usable ring) are round
+  // constants, rebuilt with the rest at a scenario boundary.
+  const net::RxRound& nic = paced_traffic ? rc.nic_paced : rc.nic_unpaced;
   const double rx_app_pb = rc.rx_app_pb;
   const double rx_irq_pb = rc.rx_irq_pb;
   double total_accepted = 0.0;
   double tick_nic_drops = 0.0, tick_ring_occ = 0.0;
   bool tick_pause = false;
   for (auto& f : flows_) {
-    net::RxArrival arr;
-    arr.bytes = f.arrived_bytes;
-    arr.paced = paced_traffic;
-    const auto verdict = nic_rx.process(arr, dt_sec, rtt);
+    const auto verdict = net::NicRx::verdict(f.arrived_bytes, nic);
     dropped_nic_ += verdict.dropped_bytes;
     tick_nic_drops += verdict.dropped_bytes;
     tick_ring_occ = std::max(tick_ring_occ, verdict.ring_occupancy_frac);
@@ -826,10 +835,12 @@ void TransferSimulation::tick(double now_sec) {
     }
   }
 
-  // ---- Receiver app drain --------------------------------------------------
+  // ---- Receiver app drain, then ACK / loss feedback, flow by flow ----------
   units::Cycles rcv_app_used{0.0};
   double interval_bytes_this_tick = 0.0;
   double drain_min = 0.0, drain_max = 0.0;
+  double tick_retx = 0.0, tick_cc_loss_bytes = 0.0;
+  int tick_cc_loss_flows = 0;
   for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
     auto& f = flows_[fi];
     const double drain = std::min(f.rcv_backlog_bytes + f.arrived_bytes, rc.rx_app_cap);
@@ -864,14 +875,7 @@ void TransferSimulation::tick(double now_sec) {
       in->flow_goodput[fi]->set(units::rate_of(drain, dt_sec));
       if (in->ss) in->ss->sockets[fi].delivery_rate_bps = units::rate_of(drain, dt_sec);
     }
-  }
-  total_delivered_ += interval_bytes_this_tick;
 
-  // ---- ACK / loss feedback ------------------------------------------------
-  double tick_retx = 0.0, tick_cc_loss_bytes = 0.0;
-  int tick_cc_loss_flows = 0;
-  for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
-    auto& f = flows_[fi];
     const double acked = f.arrived_bytes;
     const double lost = f.lost_bytes;
     if (in && in->ss) {
@@ -917,6 +921,7 @@ void TransferSimulation::tick(double now_sec) {
     f.prev_sent_bytes = 0.7 * f.prev_sent_bytes + 0.3 * f.sent_bytes;
     f.lost_bytes = 0.0;
   }
+  total_delivered_ += interval_bytes_this_tick;
 
   // ---- Utilization bookkeeping -------------------------------------------
   // Jitter lets a flow momentarily exceed its nominal budget; mpstat would

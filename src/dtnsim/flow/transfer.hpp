@@ -106,7 +106,6 @@ class TransferSimulation {
     // Persistent per-flow bias for the run (hash placement, NUMA luck):
     // per-flow averages differ across a whole run, not just per tick.
     double static_bias = 1.0;
-    double interval_bytes = 0.0;
     // Previous round's sent bytes ~= sustained in-flight data; drives the
     // sender's cache-pressure multiplier.
     double prev_sent_bytes = 0.0;
@@ -188,9 +187,13 @@ class TransferSimulation {
 
   // Everything a round reads that only the run's configuration determines:
   // window caps, SKB geometry, per-round CPU/memory/line/DMA budgets, the
-  // geometry-only per-byte prices and their stage splits, and the receiver
-  // NIC. Built by refresh_round() before the first round and rebuilt only
-  // when apply_scenario() crosses a boundary, never per round.
+  // geometry-only per-byte prices and their stage splits (among them the
+  // app-core TX price terms, tx_app: protocol plus per-super-packet cost,
+  // zerocopy pin plus completion, copy cost, stack/virt factors and the
+  // placement multiplier), and the receiver NIC's verdict terms for paced
+  // and unpaced rounds (tolerable rate, drain per round, usable ring).
+  // refresh_round() is the only writer: it runs before the first round and
+  // again only when apply_scenario() crosses a boundary, never per round.
   struct RoundConsts {
     double rtt = 0.0;  // path RTT, floored at 1 us
     double mss = 0.0;
@@ -209,7 +212,9 @@ class TransferSimulation {
     double snd_mem_budget = 0.0;
     double line_bytes = 0.0;
     double snd_dma_bytes = 0.0;
-    // Sender per-byte prices that depend on geometry only.
+    // Sender per-byte prices that depend on geometry only; a flow's app-core
+    // price is tx_app.per_byte() of its zerocopy split and cache pressure.
+    cpu::TxAppPrice tx_app{};
     double tx_irq_pb = 0.0;
     double tx_mem_passes = 0.0;
     cpu::TxIrqStageCyc tx_irq_spb{};
@@ -221,7 +226,9 @@ class TransferSimulation {
     double rx_app_cap = 0.0;   // bytes one flow's app core drains per round
     double rx_host_cap = 0.0;  // bytes the receiver's IRQ/DMA/memory accept
     double md_floor = 0.0;     // loss that triggers a multiplicative decrease
-    net::NicRx nic_rx{net::NicSpec{}, 0, 0.0, false};  // set by refresh_round()
+    // The receiver NIC's per-round verdict terms (net::NicRx::round).
+    net::RxRound nic_paced{};
+    net::RxRound nic_unpaced{};
   };
 
   void refresh_round();
@@ -231,7 +238,9 @@ class TransferSimulation {
   // overlay onto cfg_/path_ and rebuilds rc_ from them, so a mutation lands
   // on this round. Called only when a scenario is attached (scn_ non-null).
   void apply_scenario(double now_sec);
-  void update_jitter(FlowState& f);
+  // The width of this round's jitter draws (see update_jitter).
+  double jitter_sigma() const;
+  void update_jitter(FlowState& f, double sigma);
   double mss() const;
   void setup_telemetry(sim::Engine& engine);
   // dtnsim-ss's payload: the ss accumulator plus each flow's tcp_info state

@@ -1,75 +1,21 @@
 #include "dtnsim/kern/zc_socket.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace dtnsim::kern {
 
-ZcTxSocket::SendPlan ZcTxSocket::preview_send(units::Bytes payload, units::Bytes superpkt) const {
-  SendPlan plan;
-  const double bytes = payload.value();
-  if (bytes <= 0 || superpkt.value() <= 0) return plan;
-  const double charge_per_byte = kZcChargePerSuperPkt / superpkt.value();
-  const double chargeable_bytes =
-      charge_per_byte > 0 ? optmem_available() / charge_per_byte : bytes;
-  plan.zc_bytes = std::min(bytes, chargeable_bytes);
-  plan.fallback_bytes = bytes - plan.zc_bytes;
-  return plan;
-}
-
-ZcTxSocket::SendPlan ZcTxSocket::plan_send(units::Bytes payload, units::Bytes superpkt) {
-  SendPlan plan;
-  const double bytes = payload.value();
-  if (bytes <= 0 || superpkt.value() <= 0) return plan;
-
-  const double charge_per_byte = kZcChargePerSuperPkt / superpkt.value();
-  const double chargeable_bytes =
-      charge_per_byte > 0 ? optmem_available() / charge_per_byte : bytes;
-
-  plan.zc_bytes = std::min(bytes, chargeable_bytes);
-  plan.fallback_bytes = bytes - plan.zc_bytes;
-
-  if (plan.zc_bytes > 0) {
-    const double charge = plan.zc_bytes * charge_per_byte;
-    optmem_used_ += charge;
-    peak_optmem_used_ = std::max(peak_optmem_used_, optmem_used_);
-    inflight_zc_bytes_ += plan.zc_bytes;
-    inflight_.push_back(Chunk{plan.zc_bytes, charge});
-    total_zc_ += plan.zc_bytes;
-  }
-  if (plan.fallback_bytes > 0) ++fallback_events_;
-  total_fallback_ += plan.fallback_bytes;
-  return plan;
-}
-
-void ZcTxSocket::on_acked(units::Bytes acked) {
-  double remaining = std::max(acked.value(), 0.0);
-  while (remaining > 0 && !inflight_.empty()) {
-    Chunk& front = inflight_.front();
-    if (front.bytes <= remaining + 1e-9) {
-      remaining -= front.bytes;
-      optmem_used_ -= front.charge;
-      inflight_zc_bytes_ -= front.bytes;
-      ++completions_;
-      inflight_.pop_front();
-    } else {
-      const double frac = remaining / front.bytes;
-      const double charge_released = front.charge * frac;
-      optmem_used_ -= charge_released;
-      inflight_zc_bytes_ -= remaining;
-      front.bytes -= remaining;
-      front.charge -= charge_released;
-      remaining = 0;
-    }
-  }
-  optmem_used_ = std::max(optmem_used_, 0.0);
-  inflight_zc_bytes_ = std::max(inflight_zc_bytes_, 0.0);
-}
-
 void ZcTxSocket::reset() {
-  inflight_.clear();
+  head_ = 0;
+  count_ = 0;
   optmem_used_ = 0.0;
   inflight_zc_bytes_ = 0.0;
+}
+
+void ZcTxSocket::grow() {
+  std::vector<Chunk> bigger(ring_.empty() ? 8 : 2 * ring_.size());
+  for (std::size_t i = 0; i < count_; ++i) {
+    bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+  }
+  ring_ = std::move(bigger);
+  head_ = 0;
 }
 
 }  // namespace dtnsim::kern

@@ -9,10 +9,14 @@
 // copy; 1 MiB mostly fixes it; ~3.25 MiB covers the 104 ms path fully.
 //
 // ZcTxSocket implements that accounting with FIFO charge release on ACK.
+// The fluid engine plans and ACKs every flow's send each round, so those
+// calls are defined here, inline.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "dtnsim/units/units.hpp"
 
@@ -33,15 +37,74 @@ class ZcTxSocket {
 
   // Plan sending `payload` as zerocopy super-packets of `superpkt` bytes.
   // Charges optmem for what fits; the remainder falls back to copy.
-  SendPlan plan_send(units::Bytes payload, units::Bytes superpkt);
+  SendPlan plan_send(units::Bytes payload, units::Bytes superpkt) {
+    SendPlan plan;
+    const double bytes = payload.value();
+    if (bytes <= 0 || superpkt.value() <= 0) return plan;
+
+    const double charge_per_byte = kZcChargePerSuperPkt / superpkt.value();
+    const double chargeable_bytes =
+        charge_per_byte > 0 ? optmem_available() / charge_per_byte : bytes;
+
+    plan.zc_bytes = std::min(bytes, chargeable_bytes);
+    plan.fallback_bytes = bytes - plan.zc_bytes;
+
+    if (plan.zc_bytes > 0) {
+      const double charge = plan.zc_bytes * charge_per_byte;
+      optmem_used_ += charge;
+      peak_optmem_used_ = std::max(peak_optmem_used_, optmem_used_);
+      inflight_zc_bytes_ += plan.zc_bytes;
+      push_chunk(Chunk{plan.zc_bytes, charge});
+      total_zc_ += plan.zc_bytes;
+    }
+    if (plan.fallback_bytes > 0) ++fallback_events_;
+    total_fallback_ += plan.fallback_bytes;
+    return plan;
+  }
 
   // Same split as plan_send but without charging — used to price a send
   // before the CPU budget decides how much is actually sent.
-  SendPlan preview_send(units::Bytes payload, units::Bytes superpkt) const;
+  SendPlan preview_send(units::Bytes payload, units::Bytes superpkt) const {
+    SendPlan plan;
+    const double bytes = payload.value();
+    if (bytes <= 0 || superpkt.value() <= 0) return plan;
+    const double charge_per_byte = kZcChargePerSuperPkt / superpkt.value();
+    const double chargeable_bytes =
+        charge_per_byte > 0 ? optmem_available() / charge_per_byte : bytes;
+    plan.zc_bytes = std::min(bytes, chargeable_bytes);
+    plan.fallback_bytes = bytes - plan.zc_bytes;
+    return plan;
+  }
 
   // ACK `acked` in-flight data; releases charges FIFO. ACKed bytes beyond
   // what was charged (copied bytes interleaved) release nothing.
-  void on_acked(units::Bytes acked);
+  void on_acked(units::Bytes acked) {
+    // With nothing in flight there is nothing to release, and the clamps
+    // below are no-ops: no call leaves either total negative.
+    if (count_ == 0) return;
+    double remaining = std::max(acked.value(), 0.0);
+    while (remaining > 0 && count_ > 0) {
+      Chunk& front = ring_[head_];
+      if (front.bytes <= remaining + 1e-9) {
+        remaining -= front.bytes;
+        optmem_used_ -= front.charge;
+        inflight_zc_bytes_ -= front.bytes;
+        ++completions_;
+        head_ = (head_ + 1) & (ring_.size() - 1);
+        --count_;
+      } else {
+        const double frac = remaining / front.bytes;
+        const double charge_released = front.charge * frac;
+        optmem_used_ -= charge_released;
+        inflight_zc_bytes_ -= remaining;
+        front.bytes -= remaining;
+        front.charge -= charge_released;
+        remaining = 0;
+      }
+    }
+    optmem_used_ = std::max(optmem_used_, 0.0);
+    inflight_zc_bytes_ = std::max(inflight_zc_bytes_, 0.0);
+  }
 
   // Peer reset / flow teardown: release everything.
   void reset();
@@ -82,7 +145,20 @@ class ZcTxSocket {
   double total_zc_ = 0.0;
   double total_fallback_ = 0.0;
   std::uint64_t completions_ = 0;
-  std::deque<Chunk> inflight_;
+  // In-flight chunks, oldest first: count_ entries of ring_ from head_,
+  // wrapping. The capacity is a power of two that doubles only when the
+  // ring is full, so a run stops allocating once it reaches its deepest
+  // queue and then reuses the storage.
+  std::vector<Chunk> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+
+  void push_chunk(Chunk c) {
+    if (count_ == ring_.size()) grow();
+    ring_[(head_ + count_) & (ring_.size() - 1)] = c;
+    ++count_;
+  }
+  void grow();
 };
 
 }  // namespace dtnsim::kern

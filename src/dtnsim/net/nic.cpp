@@ -8,9 +8,6 @@ namespace {
 // Fraction of the ring that is realistically available to absorb one flow's
 // trains (descriptors are shared across queues and replenished in batches).
 constexpr double kRingCreditFactor = 0.5;
-// Fraction of the overflow excess that actually becomes drops within a tick
-// (trains and replenishment interleave; not every excess byte dies).
-constexpr double kDropSeverity = 0.5;
 
 }  // namespace
 
@@ -61,41 +58,14 @@ double NicRx::unpaced_tolerable_bps(double rtt_sec) const {
   return spec_.drain_burst_bps + credit_bps;
 }
 
-RxVerdict NicRx::process(const RxArrival& arrival, double dt_sec,
-                         double rtt_sec) const {
-  RxVerdict v;
-  if (arrival.bytes <= 0 || dt_sec <= 0) return v;
-
-  const double rate_bps = arrival.bytes * 8.0 / dt_sec;
-  const double tolerable =
-      arrival.paced ? paced_tolerable_bps() : unpaced_tolerable_bps(rtt_sec);
-
-  // Peak backlog the ring sees this tick: what arrives beyond the smooth
-  // drain piles up in descriptors until it overflows the usable credit.
-  const double drain =
-      (arrival.paced ? spec_.drain_smooth_bps : spec_.drain_burst_bps) / 8.0 * dt_sec;
-  const double backlog = std::max(arrival.bytes - drain, 0.0);
-  const double usable_ring = ring_bytes_ * kRingCreditFactor;
-  v.ring_occupancy_frac =
-      usable_ring > 0 ? std::min(backlog / usable_ring, 1.0) : 0.0;
-
-  if (rate_bps <= tolerable) {
-    v.accepted_bytes = arrival.bytes;
-    return v;
-  }
-
-  const double excess_bytes = (rate_bps - tolerable) / 8.0 * dt_sec;
-  if (flow_control_) {
-    // 802.3x: the NIC pauses the link instead of dropping; upstream buffers
-    // (switch) absorb and the sender is throttled by backpressure.
-    v.accepted_bytes = arrival.bytes - excess_bytes;
-    v.pause_frames_sent = true;
-    return v;
-  }
-
-  v.dropped_bytes = std::min(excess_bytes * kDropSeverity, arrival.bytes);
-  v.accepted_bytes = arrival.bytes - v.dropped_bytes;
-  return v;
+RxRound NicRx::round(bool paced, double dt_sec, double rtt_sec) const {
+  RxRound r;
+  r.dt_sec = dt_sec;
+  r.tolerable_bps = paced ? paced_tolerable_bps() : unpaced_tolerable_bps(rtt_sec);
+  r.drain_bytes = (paced ? spec_.drain_smooth_bps : spec_.drain_burst_bps) / 8.0 * dt_sec;
+  r.usable_ring = ring_bytes_ * kRingCreditFactor;
+  r.flow_control = flow_control_;
+  return r;
 }
 
 }  // namespace dtnsim::net

@@ -12,6 +12,7 @@
 // IEEE 802.3x pause frames convert would-be drops into backpressure.
 #pragma once
 
+#include <algorithm>
 #include <string>
 
 #include "dtnsim/util/units.hpp"
@@ -52,6 +53,18 @@ struct RxVerdict {
   double ring_occupancy_frac = 0.0;
 };
 
+// The terms of a tick's verdict that the NIC, the tick length, the RTT and
+// the pacing fix; only the arriving bytes vary per flow. A fluid run
+// computes them once per configuration (NicRx::round) and judges each flow's
+// round with NicRx::verdict, the one implementation process() also uses.
+struct RxRound {
+  double dt_sec = 0.0;
+  double tolerable_bps = 0.0;  // highest arrival rate accepted without loss
+  double drain_bytes = 0.0;    // what the kernel drains in one tick
+  double usable_ring = 0.0;    // ring bytes one flow's trains can fill
+  bool flow_control = false;   // 802.3x: pause instead of dropping
+};
+
 class NicRx {
  public:
   NicRx(const NicSpec& spec, int ring_descriptors, double mtu_bytes,
@@ -60,7 +73,43 @@ class NicRx {
   // Evaluate one tick of arrivals for one flow. `dt_sec` is the tick length;
   // `rtt_sec` scales how much ring credit a window's worth of trains can use.
   // Pure: the verdict depends on the arguments and the NIC's config only.
-  RxVerdict process(const RxArrival& arrival, double dt_sec, double rtt_sec) const;
+  RxVerdict process(const RxArrival& arrival, double dt_sec, double rtt_sec) const {
+    return verdict(arrival.bytes, round(arrival.paced, dt_sec, rtt_sec));
+  }
+
+  // process()'s per-tick terms for paced or unpaced arrivals.
+  RxRound round(bool paced, double dt_sec, double rtt_sec) const;
+
+  // The verdict on `bytes` arriving in one tick of `r`.
+  static RxVerdict verdict(double bytes, const RxRound& r) {
+    RxVerdict v;
+    if (bytes <= 0 || r.dt_sec <= 0) return v;
+
+    const double rate_bps = bytes * 8.0 / r.dt_sec;
+    // Peak backlog the ring sees this tick: what arrives beyond the smooth
+    // drain piles up in descriptors until it overflows the usable credit.
+    const double backlog = std::max(bytes - r.drain_bytes, 0.0);
+    v.ring_occupancy_frac =
+        r.usable_ring > 0 ? std::min(backlog / r.usable_ring, 1.0) : 0.0;
+
+    if (rate_bps <= r.tolerable_bps) {
+      v.accepted_bytes = bytes;
+      return v;
+    }
+
+    const double excess_bytes = (rate_bps - r.tolerable_bps) / 8.0 * r.dt_sec;
+    if (r.flow_control) {
+      // 802.3x: the NIC pauses the link instead of dropping; upstream buffers
+      // (switch) absorb and the sender is throttled by backpressure.
+      v.accepted_bytes = bytes - excess_bytes;
+      v.pause_frames_sent = true;
+      return v;
+    }
+
+    v.dropped_bytes = std::min(excess_bytes * kDropSeverity, bytes);
+    v.accepted_bytes = bytes - v.dropped_bytes;
+    return v;
+  }
 
   // Highest *unpaced* arrival rate that avoids drops at this RTT.
   double unpaced_tolerable_bps(double rtt_sec) const;
@@ -72,6 +121,10 @@ class NicRx {
   bool flow_control() const { return flow_control_; }
 
  private:
+  // Fraction of the overflow excess that actually becomes drops within a
+  // tick (trains and replenishment interleave; not every excess byte dies).
+  static constexpr double kDropSeverity = 0.5;
+
   NicSpec spec_;
   double ring_bytes_;
   bool flow_control_;

@@ -6,14 +6,6 @@
 
 namespace dtnsim::sim {
 
-void Engine::schedule(Nanos delay, EventQueue::Callback fn) {
-  schedule_at(now_ + std::max<Nanos>(delay, 0), std::move(fn));
-}
-
-void Engine::schedule_at(Nanos when, EventQueue::Callback fn) {
-  queue_.push(std::max(when, now_), std::move(fn));
-}
-
 void Engine::run() {
   // Log lines emitted from event callbacks carry the simulated clock so
   // they line up with probe samples and trace timestamps.

@@ -6,7 +6,9 @@
 // Engine per simulation run.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <utility>
 
 #include "dtnsim/sim/event_queue.hpp"
 #include "dtnsim/util/units.hpp"
@@ -19,10 +21,15 @@ class Engine {
   std::size_t events_executed() const { return executed_; }
   std::size_t events_pending() const { return queue_.size(); }
 
-  // Schedule `fn` to run `delay` from now (clamped to >= 0).
-  void schedule(Nanos delay, EventQueue::Callback fn);
+  // Schedule `fn` to run `delay` from now (clamped to >= 0). A callback
+  // passed as a temporary (a lambda) is built once and moved into the queue.
+  void schedule(Nanos delay, EventQueue::Callback fn) {
+    queue_.push(now_ + std::max<Nanos>(delay, 0), std::move(fn));
+  }
   // Schedule `fn` at absolute time `when` (clamped to >= now()).
-  void schedule_at(Nanos when, EventQueue::Callback fn);
+  void schedule_at(Nanos when, EventQueue::Callback fn) {
+    queue_.push(std::max(when, now_), std::move(fn));
+  }
 
   // Run until the queue is empty.
   void run();

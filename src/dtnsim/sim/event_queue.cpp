@@ -4,11 +4,6 @@
 
 namespace dtnsim::sim {
 
-void EventQueue::push(Nanos time, Callback fn) {
-  heap_.push_back(Entry{time, next_seq_++, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
 EventQueue::Callback EventQueue::pop(Nanos* time_out) {
   if (heap_.empty()) return {};
   std::pop_heap(heap_.begin(), heap_.end(), Later{});

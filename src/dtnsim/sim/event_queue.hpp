@@ -6,6 +6,7 @@
 // moved in on push and moved out on pop, never copied.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -18,7 +19,12 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  void push(Nanos time, Callback fn);
+  // Moves `fn` into the heap. A push onto an empty queue (the fluid
+  // engine's one pending round) does no heap work.
+  void push(Nanos time, Callback&& fn) {
+    heap_.emplace_back(time, next_seq_++, std::move(fn));
+    if (heap_.size() > 1) std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }

@@ -42,13 +42,21 @@ namespace units {
 inline constexpr Nanos kNanosPerSec = 1'000'000'000;
 
 namespace detail {
+// Throws "units: NaN <what>" or "units: non-finite <what>". Cold and never
+// inlined, so the guard below inlines into hot loops as two compares.
+[[noreturn, gnu::cold, gnu::noinline]] inline void reject_non_finite(bool nan,
+                                                                    const char* what) {
+  throw std::invalid_argument(std::string(nan ? "units: NaN " : "units: non-finite ") +
+                              what);
+}
+
 // NaN/Inf guard usable in constexpr context: the throw only materializes
 // when the bad branch is actually taken, so constant-folded good values
 // stay constexpr while a poisoned runtime value throws.
 constexpr double checked(double v, const char* what) {
-  if (v != v) throw std::invalid_argument(std::string("units: NaN ") + what);
+  if (v != v) reject_non_finite(true, what);
   if (v > 1.7976931348623157e308 || v < -1.7976931348623157e308)
-    throw std::invalid_argument(std::string("units: non-finite ") + what);
+    reject_non_finite(false, what);
   return v;
 }
 }  // namespace detail

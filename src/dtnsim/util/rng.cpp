@@ -1,7 +1,5 @@
 #include "dtnsim/util/rng.hpp"
 
-#include <cmath>
-
 namespace dtnsim {
 namespace {
 
@@ -13,61 +11,11 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform01() {
-  // 53 top bits -> double in [0,1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  if (hi <= lo) return lo;
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next() % span);
-}
-
-bool Rng::bernoulli(double p) { return uniform01() < p; }
-
-double Rng::normal(double mean, double stddev) {
-  if (has_spare_) {
-    has_spare_ = false;
-    return mean + stddev * spare_;
-  }
-  double u, v, s;
-  do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double mul = std::sqrt(-2.0 * std::log(s) / s);
-  spare_ = v * mul;
-  has_spare_ = true;
-  return mean + stddev * u * mul;
-}
-
-double Rng::lognormal(double median, double sigma) {
-  return median * std::exp(normal(0.0, sigma));
 }
 
 void Rng::jump() {

@@ -5,15 +5,6 @@
 
 namespace dtnsim {
 
-void RunningStats::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 void RunningStats::merge(const RunningStats& other) {
   if (other.n_ == 0) return;
   if (n_ == 0) {

@@ -1,6 +1,7 @@
 // Streaming and batch statistics used by the test harness.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <vector>
@@ -10,7 +11,14 @@ namespace dtnsim {
 // Welford streaming mean/variance with min/max tracking.
 class RunningStats {
  public:
-  void add(double x);
+  void add(double x) {
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
   void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }

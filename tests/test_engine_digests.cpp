@@ -162,6 +162,10 @@ std::vector<Cell> fluid_cells() {
   auto zc = fluid(amlight, amlight.lan(), 1, 50, 30, 15);
   zc.flow.zerocopy = true;
   out.push_back(fluid_cell("lan1_zerocopy", zc));
+  // fig10's shape: 8 zerocopy flows, each with its own socket, paced at 20G.
+  auto zc8 = fluid(esnet, esnet.lan(), 8, 20, 30, 19);
+  zc8.flow.zerocopy = true;
+  out.push_back(fluid_cell("lan8_zc_paced", zc8));
 
   auto bbr = fluid(amlight, harness::amlight_wan(25), 1, 0, 60, 16);
   bbr.flow.congestion = kern::CongestionAlgo::BbrV1;

@@ -1,7 +1,8 @@
-// Hot-path allocation budget: an engine event, a fluid round and a packet-
-// engine event allocate nothing. This binary replaces the global operator
-// new to count calls; each test compares a short and a long run, so one-off
-// set-up allocations cancel and only per-event or per-round ones remain.
+// Hot-path allocation budget: an engine event, a fluid round (copy path and
+// zerocopy) and a packet-engine event allocate nothing. This binary replaces
+// the global operator new to count calls; each test compares a short and a
+// long run, so one-off set-up allocations cancel and only per-event or
+// per-round ones remain.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -54,23 +55,49 @@ TEST(HotPath, EngineEventsAllocateNothing) {
   EXPECT_EQ(count, 100000);
 }
 
+struct FluidRun {
+  long news = 0;          // allocations made by run(), construction excluded
+  double zc_bytes = 0.0;  // bytes the run sent zerocopy
+};
+
+// An 8-flow LAN cell on `tb` with `opts`, run for `seconds`.
+FluidRun fluid_run(const harness::Testbed& tb, const flow::FlowOptions& opts,
+                   double seconds) {
+  flow::TransferConfig cfg;
+  cfg.sender = tb.sender;
+  cfg.receiver = tb.receiver;
+  cfg.path = tb.lan();
+  cfg.streams = 8;
+  cfg.flow = opts;
+  cfg.duration = units::SimTime::from_seconds(seconds);
+  flow::TransferSimulation sim(cfg);
+  FluidRun out;
+  out.news = news_during([&] { out.zc_bytes = sim.run().zc_bytes; });
+  return out;
+}
+
 TEST(HotPath, FluidRoundsAllocateNothing) {
   // Table I's 8-flow LAN cell for 1 s and 4 s: 15k more rounds may only
   // grow the 1 s interval series (one vector growth per doubling).
   const auto tb = harness::esnet(kern::KernelVersion::V5_15);
-  const auto news = [&](double seconds) {
-    flow::TransferConfig cfg;
-    cfg.sender = tb.sender;
-    cfg.receiver = tb.receiver;
-    cfg.path = tb.lan();
-    cfg.streams = 8;
-    cfg.duration = units::SimTime::from_seconds(seconds);
-    flow::TransferSimulation sim(cfg);
-    return news_during([&] { sim.run(); });
-  };
-  const long short_run = news(1.0);
-  const long long_run = news(4.0);
+  const long short_run = fluid_run(tb, {}, 1.0).news;
+  const long long_run = fluid_run(tb, {}, 4.0).news;
   EXPECT_LE(long_run - short_run, 4) << short_run << " vs " << long_run;
+}
+
+TEST(HotPath, ZerocopyRoundsAllocateNothing) {
+  // fig10's 8-flow zerocopy cell paced at 20G: every round charges a chunk
+  // per flow and ACKs release them, so each flow's in-flight queue must
+  // reuse its storage once it reaches its high-water mark.
+  const auto tb = harness::esnet(kern::KernelVersion::V6_8);
+  flow::FlowOptions zc;
+  zc.zerocopy = true;
+  zc.fq_rate_bps = units::gbps(20);
+  const FluidRun short_run = fluid_run(tb, zc, 1.0);
+  const FluidRun long_run = fluid_run(tb, zc, 4.0);
+  EXPECT_GT(short_run.zc_bytes, 0.0);
+  EXPECT_GT(long_run.zc_bytes, 3.0 * short_run.zc_bytes);
+  EXPECT_LE(long_run.news - short_run.news, 4) << short_run.news << " vs " << long_run.news;
 }
 
 TEST(HotPath, PacketEventsAllocateNothing) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "dtnsim/units/units.hpp"
 
@@ -65,15 +67,28 @@ static_assert(Rate::from_bps(5e9).bytes_in(SimTime::from_seconds(2)).value() ==
 
 // --- runtime checks -------------------------------------------------------
 
+// The std::invalid_argument message `make` throws; "(no throw)" if none.
+template <class F>
+std::string rejection(F&& make) {
+  try {
+    make();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "(no throw)";
+}
+
 TEST(Units, CheckedFactoriesRejectNonFinite) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW((void)Bytes(nan), std::invalid_argument);
-  EXPECT_THROW((void)Bytes(inf), std::invalid_argument);
-  EXPECT_THROW((void)Rate::from_gbps(nan), std::invalid_argument);
-  EXPECT_THROW((void)SimTime::from_seconds(inf), std::invalid_argument);
-  EXPECT_THROW((void)Cycles(-inf), std::invalid_argument);
-  EXPECT_THROW((void)Packets(nan), std::invalid_argument);
+  EXPECT_EQ(rejection([&] { (void)Bytes(nan); }), "units: NaN Bytes");
+  EXPECT_EQ(rejection([&] { (void)Bytes(inf); }), "units: non-finite Bytes");
+  EXPECT_EQ(rejection([&] { (void)Rate::from_gbps(nan); }), "units: NaN Rate");
+  EXPECT_EQ(rejection([&] { (void)SimTime::from_seconds(inf); }),
+            "units: non-finite SimTime");
+  EXPECT_EQ(rejection([&] { (void)Cycles(-inf); }), "units: non-finite Cycles");
+  EXPECT_EQ(rejection([&] { (void)Packets(nan); }), "units: NaN Packets");
+  EXPECT_EQ(rejection([&] { (void)Bytes(1.0); }), "(no throw)");
 }
 
 TEST(Units, CompoundAssignment) {

@@ -1,6 +1,9 @@
 // Unit + property tests: MSG_ZEROCOPY optmem accounting (paper Fig. 9).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+
 #include "dtnsim/kern/zc_socket.hpp"
 #include "dtnsim/util/rng.hpp"
 
@@ -46,6 +49,50 @@ TEST(ZcSocket, PartialAckSplitsChunk) {
   s.on_acked(units::Bytes(kGso / 4));
   EXPECT_NEAR(s.inflight_zc_bytes(), kGso * 0.75, 1.0);
   EXPECT_NEAR(s.optmem_used(), kZcChargePerSuperPkt * 0.75, 1e-6);
+}
+
+TEST(ZcSocket, RingReleasesFifoAcrossWrapAndGrowth) {
+  // The in-flight chunks live in a ring that wraps and doubles. Bursts of
+  // sends grow it, ACK runs move its head round, and a std::deque replaying
+  // the same chunks must release them in the same order, charge for charge.
+  ZcTxSocket s{units::Bytes(1e12)};
+  struct Chunk {
+    double bytes, charge;
+  };
+  std::deque<Chunk> ref;
+  double ref_used = 0.0;
+  std::uint64_t ref_completions = 0;
+  Rng rng(7);
+  for (int step = 0; step < 3000; ++step) {
+    const int sends = (step / 40) % 2 == 0 ? 3 : 1;
+    for (int i = 0; i < sends; ++i) {
+      const auto plan = s.plan_send(units::Bytes(rng.uniform(1e3, 1e5)), units::Bytes(kGso));
+      const double charge = plan.zc_bytes * (kZcChargePerSuperPkt / kGso);
+      ref.push_back({plan.zc_bytes, charge});
+      ref_used += charge;
+    }
+    double remaining = rng.uniform(0.0, 2.5e5);
+    s.on_acked(units::Bytes(remaining));
+    while (remaining > 0 && !ref.empty()) {
+      Chunk& front = ref.front();
+      if (front.bytes <= remaining + 1e-9) {
+        remaining -= front.bytes;
+        ref_used -= front.charge;
+        ++ref_completions;
+        ref.pop_front();
+      } else {
+        const double released = front.charge * (remaining / front.bytes);
+        ref_used -= released;
+        front.bytes -= remaining;
+        front.charge -= released;
+        remaining = 0;
+      }
+    }
+    ref_used = std::max(ref_used, 0.0);
+    ASSERT_EQ(s.completions(), ref_completions) << "step " << step;
+    ASSERT_EQ(s.optmem_used(), ref_used) << "step " << step;
+  }
+  EXPECT_GT(ref_completions, 1000u);
 }
 
 TEST(ZcSocket, OverAckIsSafe) {
