@@ -1,8 +1,10 @@
 // Shared helpers for the paper-reproduction bench binaries.
 //
-// Every bench regenerates one table or figure from the paper: same rows,
-// same series, printed alongside the paper's reference values so the shape
-// comparison is immediate. All benches run 60 s x 10 repeats unless a
+// Every bench regenerates one table or figure from the paper, or a cell the
+// experiment registry does not run yet: same rows, same series, printed
+// alongside the paper's reference values so the shape comparison is
+// immediate. Artifacts the registry covers run through `dtnsim-repro <id>`,
+// which also checks their claims. All benches run 60 s x 10 repeats unless a
 // cheaper grid is noted (the harness is deterministic, so repeats only add
 // the paper's run-to-run spread).
 #pragma once
@@ -49,17 +51,6 @@ inline sweep::CampaignOptions parse_bench_campaign_flags(int argc, char** argv) 
     else if (flag == "--cache") run.cache_dir = argv[++i];
   }
   return run;
-}
-
-// Shared flag parsing for attribution-enabled benches: --perf-out FILE
-// turns on per-stage cycle profiling for every cell and merges the labeled
-// logs into one dtnsim-perf replay file. Returns "" when the flag is absent
-// (profiling stays off and the bench output is bit-identical).
-inline std::string parse_bench_perf_out(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--perf-out") return argv[i + 1];
-  }
-  return "";
 }
 
 inline std::string campaign_summary(const sweep::CampaignReport& r) {

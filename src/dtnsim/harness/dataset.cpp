@@ -34,21 +34,9 @@ Json Dataset::to_json() const {
   root["dataset"] = name_;
   Json tests = Json::array();
   for (const auto& r : results_) {
-    Json t = Json::object();
+    Json t = wire::to_json(static_cast<const report::RunSummary&>(r));
     t["name"] = r.name;
     t["repeats"] = r.repeats;
-    t["avg_gbps"] = r.avg_gbps;
-    t["min_gbps"] = r.min_gbps;
-    t["max_gbps"] = r.max_gbps;
-    t["stdev_gbps"] = r.stdev_gbps;
-    t["retransmits"] = r.avg_retransmits;
-    t["flow_min_gbps"] = r.flow_min_gbps;
-    t["flow_max_gbps"] = r.flow_max_gbps;
-    t["snd_cpu_pct"] = r.snd_cpu_pct;
-    t["rcv_cpu_pct"] = r.rcv_cpu_pct;
-    Json samples = Json::array();
-    for (double g : r.samples_gbps) samples.push_back(g);
-    t["samples_gbps"] = std::move(samples);
     tests.push_back(std::move(t));
   }
   root["tests"] = std::move(tests);

@@ -24,6 +24,8 @@ class Dataset {
   std::string raw_csv() const;
   // One row per test: test,repeats,avg,min,max,stdev,retr,snd_cpu,rcv_cpu.
   std::string summary_csv() const;
+  // Each test as its name, repeats and RunSummary fields (one key list
+  // with RunRecords, cache entries and campaign rows).
   Json to_json() const;
 
   // Write <dir>/<name>_raw.csv, <name>_summary.csv, <name>.json.

@@ -3,6 +3,15 @@
 #include <algorithm>
 
 namespace dtnsim {
+namespace {
+
+// Terminal columns of a UTF-8 cell ("±" is two bytes, one column).
+std::size_t width(const std::string& cell) {
+  return static_cast<std::size_t>(std::count_if(
+      cell.begin(), cell.end(), [](char c) { return (c & 0xC0) != 0x80; }));
+}
+
+}  // namespace
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}
 
@@ -15,11 +24,11 @@ void Table::add_separator() { rows_.push_back(Row{{}, true}); }
 
 std::vector<std::size_t> Table::column_widths() const {
   std::vector<std::size_t> widths(headers_.size());
-  for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
+  for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = width(headers_[c]);
   for (const auto& row : rows_) {
     if (row.separator) continue;
     for (std::size_t c = 0; c < row.cells.size() && c < widths.size(); ++c) {
-      widths[c] = std::max(widths[c], row.cells[c].size());
+      widths[c] = std::max(widths[c], width(row.cells[c]));
     }
   }
   return widths;
@@ -37,7 +46,7 @@ std::string Table::to_ascii() const {
     std::string s = "|";
     for (std::size_t c = 0; c < widths.size(); ++c) {
       const std::string& cell = c < cells.size() ? cells[c] : std::string();
-      s += " " + cell + std::string(widths[c] - cell.size(), ' ') + " |";
+      s += " " + cell + std::string(widths[c] - width(cell), ' ') + " |";
     }
     s += "\n";
     return s;
@@ -56,7 +65,7 @@ std::string Table::to_markdown() const {
     std::string s = "|";
     for (std::size_t c = 0; c < widths.size(); ++c) {
       const std::string& cell = c < cells.size() ? cells[c] : std::string();
-      s += " " + cell + std::string(widths[c] - cell.size(), ' ') + " |";
+      s += " " + cell + std::string(widths[c] - width(cell), ' ') + " |";
     }
     s += "\n";
     return s;

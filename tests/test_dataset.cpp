@@ -56,7 +56,7 @@ TEST(Dataset, JsonStructure) {
   EXPECT_EQ(j.find("tests")->size(), 1u);
   const std::string text = j.dump();
   EXPECT_NE(text.find("\"samples_gbps\":[1,2,3]"), std::string::npos);
-  EXPECT_NE(text.find("\"retransmits\":123"), std::string::npos);
+  EXPECT_NE(text.find("\"avg_retransmits\":123"), std::string::npos);
 }
 
 TEST(Dataset, WritesFiles) {

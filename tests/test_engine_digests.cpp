@@ -8,7 +8,8 @@
 // their own, RunDigests, so a sanitizer job can select them alone. The obs/
 // cells (ObservationDigests) pin what a Telemetry holds after its runs: the
 // probe series, the ss and perf logs, the final registry values and the
-// trace, with every observation channel on at its own cadence.
+// trace, with every observation channel on at its own cadence; and every
+// engine cell, run again with those channels on, must keep its own digest.
 //
 // A digest is FNV-1a 64 over the hex-float ("%a") text of every field, so
 // it moves on any bit of any result and on nothing else. Performance work on
@@ -22,6 +23,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -143,13 +145,36 @@ TransferConfig fluid(const harness::Testbed& tb, const net::PathSpec& path, int 
   return cfg;
 }
 
-Cell fluid_cell(std::string name, TransferConfig cfg) {
-  return {"fluid/" + std::move(name), [cfg] { return digest(run_transfer(cfg)); }};
+// Every observation channel on, each at its own cadence.
+obs::TelemetryConfig observed(Nanos probe, Nanos ss, Nanos perf) {
+  obs::TelemetryConfig cfg;
+  cfg.enabled = true;
+  cfg.probe_interval = probe;
+  cfg.ss_enabled = true;
+  cfg.ss_interval = ss;
+  cfg.perf_enabled = true;
+  cfg.perf_interval = perf;
+  return cfg;
+}
+
+// An engine cell; with `watch` set, its run carries a Telemetry so armed.
+using Watch = std::optional<obs::TelemetryConfig>;
+
+template <class Config, class RunFn>
+Cell engine_cell(std::string name, Config cfg, const Watch& watch, RunFn run) {
+  return {std::move(name), [cfg, watch, run]() mutable {
+            std::optional<obs::Telemetry> tel;
+            if (watch) cfg.telemetry = &tel.emplace(*watch);
+            return digest(run(cfg));
+          }};
 }
 
 // LAN cells run 30 s: ~150k rounds at the 200 us tick floor, long enough to
 // cross both timelines' every boundary. WAN cells run the paper's 60 s.
-std::vector<Cell> fluid_cells() {
+std::vector<Cell> fluid_cells(const Watch& watch = std::nullopt) {
+  const auto fluid_cell = [&](std::string name, const TransferConfig& cfg) {
+    return engine_cell("fluid/" + std::move(name), cfg, watch, run_transfer);
+  };
   const auto table1 = harness::esnet(kern::KernelVersion::V5_15);  // Table I's testbed
   const auto esnet = harness::esnet(kern::KernelVersion::V6_8);
   const auto amlight = harness::amlight(kern::KernelVersion::V6_8);
@@ -183,7 +208,7 @@ std::vector<Cell> fluid_cells() {
 }
 
 // bench/packet_divergence's four geometries, on shorter horizons.
-std::vector<Cell> packet_cells() {
+std::vector<Cell> packet_cells(const Watch& watch = std::nullopt) {
   const auto tb = harness::amlight_baremetal(kern::KernelVersion::V6_8);
   const auto geometry = [&](std::string name, net::PathSpec path, double pacing_bps,
                             double window_bytes, double seconds) {
@@ -194,7 +219,7 @@ std::vector<Cell> packet_cells() {
     c.pacing_bps = pacing_bps;
     c.window_bytes = window_bytes;
     c.duration = units::SimTime::from_seconds(seconds);
-    return Cell{"packet/" + std::move(name), [c] { return digest(run_packet_sim(c)); }};
+    return engine_cell("packet/" + std::move(name), c, watch, run_packet_sim);
   };
   return {
       geometry("lan_paced_10g", tb.lan(), units::gbps(10), 64e6, 0.02),
@@ -278,17 +303,6 @@ std::string digest(const obs::Telemetry& tel) {
   }
   d.text(tel.trace().to_chrome_trace().dump());
   return d.hex();
-}
-
-obs::TelemetryConfig observed(Nanos probe, Nanos ss, Nanos perf) {
-  obs::TelemetryConfig cfg;
-  cfg.enabled = true;
-  cfg.probe_interval = probe;
-  cfg.ss_enabled = true;
-  cfg.ss_interval = ss;
-  cfg.perf_enabled = true;
-  cfg.perf_interval = perf;
-  return cfg;
 }
 
 PacketSimConfig packet_lan(double seconds) {
@@ -425,6 +439,16 @@ TEST(RunDigests, MatchGolden) {
 }
 
 TEST(ObservationDigests, MatchGolden) { expect_golden(observation_cells()); }
+
+// Observing a run leaves it the same run: every EngineDigests cell, run again
+// with probe, ss and perf armed, hashes to its unobserved golden line.
+TEST(ObservationDigests, ObservedEnginesMatchGolden) {
+  std::vector<Cell> cells =
+      fluid_cells(observed(units::millis(100), units::millis(500), units::millis(250)));
+  for (auto& c : packet_cells(observed(units::millis(1), units::millis(2), units::millis(5))))
+    cells.push_back(std::move(c));
+  expect_golden(cells);
+}
 
 }  // namespace
 }  // namespace dtnsim::flow

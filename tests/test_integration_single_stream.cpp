@@ -1,4 +1,7 @@
-// Integration tests: single-stream paper anchors (Figs. 5-9, 12, 13).
+// Integration tests: single-stream anchors on cells outside the registry
+// (other kernels, optmem settings and cross-testbed comparisons). The
+// anchors on registry cells (Figs. 4-9, 12, 13) are claims in
+// harness/experiments.cpp, checked by the paper_claims ctest.
 //
 // Shorter runs (20 s x 3) than the paper's 60 s x 10 keep CI fast; the
 // tolerances absorb the extra ramp-up share.
@@ -15,43 +18,11 @@ harness::TestResult quick(Experiment e) {
 
 // ---- Fig. 5 / Fig. 6 anchors ----
 
-TEST(SingleStream, IntelLanDefaultNear55) {
-  const auto r = quick(Experiment(harness::amlight()));
-  EXPECT_NEAR(r.avg_gbps, 55.0, 4.0);
-}
-
-TEST(SingleStream, AmdLanDefaultNear42) {
-  const auto r = quick(Experiment(harness::esnet()));
-  EXPECT_NEAR(r.avg_gbps, 42.0, 3.5);
-}
-
 TEST(SingleStream, IntelBeatsAmdOnLan) {
   // The paper's AVX-512 / L3 architecture observation.
   const auto intel = quick(Experiment(harness::amlight()));
   const auto amd = quick(Experiment(harness::esnet()));
   EXPECT_GT(intel.avg_gbps, amd.avg_gbps * 1.15);
-}
-
-TEST(SingleStream, WanDefaultWellBelowLan) {
-  const auto lan = quick(Experiment(harness::amlight()));
-  const auto wan = quick(Experiment(harness::amlight()).path("WAN 104ms"));
-  EXPECT_LT(wan.avg_gbps, lan.avg_gbps * 0.75);
-}
-
-TEST(SingleStream, ZerocopyAloneDoesNotHelp) {
-  const auto def = quick(Experiment(harness::amlight()).path("WAN 54ms"));
-  const auto zc = quick(Experiment(harness::amlight()).path("WAN 54ms").zerocopy());
-  EXPECT_NEAR(zc.avg_gbps, def.avg_gbps, def.avg_gbps * 0.18);
-}
-
-TEST(SingleStream, ZerocopyPlusPacingUpTo35PercentOnWan) {
-  const auto def = quick(Experiment(harness::amlight()).path("WAN 54ms"));
-  const auto zcp =
-      quick(Experiment(harness::amlight()).path("WAN 54ms").zerocopy().pacing(units::Rate::from_gbps(50)));
-  const double gain = zcp.avg_gbps / def.avg_gbps;
-  EXPECT_GT(gain, 1.20);
-  EXPECT_LT(gain, 1.55);
-  EXPECT_NEAR(zcp.avg_gbps, 50.0, 4.0);  // pinned at the pacing rate
 }
 
 TEST(SingleStream, ZerocopyPacingFlatAcrossRtt) {
@@ -71,29 +42,11 @@ TEST(SingleStream, ZerocopyPacingFlatAcrossRtt) {
   }
 }
 
-TEST(SingleStream, BigTcpModestGain) {
-  const auto def = quick(Experiment(harness::amlight()));
-  const auto big = quick(Experiment(harness::amlight()).big_tcp(true));
-  const double gain = big.avg_gbps / def.avg_gbps;
-  EXPECT_GT(gain, 1.05);
-  EXPECT_LT(gain, 1.25);  // paper: "up to 16%"
-}
-
 TEST(SingleStream, BigTcpNoopOn515) {
   const auto def = quick(Experiment(harness::amlight()).kernel(kern::KernelVersion::V5_15));
   const auto big = quick(
       Experiment(harness::amlight()).kernel(kern::KernelVersion::V5_15).big_tcp(true));
   EXPECT_NEAR(big.avg_gbps, def.avg_gbps, def.avg_gbps * 0.03);
-}
-
-TEST(SingleStream, EsnetZerocopyPacingRecoversWan) {
-  // Fig. 6: 85% improvement on the ESnet WAN, matching LAN.
-  const auto def = quick(Experiment(harness::esnet()).path("WAN 63ms"));
-  const auto zcp =
-      quick(Experiment(harness::esnet()).path("WAN 63ms").zerocopy().pacing(units::Rate::from_gbps(40)));
-  EXPECT_GT(zcp.avg_gbps / def.avg_gbps, 1.5);
-  const auto lan = quick(Experiment(harness::esnet()));
-  EXPECT_NEAR(zcp.avg_gbps, lan.avg_gbps, 5.0);  // "matching the LAN test"
 }
 
 // ---- Fig. 7 / Fig. 8: CPU shapes ----
@@ -111,32 +64,6 @@ TEST(CpuShape, ZerocopyPacingDropsSenderCpu) {
 }
 
 // ---- Fig. 9: optmem sweep ----
-
-TEST(Optmem, DefaultOptmemCripplesWanZerocopy) {
-  const auto small = quick(Experiment(harness::amlight())
-                               .kernel(kern::KernelVersion::V6_5)
-                               .path("WAN 25ms")
-                               .zerocopy()
-                               .pacing(units::Rate::from_gbps(50))
-                               .optmem_max(units::Bytes(20480)));
-  EXPECT_LT(small.avg_gbps, 38.0);     // far below the 50G pacing rate
-  EXPECT_GT(small.snd_cpu_pct, 90.0);  // "completely CPU limited on the sender"
-}
-
-TEST(Optmem, MonotoneAcrossPaperValues) {
-  double prev = 0;
-  for (const double om : {20480.0, 1048576.0, 3405376.0}) {
-    const auto r = quick(Experiment(harness::amlight())
-                             .kernel(kern::KernelVersion::V6_5)
-                             .path("WAN 104ms")
-                             .zerocopy()
-                             .pacing(units::Rate::from_gbps(50))
-                             .optmem_max(units::Bytes(om)));
-    EXPECT_GE(r.avg_gbps, prev - 1.0);
-    prev = r.avg_gbps;
-  }
-  EXPECT_GT(prev, 42.0);  // 3.25 MB covers the 104 ms path
-}
 
 TEST(Optmem, LanUnaffectedBySmallOptmem) {
   // Tiny in-flight windows on the LAN: even 20 KB suffices.
@@ -159,53 +86,6 @@ TEST(Optmem, BigOptmemCutsSenderCpu) {
                              .pacing(units::Rate::from_gbps(50))
                              .optmem_max(units::Bytes(3405376)));
   EXPECT_LT(big.snd_cpu_pct, mid.snd_cpu_pct * 0.75);
-}
-
-// ---- Figs. 12/13: kernel versions ----
-
-TEST(Kernels, AmdGainsMatchPaper) {
-  const auto r515 = quick(Experiment(harness::esnet()).kernel(kern::KernelVersion::V5_15));
-  const auto r65 = quick(Experiment(harness::esnet()).kernel(kern::KernelVersion::V6_5));
-  const auto r68 = quick(Experiment(harness::esnet()).kernel(kern::KernelVersion::V6_8));
-  EXPECT_NEAR(r65.avg_gbps / r515.avg_gbps, 1.12, 0.05);  // Fig. 12: +12%
-  EXPECT_NEAR(r68.avg_gbps / r65.avg_gbps, 1.17, 0.05);   // Fig. 12: +17%
-}
-
-TEST(Kernels, IntelLan27PercentTotal) {
-  const auto r515 =
-      quick(Experiment(harness::amlight()).kernel(kern::KernelVersion::V5_15));
-  const auto r68 = quick(Experiment(harness::amlight()).kernel(kern::KernelVersion::V6_8));
-  EXPECT_NEAR(r68.avg_gbps / r515.avg_gbps, 1.27, 0.06);  // Fig. 13
-}
-
-TEST(Kernels, WanPacedInsensitiveToKernel) {
-  // Fig. 13: "Single stream WAN performance was the same for all kernels",
-  // pinned at the 50G pacing rate (receiver relieved via --skip-rx-copy).
-  double prev = -1;
-  for (const auto k : {kern::KernelVersion::V5_15, kern::KernelVersion::V6_8}) {
-    const auto r = quick(Experiment(harness::amlight())
-                             .kernel(k)
-                             .path("WAN 25ms")
-                             .zerocopy()
-                             .skip_rx_copy()
-                             .pacing(units::Rate::from_gbps(50))
-                             .optmem_max(units::Bytes(3405376)));
-    if (prev > 0) {
-      EXPECT_NEAR(r.avg_gbps, prev, 2.5);
-    }
-    prev = r.avg_gbps;
-  }
-}
-
-// ---- Fig. 4: VM vs bare metal ----
-
-TEST(Vm, TunedVmWithinStddevOfBareMetal) {
-  for (const char* path : {"LAN", "WAN 54ms"}) {
-    const auto bm = quick(Experiment(harness::amlight_baremetal()).path(path));
-    const auto vm = quick(
-        Experiment(harness::amlight_vm(kern::KernelVersion::V5_10)).path(path));
-    EXPECT_NEAR(vm.avg_gbps, bm.avg_gbps, bm.avg_gbps * 0.08) << path;
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Deep-telemetry tests: packet-sim instrumentation, fluid/packet metric
 // parity, per-flow label tracks, streaming trace export, divergence report,
 // config validation, the metrics-CSV golden header (the same header CI
-// smokes via bench/table3_flow_control --quick --metrics-out), and the
+// smokes via dtnsim-repro table3 --quick --metrics-out), and the
 // metric catalog in docs/OBSERVABILITY.md.
 #include <gtest/gtest.h>
 
@@ -397,7 +397,7 @@ TEST(TelemetryConfigValidation, RejectsDegenerateConfigs) {
 
 // The CSV header the CLI/benches export is a compatibility surface: plotting
 // scripts key on these column names. Golden lives in tests/golden/ and CI
-// re-derives it from bench/table3_flow_control --quick --metrics-out.
+// re-derives it from dtnsim-repro table3 --quick --metrics-out.
 TEST(MetricsCsvGolden, HeaderMatchesCheckedInGolden) {
   const std::string golden_path =
       std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/table3_metrics_header.csv";
@@ -406,7 +406,7 @@ TEST(MetricsCsvGolden, HeaderMatchesCheckedInGolden) {
   while (!golden.empty() && (golden.back() == '\n' || golden.back() == '\r'))
     golden.pop_back();
 
-  // Reproduce the bench's registry shape: the production testbed, 8 streams,
+  // Reproduce table3's registry shape: the production testbed, 8 streams,
   // telemetry on (duration does not affect the column set).
   const auto tb = harness::esnet_production(kern::KernelVersion::V5_15);
   obs::TelemetryConfig tcfg;

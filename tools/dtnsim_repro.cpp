@@ -1,4 +1,5 @@
-// dtnsim-repro: run the paper's experiments by id and export raw datasets.
+// dtnsim-repro: run the paper's experiments by id, check the paper's claims
+// on their results, and export raw datasets. Exits 1 when a claim fails.
 //
 //   $ dtnsim-repro --list
 //   $ dtnsim-repro fig5 table3 --out data/
@@ -13,11 +14,13 @@
 #include <utility>
 #include <vector>
 
+#include "dtnsim/harness/dataset.hpp"
 #include "dtnsim/harness/experiments.hpp"
 #include "dtnsim/harness/plot.hpp"
 #include "dtnsim/obs/probe.hpp"
 #include "dtnsim/obs/trace.hpp"
 #include "dtnsim/util/strfmt.hpp"
+#include "dtnsim/util/table.hpp"
 
 namespace {
 
@@ -53,6 +56,22 @@ bool try_emit_figure(const dtnsim::harness::ExperimentDef& def,
   } catch (const std::exception&) {
     return false;
   }
+}
+
+// One row per cell: the columns the paper's tables and figures print.
+std::string cell_table(const std::vector<dtnsim::harness::TestResult>& results) {
+  using dtnsim::strfmt;
+  dtnsim::Table table({"Cell", "Gbps avg ± sd", "Min", "Max", "Retr", "Flow range",
+                       "TX/RX cores", "zc fallback"});
+  for (const auto& r : results) {
+    table.add_row({r.name, strfmt("%.1f ± %.1f", r.avg_gbps, r.stdev_gbps),
+                   strfmt("%.1f", r.min_gbps), strfmt("%.1f", r.max_gbps),
+                   strfmt("%.0f", r.avg_retransmits),
+                   strfmt("%.1f-%.1f", r.flow_min_gbps, r.flow_max_gbps),
+                   strfmt("%.0f%% / %.0f%%", r.snd_cpu_pct, r.rcv_cpu_pct),
+                   strfmt("%.0f%%", r.zc_fallback_ratio * 100.0)});
+  }
+  return table.to_ascii();
 }
 
 }  // namespace
@@ -96,8 +115,9 @@ int main(int argc, char** argv) {
     } else if (flag == "-h" || flag == "--help") {
       std::printf("dtnsim-repro [--list] [--all] [--quick] [--out DIR] [ids...]\n"
                   "             [--metrics-out F] [--trace-out F] [--probe-interval S]\n"
-                  "Runs the paper's experiments and writes <id>_raw.csv,\n"
-                  "<id>_summary.csv and <id>.json per experiment.\n"
+                  "Runs the paper's experiments, prints each cell and a PASS/FAIL\n"
+                  "line per paper claim, and writes <id>_raw.csv, <id>_summary.csv\n"
+                  "and <id>.json per experiment. Exits 1 if any claim fails.\n"
                   "--quick: 20 s x 3 repeats instead of the paper's 60 s x 10.\n"
                   "--metrics-out: per-interval telemetry series (all tests) as CSV.\n"
                   "--trace-out: chrome://tracing / Perfetto trace_event JSON.\n"
@@ -110,13 +130,15 @@ int main(int argc, char** argv) {
       ids.push_back(flag);
     }
   }
-  const bool telemetry = !metrics_out.empty() || !trace_out.empty();
+  dtnsim::obs::TelemetryConfig telemetry;
+  telemetry.enabled = !metrics_out.empty() || !trace_out.empty();
+  telemetry.probe_interval = dtnsim::units::seconds(probe_interval_sec);
 
   if (list || (ids.empty() && !all)) {
     std::printf("%-18s %s\n", "id", "experiment");
     for (const auto& def : experiment_registry()) {
-      std::printf("%-18s %s\n", def.id.c_str(), def.title.c_str());
-      std::printf("%-18s   expected: %s\n", "", def.paper_claim.c_str());
+      std::printf("%-18s %s (%zu cells, %zu claims)\n", def.id.c_str(), def.title.c_str(),
+                  def.specs().size(), def.claims.size());
     }
     return 0;
   }
@@ -147,31 +169,26 @@ int main(int argc, char** argv) {
       continue;
     }
     std::printf("running %-16s (%s) ...\n", def->id.c_str(), def->title.c_str());
-    const auto specs = def->specs();
+    ExperimentRun run = run_experiment(*def, duration, repeats, telemetry);
+    std::printf("%s", cell_table(run.results).c_str());
+    for (const auto& claim : run.claims) {
+      std::printf("  %s\n", format_claim(claim).c_str());
+    }
+    if (!run.passed()) ++failures;
     Dataset ds(def->id);
-    std::vector<TestResult> results;
-    for (auto spec : specs) {
-      spec.iperf.duration_sec = duration;
-      if (spec.repeats == 10) spec.repeats = repeats;
-      if (telemetry) {
-        spec.telemetry.enabled = true;
-        spec.telemetry.probe_interval = dtnsim::units::seconds(probe_interval_sec);
-      }
-      results.push_back(run_test(spec));
-      ds.add(results.back());
-      auto& res = results.back();
+    for (auto& res : run.results) {
       for (std::size_t r = 0; r < res.repeat_series.size(); ++r) {
-        all_series.push_back(
-            {spec.name, static_cast<int>(r), std::move(res.repeat_series[r])});
+        all_series.push_back({res.name, static_cast<int>(r), std::move(res.repeat_series[r])});
       }
-      if (res.trace) all_traces.emplace_back(spec.name, res.trace);
+      if (res.trace) all_traces.emplace_back(res.name, res.trace);
+      ds.add(res);
     }
     if (!ds.write_to(out_dir)) {
       std::fprintf(stderr, "  failed to write dataset to %s\n", out_dir.c_str());
       ++failures;
       continue;
     }
-    const bool fig = try_emit_figure(*def, specs, results, out_dir);
+    const bool fig = try_emit_figure(*def, run.specs, run.results, out_dir);
     std::printf("  wrote %s/%s_{raw,summary}.csv and %s.json (%zu tests)%s\n",
                 out_dir.c_str(), def->id.c_str(), def->id.c_str(), ds.size(),
                 fig ? dtnsim::strfmt(" + %s.dat/.gp", def->id.c_str()).c_str() : "");
