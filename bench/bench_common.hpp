@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "dtnsim/core/dtnsim.hpp"
@@ -39,23 +38,5 @@ inline std::string count(double v) {
 // bench default matches, and heavy multi-stream LAN grids may pass lighter
 // values explicitly (noted in their output).
 inline Experiment standard(Experiment e) { return e.duration(units::SimTime::from_seconds(60)).repeats(10); }
-
-// Shared flag parsing for campaign-engine benches: --jobs N (0 = hardware
-// threads) and --cache DIR. Unknown flags are ignored so figure-specific
-// benches can layer their own.
-inline sweep::CampaignOptions parse_bench_campaign_flags(int argc, char** argv) {
-  sweep::CampaignOptions run;
-  for (int i = 1; i + 1 < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--jobs") run.jobs = std::atoi(argv[++i]);
-    else if (flag == "--cache") run.cache_dir = argv[++i];
-  }
-  return run;
-}
-
-inline std::string campaign_summary(const sweep::CampaignReport& r) {
-  return strfmt("[%s: %zu cells, %zu simulated, %zu cached, jobs=%d, %.1fs wall]",
-                r.name.c_str(), r.total, r.simulated, r.cached, r.jobs, r.wall_sec);
-}
 
 }  // namespace dtnsim::bench

@@ -7,64 +7,37 @@
 // protect the receiving host. (The WAN runs here use zerocopy + 50G pacing
 // with --skip-rx-copy, the sender-focused configuration; see EXPERIMENTS.md.)
 //
-// Ported to the sweep campaign engine. The figure is not one cross-product
-// — LAN runs default settings while WAN runs the tuned sender config — so
-// it composes two grids, which is exactly how non-rectangular paper figures
-// map onto the engine.
+// The LAN and WAN 25 ms columns and the claims are the registry's fig13
+// entry, so they print what `dtnsim-repro fig13` prints. The registry lacks
+// the WAN 104 ms column: its WAN cells, unchanged but for the path.
 #include "bench_common.hpp"
+#include "dtnsim/harness/experiments.hpp"
 
 using namespace dtnsim;
 using namespace dtnsim::bench;
 
-int main(int argc, char** argv) {
+int main() {
   print_header("Figure 13", "Kernel versions 5.15 / 6.5 / 6.8 (AmLight Intel, single stream)",
                "LAN: default; WAN: zerocopy + pacing 50G + skip-rx-copy, 60 s x 10");
 
-  const std::vector<kern::KernelVersion> kernels = {
-      kern::KernelVersion::V5_15, kern::KernelVersion::V6_5, kern::KernelVersion::V6_8};
+  const auto run = harness::run_experiment(*harness::find_experiment("fig13"), 60, 10);
+  std::vector<harness::TestSpec> wan104;
+  for (auto spec : run.specs) {
+    if (spec.path.name != "WAN 25ms") continue;
+    spec.path = harness::amlight(spec.sender.kernel.version).path_named("WAN 104ms");
+    wan104.push_back(std::move(spec));
+  }
+  const auto wan104_results = harness::run_tests(wan104, 0);
 
-  sweep::GridSpec lan_grid;
-  lan_grid.name = "fig13-lan";
-  lan_grid.testbed = "amlight";
-  lan_grid.kernels = kernels;
-  lan_grid.paths = {"LAN"};
-  lan_grid.duration_sec = 60;
-  lan_grid.repeats = 10;
-
-  sweep::GridSpec wan_grid = lan_grid;
-  wan_grid.name = "fig13-wan";
-  wan_grid.paths = {"WAN 25ms", "WAN 104ms"};
-  wan_grid.zerocopy = {true};
-  wan_grid.skip_rx_copy = true;
-  wan_grid.pacing_gbps = {50.0};
-  wan_grid.optmem_max = {3405376.0};
-
-  const sweep::CampaignOptions run = parse_bench_campaign_flags(argc, argv);
-  const auto lan_report = sweep::run_campaign(lan_grid, run);
-  const auto wan_report = sweep::run_campaign(wan_grid, run);
-
+  // The registry lists each kernel's LAN cell, then its WAN 25 ms cell.
   Table table({"Kernel", "LAN (default)", "WAN 25ms (zc+pace50)", "WAN 104ms (zc+pace50)"});
-  double lan515 = 0, lan68 = 0, wan_min = 1e9, wan_max = 0;
-  for (std::size_t k = 0; k < kernels.size(); ++k) {
-    const auto& lan = lan_report.cells[k].result;
-    std::vector<std::string> row{kern::kernel_version_name(kernels[k]), gbps_pm(lan)};
-    for (std::size_t p = 0; p < wan_grid.paths.size(); ++p) {
-      const auto& wan = wan_report.cells[k * wan_grid.paths.size() + p].result;
-      row.push_back(gbps_pm(wan));
-      wan_min = std::min(wan_min, wan.avg_gbps);
-      wan_max = std::max(wan_max, wan.avg_gbps);
-    }
-    table.add_row(std::move(row));
-    if (kernels[k] == kern::KernelVersion::V5_15) lan515 = lan.avg_gbps;
-    if (kernels[k] == kern::KernelVersion::V6_8) lan68 = lan.avg_gbps;
+  for (std::size_t k = 0; k < wan104.size(); ++k) {
+    table.add_row({wan104[k].sender.kernel.name, gbps_pm(run.results[2 * k]),
+                   gbps_pm(run.results[2 * k + 1]), gbps_pm(wan104_results[k])});
   }
   std::printf("%s\n", table.to_ascii().c_str());
-  std::printf("%s\n%s\n", campaign_summary(lan_report).c_str(),
-              campaign_summary(wan_report).c_str());
-  std::printf("Shape checks vs paper:\n");
-  std::printf("  LAN 6.8 over 5.15     : %+.0f%%  (paper: ~27%%)\n",
-              (lan68 / lan515 - 1) * 100);
-  std::printf("  WAN spread over kernels: %.1f Gbps  (paper: 'the same for all kernels')\n",
-              wan_max - wan_min);
-  return 0;
+  for (const auto& claim : run.claims) {
+    std::printf("  %s\n", harness::format_claim(claim).c_str());
+  }
+  return run.passed() ? 0 : 1;
 }

@@ -1,7 +1,10 @@
 #include "dtnsim/cli/cli.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "dtnsim/util/strfmt.hpp"
@@ -10,25 +13,45 @@ namespace dtnsim::cli {
 using app::IperfOptions;
 
 std::optional<double> parse_rate(const std::string& text) {
-  if (text.empty()) return std::nullopt;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || value < 0) return std::nullopt;
-  std::string suffix(end);
-  if (suffix.empty()) return value;
-  if (suffix.size() != 1) return std::nullopt;
-  switch (std::tolower(static_cast<unsigned char>(suffix[0]))) {
-    case 'k':
-      return value * 1e3;
-    case 'm':
-      return value * 1e6;
-    case 'g':
-      return value * 1e9;
-    case 't':
-      return value * 1e12;
-    default:
-      return std::nullopt;
+  const std::string suffix(end);
+  double scale = 1.0;
+  if (suffix.size() > 1) return std::nullopt;
+  if (suffix.size() == 1) {
+    switch (std::tolower(static_cast<unsigned char>(suffix[0]))) {
+      case 'k':
+        scale = 1e3;
+        break;
+      case 'm':
+        scale = 1e6;
+        break;
+      case 'g':
+        scale = 1e9;
+        break;
+      case 't':
+        scale = 1e12;
+        break;
+      default:
+        return std::nullopt;
+    }
   }
+  // No number, a negative one, NaN or Inf (also after scaling).
+  if (end == text.c_str() || !(value >= 0) || !std::isfinite(value * scale)) return std::nullopt;
+  return value * scale;
+}
+
+std::optional<double> parse_seconds(const std::string& text) {
+  double s = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, s);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  try {
+    if (units::SimTime::from_seconds(s).nanos() <= 0) return std::nullopt;
+  } catch (const std::invalid_argument&) {  // NaN, Inf or out of range
+    return std::nullopt;
+  }
+  return s;
 }
 
 std::optional<kern::KernelVersion> parse_kernel(const std::string& text) {
@@ -60,6 +83,16 @@ bool needs_value(const std::string& flag) {
          flag == "--ss-watch" || flag == "--ss-out" || flag == "--perf-watch" ||
          flag == "--perf-out" || flag == "--scenario" || flag == "--scenario-out" ||
          flag == "--record-out" || flag == "--record-timeline";
+}
+
+// The whole token as a base-10 integer in [lo, hi]; nullopt otherwise.
+template <class Int>
+std::optional<Int> parse_integer(const std::string& text, Int lo, Int hi) {
+  Int v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) return std::nullopt;
+  return v;
 }
 
 }  // namespace
@@ -108,20 +141,32 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       return o;
     }
 
+    // Each stores the flag's value in `out`, or sets o.error naming it.
+    const auto take_seconds = [&](double& out) {
+      const auto sec = parse_seconds(value);
+      if (!sec) {
+        o.error = "bad " + flag + ": " + value + " (want finite seconds > 0, below ~292 years)";
+      }
+      out = sec.value_or(out);
+      return sec.has_value();
+    };
+    const auto take_integer = [&](auto& out, auto lo, auto hi) {
+      const auto n = parse_integer(value, lo, hi);
+      if (!n) {
+        o.error = "bad " + flag + ": " + value + " (want a whole number in [" +
+                  std::to_string(lo) + ", " + std::to_string(hi) + "])";
+      }
+      out = n.value_or(out);
+      return n.has_value();
+    };
+    constexpr int kIntMax = std::numeric_limits<int>::max();
+
     if (flag == "-h" || flag == "--help") {
       o.show_help = true;
     } else if (flag == "-P" || flag == "--parallel") {
-      o.iperf.parallel = std::atoi(value.c_str());
-      if (o.iperf.parallel < 1 || o.iperf.parallel > 128) {
-        o.error = "parallel streams must be in [1, 128]";
-        return o;
-      }
+      if (!take_integer(o.iperf.parallel, 1, 128)) return o;
     } else if (flag == "-t" || flag == "--time") {
-      o.iperf.duration_sec = std::atof(value.c_str());
-      if (o.iperf.duration_sec <= 0) {
-        o.error = "duration must be positive";
-        return o;
-      }
+      if (!take_seconds(o.iperf.duration_sec)) return o;
     } else if (flag == "-C" || flag == "--congestion") {
       const auto algo = parse_congestion(value);
       if (!algo) {
@@ -170,17 +215,14 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
         }
       }
     } else if (flag == "--ring") {
-      o.ring = std::atoi(value.c_str());
+      if (!take_integer(o.ring, 1, kIntMax)) return o;
     } else if (flag == "--repeats") {
-      o.repeats = std::max(std::atoi(value.c_str()), 1);
+      if (!take_integer(o.repeats, 1, kIntMax)) return o;
     } else if (flag == "--seed") {
-      o.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (flag == "--probe-interval") {
-      o.probe_interval_sec = std::atof(value.c_str());
-      if (o.probe_interval_sec <= 0) {
-        o.error = "probe interval must be positive";
+      if (!take_integer(o.seed, std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max()))
         return o;
-      }
+    } else if (flag == "--probe-interval") {
+      if (!take_seconds(o.probe_interval_sec)) return o;
     } else if (flag == "--metrics-out") {
       o.metrics_out = value;
     } else if (flag == "--trace-out") {
@@ -188,19 +230,11 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (flag == "--trace-stream") {
       o.trace_stream = value;
     } else if (flag == "--ss-watch") {
-      o.ss_watch_sec = std::atof(value.c_str());
-      if (o.ss_watch_sec <= 0) {
-        o.error = "ss watch interval must be positive";
-        return o;
-      }
+      if (!take_seconds(o.ss_watch_sec)) return o;
     } else if (flag == "--ss-out") {
       o.ss_out = value;
     } else if (flag == "--perf-watch") {
-      o.perf_watch_sec = std::atof(value.c_str());
-      if (o.perf_watch_sec <= 0) {
-        o.error = "perf watch interval must be positive";
-        return o;
-      }
+      if (!take_seconds(o.perf_watch_sec)) return o;
     } else if (flag == "--perf-out") {
       o.perf_out = value;
     } else if (flag == "--scenario") {

@@ -49,6 +49,11 @@ using app::IperfOptions;
 // "50G" -> 50e9, "1.5m" -> 1.5e6, "1048576" -> 1048576. nullopt on garbage.
 std::optional<double> parse_rate(const std::string& text);
 
+// A time flag's value: the whole token as finite seconds whose SimTime is
+// positive ("20", "0.5", "1e3"). nullopt on garbage, NaN, Inf, a time that
+// rounds to 0 ns or below, or one past SimTime's range (~292 years).
+std::optional<double> parse_seconds(const std::string& text);
+
 std::optional<kern::KernelVersion> parse_kernel(const std::string& text);
 std::optional<kern::CongestionAlgo> parse_congestion(const std::string& text);
 

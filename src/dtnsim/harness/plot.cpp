@@ -27,7 +27,8 @@ std::string to_gnuplot_data(const FigureSpec& fig) {
 
 std::string to_gnuplot_script(const FigureSpec& fig) {
   std::string out;
-  out += strfmt("set terminal pngcairo size 960,540 enhanced\n");
+  // noenhanced: labels print literally, so "optmem_max" keeps its "_m".
+  out += "set terminal pngcairo size 960,540 noenhanced\n";
   out += strfmt("set output '%s.png'\n", fig.id.c_str());
   out += strfmt("set title '%s'\n", fig.title.c_str());
   out += strfmt("set ylabel '%s'\n", fig.ylabel.c_str());

@@ -193,7 +193,7 @@ bool write_record_plot(const std::string& base, const RunRecord& record) {
   if (!gp) return false;
   const RunAnalysis& a = record.analysis;
   gp << "# dtnsim-report --plot output; render with: gnuplot " << base << ".gp\n";
-  gp << "set terminal pngcairo size 1000,600\n";
+  gp << "set terminal pngcairo size 1000,600 noenhanced\n";  // literal labels
   gp << "set output '" << gp_quote(base) << ".png'\n";
   gp << "set title '" << gp_quote(record.meta.name) << "'\n";
   gp << "set xlabel 'time (s)'\n";
@@ -249,7 +249,7 @@ bool write_campaign_plot(const std::string& base, const std::string& title,
   if (!gp) return false;
   gp << "# dtnsim-sweep --plot-out output; render with: gnuplot " << base
      << ".gp\n";
-  gp << "set terminal pngcairo size 1200,620\n";
+  gp << "set terminal pngcairo size 1200,620 noenhanced\n";  // literal labels
   gp << "set output '" << gp_quote(base) << ".png'\n";
   gp << "set datafile separator \"\\t\"\n";
   gp << "set title '" << gp_quote(title) << "'\n";

@@ -244,8 +244,8 @@ GcReport ResultCache::gc(const GcOptions& opts) const {
   GcReport report;
   report.dry_run = opts.dry_run;
   // GC is operational tooling, not simulation: the file mtime is the only
-  // honest age signal a cache directory has.
-  const auto now = fs::file_time_type::clock::now();  // dtnsim-lint: allow(determinism)
+  // honest age signal a cache directory has (tests/link_audit.py allows it).
+  const auto now = fs::file_time_type::clock::now();
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     if (!entry.is_regular_file(ec)) continue;

@@ -12,8 +12,9 @@
 //   - explicit constructors, no implicit narrowing or cross-unit conversion;
 //   - conversions are spelled out (`to_bits`, `bits_to_bytes`,
 //     `Rate::from_gbps`, `rate.bytes_in(t)`) and `constexpr`;
-//   - factories reject NaN/Inf inputs (std::invalid_argument) — a poisoned
-//     knob must fail loudly at the boundary, not 60 simulated seconds later;
+//   - factories reject NaN/Inf inputs, and SimTime's reject times whose
+//     nanoseconds overflow Nanos (std::invalid_argument) — a poisoned knob
+//     must fail loudly at the boundary, not 60 simulated seconds later;
 //   - arithmetic stays inside the unit (Bytes + Bytes = Bytes; Bytes / Bytes
 //     = dimensionless double; scalar scaling allowed), all `constexpr`;
 //   - unit-suffix literals live in `dtnsim::units::literals`
@@ -23,8 +24,8 @@
 // bytes_at, ...) live at the bottom of this header: they remain the
 // convention *inside* tick-level fluid math, where everything is double
 // seconds / double bytes by construction. Public APIs between subsystems
-// take the strong types. `dtnsim-lint` (rule `raw-unit-double`) keeps raw
-// `double gbps/seconds` parameters out of public headers outside this
+// take the strong types. tests/link_audit.py (rule `raw-unit-double`) keeps
+// raw `double gbps/seconds` parameters out of public headers outside this
 // directory.
 #pragma once
 
@@ -50,6 +51,11 @@ namespace detail {
                               what);
 }
 
+// Throws "units: <what> out of range". Cold and never inlined, like the above.
+[[noreturn, gnu::cold, gnu::noinline]] inline void reject_out_of_range(const char* what) {
+  throw std::invalid_argument(std::string("units: ") + what + " out of range");
+}
+
 // NaN/Inf guard usable in constexpr context: the throw only materializes
 // when the bad branch is actually taken, so constant-folded good values
 // stay constexpr while a poisoned runtime value throws.
@@ -58,6 +64,15 @@ constexpr double checked(double v, const char* what) {
   if (v > 1.7976931348623157e308 || v < -1.7976931348623157e308)
     reject_non_finite(false, what);
   return v;
+}
+
+// `v` NaN/Inf-checked, scaled to nanoseconds and truncated to Nanos; throws
+// when the product does not fit, where the cast would be undefined.
+constexpr Nanos checked_nanos(double v, double ns_per_unit) {
+  const double ns = checked(v, "SimTime") * ns_per_unit;
+  if (!(ns >= -9223372036854775808.0 && ns < 9223372036854775808.0))
+    reject_out_of_range("SimTime");
+  return static_cast<Nanos>(ns);
 }
 }  // namespace detail
 
@@ -153,13 +168,13 @@ class SimTime {
 
   static constexpr SimTime from_nanos(Nanos ns) { return SimTime(ns); }
   static constexpr SimTime from_seconds(double s) {
-    return SimTime(static_cast<Nanos>(detail::checked(s, "SimTime") * 1e9));
+    return SimTime(detail::checked_nanos(s, 1e9));
   }
   static constexpr SimTime from_millis(double ms) {
-    return SimTime(static_cast<Nanos>(detail::checked(ms, "SimTime") * 1e6));
+    return SimTime(detail::checked_nanos(ms, 1e6));
   }
   static constexpr SimTime from_micros(double us) {
-    return SimTime(static_cast<Nanos>(detail::checked(us, "SimTime") * 1e3));
+    return SimTime(detail::checked_nanos(us, 1e3));
   }
 
   constexpr Nanos nanos() const { return ns_; }

@@ -22,6 +22,9 @@ TEST(ParseRate, RejectsGarbage) {
   EXPECT_FALSE(parse_rate("50X").has_value());
   EXPECT_FALSE(parse_rate("50GG").has_value());
   EXPECT_FALSE(parse_rate("-5G").has_value());
+  for (const char* bad : {"nan", "inf", "-inf", "1e400", "1e300T"}) {
+    EXPECT_FALSE(parse_rate(bad).has_value()) << bad;
+  }
 }
 
 TEST(ParseKernel, KnownVersions) {
@@ -84,6 +87,24 @@ TEST(ParseCli, Errors) {
   EXPECT_FALSE(parse_cli({"--kernel", "4.4"}).error.empty());
   EXPECT_FALSE(parse_cli({"-P", "0"}).error.empty());
   EXPECT_FALSE(parse_cli({"-t", "-3"}).error.empty());
+  // Time flags take the whole token as finite seconds > 0 that fit a SimTime.
+  for (const char* flag : {"-t", "--probe-interval", "--ss-watch", "--perf-watch"}) {
+    for (const char* bad : {"1e12", "inf", "nan", "0", "1e-12", "5s", "abc", ""}) {
+      EXPECT_FALSE(parse_cli({flag, bad}).error.empty()) << flag << " " << bad;
+    }
+  }
+  EXPECT_EQ(parse_cli({"-t", "1e12"}).error,
+            "bad -t: 1e12 (want finite seconds > 0, below ~292 years)");
+  // Integer flags take the whole token as an in-range integer.
+  EXPECT_EQ(parse_cli({"--ring", "abc"}).error,
+            "bad --ring: abc (want a whole number in [1, 2147483647])");
+  EXPECT_FALSE(parse_cli({"--repeats", "2x"}).error.empty());
+  EXPECT_FALSE(parse_cli({"--repeats", "0"}).error.empty());
+  EXPECT_FALSE(parse_cli({"--repeats", "99999999999"}).error.empty());
+  EXPECT_FALSE(parse_cli({"-P", "8.5"}).error.empty());
+  EXPECT_FALSE(parse_cli({"--seed", "-1"}).error.empty());
+  EXPECT_FALSE(parse_cli({"--seed", "18446744073709551616"}).error.empty());
+  EXPECT_EQ(parse_cli({"--seed", "18446744073709551615"}).seed, ~std::uint64_t{0});
 }
 
 TEST(ParseCli, HelpFlag) {

@@ -28,6 +28,7 @@ TEST(Plot, DataLayout) {
 
 TEST(Plot, ScriptReferencesAllSeries) {
   const std::string gp = to_gnuplot_script(sample_fig());
+  EXPECT_NE(gp.find("set terminal pngcairo size 960,540 noenhanced\n"), std::string::npos);
   EXPECT_NE(gp.find("set output 'figX.png'"), std::string::npos);
   EXPECT_NE(gp.find("histogram errorbars"), std::string::npos);
   EXPECT_NE(gp.find("using 2:3:xtic(1) title 'default'"), std::string::npos);

@@ -338,6 +338,7 @@ TEST(ReportRender, RecordPlotWritesGpAndDat) {
   const std::string gp = slurp(base.string() + ".gp");
   const std::string dat = slurp(base.string() + ".dat");
   EXPECT_NE(gp.find("plot '"), std::string::npos);
+  EXPECT_NE(gp.find(" noenhanced\n"), std::string::npos);  // labels print literally
   EXPECT_NE(gp.find("set label 'episode'"), std::string::npos);  // has episode
   EXPECT_NE(dat.find("time_s goodput_gbps"), std::string::npos);
   fs::remove(base.string() + ".gp");
@@ -368,6 +369,7 @@ TEST(ReportRender, CampaignPlotOverlaysTrackRowColumns) {
   // Plain rows: no overlays, no second axis.
   ASSERT_TRUE(write_campaign_plot(base.string(), "t", {row("a", false, false)}));
   std::string gp = slurp(base.string() + ".gp");
+  EXPECT_NE(gp.find(" noenhanced\n"), std::string::npos);  // labels print literally
   EXPECT_EQ(gp.find("y2label"), std::string::npos);
   EXPECT_EQ(gp.find("episode dip"), std::string::npos);
 

@@ -89,6 +89,14 @@ TEST(Units, CheckedFactoriesRejectNonFinite) {
   EXPECT_EQ(rejection([&] { (void)Cycles(-inf); }), "units: non-finite Cycles");
   EXPECT_EQ(rejection([&] { (void)Packets(nan); }), "units: NaN Packets");
   EXPECT_EQ(rejection([&] { (void)Bytes(1.0); }), "(no throw)");
+  // A time whose nanoseconds do not fit Nanos (the cast would be undefined).
+  EXPECT_EQ(rejection([&] { (void)SimTime::from_seconds(1e12); }),
+            "units: SimTime out of range");
+  EXPECT_EQ(rejection([&] { (void)SimTime::from_millis(-1e16); }),
+            "units: SimTime out of range");
+  EXPECT_EQ(rejection([&] { (void)SimTime::from_micros(1e300); }),
+            "units: SimTime out of range");
+  EXPECT_EQ(rejection([&] { (void)SimTime::from_seconds(9.2e9); }), "(no throw)");
 }
 
 TEST(Units, CompoundAssignment) {

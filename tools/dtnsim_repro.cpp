@@ -7,13 +7,13 @@
 //   $ dtnsim-repro fig9 --trace-out trace.json --metrics-out flow.csv
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "dtnsim/cli/cli.hpp"
 #include "dtnsim/harness/dataset.hpp"
 #include "dtnsim/harness/experiments.hpp"
 #include "dtnsim/harness/plot.hpp"
@@ -107,11 +107,13 @@ int main(int argc, char** argv) {
     else if (flag == "--metrics-out" && take_value()) metrics_out = value;
     else if (flag == "--trace-out" && take_value()) trace_out = value;
     else if (flag == "--probe-interval" && take_value()) {
-      probe_interval_sec = std::atof(value.c_str());
-      if (probe_interval_sec <= 0) {
-        std::fprintf(stderr, "probe interval must be positive\n");
+      const auto sec = dtnsim::cli::parse_seconds(value);
+      if (!sec) {
+        std::fprintf(stderr, "bad --probe-interval: %s (want finite seconds > 0)\n",
+                     value.c_str());
         return 2;
       }
+      probe_interval_sec = *sec;
     } else if (flag == "-h" || flag == "--help") {
       std::printf("dtnsim-repro [--list] [--all] [--quick] [--out DIR] [ids...]\n"
                   "             [--metrics-out F] [--trace-out F] [--probe-interval S]\n"
