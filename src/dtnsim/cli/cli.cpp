@@ -85,16 +85,6 @@ bool needs_value(const std::string& flag) {
          flag == "--record-out" || flag == "--record-timeline";
 }
 
-// The whole token as a base-10 integer in [lo, hi]; nullopt otherwise.
-template <class Int>
-std::optional<Int> parse_integer(const std::string& text, Int lo, Int hi) {
-  Int v{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc() || ptr != end || v < lo || v > hi) return std::nullopt;
-  return v;
-}
-
 }  // namespace
 
 CliOptions parse_cli(const std::vector<std::string>& args) {

@@ -37,6 +37,7 @@
 // Long flags also accept --flag=value.
 #pragma once
 
+#include <charconv>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,6 +54,17 @@ std::optional<double> parse_rate(const std::string& text);
 // positive ("20", "0.5", "1e3"). nullopt on garbage, NaN, Inf, a time that
 // rounds to 0 ns or below, or one past SimTime's range (~292 years).
 std::optional<double> parse_seconds(const std::string& text);
+
+// The whole token as a base-10 integer in [lo, hi]; nullopt otherwise (a
+// sign on an unsigned type, trailing characters, overflow).
+template <class Int>
+std::optional<Int> parse_integer(const std::string& text, Int lo, Int hi) {
+  Int v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) return std::nullopt;
+  return v;
+}
 
 std::optional<kern::KernelVersion> parse_kernel(const std::string& text);
 std::optional<kern::CongestionAlgo> parse_congestion(const std::string& text);

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "dtnsim/util/strfmt.hpp"
 
@@ -15,100 +16,154 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// %.17g round-trips every double exactly; canonical text must never lose
-// precision or two different knob values could collide into one key.
-std::string num(double v) { return strfmt("%.17g", v); }
-std::string num(int v) { return strfmt("%d", v); }
-std::string num(bool v) { return v ? "1" : "0"; }
-std::string num(std::uint64_t v) { return strfmt("%llu", static_cast<unsigned long long>(v)); }
+// The canonical text under construction: "key=value\n" lines appended to
+// one buffer, then joined in key order.
+class FieldText {
+ public:
+  FieldText() {
+    buf_.reserve(8192);
+    lines_.reserve(128);
+  }
 
-void add(FieldList& f, std::string key, std::string value) {
-  f.emplace_back(std::move(key), std::move(value));
+  template <class T>
+  void add(std::string_view prefix, std::string_view key, const T& value) {
+    const std::size_t at = buf_.size();
+    buf_ += prefix;
+    buf_ += key;
+    const std::size_t eq = buf_.size();
+    buf_ += '=';
+    if constexpr (std::is_same_v<T, bool>) {
+      buf_ += value ? '1' : '0';
+    } else if constexpr (std::is_integral_v<T>) {
+      append_int(buf_, value);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      append_g(buf_, value, 17);
+    } else {
+      static_assert(std::is_convertible_v<const T&, std::string_view>,
+                    "a knob is a number, a bool or a name");
+      buf_ += value;
+    }
+    buf_ += '\n';
+    lines_.push_back({at, eq, buf_.size()});
+  }
+  template <class T>
+  void add(std::string_view key, const T& value) {
+    add({}, key, value);
+  }
+
+  // The lines in key order. Keys compare on their own, not as line
+  // prefixes, so "a.b=" never sorts after "a.b.c=" because '.' < '='.
+  std::string sorted() const {
+    std::vector<std::pair<std::string_view, std::string_view>> lines;  // key, "=value\n"
+    lines.reserve(lines_.size());
+    const std::string_view all(buf_);
+    for (const Line& l : lines_) {
+      lines.emplace_back(all.substr(l.at, l.eq - l.at), all.substr(l.eq, l.end - l.eq));
+    }
+    std::sort(lines.begin(), lines.end());
+    std::string out;
+    out.reserve(buf_.size());
+    for (const auto& [key, rest] : lines) {
+      out += key;
+      out += rest;
+    }
+    return out;
+  }
+
+ private:
+  struct Line {
+    std::size_t at, eq, end;
+  };
+  std::string buf_;
+  std::vector<Line> lines_;
+};
+
+void add_sysctl_fields(FieldText& f, std::string_view p, const kern::SysctlConfig& s) {
+  f.add(p, "rmem_max", s.rmem_max);
+  f.add(p, "wmem_max", s.wmem_max);
+  f.add(p, "tcp_rmem_min", s.tcp_rmem_min);
+  f.add(p, "tcp_rmem_def", s.tcp_rmem_def);
+  f.add(p, "tcp_rmem_max", s.tcp_rmem_max);
+  f.add(p, "tcp_wmem_min", s.tcp_wmem_min);
+  f.add(p, "tcp_wmem_def", s.tcp_wmem_def);
+  f.add(p, "tcp_wmem_max", s.tcp_wmem_max);
+  f.add(p, "tcp_no_metrics_save", s.tcp_no_metrics_save);
+  f.add(p, "default_qdisc", kern::qdisc_name(s.default_qdisc));
+  f.add(p, "optmem_max", s.optmem_max);
+  f.add(p, "congestion", kern::congestion_name(s.congestion));
 }
 
-void add_sysctl_fields(FieldList& f, const std::string& p, const kern::SysctlConfig& s) {
-  add(f, p + "rmem_max", num(s.rmem_max));
-  add(f, p + "wmem_max", num(s.wmem_max));
-  add(f, p + "tcp_rmem_min", num(s.tcp_rmem_min));
-  add(f, p + "tcp_rmem_def", num(s.tcp_rmem_def));
-  add(f, p + "tcp_rmem_max", num(s.tcp_rmem_max));
-  add(f, p + "tcp_wmem_min", num(s.tcp_wmem_min));
-  add(f, p + "tcp_wmem_def", num(s.tcp_wmem_def));
-  add(f, p + "tcp_wmem_max", num(s.tcp_wmem_max));
-  add(f, p + "tcp_no_metrics_save", num(s.tcp_no_metrics_save));
-  add(f, p + "default_qdisc", kern::qdisc_name(s.default_qdisc));
-  add(f, p + "optmem_max", num(s.optmem_max));
-  add(f, p + "congestion", kern::congestion_name(s.congestion));
-}
-
-void add_host_fields(FieldList& f, const std::string& p, const host::HostConfig& h) {
+void add_host_fields(FieldText& f, const std::string& p, const host::HostConfig& h) {
   // CPU (model string is cosmetic; the numbers are the physics).
-  add(f, p + "cpu.vendor", cpu::vendor_name(h.cpu.vendor));
-  add(f, p + "cpu.sockets", num(h.cpu.sockets));
-  add(f, p + "cpu.cores_per_socket", num(h.cpu.cores_per_socket));
-  add(f, p + "cpu.numa_nodes", num(h.cpu.numa_nodes));
-  add(f, p + "cpu.smt_threads", num(h.cpu.smt_threads));
-  add(f, p + "cpu.base_ghz", num(h.cpu.base_ghz));
-  add(f, p + "cpu.max_ghz", num(h.cpu.max_ghz));
-  add(f, p + "cpu.avx512", num(h.cpu.avx512));
-  add(f, p + "cpu.l3_per_socket_bytes", num(h.cpu.l3_per_socket_bytes));
-  add(f, p + "cpu.l3_flow_window_bytes", num(h.cpu.l3_flow_window_bytes));
-  add(f, p + "cpu.stack_mem_bw_bytes", num(h.cpu.stack_mem_bw_bytes));
+  f.add(p, "cpu.vendor", cpu::vendor_name(h.cpu.vendor));
+  f.add(p, "cpu.sockets", h.cpu.sockets);
+  f.add(p, "cpu.cores_per_socket", h.cpu.cores_per_socket);
+  f.add(p, "cpu.numa_nodes", h.cpu.numa_nodes);
+  f.add(p, "cpu.smt_threads", h.cpu.smt_threads);
+  f.add(p, "cpu.base_ghz", h.cpu.base_ghz);
+  f.add(p, "cpu.max_ghz", h.cpu.max_ghz);
+  f.add(p, "cpu.avx512", h.cpu.avx512);
+  f.add(p, "cpu.l3_per_socket_bytes", h.cpu.l3_per_socket_bytes);
+  f.add(p, "cpu.l3_flow_window_bytes", h.cpu.l3_flow_window_bytes);
+  f.add(p, "cpu.stack_mem_bw_bytes", h.cpu.stack_mem_bw_bytes);
   // Kernel profile.
-  add(f, p + "kernel.version", h.kernel.name);
-  add(f, p + "kernel.max_skb_frags", num(h.kernel.max_skb_frags));
-  add(f, p + "kernel.custom_build", num(h.kernel.custom_build));
-  add(f, p + "kernel.msg_zerocopy", num(h.kernel.supports_msg_zerocopy));
-  add(f, p + "kernel.big_tcp_ipv4", num(h.kernel.supports_big_tcp_ipv4));
-  add(f, p + "kernel.big_tcp_ipv6", num(h.kernel.supports_big_tcp_ipv6));
-  add(f, p + "kernel.hw_gro", num(h.kernel.supports_hw_gro));
-  add(f, p + "kernel.stack_factor_intel", num(h.kernel.stack_factor_intel));
-  add(f, p + "kernel.stack_factor_amd", num(h.kernel.stack_factor_amd));
+  f.add(p, "kernel.version", h.kernel.name);
+  f.add(p, "kernel.max_skb_frags", h.kernel.max_skb_frags);
+  f.add(p, "kernel.custom_build", h.kernel.custom_build);
+  f.add(p, "kernel.msg_zerocopy", h.kernel.supports_msg_zerocopy);
+  f.add(p, "kernel.big_tcp_ipv4", h.kernel.supports_big_tcp_ipv4);
+  f.add(p, "kernel.big_tcp_ipv6", h.kernel.supports_big_tcp_ipv6);
+  f.add(p, "kernel.hw_gro", h.kernel.supports_hw_gro);
+  f.add(p, "kernel.stack_factor_intel", h.kernel.stack_factor_intel);
+  f.add(p, "kernel.stack_factor_amd", h.kernel.stack_factor_amd);
   // NIC.
-  add(f, p + "nic.line_rate_bps", num(h.nic.line_rate_bps));
-  add(f, p + "nic.default_ring", num(h.nic.default_ring_descriptors));
-  add(f, p + "nic.max_ring", num(h.nic.max_ring_descriptors));
-  add(f, p + "nic.hw_gro_capable", num(h.nic.hw_gro_capable));
-  add(f, p + "nic.drain_smooth_bps", num(h.nic.drain_smooth_bps));
-  add(f, p + "nic.drain_burst_bps", num(h.nic.drain_burst_bps));
+  f.add(p, "nic.line_rate_bps", h.nic.line_rate_bps);
+  f.add(p, "nic.default_ring", h.nic.default_ring_descriptors);
+  f.add(p, "nic.max_ring", h.nic.max_ring_descriptors);
+  f.add(p, "nic.hw_gro_capable", h.nic.hw_gro_capable);
+  f.add(p, "nic.drain_smooth_bps", h.nic.drain_smooth_bps);
+  f.add(p, "nic.drain_burst_bps", h.nic.drain_burst_bps);
   // Tuning.
   const auto& t = h.tuning;
   add_sysctl_fields(f, p + "sysctl.", t.sysctl);
-  add(f, p + "tuning.irqbalance_disabled", num(t.irqbalance_disabled));
-  add(f, p + "tuning.performance_governor", num(t.performance_governor));
-  add(f, p + "tuning.smt_off", num(t.smt_off));
-  add(f, p + "tuning.ring_descriptors", num(t.ring_descriptors));
-  add(f, p + "tuning.iommu_passthrough", num(t.iommu_passthrough));
-  add(f, p + "tuning.mtu_bytes", num(t.mtu_bytes));
-  add(f, p + "tuning.big_tcp_enabled", num(t.big_tcp_enabled));
-  add(f, p + "tuning.big_tcp_bytes", num(t.big_tcp_bytes));
-  add(f, p + "tuning.hw_gro_enabled", num(t.hw_gro_enabled));
-  add(f, p + "virt_factor", num(h.virt_factor));
+  f.add(p, "tuning.irqbalance_disabled", t.irqbalance_disabled);
+  f.add(p, "tuning.performance_governor", t.performance_governor);
+  f.add(p, "tuning.smt_off", t.smt_off);
+  f.add(p, "tuning.ring_descriptors", t.ring_descriptors);
+  f.add(p, "tuning.iommu_passthrough", t.iommu_passthrough);
+  f.add(p, "tuning.mtu_bytes", t.mtu_bytes);
+  f.add(p, "tuning.big_tcp_enabled", t.big_tcp_enabled);
+  f.add(p, "tuning.big_tcp_bytes", t.big_tcp_bytes);
+  f.add(p, "tuning.hw_gro_enabled", t.hw_gro_enabled);
+  f.add(p, "virt_factor", h.virt_factor);
 }
+
+// The salt line every key hashes before the canonical text.
+constexpr std::uint64_t kSaltHash = fnv1a64("\n", fnv1a64(kCacheSalt));
 
 }  // namespace
 
-FieldList spec_fields(const harness::TestSpec& spec) {
-  FieldList f;
-  add(f, "repeats", num(spec.repeats));
-  add(f, "base_seed", num(spec.base_seed));
-  add(f, "link_flow_control", num(spec.link_flow_control));
+std::string canonical_text(const harness::TestSpec& spec) {
+  FieldText f;
+  f.add("repeats", spec.repeats);
+  f.add("base_seed", spec.base_seed);
+  f.add("link_flow_control", spec.link_flow_control);
   // iperf options.
-  add(f, "iperf.parallel", num(spec.iperf.parallel));
-  add(f, "iperf.duration_sec", num(spec.iperf.duration_sec));
-  add(f, "iperf.fq_rate_bps", num(spec.iperf.fq_rate_bps));
-  add(f, "iperf.zerocopy", num(spec.iperf.zerocopy));
-  add(f, "iperf.skip_rx_copy", num(spec.iperf.skip_rx_copy));
-  add(f, "iperf.congestion", kern::congestion_name(spec.iperf.congestion));
+  f.add("iperf.parallel", spec.iperf.parallel);
+  f.add("iperf.duration_sec", spec.iperf.duration_sec);
+  f.add("iperf.fq_rate_bps", spec.iperf.fq_rate_bps);
+  f.add("iperf.zerocopy", spec.iperf.zerocopy);
+  f.add("iperf.skip_rx_copy", spec.iperf.skip_rx_copy);
+  f.add("iperf.congestion", kern::congestion_name(spec.iperf.congestion));
   // Path physics (display name excluded).
-  add(f, "path.rtt_ns", num(static_cast<std::uint64_t>(spec.path.rtt)));
-  add(f, "path.capacity_bps", num(spec.path.capacity_bps));
-  add(f, "path.hops", num(spec.path.hops));
-  add(f, "path.bg_traffic_bps", num(spec.path.bg_traffic_bps));
-  add(f, "path.bg_burst_sigma", num(spec.path.bg_burst_sigma));
-  add(f, "path.burst_tolerance_bps", num(spec.path.burst_tolerance_bps));
-  add(f, "path.deep_buffers", num(spec.path.deep_buffers));
-  add(f, "path.stray_loss_events_per_sec", num(spec.path.stray_loss_events_per_sec));
+  f.add("path.rtt_ns", static_cast<std::uint64_t>(spec.path.rtt));
+  f.add("path.capacity_bps", spec.path.capacity_bps);
+  f.add("path.hops", spec.path.hops);
+  f.add("path.bg_traffic_bps", spec.path.bg_traffic_bps);
+  f.add("path.bg_burst_sigma", spec.path.bg_burst_sigma);
+  f.add("path.burst_tolerance_bps", spec.path.burst_tolerance_bps);
+  f.add("path.deep_buffers", spec.path.deep_buffers);
+  f.add("path.stray_loss_events_per_sec", spec.path.stray_loss_events_per_sec);
   add_host_fields(f, "sender.", spec.sender);
   add_host_fields(f, "receiver.", spec.receiver);
   // Scenario timeline: every event is simulation-affecting, so each one
@@ -116,39 +171,20 @@ FieldList spec_fields(const harness::TestSpec& spec) {
   // only when non-empty so scenario-less keys — and the cell seeds derived
   // from this canonical text — are byte-identical to pre-scenario builds.
   if (!spec.scenario.empty()) {
-    add(f, "scenario.count", num(static_cast<int>(spec.scenario.events.size())));
+    f.add("scenario.count", static_cast<int>(spec.scenario.events.size()));
     for (std::size_t i = 0; i < spec.scenario.events.size(); ++i) {
       const auto& e = spec.scenario.events[i];
+      // scenario.1000.* sorts between scenario.100.* and scenario.101.*,
+      // which the sort in sorted() keeps.
       const std::string p = strfmt("scenario.%03zu.", i);
-      add(f, p + "at_sec", num(e.at_sec));
-      add(f, p + "kind", std::string(scenario::kind_name(e.kind)));
-      add(f, p + "value", num(e.value));
-      add(f, p + "duration_sec", num(e.duration_sec));
-      add(f, p + "jitter_sec", num(e.jitter_sec));
+      f.add(p, "at_sec", e.at_sec);
+      f.add(p, "kind", scenario::kind_name(e.kind));
+      f.add(p, "value", e.value);
+      f.add(p, "duration_sec", e.duration_sec);
+      f.add(p, "jitter_sec", e.jitter_sec);
     }
   }
-  return f;
-}
-
-std::string canonicalize(FieldList fields) {
-  std::sort(fields.begin(), fields.end());
-  std::string out;
-  for (const auto& [k, v] : fields) {
-    out += k;
-    out += '=';
-    out += v;
-    out += '\n';
-  }
-  return out;
-}
-
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return f.sorted();
 }
 
 std::uint64_t mix64(std::uint64_t x) {
@@ -159,14 +195,27 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 std::uint64_t spec_key(const harness::TestSpec& spec) {
-  std::string text(kCacheSalt);
-  text += '\n';
-  text += canonicalize(spec_fields(spec));
-  return fnv1a64(text);
+  return fnv1a64(canonical_text(spec), kSaltHash);
 }
 
-std::string spec_key_hex(const harness::TestSpec& spec) {
-  return strfmt("%016llx", static_cast<unsigned long long>(spec_key(spec)));
+std::string key_hex(std::uint64_t key) {
+  return strfmt("%016llx", static_cast<unsigned long long>(key));
+}
+
+std::string spec_key_hex(const harness::TestSpec& spec) { return key_hex(spec_key(spec)); }
+
+std::uint64_t seed_and_key(harness::TestSpec& spec, std::uint64_t campaign_seed) {
+  // The first line, as no knob's key sorts before "base_seed" (a grid test
+  // requires every cell's key to equal spec_key(cell.spec)).
+  constexpr std::string_view kZeroSeed = "base_seed=0\n";
+  spec.base_seed = 0;
+  const std::string text = canonical_text(spec);
+  spec.base_seed = mix64(fnv1a64(text) ^ campaign_seed);
+  std::string seed_line = "base_seed=";
+  append_int(seed_line, spec.base_seed);
+  seed_line += '\n';
+  return fnv1a64(std::string_view(text).substr(kZeroSeed.size()),
+                 fnv1a64(seed_line, kSaltHash));
 }
 
 namespace {
@@ -210,24 +259,28 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   }
 }
 
-std::string ResultCache::path_for(const harness::TestSpec& spec) const {
-  return dir_ + "/" + spec_key_hex(spec) + ".json";
+std::string ResultCache::path_for(std::uint64_t key) const {
+  return dir_ + "/" + key_hex(key) + ".json";
 }
 
-bool ResultCache::load(const harness::TestSpec& spec, harness::TestResult* out) const {
-  std::ifstream in(path_for(spec));
+bool ResultCache::load(std::uint64_t key, const std::string& name,
+                       harness::TestResult* out) const {
+  std::ifstream in(path_for(key));
   if (!in) return false;
   std::stringstream buffer;
   buffer << in.rdbuf();
   const auto doc = Json::parse(buffer.str());
   if (!doc || !result_from_json(*doc, out)) return false;
-  out->name = spec.name;
+  out->name = name;
   return true;
 }
 
-bool ResultCache::store(const harness::TestSpec& spec,
-                        const harness::TestResult& result) const {
-  const std::string path = path_for(spec);
+bool ResultCache::load(const harness::TestSpec& spec, harness::TestResult* out) const {
+  return load(spec_key(spec), spec.name, out);
+}
+
+bool ResultCache::store(std::uint64_t key, const harness::TestResult& result) const {
+  const std::string path = path_for(key);
   const std::string tmp = path + ".tmp";
   {
     std::ofstream o(tmp, std::ios::trunc);
@@ -238,6 +291,11 @@ bool ResultCache::store(const harness::TestSpec& spec,
   std::error_code ec;
   fs::rename(tmp, path, ec);
   return !ec;
+}
+
+bool ResultCache::store(const harness::TestSpec& spec,
+                        const harness::TestResult& result) const {
+  return store(spec_key(spec), result);
 }
 
 GcReport ResultCache::gc(const GcOptions& opts) const {

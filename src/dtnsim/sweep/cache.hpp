@@ -1,11 +1,11 @@
 // Content-addressed, on-disk result cache for harness runs.
 //
-// The key is a 64-bit FNV-1a hash of the *canonicalized* spec: every
-// simulation-affecting knob serialized as a "key=value" field, the field
-// list sorted by key (so the order fields are emitted in can never change
-// the hash), plus a schema/calibration salt. Cosmetic strings (spec label,
-// path display name, CPU/NIC model names) are deliberately excluded — two
-// specs with identical physics are the same cell, whatever they are called.
+// The key is a 64-bit FNV-1a hash of a spec's *canonical text*: every
+// simulation-affecting knob as one "key=value" line, the lines sorted by
+// key (so the order knobs are written in can never change the hash),
+// after a schema/calibration salt line. Cosmetic strings (spec label, path
+// display name, CPU/NIC model names) are deliberately excluded — two specs
+// with identical physics are the same cell, whatever they are called.
 //
 // A cached cell lives at <dir>/<16-hex-key>.json and stores the aggregate
 // TestResult (including raw per-repeat samples). Telemetry payloads
@@ -20,8 +20,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "dtnsim/harness/runner.hpp"
 #include "dtnsim/util/json.hpp"
@@ -31,22 +29,35 @@ namespace dtnsim::sweep {
 // Schema + calibration version salt folded into every cache key.
 inline constexpr std::string_view kCacheSalt = "dtnsim.sweep.v1";
 
-using FieldList = std::vector<std::pair<std::string, std::string>>;
+// The canonical text: "key=value\n" lines sorted by key. Doubles are
+// written as printf's %.17g (round-trips every double, so two knob values
+// never collide), integers in decimal, bools as 1/0, enums by name; the
+// scenario block only when the timeline is non-empty. Every cache key and
+// derived cell seed depends on these bytes (tests/golden/spec_keys.txt).
+std::string canonical_text(const harness::TestSpec& spec);
 
-// Every simulation-affecting knob of a spec, in emission order. Exposed so
-// tests can shuffle the list and prove order-independence of the key.
-FieldList spec_fields(const harness::TestSpec& spec);
-
-// Sort by field name and join as "name=value\n" lines. The canonical text
-// is what gets hashed (and what a human diffs when two keys disagree).
-std::string canonicalize(FieldList fields);
-
-std::uint64_t fnv1a64(std::string_view text);
+constexpr std::uint64_t fnv1a64(std::string_view text,
+                                std::uint64_t h = 0xcbf29ce484222325ULL) {
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 // splitmix64 finalizer — used to derive well-mixed per-cell seeds.
 std::uint64_t mix64(std::uint64_t x);
 
+// fnv1a64 of the salt line and the canonical text (one text build), and a
+// key as its cache file name: 16 lowercase hex digits.
 std::uint64_t spec_key(const harness::TestSpec& spec);
-std::string spec_key_hex(const harness::TestSpec& spec);  // 16 lowercase hex
+std::string spec_key_hex(const harness::TestSpec& spec);
+std::string key_hex(std::uint64_t key);
+
+// A grid cell's seed and key from one canonical text. The seed is
+// mix64(fnv1a64(text with base_seed=0) ^ campaign_seed) and is stored in
+// spec.base_seed; the returned key, spec_key(spec), hashes the same text
+// with that seed in its first line (base_seed sorts before every other key).
+std::uint64_t seed_and_key(harness::TestSpec& spec, std::uint64_t campaign_seed);
 
 // TestResult <-> JSON (aggregate numbers + raw samples; no telemetry).
 Json result_to_json(const harness::TestResult& result);
@@ -81,16 +92,18 @@ class ResultCache {
   explicit ResultCache(std::string dir);
 
   const std::string& dir() const { return dir_; }
-  std::string path_for(const harness::TestSpec& spec) const;
+  std::string path_for(std::uint64_t key) const;
 
-  // Load the cached result for `spec`; false on miss or unreadable entry
+  // Load the result cached under `key`; false on miss or unreadable entry
   // (a truncated file from a killed run reads as a miss). On hit the
-  // result's name is rewritten to spec.name — the label is not part of the
-  // address.
+  // result's name is rewritten to `name` — the label is not part of the
+  // address. The spec form computes spec_key(spec) and uses spec.name.
+  bool load(std::uint64_t key, const std::string& name, harness::TestResult* out) const;
   bool load(const harness::TestSpec& spec, harness::TestResult* out) const;
 
   // Write-through: store via a temp file + atomic rename so an interrupt
   // mid-write never leaves a half-entry under the final name.
+  bool store(std::uint64_t key, const harness::TestResult& result) const;
   bool store(const harness::TestSpec& spec, const harness::TestResult& result) const;
 
   // Sweep the directory and evict entries matching `opts`. Orphaned .tmp

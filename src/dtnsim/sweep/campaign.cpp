@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -36,7 +37,7 @@ std::string grid_fingerprint(const std::vector<CellOutcome>& cells) {
     text += '\n';
     text += cell.key_hex;
   }
-  return strfmt("%016llx", static_cast<unsigned long long>(fnv1a64(text)));
+  return key_hex(fnv1a64(text));
 }
 
 Json row_json(const CellOutcome& out, const std::string& spec_name) {
@@ -151,12 +152,12 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
   report.total = cells.size();
   report.jobs = std::min(resolve_jobs(opts.jobs), resolve_jobs(0));
   report.cells.resize(cells.size());
-  // Each cell's content address, hashed once: the fingerprint, the resume
-  // check, the rows and the manifest lines all read it from here.
+  // Each cell's content address, hashed once in expand(): the fingerprint,
+  // the resume check, the rows, the manifest lines and the cache read it.
   for (std::size_t i = 0; i < cells.size(); ++i) {
     CellOutcome& out = report.cells[i];
     out.index = i;
-    out.key_hex = spec_key_hex(cells[i].spec);
+    out.key_hex = key_hex(cells[i].key);
     out.coords = cells[i].coords;
   }
 
@@ -232,7 +233,7 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
     out.done = true;
     ++report.resumed;
     if (m_resumed) m_resumed->increment();
-    if (cache && cache->load(cells[i].spec, &out.result)) out.cached = true;
+    if (cache && cache->load(cells[i].key, cells[i].spec.name, &out.result)) out.cached = true;
   }
 
   std::mutex io_mu;  // serializes row/manifest writes, counters, busy time
@@ -245,11 +246,11 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
     harness::TestResult result;
     // Telemetry payloads are not cacheable; bypass the store for them.
     const bool cacheable = cache && !cell.spec.telemetry.enabled;
-    if (cacheable && cache->load(cell.spec, &result)) {
+    if (cacheable && cache->load(cell.key, cell.spec.name, &result)) {
       cached = true;
     } else {
       result = harness::run_test(cell.spec);
-      if (cacheable) cache->store(cell.spec, result);
+      if (cacheable) cache->store(cell.key, result);
     }
 
     const std::lock_guard<std::mutex> lock(io_mu);
@@ -308,7 +309,8 @@ bool parse_bool_list(const std::string& text, std::vector<bool>* out) {
   return true;
 }
 
-bool parse_int_list(const std::string& text, std::vector<int>* out,
+// Whole-token integers in [lo, hi], or the word "default" (-> -1).
+bool parse_int_list(const std::string& text, std::vector<int>* out, int lo, int hi,
                     bool allow_default) {
   std::vector<int> values;
   for (const auto& item : split_list(text)) {
@@ -316,10 +318,9 @@ bool parse_int_list(const std::string& text, std::vector<int>* out,
       values.push_back(-1);
       continue;
     }
-    char* end = nullptr;
-    const long v = std::strtol(item.c_str(), &end, 10);
-    if (end != item.c_str() + item.size() || item.empty()) return false;
-    values.push_back(static_cast<int>(v));
+    const auto v = cli::parse_integer(item, lo, hi);
+    if (!v) return false;
+    values.push_back(*v);
   }
   if (values.empty()) return false;
   *out = values;
@@ -381,6 +382,19 @@ SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
       return o;
     }
 
+    // Stores the flag's whole-token integer in `out`, or sets o.error naming
+    // the flag.
+    const auto take_integer = [&](auto& out, auto lo, auto hi) {
+      const auto n = cli::parse_integer(value, lo, hi);
+      if (!n) {
+        o.error = "bad " + flag + ": " + value + " (want a whole number in [" +
+                  std::to_string(lo) + ", " + std::to_string(hi) + "])";
+      }
+      out = n.value_or(out);
+      return n.has_value();
+    };
+    constexpr int kIntMax = std::numeric_limits<int>::max();
+
     if (flag == "-h" || flag == "--help") {
       o.show_help = true;
     } else if (flag == "--name") {
@@ -408,8 +422,8 @@ SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
         return o;
       }
     } else if (flag == "--streams") {
-      if (!parse_int_list(value, &o.grid.streams, /*allow_default=*/false)) {
-        o.error = "bad --streams list: " + value;
+      if (!parse_int_list(value, &o.grid.streams, 1, 128, /*allow_default=*/false)) {
+        o.error = "bad --streams list: " + value + " (want whole numbers in [1, 128])";
         return o;
       }
     } else if (flag == "--pacing") {
@@ -436,8 +450,9 @@ SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
         return o;
       }
     } else if (flag == "--ring") {
-      if (!parse_int_list(value, &o.grid.ring, /*allow_default=*/true)) {
-        o.error = "bad --ring list: " + value;
+      if (!parse_int_list(value, &o.grid.ring, 1, kIntMax, /*allow_default=*/true)) {
+        o.error = "bad --ring list: " + value +
+                  " (want 'default' or whole numbers in [1, " + std::to_string(kIntMax) + "])";
         return o;
       }
     } else if (flag == "--scenarios") {
@@ -470,27 +485,22 @@ SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
     } else if (flag == "--skip-rx-copy") {
       o.grid.skip_rx_copy = true;
     } else if (flag == "--time") {
-      o.grid.duration_sec = std::atof(value.c_str());
-      if (o.grid.duration_sec <= 0) {
-        o.error = "duration must be positive";
+      const auto sec = cli::parse_seconds(value);
+      if (!sec) {
+        o.error = "bad --time: " + value + " (want finite seconds > 0, below ~292 years)";
         return o;
       }
+      o.grid.duration_sec = *sec;
     } else if (flag == "--repeats") {
-      o.grid.repeats = std::atoi(value.c_str());
-      if (o.grid.repeats < 1) {
-        o.error = "repeats must be >= 1";
-        return o;
-      }
+      if (!take_integer(o.grid.repeats, 1, kIntMax)) return o;
     } else if (flag == "--seed") {
-      o.grid.base_seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (flag == "--jobs") {
-      char* end = nullptr;
-      const long jobs = std::strtol(value.c_str(), &end, 10);
-      if (end != value.c_str() + value.size() || value.empty() || jobs < 0) {
-        o.error = "bad --jobs (need >= 0; 0 = usable CPUs): " + value;
+      if (!take_integer(o.grid.base_seed, std::uint64_t{0},
+                        std::numeric_limits<std::uint64_t>::max())) {
         return o;
       }
-      o.run.jobs = static_cast<int>(jobs);
+    } else if (flag == "--jobs") {
+      // 0 = one thread per usable CPU.
+      if (!take_integer(o.run.jobs, 0, kIntMax)) return o;
     } else if (flag == "--cache") {
       o.run.cache_dir = value;
     } else if (flag == "--out") {
@@ -513,7 +523,7 @@ SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
     } else if (flag == "--max-age-days") {
       char* end = nullptr;
       const double days = std::strtod(value.c_str(), &end);
-      if (value.empty() || end != value.c_str() + value.size() || days < 0) {
+      if (value.empty() || end != value.c_str() + value.size() || !(days >= 0)) {
         o.error = "bad --max-age-days (need >= 0): " + value;
         return o;
       }

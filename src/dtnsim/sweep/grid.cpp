@@ -21,15 +21,6 @@ std::string fmt_scenario(const dtnsim::scenario::Timeline& tl) {
   return tl.name.empty() ? std::string("unnamed") : tl.name;
 }
 
-// Derive the cell seed from the knob content, not the cell position: hash
-// the canonical spec with the seed field zeroed, then mix in the campaign
-// base seed. Reordering or extending an axis never perturbs other cells.
-std::uint64_t derive_seed(harness::TestSpec spec, std::uint64_t base_seed) {
-  spec.base_seed = 0;
-  std::uint64_t h = fnv1a64(canonicalize(spec_fields(spec)));
-  return mix64(h ^ base_seed);
-}
-
 }  // namespace
 
 std::string validate(const GridSpec& grid) {
@@ -121,7 +112,10 @@ std::vector<Cell> expand(const GridSpec& grid) {
                       }
                       if (ring > 0) h->tuning.ring_descriptors = ring;
                     }
-                    cell.spec.base_seed = derive_seed(cell.spec, grid.base_seed);
+                    // The seed derives from the knob content, not the cell
+                    // position: reordering or extending an axis never
+                    // perturbs other cells.
+                    cell.key = seed_and_key(cell.spec, grid.base_seed);
                     cell.spec.name = strfmt(
                         "%s/%s/%s/P%d/pace%g/zc%d/optmem%s/bigtcp%d/ring%s",
                         grid.name.c_str(), kern::kernel_version_name(kernel),

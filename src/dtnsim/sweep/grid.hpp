@@ -63,6 +63,7 @@ struct GridSpec {
 struct Cell {
   std::size_t index = 0;   // position in expansion order
   harness::TestSpec spec;  // runnable; base_seed already derived
+  std::uint64_t key = 0;   // spec_key(spec), from the text the seed came from
   // Axis coordinates as printable (axis, value) pairs, in axis order —
   // exactly what the campaign's JSONL rows carry.
   std::vector<std::pair<std::string, std::string>> coords;

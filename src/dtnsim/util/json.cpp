@@ -1,5 +1,6 @@
 #include "dtnsim/util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
@@ -108,15 +109,13 @@ void Json::escape_to(std::string& out, const std::string& s) {
 }
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
-  const std::string pad = indent > 0 ? std::string(static_cast<std::size_t>(indent) *
-                                                       static_cast<std::size_t>(depth + 1),
-                                                   ' ')
-                                     : std::string();
-  const std::string close_pad =
-      indent > 0
-          ? std::string(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth), ' ')
-          : std::string();
-  const char* nl = indent > 0 ? "\n" : "";
+  // Pretty-printing starts each member, and the closing bracket, on a line
+  // of its own, indented to its level.
+  const auto newline = [&](int level) {
+    if (indent <= 0) return;
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(level), ' ');
+  };
   switch (kind_) {
     case Kind::Null:
       out += "null";
@@ -126,14 +125,19 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       break;
     case Kind::Number: {
       if (std::isfinite(num_) && num_ == std::floor(num_) && std::fabs(num_) < 9.0e15) {
-        out += strfmt("%lld", static_cast<long long>(num_));
+        append_int(out, static_cast<long long>(num_));
       } else {
-        // Shortest representation that parses back to the exact same double
-        // — the sweep result cache requires dump/parse to round-trip
+        // Shortest of %.15g and %.17g that parses back to the exact same
+        // double — the sweep result cache requires dump/parse to round-trip
         // bit-identically (a cached cell must equal the simulated one).
-        std::string text = strfmt("%.15g", num_);
-        if (std::strtod(text.c_str(), nullptr) != num_) text = strfmt("%.17g", num_);
-        out += text;
+        const std::size_t at = out.size();
+        append_g(out, num_, 15);
+        double back = 0.0;
+        std::from_chars(out.data() + at, out.data() + out.size(), back);
+        if (back != num_) {
+          out.resize(at);
+          append_g(out, num_, 17);
+        }
       }
       break;
     }
@@ -146,14 +150,10 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       for (const auto& v : arr_) {
         if (!first) out += ',';
         first = false;
-        out += nl;
-        out += pad;
+        newline(depth + 1);
         v.dump_to(out, indent, depth + 1);
       }
-      if (!arr_.empty()) {
-        out += nl;
-        out += close_pad;
-      }
+      if (!arr_.empty()) newline(depth);
       out += ']';
       break;
     }
@@ -163,16 +163,12 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       for (const auto& [k, v] : obj_) {
         if (!first) out += ',';
         first = false;
-        out += nl;
-        out += pad;
+        newline(depth + 1);
         escape_to(out, k);
         out += indent > 0 ? ": " : ":";
         v.dump_to(out, indent, depth + 1);
       }
-      if (!obj_.empty()) {
-        out += nl;
-        out += close_pad;
-      }
+      if (!obj_.empty()) newline(depth);
       out += '}';
       break;
     }

@@ -24,4 +24,11 @@ std::string strfmt(const char* fmt, ...) {
   return out;
 }
 
+void append_g(std::string& out, double v, int precision) {
+  // "-2.2250738585072014e-308" is 24 chars, the longest %.17g text.
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                                precision).ptr);
+}
+
 }  // namespace dtnsim

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """One audit of the built dtnsim libraries and the sources they come from.
 
-    python3 tests/link_audit.py BUILD_DIR [NM]
+    python3 tests/link_audit.py BUILD_DIR [PROGRAM_LIST [NM]]
 
-Reads BUILD_DIR/src/libdtnsim_*.a, every executable in
-BUILD_DIR/{tools,bench,bench/selfperf,examples}, and the source tree this
-script sits in. Prints one `rule: where: why` line per finding and exits 1
-on any. Checks:
+Reads BUILD_DIR/src/libdtnsim_*.a, the programs PROGRAM_LIST names (one
+path a line; default BUILD_DIR/link_audit_programs.txt, which CMake writes
+with every executable of tools/, bench/ and examples/), and the source tree
+this script sits in. Prints one `rule: where: why` line per finding and
+exits 1 on any. Checks:
 
-  unlinked         an archive member whose global functions no tool, bench
-                   or example links: code only the tests reach
+  unlinked         an archive member whose global functions no listed
+                   program links: code only the tests reach
   determinism      a member referencing a wall clock or ambient randomness
                    (`nm -u`): runs must be bit-identical for a seed
   iostream         a member referencing std::cout/cerr/clog or
@@ -22,8 +23,11 @@ on any. Checks:
 The symbol checks see calls made through inline helpers; the three text
 checks read source with comments and string literals blanked. ALLOWED
 lists the wall-clock reads that are not simulation, by object and symbol;
-an entry whose symbol its object no longer references fails as stale. It
-needs every target built: with programs or libraries missing, it exits 1.
+an entry whose symbol its object no longer references fails as stale.
+Programs come from the list, never from a directory scan, so a stale binary
+left in a reused build tree cannot make an object count as linked. It needs
+every target built: with a listed program or the libraries missing, it
+exits 1.
 """
 import os
 import re
@@ -32,7 +36,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PROGRAM_DIRS = ("tools", "bench", "bench/selfperf", "examples")
 SOURCE_DIRS = ("src", "tests", "tools", "examples")
 
 # (archive(member), symbol suffix) pairs the symbol checks accept.
@@ -110,6 +113,12 @@ def is_program(path):
         return f.read(4) == b"\x7fELF"
 
 
+def read_programs(listing):
+    """The paths `listing` names, one a line: (built programs, missing ones)."""
+    paths = [Path(line) for line in listing.read_text().splitlines() if line.strip()]
+    return [p for p in paths if is_program(p)], [p for p in paths if not is_program(p)]
+
+
 def unlinked_findings(archives, programs, nm):
     linked = set()
     for program in programs:
@@ -169,12 +178,14 @@ def text_findings(root):
 
 def main():
     build = Path(sys.argv[1])
-    nm = sys.argv[2] if len(sys.argv) > 2 else "nm"
-    programs = [p for d in PROGRAM_DIRS for p in sorted((build / d).glob("*")) if is_program(p)]
+    listing = Path(sys.argv[2]) if len(sys.argv) > 2 else build / "link_audit_programs.txt"
+    nm = sys.argv[3] if len(sys.argv) > 3 else "nm"
+    programs, missing = read_programs(listing) if listing.is_file() else ([], [])
     archives = sorted((build / "src").glob("libdtnsim_*.a"))
-    if not programs or not archives:
-        print(f"link_audit: found {len(programs)} programs and {len(archives)} "
-              f"libraries under {build}; build every target first", file=sys.stderr)
+    if missing or not programs or not archives:
+        print(f"link_audit: {len(programs)} of the {len(programs) + len(missing)} programs "
+              f"{listing} lists are built, and {len(archives)} libraries under {build}; "
+              "build every target first", file=sys.stderr)
         return 1
 
     findings = (unlinked_findings(archives, programs, nm) +

@@ -1,24 +1,27 @@
 // Unit + integration tests: the sweep campaign engine.
 //
 // The determinism contract is the subsystem's whole point, so the tests
-// here are the enforcement: cache keys must not depend on field order,
-// parallel output must be bit-identical to serial, and a resumed campaign
-// must never re-simulate a completed cell.
+// here are the enforcement: cache keys and cell seeds must match the golden
+// byte for byte, parallel output must be bit-identical to serial, and a
+// resumed campaign must never re-simulate a completed cell.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
+#include "dtnsim/harness/experiments.hpp"
 #include "dtnsim/sweep/cache.hpp"
 #include "dtnsim/sweep/campaign.hpp"
 #include "dtnsim/sweep/grid.hpp"
@@ -233,16 +236,102 @@ TEST(Grid, ValidatesAxesAndNames) {
 
 // ---- cache keys ----------------------------------------------------------
 
-TEST(Cache, KeyIgnoresFieldOrder) {
-  const auto cells = expand(twelve_cell_grid());
-  auto fields = spec_fields(cells[0].spec);
-  auto shuffled = fields;
-  // A deterministic shuffle: rotate + swap ends.
-  std::rotate(shuffled.begin(), shuffled.begin() + shuffled.size() / 2, shuffled.end());
-  std::swap(shuffled.front(), shuffled.back());
-  EXPECT_NE(fields, shuffled);
-  EXPECT_EQ(canonicalize(fields), canonicalize(shuffled));
-  EXPECT_EQ(fnv1a64(canonicalize(fields)), fnv1a64(canonicalize(shuffled)));
+// The 64-cell grid of tests/golden/spec_keys.txt: every axis takes a
+// non-default value somewhere, and so do the grid's constants.
+GridSpec golden_grid() {
+  GridSpec g;
+  g.name = "golden";
+  g.testbed = "amlight";
+  g.kernels = {kern::KernelVersion::V5_15, kern::KernelVersion::V6_11};
+  g.paths = {"", "WAN 104ms"};
+  g.streams = {8};
+  g.pacing_gbps = {0.0, 0.3};
+  g.zerocopy = {false, true};
+  g.optmem_max = {-1.0, 20480.0};
+  g.big_tcp = {true};
+  g.ring = {8192};
+  g.scenarios = {scenario::Timeline{},
+                 scenario::load_timeline(std::string(DTNSIM_SOURCE_DIR) +
+                                         "/scenarios/link_flap.json")};
+  g.skip_rx_copy = true;
+  g.congestion = kern::CongestionAlgo::BbrV3;
+  g.duration_sec = 2.5;
+  g.repeats = 3;
+  g.base_seed = 7;
+  return g;
+}
+
+// Every line of a canonical text, keys strictly increasing.
+void expect_sorted_lines(const std::string& text) {
+  ASSERT_FALSE(text.empty());
+  ASSERT_EQ(text.back(), '\n');
+  std::string_view prev;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t nl = text.find('\n', pos);
+    const std::string_view line(text.data() + pos, nl - pos);
+    const std::string_view key = line.substr(0, line.find('='));
+    ASSERT_NE(key.size(), line.size()) << "no '=' in " << line;
+    EXPECT_LT(prev, key) << "after " << prev;
+    prev = key;
+    pos = nl + 1;
+  }
+}
+
+TEST(SpecKeys, MatchGolden) {
+  std::string got;
+  for (const auto& def : harness::experiment_registry()) {
+    for (const auto& spec : def.specs()) {
+      got += "registry " + spec_key_hex(spec) + " " + def.id + "/" + spec.name + "\n";
+    }
+  }
+  const auto cells = expand(golden_grid());
+  ASSERT_EQ(cells.size(), 64u);
+  for (const auto& c : cells) {
+    EXPECT_EQ(c.key, spec_key(c.spec)) << c.spec.name;
+    got += strfmt("grid %03zu %s %s %s\n", c.index, key_hex(c.key).c_str(),
+                  key_hex(c.spec.base_seed).c_str(), c.spec.name.c_str());
+  }
+  // A timeline past 999 events: its index widens to four digits, and
+  // scenario.1000.* must still sort between scenario.100.* and scenario.101.*.
+  auto long_spec = cells[1].spec;
+  long_spec.scenario.events.clear();
+  for (int i = 0; i < 1001; ++i) {
+    scenario::Event e;
+    e.at_sec = 0.5 + i * 0.01;
+    e.kind = static_cast<scenario::EventKind>(i % scenario::kEventKindCount);
+    e.value = i * 0.001;
+    e.duration_sec = (i % 3) * 0.1;
+    e.jitter_sec = (i % 7 == 0) ? 0.05 : 0.0;
+    long_spec.scenario.events.push_back(e);
+  }
+  got += "events1001 " + spec_key_hex(long_spec) + "\n";
+  expect_sorted_lines(canonical_text(long_spec));
+  for (const auto& [label, index] : {std::pair{"plain", 62}, std::pair{"scenario", 63}}) {
+    const std::string text = canonical_text(cells[static_cast<std::size_t>(index)].spec);
+    expect_sorted_lines(text);
+    for (std::size_t pos = 0; pos < text.size();) {
+      const std::size_t nl = text.find('\n', pos);
+      got += std::string("text ") + label + " " + text.substr(pos, nl - pos) + "\n";
+      pos = nl + 1;
+    }
+  }
+
+  std::ifstream in(std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/spec_keys.txt");
+  ASSERT_TRUE(in) << "missing tests/golden/spec_keys.txt";
+  std::string want, line;
+  while (std::getline(in, line)) {
+    if (!line.starts_with("#")) want += line + "\n";
+  }
+  // One line at a time, so a drift names the cell it moved.
+  std::istringstream got_lines(got), want_lines(want);
+  std::string g, w;
+  int n = 0;
+  while (std::getline(want_lines, w)) {
+    ++n;
+    ASSERT_TRUE(std::getline(got_lines, g)) << "golden line " << n << " missing: " << w;
+    ASSERT_EQ(g, w) << "golden line " << n;
+  }
+  EXPECT_FALSE(std::getline(got_lines, g)) << "not in the golden: " << g;
 }
 
 TEST(Cache, KeyChangesWithEveryKnob) {
@@ -302,7 +391,7 @@ TEST(Cache, StoreLoadRoundTrip) {
   // A truncated entry (kill mid-write would leave the .tmp, but guard the
   // final file too) must read as a miss, not a crash.
   {
-    std::ofstream truncate(cache.path_for(spec), std::ios::trunc);
+    std::ofstream truncate(cache.path_for(spec_key(spec)), std::ios::trunc);
     truncate << "{\"repeats\": 2, \"avg_gb";
   }
   EXPECT_FALSE(cache.load(spec, &loaded));
@@ -453,7 +542,7 @@ TEST(Campaign, ResumeNeverRerunsCompletedCells) {
   cut_after_kill(opts.results_path + ".ckpt", 1 + 5);
   const ResultCache cache(opts.cache_dir);
   const auto cells = expand(grid);
-  for (std::size_t i = 5; i < cells.size(); ++i) fs::remove(cache.path_for(cells[i].spec));
+  for (std::size_t i = 5; i < cells.size(); ++i) fs::remove(cache.path_for(cells[i].key));
 
   // Resume: exactly the 7 remaining cells simulate; nothing re-runs.
   auto resumed = opts;
@@ -582,6 +671,27 @@ TEST(SweepCli, RejectsGarbage) {
   EXPECT_FALSE(parse_sweep_cli({"--pacing"}).error.empty());
   EXPECT_FALSE(parse_sweep_cli({"--frobnicate", "1"}).error.empty());
   EXPECT_TRUE(parse_sweep_cli({"--jobs", "0"}).error.empty());
+
+  // Numbers are whole tokens in range; the error names the flag. These
+  // once ran P1 cells, ring1215752191, seed 0, seed 2^64-1, 2 repeats, 5 s
+  // cells, and failed only after expansion with "units: NaN SimTime".
+  const std::pair<const char*, const char*> garbage[] = {
+      {"--streams", "4294967297"}, {"--streams", "0"},     {"--ring", "99999999999"},
+      {"--ring", "0"},             {"--seed", "abc"},      {"--seed", "-1"},
+      {"--repeats", "2x"},         {"--repeats", "0"},     {"--time", "5abc"},
+      {"--time", "nan"},           {"--time", "inf"},      {"--jobs", "4294967297"},
+      {"--max-age-days", "nan"},
+  };
+  for (const auto& [flag, value] : garbage) {
+    const std::string error = parse_sweep_cli({flag, value}).error;
+    EXPECT_NE(error.find(flag), std::string::npos) << flag << " " << value << ": " << error;
+    std::string output;
+    EXPECT_EQ(run_sweep_cli(parse_sweep_cli({flag, value}), output), 2) << flag << " " << value;
+  }
+  EXPECT_EQ(parse_sweep_cli({"--seed", "18446744073709551615"}).grid.base_seed,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_sweep_cli({"--ring", "default,1"}).grid.ring, (std::vector<int>{-1, 1}));
+  EXPECT_DOUBLE_EQ(parse_sweep_cli({"--time", "0.5"}).grid.duration_sec, 0.5);
 }
 
 TEST(SweepCli, QuickPresetAndHelp) {
@@ -669,8 +779,8 @@ TEST(SweepCache, ScenarioChangesTheKeyAndTheSeed) {
   EXPECT_NE(cells[0].spec.base_seed, cells[1].spec.base_seed);
 
   // No scenario -> no scenario fields in the canonical text at all.
-  const auto plain_text = canonicalize(spec_fields(cells[0].spec));
-  const auto scn_text = canonicalize(spec_fields(cells[1].spec));
+  const auto plain_text = canonical_text(cells[0].spec);
+  const auto scn_text = canonical_text(cells[1].spec);
   EXPECT_EQ(plain_text.find("scenario."), std::string::npos);
   EXPECT_NE(scn_text.find("scenario.000.kind=loss_burst"), std::string::npos)
       << scn_text;

@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "dtnsim/util/csv.hpp"
 #include "dtnsim/util/json.hpp"
@@ -47,6 +51,47 @@ TEST(Strfmt, Formats) {
   EXPECT_EQ(strfmt("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(strfmt("%.2f", 3.14159), "3.14");
   EXPECT_EQ(strfmt("empty"), "empty");
+}
+
+// Doubles drawn over every exponent (subnormals, NaN and Inf included) by
+// raw bit pattern, plus hand-picked edges.
+std::vector<double> number_sample() {
+  std::vector<double> out = {0.0, -0.0, 1.0, 0.1, 0.3 * 1e9, 1.03, 0.35, 1e15, 9e15, 1e16,
+                             123456789012345678.0, std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(2024);
+  for (int i = 0; i < 10000; ++i) {
+    std::uint64_t bits = rng.next();
+    if (i % 4 == 0) bits &= 0x800fffffffffffffULL;  // subnormal
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    out.push_back(v);
+  }
+  return out;
+}
+
+TEST(Strfmt, AppendMatchesPrintf) {
+  for (const double v : number_sample()) {
+    for (const int precision : {15, 17}) {
+      std::string got;
+      append_g(got, v, precision);
+      ASSERT_EQ(got, strfmt("%.*g", precision, v)) << "precision " << precision;
+    }
+  }
+  const long long ints[] = {0, -1, 42, std::numeric_limits<long long>::min(),
+                            std::numeric_limits<long long>::max()};
+  for (const long long v : ints) {
+    std::string got;
+    append_int(got, v);
+    EXPECT_EQ(got, strfmt("%lld", v));
+  }
+  std::string got;
+  append_int(got, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(got, "18446744073709551615");
 }
 
 TEST(Rng, Deterministic) {
@@ -186,6 +231,29 @@ TEST(Json, PrettyPrint) {
   j["a"] = 1;
   const std::string s = j.dump(2);
   EXPECT_NE(s.find("{\n  \"a\": 1\n}"), std::string::npos);
+
+  Json arr = Json::array();
+  arr.push_back(1.5);
+  arr.push_back(Json::object());
+  arr.push_back(Json::array());
+  j["b"] = std::move(arr);
+  EXPECT_EQ(j.dump(2), "{\n  \"a\": 1,\n  \"b\": [\n    1.5,\n    {},\n    []\n  ]\n}");
+  EXPECT_EQ(j.dump(), R"({"a":1,"b":[1.5,{},[]]})");
+}
+
+// The writer is printf's: integral values below 9e15 as %lld, others as the
+// shorter of %.15g and %.17g that strtod reads back exactly.
+TEST(Json, NumbersMatchPrintfText) {
+  for (const double v : number_sample()) {
+    std::string want;
+    if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.0e15) {
+      want = strfmt("%lld", static_cast<long long>(v));
+    } else {
+      want = strfmt("%.15g", v);
+      if (std::strtod(want.c_str(), nullptr) != v) want = strfmt("%.17g", v);
+    }
+    ASSERT_EQ(Json(v).dump(), want);
+  }
 }
 
 TEST(JsonParse, RoundTripsDumpedDocuments) {

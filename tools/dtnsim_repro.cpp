@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -119,7 +120,8 @@ int main(int argc, char** argv) {
                   "             [--metrics-out F] [--trace-out F] [--probe-interval S]\n"
                   "Runs the paper's experiments, prints each cell and a PASS/FAIL\n"
                   "line per paper claim, and writes <id>_raw.csv, <id>_summary.csv\n"
-                  "and <id>.json per experiment. Exits 1 if any claim fails.\n"
+                  "and <id>.json per experiment into --out (default ., created if\n"
+                  "missing). Exits 1 if any claim fails.\n"
                   "--quick: 20 s x 3 repeats instead of the paper's 60 s x 10.\n"
                   "--metrics-out: per-interval telemetry series (all tests) as CSV.\n"
                   "--trace-out: chrome://tracing / Perfetto trace_event JSON.\n"
@@ -148,6 +150,13 @@ int main(int argc, char** argv) {
   if (all) {
     ids.clear();
     for (const auto& def : experiment_registry()) ids.push_back(def.id);
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec || !std::filesystem::is_directory(out_dir, ec)) {
+    std::fprintf(stderr, "cannot create output directory %s: %s\n", out_dir.c_str(),
+                 ec ? ec.message().c_str() : "not a directory");
+    return 1;
   }
 
   const double duration = quick ? 20.0 : 60.0;
