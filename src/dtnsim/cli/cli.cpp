@@ -1,293 +1,120 @@
 #include "dtnsim/cli/cli.hpp"
 
-#include <cctype>
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
+#include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 #include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::cli {
-using app::IperfOptions;
-
-std::optional<double> parse_rate(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  const std::string suffix(end);
-  double scale = 1.0;
-  if (suffix.size() > 1) return std::nullopt;
-  if (suffix.size() == 1) {
-    switch (std::tolower(static_cast<unsigned char>(suffix[0]))) {
-      case 'k':
-        scale = 1e3;
-        break;
-      case 'm':
-        scale = 1e6;
-        break;
-      case 'g':
-        scale = 1e9;
-        break;
-      case 't':
-        scale = 1e12;
-        break;
-      default:
-        return std::nullopt;
-    }
-  }
-  // No number, a negative one, NaN or Inf (also after scaling).
-  if (end == text.c_str() || !(value >= 0) || !std::isfinite(value * scale)) return std::nullopt;
-  return value * scale;
-}
-
-std::optional<double> parse_seconds(const std::string& text) {
-  double s = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, s);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  try {
-    if (units::SimTime::from_seconds(s).nanos() <= 0) return std::nullopt;
-  } catch (const std::invalid_argument&) {  // NaN, Inf or out of range
-    return std::nullopt;
-  }
-  return s;
-}
 
 std::optional<kern::KernelVersion> parse_kernel(const std::string& text) {
-  if (text == "5.10") return kern::KernelVersion::V5_10;
-  if (text == "5.15") return kern::KernelVersion::V5_15;
-  if (text == "6.5") return kern::KernelVersion::V6_5;
-  if (text == "6.8") return kern::KernelVersion::V6_8;
-  if (text == "6.11") return kern::KernelVersion::V6_11;
+  using enum kern::KernelVersion;
+  for (const auto v : {V5_10, V5_15, V6_5, V6_8, V6_11}) {
+    if (text == kern::kernel_version_name(v)) return v;
+  }
   return std::nullopt;
 }
 
 std::optional<kern::CongestionAlgo> parse_congestion(const std::string& text) {
-  if (text == "cubic") return kern::CongestionAlgo::Cubic;
-  if (text == "bbr") return kern::CongestionAlgo::BbrV1;
-  if (text == "bbr3") return kern::CongestionAlgo::BbrV3;
-  if (text == "reno") return kern::CongestionAlgo::Reno;
+  using enum kern::CongestionAlgo;
+  for (const auto c : {Cubic, BbrV1, BbrV3, Reno}) {
+    if (text == kern::congestion_name(c)) return c;
+  }
   return std::nullopt;
 }
 
-namespace {
-
-bool needs_value(const std::string& flag) {
-  return flag == "-P" || flag == "--parallel" || flag == "-t" || flag == "--time" ||
-         flag == "-C" || flag == "--congestion" || flag == "--fq-rate" ||
-         flag == "--testbed" || flag == "--path" || flag == "--kernel" ||
-         flag == "--optmem" || flag == "--ring" || flag == "--repeats" ||
-         flag == "--seed" || flag == "--probe-interval" ||
-         flag == "--metrics-out" || flag == "--trace-out" || flag == "--trace-stream" ||
-         flag == "--ss-watch" || flag == "--ss-out" || flag == "--perf-watch" ||
-         flag == "--perf-out" || flag == "--scenario" || flag == "--scenario-out" ||
-         flag == "--record-out" || flag == "--record-timeline";
+std::vector<FlagGroup> run_flags(CliOptions& o) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  const Setter big_tcp = [&o](const std::string& flag, const std::vector<std::string>& size) {
+    if (!size.empty()) {
+      const auto bytes = parse_rate(size.front());
+      if (!bytes) return "bad " + flag + " size: " + size.front();
+      o.big_tcp_bytes = *bytes;
+    }
+    o.big_tcp = true;
+    return std::string();
+  };
+  const FlagGroup iperf3{"iperf3 flags:", {
+    {{"-P", "--parallel"}, "N", "parallel streams (multithreaded, iperf3 >= 3.16)",
+     set_whole(o.iperf.parallel, 1, 128)},
+    {{"-t", "--time"}, "SEC", "duration per run (default 60)", set_seconds(o.iperf.duration_sec)},
+    {{"-C", "--congestion"}, "ALGO", "cubic | bbr | bbr3 | reno",
+     set_value(o.iperf.congestion, parse_congestion, "cubic, bbr, bbr3 or reno")},
+    {{"--fq-rate"}, "RATE", "per-stream pacing, e.g. 50G (patch #1728)",
+     set_rate(o.iperf.fq_rate_bps)},
+    {{"-Z", "--zerocopy", "--zerocopy=z"}, "", "MSG_ZEROCOPY sends (patch #1690)",
+     set_true(o.iperf.zerocopy)},
+    {{"--skip-rx-copy"}, "", "MSG_TRUNC receives (patch #1690)", set_true(o.iperf.skip_rx_copy)},
+    {{"-J", "--json"}, "", "JSON output", set_true(o.iperf.json)},
+    {{"-h", "--help"}, "", "print this help and exit", set_true(o.show_help)}}};
+  const FlagGroup simulator{"simulator flags:", {
+    {{"--testbed"}, "NAME", "amlight | amlight-baremetal | esnet | production",
+     set_text(o.testbed)},
+    {{"--path"}, "NAME", "e.g. 'WAN 63ms' (default: testbed LAN)", set_text(o.path)},
+    {{"--kernel"}, "VER", "5.10 | 5.15 | 6.5 | 6.8 | 6.11",
+     set_value(o.kernel, parse_kernel, "5.10, 5.15, 6.5, 6.8 or 6.11")},
+    {{"--optmem"}, "BYTES", "net.core.optmem_max (e.g. 1M, 3405376)", set_rate(o.optmem_max)},
+    {{"--big-tcp"}, "[SIZE]", "enable BIG TCP (default 150K)", big_tcp},
+    {{"--ring"}, "N", "RX/TX ring descriptors", set_whole(o.ring, 1, kIntMax)},
+    {{"--repeats"}, "N", "repeats with seed substreams (default 1)",
+     set_whole(o.repeats, 1, kIntMax)},
+    {{"--seed"}, "N", "RNG seed",
+     set_whole(o.seed, 0, std::numeric_limits<std::uint64_t>::max())}}};
+  const FlagGroup observability{"observability flags (docs/OBSERVABILITY.md):", {
+    {{"--probe-interval"}, "SEC", "telemetry sampling cadence (default 1)",
+     set_seconds(o.probe_interval_sec)},
+    {{"--metrics-out"}, "F", "write per-interval metric series as CSV", set_text(o.metrics_out)},
+    {{"--trace-out"}, "F", "write chrome://tracing / Perfetto JSON trace", set_text(o.trace_out)},
+    {{"--trace-stream"}, "F",
+     "stream every trace event of repeat 0 to F as\nit happens (no ring-capacity ceiling)",
+     set_text(o.trace_stream)},
+    {{"--ss-watch"}, "SEC", "ss/ethtool/tc snapshots every SEC of sim time",
+     set_seconds(o.ss_watch_sec)},
+    {{"--ss-out"}, "F", "write the snapshot log as JSON (dtnsim-ss --replay)",
+     set_text(o.ss_out)},
+    {{"--perf-watch"}, "SEC", "per-stage cycle attribution samples every SEC",
+     set_seconds(o.perf_watch_sec)},
+    {{"--perf-out"}, "F", "write the perf log as JSON (dtnsim-perf --replay)",
+     set_text(o.perf_out)}}};
+  const FlagGroup scenario{"scenario flags (docs/SCENARIO.md):", {
+    {{"--scenario"}, "F", "mid-run fault/condition timeline (JSON), fired\nin every repeat",
+     set_text(o.scenario_file)},
+    {{"--scenario-out"}, "F", "write repeat 0's applied-event log as JSON",
+     set_text(o.scenario_out)},
+    {{"--record-timeline"}, "F",
+     "write the events repeat 0 crossed as a loadable\n--scenario timeline (needs --scenario)",
+     set_text(o.record_timeline)}}};
+  const FlagGroup report{"report flags (docs/REPORT.md):", {
+    {{"--record-out"}, "F",
+     "bundle the run into one RunRecord JSON for\ndtnsim-report (implies telemetry + ss + perf)",
+     set_text(o.record_out)}}};
+  return {iperf3, simulator, observability, scenario, report};
 }
 
-}  // namespace
+Grammar tool_grammar(std::string about, FlagGroup tool, CliOptions& o) {
+  Grammar grammar{std::move(about), run_flags(o), nullptr};
+  const auto taken = [&tool](const Flag& shared) {
+    return std::ranges::any_of(tool.flags, [&shared](const Flag& mine) {
+      return std::ranges::find_first_of(mine.names, shared.names) != mine.names.end();
+    });
+  };
+  for (auto& group : grammar.groups) std::erase_if(group.flags, taken);
+  grammar.groups.insert(grammar.groups.begin(), std::move(tool));
+  return grammar;
+}
+
+constexpr const char* kIperf3About =
+    "dtnsim-iperf3 — iperf3-compatible driver for the dtnsim simulator";
 
 CliOptions parse_cli(const std::vector<std::string>& args) {
   CliOptions o;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string flag = args[i];
-    std::string value;
-    bool has_inline_value = false;
-    // Long flags accept --flag=value; "--zerocopy=z" stays a valid spelling.
-    if (flag.rfind("--", 0) == 0) {
-      const std::size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        value = flag.substr(eq + 1);
-        flag = flag.substr(0, eq);
-        has_inline_value = true;
-      }
-    }
-    if (flag == "--zerocopy" && has_inline_value) {
-      if (value != "z") {
-        o.error = "bad --zerocopy mode: " + value;
-        return o;
-      }
-      has_inline_value = false;  // handled below as the plain switch
-      value.clear();
-    }
-    if (flag == "--big-tcp" && has_inline_value) {
-      const auto sz = parse_rate(value);
-      if (!sz) {
-        o.error = "bad --big-tcp size: " + value;
-        return o;
-      }
-      o.big_tcp = true;
-      o.big_tcp_bytes = *sz;
-      continue;
-    }
-    if (needs_value(flag) && !has_inline_value) {
-      if (i + 1 >= args.size()) {
-        o.error = "missing value for " + flag;
-        return o;
-      }
-      value = args[++i];
-    } else if (has_inline_value && !needs_value(flag)) {
-      o.error = "flag does not take a value: " + flag;
-      return o;
-    }
-
-    // Each stores the flag's value in `out`, or sets o.error naming it.
-    const auto take_seconds = [&](double& out) {
-      const auto sec = parse_seconds(value);
-      if (!sec) {
-        o.error = "bad " + flag + ": " + value + " (want finite seconds > 0, below ~292 years)";
-      }
-      out = sec.value_or(out);
-      return sec.has_value();
-    };
-    const auto take_integer = [&](auto& out, auto lo, auto hi) {
-      const auto n = parse_integer(value, lo, hi);
-      if (!n) {
-        o.error = "bad " + flag + ": " + value + " (want a whole number in [" +
-                  std::to_string(lo) + ", " + std::to_string(hi) + "])";
-      }
-      out = n.value_or(out);
-      return n.has_value();
-    };
-    constexpr int kIntMax = std::numeric_limits<int>::max();
-
-    if (flag == "-h" || flag == "--help") {
-      o.show_help = true;
-    } else if (flag == "-P" || flag == "--parallel") {
-      if (!take_integer(o.iperf.parallel, 1, 128)) return o;
-    } else if (flag == "-t" || flag == "--time") {
-      if (!take_seconds(o.iperf.duration_sec)) return o;
-    } else if (flag == "-C" || flag == "--congestion") {
-      const auto algo = parse_congestion(value);
-      if (!algo) {
-        o.error = "unknown congestion algorithm: " + value;
-        return o;
-      }
-      o.iperf.congestion = *algo;
-    } else if (flag == "--fq-rate") {
-      const auto rate = parse_rate(value);
-      if (!rate) {
-        o.error = "bad --fq-rate: " + value;
-        return o;
-      }
-      o.iperf.fq_rate_bps = *rate;
-    } else if (flag == "-Z" || flag == "--zerocopy" || flag == "--zerocopy=z") {
-      o.iperf.zerocopy = true;
-    } else if (flag == "--skip-rx-copy") {
-      o.iperf.skip_rx_copy = true;
-    } else if (flag == "-J" || flag == "--json") {
-      o.iperf.json = true;
-    } else if (flag == "--testbed") {
-      o.testbed = value;
-    } else if (flag == "--path") {
-      o.path = value;
-    } else if (flag == "--kernel") {
-      const auto k = parse_kernel(value);
-      if (!k) {
-        o.error = "unknown kernel: " + value + " (5.10/5.15/6.5/6.8/6.11)";
-        return o;
-      }
-      o.kernel = *k;
-    } else if (flag == "--optmem") {
-      const auto bytes = parse_rate(value);
-      if (!bytes) {
-        o.error = "bad --optmem: " + value;
-        return o;
-      }
-      o.optmem_max = *bytes;
-    } else if (flag == "--big-tcp") {
-      o.big_tcp = true;
-      // Optional size argument.
-      if (i + 1 < args.size() && !args[i + 1].empty() && args[i + 1][0] != '-') {
-        if (const auto sz = parse_rate(args[i + 1])) {
-          o.big_tcp_bytes = *sz;
-          ++i;
-        }
-      }
-    } else if (flag == "--ring") {
-      if (!take_integer(o.ring, 1, kIntMax)) return o;
-    } else if (flag == "--repeats") {
-      if (!take_integer(o.repeats, 1, kIntMax)) return o;
-    } else if (flag == "--seed") {
-      if (!take_integer(o.seed, std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max()))
-        return o;
-    } else if (flag == "--probe-interval") {
-      if (!take_seconds(o.probe_interval_sec)) return o;
-    } else if (flag == "--metrics-out") {
-      o.metrics_out = value;
-    } else if (flag == "--trace-out") {
-      o.trace_out = value;
-    } else if (flag == "--trace-stream") {
-      o.trace_stream = value;
-    } else if (flag == "--ss-watch") {
-      if (!take_seconds(o.ss_watch_sec)) return o;
-    } else if (flag == "--ss-out") {
-      o.ss_out = value;
-    } else if (flag == "--perf-watch") {
-      if (!take_seconds(o.perf_watch_sec)) return o;
-    } else if (flag == "--perf-out") {
-      o.perf_out = value;
-    } else if (flag == "--scenario") {
-      o.scenario_file = value;
-    } else if (flag == "--scenario-out") {
-      o.scenario_out = value;
-    } else if (flag == "--record-out") {
-      o.record_out = value;
-    } else if (flag == "--record-timeline") {
-      o.record_timeline = value;
-    } else {
-      o.error = "unknown flag: " + flag;
-      return o;
-    }
-  }
+  o.error = parse_args({kIperf3About, run_flags(o), nullptr}, args);
   return o;
 }
 
 std::string cli_help() {
-  return
-      "dtnsim-iperf3 — iperf3-compatible driver for the dtnsim simulator\n"
-      "\n"
-      "iperf3 flags:\n"
-      "  -P, --parallel N       parallel streams (multithreaded, iperf3 >= 3.16)\n"
-      "  -t, --time SEC         duration per run (default 60)\n"
-      "  -C, --congestion A     cubic | bbr | bbr3 | reno\n"
-      "      --fq-rate RATE     per-stream pacing, e.g. 50G (patch #1728)\n"
-      "  -Z, --zerocopy         MSG_ZEROCOPY sends (patch #1690)\n"
-      "      --skip-rx-copy     MSG_TRUNC receives (patch #1690)\n"
-      "  -J, --json             JSON output\n"
-      "simulator flags:\n"
-      "      --testbed NAME     amlight | amlight-baremetal | esnet | production\n"
-      "      --path NAME        e.g. 'WAN 63ms' (default: testbed LAN)\n"
-      "      --kernel VER       5.10 | 5.15 | 6.5 | 6.8 | 6.11\n"
-      "      --optmem BYTES     net.core.optmem_max (e.g. 1M, 3405376)\n"
-      "      --big-tcp [SIZE]   enable BIG TCP (default 150K)\n"
-      "      --ring N           RX/TX ring descriptors\n"
-      "      --repeats N        repeats with seed substreams (default 1)\n"
-      "      --seed N           RNG seed\n"
-      "observability flags (docs/OBSERVABILITY.md):\n"
-      "      --probe-interval S telemetry sampling cadence in seconds (default 1)\n"
-      "      --metrics-out F    write per-interval metric series as CSV\n"
-      "      --trace-out F      write chrome://tracing / Perfetto JSON trace\n"
-      "      --trace-stream F   stream every trace event to F as it happens\n"
-      "                         (no ring-capacity ceiling; first repeat only)\n"
-      "      --ss-watch SEC     ss/ethtool/tc snapshots every SEC of sim time\n"
-      "      --ss-out F         write the snapshot log as JSON (dtnsim-ss\n"
-      "                         --replay reads it back)\n"
-      "      --perf-watch SEC   per-stage cycle attribution samples every SEC\n"
-      "      --perf-out F       write the perf log as JSON (dtnsim-perf\n"
-      "                         --replay reads it back)\n"
-      "scenario flags (docs/SCENARIO.md):\n"
-      "      --scenario F       mid-run fault/condition timeline (JSON); events\n"
-      "                         fire at their scheduled times in every repeat\n"
-      "      --scenario-out F   write repeat 0's applied-event log as JSON\n"
-      "      --record-timeline F  write the events repeat 0 crossed back out\n"
-      "                         as a loadable --scenario timeline (jitter\n"
-      "                         already drawn; requires --scenario)\n"
-      "report flags (docs/REPORT.md):\n"
-      "      --record-out F     bundle the whole run into one RunRecord JSON\n"
-      "                         artifact (summary + series + ss/perf logs +\n"
-      "                         scenario events + analysis; dtnsim-report\n"
-      "                         reads it). Implies telemetry + ss + perf\n";
+  CliOptions o;
+  return render_help({kIperf3About, run_flags(o), nullptr});
 }
 
 harness::TestSpec spec_from_cli(const CliOptions& opts) {
@@ -337,13 +164,10 @@ harness::TestSpec spec_from_cli(const CliOptions& opts) {
 }
 
 int run_cli(const CliOptions& opts, std::string& output) {
-  if (!opts.error.empty()) {
-    output = "error: " + opts.error + "\n\n" + cli_help();
-    return 2;
-  }
-  if (opts.show_help) {
-    output = cli_help();
-    return 0;
+  if (!opts.error.empty() || opts.show_help) {
+    CliOptions unused;
+    output = usage({kIperf3About, run_flags(unused), nullptr}, opts.error);
+    return opts.error.empty() ? 0 : 2;
   }
 
   harness::TestSpec spec;

@@ -1,9 +1,9 @@
 #include "dtnsim/report/record.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
+#include "dtnsim/util/file.hpp"
 #include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::report {
@@ -59,11 +59,9 @@ bool write_run_record(const std::string& path, const RunRecord& record) {
 }
 
 RunRecord load_run_record(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("run record: cannot read " + path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const auto doc = Json::parse(buf.str());
+  const auto text = read_file(path);
+  if (!text) throw std::runtime_error("run record: cannot read " + path);
+  const auto doc = Json::parse(*text);
   if (!doc) throw std::runtime_error("run record: " + path + " is not valid JSON");
   RunRecord r;
   const std::string err = wire::read(*doc, r);

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "dtnsim/util/file.hpp"
 #include "dtnsim/util/rng.hpp"
 #include "dtnsim/util/strfmt.hpp"
 
@@ -127,12 +127,10 @@ std::optional<Timeline> timeline_from_json(const Json& json) {
 }
 
 Timeline load_timeline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in)
+  const auto text = read_file(path);
+  if (!text)
     throw std::runtime_error("scenario: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  auto doc = Json::parse(buf.str());
+  auto doc = Json::parse(*text);
   if (!doc)
     throw std::runtime_error("scenario: " + path + " is not valid JSON");
   Timeline tl;

@@ -4,11 +4,11 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
 
+#include "dtnsim/util/file.hpp"
 #include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::sweep {
@@ -265,11 +265,9 @@ std::string ResultCache::path_for(std::uint64_t key) const {
 
 bool ResultCache::load(std::uint64_t key, const std::string& name,
                        harness::TestResult* out) const {
-  std::ifstream in(path_for(key));
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const auto doc = Json::parse(buffer.str());
+  const auto text = read_file(path_for(key));
+  if (!text) return false;
+  const auto doc = Json::parse(*text);
   if (!doc || !result_from_json(*doc, out)) return false;
   out->name = name;
   return true;
@@ -324,10 +322,8 @@ GcReport ResultCache::gc(const GcOptions& opts) const {
       evict = true;
     } else {
       if (opts.salt_mismatch) {
-        std::ifstream in(p);
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        const auto doc = Json::parse(buffer.str());
+        const auto text = read_file(p.string());
+        const auto doc = text ? Json::parse(*text) : std::nullopt;
         // Unreadable/truncated entries can never be served again; under the
         // salt criterion they go too.
         if (!doc || doc->string_at("schema", "") != kCacheSalt) evict = true;

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "dtnsim/cli/cli.hpp"
@@ -289,309 +288,122 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
 
 namespace {
 
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> out;
-  std::string item;
-  std::stringstream ss(text);
-  while (std::getline(ss, item, ',')) out.push_back(item);
-  return out;
+// --max-age-days: a whole-token number >= 0 (inf included).
+std::optional<double> parse_days(const std::string& text) {
+  char* end = nullptr;
+  const double days = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || !(days >= 0)) return std::nullopt;
+  return days;
 }
 
-bool parse_bool_list(const std::string& text, std::vector<bool>* out) {
-  std::vector<bool> values;
-  for (const auto& item : split_list(text)) {
-    if (item == "0") values.push_back(false);
-    else if (item == "1") values.push_back(true);
-    else return false;
-  }
-  if (values.empty()) return false;
-  *out = values;
-  return true;
-}
-
-// Whole-token integers in [lo, hi], or the word "default" (-> -1).
-bool parse_int_list(const std::string& text, std::vector<int>* out, int lo, int hi,
-                    bool allow_default) {
-  std::vector<int> values;
-  for (const auto& item : split_list(text)) {
-    if (allow_default && item == "default") {
-      values.push_back(-1);
-      continue;
+cli::Grammar sweep_grammar(SweepCli& o) {
+  using namespace cli;
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  const auto bit = [](const std::string& item) {
+    return item == "0" || item == "1" ? std::optional(item == "1") : std::nullopt;
+  };
+  const auto gbps = [](const std::string& item) {
+    const auto bps = parse_rate(item);
+    return bps ? std::optional(*bps / 1e9) : std::nullopt;
+  };
+  const auto bytes = [](const std::string& item) {
+    return item == "default" ? std::optional<double>(-1.0) : parse_rate(item);
+  };
+  const auto ring = [](const std::string& item) {
+    return item == "default" ? std::optional<int>(-1) : parse_integer(item, 1, kIntMax);
+  };
+  // "none" is the scenario-less axis value; a file that fails to load names
+  // its problem.
+  const Setter scenarios = [&o](const std::string& flag, const std::vector<std::string>& list) {
+    std::vector<scenario::Timeline> timelines;
+    for (const auto& item : split_list(list.front())) {
+      try {
+        timelines.push_back(item == "none" ? scenario::Timeline{}
+                                           : scenario::load_timeline(item));
+      } catch (const std::exception& e) {
+        return "bad " + flag + " entry: " + e.what();
+      }
     }
-    const auto v = cli::parse_integer(item, lo, hi);
-    if (!v) return false;
-    values.push_back(*v);
-  }
-  if (values.empty()) return false;
-  *out = values;
-  return true;
-}
-
-// Rates with suffixes ("50G") or the word "default" (-> -1).
-bool parse_rate_list(const std::string& text, std::vector<double>* out,
-                     bool allow_default) {
-  std::vector<double> values;
-  for (const auto& item : split_list(text)) {
-    if (allow_default && item == "default") {
-      values.push_back(-1.0);
-      continue;
-    }
-    const auto rate = cli::parse_rate(item);
-    if (!rate) return false;
-    values.push_back(*rate);
-  }
-  if (values.empty()) return false;
-  *out = values;
-  return true;
-}
-
-bool needs_value(const std::string& flag) {
-  return flag == "--name" || flag == "--testbed" || flag == "--kernels" ||
-         flag == "--paths" || flag == "--streams" || flag == "--pacing" ||
-         flag == "--zerocopy" || flag == "--optmem" || flag == "--big-tcp" ||
-         flag == "--ring" || flag == "--congestion" || flag == "--time" ||
-         flag == "--repeats" || flag == "--seed" || flag == "--jobs" ||
-         flag == "--cache" || flag == "--out" || flag == "--report" ||
-         flag == "--scenarios" || flag == "--max-age-days" || flag == "--plot-out";
+    if (timelines.empty()) return bad_value(flag + " list", list.front(), "'none' or timelines");
+    o.grid.scenarios = std::move(timelines);
+    return std::string();
+  };
+  const Setter perf = [&o](const std::string&, const std::vector<std::string>&) {
+    o.grid.telemetry.enabled = o.grid.telemetry.perf_enabled = true;
+    return std::string();
+  };
+  auto& g = o.grid;
+  const FlagGroup axes{"grid axes (comma-separated lists; every combination is one cell):", {
+    {{"--kernels"}, "LIST", "e.g. 5.15,6.5,6.8",
+     set_list(g.kernels, parse_kernel, "5.10, 5.15, 6.5, 6.8 or 6.11")},
+    {{"--paths"}, "LIST", "e.g. LAN,WAN 63ms  (empty item = testbed LAN)",
+     set_list(g.paths, [](const std::string& path) { return path; }, "path names")},
+    {{"--streams"}, "LIST", "iperf -P values, e.g. 1,8,16",
+     set_list(g.streams, [](const std::string& n) { return parse_integer(n, 1, 128); },
+              "whole numbers in [1, 128]")},
+    {{"--pacing"}, "LIST", "per-stream fq rates, e.g. 0,20G,50G (0 = unpaced)",
+     set_list(g.pacing_gbps, gbps, "rates, e.g. 0,20G,50G")},
+    {{"--zerocopy"}, "LIST", "0,1", set_list(g.zerocopy, bit, "0/1")},
+    {{"--optmem"}, "LIST", "bytes or 'default', e.g. default,1M",
+     set_list(g.optmem_max, bytes, "'default' or byte counts")},
+    {{"--big-tcp"}, "LIST", "0,1", set_list(g.big_tcp, bit, "0/1")},
+    {{"--ring"}, "LIST", "descriptors or 'default', e.g. default,8192",
+     set_list(g.ring, ring, "'default' or whole numbers in [1, " + std::to_string(kIntMax) + "]")},
+    {{"--scenarios"}, "LIST",
+     "timeline JSON files or 'none', e.g.\nnone,scenarios/link_flap.json (docs/SCENARIO.md)",
+     scenarios}}};
+  const FlagGroup constants{"grid constants:", {
+    {{"--name"}, "S", "campaign name (default 'campaign')", set_text(g.name)},
+    {{"--testbed"}, "NAME", "amlight | amlight-baremetal | esnet | production",
+     set_text(g.testbed)},
+    {{"--congestion"}, "A", "cubic | bbr | bbr3 | reno",
+     set_value(g.congestion, parse_congestion, "cubic, bbr, bbr3 or reno")},
+    {{"--skip-rx-copy"}, "", "MSG_TRUNC receives in every cell", set_true(g.skip_rx_copy)},
+    {{"--time"}, "SEC", "per-run duration (default 60)", set_seconds(g.duration_sec)},
+    {{"--repeats"}, "N", "harness repeats per cell (default 10)", set_whole(g.repeats, 1, kIntMax)},
+    {{"--seed"}, "N", "campaign base seed (cell seeds derive from it)",
+     set_whole(g.base_seed, 0, std::numeric_limits<std::uint64_t>::max())},
+    {{"--quick"}, "", "smoke preset: --time 2 --repeats 2", set_true(o.quick)}}};
+  const FlagGroup execution{"execution (docs/SWEEP.md):", {
+    {{"--jobs"}, "N", "at most N threads (default 1; 0 = usable CPUs)",
+     set_whole(o.run.jobs, 0, kIntMax)},
+    {{"--cache"}, "DIR", "content-addressed result cache directory", set_text(o.run.cache_dir)},
+    {{"--out"}, "FILE", "JSONL row per finished cell; the manifest\nof done cells is FILE.ckpt",
+     set_text(o.run.results_path)},
+    {{"--resume"}, "", "with --out: skip cells the manifest marks done", set_true(o.run.resume)},
+    {{"--telemetry"}, "",
+     "interval probes in every cell (rows gain dip/\nrecovery columns with --scenarios; uncached)",
+     set_true(g.telemetry.enabled)},
+    {{"--perf"}, "", "cycle attribution in every cell; rows gain\ncycles/byte; implies --telemetry",
+     perf},
+    {{"--report"}, "FILE", "summary table of a finished campaign's\nJSONL stream (no simulation)",
+     set_text(o.report_path)},
+    {{"--plot-out"}, "BASE", "with --report: also write BASE.gp + BASE.dat",
+     set_text(o.plot_out)},
+    {{"-h", "--help"}, "", "print this help and exit", set_true(o.show_help)}}};
+  const FlagGroup cache{"cache maintenance:", {
+    {{"--gc"}, "", "garbage-collect the --cache directory and exit", set_true(o.gc)},
+    {{"--max-age-days"}, "D", "with --gc: evict entries older than D days",
+     set_value(o.gc_opts.max_age_days, parse_days, "a number of days >= 0")},
+    {{"--salt-mismatch"}, "", "with --gc: evict other schemas' and unreadable\nentries",
+     set_true(o.gc_opts.salt_mismatch)},
+    {{"--dry-run"}, "", "with --gc: report what would go, delete nothing",
+     set_true(o.gc_opts.dry_run)}}};
+  return {"dtnsim-sweep — parallel campaign engine over the dtnsim harness",
+          {axes, constants, execution, cache},
+          nullptr};
 }
 
 }  // namespace
 
 SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
   SweepCli o;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string flag = args[i];
-    std::string value;
-    bool has_inline_value = false;
-    if (flag.rfind("--", 0) == 0) {
-      const std::size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        value = flag.substr(eq + 1);
-        flag = flag.substr(0, eq);
-        has_inline_value = true;
-      }
-    }
-    if (needs_value(flag) && !has_inline_value) {
-      if (i + 1 >= args.size()) {
-        o.error = "missing value for " + flag;
-        return o;
-      }
-      value = args[++i];
-    } else if (has_inline_value && !needs_value(flag)) {
-      o.error = "flag does not take a value: " + flag;
-      return o;
-    }
-
-    // Stores the flag's whole-token integer in `out`, or sets o.error naming
-    // the flag.
-    const auto take_integer = [&](auto& out, auto lo, auto hi) {
-      const auto n = cli::parse_integer(value, lo, hi);
-      if (!n) {
-        o.error = "bad " + flag + ": " + value + " (want a whole number in [" +
-                  std::to_string(lo) + ", " + std::to_string(hi) + "])";
-      }
-      out = n.value_or(out);
-      return n.has_value();
-    };
-    constexpr int kIntMax = std::numeric_limits<int>::max();
-
-    if (flag == "-h" || flag == "--help") {
-      o.show_help = true;
-    } else if (flag == "--name") {
-      o.grid.name = value;
-    } else if (flag == "--testbed") {
-      o.grid.testbed = value;
-    } else if (flag == "--kernels") {
-      o.grid.kernels.clear();
-      for (const auto& item : split_list(value)) {
-        const auto k = cli::parse_kernel(item);
-        if (!k) {
-          o.error = "unknown kernel in --kernels: " + item;
-          return o;
-        }
-        o.grid.kernels.push_back(*k);
-      }
-      if (o.grid.kernels.empty()) {
-        o.error = "--kernels list is empty";
-        return o;
-      }
-    } else if (flag == "--paths") {
-      o.grid.paths = split_list(value);
-      if (o.grid.paths.empty()) {
-        o.error = "--paths list is empty";
-        return o;
-      }
-    } else if (flag == "--streams") {
-      if (!parse_int_list(value, &o.grid.streams, 1, 128, /*allow_default=*/false)) {
-        o.error = "bad --streams list: " + value + " (want whole numbers in [1, 128])";
-        return o;
-      }
-    } else if (flag == "--pacing") {
-      std::vector<double> bps;
-      if (!parse_rate_list(value, &bps, /*allow_default=*/false)) {
-        o.error = "bad --pacing list: " + value;
-        return o;
-      }
-      o.grid.pacing_gbps.clear();
-      for (const double b : bps) o.grid.pacing_gbps.push_back(b / 1e9);
-    } else if (flag == "--zerocopy") {
-      if (!parse_bool_list(value, &o.grid.zerocopy)) {
-        o.error = "bad --zerocopy list (0/1): " + value;
-        return o;
-      }
-    } else if (flag == "--optmem") {
-      if (!parse_rate_list(value, &o.grid.optmem_max, /*allow_default=*/true)) {
-        o.error = "bad --optmem list: " + value;
-        return o;
-      }
-    } else if (flag == "--big-tcp") {
-      if (!parse_bool_list(value, &o.grid.big_tcp)) {
-        o.error = "bad --big-tcp list (0/1): " + value;
-        return o;
-      }
-    } else if (flag == "--ring") {
-      if (!parse_int_list(value, &o.grid.ring, 1, kIntMax, /*allow_default=*/true)) {
-        o.error = "bad --ring list: " + value +
-                  " (want 'default' or whole numbers in [1, " + std::to_string(kIntMax) + "])";
-        return o;
-      }
-    } else if (flag == "--scenarios") {
-      // Comma list of timeline JSON files; the word "none" is the empty
-      // (scenario-less) axis value.
-      o.grid.scenarios.clear();
-      for (const auto& item : split_list(value)) {
-        if (item == "none") {
-          o.grid.scenarios.emplace_back();
-          continue;
-        }
-        try {
-          o.grid.scenarios.push_back(scenario::load_timeline(item));
-        } catch (const std::exception& e) {
-          o.error = std::string("bad --scenarios entry: ") + e.what();
-          return o;
-        }
-      }
-      if (o.grid.scenarios.empty()) {
-        o.error = "--scenarios list is empty";
-        return o;
-      }
-    } else if (flag == "--congestion") {
-      const auto algo = cli::parse_congestion(value);
-      if (!algo) {
-        o.error = "unknown congestion algorithm: " + value;
-        return o;
-      }
-      o.grid.congestion = *algo;
-    } else if (flag == "--skip-rx-copy") {
-      o.grid.skip_rx_copy = true;
-    } else if (flag == "--time") {
-      const auto sec = cli::parse_seconds(value);
-      if (!sec) {
-        o.error = "bad --time: " + value + " (want finite seconds > 0, below ~292 years)";
-        return o;
-      }
-      o.grid.duration_sec = *sec;
-    } else if (flag == "--repeats") {
-      if (!take_integer(o.grid.repeats, 1, kIntMax)) return o;
-    } else if (flag == "--seed") {
-      if (!take_integer(o.grid.base_seed, std::uint64_t{0},
-                        std::numeric_limits<std::uint64_t>::max())) {
-        return o;
-      }
-    } else if (flag == "--jobs") {
-      // 0 = one thread per usable CPU.
-      if (!take_integer(o.run.jobs, 0, kIntMax)) return o;
-    } else if (flag == "--cache") {
-      o.run.cache_dir = value;
-    } else if (flag == "--out") {
-      o.run.results_path = value;
-    } else if (flag == "--resume") {
-      o.run.resume = true;
-    } else if (flag == "--report") {
-      o.report_path = value;
-    } else if (flag == "--plot-out") {
-      o.plot_out = value;
-    } else if (flag == "--telemetry") {
-      o.grid.telemetry.enabled = true;
-    } else if (flag == "--perf") {
-      o.grid.telemetry.enabled = true;
-      o.grid.telemetry.perf_enabled = true;
-    } else if (flag == "--quick") {
-      o.quick = true;
-    } else if (flag == "--gc") {
-      o.gc = true;
-    } else if (flag == "--max-age-days") {
-      char* end = nullptr;
-      const double days = std::strtod(value.c_str(), &end);
-      if (value.empty() || end != value.c_str() + value.size() || !(days >= 0)) {
-        o.error = "bad --max-age-days (need >= 0): " + value;
-        return o;
-      }
-      o.gc_opts.max_age_days = days;
-    } else if (flag == "--salt-mismatch") {
-      o.gc_opts.salt_mismatch = true;
-    } else if (flag == "--dry-run") {
-      o.gc_opts.dry_run = true;
-    } else {
-      o.error = "unknown flag: " + flag;
-      return o;
-    }
-  }
+  o.error = cli::parse_args(sweep_grammar(o), args);
   if (o.quick) {
     o.grid.duration_sec = 2.0;
     o.grid.repeats = 2;
   }
   return o;
-}
-
-std::string sweep_cli_help() {
-  return
-      "dtnsim-sweep — parallel campaign engine over the dtnsim harness\n"
-      "\n"
-      "grid axes (comma-separated lists; every combination is one cell):\n"
-      "      --kernels LIST     e.g. 5.15,6.5,6.8\n"
-      "      --paths LIST       e.g. LAN,WAN 63ms  (empty item = testbed LAN)\n"
-      "      --streams LIST     iperf -P values, e.g. 1,8,16\n"
-      "      --pacing LIST      per-stream fq rates, e.g. 0,20G,50G (0 = unpaced)\n"
-      "      --zerocopy LIST    0,1\n"
-      "      --optmem LIST      bytes or 'default', e.g. default,1M\n"
-      "      --big-tcp LIST     0,1\n"
-      "      --ring LIST        descriptors or 'default', e.g. default,8192\n"
-      "      --scenarios LIST   timeline JSON files or 'none', e.g.\n"
-      "                         none,scenarios/link_flap.json (docs/SCENARIO.md)\n"
-      "grid constants:\n"
-      "      --name S           campaign name (default 'campaign')\n"
-      "      --testbed NAME     amlight | amlight-baremetal | esnet | production\n"
-      "      --congestion A     cubic | bbr | bbr3 | reno\n"
-      "      --skip-rx-copy     MSG_TRUNC receives in every cell\n"
-      "      --time SEC         per-run duration (default 60)\n"
-      "      --repeats N        harness repeats per cell (default 10)\n"
-      "      --seed N           campaign base seed (cell seeds derive from it)\n"
-      "      --quick            smoke preset: --time 2 --repeats 2\n"
-      "execution (docs/SWEEP.md):\n"
-      "      --jobs N           at most N threads (default 1; 0 = usable CPUs)\n"
-      "      --cache DIR        content-addressed result cache directory\n"
-      "      --out FILE         stream one JSONL row per finished cell, and\n"
-      "                         keep the manifest of done cells at FILE.ckpt\n"
-      "      --resume           with --out: skip cells the manifest marks\n"
-      "                         complete\n"
-      "      --telemetry        attach interval probes to every cell; with\n"
-      "                         --scenarios the rows gain dip/recovery columns\n"
-      "                         (telemetry cells bypass the result cache)\n"
-      "      --perf             cycle attribution in every cell; rows gain\n"
-      "                         cycles/byte columns (implies --telemetry)\n"
-      "      --report FILE      render the summary table from a finished\n"
-      "                         campaign's JSONL stream (no simulation);\n"
-      "                         cycles/byte and dip/recovery columns appear\n"
-      "                         when the rows carry them\n"
-      "      --plot-out BASE    with --report: also write BASE.gp + BASE.dat\n"
-      "                         (figure-ready gnuplot) from the same rows\n"
-      "cache maintenance:\n"
-      "      --gc               garbage-collect the --cache directory and exit\n"
-      "      --max-age-days D   with --gc: evict entries older than D days\n"
-      "      --salt-mismatch    with --gc: evict entries from other schema\n"
-      "                         versions (and unreadable entries)\n"
-      "      --dry-run          with --gc: report what would go, delete nothing\n";
 }
 
 namespace {
@@ -686,13 +498,10 @@ int render_campaign_report(const std::string& path, const std::vector<Json>& row
 }  // namespace
 
 int run_sweep_cli(const SweepCli& cli, std::string& output) {
-  if (!cli.error.empty()) {
-    output = "error: " + cli.error + "\n\n" + sweep_cli_help();
-    return 2;
-  }
-  if (cli.show_help) {
-    output = sweep_cli_help();
-    return 0;
+  if (!cli.error.empty() || cli.show_help) {
+    SweepCli unused;
+    output = cli::usage(sweep_grammar(unused), cli.error);
+    return cli.error.empty() ? 0 : 2;
   }
   if (!cli.report_path.empty()) {
     std::vector<Json> rows;

@@ -95,7 +95,6 @@ struct SweepCli {
 };
 
 SweepCli parse_sweep_cli(const std::vector<std::string>& args);
-std::string sweep_cli_help();
 
 // Run and render a text report. Returns a process exit code.
 int run_sweep_cli(const SweepCli& cli, std::string& output);

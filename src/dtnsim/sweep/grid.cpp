@@ -8,6 +8,9 @@
 namespace dtnsim::sweep {
 namespace {
 
+// The GSO/GRO size of every big_tcp=1 cell: the paper's 150K.
+constexpr double kBigTcpBytes = 150.0 * 1024.0;
+
 std::string fmt_bytes(double v) {
   return v < 0 ? std::string("default") : strfmt("%.0f", v);
 }
@@ -108,7 +111,7 @@ std::vector<Cell> expand(const GridSpec& grid) {
                       if (optmem >= 0) h->tuning.sysctl.optmem_max = optmem;
                       if (big_tcp) {
                         h->tuning.big_tcp_enabled = true;
-                        h->tuning.big_tcp_bytes = grid.big_tcp_bytes;
+                        h->tuning.big_tcp_bytes = kBigTcpBytes;
                       }
                       if (ring > 0) h->tuning.ring_descriptors = ring;
                     }

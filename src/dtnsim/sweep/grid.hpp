@@ -49,7 +49,6 @@ struct GridSpec {
   // Non-axis knobs applied to every cell.
   bool skip_rx_copy = false;
   kern::CongestionAlgo congestion = kern::CongestionAlgo::Cubic;
-  double big_tcp_bytes = 150.0 * 1024.0;
   double duration_sec = 60.0;
   int repeats = 10;
   std::uint64_t base_seed = 0x5eed;

@@ -1,0 +1,19 @@
+#include "dtnsim/util/file.hpp"
+
+#include <fstream>
+
+namespace dtnsim {
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::string text;
+  char chunk[16384];
+  while (in.read(chunk, sizeof chunk), in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) return std::nullopt;
+  return text;
+}
+
+}  // namespace dtnsim

@@ -2,7 +2,15 @@
 // spec construction, end-to-end run).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "dtnsim/cli/cli.hpp"
+#include "dtnsim/sweep/cache.hpp"
+#include "dtnsim/sweep/campaign.hpp"
+#include "dtnsim/util/file.hpp"
+#include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::cli {
 namespace {
@@ -161,6 +169,136 @@ TEST(RunCli, DeterministicAcrossInvocations) {
   run_cli(o, a);
   run_cli(o, b);
   EXPECT_EQ(a, b);
+}
+
+// ---- documented command lines (tests/golden/cli_corpus.txt) ---------------
+
+// Splits a shell line on spaces; double quotes group a value holding spaces.
+std::vector<std::string> shell_words(const std::string& line) {
+  std::vector<std::string> words;
+  std::string word;
+  bool quoted = false, open = false;
+  for (const char c : line) {
+    if (c == '"') {
+      quoted = !quoted;
+      open = true;
+    } else if (c == ' ' && !quoted) {
+      if (open) words.push_back(word);
+      word.clear();
+      open = false;
+    } else {
+      word += c;
+      open = true;
+    }
+  }
+  if (open) words.push_back(word);
+  return words;
+}
+
+std::string telemetry_text(const obs::TelemetryConfig& t) {
+  return strfmt("telemetry=%d probe_ns=%lld stream=%s ss=%d/%lld perf=%d/%lld", t.enabled,
+                static_cast<long long>(t.probe_interval), t.trace_stream_path.c_str(),
+                t.ss_enabled, static_cast<long long>(t.ss_interval), t.perf_enabled,
+                static_cast<long long>(t.perf_interval));
+}
+
+std::string iperf3_parse(const std::vector<std::string>& args) {
+  const CliOptions o = parse_cli(args);
+  std::string out = strfmt(
+      "  opts help=%d error=%s json=%d probe_interval=%.17g metrics_out=%s trace_out=%s "
+      "trace_stream=%s ss_watch=%.17g ss_out=%s force_ss=%d perf_watch=%.17g perf_out=%s "
+      "force_perf=%d scenario=%s scenario_out=%s record_out=%s record_timeline=%s\n",
+      o.show_help, o.error.c_str(), o.iperf.json, o.probe_interval_sec, o.metrics_out.c_str(),
+      o.trace_out.c_str(), o.trace_stream.c_str(), o.ss_watch_sec, o.ss_out.c_str(),
+      o.force_ss, o.perf_watch_sec, o.perf_out.c_str(), o.force_perf, o.scenario_file.c_str(),
+      o.scenario_out.c_str(), o.record_out.c_str(), o.record_timeline.c_str());
+  if (!o.error.empty()) return out;
+  try {
+    const auto spec = spec_from_cli(o);
+    out += "  spec " + sweep::spec_key_hex(spec) + " " + spec.name + "\n";
+    out += "  " + telemetry_text(spec.telemetry) +
+           strfmt(" record=%d timeline=%s\n", spec.record, spec.scenario.name.c_str());
+  } catch (const std::exception& e) {
+    out += std::string("  spec error: ") + e.what() + "\n";
+  }
+  return out;
+}
+
+std::string sweep_parse(const std::vector<std::string>& args) {
+  const auto cli = sweep::parse_sweep_cli(args);
+  std::string out = strfmt(
+      "  run help=%d error=%s quick=%d jobs=%d cache=%s out=%s resume=%d report=%s "
+      "plot_out=%s gc=%d max_age_days=%.17g salt_mismatch=%d dry_run=%d\n",
+      cli.show_help, cli.error.c_str(), cli.quick, cli.run.jobs, cli.run.cache_dir.c_str(),
+      cli.run.results_path.c_str(), cli.run.resume, cli.report_path.c_str(),
+      cli.plot_out.c_str(), cli.gc, cli.gc_opts.max_age_days, cli.gc_opts.salt_mismatch,
+      cli.gc_opts.dry_run);
+  if (!cli.error.empty()) return out;
+  out += strfmt("  grid name=%s testbed=%s ", cli.grid.name.c_str(), cli.grid.testbed.c_str()) +
+         telemetry_text(cli.grid.telemetry) + "\n";
+  try {
+    for (const auto& cell : sweep::expand(cli.grid)) {
+      out += strfmt("  cell %03zu %s %s\n", cell.index, sweep::spec_key_hex(cell.spec).c_str(),
+                    cell.spec.name.c_str());
+    }
+  } catch (const std::exception& e) {
+    out += std::string("  grid error: ") + e.what() + "\n";
+  }
+  return out;
+}
+
+// Every documented dtnsim-iperf3 / dtnsim-sweep line still parses to the
+// same options and simulates the same specs. The lines run from a scratch
+// directory that sees the repository's scenarios/ and the ci_burst.json
+// timeline ci.yml writes.
+TEST(CliCorpus, MatchesGolden) {
+  namespace fs = std::filesystem;
+  const fs::path golden = fs::path(DTNSIM_SOURCE_DIR) / "tests/golden/cli_corpus.txt";
+  const auto text = read_file(golden.string());
+  ASSERT_TRUE(text) << "missing " << golden;
+  const std::string& want = *text;
+
+  const fs::path dir = fs::path(::testing::TempDir()) / "dtnsim_cli_corpus";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::create_directory_symlink(fs::path(DTNSIM_SOURCE_DIR) / "scenarios", dir / "scenarios");
+  std::ofstream(dir / "ci_burst.json")
+      << R"({"name": "ci-burst", "events": [{"at_sec": 0.5, "kind": "loss_burst",)"
+      << R"( "value": 0.05, "duration_sec": 0.5, "jitter_sec": 0}]})";
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir);
+
+  // Comments and "$" lines are kept; the lines under each "$" are rebuilt.
+  std::string got;
+  std::istringstream lines(want);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.starts_with("  ")) continue;
+    got += line + "\n";
+    if (!line.starts_with("$ ")) continue;
+    std::vector<std::string> args = shell_words(line.substr(2));
+    const std::string tool = args.empty() ? "" : args.front();
+    if (!args.empty()) args.erase(args.begin());
+    if (tool == "dtnsim-iperf3") {
+      got += iperf3_parse(args);
+    } else if (tool == "dtnsim-sweep") {
+      got += sweep_parse(args);
+    } else {
+      got += "  not a dtnsim-iperf3 or dtnsim-sweep line\n";
+    }
+  }
+  fs::current_path(cwd);
+
+  // One line at a time, so a drift names the command line it moved.
+  std::istringstream got_lines(got), want_lines(want);
+  std::string g, w, command;
+  int n = 0;
+  while (std::getline(want_lines, w)) {
+    ++n;
+    if (w.starts_with("$ ")) command = w;
+    ASSERT_TRUE(std::getline(got_lines, g)) << "golden line " << n << " missing: " << w;
+    ASSERT_EQ(g, w) << "golden line " << n << " under " << command;
+  }
+  EXPECT_FALSE(std::getline(got_lines, g)) << "not in the golden: " << g;
 }
 
 }  // namespace

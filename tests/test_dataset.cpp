@@ -2,10 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "dtnsim/harness/dataset.hpp"
+#include "dtnsim/util/file.hpp"
 
 namespace dtnsim::harness {
 namespace {
@@ -65,11 +64,9 @@ TEST(Dataset, WritesFiles) {
   ASSERT_TRUE(ds.write_to("/tmp"));
   for (const char* suffix : {"_raw.csv", "_summary.csv", ".json"}) {
     const std::string path = std::string("/tmp/unit_test_ds") + suffix;
-    std::ifstream f(path);
-    ASSERT_TRUE(f.good()) << path;
-    std::stringstream buf;
-    buf << f.rdbuf();
-    EXPECT_FALSE(buf.str().empty());
+    const auto text = read_file(path);
+    ASSERT_TRUE(text) << path;
+    EXPECT_FALSE(text->empty());
     std::remove(path.c_str());
   }
 }

@@ -5,8 +5,6 @@
 // metric catalog in docs/OBSERVABILITY.md.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,16 +15,10 @@
 #include "dtnsim/obs/telemetry.hpp"
 #include "dtnsim/scenario/scenario.hpp"
 #include "dtnsim/sweep/campaign.hpp"
+#include "dtnsim/util/file.hpp"
 
 namespace dtnsim {
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 // Structural JSON check (the repo ships a writer, not a parser): every
 // brace/bracket closes, in order, ignoring string contents.
@@ -279,7 +271,7 @@ TEST(StreamingTraceSink, WritesWellFormedDocument) {
     EXPECT_GT(sink.dropped(), 0u);
     EXPECT_EQ(sink.streamed(), 102u);
   }
-  const std::string text = slurp(path);
+  const std::string text = read_file(path).value_or("");
   EXPECT_TRUE(balanced_json(text)) << text.substr(0, 200);
   EXPECT_EQ(text.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
   // 102 events + 1 process_name metadata record.
@@ -295,7 +287,7 @@ TEST(StreamingTraceSink, MidRunFlushCheckpoints) {
   for (int i = 0; i < 10; ++i) sink.instant("tick", "test", i);
   // Buffered, not yet on disk (buffer_events is large).
   EXPECT_TRUE(sink.flush());
-  std::string text = slurp(path);
+  std::string text = read_file(path).value_or("");
   EXPECT_EQ(count_of(text, "\"ph\""), 10u);
   // The checkpoint becomes a parseable document by appending the closer a
   // crashed run would never write.
@@ -303,7 +295,7 @@ TEST(StreamingTraceSink, MidRunFlushCheckpoints) {
 
   for (int i = 0; i < 5; ++i) sink.instant("tock", "test", 100 + i);
   EXPECT_TRUE(sink.finalize());
-  text = slurp(path);
+  text = read_file(path).value_or("");
   EXPECT_TRUE(balanced_json(text));
   EXPECT_EQ(count_of(text, "\"ph\""), 15u);
   // finalize() is idempotent and destruction after it is safe.
@@ -324,7 +316,7 @@ TEST(TelemetryStream, WiredThroughTelemetryConfig) {
     flow::run_packet_sim(cfg);
     EXPECT_TRUE(tel.trace().finalize());
   }
-  const std::string text = slurp(path);
+  const std::string text = read_file(path).value_or("");
   EXPECT_TRUE(balanced_json(text));
   EXPECT_NE(text.find("packet_run"), std::string::npos);
   std::remove(path.c_str());
@@ -401,7 +393,7 @@ TEST(TelemetryConfigValidation, RejectsDegenerateConfigs) {
 TEST(MetricsCsvGolden, HeaderMatchesCheckedInGolden) {
   const std::string golden_path =
       std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/table3_metrics_header.csv";
-  std::string golden = slurp(golden_path);
+  std::string golden = read_file(golden_path).value_or("");
   ASSERT_FALSE(golden.empty()) << golden_path;
   while (!golden.empty() && (golden.back() == '\n' || golden.back() == '\r'))
     golden.pop_back();
@@ -434,7 +426,8 @@ TEST(MetricsCsvGolden, HeaderMatchesCheckedInGolden) {
 // + scenario + ss + perf, packet + scenario + ss + perf, a campaign with
 // CampaignOptions::metrics). A labeled instance is documented by its family.
 TEST(MetricDocs, EveryRegisteredNameIsDocumented) {
-  const std::string doc = slurp(std::string(DTNSIM_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  const std::string doc =
+      read_file(std::string(DTNSIM_SOURCE_DIR) + "/docs/OBSERVABILITY.md").value_or("");
   ASSERT_FALSE(doc.empty());
 
   obs::TelemetryConfig tcfg;

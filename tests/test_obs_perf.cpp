@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,16 +14,10 @@
 #include "dtnsim/core/dtnsim.hpp"
 #include "dtnsim/flow/packet_sim.hpp"
 #include "dtnsim/obs/perf.hpp"
+#include "dtnsim/util/file.hpp"
 
 namespace dtnsim {
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 // The paper's Fig. 7 LAN cell: AmLight Intel host, kernel 6.5, no tuning.
 Experiment fig07_lan_cell() {
@@ -331,7 +324,7 @@ TEST(PerfReportRender, JsonRoundTripPreservesEveryField) {
 TEST(PerfReportRender, ReportKeysMatchGolden) {
   const std::string golden_path =
       std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/perf_report_keys.txt";
-  const std::string golden = slurp(golden_path);
+  const std::string golden = read_file(golden_path).value_or("");
   ASSERT_FALSE(golden.empty()) << golden_path;
   std::vector<std::string> want;
   std::stringstream in(golden);

@@ -6,7 +6,6 @@
 // (tests/golden/ss_snapshot_keys.txt).
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,16 +13,10 @@
 #include "dtnsim/core/dtnsim.hpp"
 #include "dtnsim/flow/packet_sim.hpp"
 #include "dtnsim/obs/ss.hpp"
+#include "dtnsim/util/file.hpp"
 
 namespace dtnsim {
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 // The paper's Fig. 9 cell: AmLight WAN 104 ms, kernel 6.5, zerocopy, paced
 // at 50G. At the default 20 KB optmem the sender silently copies; at
@@ -253,7 +246,7 @@ TEST(SsSnapshot, JsonRoundTripsThroughParser) {
 TEST(SsSnapshot, TcpInfoKeysMatchGolden) {
   const std::string golden_path =
       std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/ss_snapshot_keys.txt";
-  const std::string golden = slurp(golden_path);
+  const std::string golden = read_file(golden_path).value_or("");
   ASSERT_FALSE(golden.empty()) << golden_path;
   std::vector<std::string> want;
   std::stringstream in(golden);

@@ -27,18 +27,12 @@
 #include "dtnsim/core/dtnsim.hpp"
 #include "dtnsim/report/analysis.hpp"
 #include "dtnsim/report/record.hpp"
+#include "dtnsim/util/file.hpp"
 
 namespace dtnsim::report {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 // A rectangular series: time_s plus one value column, one row per second.
 obs::SeriesTable make_series(const std::string& column,
@@ -292,7 +286,7 @@ TEST(ReportRecord, WriteLoadRoundTripAndLoadErrors) {
 TEST(ReportRecord, SchemaMatchesGolden) {
   const std::string golden_path =
       std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/run_record_keys.txt";
-  const std::string golden = slurp(golden_path);
+  const std::string golden = read_file(golden_path).value_or("");
   ASSERT_FALSE(golden.empty()) << golden_path;
   std::vector<std::string> want;
   std::stringstream in(golden);
@@ -335,8 +329,8 @@ TEST(ReportRender, RecordPlotWritesGpAndDat) {
   const RunRecord rec = sample_record();
   const fs::path base = fs::path(::testing::TempDir()) / "dtnsim_rec_plot";
   ASSERT_TRUE(write_record_plot(base.string(), rec));
-  const std::string gp = slurp(base.string() + ".gp");
-  const std::string dat = slurp(base.string() + ".dat");
+  const std::string gp = read_file(base.string() + ".gp").value_or("");
+  const std::string dat = read_file(base.string() + ".dat").value_or("");
   EXPECT_NE(gp.find("plot '"), std::string::npos);
   EXPECT_NE(gp.find(" noenhanced\n"), std::string::npos);  // labels print literally
   EXPECT_NE(gp.find("set label 'episode'"), std::string::npos);  // has episode
@@ -368,7 +362,7 @@ TEST(ReportRender, CampaignPlotOverlaysTrackRowColumns) {
 
   // Plain rows: no overlays, no second axis.
   ASSERT_TRUE(write_campaign_plot(base.string(), "t", {row("a", false, false)}));
-  std::string gp = slurp(base.string() + ".gp");
+  std::string gp = read_file(base.string() + ".gp").value_or("");
   EXPECT_NE(gp.find(" noenhanced\n"), std::string::npos);  // labels print literally
   EXPECT_EQ(gp.find("y2label"), std::string::npos);
   EXPECT_EQ(gp.find("episode dip"), std::string::npos);
@@ -376,13 +370,13 @@ TEST(ReportRender, CampaignPlotOverlaysTrackRowColumns) {
   // Any row carrying the columns switches the overlays on.
   ASSERT_TRUE(write_campaign_plot(
       base.string(), "t", {row("a", false, false), row("b", true, true)}));
-  gp = slurp(base.string() + ".gp");
+  gp = read_file(base.string() + ".gp").value_or("");
   EXPECT_NE(gp.find("set y2label 'cycles/byte'"), std::string::npos);
   EXPECT_NE(gp.find("episode dip"), std::string::npos);
   EXPECT_NE(gp.find("tx cyc/B"), std::string::npos);
 
   // The .dat is tab-separated with the name last; missing overlays fill.
-  const std::string dat = slurp(base.string() + ".dat");
+  const std::string dat = read_file(base.string() + ".dat").value_or("");
   std::vector<std::string> lines;
   std::stringstream in(dat);
   for (std::string line; std::getline(in, line);)

@@ -25,18 +25,12 @@
 #include "dtnsim/core/dtnsim.hpp"
 #include "dtnsim/flow/packet_sim.hpp"
 #include "dtnsim/scenario/scenario.hpp"
+#include "dtnsim/util/file.hpp"
 
 namespace dtnsim::scenario {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 Event make_event(double at, EventKind kind, double value, double dur = 0.0,
                  double jitter = 0.0) {
@@ -403,7 +397,7 @@ TEST(ScenarioDivergence, LossBurstCutsSitInCalibratedBands) {
 TEST(ScenarioGolden, EventLogSchemaMatchesGolden) {
   const std::string golden_path =
       std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/scenario_log_keys.txt";
-  const std::string golden = slurp(golden_path);
+  const std::string golden = read_file(golden_path).value_or("");
   ASSERT_FALSE(golden.empty()) << golden_path;
   std::vector<std::string> want;
   std::stringstream in(golden);
@@ -444,7 +438,7 @@ TEST(ScenarioJson, EventLogWriteReadRoundTrip) {
   const fs::path path =
       fs::path(::testing::TempDir()) / "dtnsim_scn_log.json";
   ASSERT_TRUE(write_event_log(path.string(), log));
-  const auto doc = Json::parse(slurp(path.string()));
+  const auto doc = Json::parse(read_file(path.string()).value_or(""));
   ASSERT_TRUE(doc.has_value());
   const auto back = event_log_from_json(*doc);
   ASSERT_TRUE(back.has_value());

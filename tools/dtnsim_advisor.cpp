@@ -4,10 +4,11 @@
 //   $ dtnsim-advisor --testbed esnet --path "WAN 63ms"
 //   $ dtnsim-advisor --stock          # what an untuned host looks like
 #include <cstdio>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "dtnsim/cli/flags.hpp"
 #include "dtnsim/core/dtnsim.hpp"
 
 int main(int argc, char** argv) {
@@ -15,25 +16,20 @@ int main(int argc, char** argv) {
 
   std::string testbed = "esnet";
   std::string path_name;
-  bool stock = false;
-  bool dtn_use_case = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--testbed" && i + 1 < argc) testbed = argv[++i];
-    else if (flag == "--path" && i + 1 < argc) path_name = argv[++i];
-    else if (flag == "--stock") stock = true;
-    else if (flag == "--dtn") dtn_use_case = true;
-    else if (flag == "-h" || flag == "--help") {
-      std::printf(
-          "dtnsim-advisor [--testbed amlight|esnet|production] [--path NAME]\n"
-          "               [--stock] [--dtn]\n"
-          "Audits the host tuning against the paper's recommendations\n"
-          "(--stock: audit an untuned host; --dtn: parallel-stream use case).\n");
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return 2;
-    }
+  bool stock = false, dtn_use_case = false, help = false;
+  const cli::FlagGroup flags{"", {
+    {{"--testbed"}, "NAME", "amlight | esnet | production (default esnet)", cli::set_text(testbed)},
+    {{"--path"}, "NAME", "e.g. 'WAN 63ms' (default: testbed LAN)", cli::set_text(path_name)},
+    {{"--stock"}, "", "audit an untuned host (stock tuning, kernel 5.15)", cli::set_true(stock)},
+    {{"--dtn"}, "", "the parallel-stream DTN use case", cli::set_true(dtn_use_case)},
+    {{"-h", "--help"}, "", "print this help and exit", cli::set_true(help)}}};
+  const cli::Grammar grammar{
+      "dtnsim-advisor — audit a host's tuning against the paper's recommendations", {flags},
+      nullptr};
+  const std::string error = cli::parse_args(grammar, {argv + 1, argv + argc});
+  if (!error.empty() || help) {
+    std::fputs(cli::usage(grammar, error).c_str(), error.empty() ? stdout : stderr);
+    return error.empty() ? 0 : 2;
   }
 
   harness::Testbed tb;
@@ -41,14 +37,20 @@ int main(int argc, char** argv) {
   else if (testbed == "esnet") tb = harness::esnet();
   else if (testbed == "production") tb = harness::esnet_production();
   else {
-    std::fprintf(stderr, "unknown testbed: %s\n", testbed.c_str());
+    std::fprintf(stderr, "error: unknown testbed: %s\n", testbed.c_str());
     return 2;
   }
   if (stock) {
     tb.sender.tuning = host::TuningConfig::stock();
     tb.sender.kernel = kern::kernel_profile(kern::KernelVersion::V5_15);
   }
-  const auto& path = path_name.empty() ? tb.lan() : tb.path_named(path_name);
+  net::PathSpec path;
+  try {
+    path = path_name.empty() ? tb.lan() : tb.path_named(path_name);
+  } catch (const std::out_of_range& e) {  // no such path in the testbed
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   const auto advice = advise(tb.sender, path,
                              dtn_use_case ? UseCase::ParallelStreamDtn

@@ -8,26 +8,18 @@
 //   $ dtnsim-perf --testbed amlight --path LAN --kernel 6.5 -t 5
 //   $ dtnsim-perf --testbed esnet -Z --fq-rate 50G -t 5 --record 1 --flame
 //   $ dtnsim-perf --replay run.perf.json --report
+//   $ dtnsim-perf --flame --diff before.perf.json after.perf.json
 //
-// Tool-specific flags (everything else is forwarded to the shared CLI):
-//   --record SEC    sample every SEC of simulated time (alias: --perf-watch);
-//                   without it only the end-of-run report is taken
-//   --report        perf-report-style text output (the default)
-//   --flame         collapsed stacks (engine;core;symbol N) for flamegraph.pl
-//   --replay FILE   render FILE (a --perf-out / --json dump) and exit
-//   --diff A B      with --flame: differential collapsed stacks between two
-//                   recorded logs ("stack beforeN afterN", difffolded.pl
-//                   shape; flamegraph.pl --negate renders the red/blue view)
-//   -J, --json      emit the attribution log as JSON instead of text
-//   --perf-out FILE additionally write the JSON log to FILE
+// --diff writes differential collapsed stacks ("stack beforeN afterN", the
+// difffolded.pl shape); flamegraph.pl --negate renders the red/blue view.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dtnsim/cli/cli.hpp"
 #include "dtnsim/obs/perf.hpp"
+#include "dtnsim/util/file.hpp"
 
 namespace {
 
@@ -52,14 +44,12 @@ void render(const std::vector<dtnsim::obs::PerfReport>& log, Mode mode) {
 
 // Load a recorded attribution log; empty vector (with a message) on error.
 std::vector<dtnsim::obs::PerfReport> load_log(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const auto text = dtnsim::read_file(path);
+  if (!text) {
     std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
     return {};
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const auto doc = dtnsim::Json::parse(buf.str());
+  const auto doc = dtnsim::Json::parse(*text);
   if (!doc) {
     std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
     return {};
@@ -98,75 +88,35 @@ int diff(const std::string& a_path, const std::string& b_path, Mode mode) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args;
+  using namespace dtnsim::cli;
+  CliOptions opts;
   std::string replay_path;
-  std::string diff_a, diff_b;
+  std::vector<std::string> diff_logs;
   Mode mode = Mode::Report;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--record") {  // tool-local alias for the shared --perf-watch
-      args.push_back("--perf-watch");
-    } else if (a.rfind("--record=", 0) == 0) {
-      args.push_back("--perf-watch=" + a.substr(9));
-    } else if (a == "--diff") {
-      if (i + 2 >= argc) {
-        std::fprintf(stderr, "error: --diff needs two log files (before after)\n");
-        return 2;
-      }
-      diff_a = argv[++i];
-      diff_b = argv[++i];
-    } else if (a == "--replay") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: missing value for --replay\n");
-        return 2;
-      }
-      replay_path = argv[++i];
-    } else if (a.rfind("--replay=", 0) == 0) {
-      replay_path = a.substr(9);
-    } else if (a == "--report") {
-      mode = Mode::Report;
-    } else if (a == "--flame") {
-      mode = Mode::Flame;
-    } else if (a == "-J" || a == "--json") {
-      mode = Mode::Json;
-    } else {
-      args.push_back(a);
-    }
+  FlagGroup tool{"tool flags:", {
+    {{"--record"}, "SEC", "sample every SEC of sim time (as --perf-watch)",
+     set_seconds(opts.perf_watch_sec)},
+    {{"--report"}, "", "perf-report-style text output (default)", set_to(mode, Mode::Report)},
+    {{"--flame"}, "", "collapsed stacks for flamegraph.pl", set_to(mode, Mode::Flame)},
+    {{"--replay"}, "FILE", "render a recorded log, no simulation", set_text(replay_path)},
+    {{"--diff"}, "A B", "with --flame: differential stacks of two logs", set_texts(diff_logs)},
+    {{"-J", "--json"}, "", "emit the attribution log as JSON", set_to(mode, Mode::Json)}}};
+  const Grammar grammar = tool_grammar(
+      "dtnsim-perf — exact per-stage CPU-cycle attribution of a dtnsim run\n"
+      "Without --record only the end-of-run report is taken.",
+      std::move(tool), opts);
+  const std::string error = parse_args(grammar, {argv + 1, argv + argc});
+  if (!error.empty() || opts.show_help) {
+    std::fputs(usage(grammar, error).c_str(), error.empty() ? stdout : stderr);
+    return error.empty() ? 0 : 2;
   }
-  if (!diff_a.empty()) return diff(diff_a, diff_b, mode);
+  if (!diff_logs.empty()) return diff(diff_logs[0], diff_logs[1], mode);
   if (!replay_path.empty()) return replay(replay_path, mode);
-
-  auto opts = dtnsim::cli::parse_cli(args);
-  if (!opts.error.empty()) {
-    std::fprintf(stderr, "error: %s\n\n%s", opts.error.c_str(),
-                 dtnsim::cli::cli_help().c_str());
-    return 2;
-  }
-  if (opts.show_help) {
-    std::fputs(
-        "dtnsim-perf — exact per-stage CPU-cycle attribution of a dtnsim run\n"
-        "\n"
-        "tool flags:\n"
-        "      --record SEC     sample every SEC of simulated time\n"
-        "      --report         perf-report-style text output (default)\n"
-        "      --flame          collapsed stacks for flamegraph.pl\n"
-        "      --replay FILE    render a recorded log, no simulation\n"
-        "      --diff A B       with --flame: differential stacks between two\n"
-        "                       recorded logs (difffolded.pl shape)\n"
-        "  -J, --json           emit the attribution log as JSON\n"
-        "      --perf-out FILE  also write the JSON log to FILE\n"
-        "\n"
-        "scenario flags (shared with dtnsim-iperf3):\n",
-        stdout);
-    std::fputs(dtnsim::cli::cli_help().c_str(), stdout);
-    return 0;
-  }
   opts.force_perf = true;
-  opts.iperf.json = false;  // the run itself stays quiet; we print samples
 
   dtnsim::harness::TestSpec spec;
   try {
-    spec = dtnsim::cli::spec_from_cli(opts);
+    spec = spec_from_cli(opts);
   } catch (const std::exception& e) {  // unknown testbed or path name
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -10,33 +10,18 @@
 //   $ dtnsim-report --plot run.json --plot-base fig/run
 //   $ dtnsim-report --json run.json | jq .analysis
 //
-// Flags:
-//   --summarize FILE  human-readable summary; re-derives the analysis from
-//                     the record's own series/logs and flags any drift
-//   --diff A B        side-by-side comparison with absolute/percent deltas
-//   --plot FILE       figure-ready gnuplot: <base>.gp + <base>.dat
-//   --plot-base BASE  with --plot: output base (default: FILE minus .json)
-//   -J, --json FILE   re-emit the parsed record as canonical JSON
+// --summarize re-derives the analysis from the record's own series and logs
+// and flags any drift from the stored block.
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "dtnsim/cli/flags.hpp"
 #include "dtnsim/report/record.hpp"
 
 namespace {
 
 using dtnsim::report::RunRecord;
-
-const char* kHelp =
-    "dtnsim-report — unified run records: summarize, diff, plot\n"
-    "\n"
-    "  --summarize FILE  human-readable summary + analysis verification\n"
-    "  --diff A B        compare two records (absolute and percent deltas)\n"
-    "  --plot FILE       write figure-ready gnuplot (<base>.gp + <base>.dat)\n"
-    "  --plot-base BASE  with --plot: output base (default: FILE minus .json)\n"
-    "  -J, --json FILE   re-emit the parsed record as canonical JSON\n"
-    "\n"
-    "Records come from `dtnsim-iperf3 --record-out FILE` (docs/REPORT.md).\n";
 
 // Load or die with a message; RunRecord loading throws with the path baked in.
 bool load(const std::string& path, RunRecord* out) {
@@ -101,46 +86,36 @@ int emit_json(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using namespace dtnsim::cli;
   enum class Mode { Summarize, Diff, Plot, Json } mode = Mode::Summarize;
   std::vector<std::string> files;
   std::string plot_base;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
+  bool help = false;
+  // Each mode flag names its record(s) and picks the mode; a bare FILE is
+  // summarized.
+  const auto files_for = [&](Mode m) -> Setter {
+    return [&, m](const std::string&, const std::vector<std::string>& values) {
+      mode = m;
+      files.insert(files.end(), values.begin(), values.end());
+      return std::string();
     };
-    if (a == "-h" || a == "--help") {
-      std::fputs(kHelp, stdout);
-      return 0;
-    } else if (a == "--summarize") {
-      mode = Mode::Summarize;
-      files.push_back(value("--summarize"));
-    } else if (a == "--diff") {
-      mode = Mode::Diff;
-      files.push_back(value("--diff"));
-      files.push_back(value("--diff"));
-    } else if (a == "--plot") {
-      mode = Mode::Plot;
-      files.push_back(value("--plot"));
-    } else if (a == "--plot-base") {
-      plot_base = value("--plot-base");
-    } else if (a == "-J" || a == "--json") {
-      mode = Mode::Json;
-      files.push_back(value("--json"));
-    } else if (!a.empty() && a[0] != '-') {
-      files.push_back(a);  // bare FILE -> summarize
-    } else {
-      std::fprintf(stderr, "error: unknown flag: %s\n\n%s", a.c_str(), kHelp);
-      return 2;
-    }
-  }
-  if (files.empty()) {
-    std::fputs(kHelp, stdout);
-    return 2;
+  };
+  const FlagGroup flags{"", {
+    {{"--summarize"}, "FILE", "summary + analysis check", files_for(Mode::Summarize)},
+    {{"--diff"}, "A B", "compare two records (absolute and % deltas)", files_for(Mode::Diff)},
+    {{"--plot"}, "FILE", "write figure-ready <base>.gp + <base>.dat", files_for(Mode::Plot)},
+    {{"--plot-base"}, "BASE", "with --plot: output base (default: FILE minus\n.json)",
+     set_text(plot_base)},
+    {{"-J", "--json"}, "FILE", "re-emit the record as canonical JSON", files_for(Mode::Json)},
+    {{"-h", "--help"}, "", "print this help and exit", set_true(help)}}};
+  const Grammar grammar{
+      "dtnsim-report [flags] [FILE] — unified run records: summarize, diff, plot\n"
+      "Records come from `dtnsim-iperf3 --record-out FILE` (docs/REPORT.md).",
+      {flags}, [&files](const std::string& file) { files.push_back(file); }};
+  const std::string error = parse_args(grammar, {argv + 1, argv + argc});
+  if (!error.empty() || help || files.empty()) {
+    std::fputs(usage(grammar, error).c_str(), error.empty() ? stdout : stderr);
+    return help && error.empty() ? 0 : 2;
   }
   switch (mode) {
     case Mode::Summarize:

@@ -7,7 +7,6 @@
 //   $ dtnsim-repro fig9 --trace-out trace.json --metrics-out flow.csv
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -79,60 +78,33 @@ std::string cell_table(const std::vector<dtnsim::harness::TestResult>& results) 
 
 int main(int argc, char** argv) {
   using namespace dtnsim::harness;
+  using namespace dtnsim::cli;
 
   std::vector<std::string> ids;
   std::string out_dir = ".";
   std::string metrics_out, trace_out;
   double probe_interval_sec = 1.0;
-  bool list = false, all = false, quick = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    std::string value;
-    bool has_value = false;
-    const std::size_t eq = flag.rfind("--", 0) == 0 ? flag.find('=') : std::string::npos;
-    if (eq != std::string::npos) {
-      value = flag.substr(eq + 1);
-      flag = flag.substr(0, eq);
-      has_value = true;
-    }
-    auto take_value = [&]() -> bool {
-      if (has_value) return true;
-      if (i + 1 >= argc) return false;
-      value = argv[++i];
-      return true;
-    };
-    if (flag == "--list") list = true;
-    else if (flag == "--all") all = true;
-    else if (flag == "--quick") quick = true;
-    else if (flag == "--out" && take_value()) out_dir = value;
-    else if (flag == "--metrics-out" && take_value()) metrics_out = value;
-    else if (flag == "--trace-out" && take_value()) trace_out = value;
-    else if (flag == "--probe-interval" && take_value()) {
-      const auto sec = dtnsim::cli::parse_seconds(value);
-      if (!sec) {
-        std::fprintf(stderr, "bad --probe-interval: %s (want finite seconds > 0)\n",
-                     value.c_str());
-        return 2;
-      }
-      probe_interval_sec = *sec;
-    } else if (flag == "-h" || flag == "--help") {
-      std::printf("dtnsim-repro [--list] [--all] [--quick] [--out DIR] [ids...]\n"
-                  "             [--metrics-out F] [--trace-out F] [--probe-interval S]\n"
-                  "Runs the paper's experiments, prints each cell and a PASS/FAIL\n"
-                  "line per paper claim, and writes <id>_raw.csv, <id>_summary.csv\n"
-                  "and <id>.json per experiment into --out (default ., created if\n"
-                  "missing). Exits 1 if any claim fails.\n"
-                  "--quick: 20 s x 3 repeats instead of the paper's 60 s x 10.\n"
-                  "--metrics-out: per-interval telemetry series (all tests) as CSV.\n"
-                  "--trace-out: chrome://tracing / Perfetto trace_event JSON.\n"
-                  "--probe-interval: telemetry cadence in seconds (default 1).\n");
-      return 0;
-    } else if (!flag.empty() && flag[0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return 2;
-    } else {
-      ids.push_back(flag);
-    }
+  bool list = false, all = false, quick = false, help = false;
+  const FlagGroup flags{"", {
+    {{"--list"}, "", "list the experiment ids and exit", set_true(list)},
+    {{"--all"}, "", "run every experiment", set_true(all)},
+    {{"--quick"}, "", "20 s x 3 repeats instead of the paper's 60 s x 10", set_true(quick)},
+    {{"--out"}, "DIR", "dataset directory (default ., created if missing)", set_text(out_dir)},
+    {{"--metrics-out"}, "F", "per-interval telemetry series (all tests) as CSV",
+     set_text(metrics_out)},
+    {{"--trace-out"}, "F", "chrome://tracing / Perfetto trace_event JSON", set_text(trace_out)},
+    {{"--probe-interval"}, "SEC", "telemetry cadence (default 1)", set_seconds(probe_interval_sec)},
+    {{"-h", "--help"}, "", "print this help and exit", set_true(help)}}};
+  const Grammar grammar{
+      "dtnsim-repro [flags] [ids...] — run the paper's experiments by id\n"
+      "Prints each cell and a PASS/FAIL line per paper claim, and writes\n"
+      "<id>_raw.csv, <id>_summary.csv and <id>.json per experiment into --out.\n"
+      "Exits 1 if any claim fails.",
+      {flags}, [&ids](const std::string& id) { ids.push_back(id); }};
+  const std::string error = parse_args(grammar, {argv + 1, argv + argc});
+  if (!error.empty() || help) {
+    std::fputs(usage(grammar, error).c_str(), error.empty() ? stdout : stderr);
+    return error.empty() ? 0 : 2;
   }
   dtnsim::obs::TelemetryConfig telemetry;
   telemetry.enabled = !metrics_out.empty() || !trace_out.empty();

@@ -10,36 +10,22 @@
 //         --testbed amlight --path "WAN 106ms" -C bbr -t 60
 //   $ dtnsim-scenario --replay run.events.json
 //
-// Tool-specific flags (everything else is forwarded to the shared CLI):
-//   --validate FILE  parse + validate a timeline, report, and exit
-//   --preview FILE   render the timeline (jittered fire windows included)
-//   --replay FILE    render a recorded event log (a --scenario-out dump)
-//   --run            simulate with --scenario FILE and print the event log
 // --preview and --run honour the shared --seed flag; the same seed that
 // produced a run reproduces its jittered fire times exactly.
-#include <cstdarg>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dtnsim/cli/cli.hpp"
 #include "dtnsim/scenario/scenario.hpp"
+#include "dtnsim/util/file.hpp"
+#include "dtnsim/util/strfmt.hpp"
 
 namespace {
 
-using dtnsim::scenario::AppliedEvent;
+using dtnsim::strfmt;
 using dtnsim::scenario::EventLog;
-
-std::string strfmt(const char* fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  char buf[512];
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  return buf;
-}
 
 // One line per crossed event, mirroring the --preview layout so a rendered
 // log diffs cleanly against the timeline that produced it.
@@ -86,14 +72,12 @@ int preview(const std::string& path, std::uint64_t seed) {
 }
 
 int replay(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const auto text = dtnsim::read_file(path);
+  if (!text) {
     std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
     return 2;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const auto doc = dtnsim::Json::parse(buf.str());
+  const auto doc = dtnsim::Json::parse(*text);
   if (!doc) {
     std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
     return 2;
@@ -110,60 +94,25 @@ int replay(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args;
+  using namespace dtnsim::cli;
+  CliOptions opts;
   std::string validate_path, preview_path, replay_path;
   bool run_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto take_value = [&](std::string& slot) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: missing value for %s\n", a.c_str());
-        return false;
-      }
-      slot = argv[++i];
-      return true;
-    };
-    if (a == "--validate") {
-      if (!take_value(validate_path)) return 2;
-    } else if (a.rfind("--validate=", 0) == 0) {
-      validate_path = a.substr(11);
-    } else if (a == "--preview") {
-      if (!take_value(preview_path)) return 2;
-    } else if (a.rfind("--preview=", 0) == 0) {
-      preview_path = a.substr(10);
-    } else if (a == "--replay") {
-      if (!take_value(replay_path)) return 2;
-    } else if (a.rfind("--replay=", 0) == 0) {
-      replay_path = a.substr(9);
-    } else if (a == "--run") {
-      run_mode = true;
-    } else {
-      args.push_back(a);
-    }
-  }
-
-  auto opts = dtnsim::cli::parse_cli(args);
-  if (!opts.error.empty()) {
-    std::fprintf(stderr, "error: %s\n\n%s", opts.error.c_str(),
-                 dtnsim::cli::cli_help().c_str());
-    return 2;
-  }
-  if (opts.show_help ||
-      (validate_path.empty() && preview_path.empty() && replay_path.empty() &&
-       !run_mode)) {
-    std::fputs(
-        "dtnsim-scenario — author, check and replay mid-run fault timelines\n"
-        "\n"
-        "tool flags (docs/SCENARIO.md has the event taxonomy):\n"
-        "      --validate FILE  parse + validate a timeline and exit\n"
-        "      --preview FILE   render fire windows (honours --seed)\n"
-        "      --replay FILE    render a recorded event log\n"
-        "      --run            simulate with --scenario FILE, print the log\n"
-        "\n"
-        "scenario flags (shared with dtnsim-iperf3):\n",
-        stdout);
-    std::fputs(dtnsim::cli::cli_help().c_str(), stdout);
-    return opts.show_help ? 0 : 2;
+  FlagGroup tool{"tool flags:", {
+    {{"--validate"}, "FILE", "parse + validate a timeline and exit", set_text(validate_path)},
+    {{"--preview"}, "FILE", "render fire windows (honours --seed)", set_text(preview_path)},
+    {{"--replay"}, "FILE", "render a recorded event log", set_text(replay_path)},
+    {{"--run"}, "", "simulate with --scenario FILE, print the log", set_true(run_mode)}}};
+  const Grammar grammar = tool_grammar(
+      "dtnsim-scenario — author, check and replay mid-run fault timelines\n"
+      "(docs/SCENARIO.md has the event taxonomy)",
+      std::move(tool), opts);
+  const std::string error = parse_args(grammar, {argv + 1, argv + argc});
+  const bool no_mode =
+      validate_path.empty() && preview_path.empty() && replay_path.empty() && !run_mode;
+  if (!error.empty() || opts.show_help || no_mode) {
+    std::fputs(usage(grammar, error).c_str(), error.empty() ? stdout : stderr);
+    return opts.show_help && error.empty() ? 0 : 2;
   }
 
   if (!validate_path.empty()) return validate(validate_path);

@@ -8,36 +8,26 @@
 //               --fq-rate 50G --optmem 20480 -t 5 --watch 1
 //   $ dtnsim-ss --testbed esnet -P 8 --fq-rate 15G -t 5 --json
 //   $ dtnsim-ss --replay run.ss.json
-//
-// Tool-specific flags (everything else is forwarded to the shared CLI):
-//   --watch SEC     sample every SEC of simulated time (alias: --ss-watch);
-//                   without it only the end-of-run snapshot is taken
-//   --replay FILE   pretty-print FILE (a --ss-out / --json dump) and exit
-//   --diff A B      compare two recorded logs (their final snapshots) side
-//                   by side with per-field deltas — sick vs tuned — and exit
-//   -J, --json      emit the snapshot log as JSON instead of text
-//   --ss-out FILE   additionally write the JSON log to FILE
+//   $ dtnsim-ss --diff sick.ss.json tuned.ss.json
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dtnsim/cli/cli.hpp"
 #include "dtnsim/obs/ss.hpp"
+#include "dtnsim/util/file.hpp"
 
 namespace {
 
 // Loads a --ss-out / --json dump; empty vector (with a message) on failure.
 std::vector<dtnsim::obs::SsReport> load_log(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const auto text = dtnsim::read_file(path);
+  if (!text) {
     std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
     return {};
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const auto doc = dtnsim::Json::parse(buf.str());
+  const auto doc = dtnsim::Json::parse(*text);
   if (!doc) {
     std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
     return {};
@@ -59,88 +49,57 @@ int diff(const std::string& path_a, const std::string& path_b) {
   return 0;
 }
 
-int replay(const std::string& path, bool json) {
-  const auto log = load_log(path);
-  if (log.empty()) return 2;
+void render(const std::vector<dtnsim::obs::SsReport>& log, bool json) {
   if (json) {
     std::fputs((dtnsim::obs::ss_log_to_json(log).dump(2) + "\n").c_str(), stdout);
   } else {
     for (const auto& r : log) std::fputs(dtnsim::obs::format_ss(r).c_str(), stdout);
   }
+}
+
+int replay(const std::string& path, bool json) {
+  const auto log = load_log(path);
+  if (log.empty()) return 2;
+  render(log, json);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args;
+  using namespace dtnsim::cli;
+  CliOptions opts;
   std::string replay_path;
-  std::string diff_a, diff_b;
+  std::vector<std::string> diff_logs;
   bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--watch") {  // tool-local alias for the shared --ss-watch
-      args.push_back("--ss-watch");
-    } else if (a.rfind("--watch=", 0) == 0) {
-      args.push_back("--ss-watch=" + a.substr(8));
-    } else if (a == "--diff") {
-      if (i + 2 >= argc) {
-        std::fprintf(stderr, "error: --diff needs two recorded logs (A B)\n");
-        return 2;
-      }
-      diff_a = argv[++i];
-      diff_b = argv[++i];
-    } else if (a == "--replay") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: missing value for --replay\n");
-        return 2;
-      }
-      replay_path = argv[++i];
-    } else if (a.rfind("--replay=", 0) == 0) {
-      replay_path = a.substr(9);
-    } else if (a == "-J" || a == "--json") {
-      json = true;
-    } else {
-      args.push_back(a);
-    }
+  FlagGroup tool{"tool flags:", {
+    {{"--watch"}, "SEC", "snapshot every SEC of sim time (as --ss-watch)",
+     set_seconds(opts.ss_watch_sec)},
+    {{"--replay"}, "FILE", "pretty-print a recorded log, no simulation", set_text(replay_path)},
+    {{"--diff"}, "A B", "compare two recorded logs' final snapshots", set_texts(diff_logs)},
+    {{"-J", "--json"}, "", "emit the snapshot log as JSON", set_true(json)}}};
+  const Grammar grammar = tool_grammar(
+      "dtnsim-ss — kernel-eye socket/NIC/qdisc snapshots of a dtnsim run\n"
+      "Without --watch only the end-of-run snapshot is taken.",
+      std::move(tool), opts);
+  const std::string error = parse_args(grammar, {argv + 1, argv + argc});
+  if (!error.empty() || opts.show_help) {
+    std::fputs(usage(grammar, error).c_str(), error.empty() ? stdout : stderr);
+    return error.empty() ? 0 : 2;
   }
-  if (!diff_a.empty()) return diff(diff_a, diff_b);
+  if (!diff_logs.empty()) return diff(diff_logs[0], diff_logs[1]);
   if (!replay_path.empty()) return replay(replay_path, json);
-
-  auto opts = dtnsim::cli::parse_cli(args);
-  if (!opts.error.empty()) {
-    std::fprintf(stderr, "error: %s\n\n%s", opts.error.c_str(),
-                 dtnsim::cli::cli_help().c_str());
-    return 2;
-  }
-  if (opts.show_help) {
-    std::fputs(
-        "dtnsim-ss — kernel-eye socket/NIC/qdisc snapshots of a dtnsim run\n"
-        "\n"
-        "tool flags:\n"
-        "      --watch SEC      snapshot every SEC of simulated time\n"
-        "      --replay FILE    pretty-print a recorded log, no simulation\n"
-        "      --diff A B       compare two recorded logs side by side\n"
-        "  -J, --json           emit the snapshot log as JSON\n"
-        "      --ss-out FILE    also write the JSON log to FILE\n"
-        "\n"
-        "scenario flags (shared with dtnsim-iperf3):\n",
-        stdout);
-    std::fputs(dtnsim::cli::cli_help().c_str(), stdout);
-    return 0;
-  }
   opts.force_ss = true;
-  opts.iperf.json = false;  // the run itself stays quiet; we print snapshots
 
   dtnsim::harness::TestSpec spec;
   try {
-    spec = dtnsim::cli::spec_from_cli(opts);
+    spec = spec_from_cli(opts);
   } catch (const std::exception& e) {  // unknown testbed or path name
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
   const auto result = dtnsim::harness::run_test(spec);
-  auto log = result.ss_log;
+  const auto& log = result.ss_log;
   if (log.empty()) {
     std::fprintf(stderr, "error: run produced no snapshots\n");
     return 1;
@@ -149,10 +108,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: cannot write ss log to %s\n", opts.ss_out.c_str());
     return 1;
   }
-  if (json) {
-    std::fputs((dtnsim::obs::ss_log_to_json(log).dump(2) + "\n").c_str(), stdout);
-  } else {
-    for (const auto& r : log) std::fputs(dtnsim::obs::format_ss(r).c_str(), stdout);
-  }
+  render(log, json);
   return 0;
 }
