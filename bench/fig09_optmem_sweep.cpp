@@ -6,8 +6,6 @@
 // the shorter paths but only ~40G at 104 ms with the sender CPU as the
 // bottleneck; ~3.25 MB reaches 50G on every path and cuts sender CPU
 // further. Values above 3.25 MB add nothing.
-#include <cstring>
-
 #include "bench_common.hpp"
 
 using namespace dtnsim;
@@ -17,19 +15,8 @@ int main(int argc, char** argv) {
   print_header("Figure 9", "optmem_max sweep with zerocopy (Intel, kernel 6.5)",
                "zerocopy + pacing 50G, 60 s x 10, LAN + 25/54/104 ms");
 
-  // Optional output directory for the telemetry artifacts (default cwd),
-  // plus --ss-out F for the kernel-eye snapshot log of the WAN 104ms cells
-  // (one end-of-run dtnsim-ss report per optmem value; the Fig. 9 knee as
-  // zc_copied_bytes / optmem_hiwater counters).
-  std::string out_dir = ".";
-  std::string ss_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ss-out") == 0 && i + 1 < argc) {
-      ss_out = argv[++i];
-    } else {
-      out_dir = argv[i];
-    }
-  }
+  // Optional output directory for the telemetry artifacts (default cwd).
+  const std::string out_dir = argc > 1 ? argv[1] : ".";
 
   const auto tb = harness::amlight(kern::KernelVersion::V6_5);
   struct OptmemRow {
@@ -54,7 +41,6 @@ int main(int argc, char** argv) {
     std::shared_ptr<const obs::TraceSink> trace;
   };
   std::vector<OccupancySeries> occupancy;
-  std::vector<obs::SsReport> ss_log;
 
   Table table({"optmem_max", "Path", "Throughput", "TX Cores", "zc fallback"});
   for (const auto& om : rows) {
@@ -65,21 +51,12 @@ int main(int argc, char** argv) {
                              .zerocopy()
                              .pacing(units::Rate::from_gbps(50))
                              .optmem_max(units::Bytes(om.bytes)));
-      if (probe_this) {
-        ex.telemetry(true);
-        if (!ss_out.empty()) ex.ss();
-      }
+      if (probe_this) ex.telemetry(true);
       const auto r = ex.run();
       table.add_row({om.label, p, gbps_pm(r), pct(r.snd_cpu_pct),
                      strfmt("%.0f%%", r.zc_fallback_ratio * 100.0)});
       if (probe_this && !r.repeat_series.empty()) {
         occupancy.push_back({om.label, om.bytes, r.repeat_series.front(), r.trace});
-      }
-      if (probe_this && !r.ss_log.empty()) {
-        for (auto rep : r.ss_log) {
-          rep.label = om.label;  // distinguish the four optmem settings
-          ss_log.push_back(std::move(rep));
-        }
       }
     }
     table.add_separator();
@@ -114,15 +91,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failed to write telemetry artifacts under %s\n",
                  out_dir.c_str());
     return 1;
-  }
-  if (!ss_out.empty()) {
-    if (!obs::write_ss_log(ss_out, ss_log)) {
-      std::fprintf(stderr, "cannot write ss log to %s\n", ss_out.c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%zu dtnsim-ss snapshots; replay with dtnsim-ss "
-                "--replay)\n",
-                ss_out.c_str(), ss_log.size());
   }
   return 0;
 }

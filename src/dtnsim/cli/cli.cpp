@@ -70,23 +70,19 @@ std::vector<FlagGroup> run_flags(CliOptions& o) {
      set_text(o.trace_stream)},
     {{"--ss-watch"}, "SEC", "ss/ethtool/tc snapshots every SEC of sim time",
      set_seconds(o.ss_watch_sec)},
-    {{"--ss-out"}, "F", "write the snapshot log as JSON (dtnsim-ss --replay)",
-     set_text(o.ss_out)},
     {{"--perf-watch"}, "SEC", "per-stage cycle attribution samples every SEC",
-     set_seconds(o.perf_watch_sec)},
-    {{"--perf-out"}, "F", "write the perf log as JSON (dtnsim-perf --replay)",
-     set_text(o.perf_out)}}};
+     set_seconds(o.perf_watch_sec)}}};
   const FlagGroup scenario{"scenario flags (docs/SCENARIO.md):", {
     {{"--scenario"}, "F", "mid-run fault/condition timeline (JSON), fired\nin every repeat",
      set_text(o.scenario_file)},
-    {{"--scenario-out"}, "F", "write repeat 0's applied-event log as JSON",
-     set_text(o.scenario_out)},
     {{"--record-timeline"}, "F",
      "write the events repeat 0 crossed as a loadable\n--scenario timeline (needs --scenario)",
      set_text(o.record_timeline)}}};
   const FlagGroup report{"report flags (docs/REPORT.md):", {
     {{"--record-out"}, "F",
-     "bundle the run into one RunRecord JSON for\ndtnsim-report (implies telemetry + ss + perf)",
+     "bundle the run into one RunRecord JSON for\n"
+     "dtnsim-report and the ss, perf and scenario\n"
+     "replays (implies telemetry + ss + perf)",
      set_text(o.record_out)}}};
   return {iperf3, simulator, observability, scenario, report};
 }
@@ -133,10 +129,8 @@ harness::TestSpec spec_from_cli(const CliOptions& opts) {
     }
     if (opts.ring > 0) h->tuning.ring_descriptors = opts.ring;
   }
-  const bool wants_ss =
-      opts.force_ss || opts.ss_watch_sec > 0 || !opts.ss_out.empty();
-  const bool wants_perf =
-      opts.force_perf || opts.perf_watch_sec > 0 || !opts.perf_out.empty();
+  const bool wants_ss = opts.force_ss || opts.ss_watch_sec > 0;
+  const bool wants_perf = opts.force_perf || opts.perf_watch_sec > 0;
   if (!opts.metrics_out.empty() || !opts.trace_out.empty() ||
       !opts.trace_stream.empty() || wants_ss || wants_perf) {
     spec.telemetry.enabled = true;
@@ -163,101 +157,76 @@ harness::TestSpec spec_from_cli(const CliOptions& opts) {
   return spec;
 }
 
+CliRun run_command(const CliOptions& opts) {
+  CliRun run;
+  const auto fail = [&run](int code, std::string error) {
+    run.code = code;
+    run.error = std::move(error);
+    return std::move(run);
+  };
+  try {
+    run.spec = spec_from_cli(opts);
+  } catch (const std::exception& e) {  // unknown testbed or path, bad timeline
+    return fail(2, strfmt("error: %s\n", e.what()));
+  }
+  if (!opts.record_timeline.empty() && opts.scenario_file.empty()) {
+    return fail(2, "error: --record-timeline requires --scenario (nothing to record)\n");
+  }
+  run.result = harness::run_test(run.spec);
+  const harness::TestSpec& spec = run.spec;
+  const harness::TestResult& result = run.result;
+
+  if (!opts.metrics_out.empty()) {
+    std::vector<obs::LabeledSeries> labeled;
+    for (std::size_t r = 0; r < result.repeat_series.size(); ++r)
+      labeled.push_back({spec.name, static_cast<int>(r), &result.repeat_series[r]});
+    if (!obs::write_merged_series_csv(opts.metrics_out, labeled)) {
+      return fail(1, strfmt("error: cannot write metrics to %s\n", opts.metrics_out.c_str()));
+    }
+    run.notes += strfmt("  metrics    : %s\n", opts.metrics_out.c_str());
+  }
+  if (!opts.trace_out.empty() && result.trace) {
+    if (!result.trace->write_file(opts.trace_out, spec.name)) {
+      return fail(1, strfmt("error: cannot write trace to %s\n", opts.trace_out.c_str()));
+    }
+    run.notes += strfmt("  trace      : %s\n", opts.trace_out.c_str());
+  }
+  if (!opts.trace_stream.empty()) {
+    run.notes += strfmt("  stream     : %s\n", opts.trace_stream.c_str());
+  }
+  if (!opts.record_timeline.empty()) {
+    const scenario::Timeline recorded = scenario::timeline_from_log(result.scenario_log);
+    if (!scenario::write_timeline(opts.record_timeline, recorded)) {
+      return fail(1, strfmt("error: cannot write timeline to %s\n",
+                            opts.record_timeline.c_str()));
+    }
+    run.notes += strfmt("  timeline   : %s (%zu event%s)\n", opts.record_timeline.c_str(),
+                        recorded.events.size(), recorded.events.size() == 1 ? "" : "s");
+  }
+  if (!opts.record_out.empty()) {
+    if (!result.record || !report::write_run_record(opts.record_out, *result.record)) {
+      return fail(1, strfmt("error: cannot write run record to %s\n", opts.record_out.c_str()));
+    }
+    run.notes += strfmt("  record     : %s\n", opts.record_out.c_str());
+  }
+  return run;
+}
+
 int run_cli(const CliOptions& opts, std::string& output) {
   if (!opts.error.empty() || opts.show_help) {
     CliOptions unused;
     output = usage({kIperf3About, run_flags(unused), nullptr}, opts.error);
     return opts.error.empty() ? 0 : 2;
   }
-
-  harness::TestSpec spec;
-  try {
-    spec = spec_from_cli(opts);
-  } catch (const std::exception& e) {  // unknown testbed or path name
-    output = strfmt("error: %s\n", e.what());
-    return 2;
+  const CliRun run = run_command(opts);
+  if (run.code != 0) {
+    output = run.error;
+    return run.code;
   }
-  if (!opts.record_timeline.empty() && opts.scenario_file.empty()) {
-    output = "error: --record-timeline requires --scenario (nothing to record)\n";
-    return 2;
-  }
-
-  const auto result = harness::run_test(spec);
-
-  std::string telemetry_note;
-  if (!opts.metrics_out.empty()) {
-    std::vector<obs::LabeledSeries> labeled;
-    for (std::size_t r = 0; r < result.repeat_series.size(); ++r)
-      labeled.push_back({spec.name, static_cast<int>(r), &result.repeat_series[r]});
-    if (!obs::write_merged_series_csv(opts.metrics_out, labeled)) {
-      output = strfmt("error: cannot write metrics to %s\n", opts.metrics_out.c_str());
-      return 1;
-    }
-    telemetry_note += strfmt("  metrics    : %s\n", opts.metrics_out.c_str());
-  }
-  if (!opts.trace_out.empty() && result.trace) {
-    if (!result.trace->write_file(opts.trace_out, spec.name)) {
-      output = strfmt("error: cannot write trace to %s\n", opts.trace_out.c_str());
-      return 1;
-    }
-    telemetry_note += strfmt("  trace      : %s\n", opts.trace_out.c_str());
-  }
-  if (!opts.trace_stream.empty()) {
-    telemetry_note += strfmt("  stream     : %s\n", opts.trace_stream.c_str());
-  }
-  if (!opts.ss_out.empty()) {
-    if (!obs::write_ss_log(opts.ss_out, result.ss_log)) {
-      output = strfmt("error: cannot write ss log to %s\n", opts.ss_out.c_str());
-      return 1;
-    }
-    telemetry_note += strfmt("  ss log     : %s (%zu snapshot%s)\n",
-                             opts.ss_out.c_str(), result.ss_log.size(),
-                             result.ss_log.size() == 1 ? "" : "s");
-  }
-  if (!opts.perf_out.empty()) {
-    if (!obs::write_perf_log(opts.perf_out, result.perf_log)) {
-      output = strfmt("error: cannot write perf log to %s\n", opts.perf_out.c_str());
-      return 1;
-    }
-    telemetry_note += strfmt("  perf log   : %s (%zu sample%s)\n",
-                             opts.perf_out.c_str(), result.perf_log.size(),
-                             result.perf_log.size() == 1 ? "" : "s");
-  }
-  if (!opts.scenario_out.empty()) {
-    if (!scenario::write_event_log(opts.scenario_out, result.scenario_log)) {
-      output =
-          strfmt("error: cannot write scenario log to %s\n", opts.scenario_out.c_str());
-      return 1;
-    }
-    telemetry_note += strfmt("  scenario   : %s (%zu event%s)\n",
-                             opts.scenario_out.c_str(), result.scenario_log.events.size(),
-                             result.scenario_log.events.size() == 1 ? "" : "s");
-  }
-  if (!opts.record_timeline.empty()) {
-    const scenario::Timeline recorded =
-        scenario::timeline_from_log(result.scenario_log);
-    if (!scenario::write_timeline(opts.record_timeline, recorded)) {
-      output = strfmt("error: cannot write timeline to %s\n",
-                      opts.record_timeline.c_str());
-      return 1;
-    }
-    telemetry_note += strfmt("  timeline   : %s (%zu event%s)\n",
-                             opts.record_timeline.c_str(), recorded.events.size(),
-                             recorded.events.size() == 1 ? "" : "s");
-  }
-  if (!opts.record_out.empty()) {
-    if (!result.record ||
-        !report::write_run_record(opts.record_out, *result.record)) {
-      output = strfmt("error: cannot write run record to %s\n",
-                      opts.record_out.c_str());
-      return 1;
-    }
-    telemetry_note += strfmt("  record     : %s\n", opts.record_out.c_str());
-  }
-
+  const harness::TestResult& result = run.result;
   if (opts.iperf.json) {
     Json j = Json::object();
-    j["title"] = spec.name;
+    j["title"] = run.spec.name;
     j["repeats"] = result.repeats;
     j["end"]["sum_received"]["bits_per_second"] = result.avg_gbps * 1e9;
     j["end"]["sum_received"]["stdev_gbps"] = result.stdev_gbps;
@@ -279,7 +248,7 @@ int run_cli(const CliOptions& opts, std::string& output) {
         result.name.c_str(), result.avg_gbps, result.min_gbps, result.max_gbps,
         result.stdev_gbps, result.repeats, result.avg_retransmits, result.snd_cpu_pct,
         result.rcv_cpu_pct);
-    output += telemetry_note;
+    output += run.notes;
   }
   return 0;
 }

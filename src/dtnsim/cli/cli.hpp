@@ -1,7 +1,8 @@
 // Command-line front end: the run table every simulating tool shares
 // (dtnsim-iperf3's flags, which mirror the patched iperf3 v3.17 and add the
-// simulator's), plus spec construction and the iperf3 driver. Parsing lives
-// here so it is unit-testable; the tool binaries are thin mains.
+// simulator's), spec construction, the one run path every simulating tool
+// takes (run_command) and the iperf3 view. Parsing lives here so it is
+// unit-testable; the tool binaries are thin mains.
 #pragma once
 
 #include <optional>
@@ -20,7 +21,7 @@ std::optional<kern::CongestionAlgo> parse_congestion(const std::string& text);
 // What a run command line sets; run_flags() documents each flag. An empty
 // output path is not written. force_ss and force_perf are the dtnsim-ss /
 // dtnsim-perf front ends' own switches: snapshots or cycle attribution
-// without a watch or out flag.
+// without a watch flag.
 struct CliOptions {
   bool show_help = false;
   std::string error;  // non-empty -> parse failed, message for the user
@@ -40,13 +41,10 @@ struct CliOptions {
   std::string trace_out;
   std::string trace_stream;
   double ss_watch_sec = 0.0;  // 0 -> end-of-run snapshot only
-  std::string ss_out;
   bool force_ss = false;
   double perf_watch_sec = 0.0;  // 0 -> end-of-run report only
-  std::string perf_out;
   bool force_perf = false;
   std::string scenario_file;
-  std::string scenario_out;
   std::string record_out;
   std::string record_timeline;
 };
@@ -66,7 +64,23 @@ std::string cli_help();
 // std::invalid_argument for an unknown testbed/path.
 harness::TestSpec spec_from_cli(const CliOptions& opts);
 
-// Run and render (text or JSON). Returns a process exit code.
+// One run of a parsed command line, the way every simulating tool makes it.
+struct CliRun {
+  int code = 0;       // else the exit code: 2 a bad spec, 1 an unwritable file
+  std::string error;  // "error: ...\n" when code != 0
+  harness::TestSpec spec;
+  harness::TestResult result;
+  std::string notes;  // one line per output file written, for a text view
+};
+
+// spec_from_cli, the check that --record-timeline comes with --scenario,
+// harness::run_test, then every output file the line names (--metrics-out,
+// --trace-out, --record-timeline, --record-out). dtnsim-iperf3, -ss, -perf
+// and dtnsim-scenario --run call it and render their own view.
+CliRun run_command(const CliOptions& opts);
+
+// dtnsim-iperf3: run_command, then its text (notes after) or JSON view.
+// Returns a process exit code.
 int run_cli(const CliOptions& opts, std::string& output);
 
 }  // namespace dtnsim::cli

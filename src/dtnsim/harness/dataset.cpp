@@ -1,6 +1,7 @@
 #include "dtnsim/harness/dataset.hpp"
 
 #include "dtnsim/util/csv.hpp"
+#include "dtnsim/util/file.hpp"
 #include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::harness {
@@ -45,13 +46,6 @@ Json Dataset::to_json() const {
 
 bool Dataset::write_to(const std::string& dir) const {
   const std::string base = dir + "/" + name_;
-  const auto write_file = [](const std::string& path, const std::string& content) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) return false;
-    const bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
-    std::fclose(f);
-    return ok;
-  };
   return write_file(base + "_raw.csv", raw_csv()) &&
          write_file(base + "_summary.csv", summary_csv()) &&
          write_file(base + ".json", to_json().dump(2) + "\n");

@@ -1,8 +1,8 @@
 #include "dtnsim/harness/plot.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
+#include "dtnsim/util/file.hpp"
 #include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::harness {
@@ -49,13 +49,6 @@ std::string to_gnuplot_script(const FigureSpec& fig) {
 }
 
 bool write_figure(const FigureSpec& fig, const std::string& dir) {
-  const auto write_file = [](const std::string& path, const std::string& content) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) return false;
-    const bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
-    std::fclose(f);
-    return ok;
-  };
   return write_file(dir + "/" + fig.id + ".dat", to_gnuplot_data(fig)) &&
          write_file(dir + "/" + fig.id + ".gp", to_gnuplot_script(fig));
 }

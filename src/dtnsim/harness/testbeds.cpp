@@ -103,11 +103,11 @@ const net::PathSpec& Testbed::path_named(const std::string& name) const {
   throw std::out_of_range("no path named " + name + " in testbed " + this->name);
 }
 
-Testbed testbed_by_name(const std::string& name, kern::KernelVersion kernel) {
-  if (name == "amlight") return amlight(kernel);
-  if (name == "amlight-baremetal") return amlight_baremetal(kernel);
-  if (name == "esnet") return esnet(kernel);
-  if (name == "production") return esnet_production(kernel);
+Testbed testbed_by_name(const std::string& name, std::optional<kern::KernelVersion> kernel) {
+  if (name == "amlight") return kernel ? amlight(*kernel) : amlight();
+  if (name == "amlight-baremetal") return kernel ? amlight_baremetal(*kernel) : amlight_baremetal();
+  if (name == "esnet") return kernel ? esnet(*kernel) : esnet();
+  if (name == "production") return kernel ? esnet_production(*kernel) : esnet_production();
   throw std::invalid_argument("unknown testbed: " + name);
 }
 

@@ -12,6 +12,7 @@
 // flow-control-capable gear at 100G.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,9 +44,12 @@ Testbed esnet(kern::KernelVersion kernel = kern::KernelVersion::V6_8);
 Testbed esnet_production(kern::KernelVersion kernel = kern::KernelVersion::V5_15);
 
 // CLI-facing registry: amlight | amlight-baremetal | esnet | production.
-// Throws std::invalid_argument for an unknown name. Shared by the iperf3
-// front end and the sweep grid (which rebuilds the testbed per kernel cell).
-Testbed testbed_by_name(const std::string& name, kern::KernelVersion kernel);
+// Without a kernel each testbed runs its own default (the functions above).
+// Throws std::invalid_argument for an unknown name. Shared by the run
+// tools, the sweep grid (which rebuilds the testbed per kernel cell) and
+// dtnsim-advisor.
+Testbed testbed_by_name(const std::string& name,
+                        std::optional<kern::KernelVersion> kernel = std::nullopt);
 
 // Individual paths, exposed for custom experiments.
 net::PathSpec amlight_lan();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <stdexcept>
 
 #include "dtnsim/util/strfmt.hpp"
@@ -181,21 +180,6 @@ Json to_json(const PerfReport& r) { return wire::to_json(r); }
 Json perf_log_to_json(const std::vector<PerfReport>& log) {
   // The writer only reads through the reference.
   return wire::to_json(PerfLog{const_cast<std::vector<PerfReport>&>(log)});
-}
-
-std::vector<PerfReport> perf_log_from_json(const Json& doc) {
-  std::vector<PerfReport> out;
-  PerfLog log{out};
-  wire::read(doc, log);
-  return out;
-}
-
-bool write_perf_log(const std::string& path,
-                    const std::vector<PerfReport>& log) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << perf_log_to_json(log).dump(2) << "\n";
-  return static_cast<bool>(out);
 }
 
 void cross_check_stage_sum(const PerfReport& report) {

@@ -10,7 +10,7 @@
 // taxonomy named after the real kernel symbols, a PerfReport carrying
 // per-core and per-flow cycle totals, text renderers (perf report-style
 // table + Brendan Gregg collapsed stacks), and a JSON round-trip for
-// dtnsim-perf --json/--replay. obs::Sampler (sampler.hpp)
+// dtnsim-perf --json and a RunRecord's perf_log. obs::Sampler (sampler.hpp)
 // takes the reports on the simulation clock and mirrors headline figures
 // into perf.* gauges.
 //
@@ -134,7 +134,7 @@ std::string format_flamegraph(const PerfReport& r);
 std::string format_flamegraph_diff(const PerfReport& before,
                                    const PerfReport& after);
 
-// ---- JSON round-trip (dtnsim-perf --json / --replay) ----------------------
+// ---- JSON round-trip (dtnsim-perf --json, RunRecord::perf_log) ------------
 // One key list per struct (util/fields.hpp) drives both directions.
 
 // A stage cycle array as {"tx_syscall": cycles, ...}.
@@ -189,9 +189,6 @@ void fields(V& v, PerfLog& log) {
 
 Json to_json(const PerfReport& r);
 Json perf_log_to_json(const std::vector<PerfReport>& log);
-// Lenient, like ss_log_from_json: malformed entries keep their defaults.
-std::vector<PerfReport> perf_log_from_json(const Json& doc);
-bool write_perf_log(const std::string& path, const std::vector<PerfReport>& log);
 
 // The attribution integrity check: for every core group, summed stage
 // cycles must equal the consumed-cycle figure the engine charged (per round

@@ -1,9 +1,9 @@
 #include "dtnsim/obs/probe.hpp"
 
 #include <algorithm>
-#include <fstream>
 
 #include "dtnsim/util/csv.hpp"
+#include "dtnsim/util/file.hpp"
 #include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::obs {
@@ -75,10 +75,7 @@ std::string merged_series_csv(const std::vector<LabeledSeries>& series) {
 
 bool write_merged_series_csv(const std::string& path,
                              const std::vector<LabeledSeries>& series) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << merged_series_csv(series);
-  return static_cast<bool>(out);
+  return write_file(path, merged_series_csv(series));
 }
 
 }  // namespace dtnsim::obs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <stdexcept>
 
 #include "dtnsim/util/strfmt.hpp"
@@ -188,20 +187,6 @@ Json to_json(const TcpInfoSnapshot& s) { return wire::to_json(s); }
 Json ss_log_to_json(const std::vector<SsReport>& log) {
   // The writer only reads through the reference.
   return wire::to_json(SsLog{const_cast<std::vector<SsReport>&>(log)});
-}
-
-std::vector<SsReport> ss_log_from_json(const Json& doc) {
-  std::vector<SsReport> out;
-  SsLog log{out};
-  wire::read(doc, log);
-  return out;
-}
-
-bool write_ss_log(const std::string& path, const std::vector<SsReport>& log) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << ss_log_to_json(log).dump(2) << "\n";
-  return static_cast<bool>(out);
 }
 
 void cross_check_delivered(const SsReport& report, const Registry& registry,

@@ -5,9 +5,9 @@
 // tcp_info per socket, NIC counters per device, qdisc stats per interface.
 // This header defines plain-data snapshot structs mirroring the fields the
 // model can honestly populate, text formatters shaped like the real tools'
-// output, and a JSON round-trip (dtnsim-ss --json / --replay). obs::Sampler
-// (sampler.hpp) takes the reports on the simulation clock and mirrors
-// headline fields into the shared Registry/trace sinks.
+// output, and a JSON round-trip (dtnsim-ss --json, a RunRecord's ss_log).
+// obs::Sampler (sampler.hpp) takes the reports on the simulation clock and
+// mirrors headline fields into the shared Registry/trace sinks.
 //
 // Layering: obs sits below net/tcp/kern, so these structs carry copies of
 // engine state. An SsReport is also the fluid engine's accumulator: with ss
@@ -110,7 +110,7 @@ std::string format_ss(const SsReport& r);
 // and a "tuned" recording of the same scenario can be read in one table.
 std::string format_ss_diff(const SsReport& a, const SsReport& b);
 
-// ---- JSON round-trip (dtnsim-ss --json / --replay) -----------------------
+// ---- JSON round-trip (dtnsim-ss --json, RunRecord::ss_log) ----------------
 // One key list per struct (util/fields.hpp) drives both directions.
 template <class V>
 void fields(V& v, TcpInfoSnapshot& s) {
@@ -186,10 +186,6 @@ void fields(V& v, SsLog& log) {
 
 Json to_json(const TcpInfoSnapshot& s);
 Json ss_log_to_json(const std::vector<SsReport>& log);
-// Lenient: a malformed entry keeps its defaults, so --replay shows what
-// parsed; an unreadable document yields an empty log.
-std::vector<SsReport> ss_log_from_json(const Json& doc);
-bool write_ss_log(const std::string& path, const std::vector<SsReport>& log);
 
 // A snapshot's summed bytes_acked must equal what the run's probe-facing
 // delivered-bytes counter (`counter`, the engine's EngineMetrics row) gained

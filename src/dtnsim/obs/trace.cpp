@@ -1,7 +1,8 @@
 #include "dtnsim/obs/trace.hpp"
 
 #include <algorithm>
-#include <fstream>
+
+#include "dtnsim/util/file.hpp"
 
 namespace dtnsim::obs {
 
@@ -119,10 +120,7 @@ Json TraceSink::to_chrome_trace(const std::string& process_name) const {
 
 bool TraceSink::write_file(const std::string& path,
                            const std::string& process_name) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_chrome_trace(process_name).dump(1) << "\n";
-  return static_cast<bool>(out);
+  return dtnsim::write_file(path, to_chrome_trace(process_name).dump(1) + "\n");
 }
 
 Json merged_chrome_trace(
@@ -142,10 +140,7 @@ Json merged_chrome_trace(
 bool write_merged_chrome_trace(
     const std::string& path,
     const std::vector<std::pair<std::string, const TraceSink*>>& sinks) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << merged_chrome_trace(sinks).dump(1) << "\n";
-  return static_cast<bool>(out);
+  return write_file(path, merged_chrome_trace(sinks).dump(1) + "\n");
 }
 
 StreamingTraceSink::StreamingTraceSink(const std::string& path,

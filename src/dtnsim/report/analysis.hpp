@@ -51,11 +51,6 @@ struct RecoveryStats {
   bool recovered = false;     // reached >= 90% of baseline after `stop`
   units::SimTime recovery;    // first such time, relative to `stop`
   std::size_t samples = 0;    // rows considered (baseline + episode windows)
-
-  // Fraction of the baseline retained at the bottom of the dip.
-  double retained() const {
-    return baseline.bps() > 0.0 ? dip.bps() / baseline.bps() : 0.0;
-  }
 };
 RecoveryStats analyze_recovery(const obs::SeriesTable& series,
                                const std::string& column, units::SimTime start,

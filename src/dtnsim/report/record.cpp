@@ -8,35 +8,41 @@
 
 namespace dtnsim::report {
 
-RunAnalysis analyze_record(const RunRecord& record) {
+RunAnalysis analyze_run(const obs::SeriesTable& series,
+                        const std::vector<obs::PerfReport>& perf_log,
+                        const scenario::EventLog& scenario_log) {
   RunAnalysis a;
   // "Forever" for the whole-series window; SimTime is int64 nanoseconds so
   // 1e9 seconds stays comfortably inside the representable range.
   const auto horizon = units::SimTime::from_seconds(1e9);
-  const std::string col = goodput_column(record.series);
+  const std::string col = goodput_column(series);
   if (!col.empty()) {
-    const SeriesStats st = rate_stats(record.series, col, units::SimTime(), horizon);
+    const SeriesStats st = rate_stats(series, col, units::SimTime(), horizon);
     a.samples = st.samples;
     a.mean = st.mean;
     a.p50 = st.p50;
     a.p99 = st.p99;
-    a.flow_skew = per_flow_skew(record.series, units::SimTime(), horizon);
-    if (const auto w = episode_window(record.scenario_log)) {
+    a.flow_skew = per_flow_skew(series, units::SimTime(), horizon);
+    if (const auto w = episode_window(scenario_log)) {
       a.has_episode = true;
       a.episode_start = w->first;
       a.episode_end = w->second;
-      const RecoveryStats rec = analyze_recovery(record.series, col, w->first, w->second);
+      const RecoveryStats rec = analyze_recovery(series, col, w->first, w->second);
       a.baseline = rec.baseline;
       a.dip = rec.dip;
       a.recovered = rec.recovered;
       a.recovery = rec.recovery;
     }
   }
-  if (!record.perf_log.empty()) {
-    a.tx_cyc_per_byte = record.perf_log.back().tx_cyc_per_byte();
-    a.rx_cyc_per_byte = record.perf_log.back().rx_cyc_per_byte();
+  if (!perf_log.empty()) {
+    a.tx_cyc_per_byte = perf_log.back().tx_cyc_per_byte();
+    a.rx_cyc_per_byte = perf_log.back().rx_cyc_per_byte();
   }
   return a;
+}
+
+RunAnalysis analyze_record(const RunRecord& record) {
+  return analyze_run(record.series, record.perf_log, record.scenario_log);
 }
 
 // ---- JSON round-trip ------------------------------------------------------
@@ -52,10 +58,9 @@ RunRecord run_record_from_json(const Json& j) {
 }
 
 bool write_run_record(const std::string& path, const RunRecord& record) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_json(record).dump(2) << '\n';
-  return static_cast<bool>(out);
+  std::string text = to_json(record).dump(2);
+  text += '\n';
+  return write_file(path, text);
 }
 
 RunRecord load_run_record(const std::string& path) {

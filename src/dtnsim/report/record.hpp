@@ -80,6 +80,11 @@ struct RunAnalysis {
   // Perf headline, from the final PerfReport (0 when perf was off).
   double tx_cyc_per_byte = 0.0;
   double rx_cyc_per_byte = 0.0;
+
+  // Fraction of the baseline retained at the bottom of the dip.
+  double retained() const {
+    return baseline.bps() > 0.0 ? dip.bps() / baseline.bps() : 0.0;
+  }
 };
 
 struct RunRecord {
@@ -93,9 +98,15 @@ struct RunRecord {
   scenario::EventLog scenario_log;        // repeat 0's applied events
 };
 
-// Recompute the analysis block from the record's own series/logs — the
-// builder the harness calls, and what --summarize uses to verify a loaded
-// record's numbers still match its data.
+// The analysis of one run's probe series, perf log and scenario event log:
+// what a record stores and what a campaign row reports.
+RunAnalysis analyze_run(const obs::SeriesTable& series,
+                        const std::vector<obs::PerfReport>& perf_log,
+                        const scenario::EventLog& scenario_log);
+
+// analyze_run over the record's own blocks — what the harness stores in a
+// new record, and what --summarize uses to verify a loaded record's numbers
+// still match its data.
 RunAnalysis analyze_record(const RunRecord& record);
 
 // ---- JSON round-trip ------------------------------------------------------
@@ -148,7 +159,7 @@ void fields(V& v, RunAnalysis& a) {
 
 template <class V>
 void fields(V& v, RunRecord& r) {
-  v("schema", r.schema);
+  v("schema", r.schema, wire::required);
   v("meta", r.meta);
   v("summary", r.summary);
   v("analysis", r.analysis);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -142,25 +141,7 @@ Timeline load_timeline(const std::string& path) {
 }
 
 bool write_timeline(const std::string& path, const Timeline& timeline) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << to_json(timeline).dump(2) << '\n';
-  return static_cast<bool>(out);
-}
-
-Json to_json(const EventLog& log) { return wire::to_json(log); }
-
-std::optional<EventLog> event_log_from_json(const Json& json) {
-  EventLog log;
-  if (!wire::read(json, log).empty()) return std::nullopt;
-  return log;
-}
-
-bool write_event_log(const std::string& path, const EventLog& log) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << to_json(log).dump(2) << '\n';
-  return static_cast<bool>(out);
+  return write_file(path, to_json(timeline).dump(2) + "\n");
 }
 
 Timeline timeline_from_log(const EventLog& log) {

@@ -181,13 +181,6 @@ void fields(V& v, EventLog& log) {
   v("events", log.events, wire::required);
 }
 
-Json to_json(const EventLog& log);
-// nullopt on structural mismatch, like timeline_from_json.
-std::optional<EventLog> event_log_from_json(const Json& json);
-// Pretty-printed JSON to `path`; false on I/O failure (--scenario-out and
-// dtnsim-scenario --run both write this format, --replay reads it back).
-bool write_event_log(const std::string& path, const EventLog& log);
-
 // Inverse of running a timeline: reconstruct a loadable Timeline from the
 // events a run actually crossed (`--record-timeline`). Fire times become
 // nominal times (jitter_sec = 0 — the jitter was already drawn), durations

@@ -12,7 +12,6 @@
 #include <stdexcept>
 
 #include "dtnsim/cli/cli.hpp"
-#include "dtnsim/report/analysis.hpp"
 #include "dtnsim/report/record.hpp"
 #include "dtnsim/sweep/cache.hpp"
 #include "dtnsim/sweep/pool.hpp"
@@ -53,22 +52,18 @@ Json row_json(const CellOutcome& out, const std::string& spec_name) {
   // Telemetry extras, presence-driven: --report grows the matching columns
   // only when some row carries them. Cached rows never have them (cells
   // with telemetry enabled bypass the result cache).
+  const obs::SeriesTable none;
+  const report::RunAnalysis a = report::analyze_run(
+      r.repeat_series.empty() ? none : r.repeat_series.front(), r.perf_log, r.scenario_log);
   if (!r.perf_log.empty()) {
-    j["tx_cyc_per_byte"] = r.perf_log.back().tx_cyc_per_byte();
-    j["rx_cyc_per_byte"] = r.perf_log.back().rx_cyc_per_byte();
+    j["tx_cyc_per_byte"] = a.tx_cyc_per_byte;
+    j["rx_cyc_per_byte"] = a.rx_cyc_per_byte;
   }
-  if (!r.repeat_series.empty()) {
-    const obs::SeriesTable& series = r.repeat_series.front();
-    const std::string col = report::goodput_column(series);
-    const auto window = report::episode_window(r.scenario_log);
-    if (!col.empty() && window) {
-      const report::RecoveryStats rec =
-          report::analyze_recovery(series, col, window->first, window->second);
-      j["baseline_gbps"] = rec.baseline.gbps();
-      j["dip_gbps"] = rec.dip.gbps();
-      j["recovery_sec"] = rec.recovered ? rec.recovery.seconds() : -1.0;
-      j["retained"] = rec.retained();
-    }
+  if (a.has_episode) {
+    j["baseline_gbps"] = a.baseline.gbps();
+    j["dip_gbps"] = a.dip.gbps();
+    j["recovery_sec"] = a.recovered ? a.recovery.seconds() : -1.0;
+    j["retained"] = a.retained();
   }
   return j;
 }
@@ -332,6 +327,11 @@ cli::Grammar sweep_grammar(SweepCli& o) {
     o.grid.telemetry.enabled = o.grid.telemetry.perf_enabled = true;
     return std::string();
   };
+  const Setter quick = [&o](const std::string&, const std::vector<std::string>&) {
+    o.grid.duration_sec = 2.0;
+    o.grid.repeats = 2;
+    return std::string();
+  };
   auto& g = o.grid;
   const FlagGroup axes{"grid axes (comma-separated lists; every combination is one cell):", {
     {{"--kernels"}, "LIST", "e.g. 5.15,6.5,6.8",
@@ -363,7 +363,8 @@ cli::Grammar sweep_grammar(SweepCli& o) {
     {{"--repeats"}, "N", "harness repeats per cell (default 10)", set_whole(g.repeats, 1, kIntMax)},
     {{"--seed"}, "N", "campaign base seed (cell seeds derive from it)",
      set_whole(g.base_seed, 0, std::numeric_limits<std::uint64_t>::max())},
-    {{"--quick"}, "", "smoke preset: --time 2 --repeats 2", set_true(o.quick)}}};
+    {{"--quick"}, "",
+     "smoke preset: --time 2 --repeats 2; a later\n--time or --repeats overrides it", quick}}};
   const FlagGroup execution{"execution (docs/SWEEP.md):", {
     {{"--jobs"}, "N", "at most N threads (default 1; 0 = usable CPUs)",
      set_whole(o.run.jobs, 0, kIntMax)},
@@ -399,10 +400,6 @@ cli::Grammar sweep_grammar(SweepCli& o) {
 SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
   SweepCli o;
   o.error = cli::parse_args(sweep_grammar(o), args);
-  if (o.quick) {
-    o.grid.duration_sec = 2.0;
-    o.grid.repeats = 2;
-  }
   return o;
 }
 

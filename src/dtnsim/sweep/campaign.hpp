@@ -81,7 +81,6 @@ struct SweepCli {
   std::string error;  // non-empty -> parse failed
   GridSpec grid;
   CampaignOptions run;
-  bool quick = false;  // 2 s x 2 repeats preset for smokes
   // Non-empty: render the paper-style summary table from a finished
   // campaign's JSONL results stream (--out file) and exit — no simulation.
   std::string report_path;

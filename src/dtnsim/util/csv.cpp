@@ -1,7 +1,5 @@
 #include "dtnsim/util/csv.hpp"
 
-#include <fstream>
-
 namespace dtnsim {
 
 CsvWriter::CsvWriter(std::vector<std::string> headers) : headers_(std::move(headers)) {}
@@ -31,13 +29,6 @@ std::string CsvWriter::str() const {
   emit(headers_);
   for (const auto& row : rows_) emit(row);
   return out;
-}
-
-bool CsvWriter::write_file(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << str();
-  return static_cast<bool>(f);
 }
 
 }  // namespace dtnsim

@@ -14,8 +14,6 @@ class CsvWriter {
   void add_row(const std::vector<std::string>& cells);
 
   std::string str() const;
-  // Write to file; returns false on I/O failure.
-  bool write_file(const std::string& path) const;
 
   static std::string escape(const std::string& field);
 

@@ -20,9 +20,8 @@
 // the member's default. A key of the wrong kind, a number outside its
 // member's range, or an absent key tagged wire::required records an error
 // naming the key's dotted path (e.g. "summary.samples_gbps is not an
-// array") and also keeps the default. Each
-// loader decides what an error means: RunRecords, timelines and cache
-// entries reject the document, ss/perf log replay keeps what parsed.
+// array") and also keeps the default. Each loader decides what an error
+// means: RunRecords, timelines and cache entries reject the document.
 #pragma once
 
 #include <cstdint>

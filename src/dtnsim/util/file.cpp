@@ -16,4 +16,12 @@ std::optional<std::string> read_file(const std::string& path) {
   return text;
 }
 
+bool write_file(const std::string& path, std::string_view text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return false;
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.close();
+  return !out.fail();
+}
+
 }  // namespace dtnsim

@@ -206,12 +206,11 @@ std::string iperf3_parse(const std::vector<std::string>& args) {
   const CliOptions o = parse_cli(args);
   std::string out = strfmt(
       "  opts help=%d error=%s json=%d probe_interval=%.17g metrics_out=%s trace_out=%s "
-      "trace_stream=%s ss_watch=%.17g ss_out=%s force_ss=%d perf_watch=%.17g perf_out=%s "
-      "force_perf=%d scenario=%s scenario_out=%s record_out=%s record_timeline=%s\n",
+      "trace_stream=%s ss_watch=%.17g force_ss=%d perf_watch=%.17g force_perf=%d scenario=%s "
+      "record_out=%s record_timeline=%s\n",
       o.show_help, o.error.c_str(), o.iperf.json, o.probe_interval_sec, o.metrics_out.c_str(),
-      o.trace_out.c_str(), o.trace_stream.c_str(), o.ss_watch_sec, o.ss_out.c_str(),
-      o.force_ss, o.perf_watch_sec, o.perf_out.c_str(), o.force_perf, o.scenario_file.c_str(),
-      o.scenario_out.c_str(), o.record_out.c_str(), o.record_timeline.c_str());
+      o.trace_out.c_str(), o.trace_stream.c_str(), o.ss_watch_sec, o.force_ss, o.perf_watch_sec,
+      o.force_perf, o.scenario_file.c_str(), o.record_out.c_str(), o.record_timeline.c_str());
   if (!o.error.empty()) return out;
   try {
     const auto spec = spec_from_cli(o);
@@ -227,9 +226,9 @@ std::string iperf3_parse(const std::vector<std::string>& args) {
 std::string sweep_parse(const std::vector<std::string>& args) {
   const auto cli = sweep::parse_sweep_cli(args);
   std::string out = strfmt(
-      "  run help=%d error=%s quick=%d jobs=%d cache=%s out=%s resume=%d report=%s "
+      "  run help=%d error=%s jobs=%d cache=%s out=%s resume=%d report=%s "
       "plot_out=%s gc=%d max_age_days=%.17g salt_mismatch=%d dry_run=%d\n",
-      cli.show_help, cli.error.c_str(), cli.quick, cli.run.jobs, cli.run.cache_dir.c_str(),
+      cli.show_help, cli.error.c_str(), cli.run.jobs, cli.run.cache_dir.c_str(),
       cli.run.results_path.c_str(), cli.run.resume, cli.report_path.c_str(),
       cli.plot_out.c_str(), cli.gc, cli.gc_opts.max_age_days, cli.gc_opts.salt_mismatch,
       cli.gc_opts.dry_run);

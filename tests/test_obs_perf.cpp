@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "dtnsim/core/dtnsim.hpp"
 #include "dtnsim/flow/packet_sim.hpp"
 #include "dtnsim/obs/perf.hpp"
+#include "dtnsim/report/record.hpp"
 #include "dtnsim/util/file.hpp"
 
 namespace dtnsim {
@@ -285,10 +287,13 @@ TEST(PerfReportRender, JsonRoundTripPreservesEveryField) {
                      .run();
   ASSERT_GE(r.perf_log.size(), 2u);
   ASSERT_EQ(r.perf_log.back().flows.size(), 4u);  // every flow row round-trips
-  const auto doc = obs::perf_log_to_json(r.perf_log);
-  const auto parsed = Json::parse(doc.dump(2));
-  ASSERT_TRUE(parsed.has_value());
-  const auto back = obs::perf_log_from_json(*parsed);
+  // The perf log travels in a run record (--record-out, dtnsim-perf --replay).
+  report::RunRecord record;
+  record.perf_log = r.perf_log;
+  const std::string path = ::testing::TempDir() + "dtnsim_perf_record.json";
+  ASSERT_TRUE(report::write_run_record(path, record));
+  const auto back = report::load_run_record(path).perf_log;
+  std::remove(path.c_str());
   ASSERT_EQ(back.size(), r.perf_log.size());
   for (std::size_t i = 0; i < back.size(); ++i) {
     const auto& a = r.perf_log[i];

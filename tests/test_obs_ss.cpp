@@ -1,11 +1,12 @@
 // Kernel-eye snapshots (dtnsim-ss): field consistency against the shared
 // Registry (also across repeated runs on one Telemetry), the Fig. 9
 // zerocopy/optmem pathology and its tuned clearing, NIC/qdisc counter
-// monotonicity under --watch, JSON round-trips through Json::parse, the
+// monotonicity under --watch, the round-trip through a run record file, the
 // zero-cost-when-disabled guarantee, and the snapshot key schema golden
 // (tests/golden/ss_snapshot_keys.txt).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "dtnsim/core/dtnsim.hpp"
 #include "dtnsim/flow/packet_sim.hpp"
 #include "dtnsim/obs/ss.hpp"
+#include "dtnsim/report/record.hpp"
 #include "dtnsim/util/file.hpp"
 
 namespace dtnsim {
@@ -209,10 +211,13 @@ TEST(SsSnapshot, JsonRoundTripsThroughParser) {
   const auto r = fig09_cell(20480).ss_watch(units::SimTime::from_seconds(2)).run();
   ASSERT_GE(r.ss_log.size(), 2u);
 
-  const std::string text = obs::ss_log_to_json(r.ss_log).dump(2);
-  const auto doc = Json::parse(text);
-  ASSERT_TRUE(doc.has_value());
-  const auto back = obs::ss_log_from_json(*doc);
+  // The ss log travels in a run record (--record-out, dtnsim-ss --replay).
+  report::RunRecord record;
+  record.ss_log = r.ss_log;
+  const std::string path = ::testing::TempDir() + "dtnsim_ss_record.json";
+  ASSERT_TRUE(report::write_run_record(path, record));
+  const auto back = report::load_run_record(path).ss_log;
+  std::remove(path.c_str());
   ASSERT_EQ(back.size(), r.ss_log.size());
   for (std::size_t i = 0; i < back.size(); ++i) {
     const auto& a = r.ss_log[i];

@@ -109,7 +109,6 @@ TEST(ReportAnalysis, RecoveryStatsByHand) {
   // Baseline window is [10, 20): ten samples, all 10 Gbps.
   EXPECT_DOUBLE_EQ(st.baseline.gbps(), 10.0);
   EXPECT_DOUBLE_EQ(st.dip.gbps(), 2.0);
-  EXPECT_DOUBLE_EQ(st.retained(), 0.2);
   EXPECT_EQ(st.samples, 16u);  // 10 baseline + 6 episode rows
   ASSERT_TRUE(st.recovered);
   EXPECT_DOUBLE_EQ(st.recovery.seconds(), 2.0);  // t = 27, relative to 25
@@ -128,7 +127,7 @@ TEST(ReportAnalysis, DipClampsAtZeroAndEmptyBaselineIsZero) {
       analyze_recovery(series, "flow.goodput_bps", sec(20), sec(25));
   EXPECT_DOUBLE_EQ(st.dip.bps(), 0.0);       // clamped
   EXPECT_DOUBLE_EQ(st.baseline.bps(), 0.0);  // no rows before the episode
-  EXPECT_DOUBLE_EQ(st.retained(), 0.0);
+  EXPECT_DOUBLE_EQ(RunAnalysis().retained(), 0.0);  // no baseline: nothing retained
 }
 
 // ---- per_flow_skew --------------------------------------------------------
@@ -227,6 +226,7 @@ TEST(ReportRecord, AnalysisDerivesFromOwnSeriesAndLog) {
   const RunRecord rec = sample_record();
   EXPECT_DOUBLE_EQ(rec.analysis.baseline.gbps(), 10.0);
   EXPECT_DOUBLE_EQ(rec.analysis.dip.gbps(), 2.0);
+  EXPECT_DOUBLE_EQ(rec.analysis.retained(), 0.2);
   EXPECT_TRUE(rec.analysis.has_episode);
   EXPECT_DOUBLE_EQ(rec.analysis.episode_start.seconds(), 20.0);
   EXPECT_DOUBLE_EQ(rec.analysis.episode_end.seconds(), 25.0);

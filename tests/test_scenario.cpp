@@ -407,7 +407,7 @@ TEST(ScenarioGolden, EventLogSchemaMatchesGolden) {
   EventLog log;
   AppliedEvent ev;
   log.events.push_back(ev);
-  const auto j = to_json(log);
+  const auto j = wire::to_json(log);
   std::vector<std::string> got = j.keys();  // sorted
   const auto* events = j.find("events");
   ASSERT_NE(events, nullptr);
@@ -417,38 +417,6 @@ TEST(ScenarioGolden, EventLogSchemaMatchesGolden) {
   EXPECT_EQ(got, want) << "event log schema changed; regenerate tests/"
                           "golden/scenario_log_keys.txt (see docs/"
                           "SCENARIO.md)";
-}
-
-// ---- event-log file round-trip --------------------------------------------
-
-TEST(ScenarioJson, EventLogWriteReadRoundTrip) {
-  EventLog log;
-  log.engine = "fluid";
-  log.timeline = "rt";
-  log.label = "cell0";
-  AppliedEvent ev;
-  ev.fire_sec = 20.5;
-  ev.end_sec = 25.5;
-  ev.kind = EventKind::LossBurst;
-  ev.value = 0.02;
-  ev.applied = true;
-  ev.note = "n";
-  log.events.push_back(ev);
-
-  const fs::path path =
-      fs::path(::testing::TempDir()) / "dtnsim_scn_log.json";
-  ASSERT_TRUE(write_event_log(path.string(), log));
-  const auto doc = Json::parse(read_file(path.string()).value_or(""));
-  ASSERT_TRUE(doc.has_value());
-  const auto back = event_log_from_json(*doc);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->engine, log.engine);
-  EXPECT_EQ(back->label, log.label);
-  ASSERT_EQ(back->events.size(), 1u);
-  EXPECT_DOUBLE_EQ(back->events[0].fire_sec, ev.fire_sec);
-  EXPECT_EQ(back->events[0].kind, EventKind::LossBurst);
-  EXPECT_TRUE(back->events[0].applied);
-  fs::remove(path);
 }
 
 // ---- shipped example timelines --------------------------------------------

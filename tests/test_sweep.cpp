@@ -706,6 +706,19 @@ TEST(SweepCli, QuickPresetAndHelp) {
   EXPECT_EQ(run_sweep_cli(parse_sweep_cli({"--bogus", "x"}), output), 2);
 }
 
+// --quick sets --time and --repeats where it appears, so flags apply left
+// to right: a later --time or --repeats overrides the preset.
+TEST(SweepCli, QuickAppliesWhereItAppears) {
+  const auto later = parse_sweep_cli({"--quick", "--time", "1", "--repeats", "5"});
+  ASSERT_TRUE(later.error.empty());
+  EXPECT_DOUBLE_EQ(later.grid.duration_sec, 1.0);
+  EXPECT_EQ(later.grid.repeats, 5);
+  const auto earlier = parse_sweep_cli({"--time", "1", "--repeats", "5", "--quick"});
+  ASSERT_TRUE(earlier.error.empty());
+  EXPECT_DOUBLE_EQ(earlier.grid.duration_sec, 2.0);
+  EXPECT_EQ(earlier.grid.repeats, 2);
+}
+
 TEST(SweepCli, EndToEndTinyCampaign) {
   const std::string dir = scratch_dir("cli_e2e");
   std::string output;

@@ -1,13 +1,19 @@
-# Every tool's command line, the same three ways:
+# Every tool's command line, the same three ways, and the run tools' output
+# files:
 #
 #   cmake -DTOOLS=<directory of the dtnsim-* programs> -P tests/tool_cli.cmake
 #
 # --help exits 0; a value-taking flag with no value exits 2 with "missing
 # value for <flag>"; an unknown flag exits 2 and names it. dtnsim-advisor is
 # also given a path its testbed lacks, which exits 2 with the lookup's
-# message. Each failing case is reported; the script fails if any did.
+# message. dtnsim-ss, -perf and dtnsim-scenario --run write every output
+# file their line names, and their replays render the run records. Tools
+# run from the repository root; their files go under TOOLS/tool_cli_out.
+# Each failing case is reported; the script fails if any did.
+get_filename_component(root ${CMAKE_CURRENT_LIST_DIR} DIRECTORY)
+
 function(expect tool code text)
-  execute_process(COMMAND ${TOOLS}/dtnsim-${tool} ${ARGN}
+  execute_process(COMMAND ${TOOLS}/dtnsim-${tool} ${ARGN} WORKING_DIRECTORY ${root}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   string(FIND "${out}${err}" "${text}" at)
   if(NOT rc STREQUAL code OR at EQUAL -1)
@@ -38,3 +44,39 @@ foreach(tool iperf3 sweep ss perf scenario report repro advisor)
 endforeach()
 
 expect(advisor 2 "no path named WAN 999ms" --path "WAN 999ms")
+expect(advisor 0 "amlight-dtn (Intel Xeon Gold 6346, kernel 5.10)" --testbed amlight-baremetal)
+
+# Each run tool writes every file its line names and notes it after the
+# text view.
+set(out ${TOOLS}/tool_cli_out)
+file(REMOVE_RECURSE ${out})
+file(MAKE_DIRECTORY ${out})
+function(expect_run tool)
+  set(files ${out}/${tool}.json ${out}/${tool}.csv ${out}/${tool}.trace.json ${ARGN})
+  file(REMOVE ${files})
+  expect(${tool} 0 "record     : ${out}/${tool}.json" --testbed esnet
+         --record-out ${out}/${tool}.json --metrics-out ${out}/${tool}.csv
+         --trace-out ${out}/${tool}.trace.json ${run_${tool}})
+  foreach(f IN LISTS files)
+    if(NOT EXISTS ${f})
+      message(SEND_ERROR "dtnsim-${tool} wrote no ${f}")
+    endif()
+  endforeach()
+endfunction()
+set(run_ss -t 2)
+set(run_perf -t 2)
+set(run_scenario --run --scenario scenarios/link_flap.json --path "WAN 63ms" --fq-rate 10G
+    -t 30 --record-timeline ${out}/scenario.timeline.json)
+expect_run(ss)
+expect_run(perf)
+expect_run(scenario ${out}/scenario.timeline.json)
+
+# The replays render those records; a file that is not one exits 2 naming it.
+expect(ss 0 "flow 0: ESTAB" --replay ${out}/ss.json)
+expect(ss 0 "dtnsim-ss diff (B - A)" --diff ${out}/ss.json ${out}/perf.json)
+expect(perf 0 "copy_user_enhanced_fast_string" --replay ${out}/perf.json --flame)
+expect(scenario 0 "2 events crossed, 2 applied" --replay ${out}/scenario.json)
+foreach(tool ss perf scenario)
+  expect(${tool} 2 "scenarios/link_flap.json" --replay scenarios/link_flap.json)
+endforeach()
+expect(scenario 2 "${out}/ss.json holds no scenario event log" --replay ${out}/ss.json)

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   std::string path_name;
   bool stock = false, dtn_use_case = false, help = false;
   const cli::FlagGroup flags{"", {
-    {{"--testbed"}, "NAME", "amlight | esnet | production (default esnet)", cli::set_text(testbed)},
+    {{"--testbed"}, "NAME", "amlight | amlight-baremetal | esnet | production\n(default esnet)",
+     cli::set_text(testbed)},
     {{"--path"}, "NAME", "e.g. 'WAN 63ms' (default: testbed LAN)", cli::set_text(path_name)},
     {{"--stock"}, "", "audit an untuned host (stock tuning, kernel 5.15)", cli::set_true(stock)},
     {{"--dtn"}, "", "the parallel-stream DTN use case", cli::set_true(dtn_use_case)},
@@ -33,11 +34,10 @@ int main(int argc, char** argv) {
   }
 
   harness::Testbed tb;
-  if (testbed == "amlight") tb = harness::amlight();
-  else if (testbed == "esnet") tb = harness::esnet();
-  else if (testbed == "production") tb = harness::esnet_production();
-  else {
-    std::fprintf(stderr, "error: unknown testbed: %s\n", testbed.c_str());
+  try {
+    tb = harness::testbed_by_name(testbed);
+  } catch (const std::invalid_argument& e) {  // no such testbed
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
   if (stock) {

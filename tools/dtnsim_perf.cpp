@@ -2,30 +2,32 @@
 //
 // Runs a scenario (same flags as dtnsim-iperf3) with exact per-stage cycle
 // attribution enabled and renders each sample the way `perf report` would,
-// or emits collapsed stacks for flamegraph.pl, or replays a previously
-// written attribution log without re-simulating.
+// or emits collapsed stacks for flamegraph.pl, or replays the perf_log of a
+// run record (--record-out) without re-simulating.
 //
 //   $ dtnsim-perf --testbed amlight --path LAN --kernel 6.5 -t 5
 //   $ dtnsim-perf --testbed esnet -Z --fq-rate 50G -t 5 --record 1 --flame
-//   $ dtnsim-perf --replay run.perf.json --report
-//   $ dtnsim-perf --flame --diff before.perf.json after.perf.json
+//   $ dtnsim-perf --replay run.json --report
+//   $ dtnsim-perf --flame --diff before.json after.json
 //
 // --diff writes differential collapsed stacks ("stack beforeN afterN", the
 // difffolded.pl shape); flamegraph.pl --negate renders the red/blue view.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dtnsim/cli/cli.hpp"
 #include "dtnsim/obs/perf.hpp"
-#include "dtnsim/util/file.hpp"
 
 namespace {
 
+using dtnsim::obs::PerfReport;
+
 enum class Mode { Report, Flame, Json };
 
-void render(const std::vector<dtnsim::obs::PerfReport>& log, Mode mode) {
+void render(const std::vector<PerfReport>& log, Mode mode) {
   using namespace dtnsim::obs;
   switch (mode) {
     case Mode::Json:
@@ -42,22 +44,17 @@ void render(const std::vector<dtnsim::obs::PerfReport>& log, Mode mode) {
   }
 }
 
-// Load a recorded attribution log; empty vector (with a message) on error.
-std::vector<dtnsim::obs::PerfReport> load_log(const std::string& path) {
-  const auto text = dtnsim::read_file(path);
-  if (!text) {
-    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
-    return {};
+// A run record's perf_log; empty (with a message naming the file) when the
+// record does not load or holds no samples.
+std::vector<PerfReport> load_log(const std::string& path) {
+  std::vector<PerfReport> log;
+  try {
+    log = dtnsim::report::load_run_record(path).perf_log;
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return log;
   }
-  const auto doc = dtnsim::Json::parse(*text);
-  if (!doc) {
-    std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
-    return {};
-  }
-  const auto log = dtnsim::obs::perf_log_from_json(*doc);
-  if (log.empty()) {
-    std::fprintf(stderr, "error: %s holds no samples\n", path.c_str());
-  }
+  if (log.empty()) std::fprintf(stderr, "error: %s holds no perf samples\n", path.c_str());
   return log;
 }
 
@@ -68,7 +65,7 @@ int replay(const std::string& path, Mode mode) {
   return 0;
 }
 
-// `--flame --diff A B`: differential profile between two recorded logs. The
+// `--flame --diff A B`: differential profile between two run records. The
 // final sample of each log carries the whole run's attribution, so the diff
 // compares run totals — before (A) against after (B).
 int diff(const std::string& a_path, const std::string& b_path, Mode mode) {
@@ -98,8 +95,10 @@ int main(int argc, char** argv) {
      set_seconds(opts.perf_watch_sec)},
     {{"--report"}, "", "perf-report-style text output (default)", set_to(mode, Mode::Report)},
     {{"--flame"}, "", "collapsed stacks for flamegraph.pl", set_to(mode, Mode::Flame)},
-    {{"--replay"}, "FILE", "render a recorded log, no simulation", set_text(replay_path)},
-    {{"--diff"}, "A B", "with --flame: differential stacks of two logs", set_texts(diff_logs)},
+    {{"--replay"}, "FILE", "render a run record's perf_log, no simulation",
+     set_text(replay_path)},
+    {{"--diff"}, "A B", "with --flame: differential stacks of two records",
+     set_texts(diff_logs)},
     {{"-J", "--json"}, "", "emit the attribution log as JSON", set_to(mode, Mode::Json)}}};
   const Grammar grammar = tool_grammar(
       "dtnsim-perf — exact per-stage CPU-cycle attribution of a dtnsim run\n"
@@ -112,26 +111,15 @@ int main(int argc, char** argv) {
   }
   if (!diff_logs.empty()) return diff(diff_logs[0], diff_logs[1], mode);
   if (!replay_path.empty()) return replay(replay_path, mode);
-  opts.force_perf = true;
 
-  dtnsim::harness::TestSpec spec;
-  try {
-    spec = spec_from_cli(opts);
-  } catch (const std::exception& e) {  // unknown testbed or path name
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
+  opts.force_perf = true;
+  const CliRun run = run_command(opts);
+  if (run.code != 0) {
+    std::fputs(run.error.c_str(), stderr);
+    return run.code;
   }
-  const auto result = dtnsim::harness::run_test(spec);
-  const auto& log = result.perf_log;
-  if (log.empty()) {
-    std::fprintf(stderr, "error: run produced no samples\n");
-    return 1;
-  }
-  if (!opts.perf_out.empty() && !dtnsim::obs::write_perf_log(opts.perf_out, log)) {
-    std::fprintf(stderr, "error: cannot write perf log to %s\n",
-                 opts.perf_out.c_str());
-    return 1;
-  }
-  render(log, mode);
+  render(run.result.perf_log, mode);
+  // Notes follow the text report; JSON and collapsed stacks stay parseable.
+  if (mode == Mode::Report) std::fputs(run.notes.c_str(), stdout);
   return 0;
 }

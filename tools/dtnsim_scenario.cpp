@@ -8,18 +8,18 @@
 //   $ dtnsim-scenario --preview scenarios/link_flap.json --seed 7
 //   $ dtnsim-scenario --run --scenario scenarios/bg_surge.json
 //         --testbed amlight --path "WAN 106ms" -C bbr -t 60
-//   $ dtnsim-scenario --replay run.events.json
+//   $ dtnsim-scenario --replay run.json     (a --record-out run record)
 //
 // --preview and --run honour the shared --seed flag; the same seed that
 // produced a run reproduces its jittered fire times exactly.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dtnsim/cli/cli.hpp"
 #include "dtnsim/scenario/scenario.hpp"
-#include "dtnsim/util/file.hpp"
 #include "dtnsim/util/strfmt.hpp"
 
 namespace {
@@ -71,23 +71,21 @@ int preview(const std::string& path, std::uint64_t seed) {
   }
 }
 
+// Renders a run record's scenario_log.
 int replay(const std::string& path) {
-  const auto text = dtnsim::read_file(path);
-  if (!text) {
-    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
+  EventLog log;
+  try {
+    log = dtnsim::report::load_run_record(path).scenario_log;
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  const auto doc = dtnsim::Json::parse(*text);
-  if (!doc) {
-    std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
+  // A run without --scenario leaves the log at its defaults, engine unset.
+  if (log.engine.empty()) {
+    std::fprintf(stderr, "error: %s holds no scenario event log\n", path.c_str());
     return 2;
   }
-  const auto log = dtnsim::scenario::event_log_from_json(*doc);
-  if (!log) {
-    std::fprintf(stderr, "error: %s is not an event log\n", path.c_str());
-    return 2;
-  }
-  render_event_log(*log);
+  render_event_log(log);
   return 0;
 }
 
@@ -101,7 +99,7 @@ int main(int argc, char** argv) {
   FlagGroup tool{"tool flags:", {
     {{"--validate"}, "FILE", "parse + validate a timeline and exit", set_text(validate_path)},
     {{"--preview"}, "FILE", "render fire windows (honours --seed)", set_text(preview_path)},
-    {{"--replay"}, "FILE", "render a recorded event log", set_text(replay_path)},
+    {{"--replay"}, "FILE", "render a run record's scenario_log", set_text(replay_path)},
     {{"--run"}, "", "simulate with --scenario FILE, print the log", set_true(run_mode)}}};
   const Grammar grammar = tool_grammar(
       "dtnsim-scenario — author, check and replay mid-run fault timelines\n"
@@ -124,25 +122,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --run needs --scenario FILE\n");
     return 2;
   }
-  dtnsim::harness::TestSpec spec;
-  try {
-    spec = dtnsim::cli::spec_from_cli(opts);
-  } catch (const std::exception& e) {  // unknown testbed/path or bad timeline
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
+  const CliRun run = run_command(opts);
+  if (run.code != 0) {
+    std::fputs(run.error.c_str(), stderr);
+    return run.code;
   }
-  const auto result = dtnsim::harness::run_test(spec);
+  const auto& result = run.result;
   std::printf("%s: %.2f Gbps mean over %d repeat%s, %.0f retransmits\n",
-              spec.name.empty() ? "run" : spec.name.c_str(), result.avg_gbps,
+              run.spec.name.empty() ? "run" : run.spec.name.c_str(), result.avg_gbps,
               result.repeats, result.repeats == 1 ? "" : "s",
               result.avg_retransmits);
   render_event_log(result.scenario_log);
-  if (!opts.scenario_out.empty() &&
-      !dtnsim::scenario::write_event_log(opts.scenario_out,
-                                         result.scenario_log)) {
-    std::fprintf(stderr, "error: cannot write event log to %s\n",
-                 opts.scenario_out.c_str());
-    return 1;
-  }
+  std::fputs(run.notes.c_str(), stdout);
   return 0;
 }

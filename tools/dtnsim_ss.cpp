@@ -2,40 +2,37 @@
 //
 // Runs a scenario (same flags as dtnsim-iperf3) with kernel-eye snapshots
 // enabled and prints each snapshot the way the real tools would, or replays
-// a previously written snapshot log without re-simulating.
+// the ss_log of a run record (--record-out) without re-simulating.
 //
 //   $ dtnsim-ss --testbed amlight --path "WAN 104ms" --kernel 6.5 -Z
 //               --fq-rate 50G --optmem 20480 -t 5 --watch 1
 //   $ dtnsim-ss --testbed esnet -P 8 --fq-rate 15G -t 5 --json
-//   $ dtnsim-ss --replay run.ss.json
-//   $ dtnsim-ss --diff sick.ss.json tuned.ss.json
+//   $ dtnsim-ss --replay run.json
+//   $ dtnsim-ss --diff sick.json tuned.json
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dtnsim/cli/cli.hpp"
 #include "dtnsim/obs/ss.hpp"
-#include "dtnsim/util/file.hpp"
 
 namespace {
 
-// Loads a --ss-out / --json dump; empty vector (with a message) on failure.
-std::vector<dtnsim::obs::SsReport> load_log(const std::string& path) {
-  const auto text = dtnsim::read_file(path);
-  if (!text) {
-    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
-    return {};
+using dtnsim::obs::SsReport;
+
+// A run record's ss_log; empty (with a message naming the file) when the
+// record does not load or holds no snapshots.
+std::vector<SsReport> load_log(const std::string& path) {
+  std::vector<SsReport> log;
+  try {
+    log = dtnsim::report::load_run_record(path).ss_log;
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return log;
   }
-  const auto doc = dtnsim::Json::parse(*text);
-  if (!doc) {
-    std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
-    return {};
-  }
-  auto log = dtnsim::obs::ss_log_from_json(*doc);
-  if (log.empty()) {
-    std::fprintf(stderr, "error: %s holds no snapshots\n", path.c_str());
-  }
+  if (log.empty()) std::fprintf(stderr, "error: %s holds no ss snapshots\n", path.c_str());
   return log;
 }
 
@@ -49,7 +46,7 @@ int diff(const std::string& path_a, const std::string& path_b) {
   return 0;
 }
 
-void render(const std::vector<dtnsim::obs::SsReport>& log, bool json) {
+void render(const std::vector<SsReport>& log, bool json) {
   if (json) {
     std::fputs((dtnsim::obs::ss_log_to_json(log).dump(2) + "\n").c_str(), stdout);
   } else {
@@ -75,8 +72,9 @@ int main(int argc, char** argv) {
   FlagGroup tool{"tool flags:", {
     {{"--watch"}, "SEC", "snapshot every SEC of sim time (as --ss-watch)",
      set_seconds(opts.ss_watch_sec)},
-    {{"--replay"}, "FILE", "pretty-print a recorded log, no simulation", set_text(replay_path)},
-    {{"--diff"}, "A B", "compare two recorded logs' final snapshots", set_texts(diff_logs)},
+    {{"--replay"}, "FILE", "pretty-print a run record's ss_log, no simulation",
+     set_text(replay_path)},
+    {{"--diff"}, "A B", "compare two run records' final snapshots", set_texts(diff_logs)},
     {{"-J", "--json"}, "", "emit the snapshot log as JSON", set_true(json)}}};
   const Grammar grammar = tool_grammar(
       "dtnsim-ss — kernel-eye socket/NIC/qdisc snapshots of a dtnsim run\n"
@@ -89,25 +87,14 @@ int main(int argc, char** argv) {
   }
   if (!diff_logs.empty()) return diff(diff_logs[0], diff_logs[1]);
   if (!replay_path.empty()) return replay(replay_path, json);
-  opts.force_ss = true;
 
-  dtnsim::harness::TestSpec spec;
-  try {
-    spec = spec_from_cli(opts);
-  } catch (const std::exception& e) {  // unknown testbed or path name
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
+  opts.force_ss = true;
+  const CliRun run = run_command(opts);
+  if (run.code != 0) {
+    std::fputs(run.error.c_str(), stderr);
+    return run.code;
   }
-  const auto result = dtnsim::harness::run_test(spec);
-  const auto& log = result.ss_log;
-  if (log.empty()) {
-    std::fprintf(stderr, "error: run produced no snapshots\n");
-    return 1;
-  }
-  if (!opts.ss_out.empty() && !dtnsim::obs::write_ss_log(opts.ss_out, log)) {
-    std::fprintf(stderr, "error: cannot write ss log to %s\n", opts.ss_out.c_str());
-    return 1;
-  }
-  render(log, json);
+  render(run.result.ss_log, json);
+  if (!json) std::fputs(run.notes.c_str(), stdout);
   return 0;
 }
