@@ -1,8 +1,8 @@
 // Example: build a testbed from scratch with the low-level API.
 //
 // Everything the built-in AmLight/ESnet testbeds do can be composed by
-// hand: pick CPUs, a kernel, a NIC, tunings, and a path, then drive the
-// iperf3 tool model directly (including its JSON output).
+// hand: pick CPUs, a kernel, a NIC, tunings, and a path, then run the
+// iperf3 options the patched tool would run through the harness.
 //
 //   $ ./custom_testbed
 #include <cstdio>
@@ -34,36 +34,41 @@ int main() {
   path.bg_burst_sigma = 0.4;
   path.burst_tolerance_bps = 70e9;
 
-  // Drive the patched iperf3 model directly.
-  app::IperfTool iperf;  // v3.17 + patches 1690/1728
+  // What iperf3 v3.17 with patches #1690/#1728 runs for these options; the
+  // stock 3.16 tool would drop zerocopy.
   app::IperfOptions opts;
   opts.parallel = 4;
   opts.duration_sec = 30;
   opts.zerocopy = true;
   opts.fq_rate_bps = units::gbps(20);
-  opts.json = true;
+  std::printf("stock iperf3 3.16 would warn: %s\n\n",
+              app::resolve_options(opts, app::IperfVersion::stock_3_16()).warnings.c_str());
 
-  const auto report = iperf.run(dtn, dtn, path, opts, /*flow_control=*/false, /*seed=*/7);
-  std::printf("%s\n\n", report.summary_line().c_str());
-  std::printf("Per-stream: ");
-  for (double g : report.per_stream_gbps) std::printf("%.1f ", g);
-  std::printf("Gbps\n\n");
-
-  std::printf("--json output (first lines):\n");
-  const std::string json = report.to_json(opts).dump(2);
-  std::printf("%.*s\n...\n\n", 600, json.c_str());
+  harness::TestSpec spec;
+  spec.name = "campus-dtn -> lab";
+  spec.sender = dtn;
+  spec.receiver = dtn;
+  spec.path = path;
+  spec.iperf = app::resolve_options(opts, app::IperfVersion::patched_3_17()).options;
+  spec.repeats = 3;
+  const auto report = harness::run_test(spec);
+  std::printf("%s: %.1f ± %.1f Gbps, %.0f retransmits, snd CPU %.0f%%, rcv CPU %.0f%%\n",
+              report.name.c_str(), report.avg_gbps, report.stdev_gbps, report.avg_retransmits,
+              report.snd_cpu_pct, report.rcv_cpu_pct);
+  std::printf("Per-stream range: %.1f-%.1f Gbps\n\n", report.flow_min_gbps,
+              report.flow_max_gbps);
 
   // And ask the advisor whether this host is ready for production use.
   std::printf("Advisor on this configuration:\n%s",
               advise(dtn, path, UseCase::ParallelStreamDtn, false).to_string().c_str());
 
   // What would the same transfer look like without the uplink bottleneck?
-  net::PathSpec clean = path;
-  clean.capacity_bps = 200e9;
-  clean.bg_traffic_bps = 0;
-  clean.burst_tolerance_bps = 150e9;
-  const auto clean_report = iperf.run(dtn, dtn, clean, opts, false, 7);
+  harness::TestSpec clean = spec;
+  clean.path.capacity_bps = 200e9;
+  clean.path.bg_traffic_bps = 0;
+  clean.path.burst_tolerance_bps = 150e9;
+  const auto clean_report = harness::run_test(clean);
   std::printf("\nSame hosts on a clean 200G path: %.1f Gbps (vs %.1f on the uplink)\n",
-              clean_report.sum_received_gbps, report.sum_received_gbps);
+              clean_report.avg_gbps, report.avg_gbps);
   return 0;
 }

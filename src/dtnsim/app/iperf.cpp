@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "dtnsim/util/strfmt.hpp"
-
 namespace dtnsim::app {
 namespace {
 
@@ -13,109 +11,31 @@ constexpr double kFqRate32BitMax = 32.0e9;  // pre-patch-1728 uint ceiling
 
 EffectiveOptions resolve_options(const IperfOptions& opts, const IperfVersion& version) {
   EffectiveOptions eff;
-  eff.requested = opts;
-  eff.parallel = std::max(opts.parallel, 1);
+  eff.options = opts;
+  IperfOptions& o = eff.options;
+  o.parallel = std::max(opts.parallel, 1);
 
-  if (eff.parallel > 1 && !version.multithreaded()) {
-    // Pre-3.16 single-threaded iperf3: all streams share one thread/core.
-    // We model that as a hard cap at 1 effective stream worth of CPU; tests
-    // should use >= 3.16 as the paper does.
+  if (o.parallel > 1 && !version.multithreaded()) {
+    // Pre-3.16 single-threaded iperf3: all streams share one thread/core,
+    // modelled as one stream; tests should use >= 3.16 as the paper does.
+    o.parallel = 1;
     eff.warnings += "iperf3 < 3.16 is single-threaded; parallel streams share one core. ";
   }
 
-  eff.zerocopy = opts.zerocopy;
-  eff.skip_rx_copy = opts.skip_rx_copy;
   if ((opts.zerocopy || opts.skip_rx_copy) && !version.patch_1690) {
-    eff.zerocopy = false;
-    eff.skip_rx_copy = false;
+    o.zerocopy = false;
+    o.skip_rx_copy = false;
     eff.warnings += "--zerocopy=z/--skip-rx-copy require patch #1690; ignored. ";
   }
 
-  eff.fq_rate_bps = opts.fq_rate_bps;
   if (opts.fq_rate_bps > kFqRate32BitMax && !version.patch_1728) {
     // Without the 64-bit fq-rate patch the value wraps/clamps; the paper's
     // conclusion: "pacing single flows above 32 Gbps ... requires a recent
     // patch to iperf3".
-    eff.fq_rate_bps = kFqRate32BitMax;
+    o.fq_rate_bps = kFqRate32BitMax;
     eff.warnings += "--fq-rate above 32G requires patch #1728; clamped to 32G. ";
   }
   return eff;
-}
-
-IperfReport IperfTool::run(const host::HostConfig& client, const host::HostConfig& server,
-                           const net::PathSpec& path, const IperfOptions& opts,
-                           bool link_flow_control, std::uint64_t seed) const {
-  const EffectiveOptions eff = resolve_options(opts, version_);
-
-  flow::TransferConfig cfg;
-  cfg.sender = client;
-  cfg.receiver = server;
-  cfg.path = path;
-  cfg.streams = version_.multithreaded() ? eff.parallel : 1;
-  cfg.flow.zerocopy = eff.zerocopy;
-  cfg.flow.skip_rx_copy = eff.skip_rx_copy;
-  cfg.flow.fq_rate_bps = eff.fq_rate_bps;
-  cfg.flow.congestion = opts.congestion;
-  cfg.link_flow_control = link_flow_control;
-  cfg.duration = units::SimTime::from_seconds(opts.duration_sec);
-  cfg.seed = seed;
-
-  const flow::TransferResult res = flow::run_transfer(cfg);
-
-  IperfReport rep;
-  rep.sum_received_gbps = units::to_gbps(res.throughput_bps);
-  // Sender-side counts include what was later retransmitted.
-  rep.sum_sent_gbps =
-      rep.sum_received_gbps +
-      units::to_gbps(units::rate_of(res.dropped_bytes_nic + res.dropped_bytes_path,
-                                    res.duration_sec));
-  for (double bps : res.per_flow_bps) rep.per_stream_gbps.push_back(units::to_gbps(bps));
-  rep.retransmits = res.retransmit_segments;
-  rep.sender_cpu_pct = res.sender_cpu.cores_pct;
-  rep.receiver_cpu_pct = res.receiver_cpu.cores_pct;
-  for (double bps : res.interval_bps) rep.interval_gbps.push_back(units::to_gbps(bps));
-  return rep;
-}
-
-Json IperfReport::to_json(const IperfOptions& opts) const {
-  Json root = Json::object();
-  Json& start = root["start"];
-  start["test_start"]["num_streams"] = opts.parallel;
-  start["test_start"]["duration"] = opts.duration_sec;
-  start["test_start"]["zerocopy"] = opts.zerocopy;
-  start["test_start"]["fq_rate"] = opts.fq_rate_bps;
-  start["test_start"]["congestion"] = kern::congestion_name(opts.congestion);
-
-  Json intervals = Json::array();
-  for (std::size_t i = 0; i < interval_gbps.size(); ++i) {
-    Json iv = Json::object();
-    iv["sum"]["start"] = static_cast<double>(i);
-    iv["sum"]["end"] = static_cast<double>(i + 1);
-    iv["sum"]["bits_per_second"] = interval_gbps[i] * 1e9;
-    intervals.push_back(std::move(iv));
-  }
-  root["intervals"] = std::move(intervals);
-
-  Json& end = root["end"];
-  end["sum_sent"]["bits_per_second"] = sum_sent_gbps * 1e9;
-  end["sum_received"]["bits_per_second"] = sum_received_gbps * 1e9;
-  end["sum_sent"]["retransmits"] = retransmits;
-  end["cpu_utilization_percent"]["host_total"] = sender_cpu_pct;
-  end["cpu_utilization_percent"]["remote_total"] = receiver_cpu_pct;
-
-  Json streams = Json::array();
-  for (double g : per_stream_gbps) {
-    Json s = Json::object();
-    s["receiver"]["bits_per_second"] = g * 1e9;
-    streams.push_back(std::move(s));
-  }
-  end["streams"] = std::move(streams);
-  return root;
-}
-
-std::string IperfReport::summary_line() const {
-  return strfmt("[SUM] %.1f Gbps received, %.0f retransmits, snd CPU %.0f%%, rcv CPU %.0f%%",
-                sum_received_gbps, retransmits, sender_cpu_pct, receiver_cpu_pct);
 }
 
 }  // namespace dtnsim::app

@@ -1,17 +1,16 @@
-// iperf3-like traffic tool model.
+// iperf3 tool model.
 //
 // The paper uses iperf3 v3.17 with two patches: #1690 (adds --zerocopy=z
 // using MSG_ZEROCOPY and --skip-rx-copy using MSG_TRUNC, inspired by neper)
 // and #1728 (widens --fq-rate to 64 bits so pacing above 32 Gbps works).
 // v3.16 introduced multi-threaded parallel streams, required for -P tests.
-// IperfTool validates an option set against a tool version exactly the way
-// the real binary would accept or mangle it, then drives TransferSimulation.
+// resolve_options turns an option set into what a given tool version would
+// actually run; harness::run_test runs IperfOptions.
 #pragma once
 
 #include <string>
 
-#include "dtnsim/flow/transfer.hpp"
-#include "dtnsim/util/json.hpp"
+#include "dtnsim/kern/sysctl.hpp"
 
 namespace dtnsim::app {
 
@@ -36,46 +35,14 @@ struct IperfOptions {
   bool json = false;                // --json
 };
 
-// What the tool will actually do, after version checks.
+// What the tool will actually run, after version checks: without patch
+// #1690 no zerocopy or skip-rx-copy, without #1728 --fq-rate truncated to
+// 32 bits, and before 3.16 one stream. `warnings` says what changed.
 struct EffectiveOptions {
-  IperfOptions requested;
-  double fq_rate_bps = 0.0;  // 32-bit-truncated without patch 1728
-  bool zerocopy = false;
-  bool skip_rx_copy = false;
-  int parallel = 1;
+  IperfOptions options;
   std::string warnings;
 };
 
 EffectiveOptions resolve_options(const IperfOptions& opts, const IperfVersion& version);
-
-struct IperfReport {
-  double sum_sent_gbps = 0.0;
-  double sum_received_gbps = 0.0;
-  std::vector<double> per_stream_gbps;
-  double retransmits = 0.0;
-  double sender_cpu_pct = 0.0;
-  double receiver_cpu_pct = 0.0;
-  std::vector<double> interval_gbps;
-
-  // iperf3 --json style output (subset of the real schema).
-  Json to_json(const IperfOptions& opts) const;
-  std::string summary_line() const;
-};
-
-class IperfTool {
- public:
-  explicit IperfTool(IperfVersion version = IperfVersion::patched_3_17())
-      : version_(version) {}
-
-  // Run client/server over the given hosts and path.
-  IperfReport run(const host::HostConfig& client, const host::HostConfig& server,
-                  const net::PathSpec& path, const IperfOptions& opts,
-                  bool link_flow_control = false, std::uint64_t seed = 1) const;
-
-  const IperfVersion& version() const { return version_; }
-
- private:
-  IperfVersion version_;
-};
 
 }  // namespace dtnsim::app

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "dtnsim/obs/trace.hpp"
 #include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::cli {
@@ -192,6 +193,12 @@ CliRun run_command(const CliOptions& opts) {
     run.notes += strfmt("  trace      : %s\n", opts.trace_out.c_str());
   }
   if (!opts.trace_stream.empty()) {
+    // Repeat 0 streamed the trace; its sink knows whether every write landed.
+    const auto* stream = dynamic_cast<const obs::StreamingTraceSink*>(result.trace.get());
+    if (!stream || !stream->ok()) {
+      return fail(1, strfmt("error: cannot write trace stream to %s\n",
+                            opts.trace_stream.c_str()));
+    }
     run.notes += strfmt("  stream     : %s\n", opts.trace_stream.c_str());
   }
   if (!opts.record_timeline.empty()) {

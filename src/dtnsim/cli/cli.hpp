@@ -75,8 +75,9 @@ struct CliRun {
 
 // spec_from_cli, the check that --record-timeline comes with --scenario,
 // harness::run_test, then every output file the line names (--metrics-out,
-// --trace-out, --record-timeline, --record-out). dtnsim-iperf3, -ss, -perf
-// and dtnsim-scenario --run call it and render their own view.
+// --trace-out, --trace-stream, --record-timeline, --record-out).
+// dtnsim-iperf3, -ss, -perf and dtnsim-scenario --run call it and render
+// their own view.
 CliRun run_command(const CliOptions& opts);
 
 // dtnsim-iperf3: run_command, then its text (notes after) or JSON view.

@@ -1,12 +1,15 @@
 // Raw data release (the paper publishes everything it collected; the
 // harness can do the same). A Dataset collects TestResults and renders
-// them as CSV (one row per repeat plus a summary table) and JSON.
+// them as CSV (one row per repeat plus a summary table) and JSON;
+// bar_chart draws them the way the paper's figures do.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "dtnsim/harness/runner.hpp"
+#include "dtnsim/report/plot.hpp"
 #include "dtnsim/util/json.hpp"
 
 namespace dtnsim::harness {
@@ -35,5 +38,13 @@ class Dataset {
   std::string name_;
   std::vector<TestResult> results_;
 };
+
+// The paper's bar chart of cells named "<series> <path name>" (the
+// registry's convention): one group of bars per path, one bar per series,
+// each the cell's mean with a stddev whisker. results[i] is specs[i]'s. No
+// figure unless every (series, path) pair is exactly one cell.
+std::optional<report::Figure> bar_chart(const std::string& title,
+                                        const std::vector<TestSpec>& specs,
+                                        const std::vector<TestResult>& results);
 
 }  // namespace dtnsim::harness

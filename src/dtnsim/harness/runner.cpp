@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "dtnsim/flow/transfer.hpp"
 #include "dtnsim/sweep/pool.hpp"
 #include "dtnsim/util/stats.hpp"
 

@@ -1,6 +1,5 @@
 #include "dtnsim/report/record.hpp"
 
-#include <fstream>
 #include <stdexcept>
 
 #include "dtnsim/util/file.hpp"
@@ -98,16 +97,6 @@ std::string format_recovery_line(const RunAnalysis& a) {
   return out;
 }
 
-// gnuplot single-quoted strings escape ' by doubling it.
-std::string gp_quote(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    out += c;
-    if (c == '\'') out += '\'';
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string format_run_record(const RunRecord& record) {
@@ -175,107 +164,6 @@ std::string format_record_diff(const RunRecord& a, const RunRecord& b) {
         b.analysis.recovered ? b.analysis.recovery.seconds() : -1.0, "s");
   }
   return out;
-}
-
-bool write_record_plot(const std::string& base, const RunRecord& record) {
-  const std::string col = goodput_column(record.series);
-  const auto t = record.series.column("time_s");
-  const auto bps = record.series.column(col.empty() ? "time_s" : col);
-
-  std::ofstream dat(base + ".dat");
-  if (!dat) return false;
-  dat << "# " << record.meta.name << " — goodput series (" << record.meta.engine
-      << " engine)\n# time_s goodput_gbps\n";
-  if (!col.empty()) {
-    for (std::size_t i = 0; i < t.size() && i < bps.size(); ++i)
-      dat << strfmt("%.6f %.6f\n", t[i], bps[i] / 1e9);
-  }
-  if (!dat) return false;
-
-  std::ofstream gp(base + ".gp");
-  if (!gp) return false;
-  const RunAnalysis& a = record.analysis;
-  gp << "# dtnsim-report --plot output; render with: gnuplot " << base << ".gp\n";
-  gp << "set terminal pngcairo size 1000,600 noenhanced\n";  // literal labels
-  gp << "set output '" << gp_quote(base) << ".png'\n";
-  gp << "set title '" << gp_quote(record.meta.name) << "'\n";
-  gp << "set xlabel 'time (s)'\n";
-  gp << "set ylabel 'goodput (Gbps)'\n";
-  gp << "set grid\n";
-  if (a.has_episode) {
-    gp << strfmt("set arrow from %.3f, graph 0 to %.3f, graph 1 nohead dashtype 2\n",
-                 a.episode_start.seconds(), a.episode_start.seconds());
-    gp << strfmt("set arrow from %.3f, graph 0 to %.3f, graph 1 nohead dashtype 2\n",
-                 a.episode_end.seconds(), a.episode_end.seconds());
-    gp << strfmt("set label 'episode' at %.3f, graph 0.95\n",
-                 a.episode_start.seconds());
-  }
-  gp << "plot '" << gp_quote(base) << ".dat' using 1:2 with lines lw 2 "
-     << "title 'goodput'\n";
-  return static_cast<bool>(gp);
-}
-
-bool write_campaign_plot(const std::string& base, const std::string& title,
-                         const std::vector<Json>& rows) {
-  // Column presence is detected across all rows so the .gp only draws the
-  // overlays the campaign actually produced (perf columns need --perf,
-  // dip/recovery need --telemetry + --scenarios).
-  bool has_perf = false, has_dip = false;
-  for (const Json& row : rows) {
-    if (row.find("tx_cyc_per_byte")) has_perf = true;
-    if (row.find("dip_gbps")) has_dip = true;
-  }
-
-  // Fixed column layout (tab-separated; cell labels may contain spaces):
-  //   1 index  2 avg  3 stdev  4 min  5 max  6 tx_cyc/B  7 rx_cyc/B
-  //   8 dip_gbps  9 recovery_sec  10 name
-  // Missing overlays fill with 0 / -1 and simply go unplotted.
-  std::ofstream dat(base + ".dat");
-  if (!dat) return false;
-  dat << "# " << title << " — campaign cells\n"
-      << "# index\tavg_gbps\tstdev_gbps\tmin_gbps\tmax_gbps\ttx_cyc_per_byte\t"
-         "rx_cyc_per_byte\tdip_gbps\trecovery_sec\tname\n";
-  for (const Json& row : rows) {
-    dat << strfmt("%.0f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.3f\t",
-                  row.number_at("index", -1), row.number_at("avg_gbps", 0.0),
-                  row.number_at("stdev_gbps", 0.0), row.number_at("min_gbps", 0.0),
-                  row.number_at("max_gbps", 0.0),
-                  row.number_at("tx_cyc_per_byte", 0.0),
-                  row.number_at("rx_cyc_per_byte", 0.0),
-                  row.number_at("dip_gbps", 0.0),
-                  row.number_at("recovery_sec", -1.0))
-        << row.string_at("name", "?") << '\n';
-  }
-  if (!dat) return false;
-
-  std::ofstream gp(base + ".gp");
-  if (!gp) return false;
-  gp << "# dtnsim-sweep --plot-out output; render with: gnuplot " << base
-     << ".gp\n";
-  gp << "set terminal pngcairo size 1200,620 noenhanced\n";  // literal labels
-  gp << "set output '" << gp_quote(base) << ".png'\n";
-  gp << "set datafile separator \"\\t\"\n";
-  gp << "set title '" << gp_quote(title) << "'\n";
-  gp << "set ylabel 'Gbps'\n";
-  gp << "set grid ytics\n";
-  gp << "set xtics rotate by -35 scale 0\n";
-  gp << "set key outside top right\n";
-  if (has_perf) {
-    gp << "set y2label 'cycles/byte'\n";
-    gp << "set y2tics\n";
-  }
-  gp << "plot '" << gp_quote(base)
-     << ".dat' using 0:2:3:xtic(10) with yerrorbars lw 2 title 'avg ± stdev'";
-  if (has_dip)
-    gp << ", \\\n     '' using 0:8 with points pt 6 title 'episode dip'";
-  if (has_perf) {
-    gp << ", \\\n     '' using 0:6 axes x1y2 with linespoints dashtype 2 "
-          "title 'tx cyc/B'";
-    gp << ", \\\n     '' using 0:7 axes x1y2 with linespoints dashtype 3 "
-          "title 'rx cyc/B'";
-  }
-  gp << '\n';
-  return static_cast<bool>(gp);
 }
 
 }  // namespace dtnsim::report

@@ -185,13 +185,5 @@ RunRecord load_run_record(const std::string& path);
 std::string format_run_record(const RunRecord& record);
 // Side-by-side A/B comparison with absolute and percent deltas.
 std::string format_record_diff(const RunRecord& a, const RunRecord& b);
-// Figure-ready gnuplot: writes `<base>.gp` + `<base>.dat` plotting the
-// goodput series with episode markers. False on I/O failure.
-bool write_record_plot(const std::string& base, const RunRecord& record);
-// Same pair from a campaign's JSONL rows (`dtnsim-sweep --plot-out`): one
-// errorbar point per cell, plus dip and cycles/byte overlays when any row
-// carries those columns. `rows` are the parsed result-stream lines.
-bool write_campaign_plot(const std::string& base, const std::string& title,
-                         const std::vector<Json>& rows);
 
 }  // namespace dtnsim::report

@@ -10,11 +10,13 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 
 #include "dtnsim/cli/cli.hpp"
-#include "dtnsim/report/record.hpp"
+#include "dtnsim/report/plot.hpp"
 #include "dtnsim/sweep/cache.hpp"
 #include "dtnsim/sweep/pool.hpp"
+#include "dtnsim/util/file.hpp"
 #include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::sweep {
@@ -68,44 +70,30 @@ Json row_json(const CellOutcome& out, const std::string& spec_name) {
   return j;
 }
 
-struct Checkpoint {
-  std::string grid;            // fingerprint from the header line
-  std::size_t cells = 0;       // grid size from the header line
-  std::set<std::string> done_keys;
-};
-
-// Parse an existing manifest; nullopt when the file does not exist.
-// Truncated trailing lines (killed mid-write) are ignored.
-std::optional<Checkpoint> read_checkpoint(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  Checkpoint ckpt;
-  std::string line;
-  bool have_header = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto doc = Json::parse(line);
-    if (!doc) continue;  // torn final line from an interrupt
-    if (!have_header) {
-      ckpt.grid = doc->string_at("grid", "");
-      ckpt.cells = static_cast<std::size_t>(doc->number_at("cells", 0));
-      have_header = true;
-      continue;
-    }
-    const std::string key = doc->string_at("key", "");
-    if (!key.empty()) ckpt.done_keys.insert(key);
+// The documents of a JSONL file (a campaign's rows or its manifest), one per
+// line that parses: a line a kill cut short is skipped. nullopt when the
+// file cannot be read.
+std::optional<std::vector<Json>> read_jsonl(const std::string& path) {
+  const auto text = read_file(path);
+  if (!text) return std::nullopt;
+  std::vector<Json> docs;
+  std::string_view rest = *text;
+  while (!rest.empty()) {
+    const std::size_t end = std::min(rest.find('\n'), rest.size());
+    if (auto doc = Json::parse(rest.substr(0, end))) docs.push_back(std::move(*doc));
+    rest.remove_prefix(std::min(end + 1, rest.size()));
   }
-  if (!have_header) return std::nullopt;
-  return ckpt;
+  return docs;
 }
 
 // An append-or-truncate line stream that flushes after every line, so the
-// manifest and the results stream survive a kill between cells. Appending
-// to a file whose last line a kill cut short first ends that line, so the
-// fragment stays a torn line of its own and the new lines still parse.
+// manifest and the results stream survive a kill between cells, and throws
+// naming the file when a line does not reach it. Appending to a file whose
+// last line a kill cut short first ends that line, so the fragment stays a
+// torn line of its own and the new lines still parse.
 class LineWriter {
  public:
-  LineWriter(const std::string& path, bool append) {
+  LineWriter(const std::string& path, bool append) : path_(path) {
     if (path.empty()) return;
     bool torn = false;
     if (append) {
@@ -124,9 +112,11 @@ class LineWriter {
     if (!out_.is_open()) return;
     out_ << text << '\n';
     out_.flush();
+    if (!out_) throw std::runtime_error("sweep: cannot write " + path_);
   }
 
  private:
+  std::string path_;
   std::ofstream out_;
 };
 
@@ -160,17 +150,22 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
   const std::string manifest_path = opts.results_path.empty() ? "" : opts.results_path + ".ckpt";
   std::set<std::string> done_keys;
   bool appending = false;
-  if (opts.resume) {
-    if (auto ckpt = read_checkpoint(manifest_path)) {
-      if (ckpt->grid != fingerprint || ckpt->cells != cells.size()) {
-        throw std::runtime_error(strfmt(
-            "sweep resume: checkpoint %s was written for a different grid "
-            "(fingerprint %s vs %s) — refusing to mix campaigns",
-            manifest_path.c_str(), ckpt->grid.c_str(), fingerprint.c_str()));
-      }
-      done_keys = std::move(ckpt->done_keys);
-      appending = true;  // keep prior rows; append the rest
+  // The manifest's first line holds the grid; each later one a done cell.
+  if (const auto manifest = opts.resume ? read_jsonl(manifest_path) : std::nullopt;
+      manifest && !manifest->empty()) {
+    const std::string grid_seen = manifest->front().string_at("grid", "");
+    if (grid_seen != fingerprint ||
+        manifest->front().number_at("cells", 0) != static_cast<double>(cells.size())) {
+      throw std::runtime_error(strfmt(
+          "sweep resume: checkpoint %s was written for a different grid "
+          "(fingerprint %s vs %s) — refusing to mix campaigns",
+          manifest_path.c_str(), grid_seen.c_str(), fingerprint.c_str()));
     }
+    for (auto line = manifest->begin() + 1; line != manifest->end(); ++line) {
+      if (std::string key = line->string_at("key", ""); !key.empty())
+        done_keys.insert(std::move(key));
+    }
+    appending = true;  // keep prior rows; append the rest
   }
 
   std::unique_ptr<ResultCache> cache;
@@ -405,21 +400,6 @@ SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
 
 namespace {
 
-// Parse a campaign JSONL stream into rows; torn trailing lines (killed
-// mid-write) are skipped. Empty result + false on an unreadable file.
-bool read_campaign_rows(const std::string& path, std::vector<Json>* rows) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto doc = Json::parse(line);
-    if (!doc) continue;  // torn final line from an interrupt
-    rows->push_back(std::move(*doc));
-  }
-  return true;
-}
-
 // `dtnsim-sweep --report results.jsonl`: re-render a finished campaign's
 // streamed rows as the paper-style summary table, offline. Rows whose cells
 // were served from a prior output (repeats == 0) are counted but not shown.
@@ -501,24 +481,24 @@ int run_sweep_cli(const SweepCli& cli, std::string& output) {
     return cli.error.empty() ? 0 : 2;
   }
   if (!cli.report_path.empty()) {
-    std::vector<Json> rows;
-    if (!read_campaign_rows(cli.report_path, &rows)) {
+    const auto rows = read_jsonl(cli.report_path);
+    if (!rows) {
       output = strfmt("error: cannot read %s\n", cli.report_path.c_str());
       return 2;
     }
-    const int code = render_campaign_report(cli.report_path, rows, output);
+    const int code = render_campaign_report(cli.report_path, *rows, output);
     if (code != 0) return code;
     if (!cli.plot_out.empty()) {
       // Rows carry spec labels, not the campaign name; the stream path is
       // the most recognizable figure title available offline.
-      if (!report::write_campaign_plot(cli.plot_out, cli.report_path, rows)) {
-        output += strfmt("error: cannot write plot to %s.{gp,dat}\n",
-                         cli.plot_out.c_str());
+      const std::string failed = report::write_figure(
+          cli.plot_out, report::campaign_figure(cli.report_path, *rows));
+      if (!failed.empty()) {
+        output += strfmt("error: cannot write %s\n", failed.c_str());
         return 1;
       }
-      output += strfmt("plot: %s.gp + %s.dat (render with: gnuplot %s.gp)\n",
-                       cli.plot_out.c_str(), cli.plot_out.c_str(),
-                       cli.plot_out.c_str());
+      output += strfmt("plot: %s.gp + %s.dat (render with: %s)\n", cli.plot_out.c_str(),
+                       cli.plot_out.c_str(), report::render_command(cli.plot_out).c_str());
     }
     return 0;
   }

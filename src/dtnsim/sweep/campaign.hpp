@@ -85,7 +85,7 @@ struct SweepCli {
   // campaign's JSONL results stream (--out file) and exit — no simulation.
   std::string report_path;
   // With --report: also emit figure-ready gnuplot (<base>.gp + <base>.dat)
-  // from the same rows (report::write_campaign_plot).
+  // from the same rows (report::campaign_figure).
   std::string plot_out;
   // --gc: garbage-collect the --cache directory and exit — no simulation.
   // Criteria come from --max-age-days / --salt-mismatch, --dry-run previews.

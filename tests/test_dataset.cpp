@@ -5,6 +5,7 @@
 
 #include "dtnsim/harness/dataset.hpp"
 #include "dtnsim/util/file.hpp"
+#include "dtnsim/util/stats.hpp"
 
 namespace dtnsim::harness {
 namespace {

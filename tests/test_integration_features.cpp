@@ -89,17 +89,18 @@ TEST(Features, HwGroHelpsMostAtSmallMtu) {
 
 TEST(Features, PacingAbove32GNeedsPatchedIperf) {
   // §V-A: "pacing single flows above 32 Gbps ... requires a recent patch".
-  const auto tb = harness::amlight();
   app::IperfOptions o;
   o.zerocopy = true;
   o.fq_rate_bps = units::gbps(50);
   o.duration_sec = 15;
-  const auto patched = app::IperfTool(app::IperfVersion::patched_3_17())
-                           .run(tb.sender, tb.receiver, tb.path_named("WAN 25ms"), o);
-  const auto stock = app::IperfTool(app::IperfVersion::stock_3_16())
-                         .run(tb.sender, tb.receiver, tb.path_named("WAN 25ms"), o);
-  EXPECT_NEAR(patched.sum_received_gbps, 49.0, 3.0);
-  EXPECT_LT(stock.sum_received_gbps, 33.5);  // clamped to the 32G uint limit
+  const auto gbps = [&o](const app::IperfVersion& version) {
+    auto spec = harness::TestSpec::on(harness::amlight(), "WAN 25ms",
+                                      app::resolve_options(o, version).options);
+    spec.repeats = 3;
+    return harness::run_test(spec).avg_gbps;
+  };
+  EXPECT_NEAR(gbps(app::IperfVersion::patched_3_17()), 49.0, 3.0);
+  EXPECT_LT(gbps(app::IperfVersion::stock_3_16()), 33.5);  // clamped to the 32G uint limit
 }
 
 TEST(Features, NoMetricsSaveIrrelevantHere) {

@@ -26,6 +26,7 @@
 
 #include "dtnsim/core/dtnsim.hpp"
 #include "dtnsim/report/analysis.hpp"
+#include "dtnsim/report/plot.hpp"
 #include "dtnsim/report/record.hpp"
 #include "dtnsim/util/file.hpp"
 
@@ -328,13 +329,14 @@ TEST(ReportRender, FormatAndDiffCarryTheHeadlines) {
 TEST(ReportRender, RecordPlotWritesGpAndDat) {
   const RunRecord rec = sample_record();
   const fs::path base = fs::path(::testing::TempDir()) / "dtnsim_rec_plot";
-  ASSERT_TRUE(write_record_plot(base.string(), rec));
+  ASSERT_EQ(write_figure(base.string(), record_figure(rec)), "");
   const std::string gp = read_file(base.string() + ".gp").value_or("");
   const std::string dat = read_file(base.string() + ".dat").value_or("");
-  EXPECT_NE(gp.find("plot '"), std::string::npos);
+  EXPECT_NE(gp.find("plot 'dtnsim_rec_plot.dat' using 1:2 with lines lw 2 title 'goodput'"),
+            std::string::npos);
   EXPECT_NE(gp.find(" noenhanced\n"), std::string::npos);  // labels print literally
   EXPECT_NE(gp.find("set label 'episode'"), std::string::npos);  // has episode
-  EXPECT_NE(dat.find("time_s goodput_gbps"), std::string::npos);
+  EXPECT_NE(dat.find("# time_s\tgoodput_gbps\n"), std::string::npos);
   fs::remove(base.string() + ".gp");
   fs::remove(base.string() + ".dat");
 }
@@ -361,15 +363,16 @@ TEST(ReportRender, CampaignPlotOverlaysTrackRowColumns) {
   const fs::path base = fs::path(::testing::TempDir()) / "dtnsim_camp_plot";
 
   // Plain rows: no overlays, no second axis.
-  ASSERT_TRUE(write_campaign_plot(base.string(), "t", {row("a", false, false)}));
+  ASSERT_EQ(write_figure(base.string(), campaign_figure("t", {row("a", false, false)})), "");
   std::string gp = read_file(base.string() + ".gp").value_or("");
   EXPECT_NE(gp.find(" noenhanced\n"), std::string::npos);  // labels print literally
   EXPECT_EQ(gp.find("y2label"), std::string::npos);
   EXPECT_EQ(gp.find("episode dip"), std::string::npos);
 
   // Any row carrying the columns switches the overlays on.
-  ASSERT_TRUE(write_campaign_plot(
-      base.string(), "t", {row("a", false, false), row("b", true, true)}));
+  ASSERT_EQ(write_figure(base.string(),
+                         campaign_figure("t", {row("a", false, false), row("b", true, true)})),
+            "");
   gp = read_file(base.string() + ".gp").value_or("");
   EXPECT_NE(gp.find("set y2label 'cycles/byte'"), std::string::npos);
   EXPECT_NE(gp.find("episode dip"), std::string::npos);

@@ -628,6 +628,23 @@ TEST(Campaign, ResumeWithoutAResultsStreamIsRejected) {
   EXPECT_NE(output.find("--out"), std::string::npos) << output;
 }
 
+TEST(Campaign, AnUnwritableRowStopsBeforeItsManifestLine) {
+  // The row's write fails: dtnsim-sweep exits 2 naming the stream, and the
+  // manifest never marks the cell done, so --resume runs it again.
+  const std::string dir = scratch_dir("full_rows");
+  const std::string rows = dir + "/rows.jsonl";
+  fs::create_symlink("/dev/full", rows);
+  std::string output;
+  const auto cli = parse_sweep_cli(
+      {"--quick", "--kernels", "6.8", "--paths", "LAN", "--streams", "1", "--out", rows});
+  ASSERT_TRUE(cli.error.empty()) << cli.error;
+  EXPECT_EQ(run_sweep_cli(cli, output), 2);
+  EXPECT_NE(output.find("cannot write " + rows), std::string::npos) << output;
+  const auto manifest = read_jsonl(rows + ".ckpt");
+  ASSERT_EQ(manifest.size(), 1u);  // the header alone
+  EXPECT_TRUE(manifest[0] && manifest[0]->find("grid"));
+}
+
 // ---- sweep CLI -----------------------------------------------------------
 
 TEST(SweepCli, ParsesFullGrid) {
@@ -961,7 +978,8 @@ TEST(SweepReport, PlotOutWritesGnuplotNextToTheReport) {
   EXPECT_EQ(run_sweep_cli(
                 parse_sweep_cli({"--report", rows, "--plot-out", base}), output),
             0);
-  EXPECT_NE(output.find("gnuplot " + base + ".gp"), std::string::npos) << output;
+  EXPECT_NE(output.find("render with: cd " + dir + " && gnuplot fig.gp"), std::string::npos)
+      << output;
   EXPECT_TRUE(fs::exists(base + ".gp"));
   EXPECT_TRUE(fs::exists(base + ".dat"));
 

@@ -7,9 +7,11 @@
 # value for <flag>"; an unknown flag exits 2 and names it. dtnsim-advisor is
 # also given a path its testbed lacks, which exits 2 with the lookup's
 # message. dtnsim-ss, -perf and dtnsim-scenario --run write every output
-# file their line names, and their replays render the run records. Tools
-# run from the repository root; their files go under TOOLS/tool_cli_out.
-# Each failing case is reported; the script fails if any did.
+# file their line names, and their replays render the run records. An
+# output file that cannot be written makes its tool exit non-zero naming
+# it. Tools run from the repository root; their files go under
+# TOOLS/tool_cli_out. Each failing case is reported; the script fails if
+# any did.
 get_filename_component(root ${CMAKE_CURRENT_LIST_DIR} DIRECTORY)
 
 function(expect tool code text)
@@ -80,3 +82,29 @@ foreach(tool ss perf scenario)
   expect(${tool} 2 "scenarios/link_flap.json" --replay scenarios/link_flap.json)
 endforeach()
 expect(scenario 2 "${out}/ss.json holds no scenario event log" --replay ${out}/ss.json)
+
+# Outputs that cannot be written: each goes through a symlink to /dev/full
+# (or into a missing directory), and its tool exits non-zero naming it.
+set(full ${out}/full)
+file(MAKE_DIRECTORY ${full}/repro)
+foreach(f record.gp campaign.dat repro/fig5.gp rows.jsonl stream.json)
+  file(CREATE_LINK /dev/full ${full}/${f} SYMBOLIC)
+endforeach()
+file(WRITE ${full}/done.jsonl "{\"index\": 0, \"name\": \"a\", \"repeats\": 2, \"avg_gbps\": 9.5}\n")
+expect(report 1 "cannot write ${full}/record.gp" --plot ${out}/ss.json --plot-base ${full}/record)
+expect(sweep 1 "cannot write ${full}/campaign.dat"
+       --report ${full}/done.jsonl --plot-out ${full}/campaign)
+expect(repro 1 "failed to write ${full}/repro/fig5.gp" fig5 --quick --out ${full}/repro)
+expect(iperf3 1 "cannot write trace stream to ${full}/stream.json"
+       -t 2 --trace-stream ${full}/stream.json)
+expect(iperf3 1 "cannot write trace stream to ${full}/no-such-dir/stream.json"
+       -t 2 --trace-stream ${full}/no-such-dir/stream.json)
+# A campaign row that was not written leaves its cell out of the manifest.
+expect(sweep 2 "cannot write ${full}/rows.jsonl"
+       --quick --paths LAN --streams 1 --out ${full}/rows.jsonl)
+file(STRINGS ${full}/rows.jsonl.ckpt manifest)
+list(LENGTH manifest lines)
+if(NOT lines EQUAL 1)
+  message(SEND_ERROR "${full}/rows.jsonl.ckpt lists a cell whose row was not written:\n"
+                     "${manifest}")
+endif()

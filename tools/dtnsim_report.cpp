@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "dtnsim/cli/flags.hpp"
-#include "dtnsim/report/record.hpp"
+#include "dtnsim/report/plot.hpp"
 
 namespace {
 
@@ -67,12 +67,14 @@ int plot(const std::string& path, std::string base) {
       base.resize(base.size() - suffix.size());
     }
   }
-  if (!dtnsim::report::write_record_plot(base, rec)) {
-    std::fprintf(stderr, "error: cannot write %s.{gp,dat}\n", base.c_str());
+  const std::string failed =
+      dtnsim::report::write_figure(base, dtnsim::report::record_figure(rec));
+  if (!failed.empty()) {
+    std::fprintf(stderr, "error: cannot write %s\n", failed.c_str());
     return 1;
   }
-  std::fprintf(stdout, "plot: %s.gp + %s.dat (render with: gnuplot %s.gp)\n",
-               base.c_str(), base.c_str(), base.c_str());
+  std::fprintf(stdout, "plot: %s.gp + %s.dat (render with: %s)\n", base.c_str(),
+               base.c_str(), dtnsim::report::render_command(base).c_str());
   return 0;
 }
 

@@ -5,7 +5,6 @@
 //   $ dtnsim-repro fig5 table3 --out data/
 //   $ dtnsim-repro --all --quick --out data/
 //   $ dtnsim-repro fig9 --trace-out trace.json --metrics-out flow.csv
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -16,47 +15,13 @@
 #include "dtnsim/cli/cli.hpp"
 #include "dtnsim/harness/dataset.hpp"
 #include "dtnsim/harness/experiments.hpp"
-#include "dtnsim/harness/plot.hpp"
 #include "dtnsim/obs/probe.hpp"
 #include "dtnsim/obs/trace.hpp"
+#include "dtnsim/report/plot.hpp"
 #include "dtnsim/util/strfmt.hpp"
 #include "dtnsim/util/table.hpp"
 
 namespace {
-
-// For figure experiments whose specs form a (series x path) grid, emit
-// <id>.dat/<id>.gp so `gnuplot <id>.gp` renders the paper-style bar chart.
-// Series and category labels are recovered from the "<series> <path>" spec
-// naming convention used by the registry.
-bool try_emit_figure(const dtnsim::harness::ExperimentDef& def,
-                     const std::vector<dtnsim::harness::TestSpec>& specs,
-                     const std::vector<dtnsim::harness::TestResult>& results,
-                     const std::string& out_dir) {
-  std::vector<std::string> categories;
-  std::vector<std::string> series;
-  for (const auto& spec : specs) {
-    const std::string cat = spec.path.name;
-    if (spec.name.size() <= cat.size() + 1 ||
-        spec.name.substr(spec.name.size() - cat.size()) != cat) {
-      return false;  // names don't follow "<series> <path>"
-    }
-    const std::string ser = spec.name.substr(0, spec.name.size() - cat.size() - 1);
-    if (std::find(categories.begin(), categories.end(), cat) == categories.end()) {
-      categories.push_back(cat);
-    }
-    if (std::find(series.begin(), series.end(), ser) == series.end()) {
-      series.push_back(ser);
-    }
-  }
-  if (categories.size() * series.size() != results.size()) return false;
-  try {
-    const auto fig = dtnsim::harness::figure_from_results(
-        def.id, def.title, categories, series, results);
-    return dtnsim::harness::write_figure(fig, out_dir);
-  } catch (const std::exception&) {
-    return false;
-  }
-}
 
 // One row per cell: the columns the paper's tables and figures print.
 std::string cell_table(const std::vector<dtnsim::harness::TestResult>& results) {
@@ -98,8 +63,9 @@ int main(int argc, char** argv) {
   const Grammar grammar{
       "dtnsim-repro [flags] [ids...] — run the paper's experiments by id\n"
       "Prints each cell and a PASS/FAIL line per paper claim, and writes\n"
-      "<id>_raw.csv, <id>_summary.csv and <id>.json per experiment into --out.\n"
-      "Exits 1 if any claim fails.",
+      "<id>_raw.csv, <id>_summary.csv and <id>.json per experiment (and a\n"
+      "figure's <id>.dat + <id>.gp) into --out. Exits 1 if any claim fails\n"
+      "or a file cannot be written.",
       {flags}, [&ids](const std::string& id) { ids.push_back(id); }};
   const std::string error = parse_args(grammar, {argv + 1, argv + argc});
   if (!error.empty() || help) {
@@ -171,10 +137,20 @@ int main(int argc, char** argv) {
       ++failures;
       continue;
     }
-    const bool fig = try_emit_figure(*def, run.specs, run.results, out_dir);
+    // Entries whose cells form a series x path grid also get the paper's
+    // bar chart.
+    std::string figure;
+    if (const auto fig = bar_chart(def->title, run.specs, run.results)) {
+      const std::string failed = dtnsim::report::write_figure(out_dir + "/" + def->id, *fig);
+      if (!failed.empty()) {
+        std::fprintf(stderr, "  failed to write %s\n", failed.c_str());
+        ++failures;
+        continue;
+      }
+      figure = dtnsim::strfmt(" + %s.dat/.gp", def->id.c_str());
+    }
     std::printf("  wrote %s/%s_{raw,summary}.csv and %s.json (%zu tests)%s\n",
-                out_dir.c_str(), def->id.c_str(), def->id.c_str(), ds.size(),
-                fig ? dtnsim::strfmt(" + %s.dat/.gp", def->id.c_str()).c_str() : "");
+                out_dir.c_str(), def->id.c_str(), def->id.c_str(), ds.size(), figure.c_str());
   }
   if (!metrics_out.empty()) {
     std::vector<dtnsim::obs::LabeledSeries> labeled;
