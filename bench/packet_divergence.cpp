@@ -15,6 +15,7 @@
 //     per-skb prep), so their band is wide — but still bounded: a blowup
 //     beyond it means one of the engines regressed.
 // Exits non-zero on any violation, loudly naming the metric and the band.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -42,7 +43,14 @@ struct Scenario {
   double band_agg = 0.35;
 };
 
-flow::DivergenceReport run_scenario(const Scenario& sc) {
+// A scenario's report, and the events its packet pass executed: the
+// engine's own work, which no band checks.
+struct Outcome {
+  flow::DivergenceReport report;
+  std::uint64_t packet_events = 0;
+};
+
+Outcome run_scenario(const Scenario& sc) {
   obs::TelemetryConfig tcfg;
   tcfg.enabled = true;
   tcfg.probe_interval = units::seconds(1);
@@ -72,11 +80,12 @@ flow::DivergenceReport run_scenario(const Scenario& sc) {
   pcfg.window_bytes = sc.window_bytes;
   pcfg.duration = units::SimTime::from_seconds(sc.packet_seconds);
   pcfg.telemetry = &tel;
-  flow::run_packet_sim(pcfg);
+  const auto packet = flow::run_packet_sim(pcfg);
 
-  return flow::divergence_report(sc.name, tel.registry(),
-                                 units::SimTime::from_seconds(sc.fluid_seconds),
-                                 units::SimTime::from_seconds(sc.packet_seconds));
+  return {flow::divergence_report(sc.name, tel.registry(),
+                                  units::SimTime::from_seconds(sc.fluid_seconds),
+                                  units::SimTime::from_seconds(sc.packet_seconds)),
+          packet.events};
 }
 
 }  // namespace
@@ -136,8 +145,11 @@ int main() {
 
   int violations = 0;
   for (const auto& sc : scenarios) {
-    const auto rep = run_scenario(sc);
+    const Outcome out = run_scenario(sc);
+    const flow::DivergenceReport& rep = out.report;
     std::printf("%s", rep.to_string().c_str());
+    std::printf("  packet engine events: %llu\n",
+                static_cast<unsigned long long>(out.packet_events));
 
     const auto check = [&](const char* metric, double band) {
       const auto* e = rep.find(metric);

@@ -273,12 +273,9 @@ void on_arrival(SimState& s, int segments) {
 void try_send(SimState& s) {
   while (s.inflight + s.gso_bytes <= s.cfg->window_bytes) {
     if (s.engine.now() >= s.cfg->duration.nanos()) return;
-    // Sender core serializes super-packet preparation.
-    const Nanos ready = std::max(s.engine.now(), s.tx_free_at);
-    if (ready > s.engine.now()) {
-      s.engine.schedule_at(ready, [&s] { try_send(s); });
-      return;
-    }
+    // Sender core serializes super-packet preparation. A busy core already
+    // has its wakeup: the send that made it busy queued it at tx_free_at.
+    if (s.tx_free_at > s.engine.now()) return;
     s.tx_free_at = s.engine.now() + s.tx_prep_ns;
 
     const Nanos depart = s.qdisc->enqueue(/*flow=*/1, s.gso_bytes, s.engine.now());
@@ -332,7 +329,7 @@ void try_send(SimState& s) {
     s.engine.schedule_at(depart + s.half_rtt, [&s, segments] { on_arrival(s, segments); });
 
     if (s.tx_prep_ns > 0) {
-      // Come back when the core is free; avoids unbounded same-time loops.
+      // The core's one pending wakeup: come back when it is free.
       s.engine.schedule_at(s.tx_free_at, [&s] { try_send(s); });
       return;
     }
@@ -596,6 +593,7 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
                            : 0.0;
   s.res.interdeparture_mean_ns = s.gaps.mean();
   s.res.interdeparture_stddev_ns = s.gaps.stddev();
+  s.res.events = s.engine.events_executed();
   return s.res;
 }
 

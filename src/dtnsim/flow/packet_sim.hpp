@@ -12,10 +12,14 @@
 //   - GRO builds aggregates of the expected size,
 //   - achieved throughput equals min(pacing, window/RTT, drain).
 // Sender and receiver CPU times per super-packet and per segment come from
-// the hosts' cost models. tests/test_packet_sim.cpp and the packet cases of
-// the obs, scenario and digest tests run it directly; bench/packet_divergence
-// compares it with the fluid engine, and the selfperf `packet` workload
-// times it on that bench's geometries.
+// the hosts' cost models. The sender core has at most one pending wakeup,
+// queued by the send that made it busy; a try_send that finds the core busy
+// just returns. tests/test_packet_sim.cpp and the packet cases of the obs,
+// scenario and digest tests run it directly; EngineWork
+// (tests/test_engine_digests.cpp) pins each digest cell's `events`, so a
+// change that queues more work fails even when every output holds.
+// bench/packet_divergence compares it with the fluid engine, and the
+// selfperf `packet` workload times it on that bench's geometries.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +72,9 @@ struct PacketSimResult {
   double interdeparture_mean_ns = 0.0;
   double interdeparture_stddev_ns = 0.0;
   int ring_peak = 0;                    // max descriptors in use
+  // Engine events the run executed (sim::Engine::events_executed): the
+  // simulator's work, not simulated output.
+  std::uint64_t events = 0;
   // What the scenario runtime fired (empty when no timeline was configured).
   scenario::EventLog scenario_log;
 };

@@ -1,6 +1,7 @@
 #include "dtnsim/sweep/campaign.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -227,7 +228,12 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
 
   std::mutex io_mu;  // serializes row/manifest writes, counters, busy time
   double busy_sec = 0.0;
+  // Set when a row or manifest write throws: the campaign has failed, so no
+  // further cell starts. Cells already running finish; parallel_for then
+  // rethrows the write's error.
+  std::atomic<bool> write_failed{false};
   parallel_for(todo.size(), report.jobs, [&](std::size_t k) {
+    if (write_failed) return;
     const double start = now_sec();
     const Cell& cell = cells[todo[k]];
     CellOutcome& out = report.cells[todo[k]];
@@ -256,11 +262,16 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
     if (m_done) m_done->increment();
     // Result row first, then the manifest line: a cell is only ever
     // marked done after its row is on disk.
-    results.line(row_json(out, cell.spec.name).dump());
-    Json done = Json::object();
-    done["index"] = static_cast<std::int64_t>(out.index);
-    done["key"] = out.key_hex;
-    manifest.line(done.dump());
+    try {
+      results.line(row_json(out, cell.spec.name).dump());
+      Json done = Json::object();
+      done["index"] = static_cast<std::int64_t>(out.index);
+      done["key"] = out.key_hex;
+      manifest.line(done.dump());
+    } catch (...) {
+      write_failed = true;
+      throw;
+    }
     busy_sec += now_sec() - start;
   });
 

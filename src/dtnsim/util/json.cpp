@@ -273,23 +273,31 @@ class Parser {
   }
 
   bool parse_number(Json* out) {
-    // Copy the token before strtod: the view need not be NUL-terminated.
-    std::string token;
     std::size_t p = pos_;
     while (p < text_.size()) {
       const char c = text_[p];
       if ((c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.' ||
           c == 'e' || c == 'E') {
-        token += c;
         ++p;
       } else {
         break;
       }
     }
-    if (token.empty()) return false;
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return false;
+    if (p == pos_) return false;
+    // from_chars reads the token in place. What it rejects or reads only in
+    // part (a leading '+', an out-of-range exponent, "1e5e5") goes to
+    // strtod, so every value and every verdict is strtod's.
+    const char* first = text_.data() + pos_;
+    const char* last = text_.data() + p;
+    double value = 0.0;
+    if (const auto [stop, ec] = std::from_chars(first, last, value);
+        ec != std::errc() || stop != last) {
+      // Copy the token before strtod: the view need not be NUL-terminated.
+      const std::string token(first, last);
+      char* end = nullptr;
+      value = std::strtod(token.c_str(), &end);
+      if (end != token.c_str() + token.size()) return false;
+    }
     // JSON has no NaN/Infinity, and overflowing literals ("1e999") must not
     // smuggle one in: every number the cache reads back is finite.
     if (!std::isfinite(value)) return false;

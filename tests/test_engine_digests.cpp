@@ -16,6 +16,12 @@
 // the engines must leave this file byte-identical; a change that moves
 // simulated output on purpose regenerates it (the failure message prints the
 // failing test's lines) and says which numbers moved and why.
+//
+// EngineWork pins the work instead: tests/golden/engine_work.txt holds each
+// packet cell's `events`, the engine events its run executed. `events`
+// measures what simulating cost, not what was simulated, so no digest hashes
+// it; a change that makes a cell queue more (or fewer) events fails here
+// even when every digest holds, and re-blesses the count on purpose.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +34,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dtnsim/flow/packet_sim.hpp"
@@ -41,8 +48,17 @@
 namespace dtnsim::flow {
 namespace {
 
-const std::string kGolden =
-    std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/engine_digests.txt";
+// One golden file, what its second column holds and what a mismatch means.
+struct Golden {
+  std::string path;
+  std::string what;
+  std::string moved;
+};
+
+const Golden kDigests{std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/engine_digests.txt",
+                      "digest", "simulated output moved"};
+const Golden kWork{std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/engine_work.txt",
+                   "events", "engine work moved"};
 
 class Digest {
  public:
@@ -207,11 +223,31 @@ std::vector<Cell> fluid_cells(const Watch& watch = std::nullopt) {
   return out;
 }
 
-// bench/packet_divergence's four geometries, on shorter horizons.
-std::vector<Cell> packet_cells(const Watch& watch = std::nullopt) {
+// Each of the eight kinds the packet engine applies, fired at a jittered
+// time inside a 20 ms horizon.
+scenario::Timeline every_packet_kind() {
+  using K = scenario::EventKind;
+  scenario::Timeline t;
+  t.name = "inline";
+  t.events = {
+      {0.002, K::LossBurst, 0.01, 0.002, 0.0005, "loss"},
+      {0.005, K::ReorderBurst, 0.05, 0.003, 0.0005, "reorder"},
+      {0.007, K::NicRingResize, 512, 0.004, 0.0005, "ring"},
+      {0.009, K::LinkDown, 0.0, 0.0, 0.0005, "down"},
+      {0.0105, K::LinkUp, 0.0, 0.0, 0.0005, "up"},
+      {0.012, K::LinkAddRtt, 100e-6, 0.003, 0.0005, "reroute"},
+      {0.014, K::QdiscPacingRate, units::gbps(20), 0.003, 0.0005, "pacing"},
+      {0.016, K::IrqDrainDegrade, 0.5, 0.002, 0.0005, "irq"},
+  };
+  return t;
+}
+
+// bench/packet_divergence's four geometries, on shorter horizons, and the
+// unpaced LAN one again under every_packet_kind().
+std::vector<std::pair<std::string, PacketSimConfig>> packet_configs() {
   const auto tb = harness::amlight_baremetal(kern::KernelVersion::V6_8);
-  const auto geometry = [&](std::string name, net::PathSpec path, double pacing_bps,
-                            double window_bytes, double seconds) {
+  const auto geometry = [&](net::PathSpec path, double pacing_bps, double window_bytes,
+                            double seconds) {
     PacketSimConfig c;
     c.sender = tb.sender;
     c.receiver = tb.receiver;
@@ -219,14 +255,25 @@ std::vector<Cell> packet_cells(const Watch& watch = std::nullopt) {
     c.pacing_bps = pacing_bps;
     c.window_bytes = window_bytes;
     c.duration = units::SimTime::from_seconds(seconds);
-    return engine_cell("packet/" + std::move(name), c, watch, run_packet_sim);
+    return c;
   };
+  auto timeline = geometry(tb.lan(), 0.0, 64e6, 0.02);
+  timeline.scenario = every_packet_kind();
+  timeline.seed = 41;
   return {
-      geometry("lan_paced_10g", tb.lan(), units::gbps(10), 64e6, 0.02),
-      geometry("lan_unpaced", tb.lan(), 0.0, 64e6, 0.02),
-      geometry("wan25_paced_5g", harness::amlight_wan(25), units::gbps(5), 64e6, 0.1),
-      geometry("wan25_window_limited", harness::amlight_wan(25), 0.0, 4e6, 0.1),
+      {"lan_paced_10g", geometry(tb.lan(), units::gbps(10), 64e6, 0.02)},
+      {"lan_unpaced", geometry(tb.lan(), 0.0, 64e6, 0.02)},
+      {"wan25_paced_5g", geometry(harness::amlight_wan(25), units::gbps(5), 64e6, 0.1)},
+      {"wan25_window_limited", geometry(harness::amlight_wan(25), 0.0, 4e6, 0.1)},
+      {"lan_unpaced_timeline", timeline},
   };
+}
+
+std::vector<Cell> packet_cells(const Watch& watch = std::nullopt) {
+  std::vector<Cell> out;
+  for (auto& [name, cfg] : packet_configs())
+    out.push_back(engine_cell("packet/" + name, cfg, watch, run_packet_sim));
+  return out;
 }
 
 // A harness cell: every RunSummary field (through its one field list, so a
@@ -370,12 +417,13 @@ std::vector<Cell> observation_cells() {
 
 // Golden lines whose section (the name up to its first '/') is one of the
 // cells' sections; the other sections belong to the other test.
-std::map<std::string, std::string> load_golden(const std::vector<Cell>& cells) {
+std::map<std::string, std::string> load_golden(const std::vector<Cell>& cells,
+                                               const Golden& golden) {
   const auto section = [](const std::string& name) { return name.substr(0, name.find('/')); };
   std::set<std::string> mine;
   for (const auto& c : cells) mine.insert(section(c.name));
   std::map<std::string, std::string> out;
-  std::ifstream in(kGolden);
+  std::ifstream in(golden.path);
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -389,21 +437,21 @@ std::map<std::string, std::string> load_golden(const std::vector<Cell>& cells) {
 
 // Runs every cell, checks it against its golden line, and on a mismatch
 // prints this test's lines of the file.
-void expect_golden(const std::vector<Cell>& cells) {
-  const auto golden = load_golden(cells);
+void expect_golden(const std::vector<Cell>& cells, const Golden& file = kDigests) {
+  const auto golden = load_golden(cells, file);
   std::string lines;
   for (const auto& c : cells) {
     const std::string got = c.run();
     lines += c.name + " " + got + "\n";
     const auto it = golden.find(c.name);
     EXPECT_TRUE(it != golden.end() && it->second == got)
-        << c.name << ": digest " << got << ", golden "
+        << c.name << ": " << file.what << " " << got << ", golden "
         << (it == golden.end() ? std::string("(missing)") : it->second);
   }
   EXPECT_EQ(golden.size(), cells.size()) << "golden file lists cells this test does not run";
   if (::testing::Test::HasFailure()) {
-    ADD_FAILURE() << "simulated output moved. If that is intended, replace these cells' "
-                  << "lines of " << kGolden << " with:\n"
+    ADD_FAILURE() << file.moved << ". If that is intended, replace these cells' "
+                  << "lines of " << file.path << " with:\n"
                   << lines;
   }
 }
@@ -439,6 +487,16 @@ TEST(RunDigests, MatchGolden) {
 }
 
 TEST(ObservationDigests, MatchGolden) { expect_golden(observation_cells()); }
+
+TEST(EngineWork, MatchGolden) {
+  std::vector<Cell> cells;
+  for (auto& [name, cfg] : packet_configs()) {
+    cells.push_back({"packet/" + name, [cfg = cfg] {
+                       return std::to_string(run_packet_sim(cfg).events);
+                     }});
+  }
+  expect_golden(cells, kWork);
+}
 
 // Observing a run leaves it the same run: every EngineDigests cell, run again
 // with probe, ss and perf armed, hashes to its unobserved golden line.

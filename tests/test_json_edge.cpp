@@ -60,6 +60,26 @@ TEST(JsonNonFinite, OverflowingLiteralsRejected) {
   EXPECT_TRUE(Json::parse("1e308").has_value());
 }
 
+// strtod's verdict and value on the tokens around the edges of its grammar:
+// a leading '+' and a bare trailing '.' parse, -0 keeps its sign, an
+// underflow reads as the nearest double (0 below the smallest subnormal),
+// and a second sign or exponent rejects the document.
+TEST(JsonNumbers, EdgeTokensKeepStrtodVerdicts) {
+  const auto parsed = [](const char* text) {
+    const auto j = Json::parse(text);
+    EXPECT_TRUE(j && j->is_number()) << text;
+    return j ? j->number_or(-1.0) : -1.0;
+  };
+  EXPECT_EQ(parsed("+1"), 1.0);
+  EXPECT_EQ(parsed("1."), 1.0);
+  EXPECT_EQ(parsed("-0"), 0.0);
+  EXPECT_TRUE(std::signbit(parsed("-0")));
+  EXPECT_EQ(parsed("1e-400"), 0.0);
+  EXPECT_EQ(parsed("4.9e-324"), std::numeric_limits<double>::denorm_min());
+  EXPECT_FALSE(Json::parse("1e5e5").has_value());
+  EXPECT_FALSE(Json::parse("--1").has_value());
+}
+
 TEST(JsonNonFinite, NonFiniteNumbersDoNotRoundTrip) {
   // Dumping a NaN/Inf produces text the parser rejects — a poisoned cache
   // entry reads as a miss, not as a corrupt result.

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <set>
@@ -629,20 +630,26 @@ TEST(Campaign, ResumeWithoutAResultsStreamIsRejected) {
 }
 
 TEST(Campaign, AnUnwritableRowStopsBeforeItsManifestLine) {
-  // The row's write fails: dtnsim-sweep exits 2 naming the stream, and the
-  // manifest never marks the cell done, so --resume runs it again.
+  // The first row's write fails: dtnsim-sweep exits 2 naming the stream, the
+  // manifest never marks the cell done, so --resume runs it again, and no
+  // later cell is simulated: the cache holds the first cell's entry alone.
   const std::string dir = scratch_dir("full_rows");
   const std::string rows = dir + "/rows.jsonl";
+  const std::string cache = dir + "/cache";
   fs::create_symlink("/dev/full", rows);
   std::string output;
-  const auto cli = parse_sweep_cli(
-      {"--quick", "--kernels", "6.8", "--paths", "LAN", "--streams", "1", "--out", rows});
+  const auto cli =
+      parse_sweep_cli({"--quick", "--kernels", "6.8", "--paths", "LAN", "--streams", "1,2,4,8",
+                       "--jobs", "1", "--cache", cache, "--out", rows});
   ASSERT_TRUE(cli.error.empty()) << cli.error;
+  ASSERT_EQ(expand(cli.grid).size(), 4u);
   EXPECT_EQ(run_sweep_cli(cli, output), 2);
   EXPECT_NE(output.find("cannot write " + rows), std::string::npos) << output;
   const auto manifest = read_jsonl(rows + ".ckpt");
   ASSERT_EQ(manifest.size(), 1u);  // the header alone
   EXPECT_TRUE(manifest[0] && manifest[0]->find("grid"));
+  const auto entries = std::distance(fs::directory_iterator(cache), fs::directory_iterator());
+  EXPECT_EQ(entries, 1);
 }
 
 // ---- sweep CLI -----------------------------------------------------------
