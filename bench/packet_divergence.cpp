@@ -2,9 +2,10 @@
 //
 // The fluid TransferSimulation and the SKB-granular packet engine model the
 // same transfer at different scales. This bench runs both engines over the
-// same scenarios — paced vs unpaced on LAN and WAN geometries — through one
-// shared obs::Telemetry per scenario, then prints flow::divergence_report
-// and *fails* when a scenario leaves its calibrated band.
+// same scenarios — paced vs unpaced on LAN and WAN geometries, plus paced
+// zerocopy on the LAN — through one shared obs::Telemetry per scenario, then
+// prints flow::divergence_report and *fails* when a scenario leaves its
+// calibrated band.
 //
 // The bands encode which fluid abstractions are trusted at which scale:
 //   - paced runs must agree tightly on throughput (pacing is the one knob
@@ -34,6 +35,7 @@ struct Scenario {
   harness::Testbed tb;
   net::PathSpec path;
   double pacing_bps = 0.0;
+  bool zerocopy = false;          // MSG_ZEROCOPY in both engines
   double window_bytes = 64e6;     // packet engine's fixed window
   double wmem_max = 0.0;          // fluid: override tcp_wmem_max when > 0
   double fluid_seconds = 10.0;
@@ -63,6 +65,7 @@ Outcome run_scenario(const Scenario& sc) {
   fcfg.path = sc.path;
   fcfg.streams = 1;
   fcfg.flow.fq_rate_bps = sc.pacing_bps;
+  fcfg.flow.zerocopy = sc.zerocopy;
   fcfg.duration = units::SimTime::from_seconds(sc.fluid_seconds);
   fcfg.telemetry = &tel;
   if (sc.wmem_max > 0) {
@@ -77,6 +80,7 @@ Outcome run_scenario(const Scenario& sc) {
   pcfg.receiver = sc.tb.receiver;
   pcfg.path = sc.path;
   pcfg.pacing_bps = sc.pacing_bps;
+  pcfg.zerocopy = sc.zerocopy;
   pcfg.window_bytes = sc.window_bytes;
   pcfg.duration = units::SimTime::from_seconds(sc.packet_seconds);
   pcfg.telemetry = &tel;
@@ -104,6 +108,18 @@ int main() {
     s.tb = lan_tb;
     s.path = lan_tb.lan();
     s.pacing_bps = units::gbps(10);
+    scenarios.push_back(s);
+  }
+  {
+    // fig5's and fig7's zc+pace50 shape on the LAN: the fluid engine runs it
+    // in rounds of several RTTs, so the packet engine referees that class.
+    // Paced, so it takes the paced LAN band.
+    Scenario s;
+    s.name = "lan paced 50G zerocopy";
+    s.tb = harness::amlight(kern::KernelVersion::V6_8);
+    s.path = s.tb.lan();
+    s.pacing_bps = units::gbps(50);
+    s.zerocopy = true;
     scenarios.push_back(s);
   }
   {

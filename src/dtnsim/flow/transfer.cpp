@@ -1,6 +1,7 @@
 #include "dtnsim/flow/transfer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -13,16 +14,65 @@
 namespace dtnsim::flow {
 namespace {
 
-// Fluid tick floor: LAN RTTs below this are clocked at 200 us rounds.
+// Fluid tick floor: LAN RTTs below this are clocked at 200 us base rounds.
 constexpr double kMinTickSec = 200e-6;
+// A round spans 2^span base rounds, span <= kMaxSpan, and never more than
+// 8 floor ticks, so WAN rounds always span one RTT.
+constexpr int kMaxSpan = 3;
+constexpr double kMaxRoundSec = 8 * kMinTickSec;
 // Multiplicative jitter persistence (OU-like) and magnitudes. Unpaced flows
 // contend chaotically (paper: 5-30 Gbps per-flow spread); paced flows are
 // nearly uniform.
 constexpr double kJitterRho = 0.9;
 constexpr double kJitterSigmaUnpaced = 0.30;
 constexpr double kJitterSigmaPaced = 0.045;
+// Cache-pressure EWMA over the bytes sent per RTT.
+constexpr double kEwmaKeep = 0.7;
+constexpr double kEwmaNew = 0.3;
+
+// What one round of `rtts` base rounds advances in a single step. The
+// jitter recursion J <- rho J + (1 - rho) T, run K times, is
+// J <- rho^K J + (1 - rho) sum_i rho^i T_i; the round draws that sum as
+// (1 - rho^K) T_K, with T_K keeping T's mean and `jitter_var` of its
+// variance. The cache-pressure EWMA steps K times on the round's mean
+// bytes per RTT. Entry 0 holds the one-RTT constants as written (0.3, not
+// 1 - 0.7, which rounds to another double): the engine digests pin
+// one-RTT rounds bit for bit.
+struct Span {
+  double rtts;
+  double per_rtt;      // 1 / K, exact for a power of two
+  double jitter_keep;  // rho^K
+  double jitter_new;   // 1 - rho^K
+  double jitter_var;   // (1 - rho)(1 - rho^2K) / ((1 + rho)(1 - rho^K)^2)
+  double ewma_keep;    // 0.7^K
+  double ewma_new;     // 1 - 0.7^K
+};
+
+constexpr double power(double x, int n) {
+  double r = 1.0;
+  for (int i = 0; i < n; ++i) r *= x;
+  return r;
+}
+
+constexpr Span span_of(int span) {
+  const int k = 1 << span;
+  const double keep = power(kJitterRho, k);
+  return {static_cast<double>(k),
+          1.0 / static_cast<double>(k),
+          keep,
+          1.0 - keep,
+          (1.0 - kJitterRho) * (1.0 - keep * keep) /
+              ((1.0 + kJitterRho) * (1.0 - keep) * (1.0 - keep)),
+          power(kEwmaKeep, k),
+          1.0 - power(kEwmaKeep, k)};
+}
+
+constexpr std::array<Span, kMaxSpan + 1> kSpans = {
+    Span{1.0, 1.0, kJitterRho, 1.0 - kJitterRho, 1.0, kEwmaKeep, kEwmaNew}, span_of(1), span_of(2),
+    span_of(3)};
+
 // Rounds that get a Begin/End span pair in the trace; later rounds still
-// emit instants and counters (a LAN run ticks ~300k times per simulated
+// emit instants and counters (a LAN run ticks up to 300k times per simulated
 // minute, which would drown the trace ring in span pairs).
 constexpr std::size_t kMaxRoundSpans = 128;
 
@@ -78,11 +128,6 @@ double TransferSimulation::jitter_sigma() const {
   return sigma;
 }
 
-void TransferSimulation::update_jitter(FlowState& f, double sigma) {
-  const double target = rng_.lognormal(f.static_bias, sigma);
-  f.share_jitter = f.share_jitter * kJitterRho + target * (1.0 - kJitterRho);
-}
-
 void TransferSimulation::setup_telemetry(sim::Engine& engine) {
   tel_ = cfg_.telemetry;
   if (!tel_ || !tel_->config().enabled) {
@@ -117,8 +162,8 @@ void TransferSimulation::setup_telemetry(sim::Engine& engine) {
   in.ring_occupancy = reg.gauge("nic.rx_ring_occupancy_frac", "frac",
                                 "peak modeled RX ring fill this tick");
   in.nic_drops = reg.counter("nic.rx_dropped_bytes", "bytes", "ring overflow drops");
-  in.pause_ticks = reg.counter("nic.pause_frame_ticks", "ticks",
-                               "ticks with 802.3x pause frames active");
+  in.pause_ticks = reg.counter("nic.pause_frame_ticks", "rtts",
+                               "RTTs with 802.3x pause frames active");
   in.path_drops = reg.counter("path.dropped_bytes", "bytes", "path/switch drops");
   in.trim_frac = reg.gauge("path.trim_frac", "frac",
                            "burst-tolerance trimming this tick");
@@ -142,7 +187,7 @@ void TransferSimulation::setup_telemetry(sim::Engine& engine) {
     in.limit_ticks[c] =
         reg.counter(std::string("limit.") + obs::round_limit_name(
                         static_cast<obs::RoundLimit>(c)) + "_ticks",
-                    "ticks", "rounds bounded by this constraint");
+                    "rtts", "RTTs bounded by this constraint");
   }
   // Per-flow tracks for every stream — the multi-stream skew studies (Table
   // III's range column) need each flow's trajectory, not just flow 0's.
@@ -224,6 +269,9 @@ TransferResult TransferSimulation::run() {
   const double rtt = std::max(path_.spec().rtt_sec(), 1e-6);
   dt_sec_ = std::max(rtt, kMinTickSec);
   tick_ns_ = std::max<Nanos>(static_cast<Nanos>(dt_sec_ * 1e9), 1);
+  while (span_max_ < kMaxSpan && kSpans[span_max_ + 1].rtts * dt_sec_ <= kMaxRoundSec) {
+    ++span_max_;
+  }
   refresh_round();
 
   log::ScopedTimeSource clock([&engine] { return engine.now(); });
@@ -288,6 +336,7 @@ TransferResult TransferSimulation::run() {
   res.dropped_bytes_nic = dropped_nic_;
   res.dropped_bytes_path = dropped_path_;
   res.pause_frames_seen = pause_seen_;
+  res.rounds = rounds_;
   if (scn_) {
     // Sweep the horizon itself so events landing on the final boundary are
     // logged even though no tick runs after them.
@@ -362,8 +411,7 @@ void TransferSimulation::apply_scenario(double now_sec) {
 }
 
 void TransferSimulation::refresh_round() {
-  RoundConsts& rc = rc_;
-  const double dt_sec = dt_sec_;
+  RoundConsts& rc = rc_[0];
   rc.rtt = std::max(path_.spec().rtt_sec(), 1e-6);
   rc.mss = mss();
   rc.zc_req = cfg_.flow.zerocopy && sender_.zerocopy_available();
@@ -378,21 +426,6 @@ void TransferSimulation::refresh_round() {
 
   rc.snd_wnd_max = cfg_.sender.tuning.sysctl.max_send_window_bytes();
   rc.rcv_wnd_max = cfg_.receiver.tuning.sysctl.max_recv_window_bytes();
-
-  const double eff = run_efficiency_;
-  rc.snd_app_budget = sender_.app_core_hz() * dt_sec * eff;  // per flow
-  rc.rcv_app_budget = receiver_.app_core_hz() * dt_sec * eff;
-  rc.snd_irq_budget = sender_.app_core_hz() *
-                      static_cast<double>(sender_.irq_core_count()) * dt_sec * eff;
-  rc.rcv_irq_budget = receiver_.app_core_hz() *
-                      static_cast<double>(receiver_.irq_core_count()) * dt_sec * eff;
-  // Scenario IRQ-core degradation (noisy neighbor stealing drain cycles).
-  if (scn_) rc.rcv_irq_budget *= scn_irq_mult_;
-  rc.snd_mem_budget = sender_.stack_mem_bw_bytes() * dt_sec * eff;
-  const double rcv_mem_budget = receiver_.stack_mem_bw_bytes() * dt_sec * eff;
-  rc.line_bytes = sender_.config().nic.line_rate_bps * dt_sec / 8.0;
-  rc.snd_dma_bytes = sender_.dma_cap_bps() * dt_sec / 8.0;
-  const double rcv_dma_bytes = receiver_.dma_cap_bps() * dt_sec / 8.0;
 
   rc.tx_app = snd_cost_->tx_app_price(rc.gso);
   cpu::TxPathConfig irq_cfg;  // per-byte IRQ cost is geometry-only
@@ -413,8 +446,6 @@ void TransferSimulation::refresh_round() {
   }
   const net::NicRx nic_rx(rx_nic, cfg_.receiver.tuning.ring_descriptors, rc.mtu,
                          cfg_.link_flow_control);
-  rc.nic_paced = nic_rx.round(true, dt_sec, rc.rtt);
-  rc.nic_unpaced = nic_rx.round(false, dt_sec, rc.rtt);
   cpu::RxPathConfig rxc;
   rxc.gro_bytes = rc.gro;
   rxc.mtu_bytes = rc.mtu;
@@ -425,26 +456,89 @@ void TransferSimulation::refresh_round() {
   const double rx_mem_passes = rcv_cost_->rx_mem_passes(rxc);
   rc.rx_app_spb = rcv_cost_->rx_app_stage_cyc(rxc);
   rc.rx_irq_spb = rcv_cost_->rx_irq_stage_cyc(rxc);
-  rc.rx_app_cap = rc.rcv_app_budget / std::max(rc.rx_app_pb, 1e-9);
-  // Receiver-side host limits: IRQ cycles, DMA, memory bandwidth.
-  rc.rx_host_cap =
-      std::min({rc.rcv_irq_budget / std::max(rc.rx_irq_pb, 1e-12), rcv_dma_bytes,
-                rcv_mem_budget / std::max(rx_mem_passes, 1e-9)});
-  rc.md_floor = 32.0 * rc.mss * std::clamp(dt_sec / 0.063, 0.01, 1.0);
+
+  // What scales with the round's length, for each span this run can use.
+  const double eff = run_efficiency_;
+  for (int span = 0; span <= span_max_; ++span) {
+    RoundConsts& r = rc_[static_cast<std::size_t>(span)];
+    if (span > 0) r = rc;
+    const double rtts = kSpans[static_cast<std::size_t>(span)].rtts;
+    const double dt_sec = dt_sec_ * rtts;
+    r.dt_sec = dt_sec;
+    r.snd_app_budget = sender_.app_core_hz() * dt_sec * eff;  // per flow
+    r.rcv_app_budget = receiver_.app_core_hz() * dt_sec * eff;
+    r.snd_irq_budget = sender_.app_core_hz() *
+                       static_cast<double>(sender_.irq_core_count()) * dt_sec * eff;
+    r.rcv_irq_budget = receiver_.app_core_hz() *
+                       static_cast<double>(receiver_.irq_core_count()) * dt_sec * eff;
+    // Scenario IRQ-core degradation (noisy neighbor stealing drain cycles).
+    if (scn_) r.rcv_irq_budget *= scn_irq_mult_;
+    r.snd_mem_budget = sender_.stack_mem_bw_bytes() * dt_sec * eff;
+    const double rcv_mem_budget = receiver_.stack_mem_bw_bytes() * dt_sec * eff;
+    r.line_bytes = sender_.config().nic.line_rate_bps * dt_sec / 8.0;
+    r.snd_dma_bytes = sender_.dma_cap_bps() * dt_sec / 8.0;
+    const double rcv_dma_bytes = receiver_.dma_cap_bps() * dt_sec / 8.0;
+
+    // The ring drains and refills every RTT, so a round of K RTTs has K
+    // rings of credit: its occupancy stays a per-RTT peak.
+    r.nic_paced = nic_rx.round(true, dt_sec, rc.rtt);
+    r.nic_paced.usable_ring *= rtts;
+    r.nic_unpaced = nic_rx.round(false, dt_sec, rc.rtt);
+    r.nic_unpaced.usable_ring *= rtts;
+    r.rx_app_cap = r.rcv_app_budget / std::max(rc.rx_app_pb, 1e-9);
+    // Receiver-side host limits: IRQ cycles, DMA, memory bandwidth.
+    r.rx_host_cap =
+        std::min({r.rcv_irq_budget / std::max(rc.rx_irq_pb, 1e-12), rcv_dma_bytes,
+                  rcv_mem_budget / std::max(rx_mem_passes, 1e-9)});
+    // Loss thresholds hold per RTT: K RTTs of sub-threshold loss stay so.
+    r.md_floor = 32.0 * rc.mss * std::clamp(dt_sec_ / 0.063, 0.01, 1.0) * rtts;
+  }
 }
 
 void TransferSimulation::schedule_round() {
   // A [this] closure fits std::function's local buffer: no allocation.
-  engine_->schedule(tick_ns_, [this] {
-    tick(units::to_seconds(engine_->now()));
-    if (engine_->now() + tick_ns_ <= cfg_.duration.nanos()) schedule_round();
+  engine_->schedule(tick_ns_ << span_, [this] {
+    const double now_sec = units::to_seconds(engine_->now());
+    if (span_max_ > 0) {
+      tick<true>(now_sec);
+    } else {
+      tick<false>(now_sec);
+    }
+    if (plan_round(engine_->now())) schedule_round();
   });
 }
 
+bool TransferSimulation::plan_round(Nanos now_ns) {
+  // The earned span, shortened so the round ends by the run's end, crosses
+  // no scenario boundary (its changes land where one-RTT rounds would see
+  // them) and closes a 1 s interval only with its last RTT.
+  const Nanos run_end = cfg_.duration.nanos();
+  int span = span_earned_;
+  for (; span > 0; --span) {
+    const int rtts = 1 << span;
+    const Nanos round_end = now_ns + (tick_ns_ << span);
+    if (round_end > run_end) continue;
+    if (scn_ && units::to_seconds(round_end) >= scn_->next_boundary_sec()) continue;
+    double elapsed = interval_elapsed_;
+    int rtt = 1;
+    for (; rtt < rtts; ++rtt) {
+      elapsed += dt_sec_;
+      if (elapsed >= 1.0) break;
+    }
+    if (rtt == rtts) break;
+  }
+  span_ = span;
+  return now_ns + (tick_ns_ << span) <= run_end;
+}
+
+template <bool kCoalesce>
 void TransferSimulation::tick(double now_sec) {
   if (scn_) apply_scenario(now_sec);
-  const RoundConsts& rc = rc_;
-  const double dt_sec = dt_sec_;
+  const int span = kCoalesce ? span_ : 0;
+  const RoundConsts& rc = rc_[static_cast<std::size_t>(span)];
+  const Span& sp = kSpans[static_cast<std::size_t>(span)];
+  const int rtts = 1 << span;
+  const double dt_sec = rc.dt_sec;
   const double rtt = rc.rtt;
   const double fq_rate = rc.fq_rate;
   const bool zc_req = rc.zc_req;
@@ -460,9 +554,22 @@ void TransferSimulation::tick(double now_sec) {
   double f0_wnd_desired = 0.0, f0_paced_desired = 0.0, f0_cpu_cap = 0.0;
   const double tx_irq_pb = rc.tx_irq_pb;
   double total_planned = 0.0, total_irq_need = 0.0, total_mem_need = 0.0;
-  const double sigma = jitter_sigma();
+  // One jitter draw per flow per round, jitter_sigma() wide for one RTT; a
+  // K-RTT draw narrows to the K-step sum's spread and keeps its mean.
+  double sigma = jitter_sigma();
+  double median_scale = 1.0;
+  if (span > 0) {
+    const double var = sigma * sigma;
+    const double var_k = std::log1p(sp.jitter_var * std::expm1(var));
+    median_scale = std::exp(0.5 * (var - var_k));
+    sigma = std::sqrt(var_k);
+  }
+  bool window_bound = false;
+  bool zc_fell_back = false;
+  double zc_room = std::numeric_limits<double>::infinity();  // RTTs optmem covers
   for (auto& f : flows_) {
-    update_jitter(f, sigma);
+    const double target = rng_.lognormal(f.static_bias * median_scale, sigma);
+    f.share_jitter = f.share_jitter * sp.jitter_keep + target * sp.jitter_new;
 
     if (scn_ && static_cast<int>(&f - flows_.data()) >= scn_active_flows_) {
       // Departed stream (scenario flow churn): the jitter stream above stays
@@ -474,7 +581,8 @@ void TransferSimulation::tick(double now_sec) {
     } else {
       const double rwnd = std::max(rc.rcv_wnd_max - f.rcv_backlog_bytes, 0.0);
       const double wnd = std::min({f.cc->cwnd_bytes(), rwnd, rc.snd_wnd_max});
-      double desired = wnd * dt_sec / rtt;
+      const double wnd_desired = wnd * dt_sec / rtt;
+      double desired = wnd_desired;
 
       double pace = fq_rate;
       const double cc_pace = f.cc->pacing_rate_bps();
@@ -487,13 +595,18 @@ void TransferSimulation::tick(double now_sec) {
         const auto plan = f.zc_socket.preview_send(units::Bytes(desired), units::Bytes(gso));
         zc_frac = (plan.zc_bytes + plan.fallback_bytes) / desired;
         fb_frac = plan.fallback_bytes / desired;
+        zc_fell_back = zc_fell_back || plan.fallback_bytes > 0;
+        if constexpr (kCoalesce) {
+          zc_room = std::min(zc_room, f.zc_socket.chargeable_bytes(units::Bytes(gso)) /
+                                          (desired * sp.per_rtt));
+        }
       }
 
-      // In-flight data over one RTT is what thrashes the L3; the previous
-      // round's sent volume is the sustained estimate (the window cap can be
-      // far larger than what is actually outstanding).
+      // In-flight data over one RTT is what thrashes the L3; the recent
+      // volume sent per base round is the sustained estimate (the window cap
+      // can be far larger than what is actually outstanding).
       const double cache_mult =
-          snd_cost_->cache_pressure_mult(std::min(f.prev_sent_bytes * rtt / dt_sec, wnd));
+          snd_cost_->cache_pressure_mult(std::min(f.prev_sent_bytes * rtt / dt_sec_, wnd));
       f.tx_app_cyc_per_byte = rc.tx_app.per_byte(zc_frac, fb_frac, cache_mult);
       if (in && in->perf) {
         // Stage split of the price just computed — same split and cache
@@ -511,8 +624,11 @@ void TransferSimulation::tick(double now_sec) {
       const double cpu_cap = rc.snd_app_budget * f.share_jitter /
                              std::max(f.tx_app_cyc_per_byte, 1e-9);
       f.planned_bytes = std::min(desired, cpu_cap);
-      if (in && &f == &flows_[0]) {
-        f0_wnd_desired = wnd * dt_sec / rtt;
+      // The window (receive window, cwnd or send buffer) set the send: its
+      // backlog feedback and slow start's doubling are not linear in K.
+      window_bound = window_bound || f.planned_bytes >= wnd_desired;
+      if (&f == &flows_[0]) {
+        f0_wnd_desired = wnd_desired;
         f0_paced_desired = desired;
         f0_cpu_cap = cpu_cap;
       }
@@ -538,6 +654,7 @@ void TransferSimulation::tick(double now_sec) {
       const auto plan = f.zc_socket.plan_send(units::Bytes(f.sent_bytes), units::Bytes(gso));
       f.zc_planned = plan.zc_bytes;
       f.fb_planned = plan.fallback_bytes;
+      zc_fell_back = zc_fell_back || plan.fallback_bytes > 0;
     } else {
       f.zc_planned = f.fb_planned = 0.0;
     }
@@ -569,6 +686,21 @@ void TransferSimulation::tick(double now_sec) {
     }
   }
 
+  // Name the constraint that bounded this round's send.
+  obs::RoundLimit cause = obs::RoundLimit::Window;
+  if (f0_cpu_cap < f0_paced_desired) {
+    cause = obs::RoundLimit::AppCpu;
+  } else if (f0_paced_desired < 0.999 * f0_wnd_desired) {
+    cause = obs::RoundLimit::Pacing;
+  }
+  if (s < 0.9995) {
+    cause = obs::RoundLimit::IrqCpu;
+    double worst = s_irq;
+    if (s_line < worst) { cause = obs::RoundLimit::LineRate; worst = s_line; }
+    if (s_dma < worst) { cause = obs::RoundLimit::Dma; worst = s_dma; }
+    if (s_mem < worst) { cause = obs::RoundLimit::MemBw; worst = s_mem; }
+  }
+
   if (in) {
     // Optmem occupancy peaks here — charges are live between plan_send and
     // the ACK release at the end of the round, which is the in-flight
@@ -597,26 +729,12 @@ void TransferSimulation::tick(double now_sec) {
     }
     in->in_fallback = falling_back;
 
-    // Name the constraint that bounded this round's send.
-    obs::RoundLimit cause = obs::RoundLimit::Window;
-    if (f0_cpu_cap < f0_paced_desired) {
-      cause = obs::RoundLimit::AppCpu;
-    } else if (f0_paced_desired < 0.999 * f0_wnd_desired) {
-      cause = obs::RoundLimit::Pacing;
-    }
-    if (s < 0.9995) {
-      cause = obs::RoundLimit::IrqCpu;
-      double worst = s_irq;
-      if (s_line < worst) { cause = obs::RoundLimit::LineRate; worst = s_line; }
-      if (s_dma < worst) { cause = obs::RoundLimit::Dma; worst = s_dma; }
-      if (s_mem < worst) { cause = obs::RoundLimit::MemBw; worst = s_mem; }
-    }
+    // limit.*_ticks count RTTs, so a K-RTT round adds K.
     in->limit_code->set(static_cast<double>(cause));
-    in->limit_ticks[static_cast<int>(cause)]->increment();
-    if (cause != in->last_limit) {
+    in->limit_ticks[static_cast<int>(cause)]->add(sp.rtts);
+    if (cause != last_limit_) {
       tel_->trace().instant("limit_change", "cpu", now_ns, 0,
                             {{"code", static_cast<double>(cause)}});
-      in->last_limit = cause;
     }
 
     if (obs::SsReport* ss = in->ss.get()) {
@@ -637,7 +755,7 @@ void TransferSimulation::tick(double now_sec) {
         // fq "throttled": pacing, not the window, gated this round. The
         // modeled delay is the slice of the round pacing withheld from the
         // window's demand.
-        ss->qdisc.throttled += 1.0;
+        ss->qdisc.throttled += sp.rtts;
         const double frac =
             f0_wnd_desired > 0
                 ? std::clamp(1.0 - f0_paced_desired / f0_wnd_desired, 0.0, 1.0)
@@ -732,18 +850,18 @@ void TransferSimulation::tick(double now_sec) {
   }
 
   // ---- Scenario forced loss ----------------------------------------------
+  double forced_loss = 0.0;
   if (scn_ && scn_loss_frac_ > 0.0) {
     // Loss episode: a deterministic cut of what the path delivered, counted
     // as path drops so CC backoff and retransmit accounting both see it.
-    double forced = 0.0;
     for (auto& f : flows_) {
       const double cut = f.arrived_bytes * scn_loss_frac_;
       f.arrived_bytes -= cut;
       f.lost_bytes += cut;
-      forced += cut;
+      forced_loss += cut;
     }
-    dropped_path_ += forced;
-    if (in) in->path_drops->add(forced);
+    dropped_path_ += forced_loss;
+    if (in) in->path_drops->add(forced_loss);
   }
 
   // ---- Receiver NIC per flow ---------------------------------------------
@@ -809,7 +927,7 @@ void TransferSimulation::tick(double now_sec) {
       tel_->trace().instant("ring_overflow", "nic", now_ns, 0,
                             {{"dropped_bytes", tick_nic_drops}});
     }
-    if (tick_pause) in->pause_ticks->increment();
+    if (tick_pause) in->pause_ticks->add(sp.rtts);
     if (tick_pause && !in->pause_active) {
       tel_->trace().instant("pause_frames", "nic", now_ns, 0);
     }
@@ -826,8 +944,8 @@ void TransferSimulation::tick(double now_sec) {
       if (tick_pause) {
         // 802.3x pause is symmetric in the model: the receiver emits, the
         // sender's link sees the same bursts.
-        nic.tx_pause_frames += 1.0;
-        nic.rx_pause_frames += 1.0;
+        nic.tx_pause_frames += sp.rtts;
+        nic.rx_pause_frames += sp.rtts;
       }
       if (receiver_.hw_gro_active() && rc.gro > 0) {
         nic.hw_gro_coalesced += total_accepted / rc.gro;
@@ -878,16 +996,18 @@ void TransferSimulation::tick(double now_sec) {
 
     const double acked = f.arrived_bytes;
     const double lost = f.lost_bytes;
+    // Under half a segment lost per RTT is not a retransmit.
+    const bool retransmits = lost > 0.5 * seg * sp.rtts;
     if (in && in->ss) {
       // Receiver-side reordering (tcpi_rcv_ooopack): every retransmitted
       // hole and every scenario-reordered segment arrives out of order.
-      double ooo = lost > 0.5 * seg ? lost / seg : 0.0;
+      double ooo = retransmits ? lost / seg : 0.0;
       if (scn_ && scn_reorder_frac_ > 0.0) {
         ooo += f.arrived_bytes * scn_reorder_frac_ / seg;
       }
       in->ss->sockets[fi].rcv_ooopack += ooo;
     }
-    if (lost > 0.5 * seg) {
+    if (retransmits) {
       f.retransmit_segments += lost / seg;
       total_retx_ += lost / seg;
       tick_retx += lost / seg;
@@ -905,20 +1025,29 @@ void TransferSimulation::tick(double now_sec) {
       }
     }
     if (acked > 0) {
-      // Congestion-window validation (RFC 7661): a pace-limited flow does
-      // not inflate cwnd past ~2x the window it actually uses. This is why
-      // paced production flows shrug off stray losses (Table III: paced to
-      // 10G, every flow delivers exactly 10G despite ~1K retransmits).
-      const bool cwnd_validated =
-          fq_rate > 0.0 && !f.cc->self_paced() &&
-          f.cc->cwnd_bytes() > 2.0 * fq_rate * rtt / 8.0;
-      if (!cwnd_validated) f.cc->on_ack(now_sec, acked, rtt);
+      const auto ack = [&](double at_sec, double bytes) {
+        // Congestion-window validation (RFC 7661): a pace-limited flow does
+        // not inflate cwnd past ~2x the window it actually uses. This is why
+        // paced production flows shrug off stray losses (Table III: paced to
+        // 10G, every flow delivers exactly 10G despite ~1K retransmits).
+        const bool cwnd_validated =
+            fq_rate > 0.0 && !f.cc->self_paced() &&
+            f.cc->cwnd_bytes() > 2.0 * fq_rate * rtt / 8.0;
+        if (!cwnd_validated) f.cc->on_ack(at_sec, bytes, rtt);
+        f.rtt.add_sample(rtt);
+      };
+      // A K-RTT round acks K equal slices, each at the end of its RTT.
+      const double slice = acked * sp.per_rtt;
+      for (int back = rtts - 1; back > 0; --back) {
+        ack(now_sec - static_cast<double>(back) * dt_sec_, slice);
+      }
+      ack(now_sec, slice);
       f.zc_socket.on_acked(units::Bytes(acked));
-      f.rtt.add_sample(rtt);
     }
     f.inflight_bytes = 0.0;  // round model: everything resolves within a tick
     // EWMA keeps the cache-pressure feedback loop from oscillating.
-    f.prev_sent_bytes = 0.7 * f.prev_sent_bytes + 0.3 * f.sent_bytes;
+    f.prev_sent_bytes =
+        sp.ewma_keep * f.prev_sent_bytes + sp.ewma_new * (f.sent_bytes * sp.per_rtt);
     f.lost_bytes = 0.0;
   }
   total_delivered_ += interval_bytes_this_tick;
@@ -932,10 +1061,11 @@ void TransferSimulation::tick(double now_sec) {
   const double rcv_app_u = std::min(
       rcv_app_used.value() / (rc.rcv_app_budget * static_cast<double>(flows_.size())), 1.0);
   const double rcv_irq_u = std::min(total_accepted * rx_irq_pb / rc.rcv_irq_budget, 1.0);
-  snd_app_util_.add(snd_app_u);
-  snd_irq_util_.add(snd_irq_u);
-  rcv_app_util_.add(rcv_app_u);
-  rcv_irq_util_.add(rcv_irq_u);
+  // Per-round means weigh a K-RTT round as K rounds.
+  snd_app_util_.add(snd_app_u, static_cast<std::size_t>(rtts));
+  snd_irq_util_.add(snd_irq_u, static_cast<std::size_t>(rtts));
+  rcv_app_util_.add(rcv_app_u, static_cast<std::size_t>(rtts));
+  rcv_irq_util_.add(rcv_irq_u, static_cast<std::size_t>(rtts));
 
   if (in && in->perf) {
     // Budget offered this tick, per core group (the capacity side of the
@@ -996,7 +1126,7 @@ void TransferSimulation::tick(double now_sec) {
 
     // Round span (first kMaxRoundSpans rounds only; instants/counters keep
     // flowing for the whole run).
-    if (in->rounds < kMaxRoundSpans) {
+    if (rounds_ < kMaxRoundSpans) {
       const Nanos round_start =
           std::max<Nanos>(now_ns - static_cast<Nanos>(dt_sec * 1e9), 0);
       trace.begin("round", "round", round_start, 0,
@@ -1020,17 +1150,35 @@ void TransferSimulation::tick(double now_sec) {
       trace.end("rx_drain", "round", now_ns, 1);
       trace.end("round", "round", now_ns, 0);
     }
-    ++in->rounds;
   }
 
   // ---- 1-second interval series -------------------------------------------
+  // One add per RTT keeps the clock one-RTT rounds keep; plan_round() ends a
+  // round on the RTT that closes the interval.
   interval_accum_bytes_ += interval_bytes_this_tick;
-  interval_elapsed_ += dt_sec;
+  for (int i = 0; i < rtts; ++i) interval_elapsed_ += dt_sec_;
   if (interval_elapsed_ >= 1.0) {
     interval_bps_.push_back(units::rate_of(interval_accum_bytes_, interval_elapsed_));
     interval_accum_bytes_ = 0.0;
     interval_elapsed_ = 0.0;
   }
+
+  // ---- The next round's span ---------------------------------------------
+  // A steady round lost nothing (path, NIC, host overrun or scenario cut),
+  // left no flow bound by its window, priced and made no zerocopy send that
+  // fell back, and kept its binding constraint: the span then doubles, as
+  // far as every zerocopy socket's free optmem covers the span's RTTs of its
+  // desired send. Any other round restarts at one RTT.
+  if constexpr (kCoalesce) {
+    const bool lossy = transit.dropped_bytes > 0 || forced_loss > 0 || tick_nic_drops > 0;
+    const bool steady = !lossy && !window_bound && !zc_fell_back && cause == last_limit_;
+    span_earned_ = steady ? std::min(span_earned_ + 1, span_max_) : 0;
+    while (span_earned_ > 0 && kSpans[static_cast<std::size_t>(span_earned_)].rtts > zc_room) {
+      --span_earned_;
+    }
+  }
+  last_limit_ = cause;
+  ++rounds_;
 }
 
 obs::SsReport TransferSimulation::build_ss_report() const {

@@ -1,8 +1,9 @@
 // TransferSimulation: one memory-to-memory transfer, end to end.
 //
 // This is the engine that couples every substrate. Flows are clocked in
-// RTT-sized rounds on the discrete-event engine; within a round the sender's
-// achievable bytes are the minimum of
+// rounds of 1, 2, 4 or 8 RTTs on the discrete-event engine (a round grows
+// while the transfer is steady; see docs/MODEL.md section 1); within a round
+// the sender's achievable bytes are the minimum of
 //   window (cwnd, receiver window, wmem) / pacing (fq-rate, BBR) /
 //   app-core CPU / IRQ-core CPU / NIC line rate / memory bandwidth / DMA cap,
 // the burst then crosses the path (background traffic, burst-tolerance
@@ -16,6 +17,7 @@
 // the sampler's views copy at each sample.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -85,6 +87,9 @@ struct TransferResult {
   bool pause_frames_seen = false;
   // Events crossed during the run (empty when no scenario was attached).
   scenario::EventLog scenario_log;
+  // Rounds the run executed: the simulator's work, not simulated output
+  // (PacketSimResult::events is the packet engine's count).
+  std::uint64_t rounds = 0;
 };
 
 class TransferSimulation {
@@ -106,7 +111,7 @@ class TransferSimulation {
     // Persistent per-flow bias for the run (hash placement, NUMA luck):
     // per-flow averages differ across a whole run, not just per tick.
     double static_bias = 1.0;
-    // Previous round's sent bytes ~= sustained in-flight data; drives the
+    // EWMA of the bytes sent per RTT ~= sustained in-flight data; drives the
     // sender's cache-pressure multiplier.
     double prev_sent_bytes = 0.0;
     // Scratch, valid within one tick:
@@ -169,13 +174,11 @@ class TransferSimulation {
     // scenario-free telemetry runs keep their probe columns unchanged.
     obs::Counter* scn_events = nullptr;
     obs::Gauge* scn_active_flows = nullptr;
-    // Trace edge detection
-    obs::RoundLimit last_limit = obs::RoundLimit::None;
+    // Trace edge detection (the limit's edge is the run's last_limit_)
     bool in_fallback = false;
     bool in_trim = false;
     bool pause_active = false;
     bool flow0_slow_start = true;
-    std::uint64_t rounds = 0;
     // The ss and perf accumulators, allocated only when the Telemetry wants
     // ss or perf, so a plain telemetry run makes no snapshot or attribution
     // updates. The tick writes its per-round counters into them; the views
@@ -185,17 +188,21 @@ class TransferSimulation {
     std::unique_ptr<obs::PerfReport> perf;
   };
 
-  // Everything a round reads that only the run's configuration determines:
-  // window caps, SKB geometry, per-round CPU/memory/line/DMA budgets, the
-  // geometry-only per-byte prices and their stage splits (among them the
-  // app-core TX price terms, tx_app: protocol plus per-super-packet cost,
-  // zerocopy pin plus completion, copy cost, stack/virt factors and the
-  // placement multiplier), and the receiver NIC's verdict terms for paced
-  // and unpaced rounds (tolerable rate, drain per round, usable ring).
+  // Everything a round reads that only the run's configuration and the
+  // round's length determine: window caps, SKB geometry, per-round
+  // CPU/memory/line/DMA budgets, the geometry-only per-byte prices and
+  // their stage splits (among them the app-core TX price terms, tx_app:
+  // protocol plus per-super-packet cost, zerocopy pin plus completion, copy
+  // cost, stack/virt factors and the placement multiplier), and the
+  // receiver NIC's verdict terms for paced and unpaced rounds (tolerable
+  // rate, drain per round, usable ring).
   // refresh_round() is the only writer: it runs before the first round and
   // again only when apply_scenario() crosses a boundary, never per round.
+  // It fills one entry per round span (rc_[k] for 2^k RTTs): the budgets,
+  // caps and NIC terms scale with the round's length, the rest is shared.
   struct RoundConsts {
-    double rtt = 0.0;  // path RTT, floored at 1 us
+    double dt_sec = 0.0;  // round length: 2^k base rounds of dt_sec_
+    double rtt = 0.0;     // path RTT, floored at 1 us
     double mss = 0.0;
     bool zc_req = false;   // MSG_ZEROCOPY requested and supported
     double fq_rate = 0.0;  // fq pacing rate; 0 unless the qdisc is fq
@@ -233,14 +240,20 @@ class TransferSimulation {
 
   void refresh_round();
   void schedule_round();
+  // Picks the span of the round that starts at now_ns (span_) and returns
+  // false when no round fits before the run ends.
+  bool plan_round(Nanos now_ns);
+  // One round. Runs whose base round already spans the 1.6 ms cap (WAN)
+  // only ever run 1-RTT rounds: tick<false> compiles their span
+  // bookkeeping out.
+  template <bool kCoalesce>
   void tick(double now_sec);
   // Crosses scenario boundaries up to now_sec, re-applies the folded
   // overlay onto cfg_/path_ and rebuilds rc_ from them, so a mutation lands
   // on this round. Called only when a scenario is attached (scn_ non-null).
   void apply_scenario(double now_sec);
-  // The width of this round's jitter draws (see update_jitter).
+  // The width of a one-RTT round's jitter draws (see tick).
   double jitter_sigma() const;
-  void update_jitter(FlowState& f, double sigma);
   double mss() const;
   void setup_telemetry(sim::Engine& engine);
   // dtnsim-ss's payload: the ss accumulator plus each flow's tcp_info state
@@ -255,9 +268,17 @@ class TransferSimulation {
   Rng rng_;
 
   std::vector<FlowState> flows_;
-  double dt_sec_ = 0.0;  // round length, fixed for the run
+  // The base round: one RTT, floored at 200 us, fixed for the run. A round
+  // spans 2^span_ base rounds (1, 2, 4 or 8 RTTs, at most 1.6 ms): span_
+  // doubles after a steady round (no loss, no window-bound flow, zerocopy
+  // charges with headroom, the same binding constraint) and drops to 1 RTT
+  // otherwise. Only simulation state sets it, never the telemetry.
+  double dt_sec_ = 0.0;
   Nanos tick_ns_ = 0;
-  RoundConsts rc_;
+  int span_ = 0;         // the span of the round being run
+  int span_earned_ = 0;  // the span the doubling rule allows next
+  int span_max_ = 0;     // the span cap for this run's base round
+  std::array<RoundConsts, 4> rc_;  // rc_[k]: a round of 2^k RTTs
   cpu::PlacementQuality snd_quality_;
   cpu::PlacementQuality rcv_quality_;
   std::unique_ptr<cpu::CostModel> snd_cost_;
@@ -275,6 +296,8 @@ class TransferSimulation {
   std::vector<double> interval_bps_;
   double interval_accum_bytes_ = 0.0;
   double interval_elapsed_ = 0.0;
+  std::uint64_t rounds_ = 0;
+  obs::RoundLimit last_limit_ = obs::RoundLimit::None;  // last round's binding constraint
 
   obs::Telemetry* tel_ = nullptr;           // == cfg_.telemetry during run()
   std::unique_ptr<Instruments> instr_;

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "dtnsim/units/units.hpp"
@@ -42,15 +43,11 @@ class ZcTxSocket {
     const double bytes = payload.value();
     if (bytes <= 0 || superpkt.value() <= 0) return plan;
 
-    const double charge_per_byte = kZcChargePerSuperPkt / superpkt.value();
-    const double chargeable_bytes =
-        charge_per_byte > 0 ? optmem_available() / charge_per_byte : bytes;
-
-    plan.zc_bytes = std::min(bytes, chargeable_bytes);
+    plan.zc_bytes = std::min(bytes, chargeable_bytes(superpkt));
     plan.fallback_bytes = bytes - plan.zc_bytes;
 
     if (plan.zc_bytes > 0) {
-      const double charge = plan.zc_bytes * charge_per_byte;
+      const double charge = plan.zc_bytes * (kZcChargePerSuperPkt / superpkt.value());
       optmem_used_ += charge;
       peak_optmem_used_ = std::max(peak_optmem_used_, optmem_used_);
       inflight_zc_bytes_ += plan.zc_bytes;
@@ -68,12 +65,17 @@ class ZcTxSocket {
     SendPlan plan;
     const double bytes = payload.value();
     if (bytes <= 0 || superpkt.value() <= 0) return plan;
-    const double charge_per_byte = kZcChargePerSuperPkt / superpkt.value();
-    const double chargeable_bytes =
-        charge_per_byte > 0 ? optmem_available() / charge_per_byte : bytes;
-    plan.zc_bytes = std::min(bytes, chargeable_bytes);
+    plan.zc_bytes = std::min(bytes, chargeable_bytes(superpkt));
     plan.fallback_bytes = bytes - plan.zc_bytes;
     return plan;
+  }
+
+  // Bytes that can still be pinned as `superpkt`-byte super-packets before
+  // the charges reach optmem_max.
+  double chargeable_bytes(units::Bytes superpkt) const {
+    const double charge_per_byte = kZcChargePerSuperPkt / superpkt.value();
+    return charge_per_byte > 0 ? optmem_available() / charge_per_byte
+                               : std::numeric_limits<double>::infinity();
   }
 
   // ACK `acked` in-flight data; releases charges FIFO. ACKed bytes beyond

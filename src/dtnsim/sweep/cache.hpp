@@ -27,7 +27,9 @@
 namespace dtnsim::sweep {
 
 // Schema + calibration version salt folded into every cache key.
-inline constexpr std::string_view kCacheSalt = "dtnsim.sweep.v1";
+// v2: fluid rounds span up to 8 RTTs while a transfer is steady, which
+// moves coalesced LAN cells' results.
+inline constexpr std::string_view kCacheSalt = "dtnsim.sweep.v2";
 
 // The canonical text: "key=value\n" lines sorted by key. Doubles are
 // written as printf's %.17g (round-trips every double, so two knob values

@@ -11,11 +11,15 @@ namespace dtnsim {
 // Welford streaming mean/variance with min/max tracking.
 class RunningStats {
  public:
-  void add(double x) {
-    ++n_;
+  void add(double x) { add(x, 1); }
+  // `x` observed `times` times in one batched Welford step; add(x, 1) is
+  // add(x) bit for bit.
+  void add(double x, std::size_t times) {
+    n_ += times;
+    const double w = static_cast<double>(times);
     const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
+    mean_ += delta * w / static_cast<double>(n_);
+    m2_ += delta * (x - mean_) * w;
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
   }

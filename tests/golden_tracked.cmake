@@ -7,9 +7,11 @@ file(GLOB sources ${ROOT}/tests/*.cpp)
 list(APPEND sources ${ROOT}/.github/workflows/ci.yml)
 set(paths "")
 foreach(src IN LISTS sources)
-  file(STRINGS ${src} lines REGEX "tests/golden/[A-Za-z0-9_.-]+")
+  file(STRINGS ${src} lines REGEX "tests/golden/[A-Za-z0-9_.-]*[A-Za-z0-9_-]")
   foreach(line IN LISTS lines)
-    string(REGEX MATCHALL "tests/golden/[A-Za-z0-9_.-]+" found "${line}")
+    # A path ends in a name character, so a sentence's full stop is not read
+    # into it ("... in tests/golden/engine_work.txt.").
+    string(REGEX MATCHALL "tests/golden/[A-Za-z0-9_.-]*[A-Za-z0-9_-]" found "${line}")
     list(APPEND paths ${found})
   endforeach()
 endforeach()

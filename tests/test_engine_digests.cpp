@@ -17,11 +17,12 @@
 // simulated output on purpose regenerates it (the failure message prints the
 // failing test's lines) and says which numbers moved and why.
 //
-// EngineWork pins the work instead: tests/golden/engine_work.txt holds each
-// packet cell's `events`, the engine events its run executed. `events`
-// measures what simulating cost, not what was simulated, so no digest hashes
-// it; a change that makes a cell queue more (or fewer) events fails here
-// even when every digest holds, and re-blesses the count on purpose.
+// EngineWork pins the work instead: each packet cell's `events` (the engine
+// events its run executed) and each fluid cell's `rounds` (the rounds it
+// ran). Both measure what simulating cost, not what was simulated, so no
+// digest hashes them; a change that makes a cell do more (or less) work
+// fails here even when every digest holds, and re-blesses the count on
+// purpose in tests/golden/engine_work.txt.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -58,7 +59,7 @@ struct Golden {
 const Golden kDigests{std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/engine_digests.txt",
                       "digest", "simulated output moved"};
 const Golden kWork{std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/engine_work.txt",
-                   "events", "engine work moved"};
+                   "work", "engine work moved"};
 
 class Digest {
  public:
@@ -185,41 +186,44 @@ Cell engine_cell(std::string name, Config cfg, const Watch& watch, RunFn run) {
           }};
 }
 
-// LAN cells run 30 s: ~150k rounds at the 200 us tick floor, long enough to
-// cross both timelines' every boundary. WAN cells run the paper's 60 s.
-std::vector<Cell> fluid_cells(const Watch& watch = std::nullopt) {
-  const auto fluid_cell = [&](std::string name, const TransferConfig& cfg) {
-    return engine_cell("fluid/" + std::move(name), cfg, watch, run_transfer);
-  };
+// LAN cells run 30 s (150k RTTs of 200 us), long enough to cross both
+// timelines' every boundary. WAN cells run the paper's 60 s.
+std::vector<std::pair<std::string, TransferConfig>> fluid_configs() {
   const auto table1 = harness::esnet(kern::KernelVersion::V5_15);  // Table I's testbed
   const auto esnet = harness::esnet(kern::KernelVersion::V6_8);
   const auto amlight = harness::amlight(kern::KernelVersion::V6_8);
-  std::vector<Cell> out;
-  out.push_back(fluid_cell("lan1_unpaced", fluid(esnet, esnet.lan(), 1, 0, 30, 11)));
-  out.push_back(fluid_cell("lan1_paced", fluid(esnet, esnet.lan(), 1, 40, 30, 12)));
-  out.push_back(fluid_cell("lan8_unpaced", fluid(table1, table1.lan(), 8, 0, 30, 13)));
-  out.push_back(fluid_cell("lan8_paced", fluid(table1, table1.lan(), 8, 20, 30, 14)));
+  std::vector<std::pair<std::string, TransferConfig>> out;
+  out.emplace_back("lan1_unpaced", fluid(esnet, esnet.lan(), 1, 0, 30, 11));
+  out.emplace_back("lan1_paced", fluid(esnet, esnet.lan(), 1, 40, 30, 12));
+  out.emplace_back("lan8_unpaced", fluid(table1, table1.lan(), 8, 0, 30, 13));
+  out.emplace_back("lan8_paced", fluid(table1, table1.lan(), 8, 20, 30, 14));
 
   auto zc = fluid(amlight, amlight.lan(), 1, 50, 30, 15);
   zc.flow.zerocopy = true;
-  out.push_back(fluid_cell("lan1_zerocopy", zc));
+  out.emplace_back("lan1_zerocopy", zc);
   // fig10's shape: 8 zerocopy flows, each with its own socket, paced at 20G.
   auto zc8 = fluid(esnet, esnet.lan(), 8, 20, 30, 19);
   zc8.flow.zerocopy = true;
-  out.push_back(fluid_cell("lan8_zc_paced", zc8));
+  out.emplace_back("lan8_zc_paced", zc8);
 
   auto bbr = fluid(amlight, harness::amlight_wan(25), 1, 0, 60, 16);
   bbr.flow.congestion = kern::CongestionAlgo::BbrV1;
-  out.push_back(fluid_cell("wan25_bbr", bbr));
-  out.push_back(
-      fluid_cell("wan104_cubic8", fluid(amlight, harness::amlight_wan(104), 8, 0, 60, 17)));
+  out.emplace_back("wan25_bbr", bbr);
+  out.emplace_back("wan104_cubic8", fluid(amlight, harness::amlight_wan(104), 8, 0, 60, 17));
 
   for (const char* timeline : {"link_flap", "host_retune"}) {
     auto cfg = fluid(table1, table1.lan(), 8, 0, 30, 18);
     cfg.scenario = scenario::load_timeline(std::string(DTNSIM_SOURCE_DIR) + "/scenarios/" +
                                            timeline + ".json");
-    out.push_back(fluid_cell(std::string("lan8_") + timeline, cfg));
+    out.emplace_back(std::string("lan8_") + timeline, cfg);
   }
+  return out;
+}
+
+std::vector<Cell> fluid_cells(const Watch& watch = std::nullopt) {
+  std::vector<Cell> out;
+  for (auto& [name, cfg] : fluid_configs())
+    out.push_back(engine_cell("fluid/" + name, cfg, watch, run_transfer));
   return out;
 }
 
@@ -490,6 +494,11 @@ TEST(ObservationDigests, MatchGolden) { expect_golden(observation_cells()); }
 
 TEST(EngineWork, MatchGolden) {
   std::vector<Cell> cells;
+  for (auto& [name, cfg] : fluid_configs()) {
+    cells.push_back({"fluid/" + name, [cfg = cfg] {
+                       return std::to_string(run_transfer(cfg).rounds);
+                     }});
+  }
   for (auto& [name, cfg] : packet_configs()) {
     cells.push_back({"packet/" + name, [cfg = cfg] {
                        return std::to_string(run_packet_sim(cfg).events);

@@ -1,10 +1,11 @@
-// Hot-path allocation budget: an engine event, a fluid round (copy path and
-// zerocopy) and a packet-engine event allocate nothing. This binary replaces
-// the global operator new to count calls; each test compares a short and a
-// long run, so one-off set-up allocations cancel and only per-event or
-// per-round ones remain.
+// Hot-path allocation budget: an engine event, a fluid round (the copy path
+// in 1-RTT rounds, zerocopy in 8-RTT rounds) and a packet-engine event
+// allocate nothing. This binary replaces the global operator new to count
+// calls; each test compares a short and a long run, so one-off set-up
+// allocations cancel and only per-event or per-round ones remain.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -58,6 +59,7 @@ TEST(HotPath, EngineEventsAllocateNothing) {
 struct FluidRun {
   long news = 0;          // allocations made by run(), construction excluded
   double zc_bytes = 0.0;  // bytes the run sent zerocopy
+  std::uint64_t rounds = 0;
 };
 
 // An 8-flow LAN cell on `tb` with `opts`, run for `seconds`.
@@ -72,23 +74,30 @@ FluidRun fluid_run(const harness::Testbed& tb, const flow::FlowOptions& opts,
   cfg.duration = units::SimTime::from_seconds(seconds);
   flow::TransferSimulation sim(cfg);
   FluidRun out;
-  out.news = news_during([&] { out.zc_bytes = sim.run().zc_bytes; });
+  out.news = news_during([&] {
+    const auto res = sim.run();
+    out.zc_bytes = res.zc_bytes;
+    out.rounds = res.rounds;
+  });
   return out;
 }
 
 TEST(HotPath, FluidRoundsAllocateNothing) {
   // Table I's 8-flow LAN cell for 1 s and 4 s: 15k more rounds may only
-  // grow the 1 s interval series (one vector growth per doubling).
+  // grow the 1 s interval series (one vector growth per doubling). At this
+  // seed its windows bind and the path drops, so every round spans 1 RTT.
   const auto tb = harness::esnet(kern::KernelVersion::V5_15);
-  const long short_run = fluid_run(tb, {}, 1.0).news;
-  const long long_run = fluid_run(tb, {}, 4.0).news;
-  EXPECT_LE(long_run - short_run, 4) << short_run << " vs " << long_run;
+  const FluidRun short_run = fluid_run(tb, {}, 1.0);
+  const FluidRun long_run = fluid_run(tb, {}, 4.0);
+  EXPECT_EQ(long_run.rounds - short_run.rounds, 15000u);
+  EXPECT_LE(long_run.news - short_run.news, 4) << short_run.news << " vs " << long_run.news;
 }
 
 TEST(HotPath, ZerocopyRoundsAllocateNothing) {
   // fig10's 8-flow zerocopy cell paced at 20G: every round charges a chunk
   // per flow and ACKs release them, so each flow's in-flight queue must
-  // reuse its storage once it reaches its high-water mark.
+  // reuse its storage once it reaches its high-water mark. The cell is
+  // steady, so the 15k RTTs the long run adds take about 1.9k rounds of 8.
   const auto tb = harness::esnet(kern::KernelVersion::V6_8);
   flow::FlowOptions zc;
   zc.zerocopy = true;
@@ -97,6 +106,7 @@ TEST(HotPath, ZerocopyRoundsAllocateNothing) {
   const FluidRun long_run = fluid_run(tb, zc, 4.0);
   EXPECT_GT(short_run.zc_bytes, 0.0);
   EXPECT_GT(long_run.zc_bytes, 3.0 * short_run.zc_bytes);
+  EXPECT_LT(long_run.rounds - short_run.rounds, 2000u);
   EXPECT_LE(long_run.news - short_run.news, 4) << short_run.news << " vs " << long_run.news;
 }
 

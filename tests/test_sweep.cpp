@@ -931,6 +931,44 @@ TEST(SweepCli, GcEndToEndThroughTheCli) {
   EXPECT_TRUE(fs::exists(f.live));
 }
 
+// An entry a build with the previous salt wrote: its file name hashes the v1
+// salt line and its document names v1 as its schema. It is never served,
+// neither under its own key nor copied under the current one, and GC by
+// salt removes both copies.
+TEST(SweepCache, AVersionOneEntryIsAMissAndSaltGcEvictsIt) {
+  const std::string dir = scratch_dir("salt_v1");
+  const ResultCache cache(dir);
+  const harness::TestSpec spec = expand(twelve_cell_grid()).front().spec;
+  harness::TestResult result;
+  result.name = spec.name;
+  result.repeats = 1;
+  result.avg_gbps = 9.5;
+  result.samples_gbps = {9.5};
+
+  const std::uint64_t v1_key =
+      fnv1a64(canonical_text(spec), fnv1a64("\n", fnv1a64("dtnsim.sweep.v1")));
+  ASSERT_NE(v1_key, spec_key(spec));
+  Json v1 = result_to_json(result);
+  v1["schema"] = Json("dtnsim.sweep.v1");
+  for (const std::uint64_t key : {v1_key, spec_key(spec)}) {
+    std::ofstream(cache.path_for(key)) << v1.dump();
+  }
+  harness::TestResult out;
+  EXPECT_FALSE(cache.load(v1_key, spec.name, &out));
+  EXPECT_FALSE(cache.load(spec, &out));
+
+  std::string output;
+  EXPECT_EQ(run_sweep_cli(parse_sweep_cli({"--gc", "--cache", dir, "--salt-mismatch"}),
+                          output),
+            0);
+  EXPECT_FALSE(fs::exists(cache.path_for(v1_key))) << output;
+  EXPECT_FALSE(fs::exists(cache.path_for(spec_key(spec)))) << output;
+
+  ASSERT_TRUE(cache.store(spec, result));
+  ASSERT_TRUE(cache.load(spec, &out));
+  EXPECT_EQ(out.avg_gbps, 9.5);
+}
+
 // ---- campaign report + plot (dtnsim::report integration) --------------------
 
 // One synthetic JSONL row. Extras (perf cycles/byte, scenario dip/recovery)
