@@ -17,9 +17,13 @@ namespace {
 // Fluid tick floor: LAN RTTs below this are clocked at 200 us base rounds.
 constexpr double kMinTickSec = 200e-6;
 // A round spans 2^span base rounds, span <= kMaxSpan, and never more than
-// 8 floor ticks, so WAN rounds always span one RTT.
-constexpr int kMaxSpan = 3;
-constexpr double kMaxRoundSec = 8 * kMinTickSec;
+// 32 floor ticks (6.4 ms), so WAN rounds (25 ms and up) always span one RTT.
+constexpr int kMaxSpan = 5;
+constexpr double kMaxRoundSec = 32 * kMinTickSec;
+// A receive-window-bound flow is at its fixed point when its backlog ends
+// a round where it began, to this fraction of the receive buffer: rounds of
+// different spans leave the same backlog an ulp or so apart.
+constexpr double kBacklogRoundoff = 1e-12;
 // Multiplicative jitter persistence (OU-like) and magnitudes. Unpaced flows
 // contend chaotically (paper: 5-30 Gbps per-flow spread); paced flows are
 // nearly uniform.
@@ -69,11 +73,12 @@ constexpr Span span_of(int span) {
 
 constexpr std::array<Span, kMaxSpan + 1> kSpans = {
     Span{1.0, 1.0, kJitterRho, 1.0 - kJitterRho, 1.0, kEwmaKeep, kEwmaNew}, span_of(1), span_of(2),
-    span_of(3)};
+    span_of(3), span_of(4), span_of(5)};
 
 // Rounds that get a Begin/End span pair in the trace; later rounds still
-// emit instants and counters (a LAN run ticks up to 300k times per simulated
-// minute, which would drown the trace ring in span pairs).
+// emit instants and counters (a LAN run whose rounds stay at one RTT ticks
+// 300k times per simulated minute, which would drown the trace ring in span
+// pairs).
 constexpr std::size_t kMaxRoundSpans = 128;
 
 double scale_factor(double need, double budget) {
@@ -411,6 +416,7 @@ void TransferSimulation::apply_scenario(double now_sec) {
 }
 
 void TransferSimulation::refresh_round() {
+  static_assert(std::tuple_size_v<decltype(rc_)> == kSpans.size());
   RoundConsts& rc = rc_[0];
   rc.rtt = std::max(path_.spec().rtt_sec(), 1e-6);
   rc.mss = mss();
@@ -578,9 +584,11 @@ void TransferSimulation::tick(double now_sec) {
       f.planned_bytes = 0.0;
       f.tx_app_cyc_per_byte = 0.0;
       f.tx_app_spb = {};
+      if constexpr (kCoalesce) f.rwnd_bound = false;
     } else {
       const double rwnd = std::max(rc.rcv_wnd_max - f.rcv_backlog_bytes, 0.0);
-      const double wnd = std::min({f.cc->cwnd_bytes(), rwnd, rc.snd_wnd_max});
+      const double cwnd = f.cc->cwnd_bytes();
+      const double wnd = std::min({cwnd, rwnd, rc.snd_wnd_max});
       const double wnd_desired = wnd * dt_sec / rtt;
       double desired = wnd_desired;
 
@@ -624,9 +632,15 @@ void TransferSimulation::tick(double now_sec) {
       const double cpu_cap = rc.snd_app_budget * f.share_jitter /
                              std::max(f.tx_app_cyc_per_byte, 1e-9);
       f.planned_bytes = std::min(desired, cpu_cap);
-      // The window (receive window, cwnd or send buffer) set the send: its
-      // backlog feedback and slow start's doubling are not linear in K.
-      window_bound = window_bound || f.planned_bytes >= wnd_desired;
+      if constexpr (kCoalesce) {
+        // A window (receive window, cwnd or send buffer) set the send. The
+        // receive window alone may keep the round steady, if the drain below
+        // finds its backlog where the round began; cwnd and the send buffer
+        // may not: slow start doubles per RTT, which is not linear in K.
+        const bool wnd_set = f.planned_bytes >= wnd_desired;
+        f.rwnd_bound = wnd_set && rwnd < cwnd && rwnd <= rc.snd_wnd_max;
+        window_bound = window_bound || (wnd_set && !f.rwnd_bound);
+      }
       if (&f == &flows_[0]) {
         f0_wnd_desired = wnd_desired;
         f0_paced_desired = desired;
@@ -961,8 +975,17 @@ void TransferSimulation::tick(double now_sec) {
   int tick_cc_loss_flows = 0;
   for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
     auto& f = flows_[fi];
+    const double backlog_before = f.rcv_backlog_bytes;
     const double drain = std::min(f.rcv_backlog_bytes + f.arrived_bytes, rc.rx_app_cap);
     f.rcv_backlog_bytes = std::max(f.rcv_backlog_bytes + f.arrived_bytes - drain, 0.0);
+    if constexpr (kCoalesce) {
+      // At its fixed point the receive window sends each RTT what the app
+      // drains in one, and the backlog, hence the window, stays put: K RTTs
+      // of that are one K-RTT round. A backlog that moved ends the stretch.
+      const bool moved =
+          std::abs(f.rcv_backlog_bytes - backlog_before) > kBacklogRoundoff * rc.rcv_wnd_max;
+      window_bound = window_bound || (f.rwnd_bound && moved);
+    }
     f.delivered_bytes += drain;
     interval_bytes_this_tick += drain;
     rcv_app_used += units::Cycles(drain * rx_app_pb);
@@ -1165,10 +1188,11 @@ void TransferSimulation::tick(double now_sec) {
 
   // ---- The next round's span ---------------------------------------------
   // A steady round lost nothing (path, NIC, host overrun or scenario cut),
-  // left no flow bound by its window, priced and made no zerocopy send that
-  // fell back, and kept its binding constraint: the span then doubles, as
-  // far as every zerocopy socket's free optmem covers the span's RTTs of its
-  // desired send. Any other round restarts at one RTT.
+  // left no flow bound by cwnd or the send buffer, nor by a receive window
+  // off its fixed point, priced and made no zerocopy send that fell back,
+  // and kept its binding constraint: the span then doubles, as far as every
+  // zerocopy socket's free optmem covers the span's RTTs of its desired
+  // send. Any other round restarts at one RTT.
   if constexpr (kCoalesce) {
     const bool lossy = transit.dropped_bytes > 0 || forced_loss > 0 || tick_nic_drops > 0;
     const bool steady = !lossy && !window_bound && !zc_fell_back && cause == last_limit_;

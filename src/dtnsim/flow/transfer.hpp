@@ -1,9 +1,9 @@
 // TransferSimulation: one memory-to-memory transfer, end to end.
 //
 // This is the engine that couples every substrate. Flows are clocked in
-// rounds of 1, 2, 4 or 8 RTTs on the discrete-event engine (a round grows
-// while the transfer is steady; see docs/MODEL.md section 1); within a round
-// the sender's achievable bytes are the minimum of
+// rounds of 1 to 32 RTTs (a power of two) on the discrete-event engine (a
+// round grows while the transfer is steady; see docs/MODEL.md section 1);
+// within a round the sender's achievable bytes are the minimum of
 //   window (cwnd, receiver window, wmem) / pacing (fq-rate, BBR) /
 //   app-core CPU / IRQ-core CPU / NIC line rate / memory bandwidth / DMA cap,
 // the burst then crosses the path (background traffic, burst-tolerance
@@ -123,6 +123,7 @@ class TransferSimulation {
     double arrived_bytes = 0.0;
     double lost_bytes = 0.0;
     cpu::TxAppStageCyc tx_app_spb{};  // tx_app_cyc_per_byte's stage split, perf only
+    bool rwnd_bound = false;  // the receive window alone set the send (tick<true> only)
   };
 
   // Metric handles and trace edge-detection state, built only when a
@@ -243,7 +244,7 @@ class TransferSimulation {
   // Picks the span of the round that starts at now_ns (span_) and returns
   // false when no round fits before the run ends.
   bool plan_round(Nanos now_ns);
-  // One round. Runs whose base round already spans the 1.6 ms cap (WAN)
+  // One round. Runs whose base round already spans the 6.4 ms cap (WAN)
   // only ever run 1-RTT rounds: tick<false> compiles their span
   // bookkeeping out.
   template <bool kCoalesce>
@@ -269,16 +270,17 @@ class TransferSimulation {
 
   std::vector<FlowState> flows_;
   // The base round: one RTT, floored at 200 us, fixed for the run. A round
-  // spans 2^span_ base rounds (1, 2, 4 or 8 RTTs, at most 1.6 ms): span_
-  // doubles after a steady round (no loss, no window-bound flow, zerocopy
-  // charges with headroom, the same binding constraint) and drops to 1 RTT
-  // otherwise. Only simulation state sets it, never the telemetry.
+  // spans 2^span_ base rounds (1 to 32 RTTs, at most 6.4 ms): span_ doubles
+  // after a steady round (no loss, no flow bound by cwnd or wmem, none bound
+  // by a receive window off its fixed point, zerocopy charges with headroom,
+  // the same binding constraint) and drops to 1 RTT otherwise. Only
+  // simulation state sets it, never the telemetry.
   double dt_sec_ = 0.0;
   Nanos tick_ns_ = 0;
   int span_ = 0;         // the span of the round being run
   int span_earned_ = 0;  // the span the doubling rule allows next
   int span_max_ = 0;     // the span cap for this run's base round
-  std::array<RoundConsts, 4> rc_;  // rc_[k]: a round of 2^k RTTs
+  std::array<RoundConsts, 6> rc_;  // rc_[k]: a round of 2^k RTTs
   cpu::PlacementQuality snd_quality_;
   cpu::PlacementQuality rcv_quality_;
   std::unique_ptr<cpu::CostModel> snd_cost_;

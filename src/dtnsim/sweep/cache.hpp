@@ -29,7 +29,9 @@ namespace dtnsim::sweep {
 // Schema + calibration version salt folded into every cache key.
 // v2: fluid rounds span up to 8 RTTs while a transfer is steady, which
 // moves coalesced LAN cells' results.
-inline constexpr std::string_view kCacheSalt = "dtnsim.sweep.v2";
+// v3: rounds span up to 32 RTTs, and a receive-window-bound flow at its
+// fixed point counts as steady, which moves LAN cells' results again.
+inline constexpr std::string_view kCacheSalt = "dtnsim.sweep.v3";
 
 // The canonical text: "key=value\n" lines sorted by key. Doubles are
 // written as printf's %.17g (round-trips every double, so two knob values

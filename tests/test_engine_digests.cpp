@@ -194,6 +194,9 @@ std::vector<std::pair<std::string, TransferConfig>> fluid_configs() {
   const auto amlight = harness::amlight(kern::KernelVersion::V6_8);
   std::vector<std::pair<std::string, TransferConfig>> out;
   out.emplace_back("lan1_unpaced", fluid(esnet, esnet.lan(), 1, 0, 30, 11));
+  // fig12's 5.15 LAN cell: receive-window-bound, it returns to its fixed
+  // point after each dip to the app-core bound.
+  out.emplace_back("lan1_unpaced_amd515", fluid(table1, table1.lan(), 1, 0, 30, 20));
   out.emplace_back("lan1_paced", fluid(esnet, esnet.lan(), 1, 40, 30, 12));
   out.emplace_back("lan8_unpaced", fluid(table1, table1.lan(), 8, 0, 30, 13));
   out.emplace_back("lan8_paced", fluid(table1, table1.lan(), 8, 20, 30, 14));

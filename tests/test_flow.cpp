@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cfenv>
+#include <cstdint>
 #include <utility>
 
 #include "dtnsim/flow/transfer.hpp"
@@ -19,6 +20,20 @@ TransferConfig lan_config() {
   cfg.path = tb.lan();
   cfg.duration = units::SimTime::from_seconds(5);
   cfg.seed = 42;
+  return cfg;
+}
+
+// lan_config()'s 5 s in RTTs of 200 us: the rounds a run of one-RTT rounds
+// executes.
+constexpr std::uint64_t kLanRtts = 25'000;
+
+// Paper Fig. 7's LAN cell: one unpaced stream between the AmLight hosts.
+TransferConfig amlight_lan_config() {
+  const auto tb = harness::amlight();
+  auto cfg = lan_config();
+  cfg.sender = tb.sender;
+  cfg.receiver = tb.receiver;
+  cfg.path = tb.lan();
   return cfg;
 }
 
@@ -172,14 +187,24 @@ TEST(Transfer, ReceiverBoundOnLan) {
   // Paper Fig. 7: "with default settings on the LAN, throughput is limited
   // by the receiver host CPU". Clearest on the Intel hosts, where the
   // sender has ~15% of headroom over the receiver.
-  const auto tb = harness::amlight();
-  auto cfg = lan_config();
-  cfg.sender = tb.sender;
-  cfg.receiver = tb.receiver;
-  cfg.path = tb.lan();
-  const auto res = run_transfer(cfg);
+  const auto res = run_transfer(amlight_lan_config());
   EXPECT_GT(res.receiver_cpu.app_util, 0.9);
   EXPECT_LT(res.sender_cpu.app_util, res.receiver_cpu.app_util);
+  // The receive window holds the send at the receiver's drain rate, and at
+  // that fixed point rounds coalesce: 8 RTTs or more per round on average.
+  EXPECT_LE(res.rounds, kLanRtts / 8);
+}
+
+TEST(Transfer, WindowBoundByWmemRunsOneRttRounds) {
+  // The same cell with tcp_wmem_max at 2 MB: a 1 MB send window (40 Gbps
+  // at 200 us), below both hosts' CPU caps and far below the receive
+  // window, sets every send, and only the receive window may coalesce
+  // rounds.
+  auto cfg = amlight_lan_config();
+  cfg.sender.tuning.sysctl.tcp_wmem_max = 2e6;
+  const auto res = run_transfer(cfg);
+  EXPECT_NEAR(units::to_gbps(res.throughput_bps), 40.0, 1.0);
+  EXPECT_EQ(res.rounds, kLanRtts);
 }
 
 TEST(Transfer, SenderBoundOnWanDefault) {
@@ -213,7 +238,9 @@ TEST(Transfer, ZeroDurationSafe) {
 TEST(Transfer, PaperLengthRunsNeverUnderflow) {
   // Subnormal arithmetic costs a microcode assist per operation; a 60 s run
   // must not produce a single subnormal (or flush-to-zero) result. Table I's
-  // 8-flow LAN cell runs ~300k rounds; the 25 ms WAN cell ~2.4k.
+  // 8-flow LAN cell spans 300k RTTs in rounds of up to 32 (whose jitter and
+  // cache-pressure EWMA keep 0.9^32 and 0.7^32 of their state); the 25 ms
+  // WAN cell runs ~2.4k one-RTT rounds.
   const auto table1 = harness::esnet(kern::KernelVersion::V5_15);
   TransferConfig lan;
   lan.sender = table1.sender;

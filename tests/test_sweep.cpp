@@ -935,38 +935,44 @@ TEST(SweepCli, GcEndToEndThroughTheCli) {
 // salt line and its document names v1 as its schema. It is never served,
 // neither under its own key nor copied under the current one, and GC by
 // salt removes both copies.
+// Each retired salt (v1: one-RTT rounds; v2: rounds of up to 8 RTTs) keys
+// its entries apart from the current salt; an entry of that schema misses
+// under either key, and the salt gc evicts both.
 TEST(SweepCache, AVersionOneEntryIsAMissAndSaltGcEvictsIt) {
-  const std::string dir = scratch_dir("salt_v1");
-  const ResultCache cache(dir);
-  const harness::TestSpec spec = expand(twelve_cell_grid()).front().spec;
-  harness::TestResult result;
-  result.name = spec.name;
-  result.repeats = 1;
-  result.avg_gbps = 9.5;
-  result.samples_gbps = {9.5};
+  for (const std::string old_salt : {"dtnsim.sweep.v1", "dtnsim.sweep.v2"}) {
+    SCOPED_TRACE(old_salt);
+    const std::string dir = scratch_dir("salt_" + old_salt.substr(old_salt.rfind('.') + 1));
+    const ResultCache cache(dir);
+    const harness::TestSpec spec = expand(twelve_cell_grid()).front().spec;
+    harness::TestResult result;
+    result.name = spec.name;
+    result.repeats = 1;
+    result.avg_gbps = 9.5;
+    result.samples_gbps = {9.5};
 
-  const std::uint64_t v1_key =
-      fnv1a64(canonical_text(spec), fnv1a64("\n", fnv1a64("dtnsim.sweep.v1")));
-  ASSERT_NE(v1_key, spec_key(spec));
-  Json v1 = result_to_json(result);
-  v1["schema"] = Json("dtnsim.sweep.v1");
-  for (const std::uint64_t key : {v1_key, spec_key(spec)}) {
-    std::ofstream(cache.path_for(key)) << v1.dump();
+    const std::uint64_t old_key =
+        fnv1a64(canonical_text(spec), fnv1a64("\n", fnv1a64(old_salt)));
+    ASSERT_NE(old_key, spec_key(spec));
+    Json old = result_to_json(result);
+    old["schema"] = Json(old_salt);
+    for (const std::uint64_t key : {old_key, spec_key(spec)}) {
+      std::ofstream(cache.path_for(key)) << old.dump();
+    }
+    harness::TestResult out;
+    EXPECT_FALSE(cache.load(old_key, spec.name, &out));
+    EXPECT_FALSE(cache.load(spec, &out));
+
+    std::string output;
+    EXPECT_EQ(run_sweep_cli(parse_sweep_cli({"--gc", "--cache", dir, "--salt-mismatch"}),
+                            output),
+              0);
+    EXPECT_FALSE(fs::exists(cache.path_for(old_key))) << output;
+    EXPECT_FALSE(fs::exists(cache.path_for(spec_key(spec)))) << output;
+
+    ASSERT_TRUE(cache.store(spec, result));
+    ASSERT_TRUE(cache.load(spec, &out));
+    EXPECT_EQ(out.avg_gbps, 9.5);
   }
-  harness::TestResult out;
-  EXPECT_FALSE(cache.load(v1_key, spec.name, &out));
-  EXPECT_FALSE(cache.load(spec, &out));
-
-  std::string output;
-  EXPECT_EQ(run_sweep_cli(parse_sweep_cli({"--gc", "--cache", dir, "--salt-mismatch"}),
-                          output),
-            0);
-  EXPECT_FALSE(fs::exists(cache.path_for(v1_key))) << output;
-  EXPECT_FALSE(fs::exists(cache.path_for(spec_key(spec)))) << output;
-
-  ASSERT_TRUE(cache.store(spec, result));
-  ASSERT_TRUE(cache.load(spec, &out));
-  EXPECT_EQ(out.avg_gbps, 9.5);
 }
 
 // ---- campaign report + plot (dtnsim::report integration) --------------------
