@@ -11,6 +11,7 @@
 #include <string>
 
 #include "dtnsim/kern/sysctl.hpp"
+#include "dtnsim/util/fields.hpp"
 
 namespace dtnsim::app {
 
@@ -34,6 +35,19 @@ struct IperfOptions {
   kern::CongestionAlgo congestion = kern::CongestionAlgo::Cubic;  // -C
   bool json = false;                // --json
 };
+
+// --json changes what the tool prints, not what it runs.
+template <class V>
+constexpr void fields(V& v, IperfOptions& o) {
+  v("parallel", o.parallel);
+  v("duration_sec", o.duration_sec);
+  v("fq_rate_bps", o.fq_rate_bps);
+  v("zerocopy", o.zerocopy);
+  v("skip_rx_copy", o.skip_rx_copy);
+  v("congestion", wire::named(o.congestion, kern::congestion_name));
+  v("json", o.json, wire::unkeyed);
+}
+static_assert(wire::field_count<IperfOptions>() == wire::member_count<IperfOptions>());
 
 // What the tool will actually run, after version checks: without patch
 // #1690 no zerocopy or skip-rx-copy, without #1728 --fq-rate truncated to

@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "dtnsim/util/fields.hpp"
 #include "dtnsim/util/units.hpp"
 
 namespace dtnsim::cpu {
@@ -44,6 +45,24 @@ struct CpuSpec {
     return (performance_governor ? max_ghz : base_ghz) * 1e9;
   }
 };
+
+// The model string is cosmetic; the numbers are the physics.
+template <class V>
+constexpr void fields(V& v, CpuSpec& c) {
+  v("model", c.model, wire::unkeyed);
+  v("vendor", wire::named(c.vendor, vendor_name));
+  v("sockets", c.sockets);
+  v("cores_per_socket", c.cores_per_socket);
+  v("numa_nodes", c.numa_nodes);
+  v("smt_threads", c.smt_threads);
+  v("base_ghz", c.base_ghz);
+  v("max_ghz", c.max_ghz);
+  v("avx512", c.avx512);
+  v("l3_per_socket_bytes", c.l3_per_socket_bytes);
+  v("l3_flow_window_bytes", c.l3_flow_window_bytes);
+  v("stack_mem_bw_bytes", c.stack_mem_bw_bytes);
+}
+static_assert(wire::field_count<CpuSpec>() == wire::member_count<CpuSpec>());
 
 // AmLight sender/receiver hosts: dual-socket Intel Xeon 6346,
 // 3.1/3.6 GHz, AVX-512, 36 MB monolithic L3 per socket.

@@ -37,12 +37,7 @@ Json Dataset::to_json() const {
   Json root = Json::object();
   root["dataset"] = name_;
   Json tests = Json::array();
-  for (const auto& r : results_) {
-    Json t = wire::to_json(static_cast<const report::RunSummary&>(r));
-    t["name"] = r.name;
-    t["repeats"] = r.repeats;
-    tests.push_back(std::move(t));
-  }
+  for (const auto& r : results_) tests.push_back(wire::to_json(r));
   root["tests"] = std::move(tests);
   return root;
 }

@@ -591,7 +591,7 @@ const ExperimentDef* find_experiment(const std::string& id) {
 const char* column_name(Column column) {
   report::RunSummary s;
   const char* name = "?";
-  const auto visit = [&](const char* key, auto& field, bool = false) {
+  const auto visit = [&](const char* key, auto& field, auto...) {
     if constexpr (std::is_same_v<std::remove_reference_t<decltype(field)>, double>) {
       if (&field == &(s.*column)) name = key;
     }

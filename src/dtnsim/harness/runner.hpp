@@ -51,6 +51,25 @@ struct TestSpec {
                      app::IperfOptions opts, std::string label = {});
 };
 
+// The spec as the sweep cache keys it (sweep/cache.hpp): every entry but the
+// unkeyed ones. The timeline's display name is cosmetic, so its events stand
+// for it; an empty timeline writes nothing.
+template <class V>
+constexpr void fields(V& v, TestSpec& s) {
+  v("name", s.name, wire::unkeyed);
+  v("sender", s.sender);
+  v("receiver", s.receiver);
+  v("path", s.path);
+  v("iperf", s.iperf);
+  v("link_flow_control", s.link_flow_control);
+  v("repeats", s.repeats);
+  v("base_seed", s.base_seed);
+  v("telemetry", s.telemetry, wire::unkeyed);
+  v("scenario", s.scenario.events);
+  v("record", s.record, wire::unkeyed);
+}
+static_assert(wire::field_count<TestSpec>() == wire::member_count<TestSpec>());
+
 // The aggregate columns live in the RunSummary base, so RunRecords, sweep
 // cache entries and campaign rows serialise them through its one field list.
 struct TestResult : report::RunSummary {
@@ -75,6 +94,22 @@ struct TestResult : report::RunSummary {
   // analysis). shared_ptr so copying a TestResult stays cheap.
   std::shared_ptr<const report::RunRecord> record;
 };
+
+// A sweep cache entry, a campaign row and a dataset's test: the label, the
+// repeat count and the RunSummary columns. The run's outputs stay in memory.
+template <class V>
+constexpr void fields(V& v, TestResult& r) {
+  v("name", r.name);
+  v("repeats", r.repeats, wire::required);
+  wire::flatten(v, static_cast<report::RunSummary&>(r));
+  v("repeat_series", r.repeat_series, wire::skipped);
+  v("trace", r.trace, wire::skipped);
+  v("ss_log", r.ss_log, wire::skipped);
+  v("perf_log", r.perf_log, wire::skipped);
+  v("scenario_log", r.scenario_log, wire::skipped);
+  v("record", r.record, wire::skipped);
+}
+static_assert(wire::field_count<TestResult>() == wire::member_count<TestResult>());
 
 TestResult run_test(const TestSpec& spec);
 

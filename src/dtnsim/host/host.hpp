@@ -30,6 +30,17 @@ struct HostConfig {
   double virt_factor = 1.0;
 };
 
+template <class V>
+constexpr void fields(V& v, HostConfig& h) {
+  v("name", h.name, wire::unkeyed);
+  v("cpu", h.cpu);
+  v("kernel", h.kernel);
+  v("nic", h.nic);
+  wire::flatten(v, h.tuning);
+  v("virt_factor", h.virt_factor);
+}
+static_assert(wire::field_count<HostConfig>() == wire::member_count<HostConfig>());
+
 class Host {
  public:
   explicit Host(HostConfig cfg);

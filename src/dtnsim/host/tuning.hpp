@@ -30,4 +30,21 @@ struct TuningConfig {
   static TuningConfig stock();
 };
 
+// A host writes this list flat: its sysctl set as "sysctl.*", the other
+// knobs as "tuning.*", the names every cache key has used.
+template <class V>
+constexpr void fields(V& v, TuningConfig& t) {
+  v("sysctl", t.sysctl);
+  v("tuning.irqbalance_disabled", t.irqbalance_disabled);
+  v("tuning.performance_governor", t.performance_governor);
+  v("tuning.smt_off", t.smt_off);
+  v("tuning.ring_descriptors", t.ring_descriptors);
+  v("tuning.iommu_passthrough", t.iommu_passthrough);
+  v("tuning.mtu_bytes", t.mtu_bytes);
+  v("tuning.big_tcp_enabled", t.big_tcp_enabled);
+  v("tuning.big_tcp_bytes", t.big_tcp_bytes);
+  v("tuning.hw_gro_enabled", t.hw_gro_enabled);
+}
+static_assert(wire::field_count<TuningConfig>() == wire::member_count<TuningConfig>());
+
 }  // namespace dtnsim::host

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <string>
 
+#include "dtnsim/util/fields.hpp"
+
 namespace dtnsim::kern {
 
 enum class QdiscKind { Fq, FqCodel };
@@ -46,5 +48,23 @@ struct SysctlConfig {
   double max_send_window_bytes() const { return tcp_wmem_max * 0.5; }
   double max_recv_window_bytes() const { return tcp_rmem_max * 0.5; }
 };
+
+// Every knob is keyed (sweep/cache.hpp); a host writes them as "sysctl.*".
+template <class V>
+constexpr void fields(V& v, SysctlConfig& s) {
+  v("rmem_max", s.rmem_max);
+  v("wmem_max", s.wmem_max);
+  v("tcp_rmem_min", s.tcp_rmem_min);
+  v("tcp_rmem_def", s.tcp_rmem_def);
+  v("tcp_rmem_max", s.tcp_rmem_max);
+  v("tcp_wmem_min", s.tcp_wmem_min);
+  v("tcp_wmem_def", s.tcp_wmem_def);
+  v("tcp_wmem_max", s.tcp_wmem_max);
+  v("tcp_no_metrics_save", s.tcp_no_metrics_save);
+  v("default_qdisc", wire::named(s.default_qdisc, qdisc_name));
+  v("optmem_max", s.optmem_max);
+  v("congestion", wire::named(s.congestion, congestion_name));
+}
+static_assert(wire::field_count<SysctlConfig>() == wire::member_count<SysctlConfig>());
 
 }  // namespace dtnsim::kern

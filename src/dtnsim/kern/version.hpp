@@ -58,6 +58,25 @@ struct KernelProfile {
   }
 };
 
+// The profile's name ("6.8", "6.8-frags45") is its identity, keyed as
+// "version"; the enum and the version numbers follow from it.
+template <class V>
+constexpr void fields(V& v, KernelProfile& k) {
+  v("release", wire::named(k.version, kernel_version_name), wire::unkeyed);
+  v("version", k.name);
+  v("major", k.major, wire::unkeyed);
+  v("minor", k.minor, wire::unkeyed);
+  v("msg_zerocopy", k.supports_msg_zerocopy);
+  v("big_tcp_ipv6", k.supports_big_tcp_ipv6);
+  v("big_tcp_ipv4", k.supports_big_tcp_ipv4);
+  v("hw_gro", k.supports_hw_gro);
+  v("max_skb_frags", k.max_skb_frags);
+  v("custom_build", k.custom_build);
+  v("stack_factor_intel", k.stack_factor_intel);
+  v("stack_factor_amd", k.stack_factor_amd);
+}
+static_assert(wire::field_count<KernelProfile>() == wire::member_count<KernelProfile>());
+
 KernelProfile kernel_profile(KernelVersion v);
 
 // The paper's future-work custom kernel: same base version, but compiled

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <string>
 
+#include "dtnsim/util/fields.hpp"
 #include "dtnsim/util/units.hpp"
 
 namespace dtnsim::net {
@@ -29,6 +30,18 @@ struct NicSpec {
   double drain_smooth_bps = 52e9;
   double drain_burst_bps = 42e9;
 };
+
+template <class V>
+constexpr void fields(V& v, NicSpec& n) {
+  v("model", n.model, wire::unkeyed);
+  v("line_rate_bps", n.line_rate_bps);
+  v("default_ring", n.default_ring_descriptors);
+  v("max_ring", n.max_ring_descriptors);
+  v("hw_gro_capable", n.hw_gro_capable);
+  v("drain_smooth_bps", n.drain_smooth_bps);
+  v("drain_burst_bps", n.drain_burst_bps);
+}
+static_assert(wire::field_count<NicSpec>() == wire::member_count<NicSpec>());
 
 // AmLight hosts: Nvidia ConnectX-5, 100G, fw 16.35.3502.
 NicSpec connectx5_100g();

@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "dtnsim/util/fields.hpp"
 #include "dtnsim/util/rng.hpp"
 #include "dtnsim/util/units.hpp"
 
@@ -34,6 +35,21 @@ struct PathSpec {
   double rtt_sec() const { return units::to_seconds(rtt); }
   bool is_wan() const { return rtt >= units::millis(5); }
 };
+
+// The display name is cosmetic; the RTT is keyed in integer nanoseconds.
+template <class V>
+constexpr void fields(V& v, PathSpec& p) {
+  v("name", p.name, wire::unkeyed);
+  v("rtt_ns", p.rtt);
+  v("capacity_bps", p.capacity_bps);
+  v("hops", p.hops);
+  v("bg_traffic_bps", p.bg_traffic_bps);
+  v("bg_burst_sigma", p.bg_burst_sigma);
+  v("burst_tolerance_bps", p.burst_tolerance_bps);
+  v("deep_buffers", p.deep_buffers);
+  v("stray_loss_events_per_sec", p.stray_loss_events_per_sec);
+}
+static_assert(wire::field_count<PathSpec>() == wire::member_count<PathSpec>());
 
 class Path {
  public:

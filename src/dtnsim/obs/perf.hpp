@@ -138,7 +138,7 @@ std::string format_flamegraph_diff(const PerfReport& before,
 // One key list per struct (util/fields.hpp) drives both directions.
 
 // A stage cycle array as {"tx_syscall": cycles, ...}.
-inline auto stage_cycle_fields(StageCycles& cycles) {
+constexpr auto stage_cycle_fields(StageCycles& cycles) {
   return wire::keyed(
       kPerfStageCount, [](int i) { return perf_stage_name(static_cast<PerfStage>(i)); },
       [&cycles](int i) -> double& { return cycles[static_cast<std::size_t>(i)]; });
@@ -156,13 +156,14 @@ void fields(V& v, PerfCoreCycles& c) {
 }
 
 template <class V>
-void fields(V& v, PerfFlowCycles& f) {
+constexpr void fields(V& v, PerfFlowCycles& f) {
   v("flow", f.flow);
   v("stages", stage_cycle_fields(f.stage_cycles));
 }
+static_assert(wire::field_count<PerfFlowCycles>() == wire::member_count<PerfFlowCycles>());
 
 template <class V>
-void fields(V& v, PerfReport& r) {
+constexpr void fields(V& v, PerfReport& r) {
   v("ts_sec", wire::seconds(r.ts));
   v("engine", r.engine);
   v("label", r.label);
@@ -177,6 +178,7 @@ void fields(V& v, PerfReport& r) {
                  }));
   v("flows", r.flows);
 }
+static_assert(wire::field_count<PerfReport>() == wire::member_count<PerfReport>());
 
 // A watch log as one document: {"samples": [...]}.
 struct PerfLog {

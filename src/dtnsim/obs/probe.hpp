@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "dtnsim/util/fields.hpp"
+
 namespace dtnsim::obs {
 
 // A rectangular time series: one row per probe firing, one column per
@@ -30,10 +32,11 @@ struct SeriesTable {
 
 // RunRecord's "series" block: columns plus row-major rows (util/fields.hpp).
 template <class V>
-void fields(V& v, SeriesTable& t) {
+constexpr void fields(V& v, SeriesTable& t) {
   v("columns", t.columns);
   v("rows", t.rows);
 }
+static_assert(wire::field_count<SeriesTable>() == wire::member_count<SeriesTable>());
 
 // Merge labelled per-repeat series into one CSV with leading `test` and
 // `repeat` columns (the shape dtnsim-repro and --metrics-out emit).

@@ -113,7 +113,7 @@ std::string format_ss_diff(const SsReport& a, const SsReport& b);
 // ---- JSON round-trip (dtnsim-ss --json, RunRecord::ss_log) ----------------
 // One key list per struct (util/fields.hpp) drives both directions.
 template <class V>
-void fields(V& v, TcpInfoSnapshot& s) {
+constexpr void fields(V& v, TcpInfoSnapshot& s) {
   v("flow", s.flow);
   v("ca_name", s.ca_name);
   v("in_slow_start", s.in_slow_start);
@@ -142,9 +142,10 @@ void fields(V& v, TcpInfoSnapshot& s) {
   v("zc_copied_bytes", s.zc_copied_bytes);
   v("zc_copied_sends", s.zc_copied_sends);
 }
+static_assert(wire::field_count<TcpInfoSnapshot>() == wire::member_count<TcpInfoSnapshot>());
 
 template <class V>
-void fields(V& v, NicCountersSnapshot& n) {
+constexpr void fields(V& v, NicCountersSnapshot& n) {
   v("device", n.device);
   v("rx_bytes", n.rx_bytes);
   v("rx_dropped_bytes", n.rx_dropped_bytes);
@@ -154,9 +155,11 @@ void fields(V& v, NicCountersSnapshot& n) {
   v("rx_pause_frames", n.rx_pause_frames);
   v("hw_gro_coalesced", n.hw_gro_coalesced);
 }
+static_assert(wire::field_count<NicCountersSnapshot>() ==
+              wire::member_count<NicCountersSnapshot>());
 
 template <class V>
-void fields(V& v, QdiscCountersSnapshot& q) {
+constexpr void fields(V& v, QdiscCountersSnapshot& q) {
   v("kind", q.kind);
   v("sent_bytes", q.sent_bytes);
   v("throttled", q.throttled);
@@ -164,9 +167,11 @@ void fields(V& v, QdiscCountersSnapshot& q) {
   v("drops", q.drops);
   v("backlog_bytes", q.backlog_bytes);
 }
+static_assert(wire::field_count<QdiscCountersSnapshot>() ==
+              wire::member_count<QdiscCountersSnapshot>());
 
 template <class V>
-void fields(V& v, SsReport& r) {
+constexpr void fields(V& v, SsReport& r) {
   v("ts_sec", wire::seconds(r.ts));
   v("engine", r.engine);
   v("label", r.label);
@@ -174,6 +179,7 @@ void fields(V& v, SsReport& r) {
   v("nic", r.nic);
   v("qdisc", r.qdisc);
 }
+static_assert(wire::field_count<SsReport>() == wire::member_count<SsReport>());
 
 // A watch log as one document: {"snapshots": [...]}.
 struct SsLog {

@@ -111,7 +111,7 @@ RunAnalysis analyze_record(const RunRecord& record);
 
 // ---- JSON round-trip ------------------------------------------------------
 template <class V>
-void fields(V& v, RunMeta& m) {
+constexpr void fields(V& v, RunMeta& m) {
   v("name", m.name);
   v("engine", m.engine);
   v("streams", m.streams);
@@ -120,12 +120,13 @@ void fields(V& v, RunMeta& m) {
   v("base_seed", wire::decimal(m.base_seed));
   v("scenario", m.scenario);
 }
+static_assert(wire::field_count<RunMeta>() == wire::member_count<RunMeta>());
 
 // Also the flat summary columns of a sweep cache entry and a campaign row
 // (harness::TestResult derives from RunSummary). The headline mean is what
 // makes a document a summary, so it is required.
 template <class V>
-void fields(V& v, RunSummary& s) {
+constexpr void fields(V& v, RunSummary& s) {
   v("avg_gbps", s.avg_gbps, wire::required);
   v("min_gbps", s.min_gbps);
   v("max_gbps", s.max_gbps);
@@ -138,9 +139,10 @@ void fields(V& v, RunSummary& s) {
   v("zc_fallback_ratio", s.zc_fallback_ratio);
   v("samples_gbps", s.samples_gbps);
 }
+static_assert(wire::field_count<RunSummary>() == wire::member_count<RunSummary>());
 
 template <class V>
-void fields(V& v, RunAnalysis& a) {
+constexpr void fields(V& v, RunAnalysis& a) {
   v("samples", a.samples);
   v("mean_bps", a.mean);
   v("p50_bps", a.p50);
@@ -156,9 +158,10 @@ void fields(V& v, RunAnalysis& a) {
   v("tx_cyc_per_byte", a.tx_cyc_per_byte);
   v("rx_cyc_per_byte", a.rx_cyc_per_byte);
 }
+static_assert(wire::field_count<RunAnalysis>() == wire::member_count<RunAnalysis>());
 
 template <class V>
-void fields(V& v, RunRecord& r) {
+constexpr void fields(V& v, RunRecord& r) {
   v("schema", r.schema, wire::required);
   v("meta", r.meta);
   v("summary", r.summary);
@@ -168,6 +171,7 @@ void fields(V& v, RunRecord& r) {
   v("perf_log", obs::PerfLog{r.perf_log});
   v("scenario_log", r.scenario_log);
 }
+static_assert(wire::field_count<RunRecord>() == wire::member_count<RunRecord>());
 
 Json to_json(const RunAnalysis& analysis);
 Json to_json(const RunRecord& record);

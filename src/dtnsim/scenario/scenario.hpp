@@ -100,24 +100,30 @@ struct Timeline {
 //   {"name": "...", "events": [{"at_sec": 20, "kind": "loss_burst",
 //                               "value": 0.02, "duration_sec": 5,
 //                               "jitter_sec": 0, "note": "..."}]}
-// One key list per struct (util/fields.hpp) drives both directions.
-inline auto kind_field(EventKind& kind) { return wire::named(kind, kind_name, kind_from_name); }
+// One key list per struct (util/fields.hpp) drives both directions. A
+// spec's cache key writes its events through the same list, all but the
+// note.
+constexpr auto kind_field(EventKind& kind) {
+  return wire::named(kind, kind_name, kind_from_name);
+}
 
 template <class V>
-void fields(V& v, Event& e) {
+constexpr void fields(V& v, Event& e) {
   v("at_sec", e.at_sec, wire::required);
   v("kind", kind_field(e.kind), wire::required);
   v("value", e.value);
   v("duration_sec", e.duration_sec);
   v("jitter_sec", e.jitter_sec);
-  v("note", e.note);
+  v("note", e.note, wire::unkeyed);
 }
+static_assert(wire::field_count<Event>() == wire::member_count<Event>());
 
 template <class V>
-void fields(V& v, Timeline& t) {
+constexpr void fields(V& v, Timeline& t) {
   v("name", t.name);
   v("events", t.events, wire::required);
 }
+static_assert(wire::field_count<Timeline>() == wire::member_count<Timeline>());
 
 Json to_json(const Timeline& timeline);
 // nullopt on structural mismatch (missing events array, unknown kind, ...).
@@ -164,7 +170,7 @@ struct EventLog {
 };
 
 template <class V>
-void fields(V& v, AppliedEvent& e) {
+constexpr void fields(V& v, AppliedEvent& e) {
   v("fire_sec", e.fire_sec);
   v("end_sec", e.end_sec);
   v("kind", kind_field(e.kind), wire::required);
@@ -172,14 +178,16 @@ void fields(V& v, AppliedEvent& e) {
   v("applied", e.applied);
   v("note", e.note);
 }
+static_assert(wire::field_count<AppliedEvent>() == wire::member_count<AppliedEvent>());
 
 template <class V>
-void fields(V& v, EventLog& log) {
+constexpr void fields(V& v, EventLog& log) {
   v("engine", log.engine);
   v("timeline", log.timeline);
   v("label", log.label);
   v("events", log.events, wire::required);
 }
+static_assert(wire::field_count<EventLog>() == wire::member_count<EventLog>());
 
 // Inverse of running a timeline: reconstruct a loadable Timeline from the
 // events a run actually crossed (`--record-timeline`). Fire times become

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -16,39 +15,24 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// The canonical text under construction: "key=value\n" lines appended to
-// one buffer, then joined in key order.
-class FieldText {
+// The canonical text under construction: one "key=value\n" line per keyed
+// entry of the spec's fields() lists, appended to one buffer, then joined in
+// key order. A nested struct's keys take its entry's key and a dot as their
+// prefix; a list writes "key.count" and each item under "key.NNN.", and
+// nothing when empty.
+class KeyText {
  public:
-  FieldText() {
+  KeyText() {
     buf_.reserve(8192);
     lines_.reserve(128);
+    prefix_.reserve(64);
   }
 
-  template <class T>
-  void add(std::string_view prefix, std::string_view key, const T& value) {
-    const std::size_t at = buf_.size();
-    buf_ += prefix;
-    buf_ += key;
-    const std::size_t eq = buf_.size();
-    buf_ += '=';
-    if constexpr (std::is_same_v<T, bool>) {
-      buf_ += value ? '1' : '0';
-    } else if constexpr (std::is_integral_v<T>) {
-      append_int(buf_, value);
-    } else if constexpr (std::is_floating_point_v<T>) {
-      append_g(buf_, value, 17);
-    } else {
-      static_assert(std::is_convertible_v<const T&, std::string_view>,
-                    "a knob is a number, a bool or a name");
-      buf_ += value;
+  template <class T, class Tag = wire::Plain>
+  void operator()(const char* key, T&& value, Tag = {}) {
+    if constexpr (!std::is_same_v<Tag, wire::Unkeyed> && !std::is_same_v<Tag, wire::Skipped>) {
+      add(key, value);
     }
-    buf_ += '\n';
-    lines_.push_back({at, eq, buf_.size()});
-  }
-  template <class T>
-  void add(std::string_view key, const T& value) {
-    add({}, key, value);
   }
 
   // The lines in key order. Keys compare on their own, not as line
@@ -74,69 +58,61 @@ class FieldText {
   struct Line {
     std::size_t at, eq, end;
   };
+
+  template <class T>
+  void add(std::string_view key, T& value) {
+    if constexpr (wire::is_vector<T>) {
+      if (value.empty()) return;
+      const std::size_t outer = prefix_.size();
+      (prefix_ += key) += '.';
+      line("count", value.size());
+      std::string index;
+      for (std::size_t i = 0; i < value.size(); ++i) {
+        // At least three digits; item 1000 then sorts between items 100
+        // and 101, which sorted() keeps.
+        index.assign(i < 10 ? 2 : i < 100 ? 1 : 0, '0');
+        append_int(index, i);
+        add(index, value[i]);
+      }
+      prefix_.resize(outer);
+    } else if constexpr (wire::Struct<T>) {
+      const std::size_t outer = prefix_.size();
+      (prefix_ += key) += '.';
+      fields(*this, value);
+      prefix_.resize(outer);
+    } else if constexpr (wire::is_named<T>) {
+      line(key, std::string_view(value.name(value.value)));
+    } else {
+      line(key, value);
+    }
+  }
+
+  template <class T>
+  void line(std::string_view key, const T& value) {
+    const std::size_t at = buf_.size();
+    buf_ += prefix_;
+    buf_ += key;
+    const std::size_t eq = buf_.size();
+    buf_ += '=';
+    if constexpr (std::is_same_v<T, bool>) {
+      buf_ += value ? '1' : '0';
+    } else if constexpr (std::is_integral_v<T>) {
+      append_int(buf_, value);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      append_g(buf_, value, 17);
+    } else {
+      static_assert(std::is_same_v<T, std::string> || std::is_same_v<T, std::string_view>,
+                    "a keyed member is a number, a bool, a name or a struct with a list");
+      buf_ += value;
+    }
+    buf_ += '\n';
+    lines_.push_back({at, eq, buf_.size()});
+  }
+
+  std::string prefix_;
   std::string buf_;
   std::vector<Line> lines_;
 };
-
-void add_sysctl_fields(FieldText& f, std::string_view p, const kern::SysctlConfig& s) {
-  f.add(p, "rmem_max", s.rmem_max);
-  f.add(p, "wmem_max", s.wmem_max);
-  f.add(p, "tcp_rmem_min", s.tcp_rmem_min);
-  f.add(p, "tcp_rmem_def", s.tcp_rmem_def);
-  f.add(p, "tcp_rmem_max", s.tcp_rmem_max);
-  f.add(p, "tcp_wmem_min", s.tcp_wmem_min);
-  f.add(p, "tcp_wmem_def", s.tcp_wmem_def);
-  f.add(p, "tcp_wmem_max", s.tcp_wmem_max);
-  f.add(p, "tcp_no_metrics_save", s.tcp_no_metrics_save);
-  f.add(p, "default_qdisc", kern::qdisc_name(s.default_qdisc));
-  f.add(p, "optmem_max", s.optmem_max);
-  f.add(p, "congestion", kern::congestion_name(s.congestion));
-}
-
-void add_host_fields(FieldText& f, const std::string& p, const host::HostConfig& h) {
-  // CPU (model string is cosmetic; the numbers are the physics).
-  f.add(p, "cpu.vendor", cpu::vendor_name(h.cpu.vendor));
-  f.add(p, "cpu.sockets", h.cpu.sockets);
-  f.add(p, "cpu.cores_per_socket", h.cpu.cores_per_socket);
-  f.add(p, "cpu.numa_nodes", h.cpu.numa_nodes);
-  f.add(p, "cpu.smt_threads", h.cpu.smt_threads);
-  f.add(p, "cpu.base_ghz", h.cpu.base_ghz);
-  f.add(p, "cpu.max_ghz", h.cpu.max_ghz);
-  f.add(p, "cpu.avx512", h.cpu.avx512);
-  f.add(p, "cpu.l3_per_socket_bytes", h.cpu.l3_per_socket_bytes);
-  f.add(p, "cpu.l3_flow_window_bytes", h.cpu.l3_flow_window_bytes);
-  f.add(p, "cpu.stack_mem_bw_bytes", h.cpu.stack_mem_bw_bytes);
-  // Kernel profile.
-  f.add(p, "kernel.version", h.kernel.name);
-  f.add(p, "kernel.max_skb_frags", h.kernel.max_skb_frags);
-  f.add(p, "kernel.custom_build", h.kernel.custom_build);
-  f.add(p, "kernel.msg_zerocopy", h.kernel.supports_msg_zerocopy);
-  f.add(p, "kernel.big_tcp_ipv4", h.kernel.supports_big_tcp_ipv4);
-  f.add(p, "kernel.big_tcp_ipv6", h.kernel.supports_big_tcp_ipv6);
-  f.add(p, "kernel.hw_gro", h.kernel.supports_hw_gro);
-  f.add(p, "kernel.stack_factor_intel", h.kernel.stack_factor_intel);
-  f.add(p, "kernel.stack_factor_amd", h.kernel.stack_factor_amd);
-  // NIC.
-  f.add(p, "nic.line_rate_bps", h.nic.line_rate_bps);
-  f.add(p, "nic.default_ring", h.nic.default_ring_descriptors);
-  f.add(p, "nic.max_ring", h.nic.max_ring_descriptors);
-  f.add(p, "nic.hw_gro_capable", h.nic.hw_gro_capable);
-  f.add(p, "nic.drain_smooth_bps", h.nic.drain_smooth_bps);
-  f.add(p, "nic.drain_burst_bps", h.nic.drain_burst_bps);
-  // Tuning.
-  const auto& t = h.tuning;
-  add_sysctl_fields(f, p + "sysctl.", t.sysctl);
-  f.add(p, "tuning.irqbalance_disabled", t.irqbalance_disabled);
-  f.add(p, "tuning.performance_governor", t.performance_governor);
-  f.add(p, "tuning.smt_off", t.smt_off);
-  f.add(p, "tuning.ring_descriptors", t.ring_descriptors);
-  f.add(p, "tuning.iommu_passthrough", t.iommu_passthrough);
-  f.add(p, "tuning.mtu_bytes", t.mtu_bytes);
-  f.add(p, "tuning.big_tcp_enabled", t.big_tcp_enabled);
-  f.add(p, "tuning.big_tcp_bytes", t.big_tcp_bytes);
-  f.add(p, "tuning.hw_gro_enabled", t.hw_gro_enabled);
-  f.add(p, "virt_factor", h.virt_factor);
-}
 
 // The salt line every key hashes before the canonical text.
 constexpr std::uint64_t kSaltHash = fnv1a64("\n", fnv1a64(kCacheSalt));
@@ -144,47 +120,9 @@ constexpr std::uint64_t kSaltHash = fnv1a64("\n", fnv1a64(kCacheSalt));
 }  // namespace
 
 std::string canonical_text(const harness::TestSpec& spec) {
-  FieldText f;
-  f.add("repeats", spec.repeats);
-  f.add("base_seed", spec.base_seed);
-  f.add("link_flow_control", spec.link_flow_control);
-  // iperf options.
-  f.add("iperf.parallel", spec.iperf.parallel);
-  f.add("iperf.duration_sec", spec.iperf.duration_sec);
-  f.add("iperf.fq_rate_bps", spec.iperf.fq_rate_bps);
-  f.add("iperf.zerocopy", spec.iperf.zerocopy);
-  f.add("iperf.skip_rx_copy", spec.iperf.skip_rx_copy);
-  f.add("iperf.congestion", kern::congestion_name(spec.iperf.congestion));
-  // Path physics (display name excluded).
-  f.add("path.rtt_ns", static_cast<std::uint64_t>(spec.path.rtt));
-  f.add("path.capacity_bps", spec.path.capacity_bps);
-  f.add("path.hops", spec.path.hops);
-  f.add("path.bg_traffic_bps", spec.path.bg_traffic_bps);
-  f.add("path.bg_burst_sigma", spec.path.bg_burst_sigma);
-  f.add("path.burst_tolerance_bps", spec.path.burst_tolerance_bps);
-  f.add("path.deep_buffers", spec.path.deep_buffers);
-  f.add("path.stray_loss_events_per_sec", spec.path.stray_loss_events_per_sec);
-  add_host_fields(f, "sender.", spec.sender);
-  add_host_fields(f, "receiver.", spec.receiver);
-  // Scenario timeline: every event is simulation-affecting, so each one
-  // enters the key (the display name stays cosmetic and excluded). Emitted
-  // only when non-empty so scenario-less keys — and the cell seeds derived
-  // from this canonical text — are byte-identical to pre-scenario builds.
-  if (!spec.scenario.empty()) {
-    f.add("scenario.count", static_cast<int>(spec.scenario.events.size()));
-    for (std::size_t i = 0; i < spec.scenario.events.size(); ++i) {
-      const auto& e = spec.scenario.events[i];
-      // scenario.1000.* sorts between scenario.100.* and scenario.101.*,
-      // which the sort in sorted() keeps.
-      const std::string p = strfmt("scenario.%03zu.", i);
-      f.add(p, "at_sec", e.at_sec);
-      f.add(p, "kind", scenario::kind_name(e.kind));
-      f.add(p, "value", e.value);
-      f.add(p, "duration_sec", e.duration_sec);
-      f.add(p, "jitter_sec", e.jitter_sec);
-    }
-  }
-  return f.sorted();
+  KeyText text;
+  fields(text, const_cast<harness::TestSpec&>(spec));  // KeyText only reads
+  return text.sorted();
 }
 
 std::uint64_t mix64(std::uint64_t x) {
@@ -205,48 +143,28 @@ std::string key_hex(std::uint64_t key) {
 std::string spec_key_hex(const harness::TestSpec& spec) { return key_hex(spec_key(spec)); }
 
 std::uint64_t seed_and_key(harness::TestSpec& spec, std::uint64_t campaign_seed) {
-  // The first line, as no knob's key sorts before "base_seed" (a grid test
-  // requires every cell's key to equal spec_key(cell.spec)).
-  constexpr std::string_view kZeroSeed = "base_seed=0\n";
   spec.base_seed = 0;
   const std::string text = canonical_text(spec);
   spec.base_seed = mix64(fnv1a64(text) ^ campaign_seed);
-  std::string seed_line = "base_seed=";
+  // The seed's line is the first, as no other key sorts before it (a grid
+  // test requires every cell's key to equal spec_key(cell.spec)): the key
+  // hashes it with the seed written in, then the rest of the text.
+  std::string seed_line = text.substr(0, text.find('=') + 1);
   append_int(seed_line, spec.base_seed);
   seed_line += '\n';
-  return fnv1a64(std::string_view(text).substr(kZeroSeed.size()),
+  return fnv1a64(std::string_view(text).substr(text.find('\n') + 1),
                  fnv1a64(seed_line, kSaltHash));
 }
 
-namespace {
-
-// One cache entry: the schema salt, the label, the repeat count and the
-// RunSummary columns, flattened into one object.
-struct Entry {
-  std::string schema;
-  harness::TestResult* result;
-};
-
-template <class V>
-void fields(V& v, Entry& e) {
-  v("schema", e.schema);
-  v("name", e.result->name);
-  v("repeats", e.result->repeats, wire::required);
-  fields(v, static_cast<report::RunSummary&>(*e.result));
-}
-
-}  // namespace
-
 Json result_to_json(const harness::TestResult& result) {
-  // The writer only reads through the pointer.
-  const Entry e{std::string(kCacheSalt), const_cast<harness::TestResult*>(&result)};
-  return wire::to_json(e);
+  Json j = wire::to_json(result);
+  j["schema"] = std::string(kCacheSalt);
+  return j;
 }
 
 bool result_from_json(const Json& j, harness::TestResult* out) {
   harness::TestResult r;
-  Entry e{"", &r};
-  if (!wire::read(j, e).empty() || e.schema != kCacheSalt) return false;
+  if (j.string_at("schema", "") != kCacheSalt || !wire::read(j, r).empty()) return false;
   *out = std::move(r);
   return true;
 }
@@ -280,13 +198,11 @@ bool ResultCache::load(const harness::TestSpec& spec, harness::TestResult* out) 
 bool ResultCache::store(std::uint64_t key, const harness::TestResult& result) const {
   const std::string path = path_for(key);
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream o(tmp, std::ios::trunc);
-    if (!o) return false;
-    o << result_to_json(result).dump(2) << "\n";
-    if (!o.good()) return false;
-  }
   std::error_code ec;
+  if (!write_file(tmp, result_to_json(result).dump(2) + "\n")) {
+    fs::remove(tmp, ec);
+    return false;
+  }
   fs::rename(tmp, path, ec);
   return !ec;
 }

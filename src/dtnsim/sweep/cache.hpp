@@ -3,14 +3,19 @@
 // The key is a 64-bit FNV-1a hash of a spec's *canonical text*: every
 // simulation-affecting knob as one "key=value" line, the lines sorted by
 // key (so the order knobs are written in can never change the hash),
-// after a schema/calibration salt line. Cosmetic strings (spec label, path
-// display name, CPU/NIC model names) are deliberately excluded — two specs
-// with identical physics are the same cell, whatever they are called.
+// after a schema/calibration salt line. The knobs and their key names are
+// the fields() lists beside the config structs: TestSpec's in
+// harness/runner.hpp, which nests HostConfig's, PathSpec's and so on down
+// to SysctlConfig's in kern/sysctl.hpp. Entries tagged wire::unkeyed
+// (labels, model names, the observation switches) are left out: two specs
+// with identical physics are the same cell, whatever they are called. The
+// static_assert beside each list makes a knob without an entry a build
+// error, so no knob can silently share a key.
 //
 // A cached cell lives at <dir>/<16-hex-key>.json and stores the aggregate
-// TestResult (including raw per-repeat samples). Telemetry payloads
-// (probe series, traces) are not serialized; the campaign engine bypasses
-// the cache for telemetry-enabled specs.
+// TestResult (including raw per-repeat samples) through its fields() list.
+// Telemetry payloads (probe series, traces) are not serialized; the
+// campaign engine bypasses the cache for telemetry-enabled specs.
 //
 // Bump kCacheSalt whenever the simulator's calibration or the result schema
 // changes: every old entry then misses and re-simulates, which is exactly
@@ -33,10 +38,12 @@ namespace dtnsim::sweep {
 // fixed point counts as steady, which moves LAN cells' results again.
 inline constexpr std::string_view kCacheSalt = "dtnsim.sweep.v3";
 
-// The canonical text: "key=value\n" lines sorted by key. Doubles are
-// written as printf's %.17g (round-trips every double, so two knob values
-// never collide), integers in decimal, bools as 1/0, enums by name; the
-// scenario block only when the timeline is non-empty. Every cache key and
+// The canonical text: "key=value\n" lines sorted by key, one per keyed
+// entry of the spec's fields() lists, a nested struct's keys under its
+// entry's key and a dot. Doubles are written as printf's %.17g (round-trips
+// every double, so two knob values never collide), integers in decimal,
+// bools as 1/0, enums by name; the scenario's events ("scenario.count", then
+// "scenario.NNN.*") only when the timeline is non-empty. Every cache key and
 // derived cell seed depends on these bytes (tests/golden/spec_keys.txt).
 std::string canonical_text(const harness::TestSpec& spec);
 
@@ -63,7 +70,8 @@ std::string key_hex(std::uint64_t key);
 // with that seed in its first line (base_seed sorts before every other key).
 std::uint64_t seed_and_key(harness::TestSpec& spec, std::uint64_t campaign_seed);
 
-// TestResult <-> JSON (aggregate numbers + raw samples; no telemetry).
+// TestResult <-> JSON: its fields() list plus the "schema" salt (aggregate
+// numbers + raw samples; no telemetry).
 Json result_to_json(const harness::TestResult& result);
 // False when `j` is not a result document: a missing or mistyped field, or
 // a schema salt other than kCacheSalt. The salt is hashed into the file
@@ -106,7 +114,9 @@ class ResultCache {
   bool load(const harness::TestSpec& spec, harness::TestResult* out) const;
 
   // Write-through: store via a temp file + atomic rename so an interrupt
-  // mid-write never leaves a half-entry under the final name.
+  // mid-write never leaves a half-entry under the final name. A failed
+  // write (a full disk) removes the temp file and returns false, leaving no
+  // entry.
   bool store(std::uint64_t key, const harness::TestResult& result) const;
   bool store(const harness::TestSpec& spec, const harness::TestResult& result) const;
 

@@ -41,17 +41,17 @@ std::string grid_fingerprint(const std::vector<CellOutcome>& cells) {
   return key_hex(fnv1a64(text));
 }
 
-Json row_json(const CellOutcome& out, const std::string& spec_name) {
+// The result's columns (its name is the cell's: run_test and a cache hit
+// both label it with the spec's name), then the cell's place in the grid.
+Json row_json(const CellOutcome& out) {
   const auto& r = out.result;
-  Json j = wire::to_json(static_cast<const report::RunSummary&>(r));
+  Json j = wire::to_json(r);
   j["index"] = static_cast<std::int64_t>(out.index);
   j["key"] = out.key_hex;
-  j["name"] = spec_name;
   Json coords = Json::object();
   for (const auto& [axis, value] : out.coords) coords[axis] = value;
   j["coords"] = std::move(coords);
   j["cached"] = out.cached;
-  j["repeats"] = r.repeats;
   // Telemetry extras, presence-driven: --report grows the matching columns
   // only when some row carries them. Cached rows never have them (cells
   // with telemetry enabled bypass the result cache).
@@ -263,7 +263,7 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
     // Result row first, then the manifest line: a cell is only ever
     // marked done after its row is on disk.
     try {
-      results.line(row_json(out, cell.spec.name).dump());
+      results.line(row_json(out).dump());
       Json done = Json::object();
       done["index"] = static_cast<std::int64_t>(out.index);
       done["key"] = out.key_hex;

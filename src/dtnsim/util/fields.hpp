@@ -3,11 +3,13 @@
 //
 // A struct opts in by declaring, next to its definition,
 //
-//   template <class V> void fields(V& v, NicCountersSnapshot& n) {
+//   template <class V> constexpr void fields(V& v, NicCountersSnapshot& n) {
 //     v("device", n.device);
 //     v("rx_bytes", n.rx_bytes);
 //     ...
 //   }
+//   static_assert(wire::field_count<NicCountersSnapshot>() ==
+//                 wire::member_count<NicCountersSnapshot>());
 //
 // wire::to_json walks that list to build a Json object and wire::read walks
 // it to fill a struct back in. Nested structs use their own fields(),
@@ -15,6 +17,11 @@
 // as seconds. The adapters below cover the remaining wire shapes: Nanos as
 // seconds, 64-bit integers as decimal text, enums by name, and objects keyed
 // by a fixed name table. The key names the unit ("ts_sec", "mean_bps").
+// The configuration structs' lists also write the sweep cache key
+// (sweep/cache.hpp), which leaves out the entries tagged wire::unkeyed.
+//
+// The static_assert makes a list complete by construction: a member added
+// without an entry stops the build at the list (see "completeness" below).
 //
 // Reading never throws and never copies a Json subtree. An absent key keeps
 // the member's default. A key of the wrong kind, a number outside its
@@ -27,10 +34,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dtnsim/units/units.hpp"
@@ -39,8 +48,19 @@
 
 namespace dtnsim::wire {
 
-// Third argument of a field: the document is unreadable without this key.
-inline constexpr bool required = true;
+// The third argument of an entry, when it has one:
+//   required  the document is unreadable without this key;
+//   unkeyed   the sweep cache key leaves it out: it names or observes a run
+//             but does not change what the run simulates;
+//   skipped   no document carries it (a run's in-memory output); the entry
+//             names it so that the member count below sees it.
+struct Plain {};
+struct Required {};
+struct Unkeyed {};
+struct Skipped {};
+inline constexpr Required required{};
+inline constexpr Unkeyed unkeyed{};
+inline constexpr Skipped skipped{};
 
 class Writer;
 
@@ -53,24 +73,25 @@ concept Struct = requires(Writer& w, T& t) { fields(w, t); };
 struct Seconds {
   Nanos& ns;
 };
-inline Seconds seconds(Nanos& ns) { return {ns}; }
+constexpr Seconds seconds(Nanos& ns) { return {ns}; }
 
 // A 64-bit integer as decimal text; a JSON double rounds past 2^53.
 struct Decimal {
   std::uint64_t& value;
 };
-inline Decimal decimal(std::uint64_t& value) { return {value}; }
+constexpr Decimal decimal(std::uint64_t& value) { return {value}; }
 
-// An enum by its wire name; an unknown name is a read error.
-template <class E>
+// An enum by its wire name; an unknown name is a read error. An enum only
+// ever written (a cache key knob) has no parser, and reads as an error.
+template <class E, class S>
 struct Named {
   E& value;
-  std::string_view (*name)(E);
+  S (*name)(E);
   std::optional<E> (*parse)(std::string_view);
 };
-template <class E>
-Named<E> named(E& value, std::string_view (*name)(E),
-               std::optional<E> (*parse)(std::string_view)) {
+template <class E, class S>
+constexpr Named<E, S> named(E& value, S (*name)(E),
+                            std::optional<E> (*parse)(std::string_view) = nullptr) {
   return {value, name, parse};
 }
 
@@ -83,7 +104,7 @@ struct Keyed {
   SlotFn slot;
 };
 template <class NameFn, class SlotFn>
-Keyed<NameFn, SlotFn> keyed(int n, NameFn name, SlotFn slot) {
+constexpr Keyed<NameFn, SlotFn> keyed(int n, NameFn name, SlotFn slot) {
   return {n, name, slot};
 }
 
@@ -93,8 +114,8 @@ template <class T>
 inline constexpr bool is_vector<std::vector<T>> = true;
 template <class T>
 inline constexpr bool is_named = false;
-template <class E>
-inline constexpr bool is_named<Named<E>> = true;
+template <class E, class S>
+inline constexpr bool is_named<Named<E, S>> = true;
 template <class T>
 inline constexpr bool is_keyed = false;
 template <class N, class S>
@@ -109,9 +130,9 @@ class Writer {
  public:
   explicit Writer(Json& object) : object_(object) {}
 
-  template <class T>
-  void operator()(const char* key, T&& value, bool /*required*/ = false) {
-    object_[key] = wire::to_json(value);
+  template <class T, class Tag = Plain>
+  void operator()(const char* key, T&& value, Tag = {}) {
+    if constexpr (!std::is_same_v<Tag, Skipped>) object_[key] = wire::to_json(value);
   }
 
  private:
@@ -154,15 +175,17 @@ Json to_json(const T& value) {
 
 class Reader {
  public:
-  template <class T>
-  void operator()(const char* key, T&& value, bool is_required = false) {
-    path_.push_back({key, 0});
-    if (const Json* j = object_->find(key)) {
-      read(*j, value);
-    } else if (is_required) {
-      fail("is missing");
+  template <class T, class Tag = Plain>
+  void operator()(const char* key, T&& value, Tag = {}) {
+    if constexpr (!std::is_same_v<Tag, Skipped>) {
+      path_.push_back({key, 0});
+      if (const Json* j = object_->find(key)) {
+        read(*j, value);
+      } else if (std::is_same_v<Tag, Required>) {
+        fail("is missing");
+      }
+      path_.pop_back();
     }
-    path_.pop_back();
   }
 
   template <class T>
@@ -235,7 +258,8 @@ void Reader::read(const Json& j, T& value) {
     if (j.is_string()) value.value = std::strtoull(j.string_or("").c_str(), nullptr, 10);
     else fail("is not a decimal string");
   } else if constexpr (is_named<T>) {
-    const auto parsed = j.is_string() ? value.parse(j.string_or("")) : std::nullopt;
+    const auto parsed =
+        j.is_string() && value.parse ? value.parse(j.string_or("")) : std::nullopt;
     if (parsed) value.value = *parsed;
     else fail("is not a known name");
   } else if constexpr (is_keyed<T>) {
@@ -287,6 +311,104 @@ std::string read(const Json& j, T& value) {
   Reader r;
   r.read(j, value);
   return r.error();
+}
+
+// ---- completeness ---------------------------------------------------------
+//
+// field_count<T>() is the number of T's members its list names and
+// member_count<T>() the number T has; the static_assert beside each list
+// holds them equal. A reference wrapper (SsLog) cannot be counted and has
+// no check: its one member is the list it wraps.
+
+namespace detail {
+
+// Converts to any member's type: T{AnyMember{}, ...} counts aggregate
+// elements (C++20), a base class as one.
+struct AnyMember {
+  template <class T>
+  operator T() const;
+};
+
+template <class T, class... A>
+consteval int aggregate_size() {
+  if constexpr (requires { T{A{}..., AnyMember{}}; }) {
+    return aggregate_size<T, A..., AnyMember>();
+  } else {
+    return static_cast<int>(sizeof...(A));
+  }
+}
+
+// A wrapper of references (SsLog, PerfCoreCycles) takes exactly as many
+// initialisers as it holds references.
+struct AnyRef {
+  template <class T>
+  operator T&() const;
+};
+
+template <class T, class... A>
+consteval int reference_count() {
+  if constexpr (requires { T{A{}...}; }) {
+    return static_cast<int>(sizeof...(A));
+  } else {
+    static_assert(sizeof...(A) < 8, "a wrapper holds a few references to members");
+    return reference_count<T, A..., AnyRef>();
+  }
+}
+
+// Counts members, not entries, from each entry's type alone. An entry names
+// one member, or a wrapper of references built in the list names as many
+// as it holds: PerfReport's "cores" entry covers two arrays through one
+// keyed slot.
+class Counter {
+ public:
+  template <class T, class Tag = Plain>
+  constexpr void operator()(const char*, T&&, Tag = {}) {
+    n += members<T>();
+  }
+
+  template <class T>
+  static consteval int members() {
+    using U = std::remove_cvref_t<T>;
+    if constexpr (!std::is_lvalue_reference_v<T> && is_keyed<U>) {
+      return members<decltype(std::declval<U&>().slot(0))>();
+    } else if constexpr (!std::is_lvalue_reference_v<T> && Struct<U>) {
+      return reference_count<U>();
+    } else {
+      return 1;  // a member, or Seconds, Decimal or Named over one
+    }
+  }
+
+  int n = 0;
+};
+
+}  // namespace detail
+
+// An entry whose list joins the enclosing object's keys: a base class's
+// members, or a nested struct written flat. It counts as one member.
+template <class V, class T>
+constexpr void flatten(V& v, T& inner) {
+  if constexpr (std::is_same_v<V, detail::Counter>) {
+    v.n += 1;
+  } else {
+    fields(v, inner);
+  }
+}
+
+template <class T>
+consteval int member_count() {
+  return detail::aggregate_size<T>();
+}
+
+template <class T>
+consteval int field_count() {
+  // The list runs over storage no constructor has touched: the Counter only
+  // needs its entries' types, and nothing reads a member.
+  std::allocator<T> storage;
+  T* const t = storage.allocate(1);
+  detail::Counter c;
+  fields(c, *t);
+  storage.deallocate(t, 1);
+  return c.n;
 }
 
 }  // namespace dtnsim::wire

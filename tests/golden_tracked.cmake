@@ -1,6 +1,8 @@
 # Every tests/golden/ file a test source or the CI workflow names must exist
 # and, in a git checkout, be tracked: an ignore rule (`*.csv`) once kept a
-# golden out of git, so a fresh clone failed the test that reads it.
+# golden out of git, so a fresh clone failed the test that reads it. And
+# every file under tests/golden/ must be named by one of them: a golden
+# nothing reads pins nothing.
 #
 #   cmake -DROOT=<repo root> -P tests/golden_tracked.cmake
 file(GLOB sources ${ROOT}/tests/*.cpp)
@@ -32,6 +34,13 @@ if(GIT)
 endif()
 
 set(bad "")
+file(GLOB goldens RELATIVE ${ROOT} ${ROOT}/tests/golden/*)
+foreach(path IN LISTS goldens)
+  list(FIND paths ${path} at)
+  if(at EQUAL -1)
+    list(APPEND bad "${path} is named by no tests/*.cpp nor ci.yml (read it or delete it)")
+  endif()
+endforeach()
 foreach(path IN LISTS paths)
   if(NOT EXISTS ${ROOT}/${path})
     list(APPEND bad "${path} is missing")

@@ -289,7 +289,7 @@ std::vector<Cell> packet_cells(const Watch& watch = std::nullopt) {
 std::string digest(const harness::TestResult& r) {
   struct Visit {
     Digest& d;
-    void operator()(std::string_view, double& v, bool = false) { d.num(v); }
+    void operator()(std::string_view, double& v, wire::Required = {}) { d.num(v); }
     void operator()(std::string_view, std::vector<double>& xs) { d.series(xs); }
   };
   Digest d;

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -335,43 +336,92 @@ TEST(SpecKeys, MatchGolden) {
   EXPECT_FALSE(std::getline(got_lines, g)) << "not in the golden: " << g;
 }
 
+// Walks a spec's fields() lists, the ones its cache key is written from,
+// and changes one entry at a time: every keyed number, bool, string and
+// enum must move the key, every unkeyed one must leave it alone.
+class KnobWalker {
+ public:
+  explicit KnobWalker(harness::TestSpec& spec) : spec_(spec), base_key_(spec_key(spec)) {}
+
+  template <class T, class Tag = wire::Plain>
+  void operator()(const char* key, T&& value, Tag = {}) {
+    visit(key, value, !std::is_same_v<Tag, wire::Unkeyed>);
+  }
+
+  int keyed = 0;
+  int unkeyed = 0;
+
+ private:
+  template <class T>
+  void visit(std::string_view key, T& value, bool in_key) {
+    const std::size_t outer = path_.size();
+    (path_ += key) += '.';
+    if constexpr (wire::Struct<T>) {
+      fields(*this, value);
+    } else if constexpr (wire::is_vector<T>) {
+      for (std::size_t i = 0; i < value.size(); ++i) visit(std::to_string(i), value[i], in_key);
+    } else if constexpr (wire::is_named<T>) {
+      using E = std::remove_reference_t<decltype(value.value)>;
+      const E saved = value.value;
+      value.value = saved == E{} ? static_cast<E>(1) : E{};
+      check(in_key);
+      value.value = saved;
+    } else {
+      const T saved = value;
+      if constexpr (std::is_same_v<T, bool>) {
+        value = !value;
+      } else if constexpr (std::is_integral_v<T>) {
+        value += 1;
+      } else if constexpr (std::is_floating_point_v<T>) {
+        value = value == 0 ? 1 : value * 3;
+      } else if constexpr (std::is_same_v<T, std::string>) {
+        value += "x";
+      } else {
+        static_assert(std::is_same_v<T, obs::TelemetryConfig>, "a knob this walk cannot change");
+        value.enabled = !value.enabled;
+      }
+      check(in_key);
+      value = saved;
+    }
+    path_.resize(outer);
+  }
+
+  void check(bool in_key) {
+    ++(in_key ? keyed : unkeyed);
+    if (in_key) {
+      EXPECT_NE(spec_key(spec_), base_key_) << path_ << " is keyed but leaves the key alone";
+    } else {
+      EXPECT_EQ(spec_key(spec_), base_key_) << path_ << " is unkeyed but moves the key";
+    }
+  }
+
+  harness::TestSpec& spec_;
+  const std::uint64_t base_key_;
+  std::string path_;
+};
+
 TEST(Cache, KeyChangesWithEveryKnob) {
-  const auto base = expand(twelve_cell_grid())[0].spec;
-  const auto base_key = spec_key(base);
+  auto spec = expand(twelve_cell_grid())[0].spec;
+  scenario::Event e;
+  e.at_sec = 1.0;
+  e.value = 0.5;
+  e.duration_sec = 0.5;
+  e.note = "walked";
+  spec.scenario.events = {e};
+  const auto base_key = spec_key(spec);
 
-  auto s = base;
-  s.repeats += 1;
-  EXPECT_NE(spec_key(s), base_key);
-  s = base;
-  s.base_seed ^= 1;
-  EXPECT_NE(spec_key(s), base_key);
-  s = base;
-  s.iperf.parallel += 1;
-  EXPECT_NE(spec_key(s), base_key);
-  s = base;
-  s.iperf.zerocopy = !s.iperf.zerocopy;
-  EXPECT_NE(spec_key(s), base_key);
-  s = base;
-  s.sender.tuning.sysctl.optmem_max += 1;
-  EXPECT_NE(spec_key(s), base_key);
-  s = base;
-  s.sender.tuning.ring_descriptors *= 2;
-  EXPECT_NE(spec_key(s), base_key);
-  s = base;
-  s.sender.tuning.big_tcp_enabled = !s.sender.tuning.big_tcp_enabled;
-  EXPECT_NE(spec_key(s), base_key);
-  s = base;
-  s.path.rtt += 1;
-  EXPECT_NE(spec_key(s), base_key);
-  s = base;
-  s.receiver.kernel = kern::kernel_profile(kern::KernelVersion::V5_10);
-  EXPECT_NE(spec_key(s), base_key);
+  KnobWalker walk(spec);
+  fields(walk, spec);
+  // 113 configuration knobs plus the event's five; the labels, model names,
+  // kernel version numbers, --json, the telemetry and record switches and
+  // the event's note are left out.
+  EXPECT_EQ(walk.keyed, 113 + 5);
+  EXPECT_EQ(walk.unkeyed, 18);
+  EXPECT_EQ(spec_key(spec), base_key) << "the walk restores every knob";
 
-  // Cosmetic labels are NOT part of the address.
-  s = base;
-  s.name = "a completely different label";
-  s.path.name = "renamed path";
-  EXPECT_EQ(spec_key(s), base_key);
+  // The timeline's name is cosmetic too; its events stand for it in the key.
+  spec.scenario.name = "renamed timeline";
+  EXPECT_EQ(spec_key(spec), base_key);
 }
 
 TEST(Cache, StoreLoadRoundTrip) {
@@ -399,6 +449,23 @@ TEST(Cache, StoreLoadRoundTrip) {
 }
 
 // ---- campaigns -----------------------------------------------------------
+
+TEST(Cache, AFailedWriteLeavesNoEntry) {
+  const std::string dir = scratch_dir("full");
+  ResultCache cache(dir);
+  const auto spec = expand(twelve_cell_grid())[0].spec;
+  harness::TestResult result;
+  result.name = spec.name;
+  result.repeats = 1;
+  result.avg_gbps = 1.0;
+  // Every write to the temp file fails, as on a full disk. The entry is
+  // never loaded: a read of /dev/full would not end.
+  const std::string entry = cache.path_for(spec_key(spec));
+  fs::create_symlink("/dev/full", entry + ".tmp");
+  EXPECT_FALSE(cache.store(spec, result));
+  EXPECT_FALSE(fs::exists(fs::symlink_status(entry)));
+  EXPECT_FALSE(fs::exists(fs::symlink_status(entry + ".tmp")));
+}
 
 TEST(Campaign, ParallelOutputMatchesSerial) {
   const auto grid = twelve_cell_grid();
