@@ -32,7 +32,7 @@ struct CliOptions {
   IperfOptions iperf;
   double optmem_max = -1.0;   // < 0 -> testbed default
   bool big_tcp = false;
-  double big_tcp_bytes = 150.0 * 1024.0;
+  double big_tcp_bytes = host::TuningConfig{}.big_tcp_bytes;
   int ring = -1;              // < 0 -> testbed default
   int repeats = 1;
   std::uint64_t seed = 0x5eed;

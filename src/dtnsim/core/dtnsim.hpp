@@ -48,10 +48,10 @@
 #include "dtnsim/tcp/bbr.hpp"
 #include "dtnsim/tcp/cc.hpp"
 #include "dtnsim/tcp/cubic.hpp"
+#include "dtnsim/units/units.hpp"
 #include "dtnsim/util/csv.hpp"
 #include "dtnsim/util/json.hpp"
 #include "dtnsim/util/log.hpp"
 #include "dtnsim/util/stats.hpp"
 #include "dtnsim/util/strfmt.hpp"
 #include "dtnsim/util/table.hpp"
-#include "dtnsim/util/units.hpp"

@@ -21,7 +21,8 @@ class Experiment {
   Experiment& congestion(kern::CongestionAlgo algo);
   Experiment& kernel(kern::KernelVersion version);
   Experiment& optmem_max(units::Bytes limit);
-  Experiment& big_tcp(bool on, units::Bytes size = units::Bytes::kib(150));
+  Experiment& big_tcp(bool on,
+                      units::Bytes size = units::Bytes(host::TuningConfig{}.big_tcp_bytes));
   Experiment& hw_gro(bool on = true);
   Experiment& mtu(units::Bytes bytes);
   Experiment& ring(int descriptors);

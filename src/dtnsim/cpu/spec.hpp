@@ -9,8 +9,8 @@
 
 #include <string>
 
+#include "dtnsim/units/units.hpp"
 #include "dtnsim/util/fields.hpp"
-#include "dtnsim/util/units.hpp"
 
 namespace dtnsim::cpu {
 

@@ -53,11 +53,9 @@ TestSpec with_optmem(TestSpec spec, double bytes) {
   return spec;
 }
 
-TestSpec with_big_tcp(TestSpec spec, double bytes = 150.0 * 1024.0) {
-  for (auto* h : {&spec.sender, &spec.receiver}) {
-    h->tuning.big_tcp_enabled = true;
-    h->tuning.big_tcp_bytes = bytes;
-  }
+TestSpec with_big_tcp(TestSpec spec) {
+  spec.sender.tuning.big_tcp_enabled = true;
+  spec.receiver.tuning.big_tcp_enabled = true;
   return spec;
 }
 

@@ -15,8 +15,8 @@
 #include <algorithm>
 #include <string>
 
+#include "dtnsim/units/units.hpp"
 #include "dtnsim/util/fields.hpp"
-#include "dtnsim/util/units.hpp"
 
 namespace dtnsim::net {
 

@@ -9,9 +9,9 @@
 
 #include <string>
 
+#include "dtnsim/units/units.hpp"
 #include "dtnsim/util/fields.hpp"
 #include "dtnsim/util/rng.hpp"
-#include "dtnsim/util/units.hpp"
 
 namespace dtnsim::net {
 

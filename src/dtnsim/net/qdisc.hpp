@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "dtnsim/util/units.hpp"
+#include "dtnsim/units/units.hpp"
 
 namespace dtnsim::net {
 

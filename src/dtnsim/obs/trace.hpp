@@ -23,8 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "dtnsim/units/units.hpp"
 #include "dtnsim/util/json.hpp"
-#include "dtnsim/util/units.hpp"
 
 namespace dtnsim::obs {
 

@@ -11,7 +11,7 @@
 #include <utility>
 
 #include "dtnsim/sim/event_queue.hpp"
-#include "dtnsim/util/units.hpp"
+#include "dtnsim/units/units.hpp"
 
 namespace dtnsim::sim {
 

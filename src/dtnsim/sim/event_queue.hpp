@@ -11,7 +11,7 @@
 #include <functional>
 #include <vector>
 
-#include "dtnsim/util/units.hpp"
+#include "dtnsim/units/units.hpp"
 
 namespace dtnsim::sim {
 

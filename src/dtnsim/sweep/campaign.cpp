@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string_view>
 
@@ -28,17 +28,6 @@ namespace {
 double now_sec() {
   const auto t = std::chrono::steady_clock::now().time_since_epoch();
   return std::chrono::duration<double>(t).count();
-}
-
-// Fingerprint of the expanded grid: hashes every cell's content address, so
-// any change to any knob, axis value or ordering-relevant property shows up.
-std::string grid_fingerprint(const std::vector<CellOutcome>& cells) {
-  std::string text(kCacheSalt);
-  for (const auto& cell : cells) {
-    text += '\n';
-    text += cell.key_hex;
-  }
-  return key_hex(fnv1a64(text));
 }
 
 // The result's columns (its name is the cell's: run_test and a cache hit
@@ -71,9 +60,8 @@ Json row_json(const CellOutcome& out) {
   return j;
 }
 
-// The documents of a JSONL file (a campaign's rows or its manifest), one per
-// line that parses: a line a kill cut short is skipped. nullopt when the
-// file cannot be read.
+// The documents of a campaign's rows, one per line that parses: a line a
+// kill cut short is skipped. nullopt when the file cannot be read.
 std::optional<std::vector<Json>> read_jsonl(const std::string& path) {
   const auto text = read_file(path);
   if (!text) return std::nullopt;
@@ -88,10 +76,10 @@ std::optional<std::vector<Json>> read_jsonl(const std::string& path) {
 }
 
 // An append-or-truncate line stream that flushes after every line, so the
-// manifest and the results stream survive a kill between cells, and throws
-// naming the file when a line does not reach it. Appending to a file whose
-// last line a kill cut short first ends that line, so the fragment stays a
-// torn line of its own and the new lines still parse.
+// results stream survives a kill between cells, and throws naming the file
+// when a line does not reach it. Appending to a file whose last line a kill
+// cut short first ends that line, so the fragment stays a torn line of its
+// own and the new lines still parse.
 class LineWriter {
  public:
   LineWriter(const std::string& path, bool append) : path_(path) {
@@ -108,7 +96,6 @@ class LineWriter {
     if (!out_) throw std::runtime_error("sweep: cannot open " + path + " for writing");
     if (torn) out_ << '\n';
   }
-  bool enabled() const { return out_.is_open(); }
   void line(const std::string& text) {
     if (!out_.is_open()) return;
     out_ << text << '\n';
@@ -127,7 +114,7 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
   const double t0 = now_sec();
   if (opts.resume && opts.results_path.empty()) {
     throw std::invalid_argument(
-        "sweep resume: the manifest lives at <out>.ckpt, so resuming needs the "
+        "sweep resume: a campaign resumes from its rows, so resuming needs the "
         "results stream path (--out FILE)");
   }
   const std::vector<Cell> cells = expand(grid);  // throws on a malformed grid
@@ -137,8 +124,8 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
   report.total = cells.size();
   report.jobs = std::min(resolve_jobs(opts.jobs), resolve_jobs(0));
   report.cells.resize(cells.size());
-  // Each cell's content address, hashed once in expand(): the fingerprint,
-  // the resume check, the rows, the manifest lines and the cache read it.
+  // Each cell's content address, hashed once in expand(): the resume check,
+  // the rows and the cache read it.
   for (std::size_t i = 0; i < cells.size(); ++i) {
     CellOutcome& out = report.cells[i];
     out.index = i;
@@ -146,91 +133,47 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
     out.coords = cells[i].coords;
   }
 
-  // Resume: collect the keys the manifest says are complete.
-  const std::string fingerprint = grid_fingerprint(report.cells);
-  const std::string manifest_path = opts.results_path.empty() ? "" : opts.results_path + ".ckpt";
-  std::set<std::string> done_keys;
-  bool appending = false;
-  // The manifest's first line holds the grid; each later one a done cell.
-  if (const auto manifest = opts.resume ? read_jsonl(manifest_path) : std::nullopt;
-      manifest && !manifest->empty()) {
-    const std::string grid_seen = manifest->front().string_at("grid", "");
-    if (grid_seen != fingerprint ||
-        manifest->front().number_at("cells", 0) != static_cast<double>(cells.size())) {
-      throw std::runtime_error(strfmt(
-          "sweep resume: checkpoint %s was written for a different grid "
-          "(fingerprint %s vs %s) — refusing to mix campaigns",
-          manifest_path.c_str(), grid_seen.c_str(), fingerprint.c_str()));
+  // Resume: each row of the stream is a done cell, and its result is read
+  // back from the row. A row whose key is not the key of the cell at its
+  // index was written for another grid.
+  const std::string& path = opts.results_path;
+  if (const auto rows = opts.resume ? read_jsonl(path) : std::nullopt) {
+    for (const Json& row : *rows) {
+      const double at = row.number_at("index", -1);
+      const std::string key = row.string_at("key", "");
+      if (!(at >= 0 && at < static_cast<double>(cells.size()) && at == std::floor(at)) ||
+          key != report.cells[static_cast<std::size_t>(at)].key_hex) {
+        throw std::runtime_error(strfmt(
+            "sweep resume: %s holds a row (index %g, key %s) that is not a cell of this "
+            "grid — refusing to mix campaigns",
+            path.c_str(), at, key.c_str()));
+      }
+      CellOutcome& out = report.cells[static_cast<std::size_t>(at)];
+      if (const std::string error = wire::read(row, out.result); !error.empty()) {
+        throw std::runtime_error(strfmt("sweep resume: %s: the row of cell %s is not a result (%s)",
+                                        path.c_str(), key.c_str(), error.c_str()));
+      }
+      out.result.name = cells[out.index].spec.name;  // the label is not part of the key
+      if (!out.resumed) ++report.resumed;
+      out.resumed = out.done = true;
     }
-    for (auto line = manifest->begin() + 1; line != manifest->end(); ++line) {
-      if (std::string key = line->string_at("key", ""); !key.empty())
-        done_keys.insert(std::move(key));
-    }
-    appending = true;  // keep prior rows; append the rest
   }
 
   std::unique_ptr<ResultCache> cache;
   if (!opts.cache_dir.empty()) cache = std::make_unique<ResultCache>(opts.cache_dir);
 
-  LineWriter results(opts.results_path, appending);
-  LineWriter manifest(manifest_path, appending);
-  if (manifest.enabled() && !appending) {
-    Json header = Json::object();
-    header["schema"] = std::string(kCacheSalt);
-    header["campaign"] = grid.name;
-    header["grid"] = fingerprint;
-    header["cells"] = static_cast<std::int64_t>(cells.size());
-    manifest.line(header.dump());
-  }
+  LineWriter results(path, opts.resume);
 
-  // Metrics registered up front so export order is stable.
-  obs::Gauge* m_total = nullptr;
-  obs::Counter* m_done = nullptr;
-  obs::Counter* m_cached = nullptr;
-  obs::Counter* m_simulated = nullptr;
-  obs::Counter* m_resumed = nullptr;
-  obs::Gauge* m_jobs = nullptr;
-  obs::Gauge* m_wall = nullptr;
-  obs::Gauge* m_occupancy = nullptr;
-  if (opts.metrics) {
-    m_total = opts.metrics->gauge("sweep.cells_total", "cells", "grid size");
-    m_done = opts.metrics->counter("sweep.cells_done", "cells",
-                                   "cells completed this invocation");
-    m_cached = opts.metrics->counter("sweep.cells_cached", "cells",
-                                     "cells served from the result cache");
-    m_simulated = opts.metrics->counter("sweep.cells_simulated", "cells",
-                                        "cells that ran the simulator");
-    m_resumed = opts.metrics->counter("sweep.cells_resumed", "cells",
-                                      "cells skipped via the checkpoint manifest");
-    m_jobs = opts.metrics->gauge("sweep.jobs", "threads", "most threads running cells");
-    m_wall = opts.metrics->gauge("sweep.wall_sec", "s", "campaign wall time");
-    m_occupancy = opts.metrics->gauge("sweep.worker_occupancy", "frac",
-                                      "summed cell busy time / (jobs * wall)");
-    m_total->set(static_cast<double>(cells.size()));
-    m_jobs->set(static_cast<double>(report.jobs));
-  }
-
-  // Cells the manifest marks done are set aside and re-served from the
-  // cache when possible; the rest run on the shared pool.
   std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    CellOutcome& out = report.cells[i];
-    if (!done_keys.contains(out.key_hex)) {
-      todo.push_back(i);
-      continue;
-    }
-    out.resumed = true;
-    out.done = true;
-    ++report.resumed;
-    if (m_resumed) m_resumed->increment();
-    if (cache && cache->load(cells[i].key, cells[i].spec.name, &out.result)) out.cached = true;
+  for (const CellOutcome& out : report.cells) {
+    if (!out.done) todo.push_back(out.index);
   }
 
-  std::mutex io_mu;  // serializes row/manifest writes, counters, busy time
+  std::mutex io_mu;  // serializes row writes, counters, busy time
   double busy_sec = 0.0;
-  // Set when a row or manifest write throws: the campaign has failed, so no
-  // further cell starts. Cells already running finish; parallel_for then
-  // rethrows the write's error.
+  // Set when a row write throws: the campaign has failed, so no further cell
+  // starts. Cells already running finish; parallel_for then rethrows the
+  // write's error.
   std::atomic<bool> write_failed{false};
   parallel_for(todo.size(), report.jobs, [&](std::size_t k) {
     if (write_failed) return;
@@ -254,20 +197,11 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
     out.done = true;
     if (cached) {
       ++report.cached;
-      if (m_cached) m_cached->increment();
     } else {
       ++report.simulated;
-      if (m_simulated) m_simulated->increment();
     }
-    if (m_done) m_done->increment();
-    // Result row first, then the manifest line: a cell is only ever
-    // marked done after its row is on disk.
     try {
       results.line(row_json(out).dump());
-      Json done = Json::object();
-      done["index"] = static_cast<std::int64_t>(out.index);
-      done["key"] = out.key_hex;
-      manifest.line(done.dump());
     } catch (...) {
       write_failed = true;
       throw;
@@ -278,10 +212,6 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
   report.wall_sec = now_sec() - t0;
   report.worker_occupancy =
       report.wall_sec > 0 ? busy_sec / (static_cast<double>(report.jobs) * report.wall_sec) : 0.0;
-  if (opts.metrics) {
-    m_wall->set(report.wall_sec);
-    m_occupancy->set(report.worker_occupancy);
-  }
   return report;
 }
 
@@ -375,9 +305,8 @@ cli::Grammar sweep_grammar(SweepCli& o) {
     {{"--jobs"}, "N", "at most N threads (default 1; 0 = usable CPUs)",
      set_whole(o.run.jobs, 0, kIntMax)},
     {{"--cache"}, "DIR", "content-addressed result cache directory", set_text(o.run.cache_dir)},
-    {{"--out"}, "FILE", "JSONL row per finished cell; the manifest\nof done cells is FILE.ckpt",
-     set_text(o.run.results_path)},
-    {{"--resume"}, "", "with --out: skip cells the manifest marks done", set_true(o.run.resume)},
+    {{"--out"}, "FILE", "JSONL row per finished cell", set_text(o.run.results_path)},
+    {{"--resume"}, "", "with --out: skip the cells FILE has rows for", set_true(o.run.resume)},
     {{"--telemetry"}, "",
      "interval probes in every cell (rows gain dip/\nrecovery columns with --scenarios; uncached)",
      set_true(g.telemetry.enabled)},
@@ -412,21 +341,23 @@ SweepCli parse_sweep_cli(const std::vector<std::string>& args) {
 namespace {
 
 // `dtnsim-sweep --report results.jsonl`: re-render a finished campaign's
-// streamed rows as the paper-style summary table, offline. Rows whose cells
-// were served from a prior output (repeats == 0) are counted but not shown.
+// streamed rows as the paper-style summary table, offline.
 // Two passes over the rows: the first discovers which optional columns any
 // row carries (cycles/byte from --perf, dip/recovery from --telemetry +
 // --scenarios), the second renders the table with exactly those columns.
 int render_campaign_report(const std::string& path, const std::vector<Json>& rows,
                            std::string& output) {
+  if (rows.empty()) {
+    output = strfmt("error: %s holds no result rows\n", path.c_str());
+    return 2;
+  }
   bool has_perf = false, has_dip = false;
   for (const Json& doc : rows) {
     if (doc.find("tx_cyc_per_byte")) has_perf = true;
     if (doc.find("dip_gbps")) has_dip = true;
   }
 
-  std::string name;
-  std::size_t shown = 0, cached = 0, skipped = 0;
+  std::size_t cached = 0;
   std::string table;
   table += strfmt("  %4s %-44s %16s %7s %7s %8s %4s %4s", "idx", "cell",
                   "Gbps (avg±sd)", "min", "max", "retrans", "TX%", "RX%");
@@ -434,13 +365,7 @@ int render_campaign_report(const std::string& path, const std::vector<Json>& row
   if (has_dip) table += strfmt(" %8s %7s %6s", "dip Gbps", "rec s", "kept%");
   table += '\n';
   for (const Json& doc : rows) {
-    if (name.empty()) name = doc.string_at("name", "");
     if (doc.bool_at("cached", false)) ++cached;
-    if (doc.number_at("repeats", 0) <= 0) {
-      ++skipped;  // resumed cell whose result lives in a prior stream
-      continue;
-    }
-    ++shown;
     // The row's name is the full spec label; coords alone are shorter but
     // the label is what the live campaign output prints.
     table += strfmt("  %4.0f %-44s %8.2f ± %5.2f %7.2f %7.2f %8.0f %4.0f %4.0f",
@@ -472,14 +397,9 @@ int render_campaign_report(const std::string& path, const std::vector<Json>& row
     }
     table += '\n';
   }
-  if (shown + skipped == 0) {
-    output = strfmt("error: %s holds no result rows\n", path.c_str());
-    return 2;
-  }
-  output = strfmt("campaign report: %s (%zu rows, %zu cached", path.c_str(),
-                  shown + skipped, cached);
-  if (skipped > 0) output += strfmt(", %zu in prior streams", skipped);
-  output += ")\n" + table;
+  output = strfmt("campaign report: %s (%zu rows, %zu cached)\n", path.c_str(), rows.size(),
+                  cached);
+  output += table;
   return 0;
 }
 
@@ -556,14 +476,9 @@ int run_sweep_cli(const SweepCli& cli, std::string& output) {
                   report.total, report.jobs);
   for (const auto& cell : report.cells) {
     const char* tag = cell.resumed ? " [resumed]" : cell.cached ? " [cached]" : "";
-    if (cell.result.repeats > 0) {
-      output += strfmt("  #%03zu %-56s %7.2f ± %5.2f Gbps%s\n", cell.index,
-                       cell.result.name.c_str(), cell.result.avg_gbps,
-                       cell.result.stdev_gbps, tag);
-    } else {
-      output += strfmt("  #%03zu (result in prior output; not cached)%s\n",
-                       cell.index, tag);
-    }
+    output += strfmt("  #%03zu %-56s %7.2f ± %5.2f Gbps%s\n", cell.index,
+                     cell.result.name.c_str(), cell.result.avg_gbps, cell.result.stdev_gbps,
+                     tag);
   }
   output += strfmt(
       "summary: total=%zu simulated=%zu cached=%zu resumed=%zu\n"

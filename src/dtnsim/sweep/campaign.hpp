@@ -1,26 +1,21 @@
 // Campaign engine: run a parameter grid on sweep::parallel_for's shared
-// pool, streaming results and a manifest so an interrupted campaign resumes
+// pool, streaming one result row per cell so an interrupted campaign resumes
 // where it died.
 //
 // Execution pipeline per cell:
-//   manifest says done?  -> skip (resume), re-emit from cache if possible
+//   row in the stream?   -> skip (resume), its result read back from the row
 //   cache hit?           -> serve the stored result, no simulation
 //   otherwise            -> simulate on a pool thread, write-through cache
 // As cells finish (in completion order) the engine appends one JSONL row to
-// the results stream and one line to the manifest (<results_path>.ckpt),
-// flushing both — a kill between cells loses nothing, a kill mid-cell loses
-// only that cell. Results returned to the caller are always in cell-index
-// order.
-//
-// sweep.* metrics (cells total/done/cached/simulated/resumed, wall time,
-// worker occupancy) land in the caller's obs::Registry when provided.
+// the results stream and flushes it: the rows are the campaign's only
+// checkpoint. A kill between cells loses nothing, a kill mid-cell loses only
+// that cell. Results returned to the caller are always in cell-index order.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "dtnsim/obs/metrics.hpp"
 #include "dtnsim/sweep/cache.hpp"
 #include "dtnsim/sweep/grid.hpp"
 
@@ -31,18 +26,14 @@ struct CampaignOptions {
 
   std::string cache_dir;  // "" -> content-addressed result cache disabled
 
-  // JSONL, one row per finished cell; "" disables it. Streaming the rows
-  // also keeps the manifest (grid fingerprint + done cells) at
-  // "<results_path>.ckpt".
+  // JSONL, one row per finished cell; "" disables it.
   std::string results_path;
 
-  // Resume a previous run: cells listed in the manifest are not re-run
-  // (their results are re-served from the cache when available). Needs
-  // results_path. The manifest's grid fingerprint must match; a mismatch
-  // throws.
+  // Resume a previous run from its rows: a cell with a row in results_path
+  // is not re-run, and its result is read back from the row; the other
+  // cells' rows are appended. Every row must carry the key of the cell at
+  // its index; one that does not throws.
   bool resume = false;
-
-  obs::Registry* metrics = nullptr;  // optional sweep.* registration target
 };
 
 struct CellOutcome {
@@ -51,7 +42,7 @@ struct CellOutcome {
   harness::TestResult result;
   bool done = false;     // result is populated (simulated, cached or resumed)
   bool cached = false;   // served from the result cache
-  bool resumed = false;  // the manifest said it was already complete
+  bool resumed = false;  // its row was in the results stream already
   std::vector<std::pair<std::string, std::string>> coords;
 };
 
@@ -61,15 +52,15 @@ struct CampaignReport {
   std::size_t total = 0;
   std::size_t simulated = 0;  // actually ran the simulator this invocation
   std::size_t cached = 0;     // served from the result cache
-  std::size_t resumed = 0;    // skipped because the manifest marked them done
+  std::size_t resumed = 0;    // skipped because the stream held their rows
   int jobs = 1;  // most threads running cells: opts.jobs capped at the usable CPUs
   double wall_sec = 0.0;
   double worker_occupancy = 0.0;  // summed cell busy time / (jobs * wall)
 };
 
 // Run the campaign. Throws std::invalid_argument for a malformed grid or a
-// resume without results_path, and std::runtime_error for unusable
-// cache/manifest/results files or a manifest written for another grid.
+// resume without results_path, and std::runtime_error for an unusable cache
+// or results file, or a resumed row that is not a result of this grid.
 CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts);
 
 // ---- dtnsim-sweep command line ------------------------------------------

@@ -1,5 +1,6 @@
 #include "dtnsim/sweep/grid.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "dtnsim/sweep/cache.hpp"
@@ -7,9 +8,6 @@
 
 namespace dtnsim::sweep {
 namespace {
-
-// The GSO/GRO size of every big_tcp=1 cell: the paper's 150K.
-constexpr double kBigTcpBytes = 150.0 * 1024.0;
 
 std::string fmt_bytes(double v) {
   return v < 0 ? std::string("default") : strfmt("%.0f", v);
@@ -50,8 +48,16 @@ std::string validate(const GridSpec& grid) {
   for (const int s : grid.streams) {
     if (s < 1 || s > 128) return strfmt("streams value %d out of [1, 128]", s);
   }
+  // A value expand() would label but not apply (NaN fails every comparison;
+  // ring 0 is neither a descriptor count nor "default") is refused.
   for (const double p : grid.pacing_gbps) {
-    if (p < 0) return "pacing_gbps values must be >= 0";
+    if (!(p >= 0)) return "pacing_gbps values must be >= 0";
+  }
+  for (const double b : grid.optmem_max) {
+    if (std::isnan(b)) return "optmem_max values must be numbers (< 0 = testbed default)";
+  }
+  for (const int r : grid.ring) {
+    if (r == 0) return "ring values must be > 0 (< 0 = testbed default)";
   }
   if (grid.duration_sec <= 0) return "duration_sec must be positive";
   if (grid.repeats < 1) return "repeats must be >= 1";
@@ -109,10 +115,7 @@ std::vector<Cell> expand(const GridSpec& grid) {
                     cell.spec.scenario = scn;
                     for (auto* h : {&cell.spec.sender, &cell.spec.receiver}) {
                       if (optmem >= 0) h->tuning.sysctl.optmem_max = optmem;
-                      if (big_tcp) {
-                        h->tuning.big_tcp_enabled = true;
-                        h->tuning.big_tcp_bytes = kBigTcpBytes;
-                      }
+                      if (big_tcp) h->tuning.big_tcp_enabled = true;
                       if (ring > 0) h->tuning.ring_descriptors = ring;
                     }
                     // The seed derives from the knob content, not the cell

@@ -3,8 +3,8 @@
 //
 // iperf3 emits JSON with --json; the harness mirrors that. The sweep
 // subsystem additionally *reads* JSON back (content-addressed result cache,
-// checkpoint manifests), so the value-tree carries a small recursive-descent
-// parser and typed read accessors alongside the serializer.
+// the rows a campaign resumes from), so the value-tree carries a small
+// recursive-descent parser and typed read accessors alongside the serializer.
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,7 @@
 #include <functional>
 #include <string>
 
-#include "dtnsim/util/units.hpp"
+#include "dtnsim/units/units.hpp"
 
 namespace dtnsim::log {
 

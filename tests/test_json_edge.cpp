@@ -31,7 +31,7 @@ std::string nested_objects(int n) {
 // The parser admits values at depth 0..64 inclusive: 65 nested arrays put
 // the innermost at depth 64 (accepted); 66 push to 65 (rejected). The exact
 // boundary is load-bearing — a regressing parser either stack-overflows on
-// hostile input or starts rejecting legitimately deep sweep manifests.
+// hostile input or starts rejecting legitimately deep documents.
 TEST(JsonDepth, ExactBoundary) {
   EXPECT_TRUE(Json::parse(nested_arrays(65)).has_value());
   EXPECT_FALSE(Json::parse(nested_arrays(66)).has_value());

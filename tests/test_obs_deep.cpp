@@ -14,7 +14,6 @@
 #include "dtnsim/harness/testbeds.hpp"
 #include "dtnsim/obs/telemetry.hpp"
 #include "dtnsim/scenario/scenario.hpp"
-#include "dtnsim/sweep/campaign.hpp"
 #include "dtnsim/util/file.hpp"
 
 namespace dtnsim {
@@ -423,8 +422,8 @@ TEST(MetricsCsvGolden, HeaderMatchesCheckedInGolden) {
 
 // docs/OBSERVABILITY.md names, backticked, every metric a run can register:
 // the runs below take every registration branch in src/ (fluid multi-stream
-// + scenario + ss + perf, packet + scenario + ss + perf, a campaign with
-// CampaignOptions::metrics). A labeled instance is documented by its family.
+// + scenario + ss + perf, packet + scenario + ss + perf). A labeled instance
+// is documented by its family.
 TEST(MetricDocs, EveryRegisteredNameIsDocumented) {
   const std::string doc =
       read_file(std::string(DTNSIM_SOURCE_DIR) + "/docs/OBSERVABILITY.md").value_or("");
@@ -453,21 +452,10 @@ TEST(MetricDocs, EveryRegisteredNameIsDocumented) {
   pcfg.telemetry = &tel;
   flow::run_packet_sim(pcfg);
 
-  sweep::GridSpec grid;
-  grid.name = "docs";
-  grid.duration_sec = 0.2;
-  grid.repeats = 1;
-  obs::Registry campaign_metrics;
-  sweep::CampaignOptions opts;
-  opts.metrics = &campaign_metrics;
-  sweep::run_campaign(grid, opts);
-
   std::vector<std::string> undocumented;
-  for (const obs::Registry* reg : {&tel.registry(), &campaign_metrics}) {
-    for (const auto& m : reg->snapshot()) {
-      const std::string& name = m.desc->family.empty() ? m.desc->name : m.desc->family;
-      if (doc.find("`" + name + "`") == std::string::npos) undocumented.push_back(name);
-    }
+  for (const auto& m : tel.registry().snapshot()) {
+    const std::string& name = m.desc->family.empty() ? m.desc->name : m.desc->family;
+    if (doc.find("`" + name + "`") == std::string::npos) undocumented.push_back(name);
   }
   EXPECT_TRUE(undocumented.empty())
       << "registered but not named in backticks in docs/OBSERVABILITY.md: "

@@ -27,8 +27,9 @@
 #include "dtnsim/sweep/cache.hpp"
 #include "dtnsim/sweep/campaign.hpp"
 #include "dtnsim/sweep/grid.hpp"
-#include "dtnsim/util/strfmt.hpp"
 #include "dtnsim/sweep/pool.hpp"
+#include "dtnsim/util/file.hpp"
+#include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::sweep {
 namespace {
@@ -232,6 +233,19 @@ TEST(Grid, ValidatesAxesAndNames) {
   grid = twelve_cell_grid();
   grid.paths = {"WAN 9999ms"};
   EXPECT_NE(validate(grid), "");
+
+  // Values expand() would name (ring0, optmemnan, pacenan) but not apply:
+  // the cells would run the testbed default, unpaced.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  grid = twelve_cell_grid();
+  grid.ring = {-1, 0};
+  EXPECT_NE(validate(grid).find("ring"), std::string::npos) << validate(grid);
+  grid = twelve_cell_grid();
+  grid.optmem_max = {nan};
+  EXPECT_NE(validate(grid).find("optmem_max"), std::string::npos) << validate(grid);
+  grid = twelve_cell_grid();
+  grid.pacing_gbps = {0.0, nan};
+  EXPECT_NE(validate(grid).find("pacing_gbps"), std::string::npos) << validate(grid);
 
   EXPECT_EQ(validate(twelve_cell_grid()), "");
 }
@@ -523,26 +537,24 @@ TEST(Campaign, SecondRunIsAllCacheHits) {
   }
 }
 
-TEST(Campaign, StreamsJsonlRowsAndMetrics) {
+TEST(Campaign, StreamsJsonlRowsAndCounts) {
   const std::string dir = scratch_dir("jsonl");
   const auto grid = twelve_cell_grid();
   CampaignOptions opts;
   opts.jobs = 4;
   opts.results_path = dir + "/rows.jsonl";
 
-  obs::Registry registry;
-  opts.metrics = &registry;
   const auto report = run_campaign(grid, opts);
+  EXPECT_EQ(report.total, 12u);
+  EXPECT_EQ(report.simulated, 12u);
+  EXPECT_EQ(report.cached, 0u);
+  EXPECT_EQ(report.resumed, 0u);
+  EXPECT_EQ(report.jobs, std::min(4, resolve_jobs(0)));
   EXPECT_GT(report.wall_sec, 0.0);
   EXPECT_GT(report.worker_occupancy, 0.0);
   EXPECT_LE(report.worker_occupancy, 1.0);
-
-  EXPECT_DOUBLE_EQ(registry.value_of("sweep.cells_total"), 12.0);
-  EXPECT_DOUBLE_EQ(registry.value_of("sweep.cells_done"), 12.0);
-  EXPECT_DOUBLE_EQ(registry.value_of("sweep.cells_simulated"), 12.0);
-  EXPECT_DOUBLE_EQ(registry.value_of("sweep.cells_cached"), 0.0);
-  EXPECT_DOUBLE_EQ(registry.value_of("sweep.jobs"), std::min(4, resolve_jobs(0)));
-  EXPECT_GT(registry.value_of("sweep.worker_occupancy"), 0.0);
+  // A campaign writes its stream and no other file.
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir), fs::directory_iterator()), 1);
 
   // One well-formed row per cell, every index exactly once.
   std::ifstream in(opts.results_path);
@@ -602,15 +614,12 @@ TEST(Campaign, ResumeNeverRerunsCompletedCells) {
   opts.cache_dir = dir + "/cache";
   opts.results_path = dir + "/rows.jsonl";
 
-  // "Kill" a serial campaign after 5 cells: its stream and manifest keep
-  // cells 0-4, and the other 7 never reached the cache.
+  // "Kill" a serial campaign after 5 cells: its stream keeps cells 0-4, and
+  // the cache is gone, so a resumed cell's result can only come from its row.
   const auto first = run_campaign(grid, opts);
   EXPECT_EQ(first.simulated, 12u);
   cut_after_kill(opts.results_path, 5);
-  cut_after_kill(opts.results_path + ".ckpt", 1 + 5);
-  const ResultCache cache(opts.cache_dir);
-  const auto cells = expand(grid);
-  for (std::size_t i = 5; i < cells.size(); ++i) fs::remove(cache.path_for(cells[i].key));
+  fs::remove_all(opts.cache_dir);
 
   // Resume: exactly the 7 remaining cells simulate; nothing re-runs.
   auto resumed = opts;
@@ -619,10 +628,12 @@ TEST(Campaign, ResumeNeverRerunsCompletedCells) {
   const auto second = run_campaign(grid, resumed);
   EXPECT_EQ(second.simulated, 7u);
   EXPECT_EQ(second.resumed, 5u);
-  for (const auto& cell : second.cells) EXPECT_TRUE(cell.done);
-  // Resumed cells re-serve their results from the cache.
-  EXPECT_TRUE(second.cells[0].resumed);
-  EXPECT_GT(second.cells[0].result.repeats, 0);
+  for (std::size_t i = 0; i < second.cells.size(); ++i) {
+    EXPECT_TRUE(second.cells[i].done);
+    EXPECT_EQ(second.cells[i].resumed, i < 5) << i;
+    EXPECT_EQ(second.cells[i].result.name, first.cells[i].result.name);
+    expect_same_result(first.cells[i].result, second.cells[i].result);
+  }
 
   // The appended JSONL now holds all 12 rows, each index exactly once, and
   // nothing else: appending to a whole file adds no line of its own.
@@ -630,14 +641,18 @@ TEST(Campaign, ResumeNeverRerunsCompletedCells) {
   EXPECT_EQ(rows.size(), 12u);
   EXPECT_EQ(unparsed_lines(rows), 0u);
   EXPECT_EQ(row_indices(rows).size(), 12u);
-  const auto manifest = read_jsonl(opts.results_path + ".ckpt");
-  EXPECT_EQ(manifest.size(), 1u + 12u);
-  EXPECT_EQ(unparsed_lines(manifest), 0u);
+  EXPECT_FALSE(fs::exists(opts.results_path + ".ckpt"));
 
-  // Resuming against a *different* grid must refuse, not mix campaigns.
+  // Resuming against a *different* grid must refuse, not mix campaigns: its
+  // cell 1 (2 streams -> 4) no longer has the key of row 1.
   auto other = grid;
   other.streams = {1, 4};
-  EXPECT_THROW(run_campaign(other, resumed), std::runtime_error);
+  try {
+    run_campaign(other, resumed);
+    ADD_FAILURE() << "resumed against another grid";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(opts.results_path), std::string::npos) << e.what();
+  }
 }
 
 TEST(Campaign, ResumeAfterATornLastLineLosesNoRow) {
@@ -649,37 +664,127 @@ TEST(Campaign, ResumeAfterATornLastLineLosesNoRow) {
   opts.results_path = dir + "/rows.jsonl";
   run_campaign(grid, opts);
 
-  // A kill in the middle of a write: each file ends in half a line.
+  // A kill in the middle of a write: the stream ends in half a line.
   cut_after_kill(opts.results_path, 5, "{\"index\": 7, \"key\": \"12");
-  cut_after_kill(opts.results_path + ".ckpt", 1 + 5, "{\"index\": 7, \"ke");
 
   auto resumed = opts;
   resumed.resume = true;
   const auto first = run_campaign(grid, resumed);
   EXPECT_EQ(first.resumed, 5u);
   EXPECT_EQ(first.cached, 7u);
-  // Each fragment stays on a line of its own (line 6 of the stream, line 7
-  // of the manifest), closed by the one newline the resume wrote before its
-  // first line; every other line is whole.
+  EXPECT_EQ(first.simulated, 0u);
+  // The fragment stays on a line of its own (line 6), closed by the one
+  // newline the resume wrote before its first row; every other line is whole.
   const auto rows = read_jsonl(opts.results_path);
   ASSERT_EQ(rows.size(), 5u + 1u + 7u);
   EXPECT_FALSE(rows[5].has_value());
   EXPECT_EQ(unparsed_lines(rows), 1u);
   EXPECT_EQ(row_indices(rows).size(), 12u);
-  const auto manifest = read_jsonl(opts.results_path + ".ckpt");
-  ASSERT_EQ(manifest.size(), 1u + 5u + 1u + 7u);
-  EXPECT_FALSE(manifest[6].has_value());
-  EXPECT_EQ(unparsed_lines(manifest), 1u);
 
-  // Every cell's manifest line parsed too: nothing is served twice.
+  // Every appended row parsed too: nothing is served twice.
   const auto second = run_campaign(grid, resumed);
   EXPECT_EQ(second.resumed, 12u);
   EXPECT_EQ(second.simulated + second.cached, 0u);
 }
 
+// Ring 8192 is ESnet's default ring, so this grid's two cells share one key.
+GridSpec duplicate_key_grid() {
+  GridSpec g;
+  g.testbed = "esnet";
+  g.paths = {"LAN"};
+  g.ring = {-1, 8192};
+  g.duration_sec = 1;
+  g.repeats = 1;
+  return g;
+}
+
+TEST(Campaign, ResumeRunsACellThatSharesADoneCellsKey) {
+  const std::string dir = scratch_dir("resume_dup");
+  CampaignOptions opts;
+  opts.results_path = dir + "/rows.jsonl";
+  const auto first = run_campaign(duplicate_key_grid(), opts);
+  ASSERT_EQ(first.total, 2u);
+  ASSERT_EQ(first.cells[0].key_hex, first.cells[1].key_hex);
+
+  // Killed after its first row: cell 1 has no row, so it runs again. Earlier
+  // versions also kept a manifest of done cells at <out>.ckpt (their rows are
+  // the same bytes), which marked both cells done by their one key; only the
+  // rows count, and the manifest is left as it was.
+  cut_after_kill(opts.results_path, 1);
+  const std::string manifest = "{\"campaign\":\"campaign\",\"cells\":2,\"grid\":\"a3256b34154e08e9\","
+                               "\"schema\":\"dtnsim.sweep.v3\"}\n"
+                               "{\"index\":0,\"key\":\"" + first.cells[0].key_hex + "\"}\n"
+                               "{\"index\":1,\"key\":\"" + first.cells[1].key_hex + "\"}\n";
+  std::ofstream(opts.results_path + ".ckpt") << manifest;
+  opts.resume = true;
+  const auto second = run_campaign(duplicate_key_grid(), opts);
+  EXPECT_EQ(second.resumed, 1u);
+  EXPECT_EQ(second.simulated, 1u);
+  EXPECT_TRUE(second.cells[0].resumed);
+  EXPECT_FALSE(second.cells[1].resumed);
+  const auto rows = read_jsonl(opts.results_path);
+  EXPECT_EQ(rows.size(), 2u);
+  EXPECT_EQ(row_indices(rows), (std::set<int>{0, 1}));
+  EXPECT_EQ(read_file(opts.results_path + ".ckpt"), manifest);
+}
+
+TEST(Campaign, ExtendingTheSlowestAxisResumesWithTheNewCellsOnly) {
+  // Appending kernels keeps every written row's index and key, so the
+  // extended grid resumes and runs only the cells it added.
+  const std::string dir = scratch_dir("resume_extend");
+  CampaignOptions opts;
+  opts.results_path = dir + "/rows.jsonl";
+  GridSpec grid = duplicate_key_grid();
+  run_campaign(grid, opts);
+
+  grid.kernels.push_back(kern::KernelVersion::V6_5);
+  opts.resume = true;
+  const auto extended = run_campaign(grid, opts);
+  EXPECT_EQ(extended.resumed, 2u);
+  EXPECT_EQ(extended.simulated, 2u);
+  EXPECT_EQ(row_indices(read_jsonl(opts.results_path)), (std::set<int>{0, 1, 2, 3}));
+}
+
+TEST(Campaign, ResumeRefusesARowThatIsNotACellResult) {
+  const std::string dir = scratch_dir("resume_refuse");
+  CampaignOptions opts;
+  opts.results_path = dir + "/rows.jsonl";
+  GridSpec grid = duplicate_key_grid();
+  grid.ring = {-1};
+  run_campaign(grid, opts);
+  const auto row = Json::parse(read_file(opts.results_path).value_or(""));
+  ASSERT_TRUE(row);
+  const std::string key = row->string_at("key", "");
+
+  // Each stream holds one row that this one-cell grid cannot resume from:
+  // another cell's key at index 0, an index past the grid, an index that is
+  // not whole, and the right cell whose columns do not read as a result. The
+  // error names the stream, and the last one the cell's key too.
+  Json other_key = *row, past_end = *row, fractional = *row, not_a_result = *row;
+  other_key["key"] = std::string("0123456789abcdef");
+  past_end["index"] = std::int64_t{1};
+  fractional["index"] = 0.5;
+  not_a_result["avg_gbps"] = std::string("fast");
+  opts.resume = true;
+  for (const Json* bad : {&other_key, &past_end, &fractional, &not_a_result}) {
+    std::ofstream(opts.results_path, std::ios::trunc) << bad->dump() << '\n';
+    try {
+      run_campaign(grid, opts);
+      ADD_FAILURE() << "resumed from " << bad->dump();
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(opts.results_path), std::string::npos) << what;
+      if (bad == &not_a_result) {
+        EXPECT_NE(what.find(key), std::string::npos) << what;
+      }
+    }
+    EXPECT_EQ(read_file(opts.results_path), bad->dump() + "\n");  // nothing appended
+  }
+}
+
 TEST(Campaign, ResumeWithoutAResultsStreamIsRejected) {
-  // The manifest lives at <results_path>.ckpt, so without a stream there
-  // is nothing to resume from; every cell would silently run again.
+  // A campaign resumes from its rows, so without a stream there is nothing
+  // to resume from; every cell would silently run again.
   GridSpec grid = twelve_cell_grid();
   grid.kernels = {kern::KernelVersion::V6_8};
   grid.paths = {"LAN"};
@@ -696,10 +801,11 @@ TEST(Campaign, ResumeWithoutAResultsStreamIsRejected) {
   EXPECT_NE(output.find("--out"), std::string::npos) << output;
 }
 
-TEST(Campaign, AnUnwritableRowStopsBeforeItsManifestLine) {
-  // The first row's write fails: dtnsim-sweep exits 2 naming the stream, the
-  // manifest never marks the cell done, so --resume runs it again, and no
-  // later cell is simulated: the cache holds the first cell's entry alone.
+TEST(Campaign, AnUnwritableRowStopsTheCampaign) {
+  // The first row's write fails: dtnsim-sweep exits 2 naming the stream, no
+  // row marks the cell done, so --resume would run it again, and no later
+  // cell is simulated: the cache holds the first cell's entry alone. Nothing
+  // but the stream is written beside it.
   const std::string dir = scratch_dir("full_rows");
   const std::string rows = dir + "/rows.jsonl";
   const std::string cache = dir + "/cache";
@@ -712,9 +818,7 @@ TEST(Campaign, AnUnwritableRowStopsBeforeItsManifestLine) {
   ASSERT_EQ(expand(cli.grid).size(), 4u);
   EXPECT_EQ(run_sweep_cli(cli, output), 2);
   EXPECT_NE(output.find("cannot write " + rows), std::string::npos) << output;
-  const auto manifest = read_jsonl(rows + ".ckpt");
-  ASSERT_EQ(manifest.size(), 1u);  // the header alone
-  EXPECT_TRUE(manifest[0] && manifest[0]->find("grid"));
+  EXPECT_FALSE(fs::exists(rows + ".ckpt"));
   const auto entries = std::distance(fs::directory_iterator(cache), fs::directory_iterator());
   EXPECT_EQ(entries, 1);
 }

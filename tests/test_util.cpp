@@ -8,13 +8,13 @@
 #include <set>
 #include <vector>
 
+#include "dtnsim/units/units.hpp"
 #include "dtnsim/util/csv.hpp"
 #include "dtnsim/util/json.hpp"
 #include "dtnsim/util/rng.hpp"
 #include "dtnsim/util/stats.hpp"
 #include "dtnsim/util/strfmt.hpp"
 #include "dtnsim/util/table.hpp"
-#include "dtnsim/util/units.hpp"
 
 namespace dtnsim {
 namespace {
