@@ -21,7 +21,7 @@ int main() {
 
   Table single({"Algorithm", "1 stream WAN", "Retr", "Ramp (first 5s avg)"});
   for (const auto a : algos) {
-    const auto r = standard(Experiment(tb).path("WAN 63ms").congestion(a)).run();
+    const auto r = harness::run_test(harness::TestSpec::on(tb, "WAN 63ms", {.congestion = a}));
     // Ramp-up: rerun one seed and look at the first seconds.
     flow::TransferConfig cfg;
     cfg.sender = tb.sender;
@@ -41,14 +41,10 @@ int main() {
 
   Table multi({"Algorithm", "8 flows unpaced WAN", "Retr", "8 flows paced 15G", "Retr"});
   for (const auto a : algos) {
-    const auto un =
-        standard(Experiment(tb).path("WAN 63ms").streams(8).congestion(a)).run();
-    const auto paced = standard(Experiment(tb)
-                                    .path("WAN 63ms")
-                                    .streams(8)
-                                    .congestion(a)
-                                    .pacing(units::Rate::from_gbps(15)))
-                           .run();
+    const auto un = harness::run_test(
+        harness::TestSpec::on(tb, "WAN 63ms", {.parallel = 8, .congestion = a}));
+    const auto paced = harness::run_test(harness::TestSpec::on(
+        tb, "WAN 63ms", {.parallel = 8, .fq_rate_bps = 15e9, .congestion = a}));
     multi.add_row({kern::congestion_name(a), gbps_pm(un), count(un.avg_retransmits),
                    gbps_pm(paced), count(paced.avg_retransmits)});
   }

@@ -18,12 +18,10 @@ int main() {
   double strict_tput = 0, pt_tput = 0;
   for (const bool pt : {false, true}) {
     for (const bool zc : {false, true}) {
-      const auto r = standard(Experiment(tb)
-                                  .streams(8)
-                                  .zerocopy(zc)
-                                  .pacing(units::Rate::from_gbps(25))
-                                  .iommu_passthrough(pt))
-                         .run();
+      auto spec =
+          harness::TestSpec::on(tb, "LAN", {.parallel = 8, .fq_rate_bps = 25e9, .zerocopy = zc});
+      for (auto* h : {&spec.sender, &spec.receiver}) h->tuning.iommu_passthrough = pt;
+      const auto r = harness::run_test(spec);
       table.add_row({pt ? "iommu=pt" : "strict (default)",
                      zc ? "zerocopy+pace 25G" : "pace 25G", gbps(r.avg_gbps),
                      strfmt("%.1f", r.stdev_gbps)});

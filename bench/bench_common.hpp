@@ -4,9 +4,9 @@
 // experiment registry does not run yet: same rows, same series, printed
 // alongside the paper's reference values so the shape comparison is
 // immediate. Artifacts the registry covers run through `dtnsim-repro <id>`,
-// which also checks their claims. All benches run 60 s x 10 repeats unless a
-// cheaper grid is noted (the harness is deterministic, so repeats only add
-// the paper's run-to-run spread).
+// which also checks their claims. All benches run 60 s x 10 repeats, the
+// harness::TestSpec defaults, unless a cheaper grid is noted (the harness is
+// deterministic, so repeats only add the paper's run-to-run spread).
 #pragma once
 
 #include <cstdio>
@@ -33,10 +33,5 @@ inline std::string count(double v) {
   if (v >= 1000) return strfmt("%.0fK", v / 1000.0);
   return strfmt("%.0f", v);
 }
-
-// Standard experiment depth. The paper runs 60 s and >= 10 repeats; the
-// bench default matches, and heavy multi-stream LAN grids may pass lighter
-// values explicitly (noted in their output).
-inline Experiment standard(Experiment e) { return e.duration(units::SimTime::from_seconds(60)).repeats(10); }
 
 }  // namespace dtnsim::bench

@@ -46,13 +46,10 @@ int main(int argc, char** argv) {
   for (const auto& om : rows) {
     for (const char* p : {"LAN", "WAN 25ms", "WAN 54ms", "WAN 104ms"}) {
       const bool probe_this = std::string(p) == "WAN 104ms";
-      auto ex = standard(Experiment(tb)
-                             .path(p)
-                             .zerocopy()
-                             .pacing(units::Rate::from_gbps(50))
-                             .optmem_max(units::Bytes(om.bytes)));
-      if (probe_this) ex.telemetry(true);
-      const auto r = ex.run();
+      auto spec = harness::TestSpec::on(tb, p, {.fq_rate_bps = 50e9, .zerocopy = true});
+      for (auto* h : {&spec.sender, &spec.receiver}) h->tuning.sysctl.optmem_max = om.bytes;
+      spec.telemetry.enabled = probe_this;
+      const auto r = harness::run_test(spec);
       table.add_row({om.label, p, gbps_pm(r), pct(r.snd_cpu_pct),
                      strfmt("%.0f%%", r.zc_fallback_ratio * 100.0)});
       if (probe_this && !r.repeat_series.empty()) {

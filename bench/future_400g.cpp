@@ -37,12 +37,9 @@ int main() {
   Table table({"Flows x pace", "Config", "Max Tput", "Measured", "stdev"});
   for (const auto& c : configs) {
     for (const auto& [streams, pace] : {std::pair{20, 20.0}, std::pair{10, 40.0}}) {
-      const auto r = standard(Experiment(tb)
-                                  .streams(streams)
-                                  .zerocopy(c.zc)
-                                  .skip_rx_copy(c.skip_rx)
-                                  .pacing(units::Rate::from_gbps(pace)))
-                         .run();
+      const app::IperfOptions iperf{.parallel = streams, .fq_rate_bps = pace * 1e9,
+                                    .zerocopy = c.zc, .skip_rx_copy = c.skip_rx};
+      const auto r = harness::run_test(harness::TestSpec::on(tb, "LAN", iperf));
       table.add_row({strfmt("%d x %.0fG", streams, pace), c.label,
                      gbps(std::min(streams * pace, 400.0)), gbps(r.avg_gbps),
                      strfmt("%.1f", r.stdev_gbps)});

@@ -39,11 +39,12 @@ int main() {
                       {&stock, true, "6.8 stock"},
                       {&custom, true, "6.8 MAX_SKB_FRAGS=45"}};
   for (const auto& row : rows) {
-    const auto r = standard(Experiment(*row.tb)
-                                .zerocopy()
-                                .skip_rx_copy()
-                                .big_tcp(row.big, units::Bytes(180.0 * 1024)))
-                       .run();
+    auto spec = harness::TestSpec::on(*row.tb, "LAN", {.zerocopy = true, .skip_rx_copy = true});
+    for (auto* h : {&spec.sender, &spec.receiver}) {
+      h->tuning.big_tcp_enabled = row.big;
+      h->tuning.big_tcp_bytes = 180.0 * 1024;
+    }
+    const auto r = harness::run_test(spec);
     table.add_row({row.label, row.big ? "180K" : "off", gbps_pm(r), pct(r.snd_cpu_pct)});
     if (!row.big) {
       base = r.avg_gbps;

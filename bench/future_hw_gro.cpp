@@ -31,7 +31,10 @@ int main() {
   double base9k = 0, hw9k = 0, base15 = 0, hw15 = 0;
   for (const double mtu : {9000.0, 1500.0}) {
     for (const bool hw : {false, true}) {
-      const auto r = standard(Experiment(tb).mtu(units::Bytes(mtu)).zerocopy().hw_gro(hw)).run();
+      auto spec = harness::TestSpec::on(tb, "LAN", {.zerocopy = true});
+      for (auto* h : {&spec.sender, &spec.receiver}) h->tuning.mtu_bytes = mtu;
+      spec.receiver.tuning.hw_gro_enabled = hw;
+      const auto r = harness::run_test(spec);
       table.add_row({strfmt("%.0f", mtu), hw ? "on" : "off", gbps_pm(r),
                      pct(r.rcv_cpu_pct)});
       if (mtu > 2000) (hw ? hw9k : base9k) = r.avg_gbps;

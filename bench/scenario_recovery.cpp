@@ -90,16 +90,11 @@ scenario::Timeline bg_surge_timeline() {
 Recovery run_case(const harness::Testbed& tb, const std::string& path,
                   kern::CongestionAlgo cc, units::Rate pacing,
                   scenario::Timeline tl, double start, double stop) {
-  const auto r = Experiment(tb)
-                     .path(path)
-                     .congestion(cc)
-                     .pacing(pacing)
-                     .scenario(std::move(tl))
-                     .telemetry(true)
-                     .duration(units::SimTime::from_seconds(60))
-                     .repeats(1)
-                     .run();
-  return analyze(r, start, stop);
+  auto spec = harness::TestSpec::on(tb, path, {.fq_rate_bps = pacing.bps(), .congestion = cc});
+  spec.repeats = 1;
+  spec.telemetry.enabled = true;
+  spec.scenario = std::move(tl);
+  return analyze(harness::run_test(spec), start, stop);
 }
 
 void print_case(const char* label, const Recovery& r) {

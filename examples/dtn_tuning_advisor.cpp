@@ -15,10 +15,11 @@ using namespace dtnsim;
 namespace {
 
 double measure(const harness::Testbed& tb, bool zerocopy, double pace_gbps) {
-  auto e = Experiment(tb).path("WAN 63ms").duration(units::SimTime::from_seconds(30)).repeats(5);
-  if (zerocopy) e.zerocopy();
-  if (pace_gbps > 0) e.pacing(units::Rate::from_gbps(pace_gbps));
-  return e.run().avg_gbps;
+  auto spec = harness::TestSpec::on(
+      tb, "WAN 63ms",
+      {.duration_sec = 30, .fq_rate_bps = pace_gbps * 1e9, .zerocopy = zerocopy});
+  spec.repeats = 5;
+  return harness::run_test(spec).avg_gbps;
 }
 
 }  // namespace

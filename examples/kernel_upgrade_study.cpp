@@ -21,19 +21,14 @@ void study(const char* title, bool esnet) {
   for (const auto k : {kern::KernelVersion::V5_15, kern::KernelVersion::V6_5,
                        kern::KernelVersion::V6_8}) {
     const auto tb = esnet ? harness::esnet(k) : harness::amlight(k);
-    const auto lan = Experiment(tb).duration(units::SimTime::from_seconds(20)).repeats(4).run();
-    const auto one = Experiment(tb).path(wan).duration(units::SimTime::from_seconds(20)).repeats(4).run();
-    const auto many = Experiment(tb)
-                          .path(wan)
-                          .streams(8)
-                          .zerocopy()
-                          .pacing(units::Rate::from_gbps(pace))
-                          .duration(units::SimTime::from_seconds(20))
-                          .repeats(4)
-                          .run();
-    table.add_row({kern::kernel_version_name(k), strfmt("%.1f Gbps", lan.avg_gbps),
-                   strfmt("%.1f Gbps", one.avg_gbps),
-                   strfmt("%.1f Gbps", many.avg_gbps)});
+    const auto gbps = [&tb](const char* path, app::IperfOptions iperf) {
+      iperf.duration_sec = 20;
+      auto spec = harness::TestSpec::on(tb, path, iperf);
+      spec.repeats = 4;
+      return strfmt("%.1f Gbps", harness::run_test(spec).avg_gbps);
+    };
+    table.add_row({kern::kernel_version_name(k), gbps("LAN", {}), gbps(wan, {}),
+                   gbps(wan, {.parallel = 8, .fq_rate_bps = pace * 1e9, .zerocopy = true})});
   }
   std::printf("%s\n", table.to_ascii().c_str());
 }

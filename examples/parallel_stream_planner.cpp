@@ -26,14 +26,13 @@ int main() {
 
   for (const int flows : {4, 8, 16}) {
     for (const double pace : {5.0, 10.0, 15.0, 25.0}) {
-      const auto r = Experiment(tb)
-                         .path("production 63ms")
-                         .streams(flows)
-                         .zerocopy()
-                         .pacing(units::Rate::from_gbps(pace))
-                         .duration(units::SimTime::from_seconds(30))
-                         .repeats(5)
-                         .run();
+      auto spec = harness::TestSpec::on(tb, "production 63ms",
+                                        {.parallel = flows,
+                                         .duration_sec = 30,
+                                         .fq_rate_bps = pace * 1e9,
+                                         .zerocopy = true});
+      spec.repeats = 5;
+      const auto r = harness::run_test(spec);
       grid.add_row({strfmt("%d", flows), strfmt("%.0fG", pace),
                     strfmt("%.0fG", flows * pace), strfmt("%.1f Gbps", r.avg_gbps),
                     strfmt("%.0f", r.avg_retransmits),

@@ -29,14 +29,12 @@ int main() {
 
   Table table({"Configuration", "Throughput", "stddev", "Retransmits", "Sender CPU"});
   for (const auto& c : configs) {
-    auto result = Experiment(tb)
-                      .path("WAN 104ms")
-                      .zerocopy(c.zerocopy)
-                      .pacing(units::Rate::from_gbps(c.pace_gbps))
-                      .big_tcp(c.big_tcp)
-                      .repeats(5)
-                      .duration(units::SimTime::from_seconds(20))
-                      .run();
+    auto spec = harness::TestSpec::on(
+        tb, "WAN 104ms",
+        {.duration_sec = 20, .fq_rate_bps = c.pace_gbps * 1e9, .zerocopy = c.zerocopy});
+    spec.repeats = 5;
+    for (auto* h : {&spec.sender, &spec.receiver}) h->tuning.big_tcp_enabled = c.big_tcp;
+    const auto result = harness::run_test(spec);
     table.add_row({c.label, strfmt("%.1f Gbps", result.avg_gbps),
                    strfmt("%.1f", result.stdev_gbps),
                    strfmt("%.0f", result.avg_retransmits),

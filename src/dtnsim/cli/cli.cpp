@@ -118,8 +118,7 @@ harness::TestSpec spec_from_cli(const CliOptions& opts) {
   // Throws std::invalid_argument for an unknown testbed name.
   const harness::Testbed tb = harness::testbed_by_name(opts.testbed, opts.kernel);
 
-  const std::string path_name = opts.path.empty() ? tb.lan().name : opts.path;
-  auto spec = harness::TestSpec::on(tb, path_name, opts.iperf);
+  auto spec = harness::TestSpec::on(tb, opts.path, opts.iperf);
   spec.repeats = opts.repeats;
   spec.base_seed = opts.seed;
   for (auto* h : {&spec.sender, &spec.receiver}) {

@@ -4,23 +4,19 @@
 //
 //   #include "dtnsim/core/dtnsim.hpp"
 //
-//   auto tb = dtnsim::harness::amlight();
-//   auto result = dtnsim::Experiment(tb)
-//                     .path("WAN 104ms")
-//                     .zerocopy(true)
-//                     .pacing(units::Rate::from_gbps(50))
-//                     .repeats(10)
-//                     .run();
-//   std::cout << result.avg_gbps << " Gbps\n";
+//   using namespace dtnsim;
+//   auto spec = harness::TestSpec::on(harness::amlight(), "WAN 104ms",
+//                                     {.fq_rate_bps = 50e9, .zerocopy = true});
+//   for (auto* h : {&spec.sender, &spec.receiver}) h->tuning.sysctl.optmem_max = 3405376;
+//   std::cout << harness::run_test(spec).avg_gbps << " Gbps\n";
 //
-// Lower layers (cpu, kern, net, tcp, host, flow, app, harness) are included
-// for advanced composition; Experiment and TuningAdvisor are the intended
-// entry points.
+// Lower layers (cpu, kern, net, tcp, host, flow, app) are included for
+// advanced composition; harness::TestSpec with run_test / run_tests, and
+// TuningAdvisor, are the intended entry points.
 #pragma once
 
 #include "dtnsim/app/iperf.hpp"
 #include "dtnsim/core/advisor.hpp"
-#include "dtnsim/core/experiment.hpp"
 #include "dtnsim/cpu/cost_model.hpp"
 #include "dtnsim/flow/transfer.hpp"
 #include "dtnsim/harness/runner.hpp"

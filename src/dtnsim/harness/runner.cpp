@@ -13,11 +13,20 @@ TestSpec TestSpec::on(const Testbed& tb, const std::string& path_name,
   TestSpec s;
   s.sender = tb.sender;
   s.receiver = tb.receiver;
-  s.path = tb.path_named(path_name);
+  s.path = path_name.empty() ? tb.lan() : tb.path_named(path_name);
   s.iperf = opts;
   s.link_flow_control = tb.link_flow_control;
-  s.name = label.empty() ? tb.name + " " + path_name : std::move(label);
+  s.name = label.empty() ? tb.name + " " + s.path.name : std::move(label);
   return s;
+}
+
+obs::TelemetryConfig run_telemetry(const TestSpec& spec) {
+  obs::TelemetryConfig cfg = spec.telemetry;
+  // A RunRecord bundles every artifact layer (probe series + ss snapshots +
+  // perf attribution).
+  if (spec.record) cfg.ss_enabled = cfg.perf_enabled = true;
+  cfg.enabled = cfg.enabled || cfg.ss_enabled || cfg.perf_enabled;
+  return cfg;
 }
 
 TestResult run_test(const TestSpec& spec) {
@@ -25,14 +34,7 @@ TestResult run_test(const TestSpec& spec) {
   out.name = spec.name;
   out.repeats = std::max(spec.repeats, 1);
 
-  // A RunRecord bundles every artifact layer, so recording forces the
-  // telemetry stack on (probe series + ss snapshots + perf attribution).
-  obs::TelemetryConfig tel_cfg = spec.telemetry;
-  if (spec.record) {
-    tel_cfg.enabled = true;
-    tel_cfg.ss_enabled = true;
-    tel_cfg.perf_enabled = true;
-  }
+  const obs::TelemetryConfig tel_cfg = run_telemetry(spec);
 
   flow::TransferConfig base;
   base.sender = spec.sender;

@@ -34,9 +34,10 @@ struct TestSpec {
   bool link_flow_control = false;
   int repeats = 10;
   std::uint64_t base_seed = 0x5eed;
-  // Telemetry knob: when enabled, every repeat runs with an interval probe
-  // and trace sink; the per-repeat series and repeat 0's trace land on the
-  // TestResult (the iperf3 `-i 1` + ss/ethtool side channel, always wired).
+  // Telemetry knob: when enabled (or ss or perf is), every repeat runs with
+  // an interval probe and trace sink; the per-repeat series and repeat 0's
+  // trace land on the TestResult (the iperf3 `-i 1` + ss/ethtool side
+  // channel, always wired). See run_telemetry.
   obs::TelemetryConfig telemetry;
   // Mid-run fault/condition timeline, applied to every repeat (each repeat
   // jitters event times from its own seed substream). Empty = no scenario.
@@ -46,7 +47,11 @@ struct TestSpec {
   // layer; record-off runs stay bit-identical to builds without this field.
   bool record = false;
 
-  // Convenience: build a spec from a testbed + path name.
+  // The testbed's hosts and the path named `path_name` (empty: the LAN),
+  // running `opts`; named `label`, or "<testbed> <path>" without one.
+  // Other knobs are plain field writes on the result, e.g.
+  //   auto s = TestSpec::on(tb, "WAN 63ms", {.parallel = 8, .fq_rate_bps = 15e9});
+  //   for (auto* h : {&s.sender, &s.receiver}) h->tuning.sysctl.optmem_max = 3405376;
   static TestSpec on(const Testbed& tb, const std::string& path_name,
                      app::IperfOptions opts, std::string label = {});
 };
@@ -76,7 +81,7 @@ struct TestResult : report::RunSummary {
   std::string name;
   int repeats = 0;
 
-  // Populated only when spec.telemetry.enabled: one probe series per repeat
+  // Populated only when run_telemetry(spec).enabled: one probe series per repeat
   // and the trace of repeat 0 (shared_ptr keeps the Telemetry alive).
   std::vector<obs::SeriesTable> repeat_series;
   std::shared_ptr<const obs::TraceSink> trace;
@@ -110,6 +115,11 @@ constexpr void fields(V& v, TestResult& r) {
   v("record", r.record, wire::skipped);
 }
 static_assert(wire::field_count<TestResult>() == wire::member_count<TestResult>());
+
+// The telemetry a run arms: spec.telemetry, switched on when it asks for ss
+// snapshots or perf attribution, with every layer on when spec.record asks
+// for a RunRecord.
+obs::TelemetryConfig run_telemetry(const TestSpec& spec);
 
 TestResult run_test(const TestSpec& spec);
 

@@ -121,15 +121,6 @@ const MetricDesc* Registry::find(const std::string& name) const {
   return nullptr;
 }
 
-std::vector<const MetricDesc*> Registry::family_instances(
-    const std::string& family) const {
-  std::vector<const MetricDesc*> out;
-  for (const auto& e : entries_) {
-    if (e.desc.family == family) out.push_back(&e.desc);
-  }
-  return out;
-}
-
 double Registry::value_of(const std::string& name, double fallback) const {
   for (const auto& e : entries_) {
     if (e.desc.name != name) continue;

@@ -130,8 +130,6 @@ class Registry {
 
   std::size_t size() const { return entries_.size(); }
   const MetricDesc* find(const std::string& name) const;
-  // All instances of one labeled family, in registration order.
-  std::vector<const MetricDesc*> family_instances(const std::string& family) const;
   // Scalar value by full name (counter total / gauge value / histogram mean);
   // `fallback` when the metric does not exist.
   double value_of(const std::string& name, double fallback = 0.0) const;

@@ -29,30 +29,6 @@ double SeriesTable::max_of(const std::string& name) const {
   return best;
 }
 
-std::string SeriesTable::to_csv() const {
-  CsvWriter csv(columns);
-  for (const auto& row : rows) {
-    std::vector<std::string> cells;
-    cells.reserve(row.size());
-    for (double v : row) cells.push_back(strfmt("%.6g", v));
-    csv.add_row(cells);
-  }
-  return csv.str();
-}
-
-std::string SeriesTable::to_jsonl() const {
-  std::string out;
-  for (const auto& row : rows) {
-    out += "{";
-    for (std::size_t c = 0; c < columns.size() && c < row.size(); ++c) {
-      if (c) out += ",";
-      out += strfmt("\"%s\":%.6g", columns[c].c_str(), row[c]);
-    }
-    out += "}\n";
-  }
-  return out;
-}
-
 std::string merged_series_csv(const std::vector<LabeledSeries>& series) {
   std::vector<std::string> headers{"test", "repeat"};
   for (const auto& s : series) {

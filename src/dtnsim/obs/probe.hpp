@@ -24,10 +24,6 @@ struct SeriesTable {
   // All values of one column, in time order.
   std::vector<double> column(const std::string& name) const;
   double max_of(const std::string& name) const;
-
-  std::string to_csv() const;
-  // One JSON object per line ({"time_s":..., "<metric>":...}).
-  std::string to_jsonl() const;
 };
 
 // RunRecord's "series" block: columns plus row-major rows (util/fields.hpp).

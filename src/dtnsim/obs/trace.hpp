@@ -56,7 +56,6 @@ class TraceSink {
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return ring_.size(); }
-  std::uint64_t total_recorded() const { return recorded_; }
   std::uint64_t dropped() const {
     return recorded_ - static_cast<std::uint64_t>(ring_.size());
   }

@@ -19,7 +19,6 @@ class Engine {
  public:
   Nanos now() const { return now_; }
   std::size_t events_executed() const { return executed_; }
-  std::size_t events_pending() const { return queue_.size(); }
 
   // Schedule `fn` to run `delay` from now (clamped to >= 0). A callback
   // passed as a temporary (a lambda) is built once and moved into the queue.

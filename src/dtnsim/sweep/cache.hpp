@@ -15,7 +15,8 @@
 // A cached cell lives at <dir>/<16-hex-key>.json and stores the aggregate
 // TestResult (including raw per-repeat samples) through its fields() list.
 // Telemetry payloads (probe series, traces) are not serialized; the
-// campaign engine bypasses the cache for telemetry-enabled specs.
+// campaign engine bypasses the cache for every spec that runs with
+// telemetry (harness::run_telemetry).
 //
 // Bump kCacheSalt whenever the simulator's calibration or the result schema
 // changes: every old entry then misses and re-simulates, which is exactly

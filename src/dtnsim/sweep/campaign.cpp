@@ -43,7 +43,7 @@ Json row_json(const CellOutcome& out) {
   j["cached"] = out.cached;
   // Telemetry extras, presence-driven: --report grows the matching columns
   // only when some row carries them. Cached rows never have them (cells
-  // with telemetry enabled bypass the result cache).
+  // that run with telemetry bypass the result cache).
   const obs::SeriesTable none;
   const report::RunAnalysis a = report::analyze_run(
       r.repeat_series.empty() ? none : r.repeat_series.front(), r.perf_log, r.scenario_log);
@@ -183,7 +183,7 @@ CampaignReport run_campaign(const GridSpec& grid, const CampaignOptions& opts) {
     bool cached = false;
     harness::TestResult result;
     // Telemetry payloads are not cacheable; bypass the store for them.
-    const bool cacheable = cache && !cell.spec.telemetry.enabled;
+    const bool cacheable = cache && !harness::run_telemetry(cell.spec).enabled;
     if (cacheable && cache->load(cell.key, cell.spec.name, &result)) {
       cached = true;
     } else {

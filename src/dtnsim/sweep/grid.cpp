@@ -91,7 +91,6 @@ std::vector<Cell> expand(const GridSpec& grid) {
     // One testbed build per kernel value, shared across the inner axes.
     const harness::Testbed tb = harness::testbed_by_name(grid.testbed, kernel);
     for (const auto& path : grid.paths) {
-      const std::string path_name = path.empty() ? tb.lan().name : path;
       for (const int streams : grid.streams) {
         for (const double pacing : grid.pacing_gbps) {
           for (const bool zerocopy : grid.zerocopy) {
@@ -109,7 +108,7 @@ std::vector<Cell> expand(const GridSpec& grid) {
 
                     Cell cell;
                     cell.index = cells.size();
-                    cell.spec = harness::TestSpec::on(tb, path_name, iperf);
+                    cell.spec = harness::TestSpec::on(tb, path, iperf);
                     cell.spec.repeats = grid.repeats;
                     cell.spec.telemetry = grid.telemetry;
                     cell.spec.scenario = scn;
@@ -125,7 +124,7 @@ std::vector<Cell> expand(const GridSpec& grid) {
                     cell.spec.name = strfmt(
                         "%s/%s/%s/P%d/pace%g/zc%d/optmem%s/bigtcp%d/ring%s",
                         grid.name.c_str(), kern::kernel_version_name(kernel),
-                        path_name.c_str(), streams, pacing, zerocopy ? 1 : 0,
+                        cell.spec.path.name.c_str(), streams, pacing, zerocopy ? 1 : 0,
                         fmt_bytes(optmem).c_str(), big_tcp ? 1 : 0,
                         fmt_ring(ring).c_str());
                     // Scenario-less names stay exactly as before the axis
@@ -136,7 +135,7 @@ std::vector<Cell> expand(const GridSpec& grid) {
 
                     cell.coords = {
                         {"kernel", kern::kernel_version_name(kernel)},
-                        {"path", path_name},
+                        {"path", cell.spec.path.name},
                         {"streams", strfmt("%d", streams)},
                         {"pacing_gbps", strfmt("%g", pacing)},
                         {"zerocopy", zerocopy ? "1" : "0"},

@@ -1,63 +1,10 @@
-// Unit tests: Experiment builder and TuningAdvisor.
+// Unit tests: TuningAdvisor.
 #include <gtest/gtest.h>
 
 #include "dtnsim/core/dtnsim.hpp"
 
 namespace dtnsim {
 namespace {
-
-TEST(Experiment, BuilderComposesSpec) {
-  const auto spec = Experiment(harness::esnet())
-                        .path("WAN 63ms")
-                        .streams(8)
-                        .zerocopy()
-                        .pacing(units::Rate::from_gbps(15))
-                        .kernel(kern::KernelVersion::V5_15)
-                        .optmem_max(units::Bytes(3405376))
-                        .repeats(7)
-                        .seed(99)
-                        .label("my test")
-                        .spec();
-  EXPECT_EQ(spec.iperf.parallel, 8);
-  EXPECT_TRUE(spec.iperf.zerocopy);
-  EXPECT_DOUBLE_EQ(spec.iperf.fq_rate_bps, 15e9);
-  EXPECT_EQ(spec.sender.kernel.version, kern::KernelVersion::V5_15);
-  EXPECT_DOUBLE_EQ(spec.sender.tuning.sysctl.optmem_max, 3405376.0);
-  EXPECT_EQ(spec.repeats, 7);
-  EXPECT_EQ(spec.base_seed, 99u);
-  EXPECT_EQ(spec.name, "my test");
-  EXPECT_NEAR(units::to_millis(spec.path.rtt), 63.0, 1e-9);
-}
-
-TEST(Experiment, DefaultsToLan) {
-  const auto spec = Experiment(harness::amlight()).spec();
-  EXPECT_EQ(spec.path.name, "LAN");
-}
-
-TEST(Experiment, TogglesApplyToBothHosts) {
-  const auto spec = Experiment(harness::esnet())
-                        .big_tcp(true, units::Bytes(200 * 1024))
-                        .mtu(units::Bytes(1500))
-                        .ring(4096)
-                        .iommu_passthrough(false)
-                        .spec();
-  for (const auto* h : {&spec.sender, &spec.receiver}) {
-    EXPECT_TRUE(h->tuning.big_tcp_enabled);
-    EXPECT_DOUBLE_EQ(h->tuning.big_tcp_bytes, 200.0 * 1024);
-    EXPECT_DOUBLE_EQ(h->tuning.mtu_bytes, 1500.0);
-    EXPECT_EQ(h->tuning.ring_descriptors, 4096);
-    EXPECT_FALSE(h->tuning.iommu_passthrough);
-  }
-}
-
-TEST(Experiment, RunsEndToEnd) {
-  const auto r = Experiment(harness::esnet())
-                     .pacing(units::Rate::from_gbps(10))
-                     .duration(units::SimTime::from_seconds(3))
-                     .repeats(2)
-                     .run();
-  EXPECT_NEAR(r.avg_gbps, 10.0, 1.0);
-}
 
 TEST(Advisor, TunedHostOnCleanLanIsQuiet) {
   const auto tb = harness::esnet(kern::KernelVersion::V6_8);

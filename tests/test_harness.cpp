@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "dtnsim/harness/runner.hpp"
+#include "dtnsim/sweep/cache.hpp"
 
 namespace dtnsim::harness {
 namespace {
@@ -80,6 +81,31 @@ TEST(Runner, LabelAndDefaults) {
   EXPECT_EQ(spec.name, "custom");
   const auto unnamed = TestSpec::on(esnet(), "WAN 63ms", app::IperfOptions{});
   EXPECT_NE(unnamed.name.find("WAN 63ms"), std::string::npos);
+}
+
+// The whole spec: its name and its cache-key text (every keyed knob).
+TEST(Runner, EmptyPathIsTheLan) {
+  for (const auto& tb : {amlight(), esnet_production()}) {
+    const auto blank = TestSpec::on(tb, "", {});
+    const auto lan = TestSpec::on(tb, tb.lan().name, {});
+    EXPECT_EQ(blank.name, tb.name + " " + tb.lan().name);
+    EXPECT_EQ(blank.name, lan.name);
+    EXPECT_EQ(sweep::canonical_text(blank), sweep::canonical_text(lan));
+  }
+}
+
+// ss snapshots and perf attribution each arm the telemetry they ride on.
+TEST(Runner, SsOrPerfAloneArmsTelemetry) {
+  for (const bool ss : {true, false}) {
+    auto spec = TestSpec::on(esnet(), "LAN", {.duration_sec = 2});
+    spec.repeats = 1;
+    spec.telemetry.ss_enabled = ss;
+    spec.telemetry.perf_enabled = !ss;
+    const auto r = run_test(spec);
+    EXPECT_EQ(r.ss_log.empty(), !ss);
+    EXPECT_EQ(r.perf_log.empty(), ss);
+    EXPECT_EQ(r.repeat_series.size(), 1u);
+  }
 }
 
 TEST(Runner, BatchRunsAll) {

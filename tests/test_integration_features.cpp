@@ -8,15 +8,33 @@
 namespace dtnsim {
 namespace {
 
-harness::TestResult quick(Experiment e) { return e.duration(units::SimTime::from_seconds(15)).repeats(3).run(); }
+// 15 s x 3 repeats of `iperf` on the testbed's `path`.
+harness::TestResult quick(const harness::Testbed& tb, app::IperfOptions iperf = {},
+                          const std::string& path = "LAN") {
+  iperf.duration_sec = 15;
+  auto spec = harness::TestSpec::on(tb, path, iperf);
+  spec.repeats = 3;
+  return harness::run_test(spec);
+}
+
+// The testbed with BIG TCP on at 180 KiB on both hosts.
+harness::Testbed with_big_tcp(harness::Testbed tb) {
+  for (auto* h : {&tb.sender, &tb.receiver}) {
+    h->tuning.big_tcp_enabled = true;
+    h->tuning.big_tcp_bytes = 180 * 1024;
+  }
+  return tb;
+}
+
+// Zerocopy with --skip-rx-copy: the sender-limited configuration.
+constexpr app::IperfOptions kZcSkipRx{.zerocopy = true, .skip_rx_copy = true};
 
 TEST(Features, BigTcpPlusZerocopyNoopOnStockKernel) {
   // §II-C: "BIG TCP and zerocopy cannot be used simultaneously without a
   // custom built kernel" — on stock MAX_SKB_FRAGS=17 the zerocopy frag
   // limit clamps the super-packet, so enabling BIG TCP changes nothing.
-  const auto zc = quick(Experiment(harness::esnet()).zerocopy().skip_rx_copy());
-  const auto zc_big =
-      quick(Experiment(harness::esnet()).zerocopy().skip_rx_copy().big_tcp(true, units::Bytes(180 * 1024)));
+  const auto zc = quick(harness::esnet(), kZcSkipRx);
+  const auto zc_big = quick(with_big_tcp(harness::esnet()), kZcSkipRx);
   EXPECT_NEAR(zc_big.avg_gbps, zc.avg_gbps, zc.avg_gbps * 0.02);
 }
 
@@ -25,18 +43,24 @@ TEST(Features, Frags45UnlocksTheCombination) {
   for (auto* h : {&tb.sender, &tb.receiver}) {
     h->kernel = kern::custom_kernel_with_frags(h->kernel, 45);
   }
-  const auto stock =
-      quick(Experiment(harness::esnet()).zerocopy().skip_rx_copy().big_tcp(true, units::Bytes(180 * 1024)));
-  const auto custom =
-      quick(Experiment(tb).zerocopy().skip_rx_copy().big_tcp(true, units::Bytes(180 * 1024)));
+  const auto stock = quick(with_big_tcp(harness::esnet()), kZcSkipRx);
+  const auto custom = quick(with_big_tcp(tb), kZcSkipRx);
   // §V-C preliminary result: substantial gains once the frag limit lifts.
   EXPECT_GT(custom.avg_gbps, stock.avg_gbps * 1.2);
 }
 
 TEST(Features, IrqbalanceBlowsUpVariance) {
-  const auto pinned = Experiment(harness::amlight()).duration(units::SimTime::from_seconds(15)).repeats(12).run();
-  const auto balanced =
-      Experiment(harness::amlight()).irqbalance(true).duration(units::SimTime::from_seconds(15)).repeats(12).run();
+  const auto run = [](const harness::Testbed& tb) {
+    auto spec = harness::TestSpec::on(tb, "LAN", {.duration_sec = 15});
+    spec.repeats = 12;
+    return harness::run_test(spec);
+  };
+  auto irqbalance = harness::amlight();
+  for (auto* h : {&irqbalance.sender, &irqbalance.receiver}) {
+    h->tuning.irqbalance_disabled = false;
+  }
+  const auto pinned = run(harness::amlight());
+  const auto balanced = run(irqbalance);
   // §III-A: 20-55 Gbps run-to-run on the same hardware.
   EXPECT_GT(balanced.stdev_gbps, pinned.stdev_gbps * 2.5);
   EXPECT_LT(balanced.min_gbps, 35.0);
@@ -52,16 +76,17 @@ TEST(Features, UntunedVmFarSlowerThanTunedVm) {
   bad.host_iommu_pt = false;
   untuned.sender.virt_factor = host::virtualization_factor(bad);
   untuned.receiver.virt_factor = host::virtualization_factor(bad);
-  const auto a = quick(Experiment(tuned));
-  const auto b = quick(Experiment(untuned));
+  const auto a = quick(tuned);
+  const auto b = quick(untuned);
   EXPECT_GT(a.avg_gbps, b.avg_gbps * 1.8);
 }
 
 TEST(Features, HwGroNeedsKernelAndNicAtEngineLevel) {
   // Enabling the knob without kernel 6.11 + CX-7 is inert.
   auto tb = harness::amlight(kern::KernelVersion::V6_8);  // CX-5, 6.8
-  const auto off = quick(Experiment(tb).zerocopy());
-  const auto on = quick(Experiment(tb).zerocopy().hw_gro(true));
+  const auto off = quick(tb, {.zerocopy = true});
+  tb.receiver.tuning.hw_gro_enabled = true;
+  const auto on = quick(tb, {.zerocopy = true});
   EXPECT_NEAR(on.avg_gbps, off.avg_gbps, off.avg_gbps * 0.02);
 }
 
@@ -73,10 +98,17 @@ TEST(Features, HwGroHelpsMostAtSmallMtu) {
     h->nic.drain_smooth_bps = 52e9;
     h->nic.drain_burst_bps = 42e9;
   }
-  const auto off15 = quick(Experiment(tb).zerocopy().mtu(units::Bytes(1500)));
-  const auto on15 = quick(Experiment(tb).zerocopy().mtu(units::Bytes(1500)).hw_gro(true));
-  const auto off9k = quick(Experiment(tb).zerocopy());
-  const auto on9k = quick(Experiment(tb).zerocopy().hw_gro(true));
+  // Zerocopy at the given MTU, hardware GRO on the receiver or not.
+  const auto zc = [&tb](double mtu, bool hw_gro) {
+    auto t = tb;
+    for (auto* h : {&t.sender, &t.receiver}) h->tuning.mtu_bytes = mtu;
+    t.receiver.tuning.hw_gro_enabled = hw_gro;
+    return quick(t, {.zerocopy = true});
+  };
+  const auto off15 = zc(1500, false);
+  const auto on15 = zc(1500, true);
+  const auto off9k = zc(9000, false);
+  const auto on9k = zc(9000, true);
   const double gain15 = on15.avg_gbps / off15.avg_gbps;
   const double gain9k = on9k.avg_gbps / off9k.avg_gbps;
   EXPECT_GT(gain15, 1.8);   // paper: ~160% at 1500 B (24 -> 62 Gbps)
@@ -108,9 +140,9 @@ TEST(Features, NoMetricsSaveIrrelevantHere) {
   // independent by construction, so flipping it must not change results —
   // a guard that the knob exists but has no accidental coupling.
   auto tb = harness::esnet();
-  const auto a = quick(Experiment(tb));
+  const auto a = quick(tb);
   tb.sender.tuning.sysctl.tcp_no_metrics_save = false;
-  const auto b = quick(Experiment(tb));
+  const auto b = quick(tb);
   EXPECT_DOUBLE_EQ(a.avg_gbps, b.avg_gbps);
 }
 
@@ -124,7 +156,7 @@ TEST(Features, AdvisorLadderMonotone) {
 
   std::vector<double> ladder;
   auto measure = [&] {
-    ladder.push_back(quick(Experiment(tb).path(path)).avg_gbps);
+    ladder.push_back(quick(tb, {}, path).avg_gbps);
   };
   measure();  // stock
   for (auto* h : {&tb.sender, &tb.receiver}) {

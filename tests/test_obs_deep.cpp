@@ -343,7 +343,10 @@ TEST(PerFlowTracks, LabeledColumnsAreDeterministic) {
 
   // Every stream got its labeled track, in flow-index order (the unlabeled
   // representative gauge "tcp.cwnd_bytes" is not a family instance).
-  const auto cwnds = a->registry().family_instances("tcp.cwnd_bytes");
+  std::vector<const obs::MetricDesc*> cwnds;
+  for (const auto& s : a->registry().snapshot()) {
+    if (s.desc->family == "tcp.cwnd_bytes") cwnds.push_back(s.desc);
+  }
   ASSERT_EQ(cwnds.size(), 4u);
   EXPECT_EQ(cwnds[0]->name, "tcp.cwnd_bytes{flow=0}");
   EXPECT_EQ(cwnds[3]->name, "tcp.cwnd_bytes{flow=3}");

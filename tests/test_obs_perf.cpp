@@ -17,16 +17,25 @@
 #include "dtnsim/obs/perf.hpp"
 #include "dtnsim/report/record.hpp"
 #include "dtnsim/util/file.hpp"
+#include "golden.hpp"
 
 namespace dtnsim {
 namespace {
 
 // The paper's Fig. 7 LAN cell: AmLight Intel host, kernel 6.5, no tuning.
-Experiment fig07_lan_cell() {
-  return Experiment(harness::amlight(kern::KernelVersion::V6_5))
-      .path("LAN")
-      .duration(units::SimTime::from_seconds(5))
-      .repeats(1);
+harness::TestSpec fig07_lan_cell(app::IperfOptions iperf = {}) {
+  iperf.duration_sec = 5;
+  auto spec = harness::TestSpec::on(harness::amlight(kern::KernelVersion::V6_5), "LAN", iperf);
+  spec.repeats = 1;
+  return spec;
+}
+
+// Runs `spec` with perf attribution sampled every `interval_sec` of
+// simulated time plus the end-of-run report (0: that report only).
+harness::TestResult run_with_perf(harness::TestSpec spec, double interval_sec = 0) {
+  spec.telemetry.perf_enabled = true;
+  spec.telemetry.perf_interval = units::seconds(interval_sec);
+  return harness::run_test(spec);
 }
 
 double stage_sum_for_core(const obs::PerfReport& r, obs::PerfCore core) {
@@ -43,9 +52,7 @@ TEST(PerfAttribution, StageSumMatchesConsumedFluid) {
   // Every perf sample runs cross_check_stage_sum (which throws on
   // divergence), so a finished watch run is itself the assertion; the loop
   // below re-verifies from the recorded log.
-  const auto r = fig07_lan_cell()
-                     .perf_watch(units::SimTime::from_seconds(1))
-                     .run();
+  const auto r = run_with_perf(fig07_lan_cell(), 1);
   ASSERT_GE(r.perf_log.size(), 5u);
   for (const auto& rep : r.perf_log) {
     EXPECT_EQ(rep.engine, "fluid");
@@ -131,15 +138,11 @@ void expect_flow_rows_sum_to_totals(const std::vector<obs::PerfReport>& log,
 }
 
 TEST(PerfAttribution, FlowRowsSumToRunTotals) {
-  const auto fluid = Experiment(harness::esnet(kern::KernelVersion::V6_8))
-                         .path("LAN")
-                         .streams(8)
-                         .zerocopy()
-                         .pacing(units::Rate::from_gbps(20))
-                         .duration(units::SimTime::from_seconds(3))
-                         .repeats(1)
-                         .perf_watch(units::SimTime::from_seconds(1))
-                         .run();
+  auto spec = harness::TestSpec::on(
+      harness::esnet(kern::KernelVersion::V6_8), "LAN",
+      {.parallel = 8, .duration_sec = 3, .fq_rate_bps = 20e9, .zerocopy = true});
+  spec.repeats = 1;
+  const auto fluid = run_with_perf(spec, 1);
   expect_flow_rows_sum_to_totals(fluid.perf_log, 8);
 
   const auto tb = harness::amlight_baremetal(kern::KernelVersion::V6_8);
@@ -162,9 +165,8 @@ TEST(PerfAttribution, FlowRowsSumToRunTotals) {
 
 TEST(PerfAttribution, DisabledPerfLeavesRunBitIdentical) {
   // The acceptance bar: arming attribution must not perturb the simulation.
-  const auto base = fig07_lan_cell().run();
-  const auto with_perf =
-      fig07_lan_cell().perf_watch(units::SimTime::from_seconds(1)).run();
+  const auto base = harness::run_test(fig07_lan_cell());
+  const auto with_perf = run_with_perf(fig07_lan_cell(), 1);
   EXPECT_DOUBLE_EQ(base.avg_gbps, with_perf.avg_gbps);
   EXPECT_DOUBLE_EQ(base.avg_retransmits, with_perf.avg_retransmits);
   EXPECT_DOUBLE_EQ(base.snd_cpu_pct, with_perf.snd_cpu_pct);
@@ -176,7 +178,7 @@ TEST(PerfAttribution, DisabledPerfLeavesRunBitIdentical) {
 TEST(PerfAttribution, CopyDominatesRxAppWithoutZerocopy) {
   // Paper shape (Fig. 7 discussion): on a plain 100G run the user copy is
   // the receiver's plurality consumer among the recvmsg-path stages.
-  const auto r = fig07_lan_cell().perf().run();
+  const auto r = run_with_perf(fig07_lan_cell());
   ASSERT_FALSE(r.perf_log.empty());
   const auto& rep = r.perf_log.back();
   const double copyout =
@@ -193,8 +195,8 @@ TEST(PerfAttribution, CopyDominatesRxAppWithoutZerocopy) {
 }
 
 TEST(PerfAttribution, ZerocopyShiftsTxFromCopyToPinAndNotify) {
-  const auto plain = fig07_lan_cell().perf().run();
-  const auto zc = fig07_lan_cell().zerocopy().perf().run();
+  const auto plain = run_with_perf(fig07_lan_cell());
+  const auto zc = run_with_perf(fig07_lan_cell({.zerocopy = true}));
   ASSERT_FALSE(plain.perf_log.empty());
   ASSERT_FALSE(zc.perf_log.empty());
   const auto& p = plain.perf_log.back();
@@ -234,11 +236,9 @@ TEST(PerfAttribution, PacketAndFluidAgreeOnTxCyclesPerByte) {
   ASSERT_FALSE(tel.perf_log().empty());
   const auto& pkt = tel.perf_log().back();
 
-  const auto fluid_run = Experiment(tb)
-                             .duration(units::SimTime::from_seconds(3))
-                             .repeats(1)
-                             .perf()
-                             .run();
+  auto fluid_spec = harness::TestSpec::on(tb, "LAN", {.duration_sec = 3});
+  fluid_spec.repeats = 1;
+  const auto fluid_run = run_with_perf(fluid_spec);
   ASSERT_FALSE(fluid_run.perf_log.empty());
   const auto& fl = fluid_run.perf_log.back();
 
@@ -255,7 +255,7 @@ TEST(PerfAttribution, PacketAndFluidAgreeOnTxCyclesPerByte) {
 }
 
 TEST(PerfReportRender, FlamegraphIsCollapsedStackFormat) {
-  const auto r = fig07_lan_cell().perf().run();
+  const auto r = run_with_perf(fig07_lan_cell());
   ASSERT_FALSE(r.perf_log.empty());
   const std::string flame = obs::format_flamegraph(r.perf_log.back());
   ASSERT_FALSE(flame.empty());
@@ -281,10 +281,7 @@ TEST(PerfReportRender, FlamegraphIsCollapsedStackFormat) {
 }
 
 TEST(PerfReportRender, JsonRoundTripPreservesEveryField) {
-  const auto r = fig07_lan_cell()
-                     .streams(4)
-                     .perf_watch(units::SimTime::from_seconds(2))
-                     .run();
+  const auto r = run_with_perf(fig07_lan_cell({.parallel = 4}), 2);
   ASSERT_GE(r.perf_log.size(), 2u);
   ASSERT_EQ(r.perf_log.back().flows.size(), 4u);  // every flow row round-trips
   // The perf log travels in a run record (--record-out, dtnsim-perf --replay).
@@ -327,24 +324,17 @@ TEST(PerfReportRender, JsonRoundTripPreservesEveryField) {
 // consumers, the CI smoke). Golden lives in tests/golden/; lines are the
 // sorted top-level keys plus one "stages.<name>" entry per stage.
 TEST(PerfReportRender, ReportKeysMatchGolden) {
-  const std::string golden_path =
-      std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/perf_report_keys.txt";
-  const std::string golden = read_file(golden_path).value_or("");
-  ASSERT_FALSE(golden.empty()) << golden_path;
-  std::vector<std::string> want;
-  std::stringstream in(golden);
-  for (std::string line; std::getline(in, line);)
-    if (!line.empty()) want.push_back(line);
-
   const auto j = obs::to_json(obs::PerfReport{});
   std::vector<std::string> got = j.keys();  // sorted
   const auto* stages = j.find("stages");
   ASSERT_NE(stages, nullptr);
   for (const auto& k : stages->keys()) got.push_back("stages." + k);
   std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, want) << "perf report schema changed; regenerate tests/"
-                          "golden/perf_report_keys.txt (see docs/"
-                          "OBSERVABILITY.md)";
+  EXPECT_TRUE(golden::matches(got, "perf_report_keys.txt",
+                              "perf report schema changed; regenerate tests/"
+                              "golden/perf_report_keys.txt (see docs/"
+                              "OBSERVABILITY.md)",
+                              golden::blank));
 }
 
 TEST(PerfAttribution, CrossCheckThrowsOnDivergence) {

@@ -16,6 +16,7 @@
 #include "dtnsim/obs/ss.hpp"
 #include "dtnsim/report/record.hpp"
 #include "dtnsim/util/file.hpp"
+#include "golden.hpp"
 
 namespace dtnsim {
 namespace {
@@ -23,18 +24,24 @@ namespace {
 // The paper's Fig. 9 cell: AmLight WAN 104 ms, kernel 6.5, zerocopy, paced
 // at 50G. At the default 20 KB optmem the sender silently copies; at
 // ~3.25 MB the path's worth of in-flight charges fits and zerocopy holds.
-Experiment fig09_cell(double optmem_bytes) {
-  return Experiment(harness::amlight(kern::KernelVersion::V6_5))
-      .path("WAN 104ms")
-      .zerocopy()
-      .pacing(units::Rate::from_gbps(50))
-      .optmem_max(units::Bytes(optmem_bytes))
-      .duration(units::SimTime::from_seconds(5))
-      .repeats(1);
+harness::TestSpec fig09_cell(double optmem_bytes) {
+  auto spec = harness::TestSpec::on(harness::amlight(kern::KernelVersion::V6_5), "WAN 104ms",
+                                    {.duration_sec = 5, .fq_rate_bps = 50e9, .zerocopy = true});
+  for (auto* h : {&spec.sender, &spec.receiver}) h->tuning.sysctl.optmem_max = optmem_bytes;
+  spec.repeats = 1;
+  return spec;
+}
+
+// Runs `spec` with ss snapshots taken every `interval_sec` of simulated
+// time plus the end-of-run one (0: that one only).
+harness::TestResult run_with_ss(harness::TestSpec spec, double interval_sec = 0) {
+  spec.telemetry.ss_enabled = true;
+  spec.telemetry.ss_interval = units::seconds(interval_sec);
+  return harness::run_test(spec);
 }
 
 TEST(SsSnapshot, Fig09PathologyAtDefaultOptmemClearsWhenTuned) {
-  const auto sick = fig09_cell(20480).ss().run();
+  const auto sick = run_with_ss(fig09_cell(20480));
   ASSERT_FALSE(sick.ss_log.empty());
   const auto& s = sick.ss_log.back().sockets.at(0);
   // The knee: optmem pinned at its cap, most zc traffic degraded to copies.
@@ -44,7 +51,7 @@ TEST(SsSnapshot, Fig09PathologyAtDefaultOptmemClearsWhenTuned) {
   EXPECT_GT(s.zc_copied_sends, 0.0);
   EXPECT_GT(sick.zc_fallback_ratio, 0.5);
 
-  const auto tuned = fig09_cell(3405376).ss().run();
+  const auto tuned = run_with_ss(fig09_cell(3405376));
   ASSERT_FALSE(tuned.ss_log.empty());
   const auto& t = tuned.ss_log.back().sockets.at(0);
   // Tuned: the in-flight charge floats below the cap and nothing falls back.
@@ -106,7 +113,7 @@ TEST(SsSnapshot, FieldsConsistentWithRegistryAndProbe) {
 }
 
 TEST(SsSnapshot, WatchCountersAreMonotonic) {
-  const auto r = fig09_cell(3405376).ss_watch(units::SimTime::from_seconds(1)).run();
+  const auto r = run_with_ss(fig09_cell(3405376), 1);
   ASSERT_GE(r.ss_log.size(), 4u);  // 1..4 s watch + final
   for (std::size_t i = 1; i < r.ss_log.size(); ++i) {
     const auto& prev = r.ss_log[i - 1];
@@ -208,7 +215,7 @@ TEST(SsSnapshot, RepeatedRunsOnOneTelemetryEachPassTheCrossCheck) {
 }
 
 TEST(SsSnapshot, JsonRoundTripsThroughParser) {
-  const auto r = fig09_cell(20480).ss_watch(units::SimTime::from_seconds(2)).run();
+  const auto r = run_with_ss(fig09_cell(20480), 2);
   ASSERT_GE(r.ss_log.size(), 2u);
 
   // The ss log travels in a run record (--record-out, dtnsim-ss --replay).
@@ -249,24 +256,17 @@ TEST(SsSnapshot, JsonRoundTripsThroughParser) {
 // consumers, the CI smoke). Golden lives in tests/golden/; regenerate by
 // dumping to_json(TcpInfoSnapshot{}).keys() one per line.
 TEST(SsSnapshot, TcpInfoKeysMatchGolden) {
-  const std::string golden_path =
-      std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/ss_snapshot_keys.txt";
-  const std::string golden = read_file(golden_path).value_or("");
-  ASSERT_FALSE(golden.empty()) << golden_path;
-  std::vector<std::string> want;
-  std::stringstream in(golden);
-  for (std::string line; std::getline(in, line);)
-    if (!line.empty()) want.push_back(line);
-
   const auto keys = obs::to_json(obs::TcpInfoSnapshot{}).keys();  // sorted
-  EXPECT_EQ(keys, want) << "snapshot schema changed; regenerate tests/golden/"
-                           "ss_snapshot_keys.txt (see docs/OBSERVABILITY.md)";
+  EXPECT_TRUE(golden::matches(keys, "ss_snapshot_keys.txt",
+                              "snapshot schema changed; regenerate tests/golden/"
+                              "ss_snapshot_keys.txt (see docs/OBSERVABILITY.md)",
+                              golden::blank));
 }
 
 TEST(SsSnapshot, DisabledSsLeavesRunBitIdentical) {
   // The acceptance bar: arming snapshots must not perturb the simulation.
-  const auto base = fig09_cell(20480).run();
-  const auto with_ss = fig09_cell(20480).ss_watch(units::SimTime::from_seconds(1)).run();
+  const auto base = harness::run_test(fig09_cell(20480));
+  const auto with_ss = run_with_ss(fig09_cell(20480), 1);
   EXPECT_DOUBLE_EQ(base.avg_gbps, with_ss.avg_gbps);
   EXPECT_DOUBLE_EQ(base.avg_retransmits, with_ss.avg_retransmits);
   EXPECT_DOUBLE_EQ(base.zc_fallback_ratio, with_ss.zc_fallback_ratio);

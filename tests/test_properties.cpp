@@ -117,14 +117,11 @@ TEST_P(OptmemMonotonic, MoreOptmemNeverWorse) {
   double prev_tput = 0.0;
   double prev_fallback = 2.0;
   for (const double om : {20480.0, 262144.0, 1048576.0, 3405376.0}) {
-    const auto r = Experiment(harness::amlight())
-                       .path("WAN " + std::to_string(rtt_ms) + "ms")
-                       .zerocopy()
-                       .pacing(units::Rate::from_gbps(50))
-                       .optmem_max(units::Bytes(om))
-                       .duration(units::SimTime::from_seconds(10))
-                       .repeats(2)
-                       .run();
+    auto spec = harness::TestSpec::on(harness::amlight(), "WAN " + std::to_string(rtt_ms) + "ms",
+                                      {.duration_sec = 10, .fq_rate_bps = 50e9, .zerocopy = true});
+    for (auto* h : {&spec.sender, &spec.receiver}) h->tuning.sysctl.optmem_max = om;
+    spec.repeats = 2;
+    const auto r = harness::run_test(spec);
     EXPECT_GE(r.avg_gbps, prev_tput - 1.5) << "optmem " << om;
     EXPECT_LE(r.zc_fallback_ratio, prev_fallback + 0.02) << "optmem " << om;
     prev_tput = r.avg_gbps;
@@ -145,9 +142,10 @@ TEST_P(KernelMonotonic, NewerKernelNeverSlower) {
   double prev = 0;
   for (const auto k :
        {kern::KernelVersion::V5_15, kern::KernelVersion::V6_5, kern::KernelVersion::V6_8}) {
-    auto e = Experiment(esnet_tb ? harness::esnet(k) : harness::amlight(k));
-    if (paced) e.pacing(units::Rate::from_gbps(30));
-    const auto r = e.duration(units::SimTime::from_seconds(10)).repeats(2).run();
+    auto spec = harness::TestSpec::on(esnet_tb ? harness::esnet(k) : harness::amlight(k), "LAN",
+                                      {.duration_sec = 10, .fq_rate_bps = paced ? 30e9 : 0.0});
+    spec.repeats = 2;
+    const auto r = harness::run_test(spec);
     EXPECT_GE(r.avg_gbps, prev - 0.8) << kern::kernel_version_name(k);
     prev = r.avg_gbps;
   }
@@ -163,10 +161,14 @@ class MtuSweep : public ::testing::TestWithParam<bool> {};
 
 TEST_P(MtuSweep, JumboFramesWin) {
   const bool zc = GetParam();
-  const auto jumbo =
-      Experiment(harness::esnet()).zerocopy(zc).mtu(units::Bytes(9000)).duration(units::SimTime::from_seconds(8)).repeats(2).run();
-  const auto std_mtu =
-      Experiment(harness::esnet()).zerocopy(zc).mtu(units::Bytes(1500)).duration(units::SimTime::from_seconds(8)).repeats(2).run();
+  const auto at_mtu = [zc](double mtu) {
+    auto spec = harness::TestSpec::on(harness::esnet(), "LAN", {.duration_sec = 8, .zerocopy = zc});
+    for (auto* h : {&spec.sender, &spec.receiver}) h->tuning.mtu_bytes = mtu;
+    spec.repeats = 2;
+    return harness::run_test(spec);
+  };
+  const auto jumbo = at_mtu(9000);
+  const auto std_mtu = at_mtu(1500);
   EXPECT_GT(jumbo.avg_gbps, std_mtu.avg_gbps);
 }
 
@@ -180,14 +182,11 @@ class CcSweep : public ::testing::TestWithParam<kern::CongestionAlgo> {};
 
 TEST_P(CcSweep, ComparableToReferenceCubic) {
   const auto algo = GetParam();
-  const auto r = Experiment(harness::esnet())
-                     .path("WAN 63ms")
-                     .congestion(algo)
-                     .zerocopy()
-                     .pacing(units::Rate::from_gbps(30))
-                     .duration(units::SimTime::from_seconds(15))
-                     .repeats(2)
-                     .run();
+  auto spec = harness::TestSpec::on(
+      harness::esnet(), "WAN 63ms",
+      {.duration_sec = 15, .fq_rate_bps = 30e9, .zerocopy = true, .congestion = algo});
+  spec.repeats = 2;
+  const auto r = harness::run_test(spec);
   EXPECT_GT(r.avg_gbps, 15.0);
   EXPECT_LE(r.avg_gbps, 31.0);
 }

@@ -29,6 +29,7 @@
 #include "dtnsim/report/plot.hpp"
 #include "dtnsim/report/record.hpp"
 #include "dtnsim/util/file.hpp"
+#include "golden.hpp"
 
 namespace dtnsim::report {
 namespace {
@@ -285,15 +286,6 @@ TEST(ReportRecord, WriteLoadRoundTripAndLoadErrors) {
 }
 
 TEST(ReportRecord, SchemaMatchesGolden) {
-  const std::string golden_path =
-      std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/run_record_keys.txt";
-  const std::string golden = read_file(golden_path).value_or("");
-  ASSERT_FALSE(golden.empty()) << golden_path;
-  std::vector<std::string> want;
-  std::stringstream in(golden);
-  for (std::string line; std::getline(in, line);)
-    if (!line.empty()) want.push_back(line);
-
   const Json j = to_json(sample_record());
   std::vector<std::string> got = j.keys();  // sorted
   for (const char* sub : {"meta", "summary", "analysis", "series"}) {
@@ -302,9 +294,11 @@ TEST(ReportRecord, SchemaMatchesGolden) {
     for (const auto& k : s->keys()) got.push_back(std::string(sub) + "." + k);
   }
   std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, want) << "RunRecord schema changed; bump kRunRecordSchema "
-                          "and regenerate tests/golden/run_record_keys.txt "
-                          "(see docs/REPORT.md)";
+  EXPECT_TRUE(golden::matches(got, "run_record_keys.txt",
+                              "RunRecord schema changed; bump kRunRecordSchema "
+                              "and regenerate tests/golden/run_record_keys.txt "
+                              "(see docs/REPORT.md)",
+                              golden::blank));
 }
 
 // ---- renderers ------------------------------------------------------------
@@ -407,16 +401,22 @@ scenario::Timeline tiny_loss() {
   return tl;
 }
 
-Experiment quick_experiment() {
-  return Experiment(harness::esnet(kern::KernelVersion::V6_8))
-      .path("WAN 63ms")
-      .pacing(units::Rate::from_gbps(10))
-      .duration(units::SimTime::from_seconds(6))
-      .repeats(2);
+// ESnet WAN paced at 10G, 6 s x 2 repeats.
+harness::TestSpec quick_spec(scenario::Timeline tl = {}) {
+  auto spec = harness::TestSpec::on(harness::esnet(kern::KernelVersion::V6_8), "WAN 63ms",
+                                    {.duration_sec = 6, .fq_rate_bps = 10e9});
+  spec.repeats = 2;
+  spec.scenario = std::move(tl);
+  return spec;
+}
+
+harness::TestSpec recorded(harness::TestSpec spec) {
+  spec.record = true;
+  return spec;
 }
 
 TEST(ReportHarness, RecordBundlesEveryArtifactLayer) {
-  const auto r = quick_experiment().scenario(tiny_loss()).record().run();
+  const auto r = harness::run_test(recorded(quick_spec(tiny_loss())));
   ASSERT_NE(r.record, nullptr);
   const RunRecord& rec = *r.record;
   // The record's numbers are the TestResult's numbers.
@@ -439,20 +439,21 @@ TEST(ReportHarness, RecordBundlesEveryArtifactLayer) {
 }
 
 TEST(ReportHarness, RecordOffLeavesResultUntouched) {
-  const auto off = quick_experiment().run();
+  const auto off = harness::run_test(quick_spec());
   EXPECT_EQ(off.record, nullptr);
   // Turning the record on must not change the simulation's numbers (the
   // record only implies telemetry, which is already observation-only).
-  const auto on = quick_experiment().record().run();
+  const auto on = harness::run_test(recorded(quick_spec()));
   EXPECT_EQ(on.samples_gbps, off.samples_gbps);
   EXPECT_DOUBLE_EQ(on.avg_gbps, off.avg_gbps);
 }
 
 TEST(ReportHarness, RecordsAreByteIdenticalAcrossJobCounts) {
-  std::vector<harness::TestSpec> specs;
-  specs.push_back(
-      quick_experiment().scenario(tiny_loss()).record().label("a").spec());
-  specs.push_back(quick_experiment().streams(2).record().label("b").spec());
+  std::vector<harness::TestSpec> specs = {recorded(quick_spec(tiny_loss())),
+                                          recorded(quick_spec())};
+  specs[1].iperf.parallel = 2;
+  specs[0].name = "a";
+  specs[1].name = "b";
   const auto serial = harness::run_tests(specs, 1);
   const auto parallel = harness::run_tests(specs, 2);
   ASSERT_EQ(serial.size(), parallel.size());
@@ -472,7 +473,9 @@ TEST(ReportTimeline, RecordedTimelineReplaysToTheSameEventLog) {
   // round-trip below only holds because timeline_from_log pins fire times.
   scenario::Timeline tl = tiny_loss();
   tl.events[0].jitter_sec = 0.5;
-  const auto first = quick_experiment().repeats(1).scenario(tl).run();
+  auto spec = quick_spec(tl);
+  spec.repeats = 1;
+  const auto first = harness::run_test(spec);
   ASSERT_EQ(first.scenario_log.events.size(), 1u);
   const auto& ev = first.scenario_log.events[0];
 
@@ -487,7 +490,8 @@ TEST(ReportTimeline, RecordedTimelineReplaysToTheSameEventLog) {
   EXPECT_EQ(rec.events[0].kind, scenario::EventKind::LossBurst);
 
   // Replaying the recording reproduces the original crossings exactly.
-  const auto second = quick_experiment().repeats(1).scenario(rec).run();
+  spec.scenario = rec;
+  const auto second = harness::run_test(spec);
   ASSERT_EQ(second.scenario_log.events.size(), 1u);
   EXPECT_DOUBLE_EQ(second.scenario_log.events[0].fire_sec, ev.fire_sec);
   EXPECT_DOUBLE_EQ(second.scenario_log.events[0].end_sec, ev.end_sec);

@@ -26,6 +26,7 @@
 #include "dtnsim/flow/packet_sim.hpp"
 #include "dtnsim/scenario/scenario.hpp"
 #include "dtnsim/util/file.hpp"
+#include "golden.hpp"
 
 namespace dtnsim::scenario {
 namespace {
@@ -200,26 +201,21 @@ TEST(ScenarioRuntime, UnsupportedKindsLogAppliedFalse) {
 // ---- fluid engine ---------------------------------------------------------
 
 harness::TestSpec wan_spec(Timeline tl) {
-  auto spec = Experiment(harness::esnet(kern::KernelVersion::V6_8))
-                  .path("WAN 63ms")
-                  .pacing(units::Rate::from_gbps(10))
-                  .duration(units::SimTime::from_seconds(6))
-                  .repeats(2)
-                  .scenario(std::move(tl))
-                  .spec();
+  auto spec = harness::TestSpec::on(harness::esnet(kern::KernelVersion::V6_8), "WAN 63ms",
+                                    {.duration_sec = 6, .fq_rate_bps = 10e9});
+  spec.repeats = 2;
+  spec.scenario = std::move(tl);
   return spec;
 }
 
 // Unpaced LAN streams: every round's jitter and loss draws reach the
 // output, so a hook that moved one engine draw would show here.
 harness::TestSpec lan_spec(Timeline tl) {
-  return Experiment(harness::esnet(kern::KernelVersion::V6_8))
-      .path("LAN")
-      .streams(4)
-      .duration(units::SimTime::from_seconds(2))
-      .repeats(2)
-      .scenario(std::move(tl))
-      .spec();
+  auto spec = harness::TestSpec::on(harness::esnet(kern::KernelVersion::V6_8), "LAN",
+                                    {.parallel = 4, .duration_sec = 2});
+  spec.repeats = 2;
+  spec.scenario = std::move(tl);
+  return spec;
 }
 
 // The hook is pay-for-use: a timeline whose only event lands after the run
@@ -395,15 +391,6 @@ TEST(ScenarioDivergence, LossBurstCutsSitInCalibratedBands) {
 // ---- event-log schema golden ----------------------------------------------
 
 TEST(ScenarioGolden, EventLogSchemaMatchesGolden) {
-  const std::string golden_path =
-      std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/scenario_log_keys.txt";
-  const std::string golden = read_file(golden_path).value_or("");
-  ASSERT_FALSE(golden.empty()) << golden_path;
-  std::vector<std::string> want;
-  std::stringstream in(golden);
-  for (std::string line; std::getline(in, line);)
-    if (!line.empty()) want.push_back(line);
-
   EventLog log;
   AppliedEvent ev;
   log.events.push_back(ev);
@@ -414,9 +401,11 @@ TEST(ScenarioGolden, EventLogSchemaMatchesGolden) {
   ASSERT_GT(events->size(), 0u);
   for (const auto& k : events->at(0)->keys()) got.push_back("events." + k);
   std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, want) << "event log schema changed; regenerate tests/"
-                          "golden/scenario_log_keys.txt (see docs/"
-                          "SCENARIO.md)";
+  EXPECT_TRUE(golden::matches(got, "scenario_log_keys.txt",
+                              "event log schema changed; regenerate tests/"
+                              "golden/scenario_log_keys.txt (see docs/"
+                              "SCENARIO.md)",
+                              golden::blank));
 }
 
 // ---- shipped example timelines --------------------------------------------

@@ -30,6 +30,7 @@
 #include "dtnsim/sweep/pool.hpp"
 #include "dtnsim/util/file.hpp"
 #include "dtnsim/util/strfmt.hpp"
+#include "golden.hpp"
 
 namespace dtnsim::sweep {
 namespace {
@@ -332,22 +333,10 @@ TEST(SpecKeys, MatchGolden) {
     }
   }
 
-  std::ifstream in(std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/spec_keys.txt");
-  ASSERT_TRUE(in) << "missing tests/golden/spec_keys.txt";
-  std::string want, line;
-  while (std::getline(in, line)) {
-    if (!line.starts_with("#")) want += line + "\n";
-  }
-  // One line at a time, so a drift names the cell it moved.
-  std::istringstream got_lines(got), want_lines(want);
-  std::string g, w;
-  int n = 0;
-  while (std::getline(want_lines, w)) {
-    ++n;
-    ASSERT_TRUE(std::getline(got_lines, g)) << "golden line " << n << " missing: " << w;
-    ASSERT_EQ(g, w) << "golden line " << n;
-  }
-  EXPECT_FALSE(std::getline(got_lines, g)) << "not in the golden: " << g;
+  EXPECT_TRUE(golden::matches(got, "spec_keys.txt",
+                              "a drifted key re-simulates cached cells under new seeds; "
+                              "regenerate only for a change that means to move every key",
+                              golden::comment));
 }
 
 // Walks a spec's fields() lists, the ones its cache key is written from,
@@ -534,6 +523,25 @@ TEST(Campaign, SecondRunIsAllCacheHits) {
   for (std::size_t i = 0; i < 12; ++i) {
     EXPECT_TRUE(second.cells[i].cached);
     expect_same_result(first.cells[i].result, second.cells[i].result);
+  }
+}
+
+// perf alone arms telemetry, so the cache never stands in for the run
+// that writes the cell's perf log.
+TEST(Campaign, PerfAloneBypassesTheCache) {
+  const std::string dir = scratch_dir("perf_uncached");
+  GridSpec grid = twelve_cell_grid();
+  grid.kernels = {kern::KernelVersion::V6_8};
+  grid.paths = {"LAN"};
+  grid.streams = {1};
+  grid.telemetry.perf_enabled = true;
+  CampaignOptions opts;
+  opts.cache_dir = dir + "/cache";
+  for (int run = 0; run < 2; ++run) {
+    const auto report = run_campaign(grid, opts);
+    EXPECT_EQ(report.simulated, 1u) << "run " << run;
+    ASSERT_EQ(report.cells.size(), 1u);
+    EXPECT_FALSE(report.cells[0].result.perf_log.empty()) << "run " << run;
   }
 }
 
