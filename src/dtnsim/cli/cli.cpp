@@ -129,14 +129,14 @@ harness::TestSpec spec_from_cli(const CliOptions& opts) {
     }
     if (opts.ring > 0) h->tuning.ring_descriptors = opts.ring;
   }
+  // The output flags that need a probe series or a trace; ss, perf and
+  // --record-out arm telemetry through harness::run_telemetry.
+  spec.telemetry.enabled =
+      !opts.metrics_out.empty() || !opts.trace_out.empty() || !opts.trace_stream.empty();
+  spec.telemetry.probe_interval = units::seconds(opts.probe_interval_sec);
+  spec.telemetry.trace_stream_path = opts.trace_stream;
   const bool wants_ss = opts.force_ss || opts.ss_watch_sec > 0;
   const bool wants_perf = opts.force_perf || opts.perf_watch_sec > 0;
-  if (!opts.metrics_out.empty() || !opts.trace_out.empty() ||
-      !opts.trace_stream.empty() || wants_ss || wants_perf) {
-    spec.telemetry.enabled = true;
-    spec.telemetry.probe_interval = units::seconds(opts.probe_interval_sec);
-    spec.telemetry.trace_stream_path = opts.trace_stream;
-  }
   if (wants_ss) {
     spec.telemetry.ss_enabled = true;
     if (opts.ss_watch_sec > 0) {

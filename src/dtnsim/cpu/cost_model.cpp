@@ -80,11 +80,26 @@ double CostModel::tx_app_cyc_per_byte(const TxPathConfig& cfg) const {
       .per_byte(cfg.zc_fraction, cfg.zc_fallback_fraction, cfg.cache_mult);
 }
 
+obs::StagePrice CostModel::price(
+    double mult, std::initializer_list<std::pair<obs::PerfStage, double>> terms) const {
+  obs::StagePrice p;
+  double sum = 0.0;
+  for (const auto& [stage, cyc] : terms) {
+    sum += cyc;
+    p.stages[static_cast<std::size_t>(stage)] = scaled(cyc) * mult;
+  }
+  p.per_byte = scaled(sum) * mult;
+  return p;
+}
+
 TxAppPrice CostModel::tx_app_price(double gso_bytes) const {
   TxAppPrice p;
-  p.base = kTxProtoPerByte + kTxPerSuperPkt / std::max(gso_bytes, 1.0);
-  p.zc = zc_pin_per_page_ / kPageBytes + kZcCompletionPerSuperPkt / std::max(gso_bytes, 1.0);
+  p.gso = std::max(gso_bytes, 1.0);
+  p.syscall = kTxPerSuperPkt / p.gso;
+  p.proto = kTxProtoPerByte;
   p.copy = copy_tx_;
+  p.zc_pin = zc_pin_per_page_ / kPageBytes;
+  p.zc_notify = kZcCompletionPerSuperPkt;
   p.fallback_extra = kZcFallbackExtraPerByte;
   p.stack_factor = opts_.stack_factor;
   p.virt_factor = opts_.virt_factor;
@@ -92,13 +107,13 @@ TxAppPrice CostModel::tx_app_price(double gso_bytes) const {
   return p;
 }
 
-double CostModel::tx_irq_cyc_per_byte(const TxPathConfig& cfg) const {
-  const double per_byte =
-      kTxPerMtuSeg / std::max(cfg.mtu_bytes, 1.0) +
-      (opts_.iommu_passthrough ? kDmaMapPtPerMtuPkt : kDmaMapStrictPerMtuPkt) /
-          std::max(cfg.mtu_bytes, 1.0) +
-      kTxCompletionPerSuperPkt / std::max(cfg.gso_bytes, 1.0);
-  return scaled(per_byte) * irq_mult_;
+obs::StagePrice CostModel::tx_irq_price(const TxPathConfig& cfg) const {
+  const double mtu = std::max(cfg.mtu_bytes, 1.0);
+  const double dma = opts_.iommu_passthrough ? kDmaMapPtPerMtuPkt : kDmaMapStrictPerMtuPkt;
+  return price(irq_mult_, {{obs::PerfStage::TxGsoSegment, kTxPerMtuSeg / mtu},
+                           {obs::PerfStage::TxDmaMap, dma / mtu},
+                           {obs::PerfStage::TxCompletion,
+                            kTxCompletionPerSuperPkt / std::max(cfg.gso_bytes, 1.0)}});
 }
 
 double CostModel::tx_mem_passes(const TxPathConfig& cfg) const {
@@ -107,92 +122,29 @@ double CostModel::tx_mem_passes(const TxPathConfig& cfg) const {
   return copy_frac * copy_passes + (1.0 - copy_frac) * kMemPassesZc;
 }
 
-double CostModel::rx_app_cyc_per_byte(const RxPathConfig& cfg) const {
+obs::StagePrice CostModel::rx_app_price(const RxPathConfig& cfg) const {
   const double mss = std::max(cfg.mtu_bytes - 40.0, 1.0);
-  double per_byte = (cfg.hw_gro ? kRxPerAggregateApp * kHwGroAggregateFactor
-                                : kRxPerAggregateApp) /
-                    std::max(cfg.gro_bytes, 1.0);
-  if (cfg.copy_to_user) {
-    // MSG_TRUNC skips both the copy and the frag-walk of the aggregate.
-    per_byte += (cfg.hw_gro ? kHwGroPerMtuPktApp : kRxPerMtuPktApp) / mss;
-    per_byte += copy_rx_ * (cfg.hw_gro ? kHwGroCopyFactor : 1.0);
-  }
-  return scaled(per_byte) * app_mult_;
+  const double per_aggregate =
+      cfg.hw_gro ? kRxPerAggregateApp * kHwGroAggregateFactor : kRxPerAggregateApp;
+  // MSG_TRUNC skips both the copy and the frag-walk of the aggregate.
+  const double frag_walk =
+      cfg.copy_to_user ? (cfg.hw_gro ? kHwGroPerMtuPktApp : kRxPerMtuPktApp) / mss : 0.0;
+  const double copyout = cfg.copy_to_user ? copy_rx_ * (cfg.hw_gro ? kHwGroCopyFactor : 1.0) : 0.0;
+  return price(app_mult_,
+               {{obs::PerfStage::RxSyscall, per_aggregate / std::max(cfg.gro_bytes, 1.0)},
+                {obs::PerfStage::RxFragWalk, frag_walk},
+                {obs::PerfStage::RxCopyout, copyout}});
 }
 
-double CostModel::rx_irq_cyc_per_byte(const RxPathConfig& cfg) const {
+obs::StagePrice CostModel::rx_irq_price(const RxPathConfig& cfg) const {
+  const double mtu = std::max(cfg.mtu_bytes, 1.0);
   const double per_pkt = cfg.hw_gro ? kHwGroPerMtuPkt : kRxPerMtuPkt;
-  const double per_byte =
-      kRxProtoPerByte + per_pkt / std::max(cfg.mtu_bytes, 1.0) +
-      kRxPerAggregateIrq / std::max(cfg.gro_bytes, 1.0) +
-      (opts_.iommu_passthrough ? kDmaMapPtPerMtuPkt : kDmaMapStrictPerMtuPkt) /
-          std::max(cfg.mtu_bytes, 1.0);
-  return scaled(per_byte) * irq_mult_;
-}
-
-TxAppStageCyc CostModel::tx_app_stage_cyc(const TxPathConfig& cfg) const {
-  // Term-for-term mirror of tx_app_cyc_per_byte: the same fractions and
-  // constants, each term scaled and placement-weighted individually so the
-  // stages sum back to the scalar to fp rounding.
-  const double copy_frac = std::clamp(1.0 - cfg.zc_fraction, 0.0, 1.0);
-  const double zc_frac = std::clamp(cfg.zc_fraction - cfg.zc_fallback_fraction, 0.0, 1.0);
-  const double fb_frac = std::clamp(cfg.zc_fallback_fraction, 0.0, 1.0);
-  const double mult = app_mult_;
-
-  TxAppStageCyc s;
-  s.proto = scaled(kTxProtoPerByte) * mult;
-  s.syscall = scaled(kTxPerSuperPkt / std::max(cfg.gso_bytes, 1.0)) * mult;
-  s.user_copy = scaled(copy_frac * copy_tx_ * std::max(cfg.cache_mult, 1.0)) * mult;
-  s.zc_pin = scaled(zc_frac * zc_pin_per_page_ / kPageBytes) * mult;
-  s.zc_notify =
-      scaled(zc_frac * kZcCompletionPerSuperPkt / std::max(cfg.gso_bytes, 1.0)) * mult;
-  s.zc_fallback =
-      scaled(fb_frac *
-             (copy_tx_ * std::max(cfg.cache_mult, 1.0) + kZcFallbackExtraPerByte)) *
-      mult;
-  return s;
-}
-
-TxIrqStageCyc CostModel::tx_irq_stage_cyc(const TxPathConfig& cfg) const {
-  const double mult = irq_mult_;
-  TxIrqStageCyc s;
-  s.gso_segment = scaled(kTxPerMtuSeg / std::max(cfg.mtu_bytes, 1.0)) * mult;
-  s.dma_map =
-      scaled((opts_.iommu_passthrough ? kDmaMapPtPerMtuPkt : kDmaMapStrictPerMtuPkt) /
-             std::max(cfg.mtu_bytes, 1.0)) *
-      mult;
-  s.completion = scaled(kTxCompletionPerSuperPkt / std::max(cfg.gso_bytes, 1.0)) * mult;
-  return s;
-}
-
-RxAppStageCyc CostModel::rx_app_stage_cyc(const RxPathConfig& cfg) const {
-  const double mss = std::max(cfg.mtu_bytes - 40.0, 1.0);
-  const double mult = app_mult_;
-  RxAppStageCyc s;
-  s.syscall = scaled((cfg.hw_gro ? kRxPerAggregateApp * kHwGroAggregateFactor
-                                 : kRxPerAggregateApp) /
-                     std::max(cfg.gro_bytes, 1.0)) *
-              mult;
-  if (cfg.copy_to_user) {
-    s.frag_walk =
-        scaled((cfg.hw_gro ? kHwGroPerMtuPktApp : kRxPerMtuPktApp) / mss) * mult;
-    s.copyout = scaled(copy_rx_ * (cfg.hw_gro ? kHwGroCopyFactor : 1.0)) * mult;
-  }
-  return s;
-}
-
-RxIrqStageCyc CostModel::rx_irq_stage_cyc(const RxPathConfig& cfg) const {
-  const double per_pkt = cfg.hw_gro ? kHwGroPerMtuPkt : kRxPerMtuPkt;
-  const double mult = irq_mult_;
-  RxIrqStageCyc s;
-  s.csum = scaled(kRxProtoPerByte) * mult;
-  s.gro_merge = scaled(per_pkt / std::max(cfg.mtu_bytes, 1.0)) * mult;
-  s.agg_flush = scaled(kRxPerAggregateIrq / std::max(cfg.gro_bytes, 1.0)) * mult;
-  s.skb_alloc =
-      scaled((opts_.iommu_passthrough ? kDmaMapPtPerMtuPkt : kDmaMapStrictPerMtuPkt) /
-             std::max(cfg.mtu_bytes, 1.0)) *
-      mult;
-  return s;
+  const double dma = opts_.iommu_passthrough ? kDmaMapPtPerMtuPkt : kDmaMapStrictPerMtuPkt;
+  return price(irq_mult_, {{obs::PerfStage::RxCsum, kRxProtoPerByte},
+                           {obs::PerfStage::RxGroMerge, per_pkt / mtu},
+                           {obs::PerfStage::RxAggFlush,
+                            kRxPerAggregateIrq / std::max(cfg.gro_bytes, 1.0)},
+                           {obs::PerfStage::RxSkbAlloc, dma / mtu}});
 }
 
 double CostModel::rx_mem_passes(const RxPathConfig& cfg) const {

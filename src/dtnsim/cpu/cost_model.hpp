@@ -14,6 +14,12 @@
 //     the in-flight window exceeds the flow's effective L3 window (why WAN
 //     default sends are sender-CPU-bound while LAN sends are not).
 //
+// An engine bills four prices, one per core group (sender app and IRQ
+// cores, receiver app and IRQ cores). Each is built once, from its terms,
+// into the per-byte charge and the same charge split by obs::PerfStage, the
+// kernel symbol each term stands in for: dtnsim-perf's attribution is the
+// charge itself, taken apart.
+//
 // Calibration anchors (see DESIGN.md §3 and harness/calibration.hpp):
 // Intel 6.8 LAN default 55 Gbps RX-bound, AMD 42 Gbps; Intel WAN default
 // ~37 Gbps TX-bound, AMD ~23 Gbps; zerocopy sender ~0.19 cyc/B vs ~0.45
@@ -21,9 +27,12 @@
 #pragma once
 
 #include <algorithm>
+#include <initializer_list>
+#include <utility>
 
 #include "dtnsim/cpu/affinity.hpp"
 #include "dtnsim/cpu/spec.hpp"
+#include "dtnsim/obs/perf.hpp"
 
 namespace dtnsim::cpu {
 
@@ -42,16 +51,21 @@ struct TxPathConfig {
   double cache_mult = 1.0;           // from cache_pressure_mult()
 };
 
-// The terms of tx_app_cyc_per_byte that the send's geometry (super-packet
+// The terms of the app-core TX price that the send's geometry (super-packet
 // size) and the host fix, so a fluid run computes them once and prices each
 // flow's round from its zerocopy split and cache pressure alone.
 // CostModel::tx_app_price builds one; per_byte is the only implementation
-// of the price, which tx_app_cyc_per_byte also goes through.
+// of the price (tx_app_cyc_per_byte goes through it), and stages splits the
+// same charge by PerfStage from the same fields. Each field names the kernel
+// symbol its term stands in for (docs/OBSERVABILITY.md has the full table).
 struct TxAppPrice {
-  double base = 0.0;            // per-byte protocol + per-super-packet cost
-  double zc = 0.0;              // zerocopy page pinning + completion per byte
-  double copy = 0.0;            // copy cost per byte, before cache pressure
-  double fallback_extra = 0.0;  // failed pin + copy bookkeeping per byte
+  double syscall = 0.0;         // tcp_sendmsg_locked, per super-packet, per byte
+  double proto = 0.0;           // tcp_write_xmit bookkeeping per byte
+  double copy = 0.0;            // copy_user_enhanced_fast_string per byte, before cache pressure
+  double zc_pin = 0.0;          // zerocopy_sg_from_iter page pinning per byte
+  double zc_notify = 0.0;       // msg_zerocopy_callback completion per super-packet
+  double gso = 1.0;             // super-packet bytes, floored at 1
+  double fallback_extra = 0.0;  // skb_zerocopy_iter_stream failed pin + copy bookkeeping per byte
   double stack_factor = 1.0;
   double virt_factor = 1.0;
   double app_mult = 1.0;        // placement multiplier of the app core
@@ -60,20 +74,48 @@ struct TxAppPrice {
   // attempted zerocopy, zc_fallback_fraction of it copied after all, at
   // cache-pressure multiplier cache_mult.
   double per_byte(double zc_fraction, double zc_fallback_fraction, double cache_mult) const {
-    const double copy_frac = std::clamp(1.0 - zc_fraction, 0.0, 1.0);
-    const double zc_frac = std::clamp(zc_fraction - zc_fallback_fraction, 0.0, 1.0);
-    const double fb_frac = std::clamp(zc_fallback_fraction, 0.0, 1.0);
-
-    double cyc = base;
+    const Split f = split(zc_fraction, zc_fallback_fraction, cache_mult);
+    double cyc = proto + syscall;
     // Copied bytes pay the (cache-pressure-inflated) copy cost. Zerocopy
     // bytes pay page pinning instead and never touch the payload.
-    cyc += copy_frac * copy * std::max(cache_mult, 1.0);
-    cyc += zc_frac * zc;
+    cyc += f.copy * copy * f.cache;
+    cyc += f.zc * (zc_pin + zc_notify / gso);
     // Fallback bytes attempted zerocopy, failed the optmem charge and were
     // copied anyway — strictly worse than the plain copy path.
-    cyc += fb_frac * (copy * std::max(cache_mult, 1.0) + fallback_extra);
-    return cyc * stack_factor * virt_factor * app_mult;
+    cyc += f.fallback * (copy * f.cache + fallback_extra);
+    return scaled(cyc);
   }
+
+  // per_byte's charge for the same send, term by term: the snd_app stages
+  // of an obs::StageCycles row (every other entry 0).
+  obs::StageCycles stages(double zc_fraction, double zc_fallback_fraction,
+                          double cache_mult) const {
+    const Split f = split(zc_fraction, zc_fallback_fraction, cache_mult);
+    obs::StageCycles s{};
+    const auto at = [&s](obs::PerfStage stage) -> double& {
+      return s[static_cast<std::size_t>(stage)];
+    };
+    at(obs::PerfStage::TxSyscall) = scaled(syscall);
+    at(obs::PerfStage::TxProto) = scaled(proto);
+    at(obs::PerfStage::TxUserCopy) = scaled(f.copy * copy * f.cache);
+    at(obs::PerfStage::TxZcPin) = scaled(f.zc * zc_pin);
+    at(obs::PerfStage::TxZcNotify) = scaled(f.zc * zc_notify / gso);
+    at(obs::PerfStage::TxZcFallback) = scaled(f.fallback * (copy * f.cache + fallback_extra));
+    return s;
+  }
+
+ private:
+  // The payload fractions copied, pinned and copied after a failed pin, and
+  // the copy-cost multiplier.
+  struct Split {
+    double copy, zc, fallback, cache;
+  };
+  static Split split(double zc_fraction, double zc_fallback_fraction, double cache_mult) {
+    return {std::clamp(1.0 - zc_fraction, 0.0, 1.0),
+            std::clamp(zc_fraction - zc_fallback_fraction, 0.0, 1.0),
+            std::clamp(zc_fallback_fraction, 0.0, 1.0), std::max(cache_mult, 1.0)};
+  }
+  double scaled(double cyc) const { return cyc * stack_factor * virt_factor * app_mult; }
 };
 
 struct RxPathConfig {
@@ -83,74 +125,33 @@ struct RxPathConfig {
   bool hw_gro = false;         // ConnectX-7 SHAMPO offload (Linux 6.11+)
 };
 
-// ---- per-stage decompositions (the dtnsim-perf attribution surface) -------
-// Each struct splits the matching *_cyc_per_byte scalar into the model's
-// constituent terms, every field fully scaled (stack/virt/placement) so the
-// fields sum back to the scalar up to fp rounding — the identity
-// obs::cross_check_stage_sum enforces. Field comments name the kernel symbol
-// each term stands in for (docs/OBSERVABILITY.md has the full table).
-
-struct TxAppStageCyc {
-  double syscall = 0.0;      // tcp_sendmsg_locked (per-GSO-skb, amortized)
-  double proto = 0.0;        // tcp_write_xmit per-byte bookkeeping
-  double user_copy = 0.0;    // copy_user_enhanced_fast_string
-  double zc_pin = 0.0;       // zerocopy_sg_from_iter page pinning
-  double zc_notify = 0.0;    // msg_zerocopy_callback completions
-  double zc_fallback = 0.0;  // skb_zerocopy_iter_stream copied fallback
-  double total() const {
-    return syscall + proto + user_copy + zc_pin + zc_notify + zc_fallback;
-  }
-};
-
-struct TxIrqStageCyc {
-  double gso_segment = 0.0;  // tcp_gso_segment post-TSO residue
-  double dma_map = 0.0;      // dma_map_page_attrs + doorbell
-  double completion = 0.0;   // skb_release_data TX-completion work
-  double total() const { return gso_segment + dma_map + completion; }
-};
-
-struct RxAppStageCyc {
-  double syscall = 0.0;    // tcp_recvmsg + sock_def_readable per aggregate
-  double frag_walk = 0.0;  // skb frag walk + cmsg per wire segment
-  double copyout = 0.0;    // skb_copy_datagram_iter (0 under MSG_TRUNC)
-  double total() const { return syscall + frag_walk + copyout; }
-};
-
-struct RxIrqStageCyc {
-  double skb_alloc = 0.0;  // mlx5e_skb_from_cqe + dma_unmap per packet
-  double gro_merge = 0.0;  // gro_receive per-packet coalescing
-  double agg_flush = 0.0;  // napi_gro_flush per-aggregate delivery
-  double csum = 0.0;       // csum_partial / TCP validation per byte
-  double total() const { return skb_alloc + gro_merge + agg_flush + csum; }
-};
-
 class CostModel {
  public:
   CostModel(const CpuSpec& spec, const CostModelOptions& opts);
 
-  // Sender-side cycles per payload byte on the app core (copy/pin, protocol,
-  // per-super-packet amortized costs, zerocopy completions):
-  // tx_app_price(cfg.gso_bytes).per_byte(...) of cfg's split and cache_mult.
+  // The four prices an engine bills per payload byte, one per core group.
+  // The app-core TX price depends on each send's zerocopy split and cache
+  // pressure, so it comes as a TxAppPrice; the other three are fixed by
+  // the geometry and come as an obs::StagePrice, the charge with its stage
+  // split.
+
+  // Sender app core: protocol, per-super-packet syscall, copy or page
+  // pinning plus completions: tx_app_price(cfg.gso_bytes).per_byte(...) of
+  // cfg's split and cache_mult.
   double tx_app_cyc_per_byte(const TxPathConfig& cfg) const;
-  // The geometry-only terms of tx_app_cyc_per_byte for super-packets of
+  // The geometry-only terms of the app-core TX price for super-packets of
   // gso_bytes.
   TxAppPrice tx_app_price(double gso_bytes) const;
-  // Sender-side cycles per payload byte on the IRQ cores (segmentation
-  // residue, DMA mapping, TX completions).
-  double tx_irq_cyc_per_byte(const TxPathConfig& cfg) const;
-  // Memory-bus bytes moved per payload byte on the sender.
+  // Sender IRQ cores: segmentation residue, DMA mapping, TX completions.
+  obs::StagePrice tx_irq_price(const TxPathConfig& cfg) const;
+  // Receiver app core: recv syscall per aggregate, frag walk, copy-out.
+  obs::StagePrice rx_app_price(const RxPathConfig& cfg) const;
+  // Receiver IRQ cores: checksum, GRO merge, aggregate flush, skb setup.
+  obs::StagePrice rx_irq_price(const RxPathConfig& cfg) const;
+
+  // Memory-bus bytes moved per payload byte on the sender / the receiver.
   double tx_mem_passes(const TxPathConfig& cfg) const;
-
-  double rx_app_cyc_per_byte(const RxPathConfig& cfg) const;
-  double rx_irq_cyc_per_byte(const RxPathConfig& cfg) const;
   double rx_mem_passes(const RxPathConfig& cfg) const;
-
-  // Per-stage splits of the four scalars above (cycles per payload byte,
-  // fully scaled). total() matches the scalar to fp rounding.
-  TxAppStageCyc tx_app_stage_cyc(const TxPathConfig& cfg) const;
-  TxIrqStageCyc tx_irq_stage_cyc(const TxPathConfig& cfg) const;
-  RxAppStageCyc rx_app_stage_cyc(const RxPathConfig& cfg) const;
-  RxIrqStageCyc rx_irq_stage_cyc(const RxPathConfig& cfg) const;
 
   // Multiplier (>= 1) applied to sender per-byte copy costs as the in-flight
   // window outgrows the flow's effective L3 window. Inline: the fluid engine
@@ -175,6 +176,11 @@ class CostModel {
 
  private:
   double scaled(double cycles) const;  // stack_factor * virt_factor applied
+  // A price of one core group from its terms (unscaled cycles per byte, in
+  // the order the charge sums them): per_byte is their sum and each stage
+  // its own term, both scaled and weighted by the group's placement `mult`.
+  obs::StagePrice price(double mult,
+                        std::initializer_list<std::pair<obs::PerfStage, double>> terms) const;
 
   CpuSpec spec_;
   CostModelOptions opts_;

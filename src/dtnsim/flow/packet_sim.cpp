@@ -94,12 +94,27 @@ struct SimState {
   // groups.
   std::unique_ptr<obs::PerfReport> perf;
   // Stage prices, set only when perf is on: TX per payload byte (the same
-  // TxPathConfig priced tx_prep_ns), RX per wire segment.
-  cpu::TxAppStageCyc tx_spb;
-  cpu::TxIrqStageCyc tx_irq_spb;
-  cpu::RxAppStageCyc rx_seg_spb;
-  cpu::RxIrqStageCyc rx_irq_seg_spb;
+  // TxPathConfig priced tx_prep_ns), RX per wire segment. Each charges the
+  // sum of its split (see billed).
+  obs::StagePrice tx_app;
+  obs::StagePrice tx_irq;
+  obs::StagePrice rx_app;
+  obs::StagePrice rx_irq;
 };
+
+// `stages` per `unit` of work (1 per payload byte, the MSS per wire
+// segment), billed at their sum: this engine's time charges are
+// ns-quantized, so its consumed cycles are the split's own total.
+obs::StagePrice billed(obs::PerfCore core, const obs::StageCycles& stages, double unit) {
+  obs::StagePrice p;
+  const obs::PerfStageRange r = obs::perf_core_stages(core);
+  for (int i = r.begin; i < r.end; ++i) {
+    const auto s = static_cast<std::size_t>(i);
+    p.stages[s] = stages[s] * unit;
+  }
+  p.per_byte = obs::core_sum(p.stages, core);
+  return p;
+}
 
 void try_send(SimState& s);
 void scenario_tick(SimState& s);
@@ -186,19 +201,9 @@ void napi_poll(SimState& s) {
     // that charge lands on rcv_app; the NAPI-side work the drain folds in
     // (skb alloc, GRO merge, flush, checksum) is attributed to rcv_irq at
     // the cost model's prices — attribution only, no extra simulated time.
-    obs::PerfReport& pr = *s.perf;
     const double n = static_cast<double>(take);
-    const cpu::RxAppStageCyc& app = s.rx_seg_spb;
-    const cpu::RxIrqStageCyc& irq = s.rx_irq_seg_spb;
-    pr.add(0, obs::PerfStage::RxSyscall, n * app.syscall);
-    pr.add(0, obs::PerfStage::RxFragWalk, n * app.frag_walk);
-    pr.add(0, obs::PerfStage::RxCopyout, n * app.copyout);
-    pr.consumed_cycles[static_cast<int>(obs::PerfCore::RcvApp)] += n * app.total();
-    pr.add(0, obs::PerfStage::RxSkbAlloc, n * irq.skb_alloc);
-    pr.add(0, obs::PerfStage::RxGroMerge, n * irq.gro_merge);
-    pr.add(0, obs::PerfStage::RxAggFlush, n * irq.agg_flush);
-    pr.add(0, obs::PerfStage::RxCsum, n * irq.csum);
-    pr.consumed_cycles[static_cast<int>(obs::PerfCore::RcvIrq)] += n * irq.total();
+    s.perf->charge(0, obs::PerfCore::RcvApp, n, s.rx_app);
+    s.perf->charge(0, obs::PerfCore::RcvIrq, n, s.rx_irq);
   }
   s.engine.schedule(spent, [&s, take] {
     for (int i = 0; i < take; ++i) {
@@ -297,25 +302,12 @@ void try_send(SimState& s) {
       // Charge in cycles from the per-byte stage prices, not from the
       // ns-quantized tx_prep_ns — the quantization error (~3 cyc/ns per
       // super-packet) would fail the stage-sum == consumed cross-check.
-      obs::PerfReport& pr = *s.perf;
-      const double b = s.gso_bytes;
-      const cpu::TxAppStageCyc& app = s.tx_spb;
-      const cpu::TxIrqStageCyc& irq = s.tx_irq_spb;
-      pr.add(0, obs::PerfStage::TxSyscall, b * app.syscall);
-      pr.add(0, obs::PerfStage::TxProto, b * app.proto);
-      pr.add(0, obs::PerfStage::TxUserCopy, b * app.user_copy);
-      pr.add(0, obs::PerfStage::TxZcPin, b * app.zc_pin);
-      pr.add(0, obs::PerfStage::TxZcNotify, b * app.zc_notify);
-      pr.add(0, obs::PerfStage::TxZcFallback, b * app.zc_fallback);
-      pr.consumed_cycles[static_cast<int>(obs::PerfCore::SndApp)] += b * app.total();
+      s.perf->charge(0, obs::PerfCore::SndApp, s.gso_bytes, s.tx_app);
       // Segmentation/DMA/completion work rides inside tx_prep in this
       // engine; attribute it to snd_irq so the profile shows it (no extra
       // simulated time is charged).
-      pr.add(0, obs::PerfStage::TxGsoSegment, b * irq.gso_segment);
-      pr.add(0, obs::PerfStage::TxDmaMap, b * irq.dma_map);
-      pr.add(0, obs::PerfStage::TxCompletion, b * irq.completion);
-      pr.consumed_cycles[static_cast<int>(obs::PerfCore::SndIrq)] += b * irq.total();
-      pr.bytes_sent += b;
+      s.perf->charge(0, obs::PerfCore::SndIrq, s.gso_bytes, s.tx_irq);
+      s.perf->bytes_sent += s.gso_bytes;
     }
     const int segments = static_cast<int>(std::ceil(s.gso_bytes / s.mss));
     s.res.segments_sent += static_cast<std::uint64_t>(segments);
@@ -416,7 +408,7 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
   cpu::RxPathConfig rxc;
   rxc.gro_bytes = kern::effective_gro_bytes(rcv_caps, units::Bytes(mtu)).value();
   rxc.mtu_bytes = mtu;
-  s.rx_segment_ns = static_cast<Nanos>(rcv_cost.rx_app_cyc_per_byte(rxc) * s.mss /
+  s.rx_segment_ns = static_cast<Nanos>(rcv_cost.rx_app_price(rxc).per_byte * s.mss /
                                        receiver.app_core_hz() * 1e9);
 
   net::FqQdisc qdisc(cfg.sender.nic.line_rate_bps);
@@ -538,15 +530,15 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
       s.perf->flows.resize(1);
       // TX stage prices come from the same TxPathConfig that priced
       // tx_prep_ns, so stage sums track the engine's scalar charge exactly.
-      s.tx_spb = snd_cost.tx_app_stage_cyc(txc);
-      s.tx_irq_spb = snd_cost.tx_irq_stage_cyc(txc);
+      s.tx_app = billed(obs::PerfCore::SndApp,
+                        snd_cost.tx_app_price(txc.gso_bytes)
+                            .stages(txc.zc_fraction, txc.zc_fallback_fraction, txc.cache_mult),
+                        1.0);
+      s.tx_irq = billed(obs::PerfCore::SndIrq, snd_cost.tx_irq_price(txc).stages, 1.0);
       // RX: per-wire-segment stage cycles, from the RxPathConfig that priced
       // rx_segment_ns.
-      const auto rx_pb = rcv_cost.rx_app_stage_cyc(rxc);
-      s.rx_seg_spb = {rx_pb.syscall * s.mss, rx_pb.frag_walk * s.mss, rx_pb.copyout * s.mss};
-      const auto rx_irq_pb = rcv_cost.rx_irq_stage_cyc(rxc);
-      s.rx_irq_seg_spb = {rx_irq_pb.skb_alloc * s.mss, rx_irq_pb.gro_merge * s.mss,
-                          rx_irq_pb.agg_flush * s.mss, rx_irq_pb.csum * s.mss};
+      s.rx_app = billed(obs::PerfCore::RcvApp, rcv_cost.rx_app_price(rxc).stages, s.mss);
+      s.rx_irq = billed(obs::PerfCore::RcvIrq, rcv_cost.rx_irq_price(rxc).stages, s.mss);
       // A copy of the accumulator plus what the clock and the delivery count
       // give at `now`. The packet engine runs one app core per side and
       // meters no IRQ capacity; snd_irq/rcv_irq carry attributed cycles

@@ -437,8 +437,7 @@ void TransferSimulation::refresh_round() {
   cpu::TxPathConfig irq_cfg;  // per-byte IRQ cost is geometry-only
   irq_cfg.gso_bytes = rc.gso;
   irq_cfg.mtu_bytes = rc.mtu;
-  rc.tx_irq_pb = snd_cost_->tx_irq_cyc_per_byte(irq_cfg);
-  rc.tx_irq_spb = snd_cost_->tx_irq_stage_cyc(irq_cfg);
+  rc.tx_irq = snd_cost_->tx_irq_price(irq_cfg);
   cpu::TxPathConfig mc = irq_cfg;
   mc.zc_fraction = rc.zc_req ? 1.0 : 0.0;  // approximate: zc flows mostly zc
   rc.tx_mem_passes = snd_cost_->tx_mem_passes(mc);
@@ -457,11 +456,9 @@ void TransferSimulation::refresh_round() {
   rxc.mtu_bytes = rc.mtu;
   rxc.copy_to_user = !cfg_.flow.skip_rx_copy;
   rxc.hw_gro = receiver_.hw_gro_active();
-  rc.rx_app_pb = rcv_cost_->rx_app_cyc_per_byte(rxc);
-  rc.rx_irq_pb = rcv_cost_->rx_irq_cyc_per_byte(rxc);
+  rc.rx_app = rcv_cost_->rx_app_price(rxc);
+  rc.rx_irq = rcv_cost_->rx_irq_price(rxc);
   const double rx_mem_passes = rcv_cost_->rx_mem_passes(rxc);
-  rc.rx_app_spb = rcv_cost_->rx_app_stage_cyc(rxc);
-  rc.rx_irq_spb = rcv_cost_->rx_irq_stage_cyc(rxc);
 
   // What scales with the round's length, for each span this run can use.
   const double eff = run_efficiency_;
@@ -491,10 +488,10 @@ void TransferSimulation::refresh_round() {
     r.nic_paced.usable_ring *= rtts;
     r.nic_unpaced = nic_rx.round(false, dt_sec, rc.rtt);
     r.nic_unpaced.usable_ring *= rtts;
-    r.rx_app_cap = r.rcv_app_budget / std::max(rc.rx_app_pb, 1e-9);
+    r.rx_app_cap = r.rcv_app_budget / std::max(rc.rx_app.per_byte, 1e-9);
     // Receiver-side host limits: IRQ cycles, DMA, memory bandwidth.
     r.rx_host_cap =
-        std::min({r.rcv_irq_budget / std::max(rc.rx_irq_pb, 1e-12), rcv_dma_bytes,
+        std::min({r.rcv_irq_budget / std::max(rc.rx_irq.per_byte, 1e-12), rcv_dma_bytes,
                   rcv_mem_budget / std::max(rx_mem_passes, 1e-9)});
     // Loss thresholds hold per RTT: K RTTs of sub-threshold loss stay so.
     r.md_floor = 32.0 * rc.mss * std::clamp(dt_sec_ / 0.063, 0.01, 1.0) * rtts;
@@ -504,12 +501,7 @@ void TransferSimulation::refresh_round() {
 void TransferSimulation::schedule_round() {
   // A [this] closure fits std::function's local buffer: no allocation.
   engine_->schedule(tick_ns_ << span_, [this] {
-    const double now_sec = units::to_seconds(engine_->now());
-    if (span_max_ > 0) {
-      tick<true>(now_sec);
-    } else {
-      tick<false>(now_sec);
-    }
+    tick(units::to_seconds(engine_->now()));
     if (plan_round(engine_->now())) schedule_round();
   });
 }
@@ -537,10 +529,9 @@ bool TransferSimulation::plan_round(Nanos now_ns) {
   return now_ns + (tick_ns_ << span) <= run_end;
 }
 
-template <bool kCoalesce>
 void TransferSimulation::tick(double now_sec) {
   if (scn_) apply_scenario(now_sec);
-  const int span = kCoalesce ? span_ : 0;
+  const int span = span_;
   const RoundConsts& rc = rc_[static_cast<std::size_t>(span)];
   const Span& sp = kSpans[static_cast<std::size_t>(span)];
   const int rtts = 1 << span;
@@ -558,7 +549,7 @@ void TransferSimulation::tick(double now_sec) {
   units::Cycles snd_app_used{0.0};
   // Flow 0's planning intermediates, kept to name the binding constraint.
   double f0_wnd_desired = 0.0, f0_paced_desired = 0.0, f0_cpu_cap = 0.0;
-  const double tx_irq_pb = rc.tx_irq_pb;
+  const double tx_irq_pb = rc.tx_irq.per_byte;
   double total_planned = 0.0, total_irq_need = 0.0, total_mem_need = 0.0;
   // One jitter draw per flow per round, jitter_sigma() wide for one RTT; a
   // K-RTT draw narrows to the K-step sum's spread and keeps its mean.
@@ -582,9 +573,8 @@ void TransferSimulation::tick(double now_sec) {
       // warm so churn never shifts the other flows' draws, but the flow
       // plans nothing and its backlog simply drains out below.
       f.planned_bytes = 0.0;
-      f.tx_app_cyc_per_byte = 0.0;
-      f.tx_app_spb = {};
-      if constexpr (kCoalesce) f.rwnd_bound = false;
+      f.tx_app = {};
+      f.rwnd_bound = false;
     } else {
       const double rwnd = std::max(rc.rcv_wnd_max - f.rcv_backlog_bytes, 0.0);
       const double cwnd = f.cc->cwnd_bytes();
@@ -604,10 +594,8 @@ void TransferSimulation::tick(double now_sec) {
         zc_frac = (plan.zc_bytes + plan.fallback_bytes) / desired;
         fb_frac = plan.fallback_bytes / desired;
         zc_fell_back = zc_fell_back || plan.fallback_bytes > 0;
-        if constexpr (kCoalesce) {
-          zc_room = std::min(zc_room, f.zc_socket.chargeable_bytes(units::Bytes(gso)) /
-                                          (desired * sp.per_rtt));
-        }
+        zc_room = std::min(zc_room, f.zc_socket.chargeable_bytes(units::Bytes(gso)) /
+                                        (desired * sp.per_rtt));
       }
 
       // In-flight data over one RTT is what thrashes the L3; the recent
@@ -615,32 +603,19 @@ void TransferSimulation::tick(double now_sec) {
       // can be far larger than what is actually outstanding).
       const double cache_mult =
           snd_cost_->cache_pressure_mult(std::min(f.prev_sent_bytes * rtt / dt_sec_, wnd));
-      f.tx_app_cyc_per_byte = rc.tx_app.per_byte(zc_frac, fb_frac, cache_mult);
-      if (in && in->perf) {
-        // Stage split of the price just computed — same split and cache
-        // pressure, so the stage fields sum back to f.tx_app_cyc_per_byte
-        // (fp rounding aside).
-        cpu::TxPathConfig txc;
-        txc.gso_bytes = gso;
-        txc.mtu_bytes = mtu;
-        txc.zc_fraction = zc_frac;
-        txc.zc_fallback_fraction = fb_frac;
-        txc.cache_mult = cache_mult;
-        f.tx_app_spb = snd_cost_->tx_app_stage_cyc(txc);
-      }
+      f.tx_app.per_byte = rc.tx_app.per_byte(zc_frac, fb_frac, cache_mult);
+      if (in && in->perf) f.tx_app.stages = rc.tx_app.stages(zc_frac, fb_frac, cache_mult);
 
       const double cpu_cap = rc.snd_app_budget * f.share_jitter /
-                             std::max(f.tx_app_cyc_per_byte, 1e-9);
+                             std::max(f.tx_app.per_byte, 1e-9);
       f.planned_bytes = std::min(desired, cpu_cap);
-      if constexpr (kCoalesce) {
-        // A window (receive window, cwnd or send buffer) set the send. The
-        // receive window alone may keep the round steady, if the drain below
-        // finds its backlog where the round began; cwnd and the send buffer
-        // may not: slow start doubles per RTT, which is not linear in K.
-        const bool wnd_set = f.planned_bytes >= wnd_desired;
-        f.rwnd_bound = wnd_set && rwnd < cwnd && rwnd <= rc.snd_wnd_max;
-        window_bound = window_bound || (wnd_set && !f.rwnd_bound);
-      }
+      // A window (receive window, cwnd or send buffer) set the send. The
+      // receive window alone may keep the round steady, if the drain below
+      // finds its backlog where the round began; cwnd and the send buffer
+      // may not: slow start doubles per RTT, which is not linear in K.
+      const bool wnd_set = f.planned_bytes >= wnd_desired;
+      f.rwnd_bound = wnd_set && rwnd < cwnd && rwnd <= rc.snd_wnd_max;
+      window_bound = window_bound || (wnd_set && !f.rwnd_bound);
       if (&f == &flows_[0]) {
         f0_wnd_desired = wnd_desired;
         f0_paced_desired = desired;
@@ -673,29 +648,15 @@ void TransferSimulation::tick(double now_sec) {
       f.zc_planned = f.fb_planned = 0.0;
     }
     f.inflight_bytes = f.sent_bytes;
-    snd_app_used += units::Cycles(f.sent_bytes * f.tx_app_cyc_per_byte);
+    snd_app_used += units::Cycles(f.sent_bytes * f.tx_app.per_byte);
     snd_irq_used += units::Cycles(f.sent_bytes * tx_irq_pb);
     group_sent += f.sent_bytes;
     if (in && in->perf) {
-      // Split the exact charges above into stages; per-byte stage prices
-      // come from the planning loop's TxPathConfig (app) and the shared
-      // geometry config (irq), so stage sums equal the scalar charges.
+      // The exact charges above, with their stage splits.
       obs::PerfReport& pr = *in->perf;
       const std::size_t fi = static_cast<std::size_t>(&f - flows_.data());
-      const auto& pb = f.tx_app_spb;
-      const auto& tx_irq_spb = rc.tx_irq_spb;
-      pr.add(fi, obs::PerfStage::TxSyscall, f.sent_bytes * pb.syscall);
-      pr.add(fi, obs::PerfStage::TxProto, f.sent_bytes * pb.proto);
-      pr.add(fi, obs::PerfStage::TxUserCopy, f.sent_bytes * pb.user_copy);
-      pr.add(fi, obs::PerfStage::TxZcPin, f.sent_bytes * pb.zc_pin);
-      pr.add(fi, obs::PerfStage::TxZcNotify, f.sent_bytes * pb.zc_notify);
-      pr.add(fi, obs::PerfStage::TxZcFallback, f.sent_bytes * pb.zc_fallback);
-      pr.add(fi, obs::PerfStage::TxGsoSegment, f.sent_bytes * tx_irq_spb.gso_segment);
-      pr.add(fi, obs::PerfStage::TxDmaMap, f.sent_bytes * tx_irq_spb.dma_map);
-      pr.add(fi, obs::PerfStage::TxCompletion, f.sent_bytes * tx_irq_spb.completion);
-      pr.consumed_cycles[static_cast<int>(obs::PerfCore::SndApp)] +=
-          f.sent_bytes * f.tx_app_cyc_per_byte;
-      pr.consumed_cycles[static_cast<int>(obs::PerfCore::SndIrq)] += f.sent_bytes * tx_irq_pb;
+      pr.charge(fi, obs::PerfCore::SndApp, f.sent_bytes, f.tx_app);
+      pr.charge(fi, obs::PerfCore::SndIrq, f.sent_bytes, rc.tx_irq);
       pr.bytes_sent += f.sent_bytes;
     }
   }
@@ -883,8 +844,8 @@ void TransferSimulation::tick(double now_sec) {
   // tolerable rate, the drain per round, the usable ring) are round
   // constants, rebuilt with the rest at a scenario boundary.
   const net::RxRound& nic = paced_traffic ? rc.nic_paced : rc.nic_unpaced;
-  const double rx_app_pb = rc.rx_app_pb;
-  const double rx_irq_pb = rc.rx_irq_pb;
+  const double rx_app_pb = rc.rx_app.per_byte;
+  const double rx_irq_pb = rc.rx_irq.per_byte;
   double total_accepted = 0.0;
   double tick_nic_drops = 0.0, tick_ring_occ = 0.0;
   bool tick_pause = false;
@@ -978,33 +939,21 @@ void TransferSimulation::tick(double now_sec) {
     const double backlog_before = f.rcv_backlog_bytes;
     const double drain = std::min(f.rcv_backlog_bytes + f.arrived_bytes, rc.rx_app_cap);
     f.rcv_backlog_bytes = std::max(f.rcv_backlog_bytes + f.arrived_bytes - drain, 0.0);
-    if constexpr (kCoalesce) {
-      // At its fixed point the receive window sends each RTT what the app
-      // drains in one, and the backlog, hence the window, stays put: K RTTs
-      // of that are one K-RTT round. A backlog that moved ends the stretch.
-      const bool moved =
-          std::abs(f.rcv_backlog_bytes - backlog_before) > kBacklogRoundoff * rc.rcv_wnd_max;
-      window_bound = window_bound || (f.rwnd_bound && moved);
-    }
+    // At its fixed point the receive window sends each RTT what the app
+    // drains in one, and the backlog, hence the window, stays put: K RTTs of
+    // that are one K-RTT round. A backlog that moved ends the stretch.
+    const bool moved =
+        std::abs(f.rcv_backlog_bytes - backlog_before) > kBacklogRoundoff * rc.rcv_wnd_max;
+    window_bound = window_bound || (f.rwnd_bound && moved);
     f.delivered_bytes += drain;
     interval_bytes_this_tick += drain;
     rcv_app_used += units::Cycles(drain * rx_app_pb);
     if (in && in->perf) {
-      // RX charge split: IRQ-side work scales with what the NIC accepted
-      // (post-verdict arrived bytes — summing to total_accepted), app-side
-      // work with what the application actually drained this round.
-      obs::PerfReport& pr = *in->perf;
-      const auto& rx_irq_spb = rc.rx_irq_spb;
-      const auto& rx_app_spb = rc.rx_app_spb;
-      pr.add(fi, obs::PerfStage::RxSkbAlloc, f.arrived_bytes * rx_irq_spb.skb_alloc);
-      pr.add(fi, obs::PerfStage::RxGroMerge, f.arrived_bytes * rx_irq_spb.gro_merge);
-      pr.add(fi, obs::PerfStage::RxAggFlush, f.arrived_bytes * rx_irq_spb.agg_flush);
-      pr.add(fi, obs::PerfStage::RxCsum, f.arrived_bytes * rx_irq_spb.csum);
-      pr.add(fi, obs::PerfStage::RxSyscall, drain * rx_app_spb.syscall);
-      pr.add(fi, obs::PerfStage::RxFragWalk, drain * rx_app_spb.frag_walk);
-      pr.add(fi, obs::PerfStage::RxCopyout, drain * rx_app_spb.copyout);
-      pr.consumed_cycles[static_cast<int>(obs::PerfCore::RcvIrq)] += f.arrived_bytes * rx_irq_pb;
-      pr.consumed_cycles[static_cast<int>(obs::PerfCore::RcvApp)] += drain * rx_app_pb;
+      // IRQ-side work scales with what the NIC accepted (post-verdict
+      // arrived bytes, summing to total_accepted), app-side work with what
+      // the application drained this round.
+      in->perf->charge(fi, obs::PerfCore::RcvIrq, f.arrived_bytes, rc.rx_irq);
+      in->perf->charge(fi, obs::PerfCore::RcvApp, drain, rc.rx_app);
     }
     if (fi == 0) {
       drain_min = drain_max = drain;
@@ -1192,14 +1141,14 @@ void TransferSimulation::tick(double now_sec) {
   // off its fixed point, priced and made no zerocopy send that fell back,
   // and kept its binding constraint: the span then doubles, as far as every
   // zerocopy socket's free optmem covers the span's RTTs of its desired
-  // send. Any other round restarts at one RTT.
-  if constexpr (kCoalesce) {
-    const bool lossy = transit.dropped_bytes > 0 || forced_loss > 0 || tick_nic_drops > 0;
-    const bool steady = !lossy && !window_bound && !zc_fell_back && cause == last_limit_;
-    span_earned_ = steady ? std::min(span_earned_ + 1, span_max_) : 0;
-    while (span_earned_ > 0 && kSpans[static_cast<std::size_t>(span_earned_)].rtts > zc_room) {
-      --span_earned_;
-    }
+  // send. Any other round restarts at one RTT. A run whose base round
+  // already spans the 6.4 ms cap (WAN) has span_max_ 0: its rounds stay at
+  // one RTT.
+  const bool lossy = transit.dropped_bytes > 0 || forced_loss > 0 || tick_nic_drops > 0;
+  const bool steady = !lossy && !window_bound && !zc_fell_back && cause == last_limit_;
+  span_earned_ = steady ? std::min(span_earned_ + 1, span_max_) : 0;
+  while (span_earned_ > 0 && kSpans[static_cast<std::size_t>(span_earned_)].rtts > zc_room) {
+    --span_earned_;
   }
   last_limit_ = cause;
   ++rounds_;

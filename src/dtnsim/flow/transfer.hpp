@@ -118,12 +118,13 @@ class TransferSimulation {
     double planned_bytes = 0.0;
     double zc_planned = 0.0;
     double fb_planned = 0.0;
-    double tx_app_cyc_per_byte = 0.0;
     double sent_bytes = 0.0;
     double arrived_bytes = 0.0;
     double lost_bytes = 0.0;
-    cpu::TxAppStageCyc tx_app_spb{};  // tx_app_cyc_per_byte's stage split, perf only
-    bool rwnd_bound = false;  // the receive window alone set the send (tick<true> only)
+    bool rwnd_bound = false;  // the receive window alone set the send
+    // The round's app-core TX price; its stage split is written only with
+    // perf on.
+    obs::StagePrice tx_app{};
   };
 
   // Metric handles and trace edge-detection state, built only when a
@@ -191,12 +192,10 @@ class TransferSimulation {
 
   // Everything a round reads that only the run's configuration and the
   // round's length determine: window caps, SKB geometry, per-round
-  // CPU/memory/line/DMA budgets, the geometry-only per-byte prices and
-  // their stage splits (among them the app-core TX price terms, tx_app:
-  // protocol plus per-super-packet cost, zerocopy pin plus completion, copy
-  // cost, stack/virt factors and the placement multiplier), and the
-  // receiver NIC's verdict terms for paced and unpaced rounds (tolerable
-  // rate, drain per round, usable ring).
+  // CPU/memory/line/DMA budgets, the geometry-only prices (the terms of the
+  // app-core TX price, tx_app, and the other three core groups' prices,
+  // each with its stage split), and the receiver NIC's verdict terms for
+  // paced and unpaced rounds (tolerable rate, drain per round, usable ring).
   // refresh_round() is the only writer: it runs before the first round and
   // again only when apply_scenario() crosses a boundary, never per round.
   // It fills one entry per round span (rc_[k] for 2^k RTTs): the budgets,
@@ -223,14 +222,11 @@ class TransferSimulation {
     // Sender per-byte prices that depend on geometry only; a flow's app-core
     // price is tx_app.per_byte() of its zerocopy split and cache pressure.
     cpu::TxAppPrice tx_app{};
-    double tx_irq_pb = 0.0;
+    obs::StagePrice tx_irq{};
     double tx_mem_passes = 0.0;
-    cpu::TxIrqStageCyc tx_irq_spb{};
     // Receiver per-byte prices and the caps they imply.
-    double rx_app_pb = 0.0;
-    double rx_irq_pb = 0.0;
-    cpu::RxAppStageCyc rx_app_spb{};
-    cpu::RxIrqStageCyc rx_irq_spb{};
+    obs::StagePrice rx_app{};
+    obs::StagePrice rx_irq{};
     double rx_app_cap = 0.0;   // bytes one flow's app core drains per round
     double rx_host_cap = 0.0;  // bytes the receiver's IRQ/DMA/memory accept
     double md_floor = 0.0;     // loss that triggers a multiplicative decrease
@@ -244,10 +240,7 @@ class TransferSimulation {
   // Picks the span of the round that starts at now_ns (span_) and returns
   // false when no round fits before the run ends.
   bool plan_round(Nanos now_ns);
-  // One round. Runs whose base round already spans the 6.4 ms cap (WAN)
-  // only ever run 1-RTT rounds: tick<false> compiles their span
-  // bookkeeping out.
-  template <bool kCoalesce>
+  // One round of 2^span_ RTTs.
   void tick(double now_sec);
   // Crosses scenario boundaries up to now_sec, re-applies the folded
   // overlay onto cfg_/path_ and rebuilds rc_ from them, so a mutation lands

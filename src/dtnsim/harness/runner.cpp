@@ -13,7 +13,7 @@ TestSpec TestSpec::on(const Testbed& tb, const std::string& path_name,
   TestSpec s;
   s.sender = tb.sender;
   s.receiver = tb.receiver;
-  s.path = path_name.empty() ? tb.lan() : tb.path_named(path_name);
+  s.path = tb.path_named(path_name);
   s.iperf = opts;
   s.link_flow_control = tb.link_flow_control;
   s.name = label.empty() ? tb.name + " " + s.path.name : std::move(label);

@@ -97,6 +97,7 @@ net::PathSpec esnet_production_path() {
 }
 
 const net::PathSpec& Testbed::path_named(const std::string& name) const {
+  if (name.empty()) return lan();
   for (const auto& p : paths) {
     if (p.name == name) return p;
   }

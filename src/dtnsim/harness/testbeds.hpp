@@ -29,6 +29,8 @@ struct Testbed {
   bool link_flow_control = false;
 
   const net::PathSpec& lan() const { return paths.front(); }
+  // The path called `name`; the empty name is the LAN. Throws
+  // std::out_of_range naming `name` when the testbed has no such path.
   const net::PathSpec& path_named(const std::string& name) const;
 };
 

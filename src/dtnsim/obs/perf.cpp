@@ -12,27 +12,26 @@ namespace {
 struct StageDesc {
   const char* name;    // taxonomy key (JSON, flamegraph frames)
   const char* symbol;  // kernel symbol the stage mirrors
-  PerfCore core;
 };
 
 // Indexed by static_cast<int>(PerfStage); order must match the enum.
 const StageDesc kStages[kPerfStageCount] = {
-    {"tx_syscall", "tcp_sendmsg_locked", PerfCore::SndApp},
-    {"tx_proto", "tcp_write_xmit", PerfCore::SndApp},
-    {"tx_user_copy", "copy_user_enhanced_fast_string", PerfCore::SndApp},
-    {"tx_zc_pin", "zerocopy_sg_from_iter", PerfCore::SndApp},
-    {"tx_zc_notify", "msg_zerocopy_callback", PerfCore::SndApp},
-    {"tx_zc_fallback", "skb_zerocopy_iter_stream", PerfCore::SndApp},
-    {"tx_gso_segment", "tcp_gso_segment", PerfCore::SndIrq},
-    {"tx_dma_map", "dma_map_page_attrs", PerfCore::SndIrq},
-    {"tx_completion", "skb_release_data", PerfCore::SndIrq},
-    {"rx_skb_alloc", "mlx5e_skb_from_cqe_mpwrq", PerfCore::RcvIrq},
-    {"rx_gro_merge", "gro_receive", PerfCore::RcvIrq},
-    {"rx_agg_flush", "napi_gro_flush", PerfCore::RcvIrq},
-    {"rx_csum", "csum_partial", PerfCore::RcvIrq},
-    {"rx_syscall", "tcp_recvmsg", PerfCore::RcvApp},
-    {"rx_frag_walk", "skb_copy_datagram_msg", PerfCore::RcvApp},
-    {"rx_copyout", "copy_user_enhanced_fast_string", PerfCore::RcvApp},
+    {"tx_syscall", "tcp_sendmsg_locked"},
+    {"tx_proto", "tcp_write_xmit"},
+    {"tx_user_copy", "copy_user_enhanced_fast_string"},
+    {"tx_zc_pin", "zerocopy_sg_from_iter"},
+    {"tx_zc_notify", "msg_zerocopy_callback"},
+    {"tx_zc_fallback", "skb_zerocopy_iter_stream"},
+    {"tx_gso_segment", "tcp_gso_segment"},
+    {"tx_dma_map", "dma_map_page_attrs"},
+    {"tx_completion", "skb_release_data"},
+    {"rx_skb_alloc", "mlx5e_skb_from_cqe_mpwrq"},
+    {"rx_gro_merge", "gro_receive"},
+    {"rx_agg_flush", "napi_gro_flush"},
+    {"rx_csum", "csum_partial"},
+    {"rx_syscall", "tcp_recvmsg"},
+    {"rx_frag_walk", "skb_copy_datagram_msg"},
+    {"rx_copyout", "copy_user_enhanced_fast_string"},
 };
 
 const char* const kCoreNames[kPerfCoreCount] = {"snd_app", "snd_irq",
@@ -57,18 +56,22 @@ const char* perf_stage_symbol(PerfStage s) {
 }
 
 PerfCore perf_stage_core(PerfStage s) {
-  return kStages[static_cast<int>(s)].core;
+  const int i = static_cast<int>(s);
+  for (int c = 0; c < kPerfCoreCount; ++c) {
+    const PerfStageRange r = perf_core_stages(static_cast<PerfCore>(c));
+    if (i >= r.begin && i < r.end) return static_cast<PerfCore>(c);
+  }
+  throw std::out_of_range(strfmt("perf stage %d belongs to no core group", i));
 }
 
 const char* perf_core_name(PerfCore c) {
   return kCoreNames[static_cast<int>(c)];
 }
 
-double PerfReport::core_stage_cycles(PerfCore c) const {
+double core_sum(const StageCycles& row, PerfCore c) {
+  const PerfStageRange r = perf_core_stages(c);
   double sum = 0.0;
-  for (int i = 0; i < kPerfStageCount; ++i) {
-    if (kStages[i].core == c) sum += stage_cycles[i];
-  }
+  for (int i = r.begin; i < r.end; ++i) sum += row[static_cast<std::size_t>(i)];
   return sum;
 }
 
@@ -86,15 +89,15 @@ double PerfReport::core_utilization(PerfCore c) const {
 
 double PerfReport::tx_cyc_per_byte() const {
   if (bytes_sent <= 0.0) return 0.0;
-  return (core_stage_cycles(PerfCore::SndApp) +
-          core_stage_cycles(PerfCore::SndIrq)) /
+  return (core_sum(stage_cycles, PerfCore::SndApp) +
+          core_sum(stage_cycles, PerfCore::SndIrq)) /
          bytes_sent;
 }
 
 double PerfReport::rx_cyc_per_byte() const {
   if (bytes_delivered <= 0.0) return 0.0;
-  return (core_stage_cycles(PerfCore::RcvApp) +
-          core_stage_cycles(PerfCore::RcvIrq)) /
+  return (core_sum(stage_cycles, PerfCore::RcvApp) +
+          core_sum(stage_cycles, PerfCore::RcvIrq)) /
          bytes_delivered;
 }
 
@@ -112,22 +115,23 @@ std::string format_perf_report(const PerfReport& r) {
   // orders its comm/dso groups.
   int order[kPerfCoreCount] = {0, 1, 2, 3};
   std::sort(order, order + kPerfCoreCount, [&](int a, int b) {
-    const double ca = r.core_stage_cycles(static_cast<PerfCore>(a));
-    const double cb = r.core_stage_cycles(static_cast<PerfCore>(b));
+    const double ca = core_sum(r.stage_cycles, static_cast<PerfCore>(a));
+    const double cb = core_sum(r.stage_cycles, static_cast<PerfCore>(b));
     if (ca != cb) return ca > cb;
     return a < b;
   });
   for (int oi = 0; oi < kPerfCoreCount; ++oi) {
     const auto core = static_cast<PerfCore>(order[oi]);
-    const double core_cyc = r.core_stage_cycles(core);
+    const double core_cyc = core_sum(r.stage_cycles, core);
     out += strfmt("%9.2f%%        --  %12.0f  %-7s  [%s] %.1f%% busy\n",
                   100.0 * core_cyc / total, core_cyc, perf_core_name(core),
                   perf_core_name(core), 100.0 * r.core_utilization(core));
     // Stages of this group, heaviest first; zero-cycle stages are noise.
     int stages[kPerfStageCount];
     int n = 0;
-    for (int i = 0; i < kPerfStageCount; ++i) {
-      if (kStages[i].core == core && r.stage_cycles[i] > 0.0) stages[n++] = i;
+    const PerfStageRange range = perf_core_stages(core);
+    for (int i = range.begin; i < range.end; ++i) {
+      if (r.stage_cycles[i] > 0.0) stages[n++] = i;
     }
     std::sort(stages, stages + n, [&](int a, int b) {
       if (r.stage_cycles[a] != r.stage_cycles[b])
@@ -151,7 +155,7 @@ std::string format_flamegraph(const PerfReport& r) {
   for (int i = 0; i < kPerfStageCount; ++i) {
     if (r.stage_cycles[i] <= 0.0) continue;
     out += strfmt("%s;%s;%s %lld\n", root,
-                  perf_core_name(kStages[i].core), kStages[i].symbol,
+                  perf_core_name(perf_stage_core(static_cast<PerfStage>(i))), kStages[i].symbol,
                   static_cast<long long>(std::llround(r.stage_cycles[i])));
   }
   return out;
@@ -168,7 +172,7 @@ std::string format_flamegraph_diff(const PerfReport& before,
   for (int i = 0; i < kPerfStageCount; ++i) {
     if (before.stage_cycles[i] <= 0.0 && after.stage_cycles[i] <= 0.0) continue;
     out += strfmt("%s;%s;%s %lld %lld\n", root.c_str(),
-                  perf_core_name(kStages[i].core), kStages[i].symbol,
+                  perf_core_name(perf_stage_core(static_cast<PerfStage>(i))), kStages[i].symbol,
                   static_cast<long long>(std::llround(before.stage_cycles[i])),
                   static_cast<long long>(std::llround(after.stage_cycles[i])));
   }
@@ -185,7 +189,7 @@ Json perf_log_to_json(const std::vector<PerfReport>& log) {
 void cross_check_stage_sum(const PerfReport& report) {
   for (int c = 0; c < kPerfCoreCount; ++c) {
     const double stage_sum =
-        report.core_stage_cycles(static_cast<PerfCore>(c));
+        core_sum(report.stage_cycles, static_cast<PerfCore>(c));
     const double consumed = report.consumed_cycles[c];
     // The split prices each term separately, so allow only fp drift.
     const double tol =

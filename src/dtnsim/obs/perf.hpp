@@ -2,28 +2,27 @@
 //
 // The paper's throughput story is a cycles story, and its evidence is perf
 // profiles — data copy dominating the RX path at 100G, MSG_ZEROCOPY moving
-// TX cycles from copy_user to page pinning. cpu/cost_model already prices
-// every kernel-path stage in cycles/byte, and the engines charge those
-// prices per core group: the fluid engine per round against its
-// RoundConsts budgets, the packet engine per super-packet and per segment.
-// This header is the `perf report` view over those charges: a fixed stage
-// taxonomy named after the real kernel symbols, a PerfReport carrying
-// per-core and per-flow cycle totals, text renderers (perf report-style
-// table + Brendan Gregg collapsed stacks), and a JSON round-trip for
-// dtnsim-perf --json and a RunRecord's perf_log. obs::Sampler (sampler.hpp)
-// takes the reports on the simulation clock and mirrors headline figures
-// into perf.* gauges.
+// TX cycles from copy_user to page pinning. cpu::CostModel prices every
+// kernel-path stage in cycles/byte, and the engines charge those prices per
+// core group: the fluid engine per round against its RoundConsts budgets,
+// the packet engine per super-packet and per segment. This header is the
+// `perf report` view over those charges: a fixed stage taxonomy named after
+// the real kernel symbols, a PerfReport carrying per-core and per-flow cycle
+// totals, text renderers (perf report-style table + Brendan Gregg collapsed
+// stacks), and a JSON round-trip for dtnsim-perf --json and a RunRecord's
+// perf_log. obs::Sampler (sampler.hpp) keeps the reports, taken on the
+// simulation clock, in its perf log.
 //
-// Attribution is exact, not sampled: each engine splits the exact charge it
-// makes against its core budgets into stages, so summed stage cycles must
-// equal the consumed-cycle figure to fp rounding. cross_check_stage_sum
-// enforces that identity at every sample.
+// Attribution is exact, not sampled: each price the cost model builds is a
+// StagePrice, the per-byte charge together with its split into stages, and
+// an engine bills both halves at once through PerfReport::charge. Summed
+// stage cycles therefore equal the consumed-cycle figure to fp rounding;
+// cross_check_stage_sum checks that identity at every sample.
 //
-// Layering: obs sits below cpu/flow, so these are plain-data structs; the
-// decomposition math lives in cpu::CostModel (tx_app_stage_cyc & friends).
-// A PerfReport is also the engines' accumulator: with perf on, each engine
-// charges its stage cycles into one through PerfReport::add, and its perf
-// view copies it and fills in what it reads off the simulation clock.
+// Layering: obs sits below cpu/flow, so these are plain-data structs that
+// cpu::CostModel fills and the engines accumulate: with perf on, each engine
+// charges into one PerfReport, and its perf view copies it and fills in what
+// it reads off the simulation clock.
 #pragma once
 
 #include <array>
@@ -74,8 +73,38 @@ const char* perf_stage_symbol(PerfStage s);
 PerfCore perf_stage_core(PerfStage s);
 const char* perf_core_name(PerfCore c);
 
+// The stages core group `c` owns: the PerfStage values [begin, end).
+struct PerfStageRange {
+  int begin;
+  int end;
+};
+constexpr PerfStageRange perf_core_stages(PerfCore c) {
+  switch (c) {
+    case PerfCore::SndApp:
+      return {static_cast<int>(PerfStage::TxSyscall), static_cast<int>(PerfStage::TxGsoSegment)};
+    case PerfCore::SndIrq:
+      return {static_cast<int>(PerfStage::TxGsoSegment), static_cast<int>(PerfStage::RxSkbAlloc)};
+    case PerfCore::RcvApp:
+      return {static_cast<int>(PerfStage::RxSyscall), kPerfStageCount};
+    case PerfCore::RcvIrq:
+      return {static_cast<int>(PerfStage::RxSkbAlloc), static_cast<int>(PerfStage::RxSyscall)};
+  }
+  return {0, 0};
+}
+
 using StageCycles = std::array<double, kPerfStageCount>;
 using CoreCycles = std::array<double, kPerfCoreCount>;
+
+// Entries of `row` summed over core group c's stages, in stage order.
+double core_sum(const StageCycles& row, PerfCore c);
+
+// What an engine charges one core group per unit of work (a payload byte,
+// or a wire segment): per_byte, and the same charge split into the group's
+// stages (every other entry 0). cpu::CostModel builds them.
+struct StagePrice {
+  double per_byte = 0.0;
+  StageCycles stages{};
+};
 
 // Cycles one flow burned, by stage. Index with static_cast<int>(PerfStage).
 struct PerfFlowCycles {
@@ -98,22 +127,28 @@ struct PerfReport {
   CoreCycles capacity_cycles{};
   std::vector<PerfFlowCycles> flows;
 
-  // Charges `cycles` to one stage, in the run total and in row `flow` of
-  // `flows` alike, so the rows always sum to the total.
-  void add(std::size_t flow, PerfStage stage, double cycles) {
-    const auto i = static_cast<std::size_t>(stage);
-    stage_cycles[i] += cycles;
-    flows[flow].stage_cycles[i] += cycles;
+  // Charges `units` of work at `price` to core group `core`: the charge to
+  // its consumed cycles, and each stage's share to that stage, in the run
+  // total and in row `flow` of `flows` alike, so the rows always sum to the
+  // total.
+  void charge(std::size_t flow, PerfCore core, double units, const StagePrice& price) {
+    const PerfStageRange r = perf_core_stages(core);
+    for (int i = r.begin; i < r.end; ++i) {
+      const auto s = static_cast<std::size_t>(i);
+      const double cycles = units * price.stages[s];
+      stage_cycles[s] += cycles;
+      flows[flow].stage_cycles[s] += cycles;
+    }
+    consumed_cycles[static_cast<std::size_t>(core)] += units * price.per_byte;
   }
 
-  // Summed stage cycles for one core group / all groups.
-  double core_stage_cycles(PerfCore c) const;
+  // Summed stage cycles of all groups (one group's: core_sum).
   double total_cycles() const;
   // consumed/capacity for the group, clamped to [0, 1]; 0 when no capacity
   // was metered (the packet engine attributes IRQ cycles but meters no IRQ
   // capacity — its IRQ work rides inside the app-core service times).
   double core_utilization(PerfCore c) const;
-  // Headline efficiency figures (perf.* mirror gauges).
+  // Headline efficiency figures (the report header's cyc/B).
   double tx_cyc_per_byte() const;  // snd-side stages / bytes_sent
   double rx_cyc_per_byte() const;  // rcv-side stages / bytes_delivered
 };

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "dtnsim/obs/telemetry.hpp"
-#include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::obs {
 
@@ -115,65 +114,12 @@ void Sampler::sample_ss(Nanos now) {
   if (source_.metrics) {
     cross_check_delivered(r, registry_, source_.metrics->delivered_bytes, delivered_base_);
   }
-
-  if (!ss_gauges_) {
-    ss_gauges_ = SsGauges{
-        registry_.gauge("ss.sockets", "sockets", "sockets in the latest ss snapshot"),
-        registry_.gauge("ss.delivery_rate_bps", "bps",
-                        "summed tcpi_delivery_rate, latest snapshot"),
-        registry_.gauge("ss.optmem_used_bytes", "bytes", "summed in-flight zerocopy charges"),
-        registry_.gauge("ss.zc_copied_bytes", "bytes", "summed zerocopy copy-fallback bytes"),
-        registry_.gauge("ss.nic_ring_hiwater_frac", "frac",
-                        "receiver ring high-water fraction"),
-        registry_.gauge("ss.qdisc_throttled", "events", "qdisc pacing throttle count")};
-  }
-  double optmem = 0.0, copied = 0.0;
-  for (const auto& s : r.sockets) {
-    optmem += s.optmem_used_bytes;
-    copied += s.zc_copied_bytes;
-  }
-  ss_gauges_->sockets->set(static_cast<double>(r.sockets.size()));
-  ss_gauges_->delivery->set(r.total_delivery_rate_bps());
-  ss_gauges_->optmem_used->set(optmem);
-  ss_gauges_->zc_copied->set(copied);
-  ss_gauges_->ring_hiwater->set(r.nic.rx_ring_hiwater_frac);
-  ss_gauges_->qdisc_throttled->set(r.qdisc.throttled);
-  trace_.instant("ss_snapshot", "ss", r.ts, 0,
-                 {{"sockets", static_cast<double>(r.sockets.size())},
-                  {"delivery_rate_bps", r.total_delivery_rate_bps()},
-                  {"bytes_acked", r.total_bytes_acked()}});
 }
 
 void Sampler::sample_perf(Nanos now) {
   PerfReport& r = perf_log_.emplace_back(source_.perf(now));
   r.ts = now;
   cross_check_stage_sum(r);
-
-  if (!perf_gauges_) {
-    PerfGauges g{};
-    g.tx_cyc_pb = registry_.gauge("perf.tx_cyc_per_byte", "cyc/B",
-                                  "snd-side cycles per sent byte");
-    g.rx_cyc_pb = registry_.gauge("perf.rx_cyc_per_byte", "cyc/B",
-                                  "rcv-side cycles per delivered byte");
-    g.total_cycles = registry_.gauge("perf.total_cycles", "cycles",
-                                     "summed stage cycles, all cores");
-    for (int c = 0; c < kPerfCoreCount; ++c) {
-      const char* core = perf_core_name(static_cast<PerfCore>(c));
-      g.util[c] = registry_.gauge(strfmt("perf.%s_util", core), "frac",
-                                  strfmt("%s consumed/capacity cycles", core));
-    }
-    perf_gauges_ = g;
-  }
-  perf_gauges_->tx_cyc_pb->set(r.tx_cyc_per_byte());
-  perf_gauges_->rx_cyc_pb->set(r.rx_cyc_per_byte());
-  perf_gauges_->total_cycles->set(r.total_cycles());
-  for (int c = 0; c < kPerfCoreCount; ++c) {
-    perf_gauges_->util[c]->set(r.core_utilization(static_cast<PerfCore>(c)));
-  }
-  trace_.instant("perf_sample", "perf", r.ts, 0,
-                 {{"total_cycles", r.total_cycles()},
-                  {"tx_cyc_per_byte", r.tx_cyc_per_byte()},
-                  {"rx_cyc_per_byte", r.rx_cyc_per_byte()}});
 }
 
 }  // namespace dtnsim::obs

@@ -22,10 +22,14 @@
 // gained since its session opened (cross_check_delivered), and every perf
 // sample's stage cycles with its consumed cycles (cross_check_stage_sum); a
 // sample that does not throws.
+//
+// An ss or perf sample lives in its log only: each figure it holds is a
+// field of the log entry taken at that instant, which a RunRecord and the
+// --json views of dtnsim-ss and dtnsim-perf carry. The registry and the
+// trace hold what the engines publish.
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "dtnsim/obs/metrics.hpp"
@@ -112,25 +116,6 @@ class Sampler {
   // The source's delivered-bytes counter when the session opened: the
   // counter accumulates over every run of its engine on one registry.
   double delivered_base_ = 0.0;
-
-  // ss.* and perf.* mirror gauges, registered on the channel's first sample
-  // so a run without it never widens the metric table.
-  struct SsGauges {
-    Gauge* sockets;
-    Gauge* delivery;
-    Gauge* optmem_used;
-    Gauge* zc_copied;
-    Gauge* ring_hiwater;
-    Gauge* qdisc_throttled;
-  };
-  struct PerfGauges {
-    Gauge* tx_cyc_pb;
-    Gauge* rx_cyc_pb;
-    Gauge* total_cycles;
-    Gauge* util[kPerfCoreCount];
-  };
-  std::optional<SsGauges> ss_gauges_;
-  std::optional<PerfGauges> perf_gauges_;
 };
 
 }  // namespace dtnsim::obs

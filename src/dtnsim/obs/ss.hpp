@@ -7,7 +7,7 @@
 // model can honestly populate, text formatters shaped like the real tools'
 // output, and a JSON round-trip (dtnsim-ss --json, a RunRecord's ss_log).
 // obs::Sampler (sampler.hpp) takes the reports on the simulation clock and
-// mirrors headline fields into the shared Registry/trace sinks.
+// keeps them in its ss log.
 //
 // Layering: obs sits below net/tcp/kern, so these structs carry copies of
 // engine state. An SsReport is also the fluid engine's accumulator: with ss

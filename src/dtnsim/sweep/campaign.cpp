@@ -260,7 +260,7 @@ cli::Grammar sweep_grammar(SweepCli& o) {
     return std::string();
   };
   const Setter perf = [&o](const std::string&, const std::vector<std::string>&) {
-    o.grid.telemetry.enabled = o.grid.telemetry.perf_enabled = true;
+    o.grid.telemetry.perf_enabled = true;
     return std::string();
   };
   const Setter quick = [&o](const std::string&, const std::vector<std::string>&) {

@@ -64,9 +64,7 @@ std::string validate(const GridSpec& grid) {
   try {
     for (const auto k : grid.kernels) {
       const auto tb = harness::testbed_by_name(grid.testbed, k);
-      for (const auto& p : grid.paths) {
-        if (!p.empty()) (void)tb.path_named(p);
-      }
+      for (const auto& p : grid.paths) (void)tb.path_named(p);
     }
   } catch (const std::exception& e) {
     return e.what();

@@ -22,8 +22,8 @@ TEST(CalibrationContract, ReceiverCyclesPerByte) {
   const CostModel intel(cpu::intel_xeon_6346(), CostModelOptions{});
   const CostModel amd(cpu::amd_epyc_73f3(), CostModelOptions{});
   RxPathConfig rx;  // defaults: 64K GRO, MTU 9000, copy
-  EXPECT_NEAR(intel.rx_app_cyc_per_byte(rx), 0.514, 0.005);
-  EXPECT_NEAR(amd.rx_app_cyc_per_byte(rx), 0.764, 0.005);
+  EXPECT_NEAR(intel.rx_app_price(rx).per_byte, 0.514, 0.005);
+  EXPECT_NEAR(amd.rx_app_price(rx).per_byte, 0.764, 0.005);
 }
 
 // MODEL.md §2: the implied single-core receive ceilings (the 55/42 anchors).
@@ -31,8 +31,8 @@ TEST(CalibrationContract, ReceiverCeilings) {
   const CostModel intel(cpu::intel_xeon_6346(), CostModelOptions{});
   const CostModel amd(cpu::amd_epyc_73f3(), CostModelOptions{});
   RxPathConfig rx;
-  const double intel_gbps = 3.6e9 / intel.rx_app_cyc_per_byte(rx) * 8.0 / 1e9;
-  const double amd_gbps = 4.0e9 / amd.rx_app_cyc_per_byte(rx) * 8.0 / 1e9;
+  const double intel_gbps = 3.6e9 / intel.rx_app_price(rx).per_byte * 8.0 / 1e9;
+  const double amd_gbps = 4.0e9 / amd.rx_app_price(rx).per_byte * 8.0 / 1e9;
   EXPECT_NEAR(intel_gbps, 56.0, 1.0);  // paper: ~55
   EXPECT_NEAR(amd_gbps, 41.9, 1.0);    // paper: ~42
 }
@@ -43,7 +43,7 @@ TEST(CalibrationContract, BigTcpReceiverGain) {
   RxPathConfig stock;
   RxPathConfig big;
   big.gro_bytes = 150.0 * 1024.0;
-  EXPECT_NEAR(intel.rx_app_cyc_per_byte(stock) / intel.rx_app_cyc_per_byte(big), 1.16,
+  EXPECT_NEAR(intel.rx_app_price(stock).per_byte / intel.rx_app_price(big).per_byte, 1.16,
               0.02);
 }
 

@@ -164,6 +164,21 @@ TEST(RunCli, UnknownPathFails) {
   EXPECT_EQ(run_cli(o, out), 2);
 }
 
+// --probe-interval is the cadence of whatever arms telemetry: a record alone
+// samples at it too (3 s at 0.25 s is 12 series rows, not the default 3).
+TEST(RunCli, RecordOutKeepsTheProbeInterval) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "dtnsim_cli_record_cadence";
+  fs::create_directories(dir);
+  const auto run = run_command(parse_cli({"--testbed", "esnet", "-t", "3", "--record-out",
+                                          (dir / "r.json").string(), "--probe-interval",
+                                          "0.25"}));
+  ASSERT_EQ(run.code, 0) << run.error;
+  EXPECT_FALSE(run.spec.telemetry.enabled);  // run_telemetry arms it for the record
+  ASSERT_TRUE(run.result.record);
+  EXPECT_EQ(run.result.record->series.rows.size(), 12u);
+}
+
 TEST(RunCli, DeterministicAcrossInvocations) {
   auto o = parse_cli({"--testbed", "esnet", "-t", "3", "--seed", "7"});
   std::string a, b;

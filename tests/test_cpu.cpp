@@ -7,6 +7,7 @@
 #include "dtnsim/cpu/cost_model.hpp"
 #include "dtnsim/cpu/spec.hpp"
 #include "dtnsim/cpu/topology.hpp"
+#include "dtnsim/util/strfmt.hpp"
 
 namespace dtnsim::cpu {
 namespace {
@@ -122,10 +123,10 @@ TEST_F(CostModelTest, BigTcpAmortizesPerPacketCosts) {
   RxPathConfig small;
   RxPathConfig big;
   big.gro_bytes = 150.0 * 1024.0;
-  EXPECT_LT(intel_.rx_app_cyc_per_byte(big), intel_.rx_app_cyc_per_byte(small));
+  EXPECT_LT(intel_.rx_app_price(big).per_byte, intel_.rx_app_price(small).per_byte);
   // Calibration: ~16% receive-path reduction at 150K aggregates.
   const double gain =
-      intel_.rx_app_cyc_per_byte(small) / intel_.rx_app_cyc_per_byte(big);
+      intel_.rx_app_price(small).per_byte / intel_.rx_app_price(big).per_byte;
   EXPECT_GT(gain, 1.10);
   EXPECT_LT(gain, 1.25);
 }
@@ -134,7 +135,7 @@ TEST_F(CostModelTest, SkipRxCopyRemovesDominantCost) {
   RxPathConfig copy;
   RxPathConfig trunc;
   trunc.copy_to_user = false;
-  EXPECT_LT(intel_.rx_app_cyc_per_byte(trunc), intel_.rx_app_cyc_per_byte(copy) * 0.4);
+  EXPECT_LT(intel_.rx_app_price(trunc).per_byte, intel_.rx_app_price(copy).per_byte * 0.4);
 }
 
 TEST_F(CostModelTest, CachePressureMonotonic) {
@@ -161,7 +162,7 @@ TEST_F(CostModelTest, StackFactorScalesEverything) {
   RxPathConfig rx;
   EXPECT_NEAR(old_model.tx_app_cyc_per_byte(tx) / amd_.tx_app_cyc_per_byte(tx), 1.31,
               1e-6);
-  EXPECT_NEAR(old_model.rx_app_cyc_per_byte(rx) / amd_.rx_app_cyc_per_byte(rx), 1.31,
+  EXPECT_NEAR(old_model.rx_app_price(rx).per_byte / amd_.rx_app_price(rx).per_byte, 1.31,
               1e-6);
 }
 
@@ -179,7 +180,7 @@ TEST_F(CostModelTest, HwGroCutsIrqMergeCost) {
   RxPathConfig sw;
   RxPathConfig hw;
   hw.hw_gro = true;
-  EXPECT_LT(intel_.rx_irq_cyc_per_byte(hw), intel_.rx_irq_cyc_per_byte(sw));
+  EXPECT_LT(intel_.rx_irq_price(hw).per_byte, intel_.rx_irq_price(sw).per_byte);
 }
 
 TEST_F(CostModelTest, MemPassesZcMuchLower) {
@@ -188,6 +189,79 @@ TEST_F(CostModelTest, MemPassesZcMuchLower) {
   zc.zc_fraction = 1.0;
   EXPECT_GT(intel_.tx_mem_passes(copy), 2.0);
   EXPECT_LT(intel_.tx_mem_passes(zc), 1.5);
+}
+
+// Each price's stage row is its charge taken apart: over the price's core
+// group the entries sum to per_byte, and every other entry is 0.
+void expect_row_is_price(const obs::StageCycles& row, double per_byte, obs::PerfCore core,
+                         const std::string& where) {
+  const obs::PerfStageRange own = obs::perf_core_stages(core);
+  double sum = 0.0;
+  for (int i = 0; i < obs::kPerfStageCount; ++i) {
+    const double cyc = row[static_cast<std::size_t>(i)];
+    if (i >= own.begin && i < own.end) {
+      EXPECT_GE(cyc, 0.0) << where << " " << obs::perf_stage_name(static_cast<obs::PerfStage>(i));
+      sum += cyc;
+    } else {
+      EXPECT_EQ(cyc, 0.0) << where << " " << obs::perf_stage_name(static_cast<obs::PerfStage>(i));
+    }
+  }
+  EXPECT_GT(per_byte, 0.0) << where;
+  EXPECT_NEAR(sum, per_byte, 1e-12 * per_byte) << where;
+}
+
+TEST(CostModelPrices, StageRowsSumToTheirCharge) {
+  CostModelOptions vm;
+  vm.virt_factor = 1.5;
+  vm.stack_factor = 1.31;
+  vm.placement.app_numa_local = false;
+  vm.placement.irq_separated = false;
+  for (const CpuSpec& spec : {intel_xeon_6346(), amd_epyc_73f3()}) {
+    for (const bool pt : {true, false}) {
+      for (CostModelOptions opts : {CostModelOptions{}, vm}) {
+        opts.iommu_passthrough = pt;
+        const CostModel m(spec, opts);
+        const std::string model = spec.model + (pt ? " pt" : " strict") +
+                                  (opts.virt_factor > 1.0 ? " vm" : "");
+        for (const double gso : {65536.0, 180224.0}) {
+          for (const double zc : {0.0, 0.5, 1.0}) {
+            for (const double fb : {0.0, 0.5 * zc}) {
+              for (const double cache : {1.0, 2.5}) {
+                TxPathConfig tx;
+                tx.gso_bytes = gso;
+                tx.zc_fraction = zc;
+                tx.zc_fallback_fraction = fb;
+                tx.cache_mult = cache;
+                const std::string where =
+                    strfmt("%s gso=%g zc=%g fb=%g cache=%g", model.c_str(), gso, zc, fb, cache);
+                const TxAppPrice app = m.tx_app_price(gso);
+                expect_row_is_price(app.stages(zc, fb, cache), m.tx_app_cyc_per_byte(tx),
+                                    obs::PerfCore::SndApp, "tx_app " + where);
+                const obs::StagePrice irq = m.tx_irq_price(tx);
+                expect_row_is_price(irq.stages, irq.per_byte, obs::PerfCore::SndIrq,
+                                    "tx_irq " + where);
+              }
+            }
+          }
+        }
+        for (const bool copy : {true, false}) {
+          for (const bool hw_gro : {false, true}) {
+            RxPathConfig rx;
+            rx.copy_to_user = copy;
+            rx.hw_gro = hw_gro;
+            const std::string where = model + (copy ? " copy" : " MSG_TRUNC") +
+                                      (hw_gro ? " hw_gro" : "");
+            const obs::StagePrice app = m.rx_app_price(rx);
+            expect_row_is_price(app.stages, app.per_byte, obs::PerfCore::RcvApp,
+                                "rx_app " + where);
+            const obs::StagePrice irq = m.rx_irq_price(rx);
+            expect_row_is_price(irq.stages, irq.per_byte, obs::PerfCore::RcvIrq,
+                                "rx_irq " + where);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_F(CostModelTest, VirtFactorScalesCosts) {

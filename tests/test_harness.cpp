@@ -40,7 +40,12 @@ TEST(Testbeds, ProductionHasFlowControl) {
 }
 
 TEST(Testbeds, UnknownPathThrows) {
-  EXPECT_THROW(amlight().path_named("WAN 99ms"), std::out_of_range);
+  try {
+    (void)amlight().path_named("WAN 99ms");
+    ADD_FAILURE() << "no throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("WAN 99ms"), std::string::npos) << e.what();
+  }
   EXPECT_THROW(amlight_wan(99), std::invalid_argument);
 }
 
@@ -83,9 +88,11 @@ TEST(Runner, LabelAndDefaults) {
   EXPECT_NE(unnamed.name.find("WAN 63ms"), std::string::npos);
 }
 
-// The whole spec: its name and its cache-key text (every keyed knob).
+// The whole spec: its name and its cache-key text (every keyed knob). The
+// empty name is paths[0] even where that path is not called LAN.
 TEST(Runner, EmptyPathIsTheLan) {
   for (const auto& tb : {amlight(), esnet_production()}) {
+    EXPECT_EQ(&tb.path_named(""), &tb.lan()) << tb.name;
     const auto blank = TestSpec::on(tb, "", {});
     const auto lan = TestSpec::on(tb, tb.lan().name, {});
     EXPECT_EQ(blank.name, tb.name + " " + tb.lan().name);

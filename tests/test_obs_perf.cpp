@@ -118,7 +118,7 @@ TEST(PerfAttribution, StageSumMatchesConsumedPacket) {
 
 // Each stage's per-flow rows must add up to the run total in every sample:
 // both engines charge a stage's cycles to the total and to one flow's row in
-// the same PerfReport::add. Summing eight rows regroups the additions, so
+// the same PerfReport::charge. Summing eight rows regroups the additions, so
 // the bound is fp drift (1e-9 relative), not equality.
 void expect_flow_rows_sum_to_totals(const std::vector<obs::PerfReport>& log,
                                     std::size_t flows) {
@@ -246,9 +246,9 @@ TEST(PerfAttribution, PacketAndFluidAgreeOnTxCyclesPerByte) {
   // (its IRQ attribution is informational), and the fluid engine's
   // jitter/cache multipliers move per-run costs by tens of percent.
   const double pkt_tx =
-      pkt.core_stage_cycles(obs::PerfCore::SndApp) / pkt.bytes_sent;
+      obs::core_sum(pkt.stage_cycles, obs::PerfCore::SndApp) / pkt.bytes_sent;
   const double fl_tx =
-      fl.core_stage_cycles(obs::PerfCore::SndApp) / fl.bytes_sent;
+      obs::core_sum(fl.stage_cycles, obs::PerfCore::SndApp) / fl.bytes_sent;
   EXPECT_GT(pkt_tx, 0.0);
   EXPECT_GT(fl_tx, 0.0);
   EXPECT_LT(std::abs(pkt_tx - fl_tx) / fl_tx, 0.5);

@@ -102,10 +102,10 @@ TEST(SsSnapshot, FieldsConsistentWithRegistryAndProbe) {
     EXPECT_GT(sock.rtt_sec, 0.0);
     EXPECT_GE(sock.rtt_sec, sock.min_rtt_sec);
   }
-  // The ss.* mirror gauges carry the headline figures.
-  EXPECT_DOUBLE_EQ(tel.registry().value_of("ss.sockets"), 4.0);
-  EXPECT_NEAR(tel.registry().value_of("ss.delivery_rate_bps"),
-              last.total_delivery_rate_bps(), 1e-6 * last.total_delivery_rate_bps());
+  // A snapshot lives in the ss log alone: no registry metric copies it.
+  for (const auto& name : tel.registry().column_names()) {
+    EXPECT_NE(name.rfind("ss.", 0), 0u) << name;
+  }
   // Aggregate sanity against the run's own result (goodput x time = bytes;
   // loose bound — throughput is drain-side, bytes_acked is delivery-side).
   EXPECT_NEAR(last.total_bytes_acked(), res.throughput_bps * res.duration_sec / 8.0,

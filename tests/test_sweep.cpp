@@ -1225,8 +1225,13 @@ TEST(SweepCli, TelemetryAndPerfFlagsReachTheGrid) {
   EXPECT_FALSE(tel.grid.telemetry.perf_enabled);
   const auto perf = parse_sweep_cli({"--perf"});
   ASSERT_TRUE(perf.error.empty()) << perf.error;
-  EXPECT_TRUE(perf.grid.telemetry.enabled);
   EXPECT_TRUE(perf.grid.telemetry.perf_enabled);
+  // --perf sets perf alone; harness::run_telemetry arms the telemetry it
+  // rides on in every cell.
+  EXPECT_FALSE(perf.grid.telemetry.enabled);
+  harness::TestSpec cell;
+  cell.telemetry = perf.grid.telemetry;
+  EXPECT_TRUE(harness::run_telemetry(cell).enabled);
 }
 
 TEST(SweepReport, LiveCampaignRowsCarryPerfColumns) {

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   }
   net::PathSpec path;
   try {
-    path = path_name.empty() ? tb.lan() : tb.path_named(path_name);
+    path = tb.path_named(path_name);
   } catch (const std::out_of_range& e) {  // no such path in the testbed
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
